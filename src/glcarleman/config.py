@@ -11,7 +11,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 
+from .functionals import VARIANTS
 from .grid import DomainSpec, build_grid
 
 DEFAULTS = {
@@ -46,11 +48,13 @@ class ConfigError(ValueError):
 
 
 def _merge(base, override, path=""):
+    if not isinstance(override, dict):
+        raise ConfigError([f"{path[:-1] or 'top level'}: must be a JSON object"])
     out = copy.deepcopy(base)
     for key, val in override.items():
         if key not in base:
             raise ConfigError([f"{path}{key}: unknown field"])
-        if isinstance(base[key], dict) and isinstance(val, dict):
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], val, f"{path}{key}.")
         else:
             out[key] = val
@@ -60,8 +64,11 @@ def _merge(base, override, path=""):
 def load_config(path=None, overrides=None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            user = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                user = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"--config: cannot read {path}: {exc}"]) from None
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
@@ -69,66 +76,78 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
+def _real(x) -> bool:
+    """A finite JSON number; bools are not numbers here."""
+    return not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and math.isfinite(x))
+
+
+def _int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# dotted path -> (check, message)
+_SCALAR_RULES = {
+    "seed": (lambda v: _int(v) and v >= 0, "must be an int >= 0"),
+    "output_dir": (lambda v: v is None or isinstance(v, str), "must be a path or null"),
+    "domain.shape": (lambda v: v in ("unit_square", "unit_disk"),
+                     "must be unit_square or unit_disk"),
+    "domain.gamma0": (lambda v: v in ("full_boundary", "none"),
+                      "must be full_boundary or none"),
+    "domain.omega_center": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                            and all(map(_real, v)), "must be a pair of numbers"),
+    "domain.omega_radius": (lambda v: _real(v) and v > 0, "must be a positive number"),
+    "grid.nx": (lambda v: _int(v) and v >= 16, "must be an int >= 16"),
+    "grid.ny": (lambda v: _int(v) and v >= 16, "must be an int >= 16"),
+    "grid.nt": (lambda v: _int(v) and v >= 16, "must be an int >= 16"),
+    "grid.T": (lambda v: _real(v) and v > 0, "must be a positive number"),
+    "coeffs.b": (_real, "must be a number"),
+    "coeffs.c": (_real, "must be a number"),
+    "coeffs.r0": (lambda v: _real(v) and 0 < v < 1, "must be a number in (0, 1)"),
+    "coeffs.delta0": (lambda v: _real(v) and 0 < v < 0.125,
+                      "must be a number in (0, 1/8)"),
+    "solver.scheme": (lambda v: v in ("imex_be", "imex_cn"),
+                      "must be imex_be or imex_cn"),
+    "solver.bc": (lambda v: v in ("dirichlet0", "neumann0"),
+                  "must be dirichlet0 or neumann0 (data-carrying bcs are API-only)"),
+    "solver.amplitude": (lambda v: _real(v) and v > 0, "must be a positive number"),
+    "solver.n_modes": (lambda v: _int(v) and 1 <= v <= 8, "must be an int in 1..8"),
+    "identity.n_fields": (lambda v: _int(v) and v >= 1, "must be an int >= 1"),
+    "identity.threshold": (lambda v: _real(v) and v > 0, "must be a positive number"),
+    "scan.n_trajectories": (lambda v: _int(v) and v >= 1, "must be an int >= 1"),
+}
+
+# dotted path -> (least length, check of each entry, message)
+_LIST_RULES = {
+    "identity.lambdas": (0, lambda v: _real(v) and v > 1, "must be a number > 1"),
+    "identity.mus": (0, lambda v: _real(v) and v > 1, "must be a number > 1"),
+    "scan.lambdas": (2, lambda v: _real(v) and v > 1, "must be a number > 1"),
+    "scan.mus": (1, lambda v: _real(v) and v > 1, "must be a number > 1"),
+    "scan.variants": (0, lambda v: v in VARIANTS, "unknown variant"),
+    "stability.deltas": (0, lambda v: _real(v) and v > 0, "must be a positive number"),
+    "stability.eps_fractions": (0, lambda v: _real(v) and 0 < v < 0.5,
+                                "must be a number in (0, 0.5)"),
+    "stability.variants": (0, lambda v: v in ("interior", "boundary"),
+                           "must be interior or boundary"),
+}
+
+
+def _lookup(cfg: dict, path: str):
+    for key in path.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
 def validate_config(cfg: dict) -> None:
-    errs = []
-
-    def need(cond, path, msg):
-        if not cond:
-            errs.append(f"{path}: {msg}")
-
-    d = cfg["domain"]
-    need(d["shape"] in ("unit_square", "unit_disk"), "domain.shape",
-         "must be unit_square or unit_disk")
-    need(d["gamma0"] in ("full_boundary", "none"), "domain.gamma0",
-         "must be full_boundary or none")
-    need(isinstance(d["omega_center"], (list, tuple)) and len(d["omega_center"]) == 2,
-         "domain.omega_center", "must be a pair")
-    need(d["omega_radius"] > 0, "domain.omega_radius", "must be positive")
-
-    g = cfg["grid"]
-    for k in ("nx", "ny", "nt"):
-        need(isinstance(g[k], int) and g[k] >= 16, f"grid.{k}", "must be an int >= 16")
-    need(g["T"] > 0, "grid.T", "must be positive")
-
-    c = cfg["coeffs"]
-    need(0 < c["r0"] < 1, "coeffs.r0", "must lie in (0, 1)")
-    need(0 < c["delta0"] < 0.125, "coeffs.delta0", "must lie in (0, 1/8)")
-
-    s = cfg["solver"]
-    need(s["scheme"] in ("imex_be", "imex_cn"), "solver.scheme",
-         "must be imex_be or imex_cn")
-    need(s["bc"] in ("dirichlet0", "neumann0"), "solver.bc",
-         "must be dirichlet0 or neumann0 (data-carrying bcs are API-only)")
-    need(s["amplitude"] > 0, "solver.amplitude", "must be positive")
-    need(1 <= s["n_modes"] <= 8, "solver.n_modes", "must lie in 1..8")
-
-    ident = cfg["identity"]
-    need(ident["n_fields"] >= 1, "identity.n_fields", "must be >= 1")
-    need(ident["threshold"] > 0, "identity.threshold", "must be positive")
-    for i, lam in enumerate(ident["lambdas"]):
-        need(lam > 1, f"identity.lambdas[{i}]", "must exceed 1")
-    for i, mu in enumerate(ident["mus"]):
-        need(mu > 1, f"identity.mus[{i}]", "must exceed 1")
-
-    sc = cfg["scan"]
-    for i, lam in enumerate(sc["lambdas"]):
-        need(lam > 1, f"scan.lambdas[{i}]", "must exceed 1")
-    for i, mu in enumerate(sc["mus"]):
-        need(mu > 1, f"scan.mus[{i}]", "must exceed 1")
-    for i, v in enumerate(sc["variants"]):
-        need(v in ("interior", "boundary", "linear_interior", "linear_boundary"),
-             f"scan.variants[{i}]", "unknown variant")
-    need(sc["n_trajectories"] >= 1, "scan.n_trajectories", "must be >= 1")
-
-    st = cfg["stability"]
-    for i, dl in enumerate(st["deltas"]):
-        need(dl > 0, f"stability.deltas[{i}]", "must be positive")
-    for i, fr in enumerate(st["eps_fractions"]):
-        need(0 < fr < 0.5, f"stability.eps_fractions[{i}]", "must lie in (0, 0.5)")
-    for i, v in enumerate(st["variants"]):
-        need(v in ("interior", "boundary"), f"stability.variants[{i}]",
-             "must be interior or boundary")
-
+    errs = [f"{path}: {msg}" for path, (ok, msg) in _SCALAR_RULES.items()
+            if not ok(_lookup(cfg, path))]
+    for path, (least, ok, msg) in _LIST_RULES.items():
+        vals = _lookup(cfg, path)
+        if not isinstance(vals, (list, tuple)) or len(vals) < least:
+            errs.append(f"{path}: must be a list"
+                        + (f" of at least {least} entries" if least else ""))
+            continue
+        errs += [f"{path}[{i}]: {msg}" for i, v in enumerate(vals) if not ok(v)]
     if errs:
         raise ConfigError(errs)
 

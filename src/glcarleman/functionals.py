@@ -40,9 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, time_derivative
-from .grid import GridError, SpaceTimeGrid, boundary_values, grad, laplacian
-from .weights import CarlemanParams, FLUSH_LOG, eval_psi
+from .grid import (GridError, SpaceTimeGrid, boundary_values, grad, laplacian,
+                   normal_derivative)
+from .weights import CarlemanParams, WeightTables, weight_tables
 
+FLUSH_LOG = -700.0
 DIRICHLET_TRACE_TOL = 1e-10
 STABILIZATION_TOL = 0.10
 
@@ -104,7 +106,7 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     g1, g2 = grad(Y, grid)
     G = apply_G(Y, grid, coeffs, "ghost_from_field")
     lin = yt - (1 + 1j * coeffs.b) * lap
-    dnu_abs2 = np.abs(boundary_normal_derivative(Y, grid)) ** 2
+    dnu_abs2 = np.abs(normal_derivative(Y, grid)) ** 2
     trace = boundary_values(Y, grid)
     return TrajectoryData(
         Y=Y, abs2=np.abs(Y) ** 2, yt_abs2=np.abs(yt) ** 2,
@@ -117,50 +119,9 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     )
 
 
-def boundary_normal_derivative(Y, grid):
-    from .grid import normal_derivative
-    return normal_derivative(Y, grid)
-
-
-@dataclass
-class WeightTables:
-    """Per-(family, mu): spatial and temporal factors of the weight family."""
-
-    params: CarlemanParams
-    exp_mu_psi: np.ndarray       # grid nodes
-    K: float
-    sigma: np.ndarray            # interior time nodes (1..nt-1)
-    b_exp_mu_psi: np.ndarray     # boundary samples
-    b_dpsi_dnu: np.ndarray       # d psi / d nu at boundary samples
-
-    def log_theta2(self):
-        """2 ell on interior times, shape (nt-1, ny+1, nx+1), and its max."""
-        two_ell = 2.0 * self.params.lam * (self.exp_mu_psi - self.K)[None] \
-            * self.sigma[:, None, None]
-        return two_ell
-
-    def phi(self):
-        return self.exp_mu_psi[None] * self.sigma[:, None, None]
-
-
-def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
-    if abs(params.T - grid.T) > 1e-12 * grid.T:
-        raise FunctionalError(
-            f"weight horizon T={params.T} disagrees with grid T={grid.T}")
-    pts = np.stack([grid.X1, grid.X2], axis=-1)
-    psi = eval_psi(grid.spec, params.which_psi, pts, check_omega=False)
-    t_int = grid.t_nodes[1:-1]
-    bpts = grid.boundary_points
-    bpsi = eval_psi(grid.spec, params.which_psi, bpts, check_omega=False)
-    dnu = np.einsum("bi,bi->b", bpsi.grad_psi, grid.boundary_normals)
-    return WeightTables(
-        params=params,
-        exp_mu_psi=np.exp(params.mu * psi.psi),
-        K=float(np.exp(2 * params.mu * psi.sup)),
-        sigma=1.0 / (t_int * (grid.T - t_int)),
-        b_exp_mu_psi=np.exp(params.mu * bpsi.psi),
-        b_dpsi_dnu=dnu,
-    )
+def _flush_exp(arg: np.ndarray) -> np.ndarray:
+    """exp(arg), flushed to exact zero wherever arg <= FLUSH_LOG."""
+    return np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
 
 
 class _CellQuadrature:
@@ -195,7 +156,7 @@ class _CellQuadrature:
         arg = logw + logg + phi_power * logphi
         if inv_lam_phi:
             arg = arg - np.log(lam) - logphi
-        vals = np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
+        vals = _flush_exp(arg)
         wsp = self.wsp if mask is None else self.wsp * mask
         slice_sums = np.einsum("tij,ij->t", vals, wsp)
         return float(math.fsum((slice_sums * self.wt).tolist()))
@@ -217,7 +178,7 @@ class _CellQuadrature:
             mag = np.abs(g)
             logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
             arg = two_ell + logmag + phi_power * np.log(bphi)
-        vals = np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
+        vals = _flush_exp(arg)
         vals *= np.sign(g)
         if signed_factor is not None:
             vals = vals * signed_factor[None, :]
@@ -243,10 +204,16 @@ def _lhs_terms(cell: _CellQuadrature, data: TrajectoryData, lam, mu,
 def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                   grid: SpaceTimeGrid, variant: str,
                   omega_mask=None) -> CarlemanReport:
-    """One CarlemanReport for one trajectory and one (lambda, mu)."""
+    """Both sides of one inequality for one trajectory and one (lambda, mu).
+
+    The single entry point for every variant; the scans call it per cell.
+    """
     if variant not in VARIANTS:
         raise FunctionalError(f"variant must be one of {VARIANTS}")
     params = tables.params
+    if abs(params.T - grid.T) > 1e-12 * grid.T:
+        raise FunctionalError(
+            f"weight horizon T={params.T} disagrees with grid T={grid.T}")
     lam, mu = params.lam, params.mu
     boundary_like = variant.endswith("boundary")
     cubic = not variant.startswith("linear")
@@ -296,71 +263,6 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                           obs_negative=obs_negative)
 
 
-# -- spec-level convenience wrappers ----------------------------------------
-
-def lhs_interior(Y, params: CarlemanParams, grid, coeffs) -> dict:
-    data = prepare_trajectory(Y, grid, coeffs)
-    tables = weight_tables(params, grid)
-    cell = _CellQuadrature(tables, grid)
-    return _lhs_terms(cell, data, params.lam, params.mu, cubic=True)
-
-
-def rhs_interior(Y, params: CarlemanParams, grid, coeffs) -> dict:
-    data = prepare_trajectory(Y, grid, coeffs)
-    tables = weight_tables(params, grid)
-    cell = _CellQuadrature(tables, grid)
-    om = grid.omega_mask
-    return {
-        "source": cell.vol(data.G_abs2),
-        "obs_l2": params.lam ** 3 * params.mu ** 4
-                  * cell.vol(data.abs2, phi_power=3.0, mask=om),
-        "obs_l4": params.lam ** 2 * params.mu ** 2
-                  * cell.vol(data.abs2 ** 2, phi_power=2.0, mask=om),
-    }
-
-
-def _require_family(params, family):
-    if params.family != family:
-        raise FunctionalError(f"weight family {family!r} required, "
-                              f"got {params.family!r}")
-
-
-def lhs_boundary(Y, params: CarlemanParams, grid, coeffs) -> dict:
-    """LHS breakdown of the boundary inequality (family j2 weights)."""
-    _require_family(params, "j2_boundary")
-    data = prepare_trajectory(Y, grid, coeffs)
-    tables = weight_tables(params, grid)
-    cell = _CellQuadrature(tables, grid)
-    return _lhs_terms(cell, data, params.lam, params.mu, cubic=True)
-
-
-def rhs_boundary(Y, params: CarlemanParams, grid, coeffs) -> dict:
-    """Source plus normal-derivative observation term of the boundary RHS."""
-    _require_family(params, "j2_boundary")
-    data = prepare_trajectory(Y, grid, coeffs)
-    tables = weight_tables(params, grid)
-    cell = _CellQuadrature(tables, grid)
-    obs = params.lam * params.mu * cell.boundary(
-        data.dnu_abs2, phi_power=1.0, signed_factor=tables.b_dpsi_dnu)
-    return {"source": cell.vol(data.G_abs2), "obs_boundary": obs}
-
-
-def carleman_report(Y, params: CarlemanParams, grid, coeffs,
-                    variant: str = "interior") -> CarlemanReport:
-    data = prepare_trajectory(Y, grid, coeffs)
-    tables = weight_tables(params, grid)
-    return evaluate_cell(data, tables, grid, variant)
-
-
-def linear_variant(Y, params: CarlemanParams, grid, coeffs,
-                   which: str) -> CarlemanReport:
-    """Cubic-free variants: 'neumann_05a' (interior obs) / 'dirichlet_05b'."""
-    names = {"neumann_05a": "linear_interior", "dirichlet_05b": "linear_boundary"}
-    if which not in names:
-        raise FunctionalError("which must be 'neumann_05a' or 'dirichlet_05b'")
-    return carleman_report(Y, params, grid, coeffs, names[which])
-
-
 # -- scans -------------------------------------------------------------------
 
 @dataclass
@@ -390,9 +292,8 @@ def _stabilization(lams, ratios) -> float | None:
 
 
 def lambda_scan(Y, grid: SpaceTimeGrid, lambdas, mus, variant: str,
-                coeffs: GLCoeffs, T: float | None = None) -> ScanResult:
+                coeffs: GLCoeffs) -> ScanResult:
     """CarlemanReport per (lambda, mu) for one trajectory, plus stabilization."""
-    T = grid.T if T is None else T
     data = prepare_trajectory(Y, grid, coeffs)
     family = "j2_boundary" if variant.endswith("boundary") else "j1_interior"
     reports = []
@@ -400,7 +301,8 @@ def lambda_scan(Y, grid: SpaceTimeGrid, lambdas, mus, variant: str,
     for mu in mus:
         ratios = []
         for lam in lambdas:
-            params = CarlemanParams(lam=float(lam), mu=float(mu), T=T, family=family)
+            params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
+                                    family=family)
             tables = weight_tables(params, grid)
             rep = evaluate_cell(data, tables, grid, variant)
             reports.append(rep)

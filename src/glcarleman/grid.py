@@ -85,10 +85,8 @@ class SpaceTimeGrid:
     _disk_interp: tuple[np.ndarray, np.ndarray] | None = None
     _cut_x: list = field(default_factory=list)
     _cut_y: list = field(default_factory=list)
-
-    @property
-    def n_space(self) -> int:
-        return (self.ny + 1) * (self.nx + 1)
+    # solver linear operators per boundary condition, built on first use
+    _linear_ops: dict = field(default_factory=dict)
 
     def zeros(self) -> np.ndarray:
         return np.zeros((self.ny + 1, self.nx + 1), dtype=np.complex128)

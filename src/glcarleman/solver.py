@@ -24,7 +24,6 @@ flow shrinks |y| pointwise.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 
@@ -176,23 +175,19 @@ def _disk_dirichlet_ops(grid: SpaceTimeGrid) -> _LinearOps:
 
 
 def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
-    key = ("linear_ops", bc if not bc.endswith("_data") else bc.split("_")[0] + "0")
-    cache = getattr(grid, "_op_cache", None)
-    if cache is None:
-        cache = {}
-        grid._op_cache = cache
-    if key not in cache:
-        kind = key[1]
+    kind = bc if not bc.endswith("_data") else bc.split("_")[0] + "0"
+    cache = grid._linear_ops
+    if kind not in cache:
         if grid.spec.shape == "unit_square":
             if kind == "dirichlet0":
-                cache[key] = _square_dirichlet_ops(grid)
+                cache[kind] = _square_dirichlet_ops(grid)
             else:
-                cache[key] = _square_neumann_ops(grid)
+                cache[kind] = _square_neumann_ops(grid)
         else:
             if kind != "dirichlet0":
                 raise GridError("unit_disk solver supports Dirichlet only")
-            cache[key] = _disk_dirichlet_ops(grid)
-    return cache[key]
+            cache[kind] = _disk_dirichlet_ops(grid)
+    return cache[kind]
 
 
 def _factorized(ops: _LinearOps, kappa: complex):
@@ -233,10 +228,6 @@ def _boundary_node_values(grid, cfg, t):
     return np.asarray(cfg.bc_data(t), dtype=complex)
 
 
-def _gather(arr, mask):
-    return arr[mask]
-
-
 def _scatter(grid, ops, vec, bvals, cfg):
     out = grid.zeros()
     out[ops.unknown_mask] = vec
@@ -249,12 +240,12 @@ def _scatter(grid, ops, vec, bvals, cfg):
 def _substep(y, t, dt_sub, cfg, grid, ops):
     """One linear(+source) update over [t, t+dt_sub] at the unknown nodes."""
     kb = 1.0 + 1j * cfg.b
-    yv = _gather(y, ops.unknown_mask)
+    yv = y[ops.unknown_mask]
 
     def src(tt):
         if cfg.source is None:
             return 0.0
-        return _gather(np.asarray(cfg.source(tt), dtype=complex), ops.unknown_mask)
+        return np.asarray(cfg.source(tt), dtype=complex)[ops.unknown_mask]
 
     def bnd(tt):
         if cfg.bc.startswith("dirichlet") and ops.B is not None:
@@ -344,10 +335,6 @@ class SolveResult:
     Y: np.ndarray                 # (nt+1, ny+1, nx+1)
     l2_norms: np.ndarray          # (nt+1,)
     substeps: np.ndarray          # (nt,)
-
-    @property
-    def trajectory(self):
-        return self.Y
 
 
 def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
@@ -502,22 +489,3 @@ def load_trajectory(path):
     meta = {"shape": "unit_square" if shape_code == 0 else "unit_disk",
             "nx": nx, "ny": ny, "nt": nt, "T": T}
     return Y, meta
-
-
-def export_trajectory_csv(path, Y: np.ndarray, grid: SpaceTimeGrid) -> None:
-    """CSV trajectory for small grids: t, x1, x2, re, im."""
-    import csv
-
-    if (grid.nx + 1) * (grid.ny + 1) * (grid.nt + 1) > 2_000_000:
-        raise SolverError("trajectory too large for CSV export")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x1", "x2", "re", "im"])
-        for k, t in enumerate(grid.t_nodes):
-            for iy in range(grid.ny + 1):
-                for ix in range(grid.nx + 1):
-                    w.writerow([format(t, ".17g"),
-                                format(grid.X1[iy, ix], ".17g"),
-                                format(grid.X2[iy, ix], ".17g"),
-                                format(Y[k, iy, ix].real, ".17g"),
-                                format(Y[k, iy, ix].imag, ".17g")])

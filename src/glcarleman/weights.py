@@ -18,9 +18,10 @@ From psi the weight family is
 
 with all derivatives needed by the pointwise identity evaluated in closed
 form.  theta spans hundreds of orders of magnitude, so only log(theta) = ell
-is ever stored; weighted products are assembled through
-:func:`theta_sq_times`, which flushes to exact zero once the log-argument
-drops below -700.
+is ever stored: :func:`weight_tables` tabulates exp(mu psi), K and sigma over
+the grid, and the cell quadrature in :mod:`glcarleman.functionals` assembles
+weighted products from them in log space, flushing to exact zero once the
+log-argument drops below FLUSH_LOG = -700.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DomainSpec, SpaceTimeGrid
-
-FLUSH_LOG = -700.0
 
 PSI_SUP = {
     ("unit_square", "psi1"): 1.0 / 16.0,
@@ -90,7 +89,6 @@ class WeightSample:
     phi: np.ndarray
     rho: np.ndarray
     ell: np.ndarray
-    log_theta: np.ndarray
     ell_t: np.ndarray
     ell_tt: np.ndarray
     grad_ell: np.ndarray      # (..., 2)
@@ -100,31 +98,6 @@ class WeightSample:
     grad_phi: np.ndarray      # (..., 2)
     phi_t: np.ndarray
     rho_t: np.ndarray
-
-    def theta_sq_times(self, g: np.ndarray) -> np.ndarray:
-        return theta_sq_times(self.log_theta, g)
-
-
-def theta_sq_times(log_theta: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """exp(2 ell) * g computed in log space with flush-to-zero.
-
-    For positive g the product is exp(2 ell + log g); the result is exact 0
-    wherever 2 ell < -700, the total log-argument falls below -700, or
-    g == 0, which keeps enormously weighted integrands free of 0 * inf
-    artifacts.
-    """
-    log_theta = np.asarray(log_theta, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if np.any(g < 0):
-        raise WeightError("theta_sq_times expects nonnegative samples")
-    log_theta, g = np.broadcast_arrays(log_theta, g)
-    out = np.zeros(g.shape, dtype=float)
-    pos = (g > 0) & np.isfinite(log_theta) & (2.0 * log_theta >= FLUSH_LOG)
-    if np.any(pos):
-        arg = 2.0 * log_theta[pos] + np.log(g[pos])
-        vals = np.where(arg < FLUSH_LOG, 0.0, np.exp(np.maximum(arg, FLUSH_LOG)))
-        out[pos] = vals
-    return out
 
 
 def eval_psi(spec: DomainSpec, which: str, x: np.ndarray,
@@ -205,7 +178,7 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
     grad_ell_t = (lam * mu * E * sig_p)[..., None] * gpsi
 
     return WeightSample(
-        phi=phi, rho=rho, ell=ell, log_theta=ell,
+        phi=phi, rho=rho, ell=ell,
         ell_t=lam * (E - K) * sig_p,
         ell_tt=lam * (E - K) * sig_pp,
         grad_ell=grad_ell, hess_ell=hess_ell, lap_ell=lap_ell,
@@ -213,6 +186,48 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
         grad_phi=(mu * phi)[..., None] * gpsi,
         phi_t=E * sig_p,
         rho_t=(E - K) * sig_p,
+    )
+
+
+@dataclass
+class WeightTables:
+    """Per-(family, mu): spatial and temporal factors of the weight family."""
+
+    params: CarlemanParams
+    exp_mu_psi: np.ndarray       # grid nodes
+    K: float
+    sigma: np.ndarray            # interior time nodes (1..nt-1)
+    b_exp_mu_psi: np.ndarray     # boundary samples
+    b_dpsi_dnu: np.ndarray       # d psi / d nu at boundary samples
+
+    def log_theta2(self):
+        """2 ell on interior times, shape (nt-1, ny+1, nx+1)."""
+        return 2.0 * self.params.lam * (self.exp_mu_psi - self.K)[None] \
+            * self.sigma[:, None, None]
+
+    def phi(self):
+        return self.exp_mu_psi[None] * self.sigma[:, None, None]
+
+
+def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
+    """Tabulate exp(mu psi), K and sigma on the grid and its boundary samples.
+
+    sigma uses the grid horizon grid.T; callers that integrate against the
+    tables check that params.T agrees with it.
+    """
+    pts = np.stack([grid.X1, grid.X2], axis=-1)
+    psi = eval_psi(grid.spec, params.which_psi, pts, check_omega=False)
+    t_int = grid.t_nodes[1:-1]
+    bpts = grid.boundary_points
+    bpsi = eval_psi(grid.spec, params.which_psi, bpts, check_omega=False)
+    dnu = np.einsum("bi,bi->b", bpsi.grad_psi, grid.boundary_normals)
+    return WeightTables(
+        params=params,
+        exp_mu_psi=np.exp(params.mu * psi.psi),
+        K=float(np.exp(2 * params.mu * psi.sup)),
+        sigma=1.0 / (t_int * (grid.T - t_int)),
+        b_exp_mu_psi=np.exp(params.mu * bpsi.psi),
+        b_dpsi_dnu=dnu,
     )
 
 
@@ -233,19 +248,17 @@ class WeightEnvelope:
 
 def weight_envelope(params: CarlemanParams, grid: SpaceTimeGrid,
                     which: str | None = None) -> WeightEnvelope:
+    """:func:`weight_tables` padded with the endpoint and inactive sentinels."""
     which = which or params.which_psi
-    pts = np.stack([grid.X1, grid.X2], axis=-1)
-    psi = eval_psi(grid.spec, which, pts, check_omega=False)
-    E = np.exp(params.mu * psi.psi)
-    K = np.exp(2 * params.mu * psi.sup)
-
+    if which != params.which_psi:
+        raise WeightError(f"family {params.family!r} uses {params.which_psi!r}, "
+                          f"not {which!r}")
+    tables = weight_tables(params, grid)
     shape = (grid.nt + 1, grid.ny + 1, grid.nx + 1)
     log_theta = np.full(shape, -np.inf)
     phi = np.full(shape, np.inf)
-    t_int = grid.t_nodes[1:-1]
-    sig = 1.0 / (t_int * (grid.T - t_int))
-    log_theta[1:-1] = params.lam * (E - K)[None, :, :] * sig[:, None, None]
-    phi[1:-1] = E[None, :, :] * sig[:, None, None]
+    log_theta[1:-1] = 0.5 * tables.log_theta2()    # halving is exact
+    phi[1:-1] = tables.phi()
     inactive = ~grid.active_mask
     if inactive.any():
         log_theta[:, inactive] = -np.inf

@@ -3,9 +3,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glcarleman.cli import main
-from glcarleman.config import ConfigError, config_hash, load_config
+from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
 from glcarleman.solver import load_trajectory
 
 
@@ -44,6 +46,55 @@ class TestConfig:
     def test_hash_stable(self):
         cfg = load_config()
         assert config_hash(cfg) == config_hash(json.loads(json.dumps(cfg)))
+
+    @pytest.mark.parametrize("config, argv, field", [
+        pytest.param(None, ["--lambda", "4", "carleman-scan"], "scan.lambdas",
+                     id="one-lambda-flag"),
+        pytest.param({"scan": {"lambdas": []}}, ["carleman-scan"], "scan.lambdas",
+                     id="empty-lambdas"),
+        pytest.param({"grid": {"T": "1"}}, ["solve"], "grid.T", id="string-T"),
+        pytest.param([{"grid": {"nx": 32}}], ["solve"], "top level",
+                     id="top-level-list"),
+        pytest.param("missing", ["solve"], "--config", id="missing-file"),
+        pytest.param({"seed": 1.5}, ["solve"], "seed", id="float-seed"),
+    ])
+    def test_malformed_config_fails_closed(self, tmp_path, capsys, config,
+                                           argv, field):
+        path = tmp_path / "c.json"
+        if config is not None and config != "missing":
+            path.write_text(json.dumps(config))
+        pre = [] if config is None else ["--config", str(path)]
+        assert run_in(tmp_path, pre + argv) == 2
+        err = capsys.readouterr().err
+        assert f"{field}:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "runs").exists()
+
+
+# Arbitrary JSON mostly stops in _merge; CONFIG_LIKE keeps the known section
+# and field names so that random values reach validate_config.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+SECTION = {k: JSON if not isinstance(v, dict)
+           else st.fixed_dictionaries({}, optional={kk: JSON for kk in v}) | JSON
+           for k, v in DEFAULTS.items()}
+CONFIG_LIKE = st.fixed_dictionaries({}, optional=SECTION)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON | CONFIG_LIKE)
+def test_load_config_returns_or_raises_config_error(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "property.json"
+    path.write_text(json.dumps(value))
+    try:
+        cfg = load_config(str(path))
+    except ConfigError as exc:
+        assert exc.errors
+    else:
+        assert set(cfg) == set(DEFAULTS)
 
 
 class TestCommands:

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 
 from glcarleman.fields import random_initial_field
-from glcarleman.functionals import (FunctionalError, carleman_report,
-                                    lambda_scan, lhs_interior, linear_variant,
-                                    prepare_trajectory, rhs_interior,
-                                    suite_worst_constant, weight_tables)
+from glcarleman.functionals import (FunctionalError, _CellQuadrature,
+                                    evaluate_cell, lambda_scan,
+                                    prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import build_grid
 from glcarleman.solver import SolveConfig, solve
-from glcarleman.weights import CarlemanParams
+from glcarleman.weights import CarlemanParams, weight_tables
 
 COEFFS = derive_coeffs(0.3, 0.4)
+LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4"}
+
+
+def report(Y, params, grid, variant="interior"):
+    return evaluate_cell(prepare_trajectory(Y, grid, COEFFS),
+                         weight_tables(params, grid), grid, variant)
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +36,12 @@ def neumann_traj(grid32):
 class TestBasics:
     def test_zero_trajectory_degenerate(self, grid32):
         Y = np.zeros((33, 33, 33), dtype=complex)
-        rep = carleman_report(Y, CarlemanParams(lam=2, mu=2, T=1.0), grid32,
-                              COEFFS, "interior")
+        rep = report(Y, CarlemanParams(lam=2, mu=2, T=1.0), grid32)
         assert rep.degenerate
         assert rep.lhs_total == 0.0 and rep.rhs_total == 0.0
 
     def test_breakdown_nonnegative(self, grid32, dirichlet_traj):
-        rep = carleman_report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0),
-                              grid32, COEFFS, "interior")
+        rep = report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0), grid32)
         for v in rep.lhs_breakdown.values():
             assert v >= 0
         for v in rep.rhs_breakdown.values():
@@ -47,20 +50,21 @@ class TestBasics:
         assert rep.ratio > 0
 
     def test_lhs_rhs_wrappers(self, grid32, dirichlet_traj):
-        params = CarlemanParams(lam=4, mu=2, T=1.0)
-        lhs = lhs_interior(dirichlet_traj, params, grid32, COEFFS)
-        rhs = rhs_interior(dirichlet_traj, params, grid32, COEFFS)
-        assert set(lhs) == {"energy_t", "energy_lap", "w_l2", "w_grad",
-                            "sextic", "mixed", "w_l4"}
-        assert set(rhs) == {"source", "obs_l2", "obs_l4"}
-        assert all(v >= 0 for v in lhs.values())
+        # the terms of each side of the interior and boundary inequalities
+        rep = report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0), grid32)
+        assert set(rep.lhs_breakdown) == LHS_KEYS
+        assert set(rep.rhs_breakdown) == {"source", "obs_l2", "obs_l4"}
+        assert all(v >= 0 for v in rep.lhs_breakdown.values())
+        rep = report(dirichlet_traj, CarlemanParams(
+            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, "boundary")
+        assert set(rep.lhs_breakdown) == LHS_KEYS
+        assert set(rep.rhs_breakdown) == {"source", "obs_boundary"}
 
     def test_source_dominated_by_observation_for_solved(self, grid32,
                                                         dirichlet_traj):
         # G y = 0 analytically for a solution: the source term is pure
         # discretization residual and the observation dominates it
-        rep = carleman_report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0),
-                              grid32, COEFFS, "interior")
+        rep = report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0), grid32)
         assert rep.rhs_breakdown["source"] < rep.rhs_breakdown["obs_l2"]
 
     def test_source_consistency_refinement(self, square_spec):
@@ -76,7 +80,6 @@ class TestBasics:
             params = CarlemanParams(lam=4, mu=2, T=1.0)
             tables = weight_tables(params, g)
             data = prepare_trajectory(Y, g, COEFFS)
-            from glcarleman.functionals import _CellQuadrature
             cell = _CellQuadrature(tables, g)
             vals.append(cell.vol(data.G_abs2))
         assert vals[1] <= vals[0] / 2 ** 1.8
@@ -84,18 +87,16 @@ class TestBasics:
 
 class TestBoundaryVariant:
     def test_dirichlet_trajectory_works(self, grid32, dirichlet_traj):
-        rep = carleman_report(dirichlet_traj, CarlemanParams(
-            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, COEFFS,
-            "boundary")
+        rep = report(dirichlet_traj, CarlemanParams(
+            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, "boundary")
         assert rep.lhs_total > 0
         assert rep.rhs_total > 0
         assert np.isfinite(rep.ratio)
 
     def test_neumann_trajectory_rejected(self, grid32, neumann_traj):
         with pytest.raises(FunctionalError):
-            carleman_report(neumann_traj, CarlemanParams(
-                lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, COEFFS,
-                "boundary")
+            report(neumann_traj, CarlemanParams(
+                lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, "boundary")
 
     def test_dpsi_dnu_sign_pattern(self, grid32):
         # psi2 = 2 + x1: d psi2/d nu = +1 on x1=1, -1 on x1=0, 0 elsewhere
@@ -106,48 +107,44 @@ class TestBoundaryVariant:
         assert np.abs(tables.b_dpsi_dnu - expected).max() < 1e-14
 
     def test_observation_positive_in_practice(self, grid32, dirichlet_traj):
-        rep = carleman_report(dirichlet_traj, CarlemanParams(
-            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, COEFFS,
-            "boundary")
+        rep = report(dirichlet_traj, CarlemanParams(
+            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, "boundary")
         assert not rep.obs_negative
 
 
 class TestLinearVariants:
     def test_cubic_free_breakdown(self, grid32, dirichlet_traj):
-        rep = linear_variant(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
-                             grid32, COEFFS, "neumann_05a")
+        rep = report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
+                     grid32, "linear_interior")
         joined = set(rep.lhs_breakdown) | set(rep.rhs_breakdown)
         assert "sextic" not in joined
         assert "w_l4" not in joined
         assert "obs_l4" not in joined
 
     def test_boundary_linear(self, grid32, dirichlet_traj):
-        rep = linear_variant(dirichlet_traj, CarlemanParams(
-            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, COEFFS,
-            "dirichlet_05b")
+        rep = report(dirichlet_traj, CarlemanParams(
+            lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, "linear_boundary")
         assert rep.variant == "linear_boundary"
         assert rep.lhs_total > 0
 
     def test_unknown_variant_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
-            linear_variant(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
-                           grid32, COEFFS, "bogus")
+            report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
+                   grid32, "bogus")
 
     def test_horizon_mismatch_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
-            carleman_report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=2.0),
-                            grid32, COEFFS, "interior")
+            report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=2.0), grid32)
 
     def test_family_mismatch_rejected(self, grid32, dirichlet_traj):
         # boundary variants need the j2 family and vice versa
         with pytest.raises(FunctionalError):
-            carleman_report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
-                            grid32, COEFFS, "boundary")
+            report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
+                   grid32, "boundary")
         with pytest.raises(FunctionalError):
-            carleman_report(dirichlet_traj,
-                            CarlemanParams(lam=2, mu=2, T=1.0,
-                                           family="j2_boundary"),
-                            grid32, COEFFS, "interior")
+            report(dirichlet_traj,
+                   CarlemanParams(lam=2, mu=2, T=1.0, family="j2_boundary"),
+                   grid32, "interior")
 
 
 class TestScan:
@@ -186,16 +183,27 @@ class TestScan:
                 assert rep.lhs_total <= c_emp * rep.rhs_total * (1 + 1e-12)
 
 
-class TestBoundaryWrappers:
-    def test_lhs_rhs_boundary_match_report(self, grid32, dirichlet_traj):
-        from glcarleman.functionals import lhs_boundary, rhs_boundary
+class TestCellQuadrature:
+    def test_flush_to_zero(self, grid32):
+        # log-arguments in (-745, -700] would be subnormal: they flush to 0
+        cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
+                                             grid32), grid32)
+        g = np.full((33, 33, 33), np.exp(-720.0))
+        assert np.exp(-720.0) > 0
+        assert cell.vol(g) == 0.0
+        assert cell.vol(np.full((33, 33, 33), np.exp(-690.0))) > 0
 
-        params = CarlemanParams(lam=2, mu=1.5, T=1.0, family="j2_boundary")
-        rep = carleman_report(dirichlet_traj, params, grid32, COEFFS, "boundary")
-        lhs = lhs_boundary(dirichlet_traj, params, grid32, COEFFS)
-        rhs = rhs_boundary(dirichlet_traj, params, grid32, COEFFS)
-        assert sum(lhs.values()) == pytest.approx(rep.lhs_total, rel=1e-12)
-        assert sum(rhs.values()) == pytest.approx(rep.rhs_total, rel=1e-12)
+    def test_matches_direct_product(self, grid32, rng):
+        params = CarlemanParams(lam=2, mu=1.5, T=1.0)
+        tables = weight_tables(params, grid32)
+        cell = _CellQuadrature(tables, grid32)
+        g = rng.random((33, 33, 33)) + 0.1
+        theta2 = np.exp(tables.log_theta2() - cell.log_scale)
+        for p in (0.0, 2.0):
+            direct = theta2 * tables.phi() ** p * g[1:-1]
+            expect = np.sum(direct * grid32.space_weights(exclude_corners=True),
+                            axis=(1, 2)) @ cell.wt
+            assert cell.vol(g, phi_power=p) == pytest.approx(expect, rel=1e-13)
 
 
 class TestConcentrationProbe:
@@ -207,8 +215,7 @@ class TestConcentrationProbe:
         bump[grid32.boundary_mask] = 0.0
         t_prof = np.sin(np.pi * grid32.t_nodes / grid32.T) ** 2
         Y = (t_prof[:, None, None] * bump[None]).astype(complex)
-        rep = carleman_report(Y, CarlemanParams(lam=8, mu=2, T=1.0), grid32,
-                              COEFFS, "interior")
+        rep = report(Y, CarlemanParams(lam=8, mu=2, T=1.0), grid32)
         obs = rep.rhs_breakdown["obs_l2"] + rep.rhs_breakdown["obs_l4"]
         assert rep.lhs_total > 0
         assert rep.rhs_breakdown["source"] > obs

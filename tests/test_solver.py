@@ -233,7 +233,6 @@ class TestZeroAndDisk:
 
         monkeypatch.setattr(spla, "splu", broken_splu)
         g = build_grid(square_spec, 16, 16, 16, 0.5)
-        g._op_cache = {}
         cfg = SolveConfig(b=0.1, c=0.2, bc="dirichlet0", scheme="imex_cn")
         y0 = random_initial_field(g, seed=3, amplitude=0.5, bc="dirichlet0")
         res = solver_mod.solve(y0, cfg, g)
@@ -253,14 +252,3 @@ class TestSerialization:
         assert np.array_equal(Y, Y2)
         assert meta == {"shape": "unit_square", "nx": 16, "ny": 16,
                         "nt": 16, "T": 1.0}
-
-    def test_csv_export(self, square_spec, tmp_path):
-        from glcarleman.solver import export_trajectory_csv
-
-        g = build_grid(square_spec, 16, 16, 16, 1.0)
-        Y = np.zeros((17, 17, 17), dtype=complex)
-        path = tmp_path / "traj.csv"
-        export_trajectory_csv(path, Y, g)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,x1,x2,re,im"
-        assert len(lines) == 1 + 17 ** 3

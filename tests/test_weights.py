@@ -5,7 +5,7 @@ from glcarleman.grid import DomainSpec, build_grid
 from glcarleman.weights import (CarlemanParams, WeightError,
                                 check_time_monotonicity,
                                 derivative_consistency, eval_psi, eval_weight,
-                                export_envelope_csv, theta_sq_times,
+                                export_envelope_csv,
                                 verify_psi_admissibility, weight_envelope)
 
 
@@ -182,6 +182,10 @@ class TestEnvelope:
                 for mu in (1.5, 2.0, 3.0)]
         assert phis[0] < phis[1] < phis[2]
 
+    def test_psi_must_match_family(self, grid32):
+        with pytest.raises(WeightError):
+            weight_envelope(CarlemanParams(lam=2, mu=2, T=1.0), grid32, "psi2")
+
     def test_csv_export(self, square_spec, tmp_path):
         g = build_grid(square_spec, 16, 16, 16, 1.0)
         env = weight_envelope(CarlemanParams(lam=2, mu=2, T=1.0), g)
@@ -189,19 +193,3 @@ class TestEnvelope:
         export_envelope_csv(env, g, path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1,x2,log_theta,phi"
-
-
-class TestThetaSqTimes:
-    def test_flush_to_zero(self):
-        out = theta_sq_times(np.array([-400.0]), np.array([1.0]))
-        assert out[0] == 0.0
-
-    def test_matches_direct_product(self):
-        lt = np.array([-5.0, -50.0])
-        g = np.array([3.0, 2.0])
-        out = theta_sq_times(lt, g)
-        assert np.allclose(out, np.exp(2 * lt) * g, rtol=1e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(WeightError):
-            theta_sq_times(np.array([-1.0]), np.array([-2.0]))

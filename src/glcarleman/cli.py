@@ -56,6 +56,20 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _check_disk(cfg, command, manufactured):
+    """Reject the disk runs that cannot pass, before any work starts."""
+    errs = []
+    if command == "solve" and manufactured:
+        errs.append("--manufactured: the manufactured study runs on unit_square only")
+    elif command == "solve" and cfg["solver"]["bc"] != "dirichlet0":
+        errs.append("solver.bc: unit_disk supports dirichlet0 only")
+    if command == "stability" and "boundary" in cfg["stability"]["variants"]:
+        errs.append("stability.variants: boundary is unsupported on unit_disk "
+                    "(its trace is sampled inside the circle)")
+    if errs:
+        raise ConfigError(errs)
+
+
 def _prepare(args, command):
     overrides = {}
     if args.seed is not None:
@@ -69,6 +83,8 @@ def _prepare(args, command):
         overrides.setdefault("scan", {})["mus"] = args.mu
         overrides.setdefault("identity", {})["mus"] = args.mu
     cfg = load_config(args.config, overrides)
+    if cfg["domain"]["shape"] == "unit_disk":
+        _check_disk(cfg, command, getattr(args, "manufactured", False))
     out_dir = args.output_dir or cfg["output_dir"] or os.path.join(
         "runs", config_hash(cfg))
     os.makedirs(out_dir, exist_ok=True)

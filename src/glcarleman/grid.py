@@ -391,8 +391,8 @@ def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
     f = grid.check_field(f)
     if grid.spec.shape == "unit_square":
         return _d2(f, grid.h, -1, bc) + _d2(f, grid.h, -2, bc)
-    out = _d2(f, grid.h, -1, "ghost_from_field") + _d2(f, grid.h, -2, "ghost_from_field")
-    _fix_disk_lap(f, grid, out, bc)
+    # per-axis cut rules, then one sum: the solver reads its matrix off this
+    out = _disk_d2(f, grid, grid._cut_x, -1, bc) + _disk_d2(f, grid, grid._cut_y, -2, bc)
     out[..., ~grid.active_mask] = 0.0
     return out
 
@@ -415,36 +415,33 @@ def _sw_second(val, i0, d, a, h, ok):
     return np.zeros_like(val(i0))
 
 
-def _fix_disk_lap(f, grid, out, bc):
+def _disk_d2(f, grid, cut_list, axis, bc):
+    """Second derivative along one axis: centered, cut-node rule at cut nodes."""
     h = grid.h
-    for cut_list, axis in ((grid._cut_x, -1), (grid._cut_y, -2)):
-        if not cut_list:
-            continue
-        centered = _d2(f, h, axis, "ghost_from_field")
-        for iy, ix, has_m, has_p in cut_list:
-            i0 = ix if axis == -1 else iy
-            n = grid.nx if axis == -1 else grid.ny
-            coord = (grid.x1_nodes[ix], grid.x2_nodes[iy])
+    out = _d2(f, h, axis, "ghost_from_field")
+    for iy, ix, has_m, has_p in cut_list:
+        i0 = ix if axis == -1 else iy
+        n = grid.nx if axis == -1 else grid.ny
+        coord = (grid.x1_nodes[ix], grid.x2_nodes[iy])
 
-            def val(i):
-                return f[..., iy, i] if axis == -1 else f[..., i, ix]
+        def val(i):
+            return f[..., iy, i] if axis == -1 else f[..., i, ix]
 
-            def ok(i):
-                return 0 <= i <= n and grid.active_mask[(iy, i) if axis == -1 else (i, ix)]
+        def ok(i):
+            return 0 <= i <= n and grid.active_mask[(iy, i) if axis == -1 else (i, ix)]
 
-            # direction toward the missing neighbor
-            d_out = 1 if not has_p else -1
-            if bc == "dirichlet0":
-                c_par = coord[0] if axis == -1 else coord[1]
-                c_perp = coord[1] if axis == -1 else coord[0]
-                root = math.sqrt(max(1.0 - c_perp * c_perp, 0.0))
-                a = (root - d_out * c_par) / h
-                a = min(max(a, 1e-3), 1.0)
-                second = _sw_second(val, i0, d_out, a, h, ok)
-            else:
-                second = _sw_second(val, i0, -d_out, None, h, ok)
-            # replace the centered contribution along this axis
-            out[..., iy, ix] += second - centered[..., iy, ix]
+        # direction toward the missing neighbor
+        d_out = 1 if not has_p else -1
+        if bc == "dirichlet0":
+            c_par = coord[0] if axis == -1 else coord[1]
+            c_perp = coord[1] if axis == -1 else coord[0]
+            root = math.sqrt(max(1.0 - c_perp * c_perp, 0.0))
+            a = (root - d_out * c_par) / h
+            a = min(max(a, 1e-3), 1.0)
+            out[..., iy, ix] = _sw_second(val, i0, d_out, a, h, ok)
+        else:
+            out[..., iy, ix] = _sw_second(val, i0, -d_out, None, h, ok)
+    return out
 
 
 def normal_derivative(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:

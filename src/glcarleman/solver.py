@@ -1,8 +1,8 @@
 """Semi-implicit time stepping for the Ginzburg-Landau equation.
 
 The equation y_t = (1+ib) Lap y - (1+ic)|y|^2 y + f is advanced with the
-stiff dispersion treated implicitly through a sparse factorization reused
-every step, and the cubic term handled explicitly:
+stiff dispersion treated implicitly through a sparse factorization of the
+stencil matrix, reused every step, and the cubic term handled explicitly:
 
 * ``imex_be``: backward Euler on the linear part, cubic frozen at the old
   state (first order);
@@ -31,10 +31,11 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .grid import GridError, SpaceTimeGrid, grad
+from .grid import GridError, SpaceTimeGrid, grad, laplacian
 
-VALID_SOLVER_BC = ("dirichlet0", "neumann0", "dirichlet_data", "neumann_data")
+VALID_SOLVER_BC = ("dirichlet0", "neumann0", "dirichlet_data")
 STIFFNESS_CAP = 0.5
+MAX_HALVINGS = 10
 
 
 class SolverError(RuntimeError):
@@ -49,7 +50,6 @@ class SolveConfig:
     scheme: str = "imex_cn"
     bc_data: object | None = None     # callable t -> values at boundary nodes
     source: object | None = None      # callable t -> (ny+1, nx+1) complex array
-    max_halvings: int = 10
 
     def __post_init__(self):
         if self.bc not in VALID_SOLVER_BC:
@@ -66,127 +66,54 @@ class SolveConfig:
 
 @dataclass
 class _LinearOps:
-    """Laplacian restricted to unknown nodes plus boundary coupling."""
+    """Stencil matrix of the solver's Laplacian on the unknown nodes.
+
+    L couples unknowns to unknowns; B couples them to the square's Dirichlet
+    boundary nodes, in ``np.nonzero(boundary_mask)`` order (None otherwise).
+    """
 
     unknown_mask: np.ndarray        # bool over grid nodes
-    idx_of_node: np.ndarray         # -1 where not unknown
     L: sps.csr_matrix               # unknowns x unknowns
-    B: sps.csr_matrix | None        # unknowns x boundary samples (Dirichlet)
-    b_nodes: tuple | None           # (iy, ix) arrays of Dirichlet bnd nodes
-    neumann_rhs_scale: np.ndarray | None  # per-unknown factor for flux data
+    B: sps.csr_matrix | None        # unknowns x boundary nodes (square Dirichlet)
     _factor_cache: dict = field(default_factory=dict)
 
 
-def _square_dirichlet_ops(grid: SpaceTimeGrid) -> _LinearOps:
+def _stencil_matrix(grid: SpaceTimeGrid, bc: str) -> sps.csr_matrix:
+    """Sparse matrix of ``laplacian(., grid, bc)`` over all grid nodes.
+
+    Valid only for rules whose stencil at every node lies in its 5-point plus.
+    The colour (ix + 2 iy) mod 5 differs on the five nodes of any plus, so the
+    response to the indicator of one colour holds one entry per row, and the
+    gap (colour - row colour) mod 5 names its column offset.
+    """
     ny1, nx1 = grid.ny + 1, grid.nx + 1
-    unknown = grid.interior_mask
-    idx = -np.ones((ny1, nx1), dtype=np.int64)
-    idx[unknown] = np.arange(np.count_nonzero(unknown))
-    biy, bix = np.nonzero(grid.boundary_mask)
-    bidx = -np.ones((ny1, nx1), dtype=np.int64)
-    bidx[biy, bix] = np.arange(biy.size)
-
-    n = np.count_nonzero(unknown)
-    h2 = grid.h ** 2
-    rowsL, colsL, valsL = [], [], []
-    rowsB, colsB, valsB = [], [], []
-    for iy, ix in zip(*np.nonzero(unknown)):
-        r = idx[iy, ix]
-        rowsL.append(r); colsL.append(r); valsL.append(-4.0 / h2)
-        for jy, jx in ((iy, ix - 1), (iy, ix + 1), (iy - 1, ix), (iy + 1, ix)):
-            if unknown[jy, jx]:
-                rowsL.append(r); colsL.append(idx[jy, jx]); valsL.append(1.0 / h2)
-            else:
-                rowsB.append(r); colsB.append(bidx[jy, jx]); valsB.append(1.0 / h2)
-    L = sps.csr_matrix((valsL, (rowsL, colsL)), shape=(n, n))
-    B = sps.csr_matrix((valsB, (rowsB, colsB)), shape=(n, biy.size))
-    return _LinearOps(unknown_mask=unknown, idx_of_node=idx, L=L, B=B,
-                      b_nodes=(biy, bix), neumann_rhs_scale=None)
-
-
-def _square_neumann_ops(grid: SpaceTimeGrid) -> _LinearOps:
-    ny1, nx1 = grid.ny + 1, grid.nx + 1
-    unknown = np.ones((ny1, nx1), dtype=bool)
-    idx = np.arange(ny1 * nx1, dtype=np.int64).reshape(ny1, nx1)
-    h2 = grid.h ** 2
-    rows, cols, vals = [], [], []
-    flux = np.zeros(ny1 * nx1)
-    for iy in range(ny1):
-        for ix in range(nx1):
-            r = idx[iy, ix]
-            rows.append(r); cols.append(r); vals.append(-4.0 / h2)
-            for jy, jx in ((iy, ix - 1), (iy, ix + 1), (iy - 1, ix), (iy + 1, ix)):
-                if 0 <= jy < ny1 and 0 <= jx < nx1:
-                    rows.append(r); cols.append(idx[jy, jx]); vals.append(1.0 / h2)
-                else:
-                    # mirrored ghost: neighbor reflected across the wall
-                    my, mx = 2 * iy - jy, 2 * ix - jx
-                    rows.append(r); cols.append(idx[my, mx]); vals.append(1.0 / h2)
-                    flux[r] += 2.0 / grid.h  # inhomogeneous flux data weight
-    L = sps.csr_matrix((vals, (rows, cols)), shape=(ny1 * nx1, ny1 * nx1))
-    return _LinearOps(unknown_mask=unknown, idx_of_node=idx, L=L, B=None,
-                      b_nodes=None, neumann_rhs_scale=flux)
-
-
-def _disk_dirichlet_ops(grid: SpaceTimeGrid) -> _LinearOps:
-    # Shortley-Weller at cut nodes, homogeneous boundary value on the circle
-    ny1, nx1 = grid.ny + 1, grid.nx + 1
-    act = grid.active_mask
-    unknown = act.copy()
-    idx = -np.ones((ny1, nx1), dtype=np.int64)
-    idx[unknown] = np.arange(np.count_nonzero(unknown))
-    h = grid.h
-    rows, cols, vals = [], [], []
-
-    def intercept(iy, ix, axis, d):
-        if axis == 0:  # x direction
-            c_par, c_perp = grid.x1_nodes[ix], grid.x2_nodes[iy]
-        else:
-            c_par, c_perp = grid.x2_nodes[iy], grid.x1_nodes[ix]
-        root = np.sqrt(max(1.0 - c_perp * c_perp, 0.0))
-        return min(max((root - d * c_par) / h, 1e-3), 1.0)
-
-    for iy, ix in zip(*np.nonzero(unknown)):
-        r = idx[iy, ix]
-        diag = 0.0
-        for axis, (jm, jp) in enumerate((((iy, ix - 1), (iy, ix + 1)),
-                                         ((iy - 1, ix), (iy + 1, ix)))):
-            has_m = act[jm]
-            has_p = act[jp]
-            if has_m and has_p:
-                diag += -2.0 / h ** 2
-                for j in (jm, jp):
-                    rows.append(r); cols.append(idx[j]); vals.append(1.0 / h ** 2)
-            else:
-                a_p = 1.0 if has_p else intercept(iy, ix, axis, +1)
-                a_m = 1.0 if has_m else intercept(iy, ix, axis, -1)
-                diag += -2.0 / (a_p * a_m * h ** 2)
-                if has_p:
-                    rows.append(r); cols.append(idx[jp])
-                    vals.append(2.0 / (a_p * (a_p + a_m) * h ** 2))
-                if has_m:
-                    rows.append(r); cols.append(idx[jm])
-                    vals.append(2.0 / (a_m * (a_p + a_m) * h ** 2))
-        rows.append(r); cols.append(r); vals.append(diag)
-    n = np.count_nonzero(unknown)
-    L = sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return _LinearOps(unknown_mask=unknown, idx_of_node=idx, L=L, B=None,
-                      b_nodes=None, neumann_rhs_scale=None)
+    iy, ix = np.indices((ny1, nx1))
+    colour = (ix + 2 * iy) % 5
+    offset = np.array([0, 1, nx1, -nx1, -1])
+    parts = []
+    for c in range(5):
+        resp = laplacian((colour == c).astype(float), grid, bc).ravel()
+        row = np.flatnonzero(resp)
+        parts.append((resp[row], row, row + offset[(c - colour.ravel()[row]) % 5]))
+    vals, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    return sps.csr_matrix((vals, (rows, cols)), shape=(ny1 * nx1, ny1 * nx1))
 
 
 def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
-    kind = bc if not bc.endswith("_data") else bc.split("_")[0] + "0"
+    kind = "dirichlet0" if bc.startswith("dirichlet") else "neumann0"
     cache = grid._linear_ops
     if kind not in cache:
-        if grid.spec.shape == "unit_square":
-            if kind == "dirichlet0":
-                cache[kind] = _square_dirichlet_ops(grid)
-            else:
-                cache[kind] = _square_neumann_ops(grid)
-        else:
-            if kind != "dirichlet0":
-                raise GridError("unit_disk solver supports Dirichlet only")
-            cache[kind] = _disk_dirichlet_ops(grid)
+        square = grid.spec.shape == "unit_square"
+        if not square and kind != "dirichlet0":
+            raise GridError("unit_disk solver supports Dirichlet only")
+        A = _stencil_matrix(grid, kind)
+        unknown = grid.interior_mask if kind == "dirichlet0" else grid.active_mask
+        rows = A[np.flatnonzero(unknown)]
+        B = None
+        if square and kind == "dirichlet0":
+            B = rows[:, np.flatnonzero(grid.boundary_mask)]
+        cache[kind] = _LinearOps(unknown_mask=unknown,
+                                 L=rows[:, np.flatnonzero(unknown)], B=B)
     return cache[kind]
 
 
@@ -223,17 +150,15 @@ def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
 
 def _boundary_node_values(grid, cfg, t):
     if cfg.bc == "dirichlet0":
-        biy, bix = np.nonzero(grid.boundary_mask)
-        return np.zeros(biy.size, dtype=complex)
+        return np.zeros(np.count_nonzero(grid.boundary_mask), dtype=complex)
     return np.asarray(cfg.bc_data(t), dtype=complex)
 
 
-def _scatter(grid, ops, vec, bvals, cfg):
+def _scatter(grid, ops, vec, bvals):
     out = grid.zeros()
     out[ops.unknown_mask] = vec
-    if grid.spec.shape == "unit_square" and cfg.bc.startswith("dirichlet"):
-        biy, bix = np.nonzero(grid.boundary_mask)
-        out[biy, bix] = bvals
+    if ops.B is not None:
+        out[grid.boundary_mask] = bvals
     return out
 
 
@@ -248,14 +173,8 @@ def _substep(y, t, dt_sub, cfg, grid, ops):
         return np.asarray(cfg.source(tt), dtype=complex)[ops.unknown_mask]
 
     def bnd(tt):
-        if cfg.bc.startswith("dirichlet") and ops.B is not None:
+        if ops.B is not None:
             return _boundary_node_values(grid, cfg, tt)
-        return None
-
-    def flux(tt):
-        # bc_data returns d y/d nu over grid nodes (only boundary rows count)
-        if cfg.bc == "neumann_data":
-            return np.asarray(cfg.bc_data(tt), dtype=complex).ravel()
         return None
 
     if cfg.scheme == "imex_cn":
@@ -265,12 +184,9 @@ def _substep(y, t, dt_sub, cfg, grid, ops):
         g0, g1 = bnd(t), bnd(t + dt_sub)
         if g0 is not None:
             rhs = rhs + kappa * (ops.B @ (g0 + g1))
-        f0, f1 = flux(t), flux(t + dt_sub)
-        if f0 is not None:
-            rhs = rhs + kappa * ops.neumann_rhs_scale * (f0 + f1)
         rhs = rhs + 0.5 * dt_sub * (src(t) + src(t + dt_sub))
         new = solve(rhs)
-        return _scatter(grid, ops, new, g1, cfg)
+        return _scatter(grid, ops, new, g1)
 
     # imex_be: implicit linear, explicit cubic folded in by the caller
     kappa = dt_sub * kb
@@ -279,22 +195,19 @@ def _substep(y, t, dt_sub, cfg, grid, ops):
     g1 = bnd(t + dt_sub)
     if g1 is not None:
         rhs = rhs + kappa * (ops.B @ g1)
-    f1 = flux(t + dt_sub)
-    if f1 is not None:
-        rhs = rhs + kappa * ops.neumann_rhs_scale * f1
     new = solve(rhs)
-    return _scatter(grid, ops, new, g1, cfg)
+    return _scatter(grid, ops, new, g1)
 
 
-def required_substeps(state: np.ndarray, dt: float, max_halvings: int) -> int:
+def required_substeps(state: np.ndarray, dt: float) -> int:
     """Smallest power-of-two substep count meeting dt_sub * max|y|^2 <= 1/2."""
     n_sub = 1
     peak = float(np.abs(state).max()) ** 2
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         if (dt / n_sub) * peak <= STIFFNESS_CAP:
             return n_sub
         n_sub *= 2
-    raise SolverError("stiffness cap not reachable within max_halvings")
+    raise SolverError(f"stiffness cap not reachable within {MAX_HALVINGS} halvings")
 
 
 def step(state: np.ndarray, t: float, cfg: SolveConfig, grid: SpaceTimeGrid,
@@ -308,7 +221,7 @@ def step(state: np.ndarray, t: float, cfg: SolveConfig, grid: SpaceTimeGrid,
     ops = build_linear_ops(grid, cfg.bc)
     dt = grid.dt
     if n_sub is None:
-        n_sub = required_substeps(state, dt, cfg.max_halvings)
+        n_sub = required_substeps(state, dt)
     dt_sub = dt / n_sub
 
     y = state
@@ -318,10 +231,9 @@ def step(state: np.ndarray, t: float, cfg: SolveConfig, grid: SpaceTimeGrid,
             y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
             y = _substep(y, tk, dt_sub, cfg, grid, ops)
             y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
-            if cfg.bc.startswith("dirichlet") and grid.spec.shape == "unit_square":
+            if ops.B is not None:
                 # reimpose the trace the cubic half-step perturbed
-                biy, bix = np.nonzero(grid.boundary_mask)
-                y[biy, bix] = _boundary_node_values(grid, cfg, tk + dt_sub)
+                y[grid.boundary_mask] = _boundary_node_values(grid, cfg, tk + dt_sub)
         else:
             cubic = -(1 + 1j * cfg.c) * np.abs(y) ** 2 * y
             y = _substep(y + dt_sub * cubic, tk, dt_sub, cfg, grid, ops)
@@ -345,13 +257,12 @@ def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
     Y = np.empty((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
     y = y0.copy()
     if cfg.bc == "dirichlet0" and grid.spec.shape == "unit_square":
-        biy, bix = np.nonzero(grid.boundary_mask)
-        y[biy, bix] = 0.0
+        y[grid.boundary_mask] = 0.0
     Y[0] = y
     norms = [float(np.sqrt(np.sum(wsp * np.abs(y) ** 2)))]
     subs = []
     for k in range(grid.nt):
-        n_sub = required_substeps(y, grid.dt, cfg.max_halvings)
+        n_sub = required_substeps(y, grid.dt)
         y = step(y, grid.t_nodes[k], cfg, grid, n_sub=n_sub)
         Y[k + 1] = y
         norms.append(float(np.sqrt(np.sum(wsp * np.abs(y) ** 2))))

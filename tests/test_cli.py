@@ -21,6 +21,8 @@ def run_in(tmp_path, argv):
 
 
 BASE = ["--grid", "32", "--seed", "3"]
+DISK = {"domain": {"shape": "unit_disk", "omega_center": [0.0, 0.0],
+                   "omega_radius": 0.35}}
 
 
 class TestConfig:
@@ -57,6 +59,13 @@ class TestConfig:
                      id="top-level-list"),
         pytest.param("missing", ["solve"], "--config", id="missing-file"),
         pytest.param({"seed": 1.5}, ["solve"], "seed", id="float-seed"),
+        # disk runs that can only fail are rejected before any work
+        pytest.param({**DISK, "solver": {"bc": "neumann0"}}, ["solve"],
+                     "solver.bc", id="disk-neumann-solve"),
+        pytest.param(DISK, ["stability"], "stability.variants",
+                     id="disk-boundary-stability"),
+        pytest.param(DISK, ["solve", "--manufactured"], "--manufactured",
+                     id="disk-manufactured"),
     ])
     def test_malformed_config_fails_closed(self, tmp_path, capsys, config,
                                            argv, field):

@@ -1,8 +1,10 @@
-"""Recorded numbers of two small CLI runs, so a refactor cannot move them.
+"""Recorded numbers of small CLI runs, so a refactor cannot move them.
 
-The values were produced by ``--grid 16 --seed 7 carleman-scan`` and
-``--grid 16 --seed 7 stability`` on the unit square with the default
-configuration otherwise.
+The square values were produced by ``--grid 16 --seed 7 carleman-scan`` and
+``--grid 16 --seed 7 stability`` with the default configuration otherwise.
+The disk values come from ``--grid 32 --seed 7 stability`` and
+``--grid 32 --seed 7 solve`` on the unit disk with omega = B((0, 0), 0.35),
+the stability run on the interior variant only.
 """
 
 import json
@@ -43,10 +45,27 @@ SPREADS = {
     "interior_eps_0.2": 1.0109727221673208,
 }
 
+DISK = {"domain": {"shape": "unit_disk", "omega_center": [0.0, 0.0],
+                   "omega_radius": 0.35}}
+DISK_ARGS = ["--grid", "32", "--seed", "7"]
 
-def run(tmp_path, command, summary):
+DISK_SPREADS = {
+    "interior_eps_0.05": 1.0090947580223963,
+    "interior_eps_0.1": 1.0100672248236735,
+    "interior_eps_0.2": 1.0112050650962836,
+}
+DISK_SOLVE = {"final_l2": 0.03131654441949441,
+              "max_energy_residual": 0.71929103763931}
+
+
+def run(tmp_path, command, summary, args=ARGS, config=None):
     out = tmp_path / command
-    assert main(ARGS + ["--output-dir", str(out), command]) == 0
+    pre = []
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        pre = ["--config", str(path)]
+    assert main(pre + args + ["--output-dir", str(out), command]) == 0
     with open(os.path.join(out, summary), encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -66,3 +85,16 @@ def test_carleman_scan_golden(tmp_path):
 def test_stability_golden(tmp_path):
     got = run(tmp_path, "stability", "stability_summary.json")["spreads"]
     assert got == pytest.approx(SPREADS, rel=1e-12)
+
+
+def test_disk_stability_golden(tmp_path):
+    config = {**DISK, "stability": {"variants": ["interior"]}}
+    got = run(tmp_path, "stability", "stability_summary.json", DISK_ARGS,
+              config)["spreads"]
+    assert got == pytest.approx(DISK_SPREADS, rel=1e-12)
+
+
+def test_disk_solve_golden(tmp_path):
+    got = run(tmp_path, "solve", "solve_summary.json", DISK_ARGS, DISK)
+    for key, want in DISK_SOLVE.items():
+        assert got[key] == pytest.approx(want, rel=1e-12)

@@ -4,17 +4,36 @@ import numpy as np
 import pytest
 
 from glcarleman.fields import manufactured_reference, random_initial_field
-from glcarleman.grid import GridError, build_grid, integrate_q
+from glcarleman.grid import GridError, build_grid, integrate_q, laplacian
 from glcarleman.gloperator import apply_F, derive_coeffs
-from glcarleman.solver import (SolveConfig, dirichlet_data_from, energy_balance,
-                               grid_source, load_trajectory, save_trajectory,
-                               solve, step)
+from glcarleman.solver import (SolveConfig, build_linear_ops, dirichlet_data_from,
+                               energy_balance, grid_source, load_trajectory,
+                               save_trajectory, solve, step)
 
 
 def cubic_ode_exact(a, c, t):
     """Exact solution of y' = -(1+ic)|y|^2 y with y(0) = a."""
     m = 1.0 + 2.0 * abs(a) ** 2 * t
     return a * m ** (-0.5) * np.exp(-0.5j * c * np.log(m))
+
+
+class TestLinearOps:
+    @pytest.mark.parametrize("grid_name, bc", [("grid32", "dirichlet0"),
+                                               ("grid32", "neumann0"),
+                                               ("disk_grid", "dirichlet0")])
+    def test_matrix_matches_stencil(self, request, grid_name, bc):
+        # the implicit operator is the stencil Laplacian the energy balance
+        # and the functionals use, boundary coupling included
+        g = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(5)
+        y = (rng.standard_normal(g.X1.shape)
+             + 1j * rng.standard_normal(g.X1.shape)) * g.active_mask
+        ops = build_linear_ops(g, bc)
+        got = ops.L @ y[ops.unknown_mask]
+        if ops.B is not None:
+            got = got + ops.B @ y[g.boundary_mask]
+        want = laplacian(y, g, bc)[ops.unknown_mask]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestStepBasics:
@@ -213,15 +232,6 @@ class TestZeroAndDisk:
         cfg = SolveConfig(bc="neumann0")
         with pytest.raises(GridError):
             solve(np.zeros_like(disk_grid.X1, dtype=complex), cfg, disk_grid)
-
-    def test_neumann_data_zero_matches_homogeneous(self, square_spec):
-        g = build_grid(square_spec, 16, 16, 16, 0.5)
-        y0 = random_initial_field(g, seed=7, amplitude=0.6, bc="neumann0")
-        ref = solve(y0, SolveConfig(b=0.2, c=0.1, bc="neumann0"), g).Y
-        cfg = SolveConfig(b=0.2, c=0.1, bc="neumann_data",
-                          bc_data=lambda t: np.zeros((17, 17), dtype=complex))
-        out = solve(y0, cfg, g).Y
-        assert np.abs(out - ref).max() < 1e-13
 
     def test_iterative_fallback(self, square_spec, monkeypatch):
         import scipy.sparse.linalg as spla

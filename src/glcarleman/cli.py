@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fields as flds
 from .config import ConfigError, build_domain, build_run_grid, config_hash, load_config
-from .functionals import lambda_scan, suite_worst_constant
+from .functionals import VARIANT_FAMILY, lambda_scan, suite_worst_constant
 from .gloperator import check_condition1, derive_coeffs
 from .grid import build_grid
 from .identity import (T_coefficient_positivity, identity_residual_linear,
@@ -56,16 +56,24 @@ def write_json(path, payload):
         fh.write("\n")
 
 
-def _check_disk(cfg, command, manufactured):
-    """Reject the disk runs that cannot pass, before any work starts."""
+def _check_capabilities(cfg, command, manufactured):
+    """Reject the runs that cannot pass, before any work starts."""
+    disk = cfg["domain"]["shape"] == "unit_disk"
     errs = []
-    if command == "solve" and manufactured:
+    if disk and command == "solve" and manufactured:
         errs.append("--manufactured: the manufactured study runs on unit_square only")
-    elif command == "solve" and cfg["solver"]["bc"] != "dirichlet0":
+    elif disk and command == "solve" and cfg["solver"]["bc"] != "dirichlet0":
         errs.append("solver.bc: unit_disk supports dirichlet0 only")
-    if command == "stability" and "boundary" in cfg["stability"]["variants"]:
-        errs.append("stability.variants: boundary is unsupported on unit_disk "
-                    "(its trace is sampled inside the circle)")
+    # the variants that observe through Gamma (stability names them alike)
+    section = {"carleman-scan": "scan", "stability": "stability"}.get(command)
+    boundary = [v for v in cfg[section]["variants"]
+                if VARIANT_FAMILY[v] == "j2_boundary"] if section else []
+    if boundary and disk:
+        errs.append(f"{section}.variants: {', '.join(boundary)} unsupported on "
+                    "unit_disk (its trace is sampled inside the circle)")
+    elif boundary and cfg["domain"]["gamma0"] == "none":
+        errs.append(f"{section}.variants: {', '.join(boundary)} need "
+                    "domain.gamma0 = full_boundary")
     if errs:
         raise ConfigError(errs)
 
@@ -83,8 +91,7 @@ def _prepare(args, command):
         overrides.setdefault("scan", {})["mus"] = args.mu
         overrides.setdefault("identity", {})["mus"] = args.mu
     cfg = load_config(args.config, overrides)
-    if cfg["domain"]["shape"] == "unit_disk":
-        _check_disk(cfg, command, getattr(args, "manufactured", False))
+    _check_capabilities(cfg, command, getattr(args, "manufactured", False))
     out_dir = args.output_dir or cfg["output_dir"] or os.path.join(
         "runs", config_hash(cfg))
     os.makedirs(out_dir, exist_ok=True)
@@ -226,28 +233,29 @@ def cmd_carleman_scan(args) -> int:
     sc_cfg = cfg["scan"]
     coeffs, suite = _solve_suite(cfg, grid, sc_cfg["n_trajectories"])
     cond = check_condition1(coeffs, cfg["coeffs"]["r0"], cfg["coeffs"]["delta0"])
-    rows = []
+    scans = {v: [] for v in sc_cfg["variants"]}
+    rows_of = {v: [] for v in sc_cfg["variants"]}
+    for k, (bc, Y) in enumerate(suite):
+        # the boundary family needs a Dirichlet trace
+        variants = [v for v in scans
+                    if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"]
+        if not variants:
+            continue
+        for v, scan in lambda_scan(Y, grid, sc_cfg["lambdas"], sc_cfg["mus"],
+                                   variants, coeffs).items():
+            scans[v].append(scan)
+            rows_of[v] += [{**rep.as_row(), "trajectory": k, "bc": bc}
+                           for rep in scan.reports]
+    rows = [row for v in sc_cfg["variants"] for row in rows_of[v]]
     summary = {}
     ok = cond.passed
+    lams = sorted(float(l) for l in sc_cfg["lambdas"])
     for variant in sc_cfg["variants"]:
-        scans = []
-        for k, (bc, Y) in enumerate(suite):
-            if variant.endswith("boundary") and bc != "dirichlet0":
-                continue
-            scan = lambda_scan(Y, grid, sc_cfg["lambdas"], sc_cfg["mus"],
-                               variant, coeffs)
-            scans.append(scan)
-            for rep in scan.reports:
-                row = rep.as_row()
-                row["trajectory"] = k
-                row["bc"] = bc
-                rows.append(row)
-        lams = sorted(float(l) for l in sc_cfg["lambdas"])
         per_mu = {}
         for mu in sc_cfg["mus"]:
-            stabs = [s.stabilization_lambda.get(float(mu)) for s in scans]
-            c_last = suite_worst_constant(scans, lams[-1], float(mu))
-            c_prev = suite_worst_constant(scans, lams[-2], float(mu))
+            stabs = [s.stabilization_lambda.get(float(mu)) for s in scans[variant]]
+            c_last = suite_worst_constant(scans[variant], lams[-1], float(mu))
+            c_prev = suite_worst_constant(scans[variant], lams[-2], float(mu))
             drift = abs(c_last - c_prev) / c_prev if c_prev > 0 else float("inf")
             per_mu[str(mu)] = {
                 "stabilization_lambda": max(stabs) if all(
@@ -332,35 +340,28 @@ def cmd_check_weights(args) -> int:
     cases = [("square_psi1", sq_spec, "psi1", sq_grid),
              ("disk_psi1", disk_spec, "psi1", disk_grid),
              ("square_psi2", sq_spec, "psi2", sq_grid)]
+    lam0 = float(cfg["scan"]["lambdas"][0])
+    mu0 = float(cfg["scan"]["mus"][0])
+    times = np.array([0.3, 0.5, 0.6]) * g["T"]
     for name, spec, which, gg in cases:
         rep = verify_psi_admissibility(spec, which, gg)
         payload["admissibility"][name] = {
             "clauses": rep.clauses, "passed": rep.passed,
             "min_grad_outside_omega": rep.min_grad_outside_omega,
         }
-        ok = ok and rep.passed
-
-    lam0 = float(cfg["scan"]["lambdas"][0])
-    mu0 = float(cfg["scan"]["mus"][0])
-    for name, spec, which, gg in cases:
         family = "j1_interior" if which == "psi1" else "j2_boundary"
         params = CarlemanParams(lam=lam0, mu=mu0, T=g["T"], family=family)
         if spec.shape == "unit_square":
             pts = np.array([[0.3, 0.4], [0.5, 0.7], [0.8, 0.2]])
         else:
             pts = np.array([[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]])
-        times = np.array([0.3, 0.5, 0.6]) * g["T"]
         cons = derivative_consistency(params, spec, which, pts, times)
         payload["derivatives"][name] = cons
-        ok = ok and max(cons.values()) <= 1e-6
-
-    for name, spec, which, gg in cases:
-        family = "j1_interior" if which == "psi1" else "j2_boundary"
-        params = CarlemanParams(lam=lam0, mu=mu0, T=g["T"], family=family)
         env = weight_envelope(params, gg, which)
         mono = check_time_monotonicity(env, gg)
         payload["monotonicity"][name] = mono
-        ok = ok and mono["monotone_first_half"] and mono["symmetric"]
+        ok = ok and rep.passed and max(cons.values()) <= 1e-6 \
+            and mono["monotone_first_half"] and mono["symmetric"]
         if args.export_envelope and name == "square_psi1":
             export_envelope_csv(env, gg, os.path.join(out_dir, "envelope.csv"))
 

@@ -16,7 +16,8 @@ normal derivative on Sigma_0):
         + lam mu int_{Sigma_0} phi theta^2 (d psi2 / d nu) |dy/dnu|^2
 
 Linear variants drop every cubic term and use |y_t - (1+ib) Lap y|^2 as the
-source.
+source.  One cell, (trajectory, weight family, lambda, mu), yields the cubic
+and the linear variant of its family and takes each shared integral once.
 
 The inequality constants are existential, so every report carries the raw
 bracket values of both sides and the ratio rhs/lhs; scans flag the smallest
@@ -39,16 +40,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gloperator import GLCoeffs, apply_G, time_derivative
-from .grid import (GridError, SpaceTimeGrid, boundary_values, grad, laplacian,
-                   normal_derivative)
+from .gloperator import GLCoeffs, time_derivative
+from .grid import SpaceTimeGrid, boundary_values, grad, laplacian, normal_derivative
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
 DIRICHLET_TRACE_TOL = 1e-10
 STABILIZATION_TOL = 0.10
 
-VARIANTS = ("interior", "boundary", "linear_interior", "linear_boundary")
+# variant -> weight family; each family's cubic variant comes before its linear one
+VARIANT_FAMILY = {"interior": "j1_interior", "boundary": "j2_boundary",
+                  "linear_interior": "j1_interior", "linear_boundary": "j2_boundary"}
+VARIANTS = tuple(VARIANT_FAMILY)
 
 
 class FunctionalError(ValueError):
@@ -104,12 +107,14 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     yt = time_derivative(Y, grid.dt)
     lap = laplacian(Y, grid, "ghost_from_field")
     g1, g2 = grad(Y, grid)
-    G = apply_G(Y, grid, coeffs, "ghost_from_field")
+    abs2 = np.abs(Y) ** 2
+    G = (coeffs.alpha1 + 1j * coeffs.beta1) * yt + lap    # as apply_P/apply_G
+    G -= coeffs.gamma2 * abs2 * Y
     lin = yt - (1 + 1j * coeffs.b) * lap
     dnu_abs2 = np.abs(normal_derivative(Y, grid)) ** 2
     trace = boundary_values(Y, grid)
     return TrajectoryData(
-        Y=Y, abs2=np.abs(Y) ** 2, yt_abs2=np.abs(yt) ** 2,
+        Y=Y, abs2=abs2, yt_abs2=np.abs(yt) ** 2,
         lap_abs2=np.abs(lap) ** 2,
         grad_abs2=np.abs(g1) ** 2 + np.abs(g2) ** 2,
         G_abs2=np.abs(G) ** 2,
@@ -138,8 +143,9 @@ class _CellQuadrature:
         b_max = float(self.b_two_ell_t.max() * tables.sigma.min()) \
             if tables.b_exp_mu_psi.size else -np.inf
         self.log_scale = max(float(two_ell.max()), b_max)
-        self.two_ell = two_ell
-        self.phi = tables.phi()
+        self.logw = two_ell - self.log_scale
+        with np.errstate(divide="ignore"):
+            self.logphi = np.log(tables.phi())
         self.wsp = grid.space_weights(exclude_corners=True)
         _, wt_full = grid.time_weights("Q")
         self.wt = wt_full[1:-1]          # endpoint integrands vanish (theta -> 0)
@@ -148,14 +154,10 @@ class _CellQuadrature:
             mask=None) -> float:
         """Integral of theta^2 phi^power g (optionally 1/(lam phi)) over Q."""
         g = np.asarray(g, dtype=float)[1:-1]
-        logw = self.two_ell - self.log_scale
-        lam = self.tables.params.lam
-        with np.errstate(divide="ignore"):
-            logg = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
-            logphi = np.log(self.phi)
-        arg = logw + logg + phi_power * logphi
+        logg = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
+        arg = self.logw + logg + phi_power * self.logphi
         if inv_lam_phi:
-            arg = arg - np.log(lam) - logphi
+            arg = arg - np.log(self.tables.params.lam) - self.logphi
         vals = _flush_exp(arg)
         wsp = self.wsp if mask is None else self.wsp * mask
         slice_sums = np.einsum("tij,ij->t", vals, wsp)
@@ -168,8 +170,6 @@ class _CellQuadrature:
         integrand negative, so this path works with linear values, flushing
         magnitudes below the log window.
         """
-        if self.grid.spec.gamma0 == "none":
-            raise GridError("boundary term requested with gamma0 = 'none'")
         g = np.asarray(g_b, dtype=float)[1:-1]
         sig = self.tables.sigma[:, None]
         two_ell = self.b_two_ell_t[None, :] * sig - self.log_scale
@@ -186,93 +186,78 @@ class _CellQuadrature:
         return float(math.fsum((per_t * self.wt).tolist()))
 
 
-def _lhs_terms(cell: _CellQuadrature, data: TrajectoryData, lam, mu,
-               cubic: bool) -> dict:
-    out = {
-        "energy_t": cell.vol(data.yt_abs2, inv_lam_phi=True),
-        "energy_lap": cell.vol(data.lap_abs2, inv_lam_phi=True),
-        "w_l2": lam ** 3 * mu ** 4 * cell.vol(data.abs2, phi_power=3.0),
-        "w_grad": lam * mu ** 2 * cell.vol(data.grad_abs2, phi_power=1.0),
-    }
-    if cubic:
-        out["sextic"] = cell.vol(data.abs2 ** 3)
-        out["mixed"] = cell.vol(data.abs2 * data.grad_abs2)
-        out["w_l4"] = lam ** 2 * mu ** 2 * cell.vol(data.abs2 ** 2, phi_power=2.0)
-    return out
-
-
 def evaluate_cell(data: TrajectoryData, tables: WeightTables,
-                  grid: SpaceTimeGrid, variant: str,
-                  omega_mask=None) -> CarlemanReport:
-    """Both sides of one inequality for one trajectory and one (lambda, mu).
+                  grid: SpaceTimeGrid, omega_mask=None) -> dict:
+    """Both sides of the two inequalities of one weight family, for one
+    trajectory and one (lambda, mu): {variant: CarlemanReport}, cubic first.
 
     The single entry point for every variant; the scans call it per cell.
+    The linear left side is the first four cubic terms and both variants
+    share the observation term, so every integral is taken once.
     """
-    if variant not in VARIANTS:
-        raise FunctionalError(f"variant must be one of {VARIANTS}")
     params = tables.params
     if abs(params.T - grid.T) > 1e-12 * grid.T:
         raise FunctionalError(
             f"weight horizon T={params.T} disagrees with grid T={grid.T}")
     lam, mu = params.lam, params.mu
-    boundary_like = variant.endswith("boundary")
-    cubic = not variant.startswith("linear")
-    family_needed = "j2_boundary" if boundary_like else "j1_interior"
-    if params.family != family_needed:
-        raise FunctionalError(
-            f"variant {variant!r} requires weight family {family_needed!r}, "
-            f"got {params.family!r}")
+    boundary_like = params.family == "j2_boundary"
     if boundary_like:
+        if grid.spec.shape != "unit_square":
+            raise FunctionalError("boundary family j2 is unsupported on unit_disk "
+                                  "(its trace is sampled inside the circle)")
         if grid.spec.gamma0 != "full_boundary":
             raise FunctionalError("boundary variant requires gamma0 = full_boundary")
-        if grid.spec.shape == "unit_square" \
-                and data.trace_max > DIRICHLET_TRACE_TOL * (1 + np.abs(data.Y).max()):
+        if data.trace_max > DIRICHLET_TRACE_TOL * (1 + np.abs(data.Y).max()):
             raise FunctionalError(
                 f"trajectory violates the homogeneous Dirichlet trace "
                 f"(max |y| on Gamma = {data.trace_max:.3e})")
 
     cell = _CellQuadrature(tables, grid)
-    lhs = _lhs_terms(cell, data, lam, mu, cubic)
-
-    rhs = {}
-    obs_negative = False
-    if cubic:
-        rhs["source"] = cell.vol(data.G_abs2)
-    else:
-        rhs["source"] = cell.vol(data.lin_src_abs2)
+    lhs = {
+        "energy_t": cell.vol(data.yt_abs2, inv_lam_phi=True),
+        "energy_lap": cell.vol(data.lap_abs2, inv_lam_phi=True),
+        "w_l2": lam ** 3 * mu ** 4 * cell.vol(data.abs2, phi_power=3.0),
+        "w_grad": lam * mu ** 2 * cell.vol(data.grad_abs2, phi_power=1.0),
+    }
+    cubic_lhs = {
+        **lhs,
+        "sextic": cell.vol(data.abs2 ** 3),
+        "mixed": cell.vol(data.abs2 * data.grad_abs2),
+        "w_l4": lam ** 2 * mu ** 2 * cell.vol(data.abs2 ** 2, phi_power=2.0),
+    }
     if boundary_like:
-        obs = lam * mu * cell.boundary(data.dnu_abs2, phi_power=1.0,
-                                       signed_factor=tables.b_dpsi_dnu)
-        obs_negative = obs < 0
-        rhs["obs_boundary"] = obs
+        obs = {"obs_boundary": lam * mu * cell.boundary(
+            data.dnu_abs2, phi_power=1.0, signed_factor=tables.b_dpsi_dnu)}
+        cubic_obs = {}
     else:
         om = grid.omega_mask if omega_mask is None else omega_mask
-        rhs["obs_l2"] = lam ** 3 * mu ** 4 * cell.vol(data.abs2, phi_power=3.0, mask=om)
-        if cubic:
-            rhs["obs_l4"] = lam ** 2 * mu ** 2 * cell.vol(data.abs2 ** 2,
-                                                          phi_power=2.0, mask=om)
-
-    lhs_total = float(sum(lhs.values()))
-    rhs_total = float(sum(rhs.values()))
-    degenerate = lhs_total == 0.0 and rhs_total == 0.0
-    ratio = rhs_total / lhs_total if lhs_total > 0 else float("nan")
-    return CarlemanReport(variant=variant, lam=lam, mu=mu,
-                          lhs_total=lhs_total, rhs_total=rhs_total,
-                          lhs_breakdown=lhs, rhs_breakdown=rhs, ratio=ratio,
-                          log_scale=cell.log_scale, degenerate=degenerate,
-                          obs_negative=obs_negative)
+        obs = {"obs_l2": lam ** 3 * mu ** 4 * cell.vol(data.abs2, phi_power=3.0,
+                                                       mask=om)}
+        cubic_obs = {"obs_l4": lam ** 2 * mu ** 2 * cell.vol(
+            data.abs2 ** 2, phi_power=2.0, mask=om)}
+    cubic, linear = (v for v, fam in VARIANT_FAMILY.items() if fam == params.family)
+    sides = {cubic: (cubic_lhs, {"source": cell.vol(data.G_abs2), **obs, **cubic_obs}),
+             linear: (lhs, {"source": cell.vol(data.lin_src_abs2), **obs})}
+    reports = {}
+    for variant, (v_lhs, v_rhs) in sides.items():
+        lhs_total = float(sum(v_lhs.values()))
+        rhs_total = float(sum(v_rhs.values()))
+        reports[variant] = CarlemanReport(
+            variant=variant, lam=lam, mu=mu, lhs_total=lhs_total,
+            rhs_total=rhs_total, lhs_breakdown=v_lhs, rhs_breakdown=v_rhs,
+            ratio=rhs_total / lhs_total if lhs_total > 0 else float("nan"),
+            log_scale=cell.log_scale,
+            degenerate=lhs_total == 0.0 and rhs_total == 0.0,
+            obs_negative=v_rhs.get("obs_boundary", 0.0) < 0)
+    return reports
 
 
 # -- scans -------------------------------------------------------------------
 
 @dataclass
 class ScanResult:
-    variant: str
     reports: list
     stabilization_lambda: dict   # mu -> least stable lambda (or None)
-
-    def rows(self):
-        return [r.as_row() for r in self.reports]
 
 
 def _stabilization(lams, ratios) -> float | None:
@@ -291,24 +276,33 @@ def _stabilization(lams, ratios) -> float | None:
     return float(lams[hits[0]]) if hits.size else None
 
 
-def lambda_scan(Y, grid: SpaceTimeGrid, lambdas, mus, variant: str,
-                coeffs: GLCoeffs) -> ScanResult:
-    """CarlemanReport per (lambda, mu) for one trajectory, plus stabilization."""
+def lambda_scan(Y, grid: SpaceTimeGrid, lambdas, mus, variants,
+                coeffs: GLCoeffs) -> dict:
+    """{variant: ScanResult} for one trajectory: a CarlemanReport per
+    (lambda, mu), plus stabilization.
+
+    The trajectory is prepared once, and each (family, mu, lambda) cell is
+    evaluated once for every requested variant of its family.
+    """
+    if not set(variants) <= VARIANT_FAMILY.keys():
+        raise FunctionalError(f"variants must be among {VARIANTS}, got {variants}")
     data = prepare_trajectory(Y, grid, coeffs)
-    family = "j2_boundary" if variant.endswith("boundary") else "j1_interior"
-    reports = []
-    stab = {}
-    for mu in mus:
-        ratios = []
-        for lam in lambdas:
-            params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
-                                    family=family)
-            tables = weight_tables(params, grid)
-            rep = evaluate_cell(data, tables, grid, variant)
-            reports.append(rep)
-            ratios.append(rep.ratio)
-        stab[float(mu)] = _stabilization(list(map(float, lambdas)), ratios)
-    return ScanResult(variant=variant, reports=reports, stabilization_lambda=stab)
+    reports = {v: [] for v in variants}
+    for family in dict.fromkeys(VARIANT_FAMILY[v] for v in variants):
+        for mu in mus:
+            for lam in lambdas:
+                params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
+                                        family=family)
+                cell = evaluate_cell(data, weight_tables(params, grid), grid)
+                for v in reports.keys() & cell.keys():
+                    reports[v].append(cell[v])
+    lams = list(map(float, lambdas))
+    out = {}
+    for v, reps in reports.items():
+        ratios = np.reshape([r.ratio for r in reps], (len(mus), len(lams)))
+        stab = {float(mu): _stabilization(lams, row) for mu, row in zip(mus, ratios)}
+        out[v] = ScanResult(reports=reps, stabilization_lambda=stab)
+    return out
 
 
 def suite_worst_constant(scans: list, lam: float, mu: float) -> float:

@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import os
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glcarleman import functionals
 from glcarleman.cli import main
 from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
 from glcarleman.solver import load_trajectory
@@ -66,6 +68,12 @@ class TestConfig:
                      id="disk-boundary-stability"),
         pytest.param(DISK, ["solve", "--manufactured"], "--manufactured",
                      id="disk-manufactured"),
+        pytest.param(DISK, ["carleman-scan"], "scan.variants",
+                     id="disk-boundary-scan"),
+        pytest.param({"domain": {"gamma0": "none"}}, ["carleman-scan"],
+                     "scan.variants", id="no-gamma0-boundary-scan"),
+        pytest.param({"domain": {"gamma0": "none"}}, ["stability"],
+                     "stability.variants", id="no-gamma0-boundary-stability"),
     ])
     def test_malformed_config_fails_closed(self, tmp_path, capsys, config,
                                            argv, field):
@@ -169,6 +177,42 @@ class TestCommands:
         assert rep["passed"]
         assert set(rep["admissibility"]) == {"square_psi1", "disk_psi1",
                                              "square_psi2"}
+
+
+@pytest.fixture(scope="module")
+def counted_scan16(tmp_path_factory):
+    """A 16^3 seed-7 carleman-scan: (prepare_trajectory calls, CSV rows)."""
+    calls = []
+    prepare = functionals.prepare_trajectory
+
+    def counted(*args):
+        calls.append(args)
+        return prepare(*args)
+
+    tmp = tmp_path_factory.mktemp("scan16")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "prepare_trajectory", counted)
+        assert run_in(tmp, ["--grid", "16", "--seed", "7", "carleman-scan"]) == 0
+    (run,) = (tmp / "runs").iterdir()
+    with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
+        return len(calls), list(csv.DictReader(fh))
+
+
+class TestScanPass:
+    def test_prepares_each_trajectory_once(self, counted_scan16):
+        assert counted_scan16[0] == DEFAULTS["scan"]["n_trajectories"]
+
+    def test_row_order(self, counted_scan16):
+        # variant, then trajectory (boundary variants on Dirichlet ones, the
+        # even k), then mu, then lambda, all in configuration order
+        sc = DEFAULTS["scan"]
+        expected = [(v, k, mu, lam) for v in sc["variants"]
+                    for k in range(sc["n_trajectories"])
+                    if k % 2 == 0 or not v.endswith("boundary")
+                    for mu in sc["mus"] for lam in sc["lambdas"]]
+        got = [(r["variant"], int(r["trajectory"]), float(r["mu"]),
+                float(r["lambda"])) for r in counted_scan16[1]]
+        assert got == expected
 
 
 class TestDeterminism:

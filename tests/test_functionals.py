@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from glcarleman.fields import random_initial_field
-from glcarleman.functionals import (FunctionalError, _CellQuadrature,
-                                    evaluate_cell, lambda_scan,
+from glcarleman.functionals import (VARIANT_FAMILY, FunctionalError,
+                                    _CellQuadrature, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import build_grid
@@ -16,7 +16,7 @@ LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4
 
 def report(Y, params, grid, variant="interior"):
     return evaluate_cell(prepare_trajectory(Y, grid, COEFFS),
-                         weight_tables(params, grid), grid, variant)
+                         weight_tables(params, grid), grid)[variant]
 
 
 @pytest.fixture(scope="module")
@@ -127,42 +127,58 @@ class TestLinearVariants:
         assert rep.variant == "linear_boundary"
         assert rep.lhs_total > 0
 
+    @pytest.mark.parametrize("family", ["j1_interior", "j2_boundary"])
+    def test_linear_report_shares_cubic_terms(self, grid32, dirichlet_traj,
+                                              family):
+        # one cell yields both variants of its family; the linear left side
+        # is the cubic one's first four terms, the observation is shared
+        cell = evaluate_cell(prepare_trajectory(dirichlet_traj, grid32, COEFFS),
+                             weight_tables(CarlemanParams(lam=4, mu=2, T=1.0,
+                                                          family=family), grid32),
+                             grid32)
+        assert list(cell) == [v for v, f in VARIANT_FAMILY.items() if f == family]
+        cubic, linear = cell.values()
+        assert list(linear.lhs_breakdown.items()) \
+            == list(cubic.lhs_breakdown.items())[:4]
+        obs = {k: v for k, v in linear.rhs_breakdown.items() if k != "source"}
+        assert obs and obs == {k: cubic.rhs_breakdown[k] for k in obs}
+        assert linear.log_scale == cubic.log_scale
+        assert linear.rhs_breakdown["source"] != cubic.rhs_breakdown["source"]
+
     def test_unknown_variant_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
-            report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
-                   grid32, "bogus")
+            lambda_scan(dirichlet_traj, grid32, [2, 4], [2.0],
+                        ["interior", "bogus"], COEFFS)
 
     def test_horizon_mismatch_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
             report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=2.0), grid32)
 
-    def test_family_mismatch_rejected(self, grid32, dirichlet_traj):
-        # boundary variants need the j2 family and vice versa
-        with pytest.raises(FunctionalError):
-            report(dirichlet_traj, CarlemanParams(lam=2, mu=2, T=1.0),
-                   grid32, "boundary")
-        with pytest.raises(FunctionalError):
-            report(dirichlet_traj,
-                   CarlemanParams(lam=2, mu=2, T=1.0, family="j2_boundary"),
-                   grid32, "interior")
+    def test_boundary_family_rejected_on_disk(self, disk_grid):
+        Y = np.zeros((33, 65, 65), dtype=complex)
+        with pytest.raises(FunctionalError, match="unit_disk"):
+            report(Y, CarlemanParams(lam=2, mu=1.5, T=1.0, family="j2_boundary"),
+                   disk_grid, "boundary")
 
 
 class TestScan:
     def test_ratios_positive_and_stabilization(self, grid32, dirichlet_traj):
         scan = lambda_scan(dirichlet_traj, grid32, [2, 4, 8, 16], [2.0],
-                           "interior", COEFFS)
+                           ["interior"], COEFFS)["interior"]
         for rep in scan.reports:
             assert rep.ratio > 0
         assert scan.stabilization_lambda[2.0] is not None
 
     def test_zero_trajectory_degenerate_cells(self, grid32):
         Y = np.zeros((33, 33, 33), dtype=complex)
-        scan = lambda_scan(Y, grid32, [2, 4], [2.0], "interior", COEFFS)
+        scan = lambda_scan(Y, grid32, [2, 4], [2.0], ["interior"],
+                           COEFFS)["interior"]
         assert all(r.degenerate for r in scan.reports)
         assert scan.stabilization_lambda[2.0] is None
 
     def test_suite_worst_constant(self, grid32, dirichlet_traj, neumann_traj):
-        scans = [lambda_scan(Y, grid32, [8, 16], [2.0], "interior", COEFFS)
+        scans = [lambda_scan(Y, grid32, [8, 16], [2.0], ["interior"],
+                             COEFFS)["interior"]
                  for Y in (dirichlet_traj, neumann_traj)]
         c16 = suite_worst_constant(scans, 16.0, 2.0)
         assert np.isfinite(c16) and c16 > 0
@@ -173,7 +189,8 @@ class TestScan:
     def test_empirical_carleman_single_constant(self, grid32, dirichlet_traj,
                                                 neumann_traj):
         # one C_emp covers the whole (small) suite past stabilization
-        scans = [lambda_scan(Y, grid32, [8, 16, 32], [2.0], "interior", COEFFS)
+        scans = [lambda_scan(Y, grid32, [8, 16, 32], [2.0], ["interior"],
+                             COEFFS)["interior"]
                  for Y in (dirichlet_traj, neumann_traj)]
         c_emp = max(suite_worst_constant(scans, lam, 2.0)
                     for lam in (8.0, 16.0, 32.0))

@@ -23,8 +23,7 @@ from .config import ConfigError, build_domain, build_run_grid, config_hash, load
 from .functionals import VARIANT_FAMILY, lambda_scan, suite_worst_constant
 from .gloperator import check_condition1, derive_coeffs
 from .grid import build_grid
-from .identity import (T_coefficient_positivity, identity_residual_linear,
-                       identity_residual_nonlinear)
+from .identity import T_coefficient_positivity, identity_residuals
 from .solver import SolveConfig, energy_balance, save_trajectory, solve
 from .stability import perturbation_suite
 from .weights import (CarlemanParams, check_time_monotonicity,
@@ -131,10 +130,9 @@ def cmd_verify_identity(args) -> int:
             for lam in ident["lambdas"]:
                 for mu in ident["mus"]:
                     params = CarlemanParams(lam=lam, mu=mu, T=grid.T)
-                    nl = identity_residual_nonlinear(
-                        field, params, coeffs, grid, corrupt=args.corrupt_term)
-                    lin = identity_residual_linear(
-                        field, params, coeffs, grid, corrupt=args.corrupt_term)
+                    res = identity_residuals(field, params, coeffs, grid,
+                                             corrupt=args.corrupt_term)
+                    nl, lin = res["cubic"], res["linear"]
                     worst = max(worst, nl.max_rel, lin.max_rel)
                     results.append({
                         "field": fid, "b": b, "c": c, "lambda": lam, "mu": mu,

@@ -5,9 +5,10 @@ A field is a finite sum of separable modes
     v(t, x) = sum_m  c_m * tau_m(t) * f_m(x1) * g_m(x2),
 
 where each 1-D factor carries its value and first two derivatives in closed
-form.  That gives v_t, grad v, Hess v, Lap v and grad v_t exactly, which the
-identity laboratory consumes (its pointwise checks use no stencils), and
-which the method of manufactured solutions uses to generate sources.
+form.  One walk over the modes (`AnalyticField.jet`) gives v_t, grad v,
+Hess v, Lap v and grad v_t exactly, which the identity laboratory consumes
+(its pointwise checks use no stencils), and which the method of manufactured
+solutions uses to generate sources.
 
 Every constructed field self-checks its supplied derivatives against central
 finite differences at a few random points (relative error <= 1e-6).
@@ -80,6 +81,18 @@ def time_bubble_atom(T: float) -> PolyAtom:
     return PolyAtom((0.0, T, -1.0))
 
 
+@dataclass
+class FieldJet:
+    """A field and its derivatives up to second order at a batch of points."""
+
+    v: np.ndarray
+    vt: np.ndarray
+    gv: np.ndarray       # (..., 2)
+    gvt: np.ndarray      # (..., 2)
+    hess: np.ndarray     # (..., 2, 2)
+    lap: np.ndarray
+
+
 @dataclass(frozen=True)
 class Mode:
     coef: complex
@@ -115,67 +128,34 @@ class AnalyticField:
             out = out + m.coef * tau * f * g
         return np.asarray(out, dtype=complex)
 
-    def dt(self, t, x):
+    def jet(self, t, x) -> FieldJet:
+        """v, v_t, grad v, grad v_t, Hess v and Lap v in one walk over the modes."""
         t, x1, x2 = self._parts(t, x)
-        out = 0
+        v = vt = g1 = g2 = gt1 = gt2 = h11 = h12 = h22 = 0
         for m in self.modes:
-            _, taup, _ = m.t_atom.ev(t)
-            f, _, _ = m.x1_atom.ev(x1)
-            g, _, _ = m.x2_atom.ev(x2)
-            out = out + m.coef * taup * f * g
-        return np.asarray(out, dtype=complex)
-
-    def grad(self, t, x):
-        t, x1, x2 = self._parts(t, x)
-        g1 = 0
-        g2 = 0
-        for m in self.modes:
-            tau, _, _ = m.t_atom.ev(t)
-            f, fp, _ = m.x1_atom.ev(x1)
-            g, gp, _ = m.x2_atom.ev(x2)
-            g1 = g1 + m.coef * tau * fp * g
-            g2 = g2 + m.coef * tau * f * gp
-        return np.stack([np.asarray(g1, dtype=complex),
-                         np.asarray(g2, dtype=complex)], axis=-1)
-
-    def grad_dt(self, t, x):
-        t, x1, x2 = self._parts(t, x)
-        g1 = 0
-        g2 = 0
-        for m in self.modes:
-            _, taup, _ = m.t_atom.ev(t)
-            f, fp, _ = m.x1_atom.ev(x1)
-            g, gp, _ = m.x2_atom.ev(x2)
-            g1 = g1 + m.coef * taup * fp * g
-            g2 = g2 + m.coef * taup * f * gp
-        return np.stack([np.asarray(g1, dtype=complex),
-                         np.asarray(g2, dtype=complex)], axis=-1)
-
-    def hess(self, t, x):
-        t, x1, x2 = self._parts(t, x)
-        h11 = 0
-        h12 = 0
-        h22 = 0
-        for m in self.modes:
-            tau, _, _ = m.t_atom.ev(t)
+            tau, taup, _ = m.t_atom.ev(t)
             f, fp, fpp = m.x1_atom.ev(x1)
             g, gp, gpp = m.x2_atom.ev(x2)
+            v = v + m.coef * tau * f * g
+            vt = vt + m.coef * taup * f * g
+            g1 = g1 + m.coef * tau * fp * g
+            g2 = g2 + m.coef * tau * f * gp
+            gt1 = gt1 + m.coef * taup * fp * g
+            gt2 = gt2 + m.coef * taup * f * gp
             h11 = h11 + m.coef * tau * fpp * g
             h12 = h12 + m.coef * tau * fp * gp
             h22 = h22 + m.coef * tau * f * gpp
-        h11 = np.asarray(h11, dtype=complex)
-        h12 = np.asarray(h12, dtype=complex)
-        h22 = np.asarray(h22, dtype=complex)
-        out = np.empty(h11.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = h11
-        out[..., 0, 1] = h12
-        out[..., 1, 0] = h12
-        out[..., 1, 1] = h22
-        return out
-
-    def lap(self, t, x):
-        h = self.hess(t, x)
-        return h[..., 0, 0] + h[..., 1, 1]
+        v, vt, g1, g2, gt1, gt2, h11, h12, h22 = (
+            np.asarray(a, dtype=complex)
+            for a in (v, vt, g1, g2, gt1, gt2, h11, h12, h22))
+        hess = np.empty(h11.shape + (2, 2), dtype=complex)
+        hess[..., 0, 0] = h11
+        hess[..., 0, 1] = h12
+        hess[..., 1, 0] = h12
+        hess[..., 1, 1] = h22
+        return FieldJet(v=v, vt=vt, gv=np.stack([g1, g2], axis=-1),
+                        gvt=np.stack([gt1, gt2], axis=-1), hess=hess,
+                        lap=h11 + h22)
 
     # -- validation ---------------------------------------------------------
     def _self_check(self, box, times, rtol=1e-6):
@@ -186,20 +166,21 @@ class AnalyticField:
         ])
         ts = np.asarray(rng.uniform(times[0], times[1], 5))
         eps = 1e-6
-        scale = np.abs(self.value(ts, pts)).max() + 1.0
+        jet = self.jet(ts, pts)
+        scale = np.abs(jet.v).max() + 1.0
 
         vt_fd = (self.value(ts + eps, pts) - self.value(ts - eps, pts)) / (2 * eps)
-        if np.abs(vt_fd - self.dt(ts, pts)).max() > rtol * (np.abs(vt_fd).max() + scale):
+        if np.abs(vt_fd - jet.vt).max() > rtol * (np.abs(vt_fd).max() + scale):
             raise FieldError("dt inconsistent with finite differences")
         for j in range(2):
             dx = np.zeros((1, 2))
             dx[0, j] = eps
             g_fd = (self.value(ts, pts + dx) - self.value(ts, pts - dx)) / (2 * eps)
-            g_an = self.grad(ts, pts)[..., j]
+            g_an = jet.gv[..., j]
             if np.abs(g_fd - g_an).max() > rtol * (np.abs(g_fd).max() + scale):
                 raise FieldError("grad inconsistent with finite differences")
-            h_fd = (self.grad(ts, pts + dx) - self.grad(ts, pts - dx)) / (2 * eps)
-            h_an = self.hess(ts, pts)[..., j, :]
+            h_fd = (self.jet(ts, pts + dx).gv - self.jet(ts, pts - dx).gv) / (2 * eps)
+            h_an = jet.hess[..., j, :]
             if np.abs(h_fd - h_an).max() > 1e-4 * (np.abs(h_an).max() + scale):
                 raise FieldError("hess inconsistent with finite differences")
 

@@ -70,14 +70,13 @@ class CarlemanReport:
     ratio: float                 # rhs_total / lhs_total
     log_scale: float             # raw value = reported * exp(log_scale)
     degenerate: bool = False
-    skipped: bool = False
     obs_negative: bool = False
 
     def as_row(self) -> dict:
         row = {"variant": self.variant, "lambda": self.lam, "mu": self.mu,
                "lhs_total": self.lhs_total, "rhs_total": self.rhs_total,
                "ratio": self.ratio, "log_scale": self.log_scale,
-               "degenerate": int(self.degenerate), "skipped": int(self.skipped),
+               "degenerate": int(self.degenerate),
                "obs_negative": int(self.obs_negative)}
         for k, v in self.lhs_breakdown.items():
             row[f"lhs_{k}"] = v

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import FieldJet
 from .gloperator import GLCoeffs
 from .weights import CarlemanParams, PsiSample, WeightSample, eval_psi, eval_weight
 
@@ -94,22 +95,6 @@ class IdentityTerms:
     Phi: np.ndarray
     Psi: np.ndarray
     T_coef: float
-
-
-@dataclass
-class FieldJet:
-    v: np.ndarray
-    vt: np.ndarray
-    gv: np.ndarray       # (..., 2)
-    gvt: np.ndarray      # (..., 2)
-    hess: np.ndarray     # (..., 2, 2)
-    lap: np.ndarray
-
-
-def field_jet(field, t, x) -> FieldJet:
-    return FieldJet(v=field.value(t, x), vt=field.dt(t, x), gv=field.grad(t, x),
-                    gvt=field.grad_dt(t, x), hess=field.hess(t, x),
-                    lap=field.lap(t, x))
 
 
 def _dot(a, b):
@@ -203,8 +188,8 @@ def j_split_residual(terms: IdentityTerms, jet: FieldJet, w: WeightSample,
 # ---------------------------------------------------------------------------
 
 def _transport_analytic(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
-                        pp: PhiPsiSample, cubic: bool):
-    """(d/dt of the time bracket, div of the flux) by exact chain rule."""
+                        pp: PhiPsiSample) -> dict:
+    """form -> (d/dt of the time bracket, div of the flux) by exact chain rule."""
     a1, b1, a2 = coeffs.alpha1, coeffs.beta1, coeffs.alpha2
     v, vt, gv, gvt, hv = jet.v, jet.vt, jet.gv, jet.gvt, jet.hess
     vb, gvb, hvb = np.conj(v), np.conj(gv), np.conj(jet.hess)
@@ -225,11 +210,8 @@ def _transport_analytic(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
     d_im = ((_dot(glt, gvb) * v).imag + (_dot(gl, gvbt) * v).imag
             + (_dot(gl, gvb) * vt).imag)
     dM = dc_a * av2 + c_a * d_av2 + a1 * d_gv2 - 2 * b1 * d_im
-
-    if cubic:
-        w2m = _theta_neg2(w)
-        d_bracket = w2m * (-2 * w.ell_t * av2 ** 2 + 2 * av2 * d_av2)
-        dM = dM + 0.375 * a1 * a2 * d_bracket
+    w2m = _theta_neg2(w)
+    d_bracket = w2m * (-2 * w.ell_t * av2 ** 2 + 2 * av2 * d_av2)
 
     # div V, term by term
     grad_av2 = 2 * re_vb_gv                       # grad |v|^2
@@ -253,55 +235,47 @@ def _transport_analytic(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
                 + scal7 * (_dot(grad_av2, gl) + av2 * w.lap_ell))
     divV = div1 + div2 + div3 + div4 + div5 + div6 + div7
 
-    if not cubic:
-        return dM, divV
-
     # the two cubic flux corrections in H
-    w2m = _theta_neg2(w)
     div8 = -0.5 * a2 * w2m * ((w.lap_ell - 2 * gl2) * av2 ** 2
                               + 2 * av2 * _dot(grad_av2, gl))
     div9 = 0.5 * a2 * w2m * (0.5 * _dot(grad_av2, grad_av2)
                              - av2 * _dot(gl, grad_av2)
                              + av2 * (gv2 + (vb * lap_v).real))
-    return dM, divV + div8 + div9
+    return {"cubic": (dM + 0.375 * a1 * a2 * d_bracket, divV + div8 + div9),
+            "linear": (dM, divV)}
 
 
-def _assemble_M(field, params, spec, which, coeffs, choice, t, x, cubic):
-    psi = eval_psi(spec, which, x, check_omega=False)
+def _evaluate(field, params: CarlemanParams, coeffs: GLCoeffs, spec, t, x):
+    """Weights, jet, Phi/Psi and every named term at the points (t, x)."""
+    psi = eval_psi(spec, params.which_psi, x, check_omega=False)
     w = eval_weight(params, psi, t)
-    jet = field_jet(field, t, x)
-    pp = choice(params, psi, w)
-    terms = eval_terms(jet, w, coeffs, pp)
-    M = terms.M
-    if cubic:
-        M = M + 0.375 * coeffs.alpha1 * coeffs.alpha2 * _theta_neg2(w) * np.abs(jet.v) ** 4
-    return M, terms
+    jet = field.jet(t, x)
+    pp = step_one_choice(params, psi, w)
+    return w, jet, pp, eval_terms(jet, w, coeffs, pp)
 
 
-def _transport_fd(field, params, spec, which, coeffs, choice, t, x,
-                  cubic: bool, h_fd: float):
-    """4th-order central differences of the assembled M and H."""
-    def M_at(tt):
-        return _assemble_M(field, params, spec, which, coeffs, choice, tt, x, cubic)[0]
-
-    def H_at(xx):
-        psi = eval_psi(spec, which, xx, check_omega=False)
-        w = eval_weight(params, psi, t)
-        jet = field_jet(field, t, xx)
-        pp = choice(params, psi, w)
-        terms = eval_terms(jet, w, coeffs, pp)
-        return terms.H if cubic else terms.V
-
+def _transport_fd(field, params, coeffs, spec, t, x, h_fd: float) -> dict:
+    """form -> 4th-order central differences of the assembled M and H."""
     c = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * h_fd)
     shifts = np.array([2.0, 1.0, -1.0, -2.0]) * h_fd
-    dM = sum(ck * M_at(t + sk) for ck, sk in zip(c, shifts))
-    divH = 0.0
+    dM = {"cubic": 0, "linear": 0}
+    for ck, sk in zip(c, shifts):
+        w, jet, _, terms = _evaluate(field, params, coeffs, spec, t + sk, x)
+        dM["cubic"] = dM["cubic"] + ck * (terms.M + 0.375 * coeffs.alpha1
+                                          * coeffs.alpha2 * _theta_neg2(w)
+                                          * np.abs(jet.v) ** 4)
+        dM["linear"] = dM["linear"] + ck * terms.M
+    divH = {"cubic": 0.0, "linear": 0.0}
     for j in range(2):
         dxa = np.zeros((1, 2))
         dxa[0, j] = 1.0
-        comp = sum(ck * H_at(x + sk * dxa)[..., j] for ck, sk in zip(c, shifts))
-        divH = divH + comp
-    return dM, divH
+        comp = {"cubic": 0, "linear": 0}
+        for ck, sk in zip(c, shifts):
+            terms = _evaluate(field, params, coeffs, spec, t, x + sk * dxa)[3]
+            comp["cubic"] = comp["cubic"] + ck * terms.H[..., j]
+            comp["linear"] = comp["linear"] + ck * terms.V[..., j]
+        divH = {form: divH[form] + comp[form] for form in divH}
+    return {form: (dM[form], divH[form]) for form in dM}
 
 
 # ---------------------------------------------------------------------------
@@ -336,73 +310,8 @@ def default_samples(grid, n_t: int = 7, n_x: int = 6, t_window=(0.2, 0.8),
     return tt, xx
 
 
-def _residual(field, params: CarlemanParams, coeffs: GLCoeffs, grid,
-              cubic: bool, choice=step_one_choice, transport: str = "analytic",
-              h_fd: float = 1e-4, samples=None, corrupt: str | None = None) -> ResidualReport:
-    if corrupt is not None and corrupt not in CORRUPTIBLE:
-        raise IdentityError(f"corrupt must be one of {CORRUPTIBLE}")
-    spec = grid.spec
-    which = params.which_psi
-    t, x = default_samples(grid) if samples is None else samples
-
-    psi = eval_psi(spec, which, x, check_omega=False)
-    w = eval_weight(params, psi, t)
-    jet = field_jet(field, t, x)
-    pp = choice(params, psi, w)
-    terms = eval_terms(jet, w, coeffs, pp)
-    a1, b1, a2, b2 = coeffs.alpha1, coeffs.beta1, coeffs.alpha2, coeffs.beta2
-    v, vt, gv = jet.v, jet.vt, jet.gv
-    vb, gvb = np.conj(v), np.conj(gv)
-    av2 = np.abs(v) ** 2
-    gv2 = _dot(gv, gvb).real
-    w2m = _theta_neg2(w)
-
-    sgn = dict((k, -1.0 if corrupt == k else 1.0) for k in CORRUPTIBLE)
-
-    if cubic:
-        op = terms.J1 + terms.J2   # theta G y
-        lhs_op = 2 * (op * np.conj(terms.J1)).real
-    else:
-        op = terms.I1 + terms.I2   # theta P y
-        lhs_op = 2 * (op * np.conj(terms.I1)).real
-
-    if transport == "analytic":
-        dM, divH = _transport_analytic(jet, w, coeffs, pp, cubic)
-    elif transport == "fd":
-        dM, divH = _transport_fd(field, params, spec, which, coeffs, choice,
-                                 t, x, cubic, h_fd)
-    else:
-        raise IdentityError("transport must be 'analytic' or 'fd'")
+def _report(lhs_op, dM, divH, rhs_terms: dict, sgn: dict) -> ResidualReport:
     lhs = lhs_op + sgn["M"] * dM + sgn["H"] * divH
-
-    hq = 4 * np.einsum("...jk,...j,...k->...", w.hess_ell, gv, gvb).real
-    if cubic:
-        grad_av2 = 2 * (vb[..., None] * gv).real
-        rhs_terms = {
-            "J1_sq": np.abs(terms.J1) ** 2,
-            "J1_Phi_sq": np.abs(terms.J1 + terms.Phi * v) ** 2,
-            "B": sgn["B"] * terms.B * av2,
-            "hess_quad": hq,
-            "Phi_grad": 2 * terms.Phi * gv2,
-            "E": sgn["E"] * terms.E * w2m * av2 ** 2,
-            "sextic": 0.375 * a2 ** 2 * w2m ** 2 * av2 ** 3,
-            "grad_mod_sq": 0.25 * a2 * w2m * _dot(grad_av2, grad_av2),
-            "mixed": 0.5 * a2 * w2m * av2 * gv2,
-            "U": sgn["U"] * terms.U,
-            "vt_term": 2 * b1 * (terms.Phi + 0.25 * a2 * w2m * av2)
-                       * (vb * vt).imag,
-        }
-    else:
-        rhs_terms = {
-            "I1_sq": np.abs(terms.I1) ** 2,
-            "I1_Phi_sq": np.abs(terms.I1 + terms.Phi * v) ** 2,
-            "B": sgn["B"] * terms.B * av2,
-            "hess_quad": hq,
-            "Phi_grad": 2 * terms.Phi * gv2,
-            "Psi_grad": -2 * (_dot(pp.grad_Psi, gv) * vb).real,
-            "lt_grad": -4 * b1 * (_dot(w.grad_ell_t, gvb) * v).imag,
-            "vt_term": 2 * b1 * terms.Phi * (vb * vt).imag,
-        }
     rhs = sum(rhs_terms.values())
     res = lhs - rhs
 
@@ -412,30 +321,78 @@ def _residual(field, params: CarlemanParams, coeffs: GLCoeffs, grid,
     global_scale = float(scale_pt.max())
     floor = max(global_scale * 1e-12, 1e-300)
     rel = np.abs(res) / np.maximum(scale_pt, floor)
-    report = ResidualReport(
+    return ResidualReport(
         max_rel=float(rel.max()),
         l2_rel=float(np.sqrt(np.mean(rel ** 2))),
         n_samples=int(np.size(res)),
         scale=global_scale,
         term_magnitudes={k: float(np.abs(val).max()) for k, val in rhs_terms.items()},
     )
-    return report
 
 
-def identity_residual_nonlinear(field, params, coeffs, grid, choice=step_one_choice,
-                                transport="analytic", h_fd=1e-4, samples=None,
-                                corrupt=None) -> ResidualReport:
-    """Residual of the cubic weighted identity over the sample set."""
-    return _residual(field, params, coeffs, grid, cubic=True, choice=choice,
-                     transport=transport, h_fd=h_fd, samples=samples, corrupt=corrupt)
+def identity_residuals(field, params: CarlemanParams, coeffs: GLCoeffs, grid,
+                       transport: str = "analytic", h_fd: float = 1e-4,
+                       samples=None, corrupt: str | None = None) -> dict:
+    """{"cubic": ..., "linear": ...} residuals of the weighted identity.
 
+    The weights, the jet, Phi/Psi, the named terms and the transport terms
+    are evaluated once over the sample set and shared by both forms.
+    """
+    if corrupt is not None and corrupt not in CORRUPTIBLE:
+        raise IdentityError(f"corrupt must be one of {CORRUPTIBLE}")
+    if transport not in ("analytic", "fd"):
+        raise IdentityError("transport must be 'analytic' or 'fd'")
+    t, x = default_samples(grid) if samples is None else samples
+    w, jet, pp, terms = _evaluate(field, params, coeffs, grid.spec, t, x)
+    if transport == "analytic":
+        flux = _transport_analytic(jet, w, coeffs, pp)
+    else:
+        flux = _transport_fd(field, params, coeffs, grid.spec, t, x, h_fd)
 
-def identity_residual_linear(field, params, coeffs, grid, choice=step_one_choice,
-                             transport="analytic", h_fd=1e-4, samples=None,
-                             corrupt=None) -> ResidualReport:
-    """Residual of the linear weighted identity over the sample set."""
-    return _residual(field, params, coeffs, grid, cubic=False, choice=choice,
-                     transport=transport, h_fd=h_fd, samples=samples, corrupt=corrupt)
+    a2, b1 = coeffs.alpha2, coeffs.beta1
+    v, vt, gv = jet.v, jet.vt, jet.gv
+    vb, gvb = np.conj(v), np.conj(gv)
+    av2 = np.abs(v) ** 2
+    gv2 = _dot(gv, gvb).real
+    w2m = _theta_neg2(w)
+    sgn = dict((k, -1.0 if corrupt == k else 1.0) for k in CORRUPTIBLE)
+
+    # the terms both forms share, in the place each takes in its sum
+    B = sgn["B"] * terms.B * av2
+    hq = 4 * np.einsum("...jk,...j,...k->...", w.hess_ell, gv, gvb).real
+    phi_grad = 2 * terms.Phi * gv2
+    grad_av2 = 2 * (vb[..., None] * gv).real
+    cubic = {
+        "J1_sq": np.abs(terms.J1) ** 2,
+        "J1_Phi_sq": np.abs(terms.J1 + terms.Phi * v) ** 2,
+        "B": B,
+        "hess_quad": hq,
+        "Phi_grad": phi_grad,
+        "E": sgn["E"] * terms.E * w2m * av2 ** 2,
+        "sextic": 0.375 * a2 ** 2 * w2m ** 2 * av2 ** 3,
+        "grad_mod_sq": 0.25 * a2 * w2m * _dot(grad_av2, grad_av2),
+        "mixed": 0.5 * a2 * w2m * av2 * gv2,
+        "U": sgn["U"] * terms.U,
+        "vt_term": 2 * b1 * (terms.Phi + 0.25 * a2 * w2m * av2)
+                   * (vb * vt).imag,
+    }
+    linear = {
+        "I1_sq": np.abs(terms.I1) ** 2,
+        "I1_Phi_sq": np.abs(terms.I1 + terms.Phi * v) ** 2,
+        "B": B,
+        "hess_quad": hq,
+        "Phi_grad": phi_grad,
+        "Psi_grad": -2 * (_dot(pp.grad_Psi, gv) * vb).real,
+        "lt_grad": -4 * b1 * (_dot(w.grad_ell_t, gvb) * v).imag,
+        "vt_term": 2 * b1 * terms.Phi * (vb * vt).imag,
+    }
+    # theta G y = J1 + J2 and theta P y = I1 + I2, each paired with its first part
+    return {
+        "cubic": _report(2 * ((terms.J1 + terms.J2) * np.conj(terms.J1)).real,
+                         *flux["cubic"], cubic, sgn),
+        "linear": _report(2 * ((terms.I1 + terms.I2) * np.conj(terms.I1)).real,
+                          *flux["linear"], linear, sgn),
+    }
 
 
 # ---------------------------------------------------------------------------

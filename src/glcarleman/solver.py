@@ -341,9 +341,9 @@ def manufactured_source_fn(field, coeffs):
     b, c = coeffs.b, coeffs.c
 
     def fn(t, pts):
-        v = field.value(t, pts)
-        return (field.dt(t, pts) - (1 + 1j * b) * field.lap(t, pts)
-                + (1 + 1j * c) * np.abs(v) ** 2 * v)
+        jet = field.jet(t, pts)
+        return (jet.vt - (1 + 1j * b) * jet.lap
+                + (1 + 1j * c) * np.abs(jet.v) ** 2 * jet.v)
 
     return fn
 

@@ -14,7 +14,9 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
     rhs_obs  = int_{Sigma_0} |d z / d nu|^2,     c_emp = lhs / rhs_obs.
 
 The difference z is always computed from the two solves; no difference
-equation is ever formed.
+equation is ever formed.  Each difference is prepared once
+(`prepare_difference`: one gradient, the observations, the L^inf L^6
+constants) and every eps report reads from it.
 """
 
 from __future__ import annotations
@@ -75,18 +77,57 @@ def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return np.abs(g1) ** 2 + np.abs(g2) ** 2
 
 
-def stability_interior(z: np.ndarray, u2: np.ndarray, grid: SpaceTimeGrid,
-                       eps: float, u1: np.ndarray | None = None,
-                       delta: float = float("nan")) -> StabilityReport:
-    """Interior-observation report for a difference trajectory z."""
-    if not 0 < eps < grid.T / 2:
-        raise StabilityError("eps must lie in (0, T/2)")
+@dataclass
+class PreparedDifference:
+    """The eps-independent parts of every report on one difference z."""
+
+    energy: np.ndarray   # |z|^2 + |grad z|^2, integrated over Q_eps per report
+    obs: dict            # variant -> observation integral
+    c_u2: float          # ||u2||_{L^inf L^6}^8 (nan without u2)
+    c_u1: float          # ||u1||_{L^inf L^6}^8 (nan without u1)
+
+
+def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
+                       u2: np.ndarray | None = None,
+                       u1: np.ndarray | None = None,
+                       variants=("interior", "boundary")) -> PreparedDifference:
+    """One gradient, the observations of ``variants`` and the L^inf L^6 constants.
+
+    For "boundary", z must carry a zero Dirichlet trace.
+    """
     z = grid.check_field(np.asarray(z, dtype=complex), "difference")
     az2 = np.abs(z) ** 2
-    lhs = integrate_q(az2 + _grad_sq(z, grid), grid, "Q_eps", eps=eps)
-    rhs = integrate_q(az2 + az2 ** 2, grid, "Q_omega")
-    c_u2 = linf_l6_norm(u2, grid) ** 8
+    energy = az2 + _grad_sq(z, grid)
+    obs = {}
+    if "interior" in variants:
+        obs["interior"] = integrate_q(az2 + az2 ** 2, grid, "Q_omega")
+    if "boundary" in variants:
+        trace = np.abs(boundary_values(z, grid)).max()
+        scale = 1.0 + float(np.abs(z).max())
+        if trace > TRACE_TOL * scale:
+            raise StabilityError(
+                f"difference trace on Gamma is {trace:.3e}; the pair was not "
+                "solved with identical Dirichlet data")
+        dnu = normal_derivative(z, grid)
+        obs["boundary"] = integrate_sigma(np.abs(dnu) ** 2, grid)
+    c_u2 = linf_l6_norm(u2, grid) ** 8 if u2 is not None else float("nan")
     c_u1 = linf_l6_norm(u1, grid) ** 8 if u1 is not None else float("nan")
+    return PreparedDifference(energy=energy, obs=obs, c_u2=c_u2, c_u1=c_u1)
+
+
+def _lhs(d: PreparedDifference, grid: SpaceTimeGrid, eps: float) -> float:
+    """int_{Q_eps} (|z|^2 + |grad z|^2)."""
+    if not 0 < eps < grid.T / 2:
+        raise StabilityError("eps must lie in (0, T/2)")
+    return integrate_q(d.energy, grid, "Q_eps", eps=eps)
+
+
+def stability_interior(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
+                       delta: float = float("nan")) -> StabilityReport:
+    """Interior-observation report for a prepared difference."""
+    lhs = _lhs(d, grid, eps)
+    rhs = d.obs["interior"]
+    c_u2, c_u1 = d.c_u2, d.c_u1
     degenerate = rhs == 0.0
     c_emp = lhs / (c_u2 * rhs) if (rhs > 0 and c_u2 > 0) else float("nan")
     c_emp_u1 = lhs / (c_u1 * rhs) if (rhs > 0 and c_u1 > 0) else float("nan")
@@ -95,22 +136,11 @@ def stability_interior(z: np.ndarray, u2: np.ndarray, grid: SpaceTimeGrid,
                            degenerate=degenerate, perturbation_scale=delta)
 
 
-def stability_boundary(z: np.ndarray, grid: SpaceTimeGrid, eps: float,
+def stability_boundary(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
                        delta: float = float("nan")) -> StabilityReport:
-    """Boundary-observation report; z must carry a zero Dirichlet trace."""
-    if not 0 < eps < grid.T / 2:
-        raise StabilityError("eps must lie in (0, T/2)")
-    z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    trace = np.abs(boundary_values(z, grid)).max()
-    scale = 1.0 + float(np.abs(z).max())
-    if trace > TRACE_TOL * scale:
-        raise StabilityError(
-            f"difference trace on Gamma is {trace:.3e}; the pair was not "
-            "solved with identical Dirichlet data")
-    az2 = np.abs(z) ** 2
-    lhs = integrate_q(az2 + _grad_sq(z, grid), grid, "Q_eps", eps=eps)
-    dnu = normal_derivative(z, grid)
-    rhs = integrate_sigma(np.abs(dnu) ** 2, grid)
+    """Boundary-observation report for a prepared difference."""
+    lhs = _lhs(d, grid, eps)
+    rhs = d.obs["boundary"]
     degenerate = rhs == 0.0
     c_emp = lhs / rhs if rhs > 0 else float("nan")
     return StabilityReport(variant="boundary", epsilon=eps, lhs=lhs, rhs_obs=rhs,
@@ -127,11 +157,12 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
     u2 = solve(y0, cfg, grid).Y
     for delta in deltas:
         u1 = solve(y0 + delta * np.asarray(w), cfg, grid).Y
-        z = u1 - u2
+        d = prepare_difference(u1 - u2, grid, u2=u2, u1=u1, variants=variants)
         for eps in eps_list:
             if "interior" in variants:
-                reports.append(stability_interior(z, u2, grid, eps, u1=u1,
-                                                  delta=delta))
+                reports.append(stability_interior(d, grid, eps, delta=delta))
             if "boundary" in variants:
-                reports.append(stability_boundary(z, grid, eps, delta=delta))
+                reports.append(stability_boundary(d, grid, eps, delta=delta))
+        # the next delta is solved without this difference and its u1 held
+        del u1, d
     return reports

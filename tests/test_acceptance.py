@@ -19,12 +19,11 @@ from glcarleman.functionals import (VARIANT_FAMILY, lambda_scan,
 from glcarleman.gloperator import (CoeffError, check_condition1,
                                    coefficient_relations, derive_coeffs)
 from glcarleman.grid import DomainSpec, build_grid, integrate_q
-from glcarleman.identity import (T_coefficient_positivity,
-                                 identity_residual_linear,
-                                 identity_residual_nonlinear)
+from glcarleman.identity import T_coefficient_positivity, identity_residuals
 from glcarleman.solver import (SolveConfig, dirichlet_data_from, energy_balance,
                                grid_source, solve)
-from glcarleman.stability import perturbation_suite, run_pair, stability_interior
+from glcarleman.stability import (perturbation_suite, prepare_difference,
+                                  run_pair, stability_interior)
 from glcarleman.weights import (CarlemanParams, check_time_monotonicity,
                                 derivative_consistency,
                                 verify_psi_admissibility, weight_envelope)
@@ -71,8 +70,8 @@ def test_a1_nonlinear_identity_suite(grid_id):
             for lam in LAMBDAS_ID:
                 for mu in MUS_ID:
                     params = CarlemanParams(lam=lam, mu=mu, T=1.0)
-                    rep = identity_residual_nonlinear(field, params, coeffs,
-                                                      grid_id)
+                    rep = identity_residuals(field, params, coeffs,
+                                             grid_id)["cubic"]
                     worst = max(worst, rep.max_rel)
     assert worst <= 1e-6
 
@@ -80,8 +79,8 @@ def test_a1_nonlinear_identity_suite(grid_id):
     field = random_trig_field(seed=1000, T=1.0, n_modes=3)
     params = CarlemanParams(lam=2.0, mu=1.5, T=1.0)
     coeffs = derive_coeffs(0.3, 0.4)
-    errs = [identity_residual_nonlinear(field, params, coeffs, grid_id,
-                                        transport="fd", h_fd=h).max_rel
+    errs = [identity_residuals(field, params, coeffs, grid_id, transport="fd",
+                               h_fd=h)["cubic"].max_rel
             for h in (0.04, 0.02, 0.01)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 3.0
@@ -99,8 +98,8 @@ def test_a2_linear_identity_suite(grid_id):
             for lam in LAMBDAS_ID:
                 for mu in MUS_ID:
                     params = CarlemanParams(lam=lam, mu=mu, T=1.0)
-                    rep = identity_residual_linear(field, params, coeffs,
-                                                   grid_id)
+                    rep = identity_residuals(field, params, coeffs,
+                                             grid_id)["linear"]
                     worst = max(worst, rep.max_rel)
     assert worst <= 1e-6
     print(f"\nACCEPTANCE 2 (linear identity): PASS (worst residual {worst:.3e})")
@@ -294,7 +293,8 @@ def test_a7_conditional_stability(grid_acc):
 
     # identical-data pair degenerates to 0 <= 0
     _, u2, z = run_pair(y0, y0.copy(), cfg, grid_acc)
-    rep = stability_interior(z, u2, grid_acc, eps=0.1)
+    rep = stability_interior(prepare_difference(z, grid_acc, u2=u2), grid_acc,
+                             eps=0.1)
     assert rep.degenerate and rep.lhs == 0.0
     worst_spread = max(spreads.values())
     print(f"\nACCEPTANCE 7 (conditional stability): PASS "

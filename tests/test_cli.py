@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glcarleman import functionals
+from glcarleman import functionals, identity, stability
 from glcarleman.cli import main
 from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
 from glcarleman.solver import load_trajectory
@@ -179,19 +179,25 @@ class TestCommands:
                                              "square_psi2"}
 
 
+def count_calls(mp, module, name):
+    """Wrap ``module.name`` so that each call appends to the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    mp.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def counted_scan16(tmp_path_factory):
     """A 16^3 seed-7 carleman-scan: (prepare_trajectory calls, CSV rows)."""
-    calls = []
-    prepare = functionals.prepare_trajectory
-
-    def counted(*args):
-        calls.append(args)
-        return prepare(*args)
-
     tmp = tmp_path_factory.mktemp("scan16")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functionals, "prepare_trajectory", counted)
+        calls = count_calls(mp, functionals, "prepare_trajectory")
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "carleman-scan"]) == 0
     (run,) = (tmp / "runs").iterdir()
     with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
@@ -213,6 +219,48 @@ class TestScanPass:
         got = [(r["variant"], int(r["trajectory"]), float(r["mu"]),
                 float(r["lambda"])) for r in counted_scan16[1]]
         assert got == expected
+
+
+@pytest.fixture(scope="module")
+def counted_stability16(tmp_path_factory):
+    """A 16^3 seed-7 stability run: (grad calls, L^inf L^6 calls, CSV rows)."""
+    tmp = tmp_path_factory.mktemp("stability16")
+    with pytest.MonkeyPatch.context() as mp:
+        grads = count_calls(mp, stability, "grad")
+        norms = count_calls(mp, stability, "linf_l6_norm")
+        assert run_in(tmp, ["--grid", "16", "--seed", "7", "stability"]) == 0
+    (run,) = (tmp / "runs").iterdir()
+    with open(run / "stability.csv", newline="", encoding="utf-8") as fh:
+        return len(grads), len(norms), list(csv.DictReader(fh))
+
+
+class TestStabilityPass:
+    def test_one_gradient_per_difference(self, counted_stability16):
+        assert counted_stability16[0] == len(DEFAULTS["stability"]["deltas"])
+
+    def test_norms_once_per_difference(self, counted_stability16):
+        # u2 and u1 once for each delta
+        assert counted_stability16[1] <= 2 * len(DEFAULTS["stability"]["deltas"])
+
+    def test_row_order(self, counted_stability16):
+        # delta, then eps, then interior before boundary
+        st = DEFAULTS["stability"]
+        expected = [(v, delta, fr * DEFAULTS["grid"]["T"])
+                    for delta in st["deltas"] for fr in st["eps_fractions"]
+                    for v in ("interior", "boundary")]
+        got = [(r["variant"], float(r["delta"]), float(r["epsilon"]))
+               for r in counted_stability16[2]]
+        assert got == expected
+
+
+def test_verify_identity_evaluates_each_case_once(tmp_path):
+    # one eval_terms per (field, lambda, mu) serves the cubic and linear forms
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, identity, "eval_terms")
+        assert run_in(tmp_path, ["--grid", "16", "--seed", "7",
+                                 "verify-identity"]) == 0
+    ident = DEFAULTS["identity"]
+    assert len(calls) == ident["n_fields"] * len(ident["lambdas"]) * len(ident["mus"])
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 """Recorded numbers of small CLI runs, so a refactor cannot move them.
 
-The square values were produced by ``--grid 16 --seed 7 carleman-scan`` and
-``--grid 16 --seed 7 stability`` with the default configuration otherwise.
+The square values were produced by ``--grid 16 --seed 7 carleman-scan``,
+``--grid 16 --seed 7 stability`` and ``--grid 16 --seed 7 verify-identity``
+with the default configuration otherwise.
 The disk values come from ``--grid 32 --seed 7 stability`` and
 ``--grid 32 --seed 7 solve`` on the unit disk with omega = B((0, 0), 0.35),
 the stability run on the interior variant only.
@@ -43,6 +44,59 @@ SPREADS = {
     "interior_eps_0.05": 1.0018056303674223,
     "interior_eps_0.1": 1.0003624740957262,
     "interior_eps_0.2": 1.0109727221673208,
+}
+
+# (lambda, mu) -> term_magnitudes of field 0 (the residuals are round-off
+# noise of about 1e-15, so they are not pinned)
+IDENTITY = {
+    (2.0, 1.5): {
+        "B": 4587.844635119911,
+        "E": 9981.709364071865,
+        "J1_Phi_sq": 242876.37745705465,
+        "J1_sq": 284837.33527177956,
+        "Phi_grad": 16554.04033840227,
+        "U": 1516.4823123242375,
+        "grad_mod_sq": 58545.28927458409,
+        "hess_quad": 17147.88714424673,
+        "mixed": 29644.56231028048,
+        "sextic": 56821.90800002909,
+        "vt_term": 166.80331178469928},
+    (2.0, 3.0): {
+        "B": 29843.53201404403,
+        "E": 5984665.62969027,
+        "J1_Phi_sq": 7612675059.244925,
+        "J1_sq": 7617470017.114307,
+        "Phi_grad": 36359.465699951455,
+        "U": 253057.08631285626,
+        "grad_mod_sq": 15359320.141164264,
+        "hess_quad": 35432.70069874564,
+        "mixed": 7864595.626718449,
+        "sextic": 5059163749.490774,
+        "vt_term": 18738.680082507253},
+    (8.0, 1.5): {
+        "B": 162580.70489057075,
+        "E": 37614578808.97245,
+        "J1_Phi_sq": 1.3610093644120235e+17,
+        "J1_sq": 1.3610097458027085e+17,
+        "Phi_grad": 66216.16135360907,
+        "U": 1071087670.0596062,
+        "grad_mod_sq": 65045535701.36897,
+        "hess_quad": 68591.54857698693,
+        "mixed": 33305955661.639606,
+        "sextic": 9.073393387691099e+16,
+        "vt_term": 46922683.56461151},
+    (8.0, 3.0): {
+        "B": 1452587.963407901,
+        "E": 1.4239266948802924e+21,
+        "J1_Phi_sq": 1.379787228829008e+37,
+        "J1_sq": 1.379787228829008e+37,
+        "Phi_grad": 145437.86279980582,
+        "U": 1.1910262007263273e+20,
+        "grad_mod_sq": 6.549272418346632e+20,
+        "hess_quad": 141730.80279498256,
+        "mixed": 3.353493432399563e+20,
+        "sextic": 9.198581525526716e+36,
+        "vt_term": 4.724525357373668e+17},
 }
 
 DISK = {"domain": {"shape": "unit_disk", "omega_center": [0.0, 0.0],
@@ -98,3 +152,13 @@ def test_disk_solve_golden(tmp_path):
     got = run(tmp_path, "solve", "solve_summary.json", DISK_ARGS, DISK)
     for key, want in DISK_SOLVE.items():
         assert got[key] == pytest.approx(want, rel=1e-12)
+
+
+def test_identity_golden(tmp_path):
+    got = run(tmp_path, "verify-identity", "identity_report.json")
+    assert got["passed"] is True
+    first = {(r["lambda"], r["mu"]): r["term_magnitudes"]
+             for r in got["results"] if r["field"] == 0}
+    assert set(first) == set(IDENTITY)
+    for key, mags in IDENTITY.items():
+        assert first[key] == pytest.approx(mags, rel=1e-12)

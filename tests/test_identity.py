@@ -8,10 +8,8 @@ from glcarleman.fields import bubble_sine_field, oscillating_bubble_field, \
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.identity import (IdentityError, PhiPsiSample,
                                  T_coefficient_positivity, default_samples,
-                                 eval_terms, field_jet,
-                                 identity_residual_linear,
-                                 identity_residual_nonlinear, j_split_residual,
-                                 step_one_choice)
+                                 eval_terms, identity_residuals,
+                                 j_split_residual, step_one_choice)
 from glcarleman.weights import CarlemanParams, eval_psi, eval_weight
 
 COEFF_PAIRS = [(0.0, 0.0), (0.3, 0.4), (0.5, 0.6)]
@@ -32,7 +30,7 @@ class TestEvalTerms:
     def test_zero_field_terms(self, grid32):
         field = scaled(bubble_sine_field(1.0), 0.0)
         params, psi, w, pp, t, x = _setup(grid32)
-        jet = field_jet(field, t, x)
+        jet = field.jet(t, x)
         terms = eval_terms(jet, w, derive_coeffs(0.3, 0.4), pp)
         for name in ("I1", "I2", "J1", "J2", "M", "U"):
             assert np.abs(getattr(terms, name)).max() == 0.0
@@ -51,13 +49,13 @@ class TestEvalTerms:
         params, psi, w, pp, t, x = _setup(grid32)
         bad = PhiPsiSample(Phi=pp.Phi + 1.0, Psi=pp.Psi, grad_Psi=pp.grad_Psi)
         with pytest.raises(IdentityError):
-            eval_terms(field_jet(field, t, x), w, derive_coeffs(0, 0), bad)
+            eval_terms(field.jet(t, x), w, derive_coeffs(0, 0), bad)
 
     def test_b_c_zero_specialization(self, grid32):
         # beta1 = 0: I1 loses its i v_t part entirely
         field = random_trig_field(seed=3, T=1.0)
         params, psi, w, pp, t, x = _setup(grid32)
-        jet = field_jet(field, t, x)
+        jet = field.jet(t, x)
         coeffs = derive_coeffs(0.0, 0.0)
         terms = eval_terms(jet, w, coeffs, pp)
         gl2 = np.einsum("...i,...i->...", w.grad_ell, w.grad_ell)
@@ -67,7 +65,7 @@ class TestEvalTerms:
     def test_j_split_reconstruction(self, grid32):
         field = random_trig_field(seed=4, T=1.0)
         params, psi, w, pp, t, x = _setup(grid32)
-        jet = field_jet(field, t, x)
+        jet = field.jet(t, x)
         coeffs = derive_coeffs(0.3, 0.4)
         terms = eval_terms(jet, w, coeffs, pp)
         assert j_split_residual(terms, jet, w, coeffs) <= 1e-12
@@ -76,24 +74,24 @@ class TestEvalTerms:
 class TestNonlinearIdentity:
     def test_zero_field_residual_zero(self, grid32):
         field = scaled(bubble_sine_field(1.0), 0.0)
-        rep = identity_residual_nonlinear(
+        rep = identity_residuals(
             field, CarlemanParams(lam=2, mu=1.5, T=1.0),
-            derive_coeffs(0.3, 0.4), grid32)
+            derive_coeffs(0.3, 0.4), grid32)["cubic"]
         assert rep.max_rel == 0.0
 
     def test_bubble_field_b_c_zero(self, grid32):
-        rep = identity_residual_nonlinear(
+        rep = identity_residuals(
             bubble_sine_field(1.0), CarlemanParams(lam=2, mu=1.5, T=1.0),
-            derive_coeffs(0.0, 0.0), grid32)
+            derive_coeffs(0.0, 0.0), grid32)["cubic"]
         assert rep.max_rel <= 1e-6
 
     @pytest.mark.parametrize("b,c", COEFF_PAIRS)
     def test_random_fields(self, grid32, b, c):
         coeffs = derive_coeffs(b, c)
         for seed in range(4):
-            rep = identity_residual_nonlinear(
+            rep = identity_residuals(
                 random_trig_field(seed=seed, T=1.0),
-                CarlemanParams(lam=8, mu=3, T=1.0), coeffs, grid32)
+                CarlemanParams(lam=8, mu=3, T=1.0), coeffs, grid32)["cubic"]
             assert rep.max_rel <= 1e-6
 
     def test_scaling_covariance(self, grid32):
@@ -101,58 +99,58 @@ class TestNonlinearIdentity:
         params = CarlemanParams(lam=2, mu=1.5, T=1.0)
         coeffs = derive_coeffs(0.3, 0.4)
         for s in (1e-2, 1.0, 1e2):
-            rep = identity_residual_nonlinear(scaled(base, s), params, coeffs,
-                                              grid32)
+            rep = identity_residuals(scaled(base, s), params, coeffs,
+                                     grid32)["cubic"]
             assert rep.max_rel <= 1e-6
 
     def test_fd_oracle_agrees(self, grid32):
-        rep = identity_residual_nonlinear(
+        rep = identity_residuals(
             random_trig_field(seed=5, T=1.0),
             CarlemanParams(lam=2, mu=1.5, T=1.0), derive_coeffs(0.3, 0.4),
-            grid32, transport="fd", h_fd=1e-4)
+            grid32, transport="fd", h_fd=1e-4)["cubic"]
         assert rep.max_rel <= 1e-6
 
     def test_fd_oracle_order_at_least_three(self, grid32):
         field = random_trig_field(seed=5, T=1.0)
         params = CarlemanParams(lam=2, mu=1.5, T=1.0)
         coeffs = derive_coeffs(0.3, 0.4)
-        errs = [identity_residual_nonlinear(field, params, coeffs, grid32,
-                                            transport="fd", h_fd=h).max_rel
+        errs = [identity_residuals(field, params, coeffs, grid32, transport="fd",
+                                   h_fd=h)["cubic"].max_rel
                 for h in (0.04, 0.02, 0.01)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 3.0
 
     @pytest.mark.parametrize("term", ["B", "E", "U", "M", "H"])
     def test_corruption_detected(self, grid32, term):
-        rep = identity_residual_nonlinear(
+        rep = identity_residuals(
             random_trig_field(seed=6, T=1.0),
             CarlemanParams(lam=2, mu=1.5, T=1.0), derive_coeffs(0.3, 0.4),
-            grid32, corrupt=term)
+            grid32, corrupt=term)["cubic"]
         assert rep.max_rel > 1e-6
 
 
 class TestLinearIdentity:
     def test_oscillating_bubble(self, grid32):
-        rep = identity_residual_linear(
+        rep = identity_residuals(
             oscillating_bubble_field(), CarlemanParams(lam=2, mu=1.5, T=1.0),
-            derive_coeffs(0.3, 0.4), grid32)
+            derive_coeffs(0.3, 0.4), grid32)["linear"]
         assert rep.max_rel <= 1e-6
 
     @pytest.mark.parametrize("b,c", COEFF_PAIRS)
     def test_random_fields(self, grid32, b, c):
         coeffs = derive_coeffs(b, c)
         for seed in range(4):
-            rep = identity_residual_linear(
+            rep = identity_residuals(
                 random_trig_field(seed=seed + 10, T=1.0),
-                CarlemanParams(lam=8, mu=1.5, T=1.0), coeffs, grid32)
+                CarlemanParams(lam=8, mu=1.5, T=1.0), coeffs, grid32)["linear"]
             assert rep.max_rel <= 1e-6
 
     def test_both_identities_same_field(self, grid32):
         field = random_trig_field(seed=20, T=1.0)
         params = CarlemanParams(lam=4, mu=2, T=1.0)
         coeffs = derive_coeffs(0.3, 0.4)
-        nl = identity_residual_nonlinear(field, params, coeffs, grid32)
-        lin = identity_residual_linear(field, params, coeffs, grid32)
+        res = identity_residuals(field, params, coeffs, grid32)
+        nl, lin = res["cubic"], res["linear"]
         assert nl.max_rel <= 1e-6
         assert lin.max_rel <= 1e-6
 
@@ -168,9 +166,9 @@ class TestDiskDomain:
         a = rng.uniform(0, 2 * np.pi, 60)
         samples = (rng.uniform(0.25, 0.75, 60),
                    np.column_stack([r * np.cos(a), r * np.sin(a)]))
-        rep = identity_residual_nonlinear(
+        rep = identity_residuals(
             field, CarlemanParams(lam=1.5, mu=1.05, T=1.0),
-            derive_coeffs(0.3, 0.4), disk_grid, samples=samples)
+            derive_coeffs(0.3, 0.4), disk_grid, samples=samples)["cubic"]
         assert rep.max_rel <= 1e-6
 
     def test_j2_family_overflows_cleanly(self, grid32):
@@ -179,8 +177,7 @@ class TestDiskDomain:
         field = bubble_sine_field(1.0)
         params = CarlemanParams(lam=2, mu=1.5, T=1.0, family="j2_boundary")
         with pytest.raises(IdentityError):
-            identity_residual_nonlinear(field, params, derive_coeffs(0, 0),
-                                        grid32)
+            identity_residuals(field, params, derive_coeffs(0, 0), grid32)
 
 
 class TestTCoefficient:
@@ -221,15 +218,15 @@ class TestFluxDivergenceTheorem:
             psi = eval_psi(square_spec, "psi1", pts, check_omega=False)
             w = eval_weight(params, psi, t0)
             pp = step_one_choice(params, psi, w)
-            jet = field_jet(field, np.full(pts.shape[:-1], t0), pts)
-            _, divV = _transport_analytic(jet, w, coeffs, pp, cubic=False)
+            jet = field.jet(np.full(pts.shape[:-1], t0), pts)
+            _, divV = _transport_analytic(jet, w, coeffs, pp)["linear"]
             vol = integrate_space(divV, g)
 
             bpts = g.boundary_points
             bpsi = eval_psi(square_spec, "psi1", bpts, check_omega=False)
             bw = eval_weight(params, bpsi, t0)
             dnu_psi = np.einsum("bi,bi->b", bpsi.grad_psi, g.boundary_normals)
-            gv = field.grad(np.full(len(bpts), t0), bpts)
+            gv = field.jet(np.full(len(bpts), t0), bpts).gv
             dnu_v = np.einsum("bi,bi->b", gv, g.boundary_normals.astype(complex))
             srf = 2 * params.lam * params.mu * float(np.sum(
                 bw.phi * dnu_psi * np.abs(dnu_v) ** 2 * g.boundary_weights))

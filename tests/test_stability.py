@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import integrate_q
+from glcarleman.grid import build_grid, integrate_q
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, linf_l6_norm,
-                                  perturbation_suite, run_pair,
-                                  stability_boundary, stability_interior)
+                                  perturbation_suite, prepare_difference,
+                                  run_pair, stability_boundary,
+                                  stability_interior)
 
 
 @pytest.fixture(scope="module")
@@ -64,21 +67,24 @@ class TestInteriorReport:
     def test_degenerate(self, grid32):
         z = np.zeros((33, 33, 33), dtype=complex)
         u2 = np.ones((33, 33, 33), dtype=complex)
-        rep = stability_interior(z, u2, grid32, eps=0.1)
+        rep = stability_interior(prepare_difference(z, grid32, u2=u2), grid32,
+                                 eps=0.1)
         assert rep.degenerate
         assert rep.lhs == 0.0
 
     def test_eps_monotone(self, grid32, pair32):
         u1, u2, z = pair32
-        vals = [stability_interior(z, u2, grid32, eps).lhs
+        d = prepare_difference(z, grid32, u2=u2)
+        vals = [stability_interior(d, grid32, eps).lhs
                 for eps in (0.05, 0.1, 0.2, 0.4)]
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
 
     def test_scaling_audit(self, grid32, pair32):
         u1, u2, z = pair32
         s = 3.0
-        r1 = stability_interior(z, u2, grid32, 0.1)
-        r2 = stability_interior(s * z, u2, grid32, 0.1)
+        r1 = stability_interior(prepare_difference(z, grid32, u2=u2), grid32, 0.1)
+        r2 = stability_interior(prepare_difference(s * z, grid32, u2=u2), grid32,
+                                0.1)
         assert r2.lhs == pytest.approx(s ** 2 * r1.lhs, rel=1e-12)
         az2 = np.abs(z) ** 2
         obs2 = integrate_q(az2, grid32, "Q_omega")
@@ -89,7 +95,8 @@ class TestInteriorReport:
 
     def test_reports_both_normalizations(self, grid32, pair32):
         u1, u2, z = pair32
-        rep = stability_interior(z, u2, grid32, 0.1, u1=u1)
+        rep = stability_interior(prepare_difference(z, grid32, u2=u2, u1=u1),
+                                 grid32, 0.1)
         assert np.isfinite(rep.c_emp)
         assert np.isfinite(rep.c_emp_u1)
         assert rep.c_u1 == pytest.approx(rep.c_u2, rel=0.2)
@@ -97,20 +104,21 @@ class TestInteriorReport:
     def test_eps_validation(self, grid32, pair32):
         u1, u2, z = pair32
         with pytest.raises(StabilityError):
-            stability_interior(z, u2, grid32, eps=0.6)
+            stability_interior(prepare_difference(z, grid32, u2=u2), grid32,
+                               eps=0.6)
 
 
 class TestBoundaryReport:
     def test_works_on_dirichlet_difference(self, grid32, pair32):
         _, _, z = pair32
-        rep = stability_boundary(z, grid32, eps=0.1)
+        rep = stability_boundary(prepare_difference(z, grid32), grid32, eps=0.1)
         assert np.isfinite(rep.c_emp)
         assert rep.rhs_obs > 0
 
     def test_rejects_nonzero_trace(self, grid32):
         z = np.ones((33, 33, 33), dtype=complex)
         with pytest.raises(StabilityError):
-            stability_boundary(z, grid32, eps=0.1)
+            stability_boundary(prepare_difference(z, grid32), grid32, eps=0.1)
 
 
 class TestSuite:
@@ -123,3 +131,26 @@ class TestSuite:
         cs = [r.c_emp for r in reports]
         assert all(np.isfinite(c) for c in cs)
         assert max(cs) / min(cs) <= 10.0
+
+    @pytest.mark.parametrize("spec,variants", [
+        ("disk_spec", ("interior",)),
+        ("square_spec", ("interior", "boundary")),
+    ], ids=["disk-interior", "square-both"])
+    def test_peak_memory(self, request, spec, variants):
+        # The peak is about 7.05 complex space-time trajectories; holding the
+        # previous delta's prepared difference and u1 while the next delta
+        # is solved raises it to about 7.55.  A fresh grid, so that building
+        # the solver's operators counts as in a CLI run.
+        grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
+        cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
+        y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
+        w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
+        tracemalloc.start()
+        try:
+            perturbation_suite(y0, w, [1e-3, 1e-2, 1e-1], [0.05, 0.1, 0.2],
+                               cfg, grid, variants=variants)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        trajectory = (grid.nt + 1) * (grid.ny + 1) * (grid.nx + 1) * 16
+        assert peak <= 7.25 * trajectory

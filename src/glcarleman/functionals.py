@@ -28,9 +28,14 @@ underflows doubles for every lambda > 1), so each (lambda, mu) cell is
 evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
-Integrands are assembled as exp(2 ell + log g - log_scale) with flush to
-exact zero below -700, and quadrature sums are compensated.  Square corner
-nodes are excluded from all weighted integrals.
+`prepare_trajectory` takes log g of every volume integrand once per
+trajectory, on interior times and with log 0 = -inf, so a cell only adds
+logs.  Integrands are exp(2 ell + log g - log_scale), flushed to exact zero
+wherever the argument is <= -700.  Per time slice, the maxima of 2 ell and
+log g and the extremes of log phi bound the argument from above, summed in
+its own order; rounding is monotone, so a slice whose bound is <= -700 holds
+only exact zeros and is skipped.  Quadrature sums are compensated.  Square
+corner nodes are excluded from all weighted integrals.
 """
 
 from __future__ import annotations
@@ -86,18 +91,42 @@ class CarlemanReport:
 
 
 @dataclass
-class TrajectoryData:
-    """Stencil quantities of one trajectory, precomputed once per scan."""
+class LogIntegrand:
+    """log g of one volume integrand g >= 0 on the interior times, with
+    log 0 = -inf, and its maximum over each time slice."""
 
-    Y: np.ndarray
-    abs2: np.ndarray
-    yt_abs2: np.ndarray
-    lap_abs2: np.ndarray
-    grad_abs2: np.ndarray
-    G_abs2: np.ndarray
-    lin_src_abs2: np.ndarray      # |y_t - (1+ib) Lap y|^2
+    values: np.ndarray
+    slice_max: np.ndarray
+
+    @classmethod
+    def of(cls, g: np.ndarray) -> LogIntegrand:
+        """From g on every time node."""
+        g = g[1:-1]
+        values = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
+        return cls(values, values.max(axis=(1, 2)))
+
+    @property
+    def nbytes(self) -> int:
+        return self.values.nbytes + self.slice_max.nbytes
+
+
+@dataclass
+class TrajectoryData:
+    """Stencil quantities of one trajectory, precomputed once per scan: the
+    volume integrands in log form, the boundary one linear."""
+
+    log_yt2: LogIntegrand         # |y_t|^2
+    log_lap2: LogIntegrand        # |Lap y|^2
+    log_y2: LogIntegrand          # |y|^2
+    log_grad2: LogIntegrand       # |grad y|^2
+    log_G2: LogIntegrand          # |G y|^2
+    log_lin_src2: LogIntegrand    # |y_t - (1+ib) Lap y|^2
+    log_y6: LogIntegrand          # |y|^6
+    log_y2_grad2: LogIntegrand    # |y|^2 |grad y|^2
+    log_y4: LogIntegrand          # |y|^4
     dnu_abs2: np.ndarray          # |dy/dnu|^2 at boundary samples
-    trace_max: float
+    trace_max: float              # max |y| on Gamma
+    y_max: float                  # max |y| over Q
 
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
@@ -106,26 +135,40 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     yt = time_derivative(Y, grid.dt)
     lap = laplacian(Y, grid, "ghost_from_field")
     g1, g2 = grad(Y, grid)
+    grad_abs2 = np.abs(g1) ** 2 + np.abs(g2) ** 2
+    del g1, g2
     abs2 = np.abs(Y) ** 2
     G = (coeffs.alpha1 + 1j * coeffs.beta1) * yt + lap    # as apply_P/apply_G
     G -= coeffs.gamma2 * abs2 * Y
     lin = yt - (1 + 1j * coeffs.b) * lap
-    dnu_abs2 = np.abs(normal_derivative(Y, grid)) ** 2
-    trace = boundary_values(Y, grid)
     return TrajectoryData(
-        Y=Y, abs2=abs2, yt_abs2=np.abs(yt) ** 2,
-        lap_abs2=np.abs(lap) ** 2,
-        grad_abs2=np.abs(g1) ** 2 + np.abs(g2) ** 2,
-        G_abs2=np.abs(G) ** 2,
-        lin_src_abs2=np.abs(lin) ** 2,
-        dnu_abs2=dnu_abs2,
-        trace_max=float(np.abs(trace).max()),
+        log_yt2=LogIntegrand.of(np.abs(yt) ** 2),
+        log_lap2=LogIntegrand.of(np.abs(lap) ** 2),
+        log_y2=LogIntegrand.of(abs2),
+        log_grad2=LogIntegrand.of(grad_abs2),
+        log_G2=LogIntegrand.of(np.abs(G) ** 2),
+        log_lin_src2=LogIntegrand.of(np.abs(lin) ** 2),
+        log_y6=LogIntegrand.of(abs2 ** 3),
+        log_y2_grad2=LogIntegrand.of(abs2 * grad_abs2),
+        log_y4=LogIntegrand.of(abs2 ** 2),
+        dnu_abs2=np.abs(normal_derivative(Y, grid)) ** 2,
+        trace_max=float(np.abs(boundary_values(Y, grid)).max()),
+        y_max=float(np.abs(Y).max()),
     )
 
 
 def _flush_exp(arg: np.ndarray) -> np.ndarray:
-    """exp(arg), flushed to exact zero wherever arg <= FLUSH_LOG."""
-    return np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
+    """exp(arg) in place, flushed to exact zero wherever arg <= FLUSH_LOG
+    or is nan.
+
+    The arguments are clamped to FLUSH_LOG before exp: exp is many times
+    slower where its result underflows, and those entries are zeroed anyway.
+    """
+    live = arg > FLUSH_LOG
+    np.fmax(arg, FLUSH_LOG, out=arg)
+    np.exp(arg, out=arg)
+    arg *= live
+    return arg
 
 
 class _CellQuadrature:
@@ -145,22 +188,58 @@ class _CellQuadrature:
         self.logw = two_ell - self.log_scale
         with np.errstate(divide="ignore"):
             self.logphi = np.log(tables.phi())
+        self.log_lam = np.log(lam)
+        # per-slice extremes, for the bound in live_slices
+        self.logw_max = self.logw.max(axis=(1, 2))
+        self.logphi_max = self.logphi.max(axis=(1, 2))
+        self.logphi_min = self.logphi.min(axis=(1, 2))
         self.wsp = grid.space_weights(exclude_corners=True)
         _, wt_full = grid.time_weights("Q")
         self.wt = wt_full[1:-1]          # endpoint integrands vanish (theta -> 0)
 
-    def vol(self, g, phi_power: float = 0.0, inv_lam_phi: bool = False,
-            mask=None) -> float:
-        """Integral of theta^2 phi^power g (optionally 1/(lam phi)) over Q."""
-        g = np.asarray(g, dtype=float)[1:-1]
-        logg = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
-        arg = self.logw + logg + phi_power * self.logphi
+    def live_slices(self, logg: LogIntegrand, phi_power: float = 0.0,
+                    inv_lam_phi: bool = False) -> tuple:
+        """[lo, hi): the interior time slices that may hold a nonzero integrand.
+
+        A slice's bound is the argument of `vol` taken in its own order on
+        per-slice maxima (minima where subtracted); rounding is monotone, so
+        the slices outside hold only arguments <= FLUSH_LOG: exact zeros.
+        """
+        bound = self.logw_max + logg.slice_max
+        if phi_power:
+            bound += phi_power * (self.logphi_max if phi_power > 0
+                                  else self.logphi_min)
         if inv_lam_phi:
-            arg = arg - np.log(self.tables.params.lam) - self.logphi
+            bound -= self.log_lam
+            bound -= self.logphi_min
+        live = np.flatnonzero(~(bound <= FLUSH_LOG))
+        if not live.size:
+            return 0, 0
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        # einsum may sum a lone slice in another order than a stack of them
+        # (seen on 129^2 slices), so the range keeps at least two
+        if hi - lo < 2:
+            lo = max(min(lo, bound.size - 2), 0)
+            hi = min(lo + 2, bound.size)
+        return lo, hi
+
+    def vol(self, logg: LogIntegrand, phi_power: float = 0.0,
+            inv_lam_phi: bool = False, mask=None) -> float:
+        """Integral over Q of theta^2 phi^power g (optionally 1/(lam phi))."""
+        lo, hi = self.live_slices(logg, phi_power, inv_lam_phi)
+        if lo == hi:
+            return 0.0
+        live = slice(lo, hi)
+        arg = self.logw[live] + logg.values[live]
+        if phi_power:
+            arg += phi_power * self.logphi[live]
+        if inv_lam_phi:
+            arg -= self.log_lam
+            arg -= self.logphi[live]
         vals = _flush_exp(arg)
         wsp = self.wsp if mask is None else self.wsp * mask
         slice_sums = np.einsum("tij,ij->t", vals, wsp)
-        return float(math.fsum((slice_sums * self.wt).tolist()))
+        return float(math.fsum((slice_sums * self.wt[live]).tolist()))
 
     def boundary(self, g_b, phi_power: float = 1.0, signed_factor=None) -> float:
         """Integral over Sigma_0 of theta^2 phi^power [factor] g.
@@ -206,23 +285,23 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                                   "(its trace is sampled inside the circle)")
         if grid.spec.gamma0 != "full_boundary":
             raise FunctionalError("boundary variant requires gamma0 = full_boundary")
-        if data.trace_max > DIRICHLET_TRACE_TOL * (1 + np.abs(data.Y).max()):
+        if data.trace_max > DIRICHLET_TRACE_TOL * (1 + data.y_max):
             raise FunctionalError(
                 f"trajectory violates the homogeneous Dirichlet trace "
                 f"(max |y| on Gamma = {data.trace_max:.3e})")
 
     cell = _CellQuadrature(tables, grid)
     lhs = {
-        "energy_t": cell.vol(data.yt_abs2, inv_lam_phi=True),
-        "energy_lap": cell.vol(data.lap_abs2, inv_lam_phi=True),
-        "w_l2": lam ** 3 * mu ** 4 * cell.vol(data.abs2, phi_power=3.0),
-        "w_grad": lam * mu ** 2 * cell.vol(data.grad_abs2, phi_power=1.0),
+        "energy_t": cell.vol(data.log_yt2, inv_lam_phi=True),
+        "energy_lap": cell.vol(data.log_lap2, inv_lam_phi=True),
+        "w_l2": lam ** 3 * mu ** 4 * cell.vol(data.log_y2, phi_power=3.0),
+        "w_grad": lam * mu ** 2 * cell.vol(data.log_grad2, phi_power=1.0),
     }
     cubic_lhs = {
         **lhs,
-        "sextic": cell.vol(data.abs2 ** 3),
-        "mixed": cell.vol(data.abs2 * data.grad_abs2),
-        "w_l4": lam ** 2 * mu ** 2 * cell.vol(data.abs2 ** 2, phi_power=2.0),
+        "sextic": cell.vol(data.log_y6),
+        "mixed": cell.vol(data.log_y2_grad2),
+        "w_l4": lam ** 2 * mu ** 2 * cell.vol(data.log_y4, phi_power=2.0),
     }
     if boundary_like:
         obs = {"obs_boundary": lam * mu * cell.boundary(
@@ -230,13 +309,13 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
         cubic_obs = {}
     else:
         om = grid.omega_mask if omega_mask is None else omega_mask
-        obs = {"obs_l2": lam ** 3 * mu ** 4 * cell.vol(data.abs2, phi_power=3.0,
+        obs = {"obs_l2": lam ** 3 * mu ** 4 * cell.vol(data.log_y2, phi_power=3.0,
                                                        mask=om)}
         cubic_obs = {"obs_l4": lam ** 2 * mu ** 2 * cell.vol(
-            data.abs2 ** 2, phi_power=2.0, mask=om)}
+            data.log_y4, phi_power=2.0, mask=om)}
     cubic, linear = (v for v, fam in VARIANT_FAMILY.items() if fam == params.family)
-    sides = {cubic: (cubic_lhs, {"source": cell.vol(data.G_abs2), **obs, **cubic_obs}),
-             linear: (lhs, {"source": cell.vol(data.lin_src_abs2), **obs})}
+    sides = {cubic: (cubic_lhs, {"source": cell.vol(data.log_G2), **obs, **cubic_obs}),
+             linear: (lhs, {"source": cell.vol(data.log_lin_src2), **obs})}
     reports = {}
     for variant, (v_lhs, v_rhs) in sides.items():
         lhs_total = float(sum(v_lhs.values()))

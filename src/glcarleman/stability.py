@@ -15,8 +15,8 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
 
 The difference z is always computed from the two solves; no difference
 equation is ever formed.  Each difference is prepared once
-(`prepare_difference`: one gradient, the observations, the L^inf L^6
-constants) and every eps report reads from it.
+(`prepare_difference`: one gradient, the observations) and every eps
+report reads from it; the L^inf L^6 constant of u2 is taken once per suite.
 """
 
 from __future__ import annotations
@@ -88,10 +88,12 @@ class PreparedDifference:
 
 
 def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
-                       u2: np.ndarray | None = None,
-                       u1: np.ndarray | None = None,
+                       c_u2: float = float("nan"), c_u1: float = float("nan"),
                        variants=("interior", "boundary")) -> PreparedDifference:
-    """One gradient, the observations of ``variants`` and the L^inf L^6 constants.
+    """One gradient and the observations of ``variants``, with the
+    conditional constants c_u = ||u||_{L^inf L^6}^8 passed in (nan when the
+    solution is not at hand): u2 is shared by a whole suite, so its
+    constant is computed once there.
 
     For "boundary", z must carry a zero Dirichlet trace.
     """
@@ -110,8 +112,6 @@ def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
                 "solved with identical Dirichlet data")
         dnu = normal_derivative(z, grid)
         obs["boundary"] = integrate_sigma(np.abs(dnu) ** 2, grid)
-    c_u2 = linf_l6_norm(u2, grid) ** 8 if u2 is not None else float("nan")
-    c_u1 = linf_l6_norm(u1, grid) ** 8 if u1 is not None else float("nan")
     return PreparedDifference(energy=energy, obs=obs, c_u2=c_u2, c_u1=c_u1)
 
 
@@ -155,9 +155,12 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
     """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps."""
     reports = []
     u2 = solve(y0, cfg, grid).Y
+    c_u2 = linf_l6_norm(u2, grid) ** 8
     for delta in deltas:
         u1 = solve(y0 + delta * np.asarray(w), cfg, grid).Y
-        d = prepare_difference(u1 - u2, grid, u2=u2, u1=u1, variants=variants)
+        d = prepare_difference(u1 - u2, grid, c_u2=c_u2,
+                               c_u1=linf_l6_norm(u1, grid) ** 8,
+                               variants=variants)
         for eps in eps_list:
             if "interior" in variants:
                 reports.append(stability_interior(d, grid, eps, delta=delta))

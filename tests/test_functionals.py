@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from glcarleman.fields import random_initial_field
-from glcarleman.functionals import (VARIANT_FAMILY, FunctionalError,
-                                    _CellQuadrature, evaluate_cell, lambda_scan,
-                                    prepare_trajectory, suite_worst_constant)
+from glcarleman.functionals import (FLUSH_LOG, VARIANT_FAMILY, FunctionalError,
+                                    LogIntegrand, _CellQuadrature, evaluate_cell,
+                                    lambda_scan, prepare_trajectory,
+                                    suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import build_grid
 from glcarleman.solver import SolveConfig, solve
@@ -81,7 +84,7 @@ class TestBasics:
             tables = weight_tables(params, g)
             data = prepare_trajectory(Y, g, COEFFS)
             cell = _CellQuadrature(tables, g)
-            vals.append(cell.vol(data.G_abs2))
+            vals.append(cell.vol(data.log_G2))
         assert vals[1] <= vals[0] / 2 ** 1.8
 
 
@@ -207,8 +210,8 @@ class TestCellQuadrature:
                                              grid32), grid32)
         g = np.full((33, 33, 33), np.exp(-720.0))
         assert np.exp(-720.0) > 0
-        assert cell.vol(g) == 0.0
-        assert cell.vol(np.full((33, 33, 33), np.exp(-690.0))) > 0
+        assert cell.vol(LogIntegrand.of(g)) == 0.0
+        assert cell.vol(LogIntegrand.of(np.full((33, 33, 33), np.exp(-690.0)))) > 0
 
     def test_matches_direct_product(self, grid32, rng):
         params = CarlemanParams(lam=2, mu=1.5, T=1.0)
@@ -220,7 +223,91 @@ class TestCellQuadrature:
             direct = theta2 * tables.phi() ** p * g[1:-1]
             expect = np.sum(direct * grid32.space_weights(exclude_corners=True),
                             axis=(1, 2)) @ cell.wt
-            assert cell.vol(g, phi_power=p) == pytest.approx(expect, rel=1e-13)
+            assert cell.vol(LogIntegrand.of(g), phi_power=p) \
+                == pytest.approx(expect, rel=1e-13)
+
+
+def flushed_slices(cell, logg, phi_power=0.0, inv_lam_phi=False, mask=None):
+    """Weighted sums of every interior time slice, each integrand flushed to
+    zero below the window, with no slice skipped."""
+    arg = cell.logw + logg.values + phi_power * cell.logphi
+    if inv_lam_phi:
+        arg = arg - np.log(cell.tables.params.lam) - cell.logphi
+    vals = np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
+    wsp = cell.wsp if mask is None else cell.wsp * mask
+    return np.einsum("tij,ij->t", vals, wsp)
+
+
+SKIP_CELLS = {"j1-64-3": ("j1_interior", 64.0, 3.0),
+              "j2-2-1.5": ("j2_boundary", 2.0, 1.5),
+              "j2-64-3": ("j2_boundary", 64.0, 3.0)}
+
+
+@pytest.fixture(scope="module")
+def vol_calls(grid32, dirichlet_traj):
+    """{cell: [(quadrature, logg, kwargs, value, (lo, hi))]}: every `vol`
+    call of one evaluate_cell per cell, with the slices it integrated."""
+    data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        vol, live_slices = _CellQuadrature.vol, _CellQuadrature.live_slices
+        ranges, calls = [], []
+
+        def counted_live(self, *args, **kwargs):
+            ranges.append(live_slices(self, *args, **kwargs))
+            return ranges[-1]
+
+        def counted_vol(self, logg, **kwargs):
+            calls.append((self, logg, kwargs, vol(self, logg, **kwargs)))
+            return calls[-1][-1]
+
+        mp.setattr(_CellQuadrature, "live_slices", counted_live)
+        mp.setattr(_CellQuadrature, "vol", counted_vol)
+        for name, (family, lam, mu) in SKIP_CELLS.items():
+            ranges.clear()
+            calls.clear()
+            params = CarlemanParams(lam=lam, mu=mu, T=1.0, family=family)
+            evaluate_cell(data, weight_tables(params, grid32), grid32)
+            out[name] = [c + (r,) for c, r in zip(calls, ranges, strict=True)]
+    return out
+
+
+@pytest.mark.parametrize("name", SKIP_CELLS)
+class TestSliceSkip:
+    def test_every_term_called(self, vol_calls, name):
+        # 7 left-side terms, the two sources and the Q_omega observations
+        assert len(vol_calls[name]) == (11 if name.startswith("j1") else 9)
+
+    def test_equals_sum_over_all_slices(self, vol_calls, name):
+        for cell, logg, kwargs, value, _ in vol_calls[name]:
+            sums = flushed_slices(cell, logg, **kwargs)
+            assert value == math.fsum((sums * cell.wt).tolist()), kwargs
+
+    def test_skipped_slices_hold_exact_zeros(self, vol_calls, name):
+        for cell, logg, kwargs, _, (lo, hi) in vol_calls[name]:
+            sums = flushed_slices(cell, logg, **kwargs)
+            assert not sums[:lo].any() and not sums[hi:].any(), kwargs
+
+    def test_slices_evaluated(self, vol_calls, name):
+        counts = [hi - lo for *_, (lo, hi) in vol_calls[name]]
+        assert max(counts) < 31          # every cell skips a slice
+        if name == "j2-64-3":
+            assert max(counts) <= 2
+
+    def test_window_edge_kept(self, grid32, name):
+        # log g puts 2 ell + log g 1 below the window at each slice's peak:
+        # only the phi power lifts those nodes above it, and the bound must
+        # keep their slices
+        family, lam, mu = SKIP_CELLS[name]
+        cell = _CellQuadrature(weight_tables(CarlemanParams(
+            lam=lam, mu=mu, T=1.0, family=family), grid32), grid32)
+        values = np.broadcast_to((FLUSH_LOG - 1.0 - cell.logw_max)[:, None, None],
+                                 (31, 33, 33))
+        logg = LogIntegrand(values, values.max(axis=(1, 2)))
+        for p in (1.0, 2.0, 3.0):
+            sums = flushed_slices(cell, logg, phi_power=p)
+            assert sums.all()
+            assert cell.vol(logg, phi_power=p) == math.fsum((sums * cell.wt).tolist())
 
 
 class TestConcentrationProbe:

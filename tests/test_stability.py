@@ -12,6 +12,11 @@ from glcarleman.stability import (StabilityError, linf_l6_norm,
                                   stability_interior)
 
 
+def c8(u, grid):
+    """The conditional constant ||u||_{L^inf L^6}^8."""
+    return linf_l6_norm(u, grid) ** 8
+
+
 @pytest.fixture(scope="module")
 def pair32(grid32):
     cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
@@ -67,14 +72,14 @@ class TestInteriorReport:
     def test_degenerate(self, grid32):
         z = np.zeros((33, 33, 33), dtype=complex)
         u2 = np.ones((33, 33, 33), dtype=complex)
-        rep = stability_interior(prepare_difference(z, grid32, u2=u2), grid32,
-                                 eps=0.1)
+        d = prepare_difference(z, grid32, c_u2=c8(u2, grid32))
+        rep = stability_interior(d, grid32, eps=0.1)
         assert rep.degenerate
         assert rep.lhs == 0.0
 
     def test_eps_monotone(self, grid32, pair32):
         u1, u2, z = pair32
-        d = prepare_difference(z, grid32, u2=u2)
+        d = prepare_difference(z, grid32, c_u2=c8(u2, grid32))
         vals = [stability_interior(d, grid32, eps).lhs
                 for eps in (0.05, 0.1, 0.2, 0.4)]
         assert all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
@@ -82,9 +87,11 @@ class TestInteriorReport:
     def test_scaling_audit(self, grid32, pair32):
         u1, u2, z = pair32
         s = 3.0
-        r1 = stability_interior(prepare_difference(z, grid32, u2=u2), grid32, 0.1)
-        r2 = stability_interior(prepare_difference(s * z, grid32, u2=u2), grid32,
+        c_u2 = c8(u2, grid32)
+        r1 = stability_interior(prepare_difference(z, grid32, c_u2=c_u2), grid32,
                                 0.1)
+        r2 = stability_interior(prepare_difference(s * z, grid32, c_u2=c_u2),
+                                grid32, 0.1)
         assert r2.lhs == pytest.approx(s ** 2 * r1.lhs, rel=1e-12)
         az2 = np.abs(z) ** 2
         obs2 = integrate_q(az2, grid32, "Q_omega")
@@ -95,8 +102,9 @@ class TestInteriorReport:
 
     def test_reports_both_normalizations(self, grid32, pair32):
         u1, u2, z = pair32
-        rep = stability_interior(prepare_difference(z, grid32, u2=u2, u1=u1),
-                                 grid32, 0.1)
+        d = prepare_difference(z, grid32, c_u2=c8(u2, grid32),
+                               c_u1=c8(u1, grid32))
+        rep = stability_interior(d, grid32, 0.1)
         assert np.isfinite(rep.c_emp)
         assert np.isfinite(rep.c_emp_u1)
         assert rep.c_u1 == pytest.approx(rep.c_u2, rel=0.2)
@@ -104,8 +112,8 @@ class TestInteriorReport:
     def test_eps_validation(self, grid32, pair32):
         u1, u2, z = pair32
         with pytest.raises(StabilityError):
-            stability_interior(prepare_difference(z, grid32, u2=u2), grid32,
-                               eps=0.6)
+            stability_interior(prepare_difference(z, grid32, c_u2=c8(u2, grid32)),
+                               grid32, eps=0.6)
 
 
 class TestBoundaryReport:

@@ -97,27 +97,6 @@ def _prepare(args, command):
     return cfg, out_dir
 
 
-def _solve_suite(cfg, grid, n):
-    """Seeded trajectories alternating Dirichlet / Neumann: (coeffs, a
-    generator of (k, bc, Y)) that solves each trajectory only when it is
-    asked for, so that a caller can drop one before the next is solved."""
-    coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
-
-    def trajectories():
-        for k in range(n):
-            bc = "dirichlet0" if k % 2 == 0 else "neumann0"
-            if grid.spec.shape == "unit_disk":
-                bc = "dirichlet0"
-            sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc,
-                             scheme=cfg["solver"]["scheme"])
-            y0 = flds.random_initial_field(grid, seed=cfg["seed"] + k,
-                                           amplitude=cfg["solver"]["amplitude"],
-                                           bc=bc, n_modes=cfg["solver"]["n_modes"])
-            yield k, bc, solve(y0, sc, grid).Y
-
-    return coeffs, trajectories()
-
-
 def cmd_verify_identity(args) -> int:
     cfg, out_dir = _prepare(args, "verify-identity")
     grid = build_run_grid(cfg)
@@ -233,19 +212,27 @@ def cmd_carleman_scan(args) -> int:
     cfg, out_dir = _prepare(args, "carleman-scan")
     grid = build_run_grid(cfg)
     sc_cfg = cfg["scan"]
-    coeffs, suite = _solve_suite(cfg, grid, sc_cfg["n_trajectories"])
+    coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     cond = check_condition1(coeffs, cfg["coeffs"]["r0"], cfg["coeffs"]["delta0"])
     scans = {v: [] for v in sc_cfg["variants"]}
     rows_of = {v: [] for v in sc_cfg["variants"]}
     n_cells = 0
-    for k, bc, Y in suite:
+    for k in range(sc_cfg["n_trajectories"]):
+        # seeded suite alternating Dirichlet / Neumann (Dirichlet only on the disk)
+        bc = "dirichlet0" if k % 2 == 0 or grid.spec.shape == "unit_disk" \
+            else "neumann0"
         # the boundary family needs a Dirichlet trace
         variants = [v for v in scans
                     if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"]
-        # one trajectory at a time: drop it before the next one is solved
-        scan_of = lambda_scan(Y, grid, sc_cfg["lambdas"], sc_cfg["mus"],
-                              variants, coeffs) if variants else {}
-        del Y
+        if not variants:
+            continue             # solved only if a requested variant uses it
+        sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc, scheme=cfg["solver"]["scheme"])
+        y0 = flds.random_initial_field(grid, seed=cfg["seed"] + k,
+                                       amplitude=cfg["solver"]["amplitude"],
+                                       bc=bc, n_modes=cfg["solver"]["n_modes"])
+        # one trajectory at a time: it is dropped before the next one is solved
+        scan_of = lambda_scan(solve(y0, sc, grid).Y, grid, sc_cfg["lambdas"],
+                              sc_cfg["mus"], variants, coeffs)
         n_cells += len({VARIANT_FAMILY[v] for v in variants}) \
             * len(sc_cfg["mus"]) * len(sc_cfg["lambdas"])
         for v, scan in scan_of.items():

@@ -16,8 +16,10 @@ normal derivative on Sigma_0):
         + lam mu int_{Sigma_0} phi theta^2 (d psi2 / d nu) |dy/dnu|^2
 
 Linear variants drop every cubic term and use |y_t - (1+ib) Lap y|^2 as the
-source.  One cell, (trajectory, weight family, lambda, mu), yields the cubic
-and the linear variant of its family and takes each shared integral once.
+source.  The table `TERMS` holds every term once, with its side, variants,
+integrand, powers of lambda, mu and phi, and region; one cell, (trajectory,
+weight family, lambda, mu), loops over it, yields the cubic and the linear
+variant of its family and takes each shared integral once.
 
 The inequality constants are existential, so every report carries the raw
 bracket values of both sides and the ratio rhs/lhs; scans flag the smallest
@@ -28,10 +30,11 @@ underflows doubles for every lambda > 1), so each (lambda, mu) cell is
 evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
-`prepare_trajectory` takes log g of every volume integrand once per
-trajectory, on interior times and with log 0 = -inf, so a cell only adds
-logs.  Integrands are exp(2 ell + log g - log_scale), flushed to exact zero
-wherever the argument is <= -700.  Per time slice, the maxima of 2 ell and
+`prepare_trajectory` takes log g of every integrand once per trajectory, the
+boundary one |dy/dnu|^2 too, on interior times and with log 0 = -inf, so a
+cell only adds logs.  Integrands are exp(2 ell + log g - log_scale), flushed
+to exact zero wherever the argument is <= -700; on Sigma_0 the sign of
+d psi/d nu is applied after the flush.  Per time slice, the maxima of 2 ell and
 log g and the extremes of log phi bound the argument from above, summed in
 its own order; rounding is monotone, so a slice whose bound is <= -700 holds
 only exact zeros and is skipped.  Quadrature sums are compensated.  Square
@@ -42,10 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .gloperator import GLCoeffs, time_derivative
+from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
 from .grid import SpaceTimeGrid, boundary_values, grad, laplacian, normal_derivative
 from .weights import CarlemanParams, WeightTables, weight_tables
 
@@ -57,6 +61,42 @@ STABILIZATION_TOL = 0.10
 VARIANT_FAMILY = {"interior": "j1_interior", "boundary": "j2_boundary",
                   "linear_interior": "j1_interior", "linear_boundary": "j2_boundary"}
 VARIANTS = tuple(VARIANT_FAMILY)
+
+
+class Term(NamedTuple):
+    """One weighted term lam^lam_power mu^mu_power int theta^2 phi^phi_power g
+    (times 1/(lam phi) if inv_lam_phi) over Q, Q_omega or Sigma_0."""
+
+    name: str             # breakdown key
+    side: str             # "lhs" or "rhs"
+    variants: frozenset   # the variants whose inequality holds the term
+    integrand: str        # the LogIntegrand attribute of TrajectoryData
+    lam_power: int
+    mu_power: int
+    phi_power: float      # Sigma_0 quadrature takes phi^1 only
+    inv_lam_phi: bool
+    region: str           # "Q", "Q_omega" or "Sigma_0"
+
+
+_ALL, _CUBIC = frozenset(VARIANTS), frozenset({"interior", "boundary"})
+_J1 = frozenset({"interior", "linear_interior"})
+_LINEAR, _J2 = _ALL - _CUBIC, _ALL - _J1
+# every total is sum(breakdown.values()), so the row order is the summation
+# order; the linear left side is the rows shared with the cubic one
+TERMS = (
+    Term("energy_t", "lhs", _ALL, "log_yt2", 0, 0, 0.0, True, "Q"),
+    Term("energy_lap", "lhs", _ALL, "log_lap2", 0, 0, 0.0, True, "Q"),
+    Term("w_l2", "lhs", _ALL, "log_y2", 3, 4, 3.0, False, "Q"),
+    Term("w_grad", "lhs", _ALL, "log_grad2", 1, 2, 1.0, False, "Q"),
+    Term("sextic", "lhs", _CUBIC, "log_y6", 0, 0, 0.0, False, "Q"),
+    Term("mixed", "lhs", _CUBIC, "log_y2_grad2", 0, 0, 0.0, False, "Q"),
+    Term("w_l4", "lhs", _CUBIC, "log_y4", 2, 2, 2.0, False, "Q"),
+    Term("source", "rhs", _CUBIC, "log_G2", 0, 0, 0.0, False, "Q"),
+    Term("source", "rhs", _LINEAR, "log_lin_src2", 0, 0, 0.0, False, "Q"),
+    Term("obs_l2", "rhs", _J1, "log_y2", 3, 4, 3.0, False, "Q_omega"),
+    Term("obs_boundary", "rhs", _J2, "log_dnu2", 1, 1, 1.0, False, "Sigma_0"),
+    Term("obs_l4", "rhs", _J1 & _CUBIC, "log_y4", 2, 2, 2.0, False, "Q_omega"),
+)
 
 
 class FunctionalError(ValueError):
@@ -92,8 +132,8 @@ class CarlemanReport:
 
 @dataclass
 class LogIntegrand:
-    """log g of one volume integrand g >= 0 on the interior times, with
-    log 0 = -inf, and its maximum over each time slice."""
+    """log g of one integrand g >= 0 on the interior times, with log 0 = -inf,
+    and its maximum over each time slice."""
 
     values: np.ndarray
     slice_max: np.ndarray
@@ -103,7 +143,7 @@ class LogIntegrand:
         """From g on every time node."""
         g = g[1:-1]
         values = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
-        return cls(values, values.max(axis=(1, 2)))
+        return cls(values, values.max(axis=tuple(range(1, values.ndim))))
 
     @property
     def nbytes(self) -> int:
@@ -112,8 +152,8 @@ class LogIntegrand:
 
 @dataclass
 class TrajectoryData:
-    """Stencil quantities of one trajectory, precomputed once per scan: the
-    volume integrands in log form, the boundary one linear."""
+    """Stencil quantities of one trajectory, precomputed once per scan: every
+    integrand of `TERMS` in log form."""
 
     log_yt2: LogIntegrand         # |y_t|^2
     log_lap2: LogIntegrand        # |Lap y|^2
@@ -124,7 +164,7 @@ class TrajectoryData:
     log_y6: LogIntegrand          # |y|^6
     log_y2_grad2: LogIntegrand    # |y|^2 |grad y|^2
     log_y4: LogIntegrand          # |y|^4
-    dnu_abs2: np.ndarray          # |dy/dnu|^2 at boundary samples
+    log_dnu2: LogIntegrand        # |dy/dnu|^2 at boundary samples
     trace_max: float              # max |y| on Gamma
     y_max: float                  # max |y| over Q
 
@@ -138,20 +178,17 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     grad_abs2 = np.abs(g1) ** 2 + np.abs(g2) ** 2
     del g1, g2
     abs2 = np.abs(Y) ** 2
-    G = (coeffs.alpha1 + 1j * coeffs.beta1) * yt + lap    # as apply_P/apply_G
-    G -= coeffs.gamma2 * abs2 * Y
-    lin = yt - (1 + 1j * coeffs.b) * lap
     return TrajectoryData(
         log_yt2=LogIntegrand.of(np.abs(yt) ** 2),
         log_lap2=LogIntegrand.of(np.abs(lap) ** 2),
         log_y2=LogIntegrand.of(abs2),
         log_grad2=LogIntegrand.of(grad_abs2),
-        log_G2=LogIntegrand.of(np.abs(G) ** 2),
-        log_lin_src2=LogIntegrand.of(np.abs(lin) ** 2),
+        log_G2=LogIntegrand.of(np.abs(apply_G(Y, yt, lap, coeffs)) ** 2),
+        log_lin_src2=LogIntegrand.of(np.abs(linear_source(yt, lap, coeffs)) ** 2),
         log_y6=LogIntegrand.of(abs2 ** 3),
         log_y2_grad2=LogIntegrand.of(abs2 * grad_abs2),
         log_y4=LogIntegrand.of(abs2 ** 2),
-        dnu_abs2=np.abs(normal_derivative(Y, grid)) ** 2,
+        log_dnu2=LogIntegrand.of(np.abs(normal_derivative(Y, grid)) ** 2),
         trace_max=float(np.abs(boundary_values(Y, grid)).max()),
         y_max=float(np.abs(Y).max()),
     )
@@ -241,45 +278,44 @@ class _CellQuadrature:
         slice_sums = np.einsum("tij,ij->t", vals, wsp)
         return float(math.fsum((slice_sums * self.wt[live]).tolist()))
 
-    def boundary(self, g_b, phi_power: float = 1.0, signed_factor=None) -> float:
-        """Integral over Sigma_0 of theta^2 phi^power [factor] g.
-
-        g_b has shape (nt+1, nb); the signed factor (d psi/d nu) may make the
-        integrand negative, so this path works with linear values, flushing
-        magnitudes below the log window.
-        """
-        g = np.asarray(g_b, dtype=float)[1:-1]
+    def boundary(self, logg: LogIntegrand) -> float:
+        """Integral over Sigma_0 of theta^2 phi (d psi/d nu) g; the sign of
+        d psi/d nu, which may make the integrand negative, follows the flush."""
         sig = self.tables.sigma[:, None]
         two_ell = self.b_two_ell_t[None, :] * sig - self.log_scale
         bphi = self.tables.b_exp_mu_psi[None, :] * sig
-        with np.errstate(divide="ignore", over="ignore"):
-            mag = np.abs(g)
-            logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-            arg = two_ell + logmag + phi_power * np.log(bphi)
-        vals = _flush_exp(arg)
-        vals *= np.sign(g)
-        if signed_factor is not None:
-            vals = vals * signed_factor[None, :]
+        vals = _flush_exp(two_ell + logg.values + np.log(bphi))
+        vals *= self.tables.b_dpsi_dnu[None, :]
         per_t = vals @ self.grid.boundary_weights
         return float(math.fsum((per_t * self.wt).tolist()))
 
+    def term(self, data: TrajectoryData, term: Term) -> float:
+        """The value of one row of `TERMS` for one trajectory."""
+        logg = getattr(data, term.integrand)
+        if term.region == "Sigma_0":
+            value = self.boundary(logg)
+        else:
+            mask = self.grid.omega_mask if term.region == "Q_omega" else None
+            value = self.vol(logg, phi_power=term.phi_power,
+                             inv_lam_phi=term.inv_lam_phi, mask=mask)
+        params = self.tables.params
+        return params.lam ** term.lam_power * params.mu ** term.mu_power * value
+
 
 def evaluate_cell(data: TrajectoryData, tables: WeightTables,
-                  grid: SpaceTimeGrid, omega_mask=None) -> dict:
+                  grid: SpaceTimeGrid) -> dict:
     """Both sides of the two inequalities of one weight family, for one
     trajectory and one (lambda, mu): {variant: CarlemanReport}, cubic first.
 
     The single entry point for every variant; the scans call it per cell.
-    The linear left side is the first four cubic terms and both variants
-    share the observation term, so every integral is taken once.
+    Each row of `TERMS` that a variant of the family holds is integrated
+    once and shared by both variants.
     """
     params = tables.params
     if abs(params.T - grid.T) > 1e-12 * grid.T:
         raise FunctionalError(
             f"weight horizon T={params.T} disagrees with grid T={grid.T}")
-    lam, mu = params.lam, params.mu
-    boundary_like = params.family == "j2_boundary"
-    if boundary_like:
+    if params.family == "j2_boundary":
         if grid.spec.shape != "unit_square":
             raise FunctionalError("boundary family j2 is unsupported on unit_disk "
                                   "(its trace is sampled inside the circle)")
@@ -290,38 +326,19 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                 f"trajectory violates the homogeneous Dirichlet trace "
                 f"(max |y| on Gamma = {data.trace_max:.3e})")
 
+    variants = [v for v, fam in VARIANT_FAMILY.items() if fam == params.family]
     cell = _CellQuadrature(tables, grid)
-    lhs = {
-        "energy_t": cell.vol(data.log_yt2, inv_lam_phi=True),
-        "energy_lap": cell.vol(data.log_lap2, inv_lam_phi=True),
-        "w_l2": lam ** 3 * mu ** 4 * cell.vol(data.log_y2, phi_power=3.0),
-        "w_grad": lam * mu ** 2 * cell.vol(data.log_grad2, phi_power=1.0),
-    }
-    cubic_lhs = {
-        **lhs,
-        "sextic": cell.vol(data.log_y6),
-        "mixed": cell.vol(data.log_y2_grad2),
-        "w_l4": lam ** 2 * mu ** 2 * cell.vol(data.log_y4, phi_power=2.0),
-    }
-    if boundary_like:
-        obs = {"obs_boundary": lam * mu * cell.boundary(
-            data.dnu_abs2, phi_power=1.0, signed_factor=tables.b_dpsi_dnu)}
-        cubic_obs = {}
-    else:
-        om = grid.omega_mask if omega_mask is None else omega_mask
-        obs = {"obs_l2": lam ** 3 * mu ** 4 * cell.vol(data.log_y2, phi_power=3.0,
-                                                       mask=om)}
-        cubic_obs = {"obs_l4": lam ** 2 * mu ** 2 * cell.vol(
-            data.log_y4, phi_power=2.0, mask=om)}
-    cubic, linear = (v for v, fam in VARIANT_FAMILY.items() if fam == params.family)
-    sides = {cubic: (cubic_lhs, {"source": cell.vol(data.log_G2), **obs, **cubic_obs}),
-             linear: (lhs, {"source": cell.vol(data.log_lin_src2), **obs})}
+    values = [(t, cell.term(data, t)) for t in TERMS
+              if not t.variants.isdisjoint(variants)]
     reports = {}
-    for variant, (v_lhs, v_rhs) in sides.items():
+    for variant in variants:
+        held = [(t, value) for t, value in values if variant in t.variants]
+        v_lhs = {t.name: value for t, value in held if t.side == "lhs"}
+        v_rhs = {t.name: value for t, value in held if t.side == "rhs"}
         lhs_total = float(sum(v_lhs.values()))
         rhs_total = float(sum(v_rhs.values()))
         reports[variant] = CarlemanReport(
-            variant=variant, lam=lam, mu=mu, lhs_total=lhs_total,
+            variant=variant, lam=params.lam, mu=params.mu, lhs_total=lhs_total,
             rhs_total=rhs_total, lhs_breakdown=v_lhs, rhs_breakdown=v_rhs,
             ratio=rhs_total / lhs_total if lhs_total > 0 else float("nan"),
             log_scale=cell.log_scale,

@@ -126,19 +126,16 @@ def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def apply_P(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
-            bc: str = "ghost_from_field") -> np.ndarray:
-    """P y = (alpha1 + i beta1) y_t + Lap y on a trajectory."""
-    Y = grid.check_field(np.asarray(Y, dtype=np.complex128), "trajectory")
-    yt = time_derivative(Y, grid.dt)
-    return (coeffs.alpha1 + 1j * coeffs.beta1) * yt + laplacian(Y, grid, bc)
+def linear_source(yt: np.ndarray, lap: np.ndarray, coeffs: GLCoeffs) -> np.ndarray:
+    """y_t - (1+ib) Lap y, the linear part of F y, from the stencils y_t, Lap y."""
+    return yt - (1 + 1j * coeffs.b) * lap
 
 
-def apply_G(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
-            bc: str = "ghost_from_field") -> np.ndarray:
-    """G y = P y - (alpha2 + i beta2) |y|^2 y."""
-    Y = np.asarray(Y, dtype=np.complex128)
-    out = apply_P(Y, grid, coeffs, bc)
+def apply_G(Y: np.ndarray, yt: np.ndarray, lap: np.ndarray,
+            coeffs: GLCoeffs) -> np.ndarray:
+    """G y = (alpha1 + i beta1) y_t + Lap y - (alpha2 + i beta2) |y|^2 y, from
+    the stencils y_t and Lap y of the trajectory Y."""
+    out = (coeffs.alpha1 + 1j * coeffs.beta1) * yt + lap
     out -= coeffs.gamma2 * np.abs(Y) ** 2 * Y
     return out
 
@@ -147,6 +144,6 @@ def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
             bc: str = "ghost_from_field") -> np.ndarray:
     """F y = y_t - (1+ib) Lap y + (1+ic) |y|^2 y."""
     Y = grid.check_field(np.asarray(Y, dtype=np.complex128), "trajectory")
-    yt = time_derivative(Y, grid.dt)
-    return (yt - (1 + 1j * coeffs.b) * laplacian(Y, grid, bc)
-            + (1 + 1j * coeffs.c) * np.abs(Y) ** 2 * Y)
+    out = linear_source(time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
+    out += (1 + 1j * coeffs.c) * np.abs(Y) ** 2 * Y
+    return out

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from .gloperator import linear_source
 from .grid import GridError, SpaceTimeGrid, grad, laplacian
 
 VALID_SOLVER_BC = ("dirichlet0", "neumann0", "dirichlet_data")
@@ -325,25 +326,14 @@ def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return out
 
 
-def manufactured_source(field, grid: SpaceTimeGrid, coeffs) -> np.ndarray:
-    """f = F y* sampled analytically on the space-time grid."""
-    fn = manufactured_source_fn(field, coeffs)
-    out = np.empty((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
-    pts = np.stack([grid.X1, grid.X2], axis=-1)
-    for k, t in enumerate(grid.t_nodes):
-        out[k] = fn(t, pts)
-    out[:, ~grid.active_mask] = 0.0
-    return out
-
-
 def manufactured_source_fn(field, coeffs):
     """Callable (t, points) -> F y*(t, points) from analytic derivatives."""
-    b, c = coeffs.b, coeffs.c
 
     def fn(t, pts):
         jet = field.jet(t, pts)
-        return (jet.vt - (1 + 1j * b) * jet.lap
-                + (1 + 1j * c) * np.abs(jet.v) ** 2 * jet.v)
+        out = linear_source(jet.vt, jet.lap, coeffs)
+        out += (1 + 1j * coeffs.c) * np.abs(jet.v) ** 2 * jet.v
+        return out
 
     return fn
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glcarleman import functionals, identity, stability
+from glcarleman import cli, functionals, identity, stability
 from glcarleman.cli import main
 from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
 from glcarleman.solver import load_trajectory
@@ -278,6 +278,28 @@ class TestScanPass:
         got = [(r["variant"], int(r["trajectory"]), float(r["mu"]),
                 float(r["lambda"])) for r in counted_scan16[1]]
         assert got == expected
+
+
+    def test_boundary_only_scan_solves_dirichlet_members(self, tmp_path,
+                                                          counted_scan16):
+        # the boundary family needs a Dirichlet trace, so the Neumann members
+        # (odd k) are not solved; seeds and trajectory indices are unchanged
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scan": {"variants": ["boundary"]}}))
+        with pytest.MonkeyPatch.context() as mp:
+            solves = count_calls(mp, cli, "solve")
+            assert run_in(tmp_path, ["--config", str(cfg), "--grid", "16",
+                                     "--seed", "7", "carleman-scan"]) == 0
+        assert len(solves) == 3
+        (run,) = (tmp_path / "runs").iterdir()
+        with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+
+        def filled(row):
+            return {k: v for k, v in row.items() if v != ""}
+
+        assert [filled(r) for r in rows] == [
+            filled(r) for r in counted_scan16[1] if r["variant"] == "boundary"]
 
 
 def test_scan_peak_memory(tmp_path):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from glcarleman.fields import random_initial_field
-from glcarleman.functionals import (FLUSH_LOG, VARIANT_FAMILY, FunctionalError,
-                                    LogIntegrand, _CellQuadrature, evaluate_cell,
-                                    lambda_scan, prepare_trajectory,
+from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
+                                    FunctionalError, LogIntegrand, _CellQuadrature,
+                                    evaluate_cell, lambda_scan, prepare_trajectory,
                                     suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import build_grid
+from glcarleman.grid import build_grid, normal_derivative
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, weight_tables
 
@@ -70,6 +70,11 @@ class TestBasics:
         rep = report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0), grid32)
         assert rep.rhs_breakdown["source"] < rep.rhs_breakdown["obs_l2"]
 
+    def test_prepare_trajectory_shape_check(self, grid32):
+        with pytest.raises(Exception):
+            prepare_trajectory(np.zeros((33, 10, 10), dtype=complex), grid32,
+                               COEFFS)
+
     def test_source_consistency_refinement(self, square_spec):
         # theta^2 |G Y|^2 for an exactly-solved trajectory decreases at
         # order >= 1.8 under joint refinement
@@ -86,6 +91,82 @@ class TestBasics:
             cell = _CellQuadrature(tables, g)
             vals.append(cell.vol(data.log_G2))
         assert vals[1] <= vals[0] / 2 ** 1.8
+
+
+CUBIC_LHS = ["energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4"]
+BREAKDOWN_ORDER = {
+    "interior": (CUBIC_LHS, ["source", "obs_l2", "obs_l4"]),
+    "boundary": (CUBIC_LHS, ["source", "obs_boundary"]),
+    "linear_interior": (CUBIC_LHS[:4], ["source", "obs_l2"]),
+    "linear_boundary": (CUBIC_LHS[:4], ["source", "obs_boundary"]),
+}
+
+
+class TestTermsTable:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_breakdown_order(self, grid32, dirichlet_traj, variant):
+        # the totals sum the breakdowns in this order, and the CSV follows it
+        rep = report(dirichlet_traj, CarlemanParams(
+            lam=4, mu=2, T=1.0, family=VARIANT_FAMILY[variant]), grid32, variant)
+        assert (list(rep.lhs_breakdown), list(rep.rhs_breakdown)) \
+            == BREAKDOWN_ORDER[variant]
+
+    def test_table_matches_trajectory_data(self, grid32, dirichlet_traj):
+        data = vars(prepare_trajectory(dirichlet_traj, grid32, COEFFS))
+        logs = {k for k, v in data.items() if isinstance(v, LogIntegrand)}
+        # every row reads a prepared integrand, and every one is read
+        assert {t.integrand for t in TERMS} == logs
+        # the benchmark sums nbytes over the attributes that hold arrays
+        assert all(isinstance(v, float) or hasattr(v, "nbytes")
+                   for v in data.values())
+        for t in TERMS:
+            assert t.side in ("lhs", "rhs") and t.variants <= set(VARIANTS)
+            assert t.region in ("Q", "Q_omega", "Sigma_0")
+            if t.region == "Sigma_0":    # the boundary quadrature's one form
+                assert (t.phi_power, t.inv_lam_phi) == (1.0, False)
+
+
+def boundary_reference(cell, dnu_abs2):
+    """The boundary observation on linear values: log |g|, flush, sign of g
+    and then the signed factor d psi/d nu."""
+    g = dnu_abs2[1:-1]
+    sig = cell.tables.sigma[:, None]
+    two_ell = cell.b_two_ell_t[None, :] * sig - cell.log_scale
+    bphi = cell.tables.b_exp_mu_psi[None, :] * sig
+    mag = np.abs(g)
+    logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
+    arg = two_ell + logmag + 1.0 * np.log(bphi)
+    vals = np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
+    vals *= np.sign(g)
+    vals = vals * cell.tables.b_dpsi_dnu[None, :]
+    per_t = vals @ cell.grid.boundary_weights
+    return float(math.fsum((per_t * cell.wt).tolist()))
+
+
+@pytest.fixture(scope="module")
+def edge_field(grid32):
+    """A zero-trace field with dy/dnu = 0 on x1 = 1, the one side where
+    d psi2/d nu = +1: its unflushed boundary mass lies where the factor is 0
+    (a solver trajectory's lies on x1 = 1, where the factor changes nothing)."""
+    x1, x2 = grid32.X1, grid32.X2
+    space = np.where(x1 < 0.75, np.sin(np.pi * x1 / 0.75), 0.0) * np.sin(np.pi * x2)
+    space[grid32.boundary_mask] = 0.0
+    t_prof = np.sin(np.pi * grid32.t_nodes / grid32.T) ** 2
+    return (t_prof[:, None, None] * space[None]).astype(complex)
+
+
+@pytest.mark.parametrize("field", ["dirichlet_traj", "edge_field"])
+@pytest.mark.parametrize("lam, mu", [(2.0, 1.5), (64.0, 3.0)])
+def test_boundary_observation_exact(request, grid32, field, lam, mu):
+    # the log-integrand path gives the linear-value path's bits
+    Y = request.getfixturevalue(field)
+    tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0,
+                                          family="j2_boundary"), grid32)
+    rep = evaluate_cell(prepare_trajectory(Y, grid32, COEFFS), tables,
+                        grid32)["boundary"]
+    expect = boundary_reference(_CellQuadrature(tables, grid32),
+                                np.abs(normal_derivative(Y, grid32)) ** 2)
+    assert rep.rhs_breakdown["obs_boundary"] == lam * mu * expect
 
 
 class TestBoundaryVariant:

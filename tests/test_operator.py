@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from glcarleman.gloperator import (CoeffError, apply_F, apply_G, apply_P,
-                                   check_condition1, coefficient_relations,
-                                   derive_coeffs, least_delta0, time_derivative)
+from glcarleman.gloperator import (CoeffError, apply_F, apply_G, check_condition1,
+                                   coefficient_relations, derive_coeffs,
+                                   least_delta0, time_derivative)
+from glcarleman.grid import laplacian
+
+
+def G_of(Y, grid, coeffs, bc="ghost_from_field"):
+    """G y from the stencils y_t and Lap y, as prepare_trajectory builds it."""
+    return apply_G(Y, time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
 
 
 class TestDeriveCoeffs:
@@ -82,7 +88,7 @@ class TestOperators:
         Y = np.zeros((33, 33, 33), dtype=complex)
         c = derive_coeffs(0.3, 0.4)
         assert np.abs(apply_F(Y, grid32, c)).max() == 0.0
-        assert np.abs(apply_G(Y, grid32, c)).max() == 0.0
+        assert np.abs(G_of(Y, grid32, c)).max() == 0.0
 
     def test_constant_field(self, grid32):
         # y = k constant: y_t = 0, Lap y = 0 (neumann rule) -> F y = |k|^2 k
@@ -97,7 +103,7 @@ class TestOperators:
         for b, cc in ((0.0, 0.0), (0.3, 0.4), (0.5, 0.6)):
             c = derive_coeffs(b, cc)
             F = apply_F(Y, grid32, c)
-            G = apply_G(Y, grid32, c)
+            G = G_of(Y, grid32, c)
             err = np.abs(F + (1 + 1j * b) * G).max()
             assert err <= 1e-12 * np.abs(F).max()
 
@@ -107,7 +113,7 @@ class TestOperators:
         t = grid32.t_nodes
         Y = (t[:, None, None] * np.ones((33, 33))).astype(complex)
         c = derive_coeffs(0.0, 0.0)
-        out = apply_G(Y, grid32, c, bc="neumann0")
+        out = G_of(Y, grid32, c, bc="neumann0")
         expect = (-1.0 - t ** 3)[:, None, None]
         assert np.abs(out - expect).max() < 1e-10
 
@@ -117,8 +123,3 @@ class TestOperators:
         a = apply_F(np.conj(Y), grid32, derive_coeffs(0.3, 0.4))
         b = np.conj(apply_F(Y, grid32, derive_coeffs(-0.3, -0.4)))
         assert np.abs(a - b).max() < 1e-12 * np.abs(a).max()
-
-    def test_p_operator_shape_check(self, grid32):
-        c = derive_coeffs(0.1, 0.1)
-        with pytest.raises(Exception):
-            apply_P(np.zeros((33, 10, 10), dtype=complex), grid32, c)

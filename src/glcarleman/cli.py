@@ -26,9 +26,10 @@ from .grid import build_grid
 from .identity import T_coefficient_positivity, identity_residuals
 from .solver import SolveConfig, energy_balance, save_trajectory, solve
 from .stability import perturbation_suite
-from .weights import (CarlemanParams, check_time_monotonicity,
-                      derivative_consistency, export_envelope_csv,
-                      verify_psi_admissibility, weight_envelope)
+from .weights import (CRITICAL_POINT, CarlemanParams, check_time_monotonicity,
+                      critical_point_in_omega, derivative_consistency,
+                      export_envelope_csv, verify_psi_admissibility,
+                      weight_tables)
 
 
 def _float_list(text):
@@ -73,6 +74,13 @@ def _check_capabilities(cfg, command, manufactured):
     elif boundary and cfg["domain"]["gamma0"] == "none":
         errs.append(f"{section}.variants: {', '.join(boundary)} need "
                     "domain.gamma0 = full_boundary")
+    # the interior weight psi1 is admissible only if omega holds its critical point
+    spec = build_domain(cfg)
+    if command == "carleman-scan" and not critical_point_in_omega(spec) and any(
+            VARIANT_FAMILY[v] == "j1_interior" for v in cfg["scan"]["variants"]):
+        errs.append(f"domain.omega_center: omega misses psi1's critical point "
+                    f"{CRITICAL_POINT[(spec.shape, 'psi1')]}, which the interior "
+                    "variants need inside it")
     if errs:
         raise ConfigError(errs)
 
@@ -145,7 +153,7 @@ def _manufactured_study(cfg, out_dir) -> int:
     import math
 
     from .grid import integrate_q
-    from .solver import dirichlet_data_from, grid_source
+    from .solver import grid_source
 
     coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     ref = flds.manufactured_reference()
@@ -154,8 +162,8 @@ def _manufactured_study(cfg, out_dir) -> int:
     errs = []
     for n in sizes:
         g = build_grid(build_domain(cfg), n, n, n, 0.5)
-        sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet_data",
-                         bc_data=dirichlet_data_from(ref, g),
+        # the reference vanishes on the boundary of the square
+        sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
                          scheme="imex_cn", source=grid_source(ref, g, coeffs))
         y0 = ref.sample(g, times=np.array([0.0]))[0]
         Y = solve(y0, sc, g).Y
@@ -331,33 +339,33 @@ def cmd_check_weights(args) -> int:
     disk_grid = grid if grid.spec.shape == "unit_disk" \
         else build_grid(disk_spec, g["nx"], g["ny"], g["nt"], g["T"])
 
-    cases = [("square_psi1", sq_spec, "psi1", sq_grid),
-             ("disk_psi1", disk_spec, "psi1", disk_grid),
-             ("square_psi2", sq_spec, "psi2", sq_grid)]
+    cases = [("square_psi1", "psi1", sq_grid),
+             ("disk_psi1", "psi1", disk_grid),
+             ("square_psi2", "psi2", sq_grid)]
     lam0 = float(cfg["scan"]["lambdas"][0])
     mu0 = float(cfg["scan"]["mus"][0])
     times = np.array([0.3, 0.5, 0.6]) * g["T"]
-    for name, spec, which, gg in cases:
-        rep = verify_psi_admissibility(spec, which, gg)
+    for name, which, gg in cases:
+        rep = verify_psi_admissibility(which, gg)
         payload["admissibility"][name] = {
             "clauses": rep.clauses, "passed": rep.passed,
             "min_grad_outside_omega": rep.min_grad_outside_omega,
         }
         family = "j1_interior" if which == "psi1" else "j2_boundary"
         params = CarlemanParams(lam=lam0, mu=mu0, T=g["T"], family=family)
-        if spec.shape == "unit_square":
+        if gg.spec.shape == "unit_square":
             pts = np.array([[0.3, 0.4], [0.5, 0.7], [0.8, 0.2]])
         else:
             pts = np.array([[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]])
-        cons = derivative_consistency(params, spec, which, pts, times)
+        cons = derivative_consistency(params, gg.spec, which, pts, times)
         payload["derivatives"][name] = cons
-        env = weight_envelope(params, gg, which)
-        mono = check_time_monotonicity(env, gg)
+        tables = weight_tables(params, gg)
+        mono = check_time_monotonicity(tables, gg)
         payload["monotonicity"][name] = mono
         ok = ok and rep.passed and max(cons.values()) <= 1e-6 \
             and mono["monotone_first_half"] and mono["symmetric"]
         if args.export_envelope and name == "square_psi1":
-            export_envelope_csv(env, gg, os.path.join(out_dir, "envelope.csv"))
+            export_envelope_csv(tables, gg, os.path.join(out_dir, "envelope.csv"))
 
     payload["passed"] = bool(ok)
     write_json(os.path.join(out_dir, "weights_report.json"), payload)
@@ -409,7 +417,7 @@ def main(argv=None) -> int:
         for e in exc.errors:
             print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

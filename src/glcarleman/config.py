@@ -15,6 +15,7 @@ import math
 
 from .functionals import VARIANTS
 from .grid import DomainSpec, build_grid
+from .solver import VALID_SOLVER_BC
 
 DEFAULTS = {
     "seed": 7,
@@ -108,8 +109,8 @@ _SCALAR_RULES = {
                       "must be a number in (0, 1/8)"),
     "solver.scheme": (lambda v: v in ("imex_be", "imex_cn"),
                       "must be imex_be or imex_cn"),
-    "solver.bc": (lambda v: v in ("dirichlet0", "neumann0"),
-                  "must be dirichlet0 or neumann0 (data-carrying bcs are API-only)"),
+    "solver.bc": (lambda v: v in VALID_SOLVER_BC,
+                  f"must be one of {', '.join(VALID_SOLVER_BC)}"),
     "solver.amplitude": (lambda v: _real(v) and v > 0, "must be a positive number"),
     "solver.n_modes": (lambda v: _int(v) and 1 <= v <= 8, "must be an int in 1..8"),
     "identity.n_fields": (lambda v: _int(v) and v >= 1, "must be an int >= 1"),

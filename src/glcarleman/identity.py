@@ -247,7 +247,7 @@ def _transport_analytic(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
 
 def _evaluate(field, params: CarlemanParams, coeffs: GLCoeffs, spec, t, x):
     """Weights, jet, Phi/Psi and every named term at the points (t, x)."""
-    psi = eval_psi(spec, params.which_psi, x, check_omega=False)
+    psi = eval_psi(spec, params.which_psi, x)
     w = eval_weight(params, psi, t)
     jet = field.jet(t, x)
     pp = step_one_choice(params, psi, w)

@@ -15,8 +15,14 @@ stencil matrix, reused every step, and the cubic term handled explicitly:
 A stiffness cap dt_sub * max|y|^2 <= 1/2 is enforced adaptively by halving
 the internal substep (macro slices stay on the uniform time grid).
 
-The L2 norm over the quadrature weights is non-increasing for homogeneous
-boundary data and zero source: the (mirrored-ghost) discrete Laplacian is
+Boundary data are homogeneous, as for the difference of two solutions with
+the same boundary data: ``dirichlet0`` (square or disk) holds zero at every
+node that is not an unknown, and ``neumann0`` (square only) mirrors a ghost
+node across the edge.  The manufactured study runs ``dirichlet0``, since its
+reference vanishes on the square's boundary.
+
+The L2 norm over the quadrature weights is non-increasing for these
+boundary conditions and zero source: the (mirrored-ghost) discrete Laplacian is
 self-adjoint and nonpositive in the trapezoid-weighted inner product, the
 Crank-Nicolson amplification of each mode has modulus <= 1, and the cubic
 flow shrinks |y| pointwise.
@@ -34,7 +40,7 @@ import scipy.sparse.linalg as spla
 from .gloperator import linear_source
 from .grid import GridError, SpaceTimeGrid, grad, laplacian
 
-VALID_SOLVER_BC = ("dirichlet0", "neumann0", "dirichlet_data")
+VALID_SOLVER_BC = ("dirichlet0", "neumann0")
 STIFFNESS_CAP = 0.5
 MAX_HALVINGS = 10
 
@@ -49,7 +55,6 @@ class SolveConfig:
     c: float = 0.0
     bc: str = "dirichlet0"
     scheme: str = "imex_cn"
-    bc_data: object | None = None     # callable t -> values at boundary nodes
     source: object | None = None      # callable t -> (ny+1, nx+1) complex array
 
     def __post_init__(self):
@@ -57,8 +62,6 @@ class SolveConfig:
             raise GridError(f"bc must be one of {VALID_SOLVER_BC}")
         if self.scheme not in ("imex_be", "imex_cn"):
             raise GridError("scheme must be 'imex_be' or 'imex_cn'")
-        if self.bc.endswith("_data") and self.bc_data is None:
-            raise GridError(f"bc {self.bc!r} requires bc_data")
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +72,12 @@ class SolveConfig:
 class _LinearOps:
     """Stencil matrix of the solver's Laplacian on the unknown nodes.
 
-    L couples unknowns to unknowns; B couples them to the square's Dirichlet
-    boundary nodes, in ``np.nonzero(boundary_mask)`` order (None otherwise).
+    Every other node holds zero, so L (unknowns x unknowns) is the whole
+    operator.
     """
 
     unknown_mask: np.ndarray        # bool over grid nodes
     L: sps.csr_matrix               # unknowns x unknowns
-    B: sps.csr_matrix | None        # unknowns x boundary nodes (square Dirichlet)
     _factor_cache: dict = field(default_factory=dict)
 
 
@@ -101,21 +103,15 @@ def _stencil_matrix(grid: SpaceTimeGrid, bc: str) -> sps.csr_matrix:
 
 
 def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
-    kind = "dirichlet0" if bc.startswith("dirichlet") else "neumann0"
     cache = grid._linear_ops
-    if kind not in cache:
-        square = grid.spec.shape == "unit_square"
-        if not square and kind != "dirichlet0":
+    if bc not in cache:
+        if grid.spec.shape != "unit_square" and bc != "dirichlet0":
             raise GridError("unit_disk solver supports Dirichlet only")
-        A = _stencil_matrix(grid, kind)
-        unknown = grid.interior_mask if kind == "dirichlet0" else grid.active_mask
-        rows = A[np.flatnonzero(unknown)]
-        B = None
-        if square and kind == "dirichlet0":
-            B = rows[:, np.flatnonzero(grid.boundary_mask)]
-        cache[kind] = _LinearOps(unknown_mask=unknown,
-                                 L=rows[:, np.flatnonzero(unknown)], B=B)
-    return cache[kind]
+        unknown = grid.interior_mask if bc == "dirichlet0" else grid.active_mask
+        idx = np.flatnonzero(unknown)
+        cache[bc] = _LinearOps(unknown_mask=unknown,
+                               L=_stencil_matrix(grid, bc)[idx][:, idx])
+    return cache[bc]
 
 
 def _factorized(ops: _LinearOps, kappa: complex):
@@ -149,20 +145,6 @@ def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
     return y * m ** (-0.5) * np.exp(-0.5j * c * np.log(m))
 
 
-def _boundary_node_values(grid, cfg, t):
-    if cfg.bc == "dirichlet0":
-        return np.zeros(np.count_nonzero(grid.boundary_mask), dtype=complex)
-    return np.asarray(cfg.bc_data(t), dtype=complex)
-
-
-def _scatter(grid, ops, vec, bvals):
-    out = grid.zeros()
-    out[ops.unknown_mask] = vec
-    if ops.B is not None:
-        out[grid.boundary_mask] = bvals
-    return out
-
-
 def _substep(y, t, dt_sub, cfg, grid, ops):
     """One linear(+source) update over [t, t+dt_sub] at the unknown nodes."""
     kb = 1.0 + 1j * cfg.b
@@ -173,31 +155,17 @@ def _substep(y, t, dt_sub, cfg, grid, ops):
             return 0.0
         return np.asarray(cfg.source(tt), dtype=complex)[ops.unknown_mask]
 
-    def bnd(tt):
-        if ops.B is not None:
-            return _boundary_node_values(grid, cfg, tt)
-        return None
-
     if cfg.scheme == "imex_cn":
         kappa = 0.5 * dt_sub * kb
-        solve = _factorized(ops, kappa)
         rhs = yv + kappa * (ops.L @ yv)
-        g0, g1 = bnd(t), bnd(t + dt_sub)
-        if g0 is not None:
-            rhs = rhs + kappa * (ops.B @ (g0 + g1))
         rhs = rhs + 0.5 * dt_sub * (src(t) + src(t + dt_sub))
-        new = solve(rhs)
-        return _scatter(grid, ops, new, g1)
-
-    # imex_be: implicit linear, explicit cubic folded in by the caller
-    kappa = dt_sub * kb
-    solve = _factorized(ops, kappa)
-    rhs = yv + dt_sub * src(t + dt_sub)
-    g1 = bnd(t + dt_sub)
-    if g1 is not None:
-        rhs = rhs + kappa * (ops.B @ g1)
-    new = solve(rhs)
-    return _scatter(grid, ops, new, g1)
+    else:
+        # imex_be: implicit linear, explicit cubic folded in by the caller
+        kappa = dt_sub * kb
+        rhs = yv + dt_sub * src(t + dt_sub)
+    out = grid.zeros()
+    out[ops.unknown_mask] = _factorized(ops, kappa)(rhs)
+    return out
 
 
 def required_substeps(state: np.ndarray, dt: float) -> int:
@@ -211,38 +179,6 @@ def required_substeps(state: np.ndarray, dt: float) -> int:
     raise SolverError(f"stiffness cap not reachable within {MAX_HALVINGS} halvings")
 
 
-def step(state: np.ndarray, t: float, cfg: SolveConfig, grid: SpaceTimeGrid,
-         n_sub: int | None = None) -> np.ndarray:
-    """Advance one macro step of size grid.dt from time t.
-
-    The stiffness cap dt_sub * max|y|^2 <= 1/2 triggers internal halving;
-    NaN/Inf in the result aborts.
-    """
-    grid.check_field(state, "state")
-    ops = build_linear_ops(grid, cfg.bc)
-    dt = grid.dt
-    if n_sub is None:
-        n_sub = required_substeps(state, dt)
-    dt_sub = dt / n_sub
-
-    y = state
-    for k in range(n_sub):
-        tk = t + k * dt_sub
-        if cfg.scheme == "imex_cn":
-            y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
-            y = _substep(y, tk, dt_sub, cfg, grid, ops)
-            y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
-            if ops.B is not None:
-                # reimpose the trace the cubic half-step perturbed
-                y[grid.boundary_mask] = _boundary_node_values(grid, cfg, tk + dt_sub)
-        else:
-            cubic = -(1 + 1j * cfg.c) * np.abs(y) ** 2 * y
-            y = _substep(y + dt_sub * cubic, tk, dt_sub, cfg, grid, ops)
-        if not np.all(np.isfinite(y[grid.active_mask])):
-            raise SolverError(f"non-finite state at t={tk + dt_sub:.6g}")
-    return y
-
-
 @dataclass
 class SolveResult:
     Y: np.ndarray                 # (nt+1, ny+1, nx+1)
@@ -251,9 +187,14 @@ class SolveResult:
 
 
 def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
-    """March nt macro steps, recording slices and per-step diagnostics."""
+    """March nt macro steps, recording slices and per-step diagnostics.
+
+    Each macro step takes the fewest power-of-two substeps that meet the
+    stiffness cap; NaN/Inf after any substep aborts.
+    """
     y0 = np.asarray(y0, dtype=complex)
     grid.check_field(y0, "initial data")
+    ops = build_linear_ops(grid, cfg.bc)
     wsp = grid.quad_weights_space
     Y = np.empty((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
     y = y0.copy()
@@ -264,7 +205,18 @@ def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
     subs = []
     for k in range(grid.nt):
         n_sub = required_substeps(y, grid.dt)
-        y = step(y, grid.t_nodes[k], cfg, grid, n_sub=n_sub)
+        dt_sub = grid.dt / n_sub
+        for j in range(n_sub):
+            tj = grid.t_nodes[k] + j * dt_sub
+            if cfg.scheme == "imex_cn":
+                y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
+                y = _substep(y, tj, dt_sub, cfg, grid, ops)
+                y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
+            else:
+                cubic = -(1 + 1j * cfg.c) * np.abs(y) ** 2 * y
+                y = _substep(y + dt_sub * cubic, tj, dt_sub, cfg, grid, ops)
+            if not np.all(np.isfinite(y[grid.active_mask])):
+                raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
         Y[k + 1] = y
         norms.append(float(np.sqrt(np.sum(wsp * np.abs(y) ** 2))))
         subs.append(n_sub)
@@ -349,17 +301,6 @@ def grid_source(field, grid: SpaceTimeGrid, coeffs):
         return out
 
     return src
-
-
-def dirichlet_data_from(field, grid: SpaceTimeGrid):
-    """Boundary-node trace callable for dirichlet_data runs (square grids)."""
-    biy, bix = np.nonzero(grid.boundary_mask)
-    pts = np.stack([grid.X1[biy, bix], grid.X2[biy, bix]], axis=-1)
-
-    def data(t):
-        return field.value(t, pts)
-
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,14 @@ class WeightSample:
     rho_t: np.ndarray
 
 
-def eval_psi(spec: DomainSpec, which: str, x: np.ndarray,
-             check_omega: bool = True) -> PsiSample:
+def critical_point_in_omega(spec: DomainSpec) -> bool:
+    """Whether psi1's critical point lies inside omega, as admissibility asks."""
+    cx, cy = CRITICAL_POINT[(spec.shape, "psi1")]
+    ox, oy = spec.omega_center
+    return (cx - ox) ** 2 + (cy - oy) ** 2 < spec.omega_radius ** 2
+
+
+def eval_psi(spec: DomainSpec, which: str, x: np.ndarray) -> PsiSample:
     """Evaluate the analytic auxiliary function at points x (shape (..., 2))."""
     if which not in ("psi1", "psi2"):
         raise WeightError(f"which must be 'psi1' or 'psi2', got {which!r}")
@@ -110,14 +116,6 @@ def eval_psi(spec: DomainSpec, which: str, x: np.ndarray,
         raise WeightError("points must have trailing dimension 2")
     x1, x2 = x[..., 0], x[..., 1]
     base = np.zeros_like(x1)
-
-    if which == "psi1" and check_omega:
-        cx, cy = CRITICAL_POINT[(spec.shape, "psi1")]
-        ox, oy = spec.omega_center
-        if (cx - ox) ** 2 + (cy - oy) ** 2 >= spec.omega_radius ** 2:
-            raise WeightError(
-                f"psi1 critical point {(cx, cy)} lies outside omega "
-                f"B({spec.omega_center}, {spec.omega_radius})")
 
     if which == "psi1" and spec.shape == "unit_square":
         psi = x1 * (1 - x1) * x2 * (1 - x2)
@@ -216,10 +214,10 @@ def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
     tables check that params.T agrees with it.
     """
     pts = np.stack([grid.X1, grid.X2], axis=-1)
-    psi = eval_psi(grid.spec, params.which_psi, pts, check_omega=False)
+    psi = eval_psi(grid.spec, params.which_psi, pts)
     t_int = grid.t_nodes[1:-1]
     bpts = grid.boundary_points
-    bpsi = eval_psi(grid.spec, params.which_psi, bpts, check_omega=False)
+    bpsi = eval_psi(grid.spec, params.which_psi, bpts)
     dnu = np.einsum("bi,bi->b", bpsi.grad_psi, grid.boundary_normals)
     return WeightTables(
         params=params,
@@ -231,45 +229,13 @@ def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
     )
 
 
-@dataclass
-class WeightEnvelope:
-    """log(theta) and phi tabulated over the whole space-time grid.
-
-    Time endpoints t in {0, T} carry the sentinel log_theta = -inf (phi = inf);
-    weighted integrands there are zero by convention.  Inactive nodes (outside
-    the disk) also carry the sentinel.
-    """
-
-    params: CarlemanParams
-    which: str
-    log_theta: np.ndarray   # (nt+1, ny+1, nx+1)
-    phi: np.ndarray
-
-
-def weight_envelope(params: CarlemanParams, grid: SpaceTimeGrid,
-                    which: str | None = None) -> WeightEnvelope:
-    """:func:`weight_tables` padded with the endpoint and inactive sentinels."""
-    which = which or params.which_psi
-    if which != params.which_psi:
-        raise WeightError(f"family {params.family!r} uses {params.which_psi!r}, "
-                          f"not {which!r}")
-    tables = weight_tables(params, grid)
-    shape = (grid.nt + 1, grid.ny + 1, grid.nx + 1)
-    log_theta = np.full(shape, -np.inf)
-    phi = np.full(shape, np.inf)
-    log_theta[1:-1] = 0.5 * tables.log_theta2()    # halving is exact
-    phi[1:-1] = tables.phi()
-    inactive = ~grid.active_mask
-    if inactive.any():
-        log_theta[:, inactive] = -np.inf
-        phi[:, inactive] = np.inf
-    return WeightEnvelope(params=params, which=which, log_theta=log_theta, phi=phi)
-
-
-def export_envelope_csv(env: WeightEnvelope, grid: SpaceTimeGrid, path) -> None:
-    """Write the envelope at interior time nodes as CSV: t, x1, x2, log_theta, phi."""
+def export_envelope_csv(tables: WeightTables, grid: SpaceTimeGrid, path) -> None:
+    """Write log(theta) and phi at interior times and active nodes as CSV:
+    t, x1, x2, log_theta, phi."""
     import csv
 
+    log_theta = 0.5 * tables.log_theta2()    # halving is exact
+    phi = tables.phi()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "x1", "x2", "log_theta", "phi"])
@@ -282,8 +248,8 @@ def export_envelope_csv(env: WeightEnvelope, grid: SpaceTimeGrid, path) -> None:
                     w.writerow([format(t, ".17g"),
                                 format(grid.X1[iy, ix], ".17g"),
                                 format(grid.X2[iy, ix], ".17g"),
-                                format(env.log_theta[k, iy, ix], ".17g"),
-                                format(env.phi[k, iy, ix], ".17g")])
+                                format(log_theta[k - 1, iy, ix], ".17g"),
+                                format(phi[k - 1, iy, ix], ".17g")])
 
 
 def derivative_consistency(params: CarlemanParams, spec: DomainSpec,
@@ -301,17 +267,17 @@ def derivative_consistency(params: CarlemanParams, spec: DomainSpec,
     ts = np.asarray(times, dtype=float)
 
     def ell_at(t, x):
-        psi = eval_psi(spec, which, x, check_omega=False)
+        psi = eval_psi(spec, which, x)
         return eval_weight(params, psi, t)
 
     def ell_spatial(t, x):
         # lam exp(mu psi) / (t (T - t)): the x-dependent part of ell
-        psi = eval_psi(spec, which, x, check_omega=False)
+        psi = eval_psi(spec, which, x)
         sig = 1.0 / (t * (params.T - t))
         return params.lam * np.exp(params.mu * psi.psi) * sig
 
     def ell_t_spatial(t, x):
-        psi = eval_psi(spec, which, x, check_omega=False)
+        psi = eval_psi(spec, which, x)
         sig = 1.0 / (t * (params.T - t))
         return params.lam * np.exp(params.mu * psi.psi) * (2 * t - params.T) * sig ** 2
 
@@ -347,13 +313,13 @@ def derivative_consistency(params: CarlemanParams, spec: DomainSpec,
     return out
 
 
-def check_time_monotonicity(env: WeightEnvelope, grid: SpaceTimeGrid) -> dict:
+def check_time_monotonicity(tables: WeightTables, grid: SpaceTimeGrid) -> dict:
     """theta(eps,x) <= theta(t,x) <= theta(T/2,x) on [eps, T-eps], every node.
 
     Checked as: log_theta nondecreasing up to the middle time node and
     symmetric about T/2, at every active node.
     """
-    lt = env.log_theta[1:-1][:, grid.active_mask]  # interior times only
+    lt = 0.5 * tables.log_theta2()[:, grid.active_mask]  # interior times only
     mid = (lt.shape[0] - 1) // 2
     inc = np.diff(lt[:mid + 1], axis=0)
     sym = lt - lt[::-1]
@@ -375,16 +341,17 @@ class AdmissibilityReport:
     passed: bool
 
 
-def verify_psi_admissibility(spec: DomainSpec, which: str,
-                             grid: SpaceTimeGrid) -> AdmissibilityReport:
-    """Scan all grid nodes against the admissibility clauses for psi.
+def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> AdmissibilityReport:
+    """Scan all grid nodes against the admissibility clauses for psi, with
+    the domain and omega of ``grid.spec``.
 
     Failures are reported, never raised.  Square corner nodes are excluded
     from the gradient scan (the corner points are excluded from all weighted
     integrals; see the grid module).
     """
+    spec = grid.spec
     pts = np.stack([grid.X1, grid.X2], axis=-1)
-    psi = eval_psi(spec, which, pts, check_omega=False)
+    psi = eval_psi(spec, which, pts)
     gnorm = np.sqrt(np.einsum("...i,...i->...", psi.grad_psi, psi.grad_psi))
 
     interior = grid.interior_mask
@@ -403,13 +370,11 @@ def verify_psi_admissibility(spec: DomainSpec, which: str,
         else:
             # embedded disk: check the analytic trace on the circle instead
             bpts = grid.boundary_points
-            bpsi = eval_psi(spec, which, bpts, check_omega=False).psi
+            bpsi = eval_psi(spec, which, bpts).psi
             max_bnd = float(np.abs(bpsi).max())
             clauses["psi_zero_on_boundary"] = max_bnd <= 1e-12
         clauses["grad_nonvanishing_outside_omega"] = min_grad > 0
-        cx, cy = CRITICAL_POINT[(spec.shape, "psi1")]
-        ox, oy = spec.omega_center
-        crit_ok = (cx - ox) ** 2 + (cy - oy) ** 2 < spec.omega_radius ** 2
+        crit_ok = critical_point_in_omega(spec)
         clauses["critical_point_in_omega"] = crit_ok
     else:
         clauses["psi_positive_in_interior"] = min_psi > 0
@@ -419,7 +384,7 @@ def verify_psi_admissibility(spec: DomainSpec, which: str,
             clauses["boundary_clauses_vacuous"] = True
         else:
             bpts = grid.boundary_points
-            bs = eval_psi(spec, which, bpts, check_omega=False)
+            bs = eval_psi(spec, which, bpts)
             trace = bs.psi
             dn = np.einsum("bi,bi->b", bs.grad_psi, grid.boundary_normals)
             clauses["psi_zero_on_gamma_minus_gamma0"] = bool(np.abs(trace).max() <= 1e-12)

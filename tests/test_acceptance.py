@@ -20,14 +20,13 @@ from glcarleman.gloperator import (CoeffError, check_condition1,
                                    coefficient_relations, derive_coeffs)
 from glcarleman.grid import DomainSpec, build_grid, integrate_q
 from glcarleman.identity import T_coefficient_positivity, identity_residuals
-from glcarleman.solver import (SolveConfig, dirichlet_data_from, energy_balance,
-                               grid_source, solve)
+from glcarleman.solver import SolveConfig, energy_balance, grid_source, solve
 from glcarleman.stability import (linf_l6_norm, perturbation_suite,
                                   prepare_difference, run_pair,
                                   stability_interior)
 from glcarleman.weights import (CarlemanParams, check_time_monotonicity,
                                 derivative_consistency,
-                                verify_psi_admissibility, weight_envelope)
+                                verify_psi_admissibility, weight_tables)
 
 SQUARE = DomainSpec(shape="unit_square", omega_center=(0.5, 0.5),
                     omega_radius=0.25)
@@ -154,8 +153,7 @@ def test_a4_solver():
     errs = []
     for n in (32, 64, 128):
         g = build_grid(SQUARE, n, n, n, 0.5)
-        cfg = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet_data",
-                          bc_data=dirichlet_data_from(ref, g),
+        cfg = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
                           scheme="imex_cn", source=grid_source(ref, g, coeffs))
         y0 = ref.sample(g, times=np.array([0.0]))[0]
         Y = solve(y0, cfg, g).Y
@@ -207,7 +205,7 @@ def test_a5_weight_machinery():
     gd64 = build_grid(DISK, 64, 64, 64, 1.0)
     cases = [(SQUARE, "psi1", g64), (DISK, "psi1", gd64), (SQUARE, "psi2", g64)]
     for spec, which, g in cases:
-        rep = verify_psi_admissibility(spec, which, g)
+        rep = verify_psi_admissibility(which, g)
         assert rep.passed, (which, spec.shape, rep.clauses)
 
     worst = 0.0
@@ -225,9 +223,8 @@ def test_a5_weight_machinery():
 
     for spec, which, g in cases:
         family = "j1_interior" if which == "psi1" else "j2_boundary"
-        env = weight_envelope(CarlemanParams(lam=4, mu=2, T=1.0, family=family),
-                              g, which)
-        mono = check_time_monotonicity(env, g)
+        tables = weight_tables(CarlemanParams(lam=4, mu=2, T=1.0, family=family), g)
+        mono = check_time_monotonicity(tables, g)
         assert mono["monotone_first_half"] and mono["symmetric"]
     print(f"\nACCEPTANCE 5 (weight machinery): PASS "
           f"(3 constructions admissible, derivative agreement {worst:.2e}, "

@@ -28,6 +28,7 @@ def run_in(tmp_path, argv):
 BASE = ["--grid", "32", "--seed", "3"]
 DISK = {"domain": {"shape": "unit_disk", "omega_center": [0.0, 0.0],
                    "omega_radius": 0.35}}
+MISPLACED_OMEGA = {"domain": {"omega_center": [0.3, 0.3], "omega_radius": 0.1}}
 
 
 class TestConfig:
@@ -77,6 +78,14 @@ class TestConfig:
                      "scan.variants", id="no-gamma0-boundary-scan"),
         pytest.param({"domain": {"gamma0": "none"}}, ["stability"],
                      "stability.variants", id="no-gamma0-boundary-stability"),
+        # the interior variants need psi1's critical point inside omega
+        pytest.param(MISPLACED_OMEGA, ["carleman-scan"], "domain.omega_center",
+                     id="square-omega-misses-critical-point"),
+        pytest.param({"domain": {**DISK["domain"], "omega_center": [0.5, 0.0],
+                                 "omega_radius": 0.2},
+                      "scan": {"variants": ["interior", "linear_interior"]}},
+                     ["carleman-scan"], "domain.omega_center",
+                     id="disk-omega-misses-critical-point"),
     ])
     def test_malformed_config_fails_closed(self, tmp_path, capsys, config,
                                            argv, field):
@@ -236,6 +245,18 @@ class TestCommands:
         assert rep["passed"]
         assert set(rep["admissibility"]) == {"square_psi1", "disk_psi1",
                                              "square_psi2"}
+
+    def test_check_weights_judges_configured_omega(self, tmp_path):
+        # omega = B((0.3, 0.3), 0.1) misses psi1's critical point (0.5, 0.5)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(MISPLACED_OMEGA))
+        assert run_in(tmp_path, ["--config", str(p)] + BASE + ["check-weights"]) == 1
+        runs = list((tmp_path / "runs").iterdir())
+        rep = json.loads((runs[0] / "weights_report.json").read_text())
+        square = rep["admissibility"]["square_psi1"]["clauses"]
+        assert not square["critical_point_in_omega"]
+        assert not square["grad_nonvanishing_outside_omega"]
+        assert rep["admissibility"]["disk_psi1"]["passed"]
 
 
 def count_calls(mp, module, name):

@@ -5,9 +5,13 @@ The square values were produced by ``--grid 16 --seed 7 carleman-scan``,
 with the default configuration otherwise.
 The disk values come from ``--grid 32 --seed 7 stability`` and
 ``--grid 32 --seed 7 solve`` on the unit disk with omega = B((0, 0), 0.35),
-the stability run on the interior variant only.
+the stability run on the interior variant only.  The square solve values
+come from ``--grid 32 --seed 7 solve`` with ``solver.bc`` set to each
+homogeneous boundary condition, and the manufactured errors from
+``solve --manufactured``.
 """
 
+import csv
 import json
 import os
 
@@ -111,6 +115,19 @@ DISK_SPREADS = {
 DISK_SOLVE = {"final_l2": 0.03131654441949441,
               "max_energy_residual": 0.71929103763931}
 
+SQUARE_ARGS = ["--grid", "32", "--seed", "7"]
+SQUARE_SOLVE = {
+    "dirichlet0": {"final_l2": 6.875869575878537e-06,
+                   "max_energy_residual": 0.0015925430605835949},
+    "neumann0": {"final_l2": 2.6993379446148923e-06,
+                 "max_energy_residual": 0.0007790353128254823},
+}
+
+# n -> l2_error; recorded while the study still imposed the reference's
+# trace (zero up to rounding) as Dirichlet data, hence rtol 1e-11
+MANUFACTURED = {32: 0.00021522734392578907, 64: 5.3750461490026205e-05,
+                128: 1.3434081553929905e-05}
+
 
 def run(tmp_path, command, summary, args=ARGS, config=None):
     out = tmp_path / command
@@ -152,6 +169,22 @@ def test_disk_solve_golden(tmp_path):
     got = run(tmp_path, "solve", "solve_summary.json", DISK_ARGS, DISK)
     for key, want in DISK_SOLVE.items():
         assert got[key] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", sorted(SQUARE_SOLVE))
+def test_square_solve_golden(tmp_path, bc):
+    got = run(tmp_path, "solve", "solve_summary.json", SQUARE_ARGS,
+              {"solver": {"bc": bc}})
+    for key, want in SQUARE_SOLVE[bc].items():
+        assert got[key] == pytest.approx(want, rel=1e-12)
+
+
+def test_manufactured_golden(tmp_path):
+    out = tmp_path / "manufactured"
+    assert main(["--output-dir", str(out), "solve", "--manufactured"]) == 0
+    with open(out / "manufactured.csv", encoding="utf-8") as fh:
+        got = {int(r["n"]): float(r["l2_error"]) for r in csv.DictReader(fh)}
+    assert got == pytest.approx(MANUFACTURED, rel=1e-11)
 
 
 def test_identity_golden(tmp_path):

@@ -20,7 +20,7 @@ def _setup(grid, lam=2.0, mu=1.5, n=40):
     x = rng.uniform(0.15, 0.85, size=(n, 2))
     t = rng.uniform(0.25, 0.75, size=n)
     params = CarlemanParams(lam=lam, mu=mu, T=grid.T)
-    psi = eval_psi(grid.spec, "psi1", x, check_omega=False)
+    psi = eval_psi(grid.spec, "psi1", x)
     w = eval_weight(params, psi, t)
     pp = step_one_choice(params, psi, w)
     return params, psi, w, pp, t, x
@@ -215,7 +215,7 @@ class TestFluxDivergenceTheorem:
         for n in (32, 64):
             g = build_grid(square_spec, n, n, 16, 1.0)
             pts = np.stack([g.X1, g.X2], axis=-1)
-            psi = eval_psi(square_spec, "psi1", pts, check_omega=False)
+            psi = eval_psi(square_spec, "psi1", pts)
             w = eval_weight(params, psi, t0)
             pp = step_one_choice(params, psi, w)
             jet = field.jet(np.full(pts.shape[:-1], t0), pts)
@@ -223,7 +223,7 @@ class TestFluxDivergenceTheorem:
             vol = integrate_space(divV, g)
 
             bpts = g.boundary_points
-            bpsi = eval_psi(square_spec, "psi1", bpts, check_omega=False)
+            bpsi = eval_psi(square_spec, "psi1", bpts)
             bw = eval_weight(params, bpsi, t0)
             dnu_psi = np.einsum("bi,bi->b", bpsi.grad_psi, g.boundary_normals)
             gv = field.jet(np.full(len(bpts), t0), bpts).gv

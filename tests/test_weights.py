@@ -3,10 +3,10 @@ import pytest
 
 from glcarleman.grid import DomainSpec, build_grid
 from glcarleman.weights import (CarlemanParams, WeightError,
-                                check_time_monotonicity,
+                                check_time_monotonicity, critical_point_in_omega,
                                 derivative_consistency, eval_psi, eval_weight,
                                 export_envelope_csv,
-                                verify_psi_admissibility, weight_envelope)
+                                verify_psi_admissibility, weight_tables)
 
 
 class TestEvalPsi:
@@ -38,39 +38,44 @@ class TestEvalPsi:
         tr = s.hess_psi[..., 0, 0] + s.hess_psi[..., 1, 1]
         assert np.abs(tr - s.lap_psi).max() < 1e-14
 
-    def test_critical_point_outside_omega_raises(self):
-        spec = DomainSpec(omega_center=(0.2, 0.2), omega_radius=0.05)
-        with pytest.raises(WeightError):
-            eval_psi(spec, "psi1", np.array([0.3, 0.3]))
 
 
 class TestAdmissibility:
-    def test_square_psi1_passes(self, square_spec, grid32):
-        rep = verify_psi_admissibility(square_spec, "psi1", grid32)
+    def test_square_psi1_passes(self, grid32):
+        rep = verify_psi_admissibility("psi1", grid32)
         assert rep.passed
         assert rep.min_grad_outside_omega > 0
 
-    def test_disk_psi1_passes(self, disk_spec, disk_grid):
-        rep = verify_psi_admissibility(disk_spec, "psi1", disk_grid)
+    def test_disk_psi1_passes(self, disk_grid):
+        rep = verify_psi_admissibility("psi1", disk_grid)
         assert rep.passed
 
-    def test_psi2_passes_with_vacuous_boundary(self, square_spec, grid32):
-        rep = verify_psi_admissibility(square_spec, "psi2", grid32)
+    def test_psi2_passes_with_vacuous_boundary(self, grid32):
+        rep = verify_psi_admissibility("psi2", grid32)
         assert rep.passed
         assert rep.clauses["boundary_clauses_vacuous"]
 
     def test_misplaced_omega_fails_not_raises(self):
         spec = DomainSpec(omega_center=(0.2, 0.2), omega_radius=0.05)
         g = build_grid(spec, 32, 32, 32, 1.0)
-        rep = verify_psi_admissibility(spec, "psi1", g)
+        rep = verify_psi_admissibility("psi1", g)
         assert not rep.passed
         assert not rep.clauses["critical_point_in_omega"]
         assert rep.min_grad_outside_omega == pytest.approx(0.0, abs=1e-14)
 
+    def test_critical_point_outside_omega_detected(self, square_spec, disk_spec):
+        assert critical_point_in_omega(square_spec)
+        assert critical_point_in_omega(disk_spec)
+        for spec in (DomainSpec(omega_center=(0.2, 0.2), omega_radius=0.05),
+                     DomainSpec(omega_center=(0.3, 0.3), omega_radius=0.1),
+                     DomainSpec(shape="unit_disk", omega_center=(0.5, 0.0),
+                                omega_radius=0.2)):
+            assert not critical_point_in_omega(spec)
+
 
 class TestEvalWeight:
     def test_phi_at_zero_psi(self, square_spec):
-        s = eval_psi(square_spec, "psi1", np.array([0.0, 0.5]), check_omega=False)
+        s = eval_psi(square_spec, "psi1", np.array([0.0, 0.5]))
         w = eval_weight(CarlemanParams(lam=2, mu=2, T=1.0), s, 0.5)
         assert w.phi == pytest.approx(4.0)
 
@@ -95,7 +100,7 @@ class TestEvalWeight:
 
     def test_rho_negative_interior(self, square_spec, rng):
         x = rng.uniform(0.0, 1.0, size=(50, 2))
-        s = eval_psi(square_spec, "psi1", x, check_omega=False)
+        s = eval_psi(square_spec, "psi1", x)
         t = rng.uniform(0.01, 0.99, size=50)
         w = eval_weight(CarlemanParams(lam=4, mu=3, T=1.0), s, t)
         assert np.all(w.rho < 0)
@@ -105,7 +110,7 @@ class TestEvalWeight:
         # grad ell = lam mu phi grad psi; lap ell = lam mu^2 phi |grad psi|^2
         #            + lam mu phi lap psi
         x = rng.uniform(0.1, 0.9, size=(20, 2))
-        s = eval_psi(square_spec, "psi1", x, check_omega=False)
+        s = eval_psi(square_spec, "psi1", x)
         params = CarlemanParams(lam=3, mu=2.5, T=1.0)
         w = eval_weight(params, s, 0.4)
         lhs = w.grad_ell
@@ -120,7 +125,7 @@ class TestEvalWeight:
         # |rho_t| <= T exp(2 mu |psi|_sup) phi^2
         T = 1.3
         x = rng.uniform(0.0, 1.0, size=(60, 2))
-        s = eval_psi(square_spec, "psi1", x, check_omega=False)
+        s = eval_psi(square_spec, "psi1", x)
         t = rng.uniform(0.02, T - 0.02, size=60)
         for mu in (1.5, 3.0):
             w = eval_weight(CarlemanParams(lam=2, mu=mu, T=T), s, t)
@@ -131,7 +136,7 @@ class TestEvalWeight:
         # |ell_tt| <= C lam phi^3 exp(3 mu |psi|_sup) with a moderate C
         T = 1.0
         x = rng.uniform(0.0, 1.0, size=(60, 2))
-        s = eval_psi(square_spec, "psi1", x, check_omega=False)
+        s = eval_psi(square_spec, "psi1", x)
         t = rng.uniform(0.02, 0.98, size=60)
         params = CarlemanParams(lam=5, mu=2, T=T)
         w = eval_weight(params, s, t)
@@ -152,27 +157,20 @@ class TestDerivativeConsistency:
 
 class TestEnvelope:
     def test_lambda_linearity(self, square_spec, grid32):
-        e1 = weight_envelope(CarlemanParams(lam=2, mu=2, T=1.0), grid32)
-        e2 = weight_envelope(CarlemanParams(lam=4, mu=2, T=1.0), grid32)
-        inner = slice(1, -1)
-        assert np.allclose(e2.log_theta[inner], 2 * e1.log_theta[inner],
-                           rtol=1e-13)
-
-    def test_endpoint_sentinels(self, square_spec, grid32):
-        env = weight_envelope(CarlemanParams(lam=2, mu=2, T=1.0), grid32)
-        assert np.all(np.isneginf(env.log_theta[0]))
-        assert np.all(np.isneginf(env.log_theta[-1]))
+        t1 = weight_tables(CarlemanParams(lam=2, mu=2, T=1.0), grid32)
+        t2 = weight_tables(CarlemanParams(lam=4, mu=2, T=1.0), grid32)
+        assert np.allclose(t2.log_theta2(), 2 * t1.log_theta2(), rtol=1e-13)
 
     def test_time_symmetry_and_monotonicity(self, square_spec, grid32):
-        env = weight_envelope(CarlemanParams(lam=3, mu=2, T=1.0), grid32)
-        rep = check_time_monotonicity(env, grid32)
+        tables = weight_tables(CarlemanParams(lam=3, mu=2, T=1.0), grid32)
+        rep = check_time_monotonicity(tables, grid32)
         assert rep["monotone_first_half"]
         assert rep["symmetric"]
 
     def test_strict_increase_first_half(self, square_spec, grid32):
-        env = weight_envelope(CarlemanParams(lam=3, mu=2, T=1.0), grid32)
+        tables = weight_tables(CarlemanParams(lam=3, mu=2, T=1.0), grid32)
         mid = grid32.nt // 2
-        lt = env.log_theta[1:mid + 1][:, grid32.active_mask]
+        lt = 0.5 * tables.log_theta2()[:mid][:, grid32.active_mask]
         assert np.all(np.diff(lt, axis=0) > 0)
 
     def test_mu_monotonicity_of_phi(self, square_spec):
@@ -182,14 +180,10 @@ class TestEnvelope:
                 for mu in (1.5, 2.0, 3.0)]
         assert phis[0] < phis[1] < phis[2]
 
-    def test_psi_must_match_family(self, grid32):
-        with pytest.raises(WeightError):
-            weight_envelope(CarlemanParams(lam=2, mu=2, T=1.0), grid32, "psi2")
-
     def test_csv_export(self, square_spec, tmp_path):
         g = build_grid(square_spec, 16, 16, 16, 1.0)
-        env = weight_envelope(CarlemanParams(lam=2, mu=2, T=1.0), g)
+        tables = weight_tables(CarlemanParams(lam=2, mu=2, T=1.0), g)
         path = tmp_path / "env.csv"
-        export_envelope_csv(env, g, path)
+        export_envelope_csv(tables, g, path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x1,x2,log_theta,phi"

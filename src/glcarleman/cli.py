@@ -22,7 +22,7 @@ from . import fields as flds
 from .config import ConfigError, build_domain, build_run_grid, config_hash, load_config
 from .functionals import VARIANT_FAMILY, lambda_scan, suite_worst_constant
 from .gloperator import check_condition1, derive_coeffs
-from .grid import build_grid
+from .grid import DomainSpec, GridError, build_grid
 from .identity import T_coefficient_positivity, identity_residuals
 from .solver import SolveConfig, energy_balance, save_trajectory, solve
 from .stability import perturbation_suite
@@ -70,10 +70,7 @@ def _check_capabilities(cfg, command, manufactured):
                 if VARIANT_FAMILY[v] == "j2_boundary"] if section else []
     if boundary and disk:
         errs.append(f"{section}.variants: {', '.join(boundary)} unsupported on "
-                    "unit_disk (its trace is sampled inside the circle)")
-    elif boundary and cfg["domain"]["gamma0"] == "none":
-        errs.append(f"{section}.variants: {', '.join(boundary)} need "
-                    "domain.gamma0 = full_boundary")
+                    "unit_disk (no normal derivative on the circle)")
     # the interior weight psi1 is admissible only if omega holds its critical point
     spec = build_domain(cfg)
     if command == "carleman-scan" and not critical_point_in_omega(spec) and any(
@@ -99,41 +96,44 @@ def _prepare(args, command):
         overrides.setdefault("identity", {})["mus"] = args.mu
     cfg = load_config(args.config, overrides)
     _check_capabilities(cfg, command, getattr(args, "manufactured", False))
+    try:
+        grid = build_run_grid(cfg)
+    except GridError as exc:
+        # every field is valid on its own, so omega does not fit the grid
+        raise ConfigError([f"domain.omega_center: {exc}"]) from None
     out_dir = args.output_dir or cfg["output_dir"] or os.path.join(
         "runs", config_hash(cfg))
     os.makedirs(out_dir, exist_ok=True)
-    return cfg, out_dir
+    return cfg, grid, out_dir
 
 
 def cmd_verify_identity(args) -> int:
-    cfg, out_dir = _prepare(args, "verify-identity")
-    grid = build_run_grid(cfg)
+    cfg, grid, out_dir = _prepare(args, "verify-identity")
     ident = cfg["identity"]
     threshold = ident["threshold"]
-    pairs = [(cfg["coeffs"]["b"], cfg["coeffs"]["c"])]
+    b, c = cfg["coeffs"]["b"], cfg["coeffs"]["c"]
+    coeffs = derive_coeffs(b, c)
     results = []
     worst = 0.0
     for fid in range(ident["n_fields"]):
         field = flds.random_trig_field(seed=cfg["seed"] + 1000 + fid,
                                        T=grid.T, n_modes=3)
-        for (b, c) in pairs:
-            coeffs = derive_coeffs(b, c)
-            for lam in ident["lambdas"]:
-                for mu in ident["mus"]:
-                    params = CarlemanParams(lam=lam, mu=mu, T=grid.T)
-                    res = identity_residuals(field, params, coeffs, grid,
-                                             corrupt=args.corrupt_term)
-                    nl, lin = res["cubic"], res["linear"]
-                    worst = max(worst, nl.max_rel, lin.max_rel)
-                    results.append({
-                        "field": fid, "b": b, "c": c, "lambda": lam, "mu": mu,
-                        "nonlinear_max_rel": nl.max_rel,
-                        "nonlinear_l2_rel": nl.l2_rel,
-                        "linear_max_rel": lin.max_rel,
-                        "linear_l2_rel": lin.l2_rel,
-                        "term_magnitudes": nl.term_magnitudes,
-                    })
-    tpos = T_coefficient_positivity(derive_coeffs(*pairs[0]))
+        for lam in ident["lambdas"]:
+            for mu in ident["mus"]:
+                params = CarlemanParams(lam=lam, mu=mu, T=grid.T)
+                res = identity_residuals(field, params, coeffs, grid,
+                                         corrupt=args.corrupt_term)
+                nl, lin = res["cubic"], res["linear"]
+                worst = max(worst, nl.max_rel, lin.max_rel)
+                results.append({
+                    "field": fid, "b": b, "c": c, "lambda": lam, "mu": mu,
+                    "nonlinear_max_rel": nl.max_rel,
+                    "nonlinear_l2_rel": nl.l2_rel,
+                    "linear_max_rel": lin.max_rel,
+                    "linear_l2_rel": lin.l2_rel,
+                    "term_magnitudes": nl.term_magnitudes,
+                })
+    tpos = T_coefficient_positivity(coeffs)
     passed = worst <= threshold and tpos.passed
     write_json(os.path.join(out_dir, "identity_report.json"), {
         "config": cfg, "results": results, "worst_max_rel": worst,
@@ -185,10 +185,9 @@ def _manufactured_study(cfg, out_dir) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg, out_dir = _prepare(args, "solve")
+    cfg, grid, out_dir = _prepare(args, "solve")
     if args.manufactured:
         return _manufactured_study(cfg, out_dir)
-    grid = build_run_grid(cfg)
     coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=cfg["solver"]["bc"],
                      scheme=cfg["solver"]["scheme"])
@@ -217,8 +216,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_carleman_scan(args) -> int:
-    cfg, out_dir = _prepare(args, "carleman-scan")
-    grid = build_run_grid(cfg)
+    cfg, grid, out_dir = _prepare(args, "carleman-scan")
     sc_cfg = cfg["scan"]
     coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     cond = check_condition1(coeffs, cfg["coeffs"]["r0"], cfg["coeffs"]["delta0"])
@@ -280,8 +278,7 @@ def cmd_carleman_scan(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg, out_dir = _prepare(args, "stability")
-    grid = build_run_grid(cfg)
+    cfg, grid, out_dir = _prepare(args, "stability")
     st = cfg["stability"]
     coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
@@ -321,10 +318,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_check_weights(args) -> int:
-    cfg, out_dir = _prepare(args, "check-weights")
-    grid = build_run_grid(cfg)
+    cfg, grid, out_dir = _prepare(args, "check-weights")
     g = cfg["grid"]
-    from .grid import DomainSpec
 
     payload = {"config": cfg, "admissibility": {}, "derivatives": {},
                "monotonicity": {}}

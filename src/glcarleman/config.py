@@ -23,7 +23,6 @@ DEFAULTS = {
         "shape": "unit_square",
         "omega_center": [0.5, 0.5],
         "omega_radius": 0.25,
-        "gamma0": "full_boundary",
     },
     "grid": {"nx": 64, "ny": 64, "nt": 64, "T": 1.0},
     "coeffs": {"b": 0.3, "c": 0.4, "r0": 0.6, "delta0": 0.1},
@@ -93,8 +92,6 @@ _SCALAR_RULES = {
     "output_dir": (lambda v: v is None or isinstance(v, str), "must be a path or null"),
     "domain.shape": (lambda v: v in ("unit_square", "unit_disk"),
                      "must be unit_square or unit_disk"),
-    "domain.gamma0": (lambda v: v in ("full_boundary", "none"),
-                      "must be full_boundary or none"),
     "domain.omega_center": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
                             and all(map(_real, v)), "must be a pair of numbers"),
     "domain.omega_radius": (lambda v: _real(v) and v > 0, "must be a positive number"),
@@ -149,6 +146,9 @@ def validate_config(cfg: dict) -> None:
                         + (f" of at least {least} entries" if least else ""))
             continue
         errs += [f"{path}[{i}]: {msg}" for i, v in enumerate(vals) if not ok(v)]
+    nx, ny = cfg["grid"]["nx"], cfg["grid"]["ny"]
+    if _int(nx) and _int(ny) and nx != ny:
+        errs.append("grid.ny: must equal grid.nx (the grid spacing is uniform)")
     if errs:
         raise ConfigError(errs)
 
@@ -161,7 +161,7 @@ def config_hash(cfg: dict) -> str:
 def build_domain(cfg: dict) -> DomainSpec:
     d = cfg["domain"]
     return DomainSpec(shape=d["shape"], omega_center=tuple(d["omega_center"]),
-                      omega_radius=d["omega_radius"], gamma0=d["gamma0"])
+                      omega_radius=d["omega_radius"])
 
 
 def build_run_grid(cfg: dict):

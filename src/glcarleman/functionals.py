@@ -31,8 +31,8 @@ evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
 `prepare_trajectory` takes log g of every integrand once per trajectory, the
-boundary one |dy/dnu|^2 too, on interior times and with log 0 = -inf, so a
-cell only adds logs.  Integrands are exp(2 ell + log g - log_scale), flushed
+boundary one |dy/dnu|^2 too (square only), on interior times and with
+log 0 = -inf, so a cell only adds logs.  Integrands are exp(2 ell + log g - log_scale), flushed
 to exact zero wherever the argument is <= -700; on Sigma_0 the sign of
 d psi/d nu is applied after the flush.  Per time slice, the maxima of 2 ell and
 log g and the extremes of log phi bound the argument from above, summed in
@@ -50,11 +50,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
-from .grid import SpaceTimeGrid, boundary_values, grad, laplacian, normal_derivative
+from .grid import SpaceTimeGrid, grad, laplacian, nonzero_trace, normal_derivative
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
-DIRICHLET_TRACE_TOL = 1e-10
 STABILIZATION_TOL = 0.10
 
 # variant -> weight family; each family's cubic variant comes before its linear one
@@ -164,9 +163,9 @@ class TrajectoryData:
     log_y6: LogIntegrand          # |y|^6
     log_y2_grad2: LogIntegrand    # |y|^2 |grad y|^2
     log_y4: LogIntegrand          # |y|^4
-    log_dnu2: LogIntegrand        # |dy/dnu|^2 at boundary samples
-    trace_max: float              # max |y| on Gamma
-    y_max: float                  # max |y| over Q
+    # the square only (None on the disk, where j2 is rejected):
+    log_dnu2: LogIntegrand | None  # |dy/dnu|^2 at boundary samples
+    trace_error: float | None      # max |y| on Gamma if the trace is not zero, else 0
 
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
@@ -178,6 +177,7 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     grad_abs2 = np.abs(g1) ** 2 + np.abs(g2) ** 2
     del g1, g2
     abs2 = np.abs(Y) ** 2
+    square = grid.spec.shape == "unit_square"
     return TrajectoryData(
         log_yt2=LogIntegrand.of(np.abs(yt) ** 2),
         log_lap2=LogIntegrand.of(np.abs(lap) ** 2),
@@ -188,9 +188,9 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
         log_y6=LogIntegrand.of(abs2 ** 3),
         log_y2_grad2=LogIntegrand.of(abs2 * grad_abs2),
         log_y4=LogIntegrand.of(abs2 ** 2),
-        log_dnu2=LogIntegrand.of(np.abs(normal_derivative(Y, grid)) ** 2),
-        trace_max=float(np.abs(boundary_values(Y, grid)).max()),
-        y_max=float(np.abs(Y).max()),
+        log_dnu2=LogIntegrand.of(np.abs(normal_derivative(Y, grid)) ** 2)
+        if square else None,
+        trace_error=nonzero_trace(Y, grid) if square else None,
     )
 
 
@@ -217,11 +217,9 @@ class _CellQuadrature:
         two_ell = tables.log_theta2()
         lam = tables.params.lam
         self.b_two_ell_t = 2.0 * lam * (tables.b_exp_mu_psi - tables.K)
-        # shared offset must dominate boundary samples too (psi peaks on Gamma
-        # for the boundary family); 2 ell < 0 peaks at the smallest sigma
-        b_max = float(self.b_two_ell_t.max() * tables.sigma.min()) \
-            if tables.b_exp_mu_psi.size else -np.inf
-        self.log_scale = max(float(two_ell.max()), b_max)
+        # the square's boundary samples are grid nodes, and only j1 runs on
+        # the disk, where psi1 = 0 on the circle: the nodes hold the maximum
+        self.log_scale = float(two_ell.max())
         self.logw = two_ell - self.log_scale
         with np.errstate(divide="ignore"):
             self.logphi = np.log(tables.phi())
@@ -318,13 +316,11 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     if params.family == "j2_boundary":
         if grid.spec.shape != "unit_square":
             raise FunctionalError("boundary family j2 is unsupported on unit_disk "
-                                  "(its trace is sampled inside the circle)")
-        if grid.spec.gamma0 != "full_boundary":
-            raise FunctionalError("boundary variant requires gamma0 = full_boundary")
-        if data.trace_max > DIRICHLET_TRACE_TOL * (1 + data.y_max):
+                                  "(no normal derivative on the circle)")
+        if data.trace_error:
             raise FunctionalError(
                 f"trajectory violates the homogeneous Dirichlet trace "
-                f"(max |y| on Gamma = {data.trace_max:.3e})")
+                f"(max |y| on Gamma = {data.trace_error:.3e})")
 
     variants = [v for v, fam in VARIANT_FAMILY.items() if fam == params.family]
     cell = _CellQuadrature(tables, grid)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, laplacian
+from .grid import SpaceTimeGrid, _d1, laplacian
 
 
 class CoeffError(ValueError):
@@ -119,11 +119,7 @@ def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
     Y = np.asarray(Y)
     if Y.shape[0] < 3:
         raise CoeffError("time derivative needs at least 3 slices")
-    out = np.empty_like(Y)
-    out[1:-1] = (Y[2:] - Y[:-2]) / (2 * dt)
-    out[0] = (-3 * Y[0] + 4 * Y[1] - Y[2]) / (2 * dt)
-    out[-1] = (3 * Y[-1] - 4 * Y[-2] + Y[-3]) / (2 * dt)
-    return out
+    return _d1(Y, dt, axis=0)
 
 
 def linear_source(yt: np.ndarray, lap: np.ndarray, coeffs: GLCoeffs) -> np.ndarray:

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 VALID_SHAPES = ("unit_square", "unit_disk")
-VALID_GAMMA0 = ("full_boundary", "none")
 VALID_BC = ("dirichlet0", "neumann0", "ghost_from_field")
 
 
@@ -37,18 +36,16 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Domain geometry: shape of Omega, observation ball omega, and Gamma_0."""
+    """Domain geometry: shape of Omega and observation ball omega; the
+    boundary observation is on the whole of Gamma."""
 
     shape: str = "unit_square"
     omega_center: tuple[float, float] = (0.5, 0.5)
     omega_radius: float = 0.25
-    gamma0: str = "full_boundary"
 
     def __post_init__(self):
         if self.shape not in VALID_SHAPES:
             raise GridError(f"shape must be one of {VALID_SHAPES}, got {self.shape!r}")
-        if self.gamma0 not in VALID_GAMMA0:
-            raise GridError(f"gamma0 must be one of {VALID_GAMMA0}, got {self.gamma0!r}")
         if not self.omega_radius > 0:
             raise GridError("omega_radius must be positive")
 
@@ -79,10 +76,9 @@ class SpaceTimeGrid:
     boundary_normals: np.ndarray
     boundary_weights: np.ndarray
     # square only: node indices of the boundary samples (per face, corners
-    # duplicated); disk only: interpolation stencils for boundary sampling.
+    # duplicated)
     _b_iy: np.ndarray | None = None
     _b_ix: np.ndarray | None = None
-    _disk_interp: tuple[np.ndarray, np.ndarray] | None = None
     _cut_x: list = field(default_factory=list)
     _cut_y: list = field(default_factory=list)
     # solver linear operators per boundary condition, built on first use
@@ -237,23 +233,6 @@ def _build_disk(spec, nx, ny, nt, T):
     nrm = pts.copy()
     wts = np.full(nb, 2 * np.pi / nb)
 
-    # inward-ray interpolation stencils for boundary sampling: three sample
-    # depths s = 1.5h, 2.5h, 3.5h, bilinear in the containing cell
-    flat_idx = np.empty((nb, 3, 4), dtype=np.int64)
-    flat_w = np.empty((nb, 3, 4))
-    for k in range(nb):
-        for js, s in enumerate((1.5 * h, 2.5 * h, 3.5 * h)):
-            px, py = pts[k] * (1.0 - s)
-            ix = min(max(int((px + 1.0) / h), 0), nx - 1)
-            iy = min(max(int((py + 1.0) / h), 0), ny - 1)
-            fx = (px - x1[ix]) / h
-            fy = (py - x2[iy]) / h
-            cells = ((iy, ix), (iy, ix + 1), (iy + 1, ix), (iy + 1, ix + 1))
-            ws = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-            for m, ((jy, jx), wv) in enumerate(zip(cells, ws)):
-                flat_idx[k, js, m] = jy * (nx + 1) + jx
-                flat_w[k, js, m] = wv
-
     grid = SpaceTimeGrid(
         spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
         x1_nodes=x1, x2_nodes=x2, t_nodes=np.linspace(0.0, T, nt + 1),
@@ -262,7 +241,6 @@ def _build_disk(spec, nx, ny, nt, T):
         omega_mask=np.zeros_like(active),
         quad_weights_space=wsp,
         boundary_points=pts, boundary_normals=nrm, boundary_weights=wts,
-        _disk_interp=(flat_idx, flat_w),
     )
     _classify_disk_cut_nodes(grid)
     return grid
@@ -444,25 +422,23 @@ def _disk_d2(f, grid, cut_list, axis, bc):
     return out
 
 
-def normal_derivative(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Outward normal derivative sampled at grid.boundary_points.
+def _square_only(grid: SpaceTimeGrid, what: str) -> None:
+    # the circle holds no nodes: a disk trace would be sampled inside it
+    if grid.spec.shape != "unit_square":
+        raise GridError(f"{what} is defined on unit_square only")
 
-    One-sided second-order differences along the outward normal; on the disk
-    the inward samples are obtained by bilinear interpolation.
-    """
+
+def normal_derivative(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """Outward normal derivative at grid.boundary_points (square only):
+    one-sided second-order differences along the outward normal."""
+    _square_only(grid, "the normal derivative")
     f = grid.check_field(f)
-    if grid.spec.shape == "unit_square":
-        iy, ix = grid._b_iy, grid._b_ix
-        n1 = grid.boundary_normals[:, 0].astype(int)
-        n2 = grid.boundary_normals[:, 1].astype(int)
-        iy1, ix1 = iy - n2, ix - n1
-        iy2, ix2 = iy - 2 * n2, ix - 2 * n1
-        return (3 * f[..., iy, ix] - 4 * f[..., iy1, ix1] + f[..., iy2, ix2]) / (2 * grid.h)
-    flat_idx, flat_w = grid._disk_interp
-    ff = f.reshape(f.shape[:-2] + (-1,))
-    vals = (ff[..., flat_idx] * flat_w).sum(axis=-1)  # (..., nb, 3)
-    f1, f2, f3 = vals[..., 0], vals[..., 1], vals[..., 2]
-    return (3 * f1 - 5 * f2 + 2 * f3) / grid.h
+    iy, ix = grid._b_iy, grid._b_ix
+    n1 = grid.boundary_normals[:, 0].astype(int)
+    n2 = grid.boundary_normals[:, 1].astype(int)
+    iy1, ix1 = iy - n2, ix - n1
+    iy2, ix2 = iy - 2 * n2, ix - 2 * n1
+    return (3 * f[..., iy, ix] - 4 * f[..., iy1, ix1] + f[..., iy2, ix2]) / (2 * grid.h)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +450,7 @@ def _space_sum(g, wsp):
 
 
 def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
-                eps: float | None = None, exclude_corners: bool = False) -> float:
+                eps: float | None = None) -> float:
     """Space-time integral of real samples g over Q, Q_omega, or Q_eps.
 
     Tensor-product quadrature: trapezoid in time times the spatial weights,
@@ -485,7 +461,7 @@ def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
         raise GridError(f"expected samples of shape (nt+1, ny+1, nx+1), got {g.shape}")
     if not np.all(np.isfinite(g[:, grid.active_mask])):
         raise GridError("integrand contains non-finite entries")
-    wsp = grid.space_weights(exclude_corners)
+    wsp = grid.quad_weights_space
     if region == "Q_omega":
         wsp = wsp * grid.omega_mask
     idx, wt = grid.time_weights(region, eps)
@@ -493,22 +469,19 @@ def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
     return float(math.fsum((slice_sums * wt).tolist()))
 
 
-def integrate_space(g: np.ndarray, grid: SpaceTimeGrid,
-                    exclude_corners: bool = False) -> float:
+def integrate_space(g: np.ndarray, grid: SpaceTimeGrid) -> float:
     """Spatial integral of one real slice."""
     g = np.asarray(g, dtype=float)
-    return float(math.fsum((g * grid.space_weights(exclude_corners)).ravel().tolist()))
+    return float(math.fsum((g * grid.quad_weights_space).ravel().tolist()))
 
 
 def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """Integral over Sigma_0 = (0,T) x Gamma_0 of boundary samples g.
+    """Integral over Sigma_0 = (0,T) x Gamma of boundary samples g.
 
     g has shape (nt+1, nb) for boundary samples at all time nodes, or (nb,)
     for a time-independent integrand (then only the boundary integral is
     returned).
     """
-    if grid.spec.gamma0 == "none":
-        raise GridError("boundary quadrature requested but gamma0 is 'none'")
     g = np.asarray(g, dtype=float)
     nb = grid.boundary_weights.size
     if g.shape == (nb,):
@@ -521,11 +494,13 @@ def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
 
 
 def boundary_values(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Field values at the boundary sample points (trace)."""
-    f = np.asarray(f)
-    if grid.spec.shape == "unit_square":
-        return f[..., grid._b_iy, grid._b_ix]
-    flat_idx, flat_w = grid._disk_interp
-    # nearest inward sample ring as a proxy trace on the embedded boundary
-    ff = f.reshape(f.shape[:-2] + (-1,))
-    return (ff[..., flat_idx[:, 0, :]] * flat_w[:, 0, :]).sum(axis=-1)
+    """Field values at the boundary sample points (trace; square only)."""
+    _square_only(grid, "the boundary trace")
+    return np.asarray(f)[..., grid._b_iy, grid._b_ix]
+
+
+def nonzero_trace(f: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """max |f| on Gamma if f breaks the homogeneous Dirichlet trace,
+    max |f| on Gamma <= 1e-10 (1 + max |f|), else 0.0."""
+    trace = float(np.abs(boundary_values(f, grid)).max())
+    return trace if trace > 1e-10 * (1.0 + float(np.abs(f).max())) else 0.0

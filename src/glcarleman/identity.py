@@ -94,7 +94,6 @@ class IdentityTerms:
     U: np.ndarray
     Phi: np.ndarray
     Psi: np.ndarray
-    T_coef: float
 
 
 def _dot(a, b):
@@ -165,12 +164,8 @@ def eval_terms(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
          - 2 * (_dot(pp.grad_Psi, gv) * vb).real
          - 2 * (1j * b2 * np.conj(J1) * w2m * av2 * v).real)
 
-    g1sq = abs(coeffs.gamma1) ** 2
-    T_coef = (5.0 / 16.0 - 0.5 * b1 ** 2 * g1sq) * a2 ** 2 \
-        + 0.5 * b1 * a2 * a1 * b2 * g1sq
-
     return IdentityTerms(I1=I1, I2=I2, J1=J1, J2=J2, M=M, V=V, B=B, H=H,
-                         E=E, U=U, Phi=pp.Phi, Psi=pp.Psi, T_coef=float(T_coef))
+                         E=E, U=U, Phi=pp.Phi, Psi=pp.Psi)
 
 
 def j_split_residual(terms: IdentityTerms, jet: FieldJet, w: WeightSample,

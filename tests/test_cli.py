@@ -74,10 +74,14 @@ class TestConfig:
                      id="disk-manufactured"),
         pytest.param(DISK, ["carleman-scan"], "scan.variants",
                      id="disk-boundary-scan"),
+        # the boundary observation is on the whole of Gamma: no option for it
         pytest.param({"domain": {"gamma0": "none"}}, ["carleman-scan"],
-                     "scan.variants", id="no-gamma0-boundary-scan"),
-        pytest.param({"domain": {"gamma0": "none"}}, ["stability"],
-                     "stability.variants", id="no-gamma0-boundary-stability"),
+                     "domain.gamma0", id="gamma0-unknown-field"),
+        # grids that build_grid would refuse, after the run directory was made
+        pytest.param({"grid": {"nx": 16, "ny": 32, "nt": 16}}, ["solve"],
+                     "grid.ny", id="unequal-nx-ny"),
+        pytest.param({"domain": {"omega_center": [0.1, 0.1]}}, ["stability"],
+                     "domain.omega_center", id="omega-not-interior"),
         # the interior variants need psi1's critical point inside omega
         pytest.param(MISPLACED_OMEGA, ["carleman-scan"], "domain.omega_center",
                      id="square-omega-misses-critical-point"),

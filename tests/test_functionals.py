@@ -285,6 +285,16 @@ class TestScan:
 
 
 class TestCellQuadrature:
+    @pytest.mark.parametrize("family", ["j1_interior", "j2_boundary"])
+    @pytest.mark.parametrize("lam, mu", [(2.0, 1.5), (2.0, 3.0), (64.0, 1.5),
+                                         (64.0, 3.0)])
+    def test_log_scale_is_node_maximum(self, grid32, family, lam, mu):
+        # the square's boundary samples are nodes: the offset is max_Q 2 ell
+        tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0,
+                                              family=family), grid32)
+        assert _CellQuadrature(tables, grid32).log_scale \
+            == tables.log_theta2().max()
+
     def test_flush_to_zero(self, grid32):
         # log-arguments in (-745, -700] would be subnormal: they flush to 0
         cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),

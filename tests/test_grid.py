@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from glcarleman.grid import (DomainSpec, GridError, build_grid, grad,
-                             integrate_q, integrate_sigma, integrate_space,
+from glcarleman.grid import (DomainSpec, GridError, boundary_values, build_grid,
+                             grad, integrate_q, integrate_sigma, integrate_space,
                              laplacian, normal_derivative)
 
 
@@ -133,12 +133,6 @@ class TestIntegrateSigma:
         g = grid32.boundary_points[:, 0]
         assert integrate_sigma(g, grid32) == pytest.approx(2.0, abs=1e-12)
 
-    def test_gamma0_none_rejected(self):
-        spec = DomainSpec(gamma0="none")
-        g = build_grid(spec, 32, 32, 32, 1.0)
-        with pytest.raises(GridError):
-            integrate_sigma(np.ones(g.boundary_weights.size), g)
-
     def test_spacetime_boundary_integral(self, grid32):
         nb = grid32.boundary_weights.size
         g = np.ones((33, nb))
@@ -155,11 +149,13 @@ class TestNormalDerivative:
         nd = normal_derivative(np.full((33, 33), 3.0 + 0j), grid32)
         assert np.abs(nd).max() < 1e-11
 
-    def test_radius_squared_on_disk(self, disk_grid):
+    def test_no_trace_on_disk(self, disk_grid):
+        # the circle holds no nodes: the disk has no trace and no d/dnu
         f = (disk_grid.X1 ** 2 + disk_grid.X2 ** 2) * disk_grid.active_mask + 0j
-        nd = normal_derivative(f, disk_grid).real
-        h = disk_grid.h
-        assert np.abs(nd - 2.0).max() < 40 * h ** 2
+        with pytest.raises(GridError, match="unit_square only"):
+            normal_derivative(f, disk_grid)
+        with pytest.raises(GridError, match="unit_square only"):
+            boundary_values(f, disk_grid)
 
 
 class TestGreenIdentity:

@@ -23,7 +23,7 @@ from .config import ConfigError, build_domain, build_run_grid, config_hash, load
 from .functionals import VARIANT_FAMILY, lambda_scan, suite_worst_constant
 from .gloperator import check_condition1, derive_coeffs
 from .grid import DomainSpec, GridError, build_grid
-from .identity import T_coefficient_positivity, identity_residuals
+from .identity import T_coefficient_positivity, identity_residuals, overflowing_pairs
 from .solver import SolveConfig, energy_balance, save_trajectory, solve
 from .stability import perturbation_suite
 from .weights import (CRITICAL_POINT, CarlemanParams, check_time_monotonicity,
@@ -78,6 +78,12 @@ def _check_capabilities(cfg, command, manufactured):
         errs.append(f"domain.omega_center: omega misses psi1's critical point "
                     f"{CRITICAL_POINT[(spec.shape, 'psi1')]}, which the interior "
                     "variants need inside it")
+    ident = cfg["identity"]
+    if command == "verify-identity" and (bad := overflowing_pairs(
+            spec, cfg["grid"]["T"], ident["lambdas"], ident["mus"])):
+        errs.append("identity.lambdas: with identity.mus, theta^{-4} overflows on the "
+                    f"{spec.shape} sample set (-4 ell > 700) at (lambda, mu) = "
+                    + ", ".join(f"({lam:g}, {mu:g})" for lam, mu in bad))
     if errs:
         raise ConfigError(errs)
 
@@ -161,7 +167,8 @@ def _manufactured_study(cfg, out_dir) -> int:
     rows = []
     errs = []
     for n in sizes:
-        g = build_grid(build_domain(cfg), n, n, n, 0.5)
+        # omega does not enter the study: the plain unit square
+        g = build_grid(DomainSpec(), n, n, n, 0.5)
         # the reference vanishes on the boundary of the square
         sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
                          scheme="imex_cn", source=grid_source(ref, g, coeffs))

@@ -84,9 +84,6 @@ class SpaceTimeGrid:
     # solver linear operators per boundary condition, built on first use
     _linear_ops: dict = field(default_factory=dict)
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.ny + 1, self.nx + 1), dtype=np.complex128)
-
     def space_weights(self, exclude_corners: bool = False) -> np.ndarray:
         w = self.quad_weights_space
         if exclude_corners and self.corner_mask.any():

@@ -108,15 +108,18 @@ def _check_phipsi(pp: PhiPsiSample, w: WeightSample, rtol=1e-10):
         raise IdentityError("Phi/Psi choice violates Psi + Phi = -Lap ell")
 
 
-def _theta_neg2(w: WeightSample):
+def _theta_neg4_overflows(ell) -> bool:
     # the sextic term carries theta^{-4}, so the admissible envelope is
     # -4 ell <= 700, i.e. lambda |rho| <= 175 over the sample set
-    arg = -2.0 * w.ell
-    if np.any(2.0 * arg > 700):
+    return bool(np.any(-4.0 * ell > 700))
+
+
+def _theta_neg2(w: WeightSample):
+    if _theta_neg4_overflows(w.ell):
         raise IdentityError(
             "theta^{-4} overflows at a sample point (lambda |rho| > 175); "
             "shrink the sample window or the weight parameters")
-    return np.exp(arg)
+    return np.exp(-2.0 * w.ell)
 
 
 def eval_terms(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
@@ -286,12 +289,11 @@ class ResidualReport:
     term_magnitudes: dict
 
 
-def default_samples(grid, n_t: int = 7, n_x: int = 6, t_window=(0.2, 0.8),
-                    margin: float = 0.125):
+def default_samples(spec, T: float, n_t: int = 7, n_x: int = 6,
+                    t_window=(0.2, 0.8), margin: float = 0.125):
     """Deterministic interior sample set away from the boundary and endpoints."""
-    T = grid.T
     ts = np.linspace(t_window[0] * T, t_window[1] * T, n_t)
-    if grid.spec.shape == "unit_square":
+    if spec.shape == "unit_square":
         s = np.linspace(margin, 1.0 - margin, n_x)
         X1, X2 = np.meshgrid(s, s)
         pts = np.column_stack([X1.ravel(), X2.ravel()])
@@ -303,6 +305,15 @@ def default_samples(grid, n_t: int = 7, n_x: int = 6, t_window=(0.2, 0.8),
     tt = np.repeat(ts, pts.shape[0])
     xx = np.tile(pts, (n_t, 1))
     return tt, xx
+
+
+def overflowing_pairs(spec, T: float, lambdas, mus) -> list:
+    """The (lambda, mu) of the interior family whose theta^{-4} overflows on
+    the default sample set of (spec, T): `identity_residuals` rejects them."""
+    t, x = default_samples(spec, T)
+    psi = eval_psi(spec, "psi1", x)
+    return [(lam, mu) for lam in lambdas for mu in mus if _theta_neg4_overflows(
+        eval_weight(CarlemanParams(lam=lam, mu=mu, T=T), psi, t).ell)]
 
 
 def _report(lhs_op, dM, divH, rhs_terms: dict, sgn: dict) -> ResidualReport:
@@ -337,7 +348,7 @@ def identity_residuals(field, params: CarlemanParams, coeffs: GLCoeffs, grid,
         raise IdentityError(f"corrupt must be one of {CORRUPTIBLE}")
     if transport not in ("analytic", "fd"):
         raise IdentityError("transport must be 'analytic' or 'fd'")
-    t, x = default_samples(grid) if samples is None else samples
+    t, x = default_samples(grid.spec, grid.T) if samples is None else samples
     w, jet, pp, terms = _evaluate(field, params, coeffs, grid.spec, t, x)
     if transport == "analytic":
         flux = _transport_analytic(jet, w, coeffs, pp)

@@ -115,24 +115,16 @@ def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
 
 
 def _factorized(ops: _LinearOps, kappa: complex):
-    """LU (with iterative fallback) of (I - kappa L), cached per kappa."""
-    key = kappa
-    if key in ops._factor_cache:
-        return ops._factor_cache[key]
-    n = ops.L.shape[0]
-    A = (sps.identity(n, dtype=complex, format="csr") - kappa * ops.L).tocsc()
-    try:
-        lu = spla.splu(A)
-        solve = lu.solve
-    except RuntimeError:
-        def solve(rhs, A=A):
-            x, info = spla.gmres(A, rhs, rtol=1e-10, maxiter=2000)
-            if info != 0:
-                res = np.linalg.norm(A @ x - rhs) / max(np.linalg.norm(rhs), 1e-300)
-                raise SolverError(f"linear solver failed: info={info}, rel residual={res:.3e}")
-            return x
-    ops._factor_cache[key] = solve
-    return solve
+    """LU of (I - kappa L), cached per kappa.
+
+    I - kappa L is nonsingular, since Re kappa > 0 and -L is an M-matrix on
+    the square and on the disk; a failing factorization raises RuntimeError.
+    """
+    if kappa not in ops._factor_cache:
+        n = ops.L.shape[0]
+        A = (sps.identity(n, dtype=complex, format="csr") - kappa * ops.L).tocsc()
+        ops._factor_cache[kappa] = spla.splu(A).solve
+    return ops._factor_cache[kappa]
 
 
 # ---------------------------------------------------------------------------
@@ -143,29 +135,6 @@ def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
     """Exact flow of y' = -(1+ic)|y|^2 y over time tau >= 0."""
     m = 1.0 + 2.0 * tau * np.abs(y) ** 2
     return y * m ** (-0.5) * np.exp(-0.5j * c * np.log(m))
-
-
-def _substep(y, t, dt_sub, cfg, grid, ops):
-    """One linear(+source) update over [t, t+dt_sub] at the unknown nodes."""
-    kb = 1.0 + 1j * cfg.b
-    yv = y[ops.unknown_mask]
-
-    def src(tt):
-        if cfg.source is None:
-            return 0.0
-        return np.asarray(cfg.source(tt), dtype=complex)[ops.unknown_mask]
-
-    if cfg.scheme == "imex_cn":
-        kappa = 0.5 * dt_sub * kb
-        rhs = yv + kappa * (ops.L @ yv)
-        rhs = rhs + 0.5 * dt_sub * (src(t) + src(t + dt_sub))
-    else:
-        # imex_be: implicit linear, explicit cubic folded in by the caller
-        kappa = dt_sub * kb
-        rhs = yv + dt_sub * src(t + dt_sub)
-    out = grid.zeros()
-    out[ops.unknown_mask] = _factorized(ops, kappa)(rhs)
-    return out
 
 
 def required_substeps(state: np.ndarray, dt: float) -> int:
@@ -189,42 +158,50 @@ class SolveResult:
 def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
     """March nt macro steps, recording slices and per-step diagnostics.
 
-    Each macro step takes the fewest power-of-two substeps that meet the
-    stiffness cap; NaN/Inf after any substep aborts.
+    The state is stepped on the unknown nodes only; every other node of Y
+    holds zero.  Each macro step takes the fewest power-of-two substeps that
+    meet the stiffness cap; NaN/Inf after any substep aborts.
     """
     y0 = np.asarray(y0, dtype=complex)
     grid.check_field(y0, "initial data")
     ops = build_linear_ops(grid, cfg.bc)
-    wsp = grid.quad_weights_space
-    Y = np.empty((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
-    y = y0.copy()
-    if cfg.bc == "dirichlet0" and grid.spec.shape == "unit_square":
-        y[grid.boundary_mask] = 0.0
-    Y[0] = y
-    norms = [float(np.sqrt(np.sum(wsp * np.abs(y) ** 2)))]
+    mask = ops.unknown_mask
+    kb = 1.0 + 1j * cfg.b
+
+    def src(t):
+        return 0.0 if cfg.source is None \
+            else np.asarray(cfg.source(t), dtype=complex)[mask]
+
+    Y = np.zeros((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
+    u = y0[mask]
+    Y[0, mask] = u
     subs = []
     for k in range(grid.nt):
-        n_sub = required_substeps(y, grid.dt)
+        n_sub = required_substeps(u, grid.dt)
         dt_sub = grid.dt / n_sub
         for j in range(n_sub):
             tj = grid.t_nodes[k] + j * dt_sub
             if cfg.scheme == "imex_cn":
-                y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
-                y = _substep(y, tj, dt_sub, cfg, grid, ops)
-                y = _cubic_flow(y, 0.5 * dt_sub, cfg.c)
+                kappa = 0.5 * dt_sub * kb
+                u = _cubic_flow(u, 0.5 * dt_sub, cfg.c)
+                rhs = u + kappa * (ops.L @ u) \
+                    + 0.5 * dt_sub * (src(tj) + src(tj + dt_sub))
+                u = _cubic_flow(_factorized(ops, kappa)(rhs), 0.5 * dt_sub, cfg.c)
             else:
-                cubic = -(1 + 1j * cfg.c) * np.abs(y) ** 2 * y
-                y = _substep(y + dt_sub * cubic, tj, dt_sub, cfg, grid, ops)
-            if not np.all(np.isfinite(y[grid.active_mask])):
+                cubic = -(1 + 1j * cfg.c) * np.abs(u) ** 2 * u
+                rhs = u + dt_sub * cubic + dt_sub * src(tj + dt_sub)
+                u = _factorized(ops, dt_sub * kb)(rhs)
+            if not np.all(np.isfinite(u)):
                 raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
-        Y[k + 1] = y
-        norms.append(float(np.sqrt(np.sum(wsp * np.abs(y) ** 2))))
+        Y[k + 1, mask] = u
         subs.append(n_sub)
-    return SolveResult(Y=Y, l2_norms=np.array(norms), substeps=np.array(subs))
+    wsp = grid.quad_weights_space
+    norms = np.sqrt(np.array([np.sum(wsp * np.abs(y) ** 2) for y in Y]))
+    return SolveResult(Y=Y, l2_norms=norms, substeps=np.array(subs))
 
 
 # ---------------------------------------------------------------------------
-# diagnostics and manufactured sources
+# diagnostics and manufactured source
 # ---------------------------------------------------------------------------
 
 def _grad_energy(y: np.ndarray, grid: SpaceTimeGrid) -> float:
@@ -278,25 +255,15 @@ def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return out
 
 
-def manufactured_source_fn(field, coeffs):
-    """Callable (t, points) -> F y*(t, points) from analytic derivatives."""
+def grid_source(field, grid: SpaceTimeGrid, coeffs):
+    """Solver-ready source t -> F y*(t) on the grid nodes, from the analytic
+    derivatives of y*; zero off the active nodes."""
+    pts = np.stack([grid.X1, grid.X2], axis=-1)
 
-    def fn(t, pts):
+    def src(t):
         jet = field.jet(t, pts)
         out = linear_source(jet.vt, jet.lap, coeffs)
         out += (1 + 1j * coeffs.c) * np.abs(jet.v) ** 2 * jet.v
-        return out
-
-    return fn
-
-
-def grid_source(field, grid: SpaceTimeGrid, coeffs):
-    """Solver-ready source callable t -> samples on grid nodes."""
-    pts = np.stack([grid.X1, grid.X2], axis=-1)
-    fn = manufactured_source_fn(field, coeffs)
-
-    def src(t):
-        out = fn(t, pts)
         out[~grid.active_mask] = 0.0
         return out
 

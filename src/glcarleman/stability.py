@@ -63,14 +63,6 @@ def linf_l6_norm(U: np.ndarray, grid: SpaceTimeGrid) -> float:
     return float(np.max(vals) ** (1.0 / 6.0))
 
 
-def run_pair(y0_a: np.ndarray, y0_b: np.ndarray, cfg: SolveConfig,
-             grid: SpaceTimeGrid):
-    """Solve twice with shared config; returns (u1, u2, z = u1 - u2)."""
-    u1 = solve(y0_a, cfg, grid).Y
-    u2 = solve(y0_b, cfg, grid).Y
-    return u1, u2, u1 - u2
-
-
 def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     g1, g2 = grad(Z, grid)
     return np.abs(g1) ** 2 + np.abs(g2) ** 2

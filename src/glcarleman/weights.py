@@ -95,7 +95,6 @@ class WeightSample:
     hess_ell: np.ndarray      # (..., 2, 2)
     lap_ell: np.ndarray
     grad_ell_t: np.ndarray    # (..., 2)
-    grad_phi: np.ndarray      # (..., 2)
     phi_t: np.ndarray
     rho_t: np.ndarray
 
@@ -181,7 +180,6 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
         ell_tt=lam * (E - K) * sig_pp,
         grad_ell=grad_ell, hess_ell=hess_ell, lap_ell=lap_ell,
         grad_ell_t=grad_ell_t,
-        grad_phi=(mu * phi)[..., None] * gpsi,
         phi_t=E * sig_p,
         rho_t=(E - K) * sig_p,
     )

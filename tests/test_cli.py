@@ -74,6 +74,11 @@ class TestConfig:
                      id="disk-manufactured"),
         pytest.param(DISK, ["carleman-scan"], "scan.variants",
                      id="disk-boundary-scan"),
+        # theta^{-4} of the identity suite overflows on the sample set
+        pytest.param(DISK, ["verify-identity"], "identity.lambdas",
+                     id="disk-identity-envelope"),
+        pytest.param(None, ["--lambda", "2,100", "verify-identity"],
+                     "identity.lambdas", id="square-identity-envelope"),
         # the boundary observation is on the whole of Gamma: no option for it
         pytest.param({"domain": {"gamma0": "none"}}, ["carleman-scan"],
                      "domain.gamma0", id="gamma0-unknown-field"),
@@ -194,6 +199,13 @@ class TestCommands:
         assert rep["passed"]
         assert rep["worst_max_rel"] <= 1e-6
         assert rep["config"]["grid"]["nx"] == 32  # config round-trip
+
+    def test_disk_verify_identity_inside_envelope(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**DISK, "identity": {"lambdas": [1.5],
+                                                         "mus": [1.1]}}))
+        assert run_in(tmp_path, ["--config", str(path), "--grid", "16",
+                                 "verify-identity"]) == 0
 
     def test_verify_identity_corrupt_fails(self, tmp_path):
         assert run_in(tmp_path, BASE + ["verify-identity",

@@ -7,8 +7,8 @@ The disk values come from ``--grid 32 --seed 7 stability`` and
 ``--grid 32 --seed 7 solve`` on the unit disk with omega = B((0, 0), 0.35),
 the stability run on the interior variant only.  The square solve values
 come from ``--grid 32 --seed 7 solve`` with ``solver.bc`` set to each
-homogeneous boundary condition, and the manufactured errors from
-``solve --manufactured``.
+homogeneous boundary condition under both ``solver.scheme`` values, and
+the manufactured errors from ``solve --manufactured``.
 """
 
 import csv
@@ -116,11 +116,20 @@ DISK_SOLVE = {"final_l2": 0.03131654441949441,
               "max_energy_residual": 0.71929103763931}
 
 SQUARE_ARGS = ["--grid", "32", "--seed", "7"]
+# run id -> (solver section, recorded summary numbers)
 SQUARE_SOLVE = {
-    "dirichlet0": {"final_l2": 6.875869575878537e-06,
-                   "max_energy_residual": 0.0015925430605835949},
-    "neumann0": {"final_l2": 2.6993379446148923e-06,
-                 "max_energy_residual": 0.0007790353128254823},
+    "dirichlet0": ({"bc": "dirichlet0"},
+                   {"final_l2": 6.875869575878537e-06,
+                    "max_energy_residual": 0.0015925430605835949}),
+    "neumann0": ({"bc": "neumann0"},
+                 {"final_l2": 2.6993379446148923e-06,
+                  "max_energy_residual": 0.0007790353128254823}),
+    "imex_be-dirichlet0": ({"scheme": "imex_be", "bc": "dirichlet0"},
+                           {"final_l2": 8.120689437281536e-11,
+                            "max_energy_residual": 0.5635396654056144}),
+    "imex_be-neumann0": ({"scheme": "imex_be", "bc": "neumann0"},
+                         {"final_l2": 1.6609685208171353e-07,
+                          "max_energy_residual": 0.5644490516828966}),
 }
 
 # n -> l2_error; recorded while the study still imposed the reference's
@@ -171,20 +180,38 @@ def test_disk_solve_golden(tmp_path):
         assert got[key] == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("bc", sorted(SQUARE_SOLVE))
-def test_square_solve_golden(tmp_path, bc):
+@pytest.mark.parametrize("case", sorted(SQUARE_SOLVE))
+def test_square_solve_golden(tmp_path, case):
+    solver, recorded = SQUARE_SOLVE[case]
     got = run(tmp_path, "solve", "solve_summary.json", SQUARE_ARGS,
-              {"solver": {"bc": bc}})
-    for key, want in SQUARE_SOLVE[bc].items():
+              {"solver": solver})
+    for key, want in recorded.items():
         assert got[key] == pytest.approx(want, rel=1e-12)
 
 
-def test_manufactured_golden(tmp_path):
-    out = tmp_path / "manufactured"
+@pytest.fixture(scope="module")
+def manufactured_csv(tmp_path_factory):
+    """manufactured.csv of ``solve --manufactured`` with the defaults."""
+    out = tmp_path_factory.mktemp("manufactured")
     assert main(["--output-dir", str(out), "solve", "--manufactured"]) == 0
-    with open(out / "manufactured.csv", encoding="utf-8") as fh:
-        got = {int(r["n"]): float(r["l2_error"]) for r in csv.DictReader(fh)}
+    return (out / "manufactured.csv").read_bytes()
+
+
+def test_manufactured_golden(manufactured_csv):
+    got = {int(r["n"]): float(r["l2_error"])
+           for r in csv.DictReader(manufactured_csv.decode().splitlines())}
     assert got == pytest.approx(MANUFACTURED, rel=1e-11)
+
+
+def test_manufactured_ignores_omega(tmp_path, manufactured_csv):
+    # omega does not enter the study, whose 32-cell grid this omega would
+    # not fit (it needs a margin of h = 1/32 to the boundary)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"domain": {"omega_radius": 0.47}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--grid", "64", "--output-dir",
+                 str(out), "solve", "--manufactured"]) == 0
+    assert (out / "manufactured.csv").read_bytes() == manufactured_csv
 
 
 def test_identity_golden(tmp_path):

@@ -240,10 +240,10 @@ class TestFluxDivergenceTheorem:
 
 class TestSampleSets:
     def test_default_samples_respect_margins(self, grid32):
-        t, x = default_samples(grid32)
+        t, x = default_samples(grid32.spec, grid32.T)
         assert t.min() >= 0.2 and t.max() <= 0.8
         assert x.min() >= 0.1 and x.max() <= 0.9
 
     def test_disk_samples_inside(self, disk_grid):
-        t, x = default_samples(disk_grid)
+        t, x = default_samples(disk_grid.spec, disk_grid.T)
         assert np.hypot(x[:, 0], x[:, 1]).max() < 0.9

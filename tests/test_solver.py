@@ -234,21 +234,27 @@ class TestZeroAndDisk:
         with pytest.raises(GridError):
             solve(np.zeros_like(disk_grid.X1, dtype=complex), cfg, disk_grid)
 
-    def test_iterative_fallback(self, square_spec, monkeypatch):
+    def test_failed_factorization_raises(self, square_spec, monkeypatch,
+                                         tmp_path, capsys):
+        # I - kappa L is nonsingular on every admitted grid: a failing LU is
+        # an error, not a switch to another solver
         import scipy.sparse.linalg as spla
 
-        from glcarleman import solver as solver_mod
+        from glcarleman.cli import main
 
         def broken_splu(*a, **k):
             raise RuntimeError("factorization disabled")
 
         monkeypatch.setattr(spla, "splu", broken_splu)
         g = build_grid(square_spec, 16, 16, 16, 0.5)
-        cfg = SolveConfig(b=0.1, c=0.2, bc="dirichlet0", scheme="imex_cn")
         y0 = random_initial_field(g, seed=3, amplitude=0.5, bc="dirichlet0")
-        res = solver_mod.solve(y0, cfg, g)
-        assert np.all(np.isfinite(res.Y))
-        assert np.all(np.diff(res.l2_norms) <= 1e-8 * res.l2_norms[:-1])
+        with pytest.raises(RuntimeError, match="factorization disabled"):
+            solve(y0, SolveConfig(b=0.1, c=0.2, bc="dirichlet0"), g)
+        out = tmp_path / "out"
+        assert main(["--grid", "16", "--output-dir", str(out), "solve"]) == 1
+        err = capsys.readouterr().err
+        assert "error: factorization disabled" in err
+        assert "Traceback" not in err
 
 
 class TestSerialization:

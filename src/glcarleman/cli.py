@@ -204,7 +204,7 @@ def cmd_solve(args) -> int:
                                    n_modes=cfg["solver"]["n_modes"])
     res = solve(y0, sc, grid)
     save_trajectory(os.path.join(out_dir, "trajectory.bin"), res.Y, grid)
-    bal = energy_balance(res.Y, grid)
+    bal = energy_balance(res.Y, grid, sc)
     rows = [{"step": k, "t": grid.t_nodes[k + 1], "l2_norm": res.l2_norms[k + 1],
              "energy_residual": bal[k], "substeps": int(res.substeps[k])}
             for k in range(grid.nt)]

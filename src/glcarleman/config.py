@@ -115,17 +115,18 @@ _SCALAR_RULES = {
     "scan.n_trajectories": (lambda v: _int(v) and v >= 1, "must be an int >= 1"),
 }
 
-# dotted path -> (least length, check of each entry, message)
+# dotted path -> (least length, check of each entry, message); no entry may
+# repeat an earlier one
 _LIST_RULES = {
-    "identity.lambdas": (0, lambda v: _real(v) and v > 1, "must be a number > 1"),
-    "identity.mus": (0, lambda v: _real(v) and v > 1, "must be a number > 1"),
+    "identity.lambdas": (1, lambda v: _real(v) and v > 1, "must be a number > 1"),
+    "identity.mus": (1, lambda v: _real(v) and v > 1, "must be a number > 1"),
     "scan.lambdas": (2, lambda v: _real(v) and v > 1, "must be a number > 1"),
     "scan.mus": (1, lambda v: _real(v) and v > 1, "must be a number > 1"),
-    "scan.variants": (0, lambda v: v in VARIANTS, "unknown variant"),
-    "stability.deltas": (0, lambda v: _real(v) and v > 0, "must be a positive number"),
-    "stability.eps_fractions": (0, lambda v: _real(v) and 0 < v < 0.5,
+    "scan.variants": (1, lambda v: v in VARIANTS, "unknown variant"),
+    "stability.deltas": (1, lambda v: _real(v) and v > 0, "must be a positive number"),
+    "stability.eps_fractions": (1, lambda v: _real(v) and 0 < v < 0.5,
                                 "must be a number in (0, 0.5)"),
-    "stability.variants": (0, lambda v: v in ("interior", "boundary"),
+    "stability.variants": (1, lambda v: v in ("interior", "boundary"),
                            "must be interior or boundary"),
 }
 
@@ -142,10 +143,14 @@ def validate_config(cfg: dict) -> None:
     for path, (least, ok, msg) in _LIST_RULES.items():
         vals = _lookup(cfg, path)
         if not isinstance(vals, (list, tuple)) or len(vals) < least:
-            errs.append(f"{path}: must be a list"
-                        + (f" of at least {least} entries" if least else ""))
+            errs.append(f"{path}: must be a list of at least {least} "
+                        + ("entry" if least == 1 else "entries"))
             continue
-        errs += [f"{path}[{i}]: {msg}" for i, v in enumerate(vals) if not ok(v)]
+        for i, v in enumerate(vals):
+            if not ok(v):
+                errs.append(f"{path}[{i}]: {msg}")
+            elif v in vals[:i]:
+                errs.append(f"{path}[{i}]: repeats an earlier entry")
     nx, ny = cfg["grid"]["nx"], cfg["grid"]["ny"]
     if _int(nx) and _int(ny) and nx != ny:
         errs.append("grid.ny: must equal grid.nx (the grid spacing is uniform)")

@@ -71,16 +71,6 @@ class PolyAtom(Atom):
         return f + zero, d1 + zero, d2 + zero
 
 
-def bubble_atom() -> PolyAtom:
-    """s (1 - s): vanishes at s in {0, 1}."""
-    return PolyAtom((0.0, 1.0, -1.0))
-
-
-def time_bubble_atom(T: float) -> PolyAtom:
-    """t (T - t): vanishes at the time endpoints."""
-    return PolyAtom((0.0, T, -1.0))
-
-
 @dataclass
 class FieldJet:
     """A field and its derivatives up to second order at a batch of points."""
@@ -117,16 +107,6 @@ class AnalyticField:
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         return t, x[..., 0], x[..., 1]
-
-    def value(self, t, x):
-        t, x1, x2 = self._parts(t, x)
-        out = 0
-        for m in self.modes:
-            tau, _, _ = m.t_atom.ev(t)
-            f, _, _ = m.x1_atom.ev(x1)
-            g, _, _ = m.x2_atom.ev(x2)
-            out = out + m.coef * tau * f * g
-        return np.asarray(out, dtype=complex)
 
     def jet(self, t, x) -> FieldJet:
         """v, v_t, grad v, grad v_t, Hess v and Lap v in one walk over the modes."""
@@ -169,17 +149,18 @@ class AnalyticField:
         jet = self.jet(ts, pts)
         scale = np.abs(jet.v).max() + 1.0
 
-        vt_fd = (self.value(ts + eps, pts) - self.value(ts - eps, pts)) / (2 * eps)
+        vt_fd = (self.jet(ts + eps, pts).v - self.jet(ts - eps, pts).v) / (2 * eps)
         if np.abs(vt_fd - jet.vt).max() > rtol * (np.abs(vt_fd).max() + scale):
             raise FieldError("dt inconsistent with finite differences")
         for j in range(2):
             dx = np.zeros((1, 2))
             dx[0, j] = eps
-            g_fd = (self.value(ts, pts + dx) - self.value(ts, pts - dx)) / (2 * eps)
+            plus, minus = self.jet(ts, pts + dx), self.jet(ts, pts - dx)
+            g_fd = (plus.v - minus.v) / (2 * eps)
             g_an = jet.gv[..., j]
             if np.abs(g_fd - g_an).max() > rtol * (np.abs(g_fd).max() + scale):
                 raise FieldError("grad inconsistent with finite differences")
-            h_fd = (self.jet(ts, pts + dx).gv - self.jet(ts, pts - dx).gv) / (2 * eps)
+            h_fd = (plus.gv - minus.gv) / (2 * eps)
             h_an = jet.hess[..., j, :]
             if np.abs(h_fd - h_an).max() > 1e-4 * (np.abs(h_an).max() + scale):
                 raise FieldError("hess inconsistent with finite differences")
@@ -191,14 +172,9 @@ class AnalyticField:
         pts = np.stack([grid.X1, grid.X2], axis=-1)
         out = np.empty((times.size, grid.ny + 1, grid.nx + 1), dtype=complex)
         for k, t in enumerate(times):
-            out[k] = self.value(t, pts)
+            out[k] = self.jet(t, pts).v
         out[:, ~grid.active_mask] = 0.0
         return out
-
-
-def scaled(field: AnalyticField, s: complex) -> AnalyticField:
-    return AnalyticField([Mode(m.coef * s, m.t_atom, m.x1_atom, m.x2_atom)
-                          for m in field.modes], self_check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +195,6 @@ def random_trig_field(seed: int, T: float, n_modes: int = 4,
                           SinAtom(k1, rng.uniform(0, np.pi)),
                           SinAtom(k2, rng.uniform(0, np.pi))))
     return AnalyticField(modes, check_times=(0.2 * T, 0.8 * T))
-
-
-def bubble_sine_field(T: float) -> AnalyticField:
-    """v = (1+i) t (T-t) sin(pi x1) sin(pi x2)."""
-    return AnalyticField([Mode(1 + 1j, time_bubble_atom(T),
-                               SinAtom(np.pi), SinAtom(np.pi))],
-                         check_times=(0.2 * T, 0.8 * T))
-
-
-def oscillating_bubble_field() -> AnalyticField:
-    """v = exp(i t) x1 (1-x1) x2 (1-x2)."""
-    return AnalyticField([Mode(1.0, ExpAtom(1j), bubble_atom(), bubble_atom())])
 
 
 def manufactured_reference() -> AnalyticField:

@@ -216,7 +216,6 @@ class _CellQuadrature:
         self.tables = tables
         two_ell = tables.log_theta2()
         lam = tables.params.lam
-        self.b_two_ell_t = 2.0 * lam * (tables.b_exp_mu_psi - tables.K)
         # the square's boundary samples are grid nodes, and only j1 runs on
         # the disk, where psi1 = 0 on the circle: the nodes hold the maximum
         self.log_scale = float(two_ell.max())
@@ -279,10 +278,16 @@ class _CellQuadrature:
     def boundary(self, logg: LogIntegrand) -> float:
         """Integral over Sigma_0 of theta^2 phi (d psi/d nu) g; the sign of
         d psi/d nu, which may make the integrand negative, follows the flush."""
-        sig = self.tables.sigma[:, None]
-        two_ell = self.b_two_ell_t[None, :] * sig - self.log_scale
-        bphi = self.tables.b_exp_mu_psi[None, :] * sig
-        vals = _flush_exp(two_ell + logg.values + np.log(bphi))
+        nodes = np.ravel_multi_index((self.grid._b_iy, self.grid._b_ix),
+                                     self.logw.shape[1:])
+
+        def at_nodes(a):
+            # a C-contiguous gather: the product with the boundary weights
+            # below rounds as it does on any (nt-1, nb) table
+            return np.take(a.reshape(a.shape[0], -1), nodes, axis=1)
+
+        vals = _flush_exp(at_nodes(self.logw) + logg.values
+                          + at_nodes(self.logphi))
         vals *= self.tables.b_dpsi_dnu[None, :]
         per_t = vals @ self.grid.boundary_weights
         return float(math.fsum((per_t * self.wt).tolist()))

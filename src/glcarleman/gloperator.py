@@ -81,39 +81,6 @@ def check_condition1(coeffs: GLCoeffs, r0: float, delta0: float) -> Condition1Re
                             margins=margins, passed=all(clauses.values()))
 
 
-def least_delta0(coeffs: GLCoeffs) -> float | None:
-    """Smallest feasible delta0 = |beta2| / alpha2, or None when alpha2 <= 0."""
-    if coeffs.alpha2 <= 0:
-        return None
-    return abs(coeffs.beta2) / coeffs.alpha2
-
-
-def coefficient_relations(coeffs: GLCoeffs) -> dict:
-    """Round-off-level residuals of the coefficient identities.
-
-    Returns absolute errors of:
-      (alpha1^2 + beta1^2)(1 + b^2) = 1
-      |gamma1|^2 = 1 + b^2
-      Im(gamma1 gamma2) = (alpha1 beta2 - alpha2 beta1) |gamma1|^2
-      1 - beta1^2 |gamma1|^2 = -alpha1
-      1 - alpha1^2 |gamma1|^2 = -alpha1 b^2
-      1 - beta1^2 |gamma1|^2 + beta1 alpha1 |gamma1|^2 = (1 - b)/(1 + b^2)
-    """
-    a1, b1, a2, b2 = coeffs.alpha1, coeffs.beta1, coeffs.alpha2, coeffs.beta2
-    g1sq = abs(coeffs.gamma1) ** 2
-    b = coeffs.b
-    return {
-        "norm_identity": abs((a1 * a1 + b1 * b1) * (1 + b * b) - 1.0),
-        "gamma1_modulus": abs(g1sq - (1 + b * b)),
-        "im_gamma1_gamma2": abs((coeffs.gamma1 * coeffs.gamma2).imag
-                                - (a1 * b2 - a2 * b1) * g1sq),
-        "one_minus_beta1sq": abs(1 - b1 * b1 * g1sq + a1),
-        "one_minus_alpha1sq": abs(1 - a1 * a1 * g1sq + a1 * b * b),
-        "mixed_relation": abs(1 - b1 * b1 * g1sq + b1 * a1 * g1sq
-                              - (1 - b) / (1 + b * b)),
-    }
-
-
 def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
     """d/dt along axis 0: centered second order, one-sided at the endpoints."""
     Y = np.asarray(Y)

@@ -466,12 +466,6 @@ def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
     return float(math.fsum((slice_sums * wt).tolist()))
 
 
-def integrate_space(g: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """Spatial integral of one real slice."""
-    g = np.asarray(g, dtype=float)
-    return float(math.fsum((g * grid.quad_weights_space).ravel().tolist()))
-
-
 def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
     """Integral over Sigma_0 = (0,T) x Gamma of boundary samples g.
 

@@ -171,16 +171,6 @@ def eval_terms(jet: FieldJet, w: WeightSample, coeffs: GLCoeffs,
                          E=E, U=U, Phi=pp.Phi, Psi=pp.Psi)
 
 
-def j_split_residual(terms: IdentityTerms, jet: FieldJet, w: WeightSample,
-                     coeffs: GLCoeffs) -> float:
-    """Relative error of J1 + J2 = I1 + I2 - (alpha2 + i beta2) theta^{-2}|v|^2 v."""
-    w2m = _theta_neg2(w)
-    rhs = terms.I1 + terms.I2 - coeffs.gamma2 * w2m * np.abs(jet.v) ** 2 * jet.v
-    lhs = terms.J1 + terms.J2
-    scale = np.abs(rhs).max() + 1e-300
-    return float(np.abs(lhs - rhs).max() / scale)
-
-
 # ---------------------------------------------------------------------------
 # transport terms: analytic chain rule and finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -284,8 +274,6 @@ def _transport_fd(field, params, coeffs, spec, t, x, h_fd: float) -> dict:
 class ResidualReport:
     max_rel: float
     l2_rel: float
-    n_samples: int
-    scale: float
     term_magnitudes: dict
 
 
@@ -324,14 +312,11 @@ def _report(lhs_op, dM, divH, rhs_terms: dict, sgn: dict) -> ResidualReport:
     mags = np.stack([np.abs(lhs_op), np.abs(dM), np.abs(divH)]
                     + [np.abs(tv) for tv in rhs_terms.values()])
     scale_pt = mags.max(axis=0)
-    global_scale = float(scale_pt.max())
-    floor = max(global_scale * 1e-12, 1e-300)
+    floor = max(float(scale_pt.max()) * 1e-12, 1e-300)
     rel = np.abs(res) / np.maximum(scale_pt, floor)
     return ResidualReport(
         max_rel=float(rel.max()),
         l2_rel=float(np.sqrt(np.mean(rel ** 2))),
-        n_samples=int(np.size(res)),
-        scale=global_scale,
         term_magnitudes={k: float(np.abs(val).max()) for k, val in rhs_terms.items()},
     )
 

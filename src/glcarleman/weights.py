@@ -193,7 +193,6 @@ class WeightTables:
     exp_mu_psi: np.ndarray       # grid nodes
     K: float
     sigma: np.ndarray            # interior time nodes (1..nt-1)
-    b_exp_mu_psi: np.ndarray     # boundary samples
     b_dpsi_dnu: np.ndarray       # d psi / d nu at boundary samples
 
     def log_theta2(self):
@@ -206,7 +205,8 @@ class WeightTables:
 
 
 def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
-    """Tabulate exp(mu psi), K and sigma on the grid and its boundary samples.
+    """Tabulate exp(mu psi), K and sigma on the grid, and d psi/d nu at its
+    boundary samples.
 
     sigma uses the grid horizon grid.T; callers that integrate against the
     tables check that params.T agrees with it.
@@ -214,15 +214,13 @@ def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
     pts = np.stack([grid.X1, grid.X2], axis=-1)
     psi = eval_psi(grid.spec, params.which_psi, pts)
     t_int = grid.t_nodes[1:-1]
-    bpts = grid.boundary_points
-    bpsi = eval_psi(grid.spec, params.which_psi, bpts)
+    bpsi = eval_psi(grid.spec, params.which_psi, grid.boundary_points)
     dnu = np.einsum("bi,bi->b", bpsi.grad_psi, grid.boundary_normals)
     return WeightTables(
         params=params,
         exp_mu_psi=np.exp(params.mu * psi.psi),
         K=float(np.exp(2 * params.mu * psi.sup)),
         sigma=1.0 / (t_int * (grid.T - t_int)),
-        b_exp_mu_psi=np.exp(params.mu * bpsi.psi),
         b_dpsi_dnu=dnu,
     )
 
@@ -332,10 +330,7 @@ def check_time_monotonicity(tables: WeightTables, grid: SpaceTimeGrid) -> dict:
 class AdmissibilityReport:
     which: str
     clauses: dict
-    min_psi_interior: float
-    max_abs_psi_boundary: float | None
     min_grad_outside_omega: float
-    critical_point_in_omega: bool | None
     passed: bool
 
 
@@ -352,37 +347,25 @@ def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> AdmissibilityRe
     psi = eval_psi(spec, which, pts)
     gnorm = np.sqrt(np.einsum("...i,...i->...", psi.grad_psi, psi.grad_psi))
 
-    interior = grid.interior_mask
-    min_psi = float(psi.psi[interior].min())
+    min_psi = float(psi.psi[grid.interior_mask].min())
     scan = grid.active_mask & ~grid.omega_mask & ~grid.corner_mask
     min_grad = float(gnorm[scan].min())
 
-    clauses = {}
-    crit_ok = None
-    max_bnd = None
+    clauses = {"psi_positive_in_interior": min_psi > 0}
     if which == "psi1":
-        clauses["psi_positive_in_interior"] = min_psi > 0
-        if grid.boundary_mask.any():
-            max_bnd = float(np.abs(psi.psi[grid.boundary_mask]).max())
-            clauses["psi_zero_on_boundary"] = max_bnd <= 1e-12
-        else:
-            # embedded disk: check the analytic trace on the circle instead
-            bpts = grid.boundary_points
-            bpsi = eval_psi(spec, which, bpts).psi
-            max_bnd = float(np.abs(bpsi).max())
-            clauses["psi_zero_on_boundary"] = max_bnd <= 1e-12
+        # embedded disk: no boundary nodes, so check the analytic trace on the
+        # circle instead
+        trace = psi.psi[grid.boundary_mask] if grid.boundary_mask.any() \
+            else eval_psi(spec, which, grid.boundary_points).psi
+        clauses["psi_zero_on_boundary"] = float(np.abs(trace).max()) <= 1e-12
         clauses["grad_nonvanishing_outside_omega"] = min_grad > 0
-        crit_ok = critical_point_in_omega(spec)
-        clauses["critical_point_in_omega"] = crit_ok
+        clauses["critical_point_in_omega"] = critical_point_in_omega(spec)
     else:
-        clauses["psi_positive_in_interior"] = min_psi > 0
         clauses["grad_nonvanishing_in_interior"] = min_grad > 0
         # Gamma_0 = Gamma: Gamma \ Gamma_0 is empty, its clauses hold vacuously
         clauses["boundary_clauses_vacuous"] = True
 
     return AdmissibilityReport(
-        which=which, clauses=clauses, min_psi_interior=min_psi,
-        max_abs_psi_boundary=max_bnd, min_grad_outside_omega=min_grad,
-        critical_point_in_omega=crit_ok,
+        which=which, clauses=clauses, min_grad_outside_omega=min_grad,
         passed=all(clauses.values()),
     )

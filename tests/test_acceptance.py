@@ -16,8 +16,7 @@ from glcarleman.fields import manufactured_reference, random_initial_field, \
     random_trig_field
 from glcarleman.functionals import (VARIANT_FAMILY, lambda_scan,
                                     suite_worst_constant)
-from glcarleman.gloperator import (CoeffError, check_condition1,
-                                   coefficient_relations, derive_coeffs)
+from glcarleman.gloperator import CoeffError, check_condition1, derive_coeffs
 from glcarleman.grid import DomainSpec, build_grid, integrate_q
 from glcarleman.identity import T_coefficient_positivity, identity_residuals
 from glcarleman.solver import SolveConfig, energy_balance, grid_source, solve
@@ -26,6 +25,7 @@ from glcarleman.stability import (linf_l6_norm, perturbation_suite,
 from glcarleman.weights import (CarlemanParams, check_time_monotonicity,
                                 derivative_consistency,
                                 verify_psi_admissibility, weight_tables)
+from test_operator import coefficient_relations
 
 SQUARE = DomainSpec(shape="unit_square", omega_center=(0.5, 0.5),
                     omega_radius=0.25)
@@ -185,13 +185,12 @@ def test_a4_solver():
 
     # energy-balance residual order in dt (CN)
     vals = []
+    cn = SolveConfig(b=0.0, c=0.0, bc="dirichlet0", scheme="imex_cn")
     for nt in (16, 64):
         g = build_grid(SQUARE, 64, 64, nt, 1.0)
         res = solve(random_initial_field(g, seed=3, amplitude=1.0,
-                                         bc="dirichlet0"),
-                    SolveConfig(b=0.0, c=0.0, bc="dirichlet0",
-                                scheme="imex_cn"), g)
-        vals.append(energy_balance(res.Y, g).max())
+                                         bc="dirichlet0"), cn, g)
+        vals.append(energy_balance(res.Y, g, cn).max())
     bal_order = math.log2(vals[0] / vals[1]) / 2
     assert bal_order >= 1.8
     print(f"\nACCEPTANCE 4 (solver): PASS (manufactured orders "

@@ -60,6 +60,27 @@ class TestConfig:
                      id="one-lambda-flag"),
         pytest.param({"scan": {"lambdas": []}}, ["carleman-scan"], "scan.lambdas",
                      id="empty-lambdas"),
+        # an empty list would pass having checked nothing, and a repeated
+        # entry would be compared with itself
+        pytest.param({"identity": {"lambdas": []}}, ["verify-identity"],
+                     "identity.lambdas", id="empty-identity-lambdas"),
+        pytest.param({"identity": {"mus": []}}, ["verify-identity"],
+                     "identity.mus", id="empty-identity-mus"),
+        pytest.param({"scan": {"variants": []}}, ["carleman-scan"],
+                     "scan.variants", id="empty-scan-variants"),
+        pytest.param({"stability": {"variants": []}}, ["stability"],
+                     "stability.variants", id="empty-stability-variants"),
+        pytest.param({"stability": {"eps_fractions": []}}, ["stability"],
+                     "stability.eps_fractions", id="empty-eps-fractions"),
+        pytest.param({"stability": {"deltas": []}}, ["stability"],
+                     "stability.deltas", id="empty-deltas"),
+        pytest.param({"scan": {"lambdas": [2, 2]}}, ["carleman-scan"],
+                     "scan.lambdas[1]", id="repeated-scan-lambdas"),
+        pytest.param({"scan": {"mus": [1.5, 2.0, 1.5]}}, ["carleman-scan"],
+                     "scan.mus[2]", id="repeated-scan-mus"),
+        pytest.param({"stability": {"variants": ["interior", "interior"]}},
+                     ["stability"], "stability.variants[1]",
+                     id="repeated-stability-variants"),
         pytest.param({"grid": {"T": "1"}}, ["solve"], "grid.T", id="string-T"),
         pytest.param([{"grid": {"nx": 32}}], ["solve"], "top level",
                      id="top-level-list"),

@@ -11,7 +11,7 @@ from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import build_grid, normal_derivative
 from glcarleman.solver import SolveConfig, solve
-from glcarleman.weights import CarlemanParams, weight_tables
+from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
 
 COEFFS = derive_coeffs(0.3, 0.4)
 LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4"}
@@ -128,11 +128,16 @@ class TestTermsTable:
 
 def boundary_reference(cell, dnu_abs2):
     """The boundary observation on linear values: log |g|, flush, sign of g
-    and then the signed factor d psi/d nu."""
+    and then the signed factor d psi/d nu, with psi taken at the boundary
+    points themselves."""
     g = dnu_abs2[1:-1]
+    params, grid = cell.tables.params, cell.grid
+    b_exp_mu_psi = np.exp(params.mu * eval_psi(grid.spec, params.which_psi,
+                                               grid.boundary_points).psi)
     sig = cell.tables.sigma[:, None]
-    two_ell = cell.b_two_ell_t[None, :] * sig - cell.log_scale
-    bphi = cell.tables.b_exp_mu_psi[None, :] * sig
+    two_ell = (2.0 * params.lam * (b_exp_mu_psi - cell.tables.K))[None, :] * sig \
+        - cell.log_scale
+    bphi = b_exp_mu_psi[None, :] * sig
     mag = np.abs(g)
     logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
     arg = two_ell + logmag + 1.0 * np.log(bphi)

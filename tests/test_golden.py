@@ -113,7 +113,7 @@ DISK_SPREADS = {
     "interior_eps_0.2": 1.0112050650962836,
 }
 DISK_SOLVE = {"final_l2": 0.03131654441949441,
-              "max_energy_residual": 0.71929103763931}
+              "max_energy_residual": 0.031384724572995126}
 
 SQUARE_ARGS = ["--grid", "32", "--seed", "7"]
 # run id -> (solver section, recorded summary numbers)
@@ -126,10 +126,10 @@ SQUARE_SOLVE = {
                   "max_energy_residual": 0.0007790353128254823}),
     "imex_be-dirichlet0": ({"scheme": "imex_be", "bc": "dirichlet0"},
                            {"final_l2": 8.120689437281536e-11,
-                            "max_energy_residual": 0.5635396654056144}),
+                            "max_energy_residual": 0.021773688927374503}),
     "imex_be-neumann0": ({"scheme": "imex_be", "bc": "neumann0"},
                          {"final_l2": 1.6609685208171353e-07,
-                          "max_energy_residual": 0.5644490516828966}),
+                          "max_energy_residual": 0.011932760064990463}),
 }
 
 # n -> l2_error; recorded while the study still imposed the reference's

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from glcarleman.grid import (DomainSpec, GridError, boundary_values, build_grid,
-                             grad, integrate_q, integrate_sigma, integrate_space,
-                             laplacian, normal_derivative)
+                             grad, integrate_q, integrate_sigma, laplacian,
+                             normal_derivative)
+
+
+def integrate_space(g: np.ndarray, grid) -> float:
+    """Spatial integral of one real slice."""
+    g = np.asarray(g, dtype=float)
+    return float(math.fsum((g * grid.quad_weights_space).ravel().tolist()))
 
 
 def observed_order(errs):

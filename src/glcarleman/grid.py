@@ -13,10 +13,15 @@ Two domains are supported: the unit square (0,1)^2 on its natural node
 grid, and the unit disk embedded in the Cartesian box [-1,1]^2 with
 cut-cell quadrature weights and one-sided / Shortley-Weller stencils at
 the curved boundary.  Nodes outside the disk are inactive and carry zero
-weight; fields are expected to be zero there.
+weight; fields are expected to be zero there.  Each domain supplies only
+its geometry (masks, node weights, boundary samples, cut nodes);
+``build_grid`` lays out the nodes, the time grid and the omega mask for
+both and is the one place a SpaceTimeGrid is constructed.
 
-Quadrature reductions use a fixed summation order (per-slice pairwise sums
-combined with math.fsum), so results are bit-reproducible.
+Quadrature reductions use a fixed summation order: each time slice is
+reduced against the weights by one np.einsum (volume) or matrix-vector
+product (boundary), and the per-slice sums are combined with math.fsum, so
+repeated runs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -121,17 +126,15 @@ class SpaceTimeGrid:
         return f
 
 
-def _disk_cell_areas(x1, x2, h):
+def _disk_cell_areas(X1, X2, h):
     """Area of (cell centered on each node) intersected with the unit disk.
 
     Cells fully inside/outside are resolved exactly; cut cells by a 24x24
     midpoint subsample (error well below the 2% area tolerance).
     """
-    ny1, nx1 = x2.size, x1.size
-    X1, X2 = np.meshgrid(x1, x2)
     r_node = np.hypot(X1, X2)
     half_diag = h * math.sqrt(0.5)
-    areas = np.zeros((ny1, nx1))
+    areas = np.zeros(X1.shape)
     areas[r_node <= 1.0 - half_diag - 1e-12] = h * h
     cut = (np.abs(r_node - 1.0) <= half_diag + 1e-12)
     m = 24
@@ -145,75 +148,41 @@ def _disk_cell_areas(x1, x2, h):
     return areas
 
 
-def _build_square(spec, nx, ny, nt, T):
-    h = 1.0 / nx
-    if nx != ny:
-        raise GridError("unit_square requires nx == ny (uniform spacing)")
-    x1 = np.linspace(0.0, 1.0, nx + 1)
-    x2 = np.linspace(0.0, 1.0, ny + 1)
-    X1, X2 = np.meshgrid(x1, x2)
-
-    active = np.ones((ny + 1, nx + 1), dtype=bool)
+def _square_geometry(n, h, x):
+    """Masks, weights and boundary samples of the unit square's n x n grid."""
+    active = np.ones((n + 1, n + 1), dtype=bool)
     boundary = np.zeros_like(active)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    interior = active & ~boundary
+    boundary[[0, -1], :] = boundary[:, [0, -1]] = True
     corner = np.zeros_like(active)
-    corner[0, 0] = corner[0, -1] = corner[-1, 0] = corner[-1, -1] = True
-
-    w1 = np.full(nx + 1, h)
-    w1[0] = w1[-1] = h / 2
-    w2 = np.full(ny + 1, h)
-    w2[0] = w2[-1] = h / 2
-    wsp = np.outer(w2, w1)
-
-    # boundary samples: four faces, corners duplicated per face, each sample
-    # carrying its face normal and 1-D trapezoid arc weight.
-    pts, nrm, wts, biy, bix = [], [], [], [], []
-    faces = (
-        (np.zeros(ny + 1, int), np.arange(ny + 1), (-1.0, 0.0)),   # x1 = 0
-        (np.full(ny + 1, nx), np.arange(ny + 1), (1.0, 0.0)),      # x1 = 1
-        (np.arange(nx + 1), np.zeros(nx + 1, int), (0.0, -1.0)),   # x2 = 0
-        (np.arange(nx + 1), np.full(nx + 1, ny), (0.0, 1.0)),      # x2 = 1
-    )
-    for ixs, iys, normal in faces:
-        n = ixs.size
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-        for k in range(n):
-            pts.append((x1[ixs[k]], x2[iys[k]]))
-            nrm.append(normal)
-            wts.append(w[k])
-            biy.append(iys[k])
-            bix.append(ixs[k])
-
-    return SpaceTimeGrid(
-        spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
-        x1_nodes=x1, x2_nodes=x2, t_nodes=np.linspace(0.0, T, nt + 1),
-        X1=X1, X2=X2, active_mask=active, interior_mask=interior,
-        boundary_mask=boundary, corner_mask=corner,
-        omega_mask=np.zeros_like(active),
-        quad_weights_space=wsp,
-        boundary_points=np.array(pts), boundary_normals=np.array(nrm, float),
-        boundary_weights=np.array(wts),
-        _b_iy=np.array(biy), _b_ix=np.array(bix),
-    )
+    corner[::n, ::n] = True
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = h / 2
+    # boundary samples: the faces x1 = 0, x1 = 1, x2 = 0, x2 = 1 in turn,
+    # corners duplicated per face, each sample carrying its face normal and
+    # 1-D trapezoid arc weight
+    k, lo, hi = np.arange(n + 1), np.zeros(n + 1, int), np.full(n + 1, n)
+    b_ix = np.concatenate([lo, hi, k, k])
+    b_iy = np.concatenate([k, k, lo, hi])
+    normals = np.repeat([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], n + 1, axis=0)
+    return dict(active_mask=active, boundary_mask=boundary, corner_mask=corner,
+                quad_weights_space=np.outer(w, w),
+                boundary_points=np.stack([x[b_ix], x[b_iy]], axis=1),
+                boundary_normals=normals, boundary_weights=np.tile(w, 4),
+                _b_iy=b_iy, _b_ix=b_ix)
 
 
-def _build_disk(spec, nx, ny, nt, T):
-    if nx != ny:
-        raise GridError("unit_disk requires nx == ny")
-    h = 2.0 / nx
-    x1 = np.linspace(-1.0, 1.0, nx + 1)
-    x2 = np.linspace(-1.0, 1.0, ny + 1)
-    X1, X2 = np.meshgrid(x1, x2)
-    r = np.hypot(X1, X2)
-    active = r < 1.0 - 1e-12
-    boundary = np.zeros_like(active)  # the curved boundary holds no nodes
-    interior = active.copy()
-    corner = np.zeros_like(active)
+def _cut_nodes(active, has_m, has_p):
+    """Active nodes missing a stencil neighbour along one axis, in row-major
+    order, with which neighbours (-, +) they have."""
+    return [(iy, ix, bool(has_m[iy, ix]), bool(has_p[iy, ix]))
+            for iy, ix in zip(*np.nonzero(active & ~(has_m & has_p)))]
 
-    areas = _disk_cell_areas(x1, x2, h)
+
+def _disk_geometry(n, h, X1, X2):
+    """Masks, cut-cell weights, circle samples and cut-node lists of the unit
+    disk embedded in the n x n grid of [-1,1]^2."""
+    active = np.hypot(X1, X2) < 1.0 - 1e-12
+    areas = _disk_cell_areas(X1, X2, h)
     wsp = np.zeros_like(areas)
     wsp[active] = areas[active]
     # reassign area owned by inactive nodes to the nearest active node, so
@@ -224,38 +193,18 @@ def _build_disk(spec, nx, ny, nt, T):
         k = int(np.argmin(d2))
         wsp[act_iy[k], act_ix[k]] += areas[iy, ix]
 
-    nb = max(4 * nx, 64)
+    nb = max(4 * n, 64)
     theta = (np.arange(nb) + 0.5) * (2 * np.pi / nb)
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    nrm = pts.copy()
-    wts = np.full(nb, 2 * np.pi / nb)
-
-    grid = SpaceTimeGrid(
-        spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
-        x1_nodes=x1, x2_nodes=x2, t_nodes=np.linspace(0.0, T, nt + 1),
-        X1=X1, X2=X2, active_mask=active, interior_mask=interior,
-        boundary_mask=boundary, corner_mask=corner,
-        omega_mask=np.zeros_like(active),
-        quad_weights_space=wsp,
-        boundary_points=pts, boundary_normals=nrm, boundary_weights=wts,
-    )
-    _classify_disk_cut_nodes(grid)
-    return grid
-
-
-def _classify_disk_cut_nodes(grid):
-    """Precompute, per axis, the active nodes missing a stencil neighbor."""
-    act = grid.active_mask
-    ny1, nx1 = act.shape
-    for iy, ix in zip(*np.nonzero(act)):
-        xm = ix > 0 and act[iy, ix - 1]
-        xp = ix < nx1 - 1 and act[iy, ix + 1]
-        ym = iy > 0 and act[iy - 1, ix]
-        yp = iy < ny1 - 1 and act[iy + 1, ix]
-        if not (xm and xp):
-            grid._cut_x.append((iy, ix, bool(xm), bool(xp)))
-        if not (ym and yp):
-            grid._cut_y.append((iy, ix, bool(ym), bool(yp)))
+    # neighbour presence along each axis, off-grid neighbours absent
+    pad = np.pad(active, 1)
+    return dict(active_mask=active,
+                # the curved boundary holds no nodes
+                boundary_mask=np.zeros_like(active), corner_mask=np.zeros_like(active),
+                quad_weights_space=wsp, boundary_points=pts,
+                boundary_normals=pts.copy(), boundary_weights=np.full(nb, 2 * np.pi / nb),
+                _cut_x=_cut_nodes(active, pad[1:-1, :-2], pad[1:-1, 2:]),
+                _cut_y=_cut_nodes(active, pad[:-2, 1:-1], pad[2:, 1:-1]))
 
 
 def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTimeGrid:
@@ -264,29 +213,35 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
         raise GridError("nx, ny, nt must all be >= 16")
     if not T > 0:
         raise GridError("T must be positive")
-    if spec.shape == "unit_square":
-        grid = _build_square(spec, nx, ny, nt, T)
-    else:
-        grid = _build_disk(spec, nx, ny, nt, T)
+    if nx != ny:
+        raise GridError(f"{spec.shape} requires nx == ny (uniform spacing)")
+    square = spec.shape == "unit_square"
+    lo = 0.0 if square else -1.0
+    h = (1.0 - lo) / nx
 
     cx, cy = spec.omega_center
     rad = spec.omega_radius
     # omega must stay strictly interior with at least one cell of margin
-    margin = grid.h
-    if spec.shape == "unit_square":
+    if square:
         dist_to_gamma = min(cx, 1.0 - cx, cy, 1.0 - cy)
     else:
         dist_to_gamma = 1.0 - math.hypot(cx, cy)
-    if rad + margin > dist_to_gamma:
+    if rad + h > dist_to_gamma:
         raise GridError(
             f"omega ball B(({cx},{cy}), {rad}) is not strictly interior "
-            f"(needs margin >= h = {grid.h:.4g})")
+            f"(needs margin >= h = {h:.4g})")
 
-    om = (grid.X1 - cx) ** 2 + (grid.X2 - cy) ** 2 < rad * rad
-    grid.omega_mask = om & grid.interior_mask
-    if not grid.omega_mask.any():
+    x = np.linspace(lo, 1.0, nx + 1)
+    X1, X2 = np.meshgrid(x, x)
+    geo = _square_geometry(nx, h, x) if square else _disk_geometry(nx, h, X1, X2)
+    interior = geo["active_mask"] & ~geo["boundary_mask"]
+    omega = ((X1 - cx) ** 2 + (X2 - cy) ** 2 < rad * rad) & interior
+    if not omega.any():
         raise GridError("omega mask is empty on this grid")
-    return grid
+    return SpaceTimeGrid(
+        spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
+        x1_nodes=x, x2_nodes=x, t_nodes=np.linspace(0.0, T, nt + 1),
+        X1=X1, X2=X2, interior_mask=interior, omega_mask=omega, **geo)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +321,8 @@ def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
     f = grid.check_field(f)
     if grid.spec.shape == "unit_square":
         return _d2(f, grid.h, -1, bc) + _d2(f, grid.h, -2, bc)
+    if bc == "neumann0":
+        raise GridError("unit_disk has no neumann0 rule")
     # per-axis cut rules, then one sum: the solver reads its matrix off this
     out = _disk_d2(f, grid, grid._cut_x, -1, bc) + _disk_d2(f, grid, grid._cut_y, -2, bc)
     out[..., ~grid.active_mask] = 0.0
@@ -467,16 +424,10 @@ def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
 
 
 def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """Integral over Sigma_0 = (0,T) x Gamma of boundary samples g.
-
-    g has shape (nt+1, nb) for boundary samples at all time nodes, or (nb,)
-    for a time-independent integrand (then only the boundary integral is
-    returned).
-    """
+    """Integral over Sigma_0 = (0,T) x Gamma of boundary samples g of shape
+    (nt+1, nb), one row per time node."""
     g = np.asarray(g, dtype=float)
     nb = grid.boundary_weights.size
-    if g.shape == (nb,):
-        return float(math.fsum((g * grid.boundary_weights).tolist()))
     if g.shape != (grid.nt + 1, nb):
         raise GridError(f"expected boundary samples of shape (nt+1, {nb}), got {g.shape}")
     _, wt = grid.time_weights("Q")

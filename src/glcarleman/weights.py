@@ -353,10 +353,7 @@ def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> AdmissibilityRe
 
     clauses = {"psi_positive_in_interior": min_psi > 0}
     if which == "psi1":
-        # embedded disk: no boundary nodes, so check the analytic trace on the
-        # circle instead
-        trace = psi.psi[grid.boundary_mask] if grid.boundary_mask.any() \
-            else eval_psi(spec, which, grid.boundary_points).psi
+        trace = eval_psi(spec, which, grid.boundary_points).psi
         clauses["psi_zero_on_boundary"] = float(np.abs(trace).max()) <= 1e-12
         clauses["grad_nonvanishing_outside_omega"] = min_grad > 0
         clauses["critical_point_in_omega"] = critical_point_in_omega(spec)

@@ -38,6 +38,33 @@ class TestBuild:
         with pytest.raises(GridError):
             build_grid(square_spec, 32, 32, 32, -1.0)
 
+    @pytest.mark.parametrize("shape", ["unit_square", "unit_disk"])
+    def test_unequal_nx_ny_rejected(self, shape):
+        center = (0.5, 0.5) if shape == "unit_square" else (0.0, 0.0)
+        with pytest.raises(GridError, match="nx == ny"):
+            build_grid(DomainSpec(shape, center, 0.25), 32, 64, 32, 1.0)
+
+    def test_square_boundary_sample_layout(self, grid32):
+        g, n = grid32, grid32.nx
+        pts = np.stack([g.X1, g.X2], axis=-1)[g._b_iy, g._b_ix]
+        assert np.array_equal(g.boundary_points, pts)
+        # faces x1 = 0, x1 = 1, x2 = 0, x2 = 1, in that order
+        faces = [(0, 0.0, (-1, 0)), (0, 1.0, (1, 0)), (1, 0.0, (0, -1)), (1, 1.0, (0, 1))]
+        for f, (axis, value, normal) in enumerate(faces):
+            face = slice(f * (n + 1), (f + 1) * (n + 1))
+            assert np.all(g.boundary_points[face, axis] == value)
+            assert np.all(g.boundary_normals[face] == normal)
+        trapezoid = np.full(n + 1, g.h)
+        trapezoid[[0, -1]] = g.h / 2
+        assert np.array_equal(g.boundary_weights, np.tile(trapezoid, 4))
+        # each corner twice, every other boundary node once
+        nodes, count = np.unique(np.stack([g._b_iy, g._b_ix]), axis=1,
+                                 return_counts=True)
+        assert np.array_equal(g.corner_mask[tuple(nodes)], count == 2)
+        assert np.all(count <= 2) and g.corner_mask.sum() == 4
+        assert np.array_equal(np.sort(np.ravel_multi_index(nodes, g.X1.shape)),
+                              np.flatnonzero(g.boundary_mask))
+
     def test_mask_partition(self, grid32, disk_grid):
         for g in (grid32, disk_grid):
             assert not np.any(g.interior_mask & g.boundary_mask)
@@ -126,18 +153,23 @@ class TestIntegrateQ:
 
 
 class TestIntegrateSigma:
+    # every grid here has T = 1, so the integrals over Sigma equal those over Gamma
     def test_square_perimeter(self, grid32):
-        g = np.ones(grid32.boundary_weights.size)
-        assert integrate_sigma(g, grid32) == pytest.approx(4.0, abs=1e-13)
+        g = np.ones((grid32.nt + 1, grid32.boundary_weights.size))
+        assert integrate_sigma(g, grid32) == pytest.approx(4.0 * grid32.T, abs=1e-13)
 
     def test_disk_perimeter(self, disk_grid):
-        g = np.ones(disk_grid.boundary_weights.size)
+        g = np.ones((disk_grid.nt + 1, disk_grid.boundary_weights.size))
         val = integrate_sigma(g, disk_grid)
-        assert abs(val - 2 * np.pi) <= 0.02 * 2 * np.pi
+        assert abs(val - 2 * np.pi * disk_grid.T) <= 0.02 * 2 * np.pi * disk_grid.T
 
     def test_x1_moment_on_square(self, grid32):
-        g = grid32.boundary_points[:, 0]
-        assert integrate_sigma(g, grid32) == pytest.approx(2.0, abs=1e-12)
+        g = np.tile(grid32.boundary_points[:, 0], (grid32.nt + 1, 1))
+        assert integrate_sigma(g, grid32) == pytest.approx(2.0 * grid32.T, abs=1e-12)
+
+    def test_time_independent_samples_rejected(self, grid32):
+        with pytest.raises(GridError, match="nt\\+1"):
+            integrate_sigma(np.ones(grid32.boundary_weights.size), grid32)
 
     def test_spacetime_boundary_integral(self, grid32):
         nb = grid32.boundary_weights.size

@@ -184,6 +184,23 @@ class TestAdaptivity:
         assert res.substeps.max() > 1
         assert np.all(np.isfinite(res.Y))
 
+    def test_source_sampled_once_per_time(self, square_spec):
+        # Crank-Nicolson carries each substep's end value to the next substep
+        g = build_grid(square_spec, 32, 32, 16, 1.0)
+        times = []
+
+        def source(t):
+            times.append(t)
+            return np.zeros((33, 33), dtype=complex)
+
+        for scheme in ("imex_cn", "imex_be"):
+            times.clear()
+            cfg = SolveConfig(b=0.2, c=0.1, scheme=scheme, source=source)
+            y0 = random_initial_field(g, seed=8, amplitude=8.0, bc="dirichlet0")
+            res = solve(y0, cfg, g)
+            assert res.substeps.max() > 1
+            assert len(times) == len(set(times)) == res.substeps.sum() + 1
+
     def test_conjugation_symmetry(self, square_spec):
         g = build_grid(square_spec, 16, 16, 16, 0.5)
         y0 = random_initial_field(g, seed=9, amplitude=1.0, bc="dirichlet0")
@@ -247,6 +264,16 @@ class TestZeroAndDisk:
         cfg = SolveConfig(bc="neumann0")
         with pytest.raises(GridError):
             solve(np.zeros_like(disk_grid.X1, dtype=complex), cfg, disk_grid)
+
+    def test_disk_has_no_neumann_rule(self, disk_grid):
+        # the disk Laplacian has no neumann0 rule, so every caller fails
+        Y = np.zeros((disk_grid.nt + 1,) + disk_grid.X1.shape, dtype=complex)
+        calls = (lambda: laplacian(Y[0], disk_grid, "neumann0"),
+                 lambda: apply_F(Y, disk_grid, derive_coeffs(0.3, 0.4), bc="neumann0"),
+                 lambda: energy_balance(Y, disk_grid, SolveConfig(bc="neumann0")))
+        for call in calls:
+            with pytest.raises(GridError, match="neumann0"):
+                call()
 
     def test_failed_factorization_raises(self, square_spec, monkeypatch,
                                          tmp_path, capsys):

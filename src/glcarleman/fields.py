@@ -168,11 +168,16 @@ class AnalyticField:
     # -- sampling helpers ----------------------------------------------------
     def sample(self, grid, times=None) -> np.ndarray:
         """Sample values on all grid nodes for the given times (default all)."""
-        times = grid.t_nodes if times is None else np.asarray(times)
-        pts = np.stack([grid.X1, grid.X2], axis=-1)
+        times = grid.t_nodes if times is None else times
+        times, x1, x2 = self._parts(times, np.stack([grid.X1, grid.X2], axis=-1))
+        # the spatial factors once per call, then v per time summed as in jet
+        space = [(m, m.x1_atom.ev(x1)[0], m.x2_atom.ev(x2)[0]) for m in self.modes]
         out = np.empty((times.size, grid.ny + 1, grid.nx + 1), dtype=complex)
         for k, t in enumerate(times):
-            out[k] = self.jet(t, pts).v
+            v = 0
+            for m, f, g in space:
+                v = v + m.coef * m.t_atom.ev(np.asarray(t))[0] * f * g
+            out[k] = v
         out[:, ~grid.active_mask] = 0.0
         return out
 

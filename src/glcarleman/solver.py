@@ -1,8 +1,8 @@
 """Semi-implicit time stepping for the Ginzburg-Landau equation.
 
 The equation y_t = (1+ib) Lap y - (1+ic)|y|^2 y + f is advanced with the
-stiff dispersion treated implicitly through a sparse factorization of the
-stencil matrix, reused every step, and the cubic term handled explicitly:
+stiff dispersion treated implicitly through a sparse LU of I - kappa L, reused
+every step, and the cubic term handled explicitly:
 
 * ``imex_be``: backward Euler on the linear part, cubic frozen at the old
   state (first order);
@@ -14,6 +14,10 @@ stencil matrix, reused every step, and the cubic term handled explicitly:
 
 A stiffness cap dt_sub * max|y|^2 <= 1/2 is enforced adaptively by halving
 the internal substep (macro slices stay on the uniform time grid).
+
+The LU orders by minimum degree on the structure of A + A^T and does not
+pivot: for Re kappa > 0, I - kappa L is strictly diagonally dominant by rows
+on both domains, so the diagonal pivots are safe (see ``_factorized``).
 
 Boundary data are homogeneous, as for the difference of two solutions with
 the same boundary data: ``dirichlet0`` (square or disk) holds zero at every
@@ -118,13 +122,23 @@ def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
 def _factorized(ops: _LinearOps, kappa: complex):
     """LU of (I - kappa L), cached per kappa.
 
-    I - kappa L is nonsingular, since Re kappa > 0 and -L is an M-matrix on
-    the square and on the disk; a failing factorization raises RuntimeError.
+    The columns are ordered by minimum degree on the structure of A + A^T,
+    and the rows take the same order with no pivoting: on the 5-point plus
+    this keeps about half the fill of scipy's default COLAMD ordering with
+    partial pivoting.  Pivoting is not needed, since for Re kappa > 0 the
+    matrix is strictly diagonally dominant by rows: every row of L (the
+    square's ``dirichlet0`` and mirrored-ghost ``neumann0`` rules, the disk's
+    Shortley-Weller rule) has a negative diagonal d and off-diagonal entries
+    with sum |off| <= |d|, so |1 + kappa |d|| > |kappa| |d| >= |kappa| sum |off|.
+    Elimination keeps that dominance, so every pivot is nonzero; a failing
+    factorization raises RuntimeError.
     """
     if kappa not in ops._factor_cache:
         n = ops.L.shape[0]
         A = (sps.identity(n, dtype=complex, format="csr") - kappa * ops.L).tocsc()
-        ops._factor_cache[kappa] = spla.splu(A).solve
+        ops._factor_cache[kappa] = spla.splu(
+            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True}).solve
     return ops._factor_cache[kappa]
 
 
@@ -135,7 +149,13 @@ def _factorized(ops: _LinearOps, kappa: complex):
 def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
     """Exact flow of y' = -(1+ic)|y|^2 y over time tau >= 0."""
     m = 1.0 + 2.0 * tau * np.abs(y) ** 2
-    return y * m ** (-0.5) * np.exp(-0.5j * c * np.log(m))
+    # the unit phase exp(-ic/2 log m) from real cos and sin, which numpy
+    # vectorises and its complex exp does not
+    theta = (-0.5 * c) * np.log(m)
+    rot = np.empty(theta.shape, dtype=complex)
+    rot.real = np.cos(theta)
+    rot.imag = np.sin(theta)
+    return y * m ** (-0.5) * rot
 
 
 def required_substeps(state: np.ndarray, dt: float) -> int:

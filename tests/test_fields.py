@@ -45,6 +45,18 @@ class TestJets:
         x = np.array([0.3, 0.7])
         assert g.jet(0.4, x).v == pytest.approx(3.0 * f.jet(0.4, x).v)
 
+    @pytest.mark.parametrize("grid_name", ["grid32", "disk_grid"])
+    def test_sample_is_jet_value(self, request, grid_name):
+        # the value-only walk sums the modes in the jet's order, bit for bit
+        g = request.getfixturevalue(grid_name)
+        pts = np.stack([g.X1, g.X2], axis=-1)
+        for f in (random_trig_field(seed=2, T=1.0), bubble_sine_field(1.0)):
+            got = f.sample(g)
+            for k, t in enumerate(g.t_nodes):
+                want = f.jet(t, pts).v
+                want[~g.active_mask] = 0.0
+                assert np.array_equal(got[k], want)
+
 
 class TestInitialData:
     def test_dirichlet_trace_zero(self, grid32):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from glcarleman.fields import manufactured_reference, random_initial_field
 from glcarleman.grid import GridError, build_grid, integrate_q, laplacian
 from glcarleman.gloperator import apply_F, derive_coeffs
-from glcarleman.solver import (SolveConfig, build_linear_ops, energy_balance,
-                               grid_source, load_trajectory, save_trajectory,
-                               solve)
+from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized,
+                               build_linear_ops, energy_balance, grid_source,
+                               load_trajectory, save_trajectory, solve)
 
 
 def cubic_ode_exact(a, c, t):
@@ -32,6 +34,89 @@ class TestLinearOps:
         got = ops.L @ y[ops.unknown_mask]
         want = laplacian(y, g, bc)[ops.unknown_mask]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def fresh_grid(request, spec_name, n=32, nt=32):
+    # the factor cache lives on the grid, so each solve path needs its own
+    return build_grid(request.getfixturevalue(spec_name), n, n, nt, 1.0)
+
+
+DOMAIN_BCS = [("square_spec", "dirichlet0"), ("square_spec", "neumann0"),
+              ("disk_spec", "dirichlet0")]
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("spec_name, bc", DOMAIN_BCS)
+    def test_lu_solves_without_row_swaps(self, request, spec_name, bc):
+        g = fresh_grid(request, spec_name)
+        ops = build_linear_ops(g, bc)
+        n = ops.L.shape[0]
+        # the rows of L that make I - kappa L diagonally dominant
+        d = ops.L.diagonal()
+        off = np.asarray(abs(ops.L).sum(axis=1)).ravel() - np.abs(d)
+        assert np.all(d < 0) and np.all(off <= (1 + 1e-12) * np.abs(d))
+        kb = 1.0 + 0.4j
+        rng = np.random.default_rng(11)
+        # imex_cn, imex_be and an imex_cn substep after one halving
+        for kappa in (0.5 * g.dt * kb, g.dt * kb, 0.25 * g.dt * kb):
+            A = sps.identity(n, dtype=complex, format="csc") - kappa * ops.L
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            x = _factorized(ops, kappa)(b)
+            assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+            lu = _factorized(ops, kappa).__self__
+            assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    @pytest.mark.parametrize("spec_name, bc", DOMAIN_BCS)
+    def test_lu_fill_below_default_ordering(self, request, spec_name, bc):
+        # minimum degree on A + A^T against COLAMD with partial pivoting; the
+        # gap grows with the grid (0.63-0.71 of the default fill at 32^2,
+        # 0.53-0.56 at 128^2, the benchmark's size)
+        g = fresh_grid(request, spec_name, n=128, nt=16)
+        ops = build_linear_ops(g, bc)
+        kappa = 0.5 * g.dt * (1.0 + 0.4j)
+        lu = _factorized(ops, kappa).__self__
+        A = sps.identity(ops.L.shape[0], dtype=complex, format="csc") - kappa * ops.L
+        ref = spla.splu(A.tocsc())
+        assert lu.L.nnz + lu.U.nnz <= 0.6 * (ref.L.nnz + ref.U.nnz)
+
+    @pytest.mark.parametrize("spec_name, bc, scheme, amplitude", [
+        (spec_name, bc, scheme, 1.0) for spec_name, bc in DOMAIN_BCS
+        for scheme in ("imex_cn", "imex_be")] + [
+        ("square_spec", "dirichlet0", "imex_cn", 8.0)])
+    def test_trajectories_match_pivoting_lu(self, request, monkeypatch,
+                                            spec_name, bc, scheme, amplitude):
+        cfg = SolveConfig(b=0.4, c=-1.3, bc=bc, scheme=scheme)
+        g = fresh_grid(request, spec_name, nt=16)
+        y0 = random_initial_field(g, seed=4, amplitude=amplitude, bc=bc)
+        res = solve(y0, cfg, g)
+        assert (res.substeps.max() > 1) == (amplitude > 1)
+
+        default_splu, calls = spla.splu, []
+
+        def pivoting_splu(A, **_):
+            calls.append(A.shape)
+            return default_splu(A)
+
+        monkeypatch.setattr(spla, "splu", pivoting_splu)
+        ref = solve(y0, cfg, fresh_grid(request, spec_name, nt=16))
+        assert len(calls) == len(set(res.substeps))
+        assert np.array_equal(ref.substeps, res.substeps)
+        assert np.abs(res.Y - ref.Y).max() <= 1e-12 * np.abs(ref.Y).max()
+
+
+class TestCubicFlow:
+    @pytest.mark.parametrize("c", [0.0, 0.4, -1.3])
+    def test_matches_closed_form_and_contracts(self, rng, c):
+        y = np.concatenate([
+            [0.0],
+            rng.standard_normal(500) + 1j * rng.standard_normal(500),
+            1e3 * np.exp(2j * np.pi * rng.uniform(size=50)),
+        ])
+        for tau in (1e-3, 0.05, 0.5):
+            want = cubic_ode_exact(y, c, tau)
+            got = _cubic_flow(y, tau, c)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            assert np.all(np.abs(got) <= np.abs(y))
 
 
 class TestStepBasics:
@@ -279,8 +364,6 @@ class TestZeroAndDisk:
                                          tmp_path, capsys):
         # I - kappa L is nonsingular on every admitted grid: a failing LU is
         # an error, not a switch to another solver
-        import scipy.sparse.linalg as spla
-
         from glcarleman.cli import main
 
         def broken_splu(*a, **k):

@@ -30,15 +30,22 @@ underflows doubles for every lambda > 1), so each (lambda, mu) cell is
 evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
-`prepare_trajectory` takes log g of every integrand once per trajectory, the
-boundary one |dy/dnu|^2 too (square only), on interior times and with
-log 0 = -inf, so a cell only adds logs.  Integrands are exp(2 ell + log g - log_scale), flushed
-to exact zero wherever the argument is <= -700; on Sigma_0 the sign of
-d psi/d nu is applied after the flush.  Per time slice, the maxima of 2 ell and
-log g and the extremes of log phi bound the argument from above, summed in
-its own order; rounding is monotone, so a slice whose bound is <= -700 holds
-only exact zeros and is skipped.  Quadrature sums are compensated.  Square
-corner nodes are excluded from all weighted integrals.
+`prepare_trajectory` keeps every integrand g once per trajectory on the
+interior times, the boundary one |dy/dnu|^2 too (square only), with the log
+of its maximum over each time slice.  A cell groups the rows of `TERMS` by
+their power p of phi and exponentiates one weight per group,
+W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
+argument is <= -700 and multiplied by the space quadrature weights; each
+row is then one dot product of W_p with g per time slice.  On Sigma_0 the
+weight is flushed at the boundary nodes and multiplied by g and then by the
+signed d psi/d nu.  Per time slice, the extremes of 2 ell and log phi follow
+from the spatial extremes of e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma
+with sigma > 0, and rounding is monotone, so they are exact) and bound the
+weight's argument from above, summed in its own order: a slice whose bound is
+<= -700 holds only zero weights and is not tabulated, and a row drops the
+slices where the bound plus log max g is <= -700, whose products lie below
+the window.  Time sums are compensated.  Square corner nodes are excluded
+from all weighted integrals.
 """
 
 from __future__ import annotations
@@ -64,16 +71,15 @@ VARIANTS = tuple(VARIANT_FAMILY)
 
 class Term(NamedTuple):
     """One weighted term lam^lam_power mu^mu_power int theta^2 phi^phi_power g
-    (times 1/(lam phi) if inv_lam_phi) over Q, Q_omega or Sigma_0."""
+    over Q, Q_omega or Sigma_0."""
 
     name: str             # breakdown key
     side: str             # "lhs" or "rhs"
     variants: frozenset   # the variants whose inequality holds the term
-    integrand: str        # the LogIntegrand attribute of TrajectoryData
+    integrand: str        # the Integrand attribute of TrajectoryData
     lam_power: int
     mu_power: int
-    phi_power: float      # Sigma_0 quadrature takes phi^1 only
-    inv_lam_phi: bool
+    phi_power: int        # Sigma_0 quadrature takes phi^1 only
     region: str           # "Q", "Q_omega" or "Sigma_0"
 
 
@@ -83,18 +89,18 @@ _LINEAR, _J2 = _ALL - _CUBIC, _ALL - _J1
 # every total is sum(breakdown.values()), so the row order is the summation
 # order; the linear left side is the rows shared with the cubic one
 TERMS = (
-    Term("energy_t", "lhs", _ALL, "log_yt2", 0, 0, 0.0, True, "Q"),
-    Term("energy_lap", "lhs", _ALL, "log_lap2", 0, 0, 0.0, True, "Q"),
-    Term("w_l2", "lhs", _ALL, "log_y2", 3, 4, 3.0, False, "Q"),
-    Term("w_grad", "lhs", _ALL, "log_grad2", 1, 2, 1.0, False, "Q"),
-    Term("sextic", "lhs", _CUBIC, "log_y6", 0, 0, 0.0, False, "Q"),
-    Term("mixed", "lhs", _CUBIC, "log_y2_grad2", 0, 0, 0.0, False, "Q"),
-    Term("w_l4", "lhs", _CUBIC, "log_y4", 2, 2, 2.0, False, "Q"),
-    Term("source", "rhs", _CUBIC, "log_G2", 0, 0, 0.0, False, "Q"),
-    Term("source", "rhs", _LINEAR, "log_lin_src2", 0, 0, 0.0, False, "Q"),
-    Term("obs_l2", "rhs", _J1, "log_y2", 3, 4, 3.0, False, "Q_omega"),
-    Term("obs_boundary", "rhs", _J2, "log_dnu2", 1, 1, 1.0, False, "Sigma_0"),
-    Term("obs_l4", "rhs", _J1 & _CUBIC, "log_y4", 2, 2, 2.0, False, "Q_omega"),
+    Term("energy_t", "lhs", _ALL, "yt2", -1, 0, -1, "Q"),
+    Term("energy_lap", "lhs", _ALL, "lap2", -1, 0, -1, "Q"),
+    Term("w_l2", "lhs", _ALL, "y2", 3, 4, 3, "Q"),
+    Term("w_grad", "lhs", _ALL, "grad2", 1, 2, 1, "Q"),
+    Term("sextic", "lhs", _CUBIC, "y6", 0, 0, 0, "Q"),
+    Term("mixed", "lhs", _CUBIC, "y2_grad2", 0, 0, 0, "Q"),
+    Term("w_l4", "lhs", _CUBIC, "y4", 2, 2, 2, "Q"),
+    Term("source", "rhs", _CUBIC, "G2", 0, 0, 0, "Q"),
+    Term("source", "rhs", _LINEAR, "lin_src2", 0, 0, 0, "Q"),
+    Term("obs_l2", "rhs", _J1, "y2", 3, 4, 3, "Q_omega"),
+    Term("obs_boundary", "rhs", _J2, "dnu2", 1, 1, 1, "Sigma_0"),
+    Term("obs_l4", "rhs", _J1 & _CUBIC, "y4", 2, 2, 2, "Q_omega"),
 )
 
 
@@ -130,67 +136,68 @@ class CarlemanReport:
 
 
 @dataclass
-class LogIntegrand:
-    """log g of one integrand g >= 0 on the interior times, with log 0 = -inf,
-    and its maximum over each time slice."""
+class Integrand:
+    """One integrand g >= 0 on the interior times, with the log of its
+    maximum over each time slice (-inf on a slice where g is 0)."""
 
     values: np.ndarray
-    slice_max: np.ndarray
+    log_slice_max: np.ndarray
 
     @classmethod
-    def of(cls, g: np.ndarray) -> LogIntegrand:
-        """From g on every time node."""
-        g = g[1:-1]
-        values = np.where(g > 0, np.log(np.where(g > 0, g, 1.0)), -np.inf)
-        return cls(values, values.max(axis=tuple(range(1, values.ndim))))
+    def of(cls, g: np.ndarray) -> Integrand:
+        with np.errstate(divide="ignore"):
+            return cls(g, np.log(g.max(axis=tuple(range(1, g.ndim)))))
 
     @property
     def nbytes(self) -> int:
-        return self.values.nbytes + self.slice_max.nbytes
+        return self.values.nbytes + self.log_slice_max.nbytes
 
 
 @dataclass
 class TrajectoryData:
     """Stencil quantities of one trajectory, precomputed once per scan: every
-    integrand of `TERMS` in log form."""
+    integrand of `TERMS`."""
 
-    log_yt2: LogIntegrand         # |y_t|^2
-    log_lap2: LogIntegrand        # |Lap y|^2
-    log_y2: LogIntegrand          # |y|^2
-    log_grad2: LogIntegrand       # |grad y|^2
-    log_G2: LogIntegrand          # |G y|^2
-    log_lin_src2: LogIntegrand    # |y_t - (1+ib) Lap y|^2
-    log_y6: LogIntegrand          # |y|^6
-    log_y2_grad2: LogIntegrand    # |y|^2 |grad y|^2
-    log_y4: LogIntegrand          # |y|^4
+    yt2: Integrand            # |y_t|^2
+    lap2: Integrand           # |Lap y|^2
+    y2: Integrand             # |y|^2
+    grad2: Integrand          # |grad y|^2
+    G2: Integrand             # |G y|^2
+    lin_src2: Integrand       # |y_t - (1+ib) Lap y|^2
+    y6: Integrand             # |y|^6
+    y2_grad2: Integrand       # |y|^2 |grad y|^2
+    y4: Integrand             # |y|^4
     # the square only (None on the disk, where j2 is rejected):
-    log_dnu2: LogIntegrand | None  # |dy/dnu|^2 at boundary samples
+    dnu2: Integrand | None         # |dy/dnu|^2 at boundary samples
     trace_error: float | None      # max |y| on Gamma if the trace is not zero, else 0
 
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
                        coeffs: GLCoeffs) -> TrajectoryData:
     Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
-    yt = time_derivative(Y, grid.dt)
+    square = grid.spec.shape == "unit_square"
+    trace_error = nonzero_trace(Y, grid) if square else None
+    # theta vanishes at t = 0 and T: the integrands are kept on interior times
+    yt = time_derivative(Y, grid.dt)[1:-1]
+    Y = Y[1:-1]
     lap = laplacian(Y, grid, "ghost_from_field")
     g1, g2 = grad(Y, grid)
     grad_abs2 = np.abs(g1) ** 2 + np.abs(g2) ** 2
     del g1, g2
     abs2 = np.abs(Y) ** 2
-    square = grid.spec.shape == "unit_square"
     return TrajectoryData(
-        log_yt2=LogIntegrand.of(np.abs(yt) ** 2),
-        log_lap2=LogIntegrand.of(np.abs(lap) ** 2),
-        log_y2=LogIntegrand.of(abs2),
-        log_grad2=LogIntegrand.of(grad_abs2),
-        log_G2=LogIntegrand.of(np.abs(apply_G(Y, yt, lap, coeffs)) ** 2),
-        log_lin_src2=LogIntegrand.of(np.abs(linear_source(yt, lap, coeffs)) ** 2),
-        log_y6=LogIntegrand.of(abs2 ** 3),
-        log_y2_grad2=LogIntegrand.of(abs2 * grad_abs2),
-        log_y4=LogIntegrand.of(abs2 ** 2),
-        log_dnu2=LogIntegrand.of(np.abs(normal_derivative(Y, grid)) ** 2)
+        yt2=Integrand.of(np.abs(yt) ** 2),
+        lap2=Integrand.of(np.abs(lap) ** 2),
+        y2=Integrand.of(abs2),
+        grad2=Integrand.of(grad_abs2),
+        G2=Integrand.of(np.abs(apply_G(Y, yt, lap, coeffs)) ** 2),
+        lin_src2=Integrand.of(np.abs(linear_source(yt, lap, coeffs)) ** 2),
+        y6=Integrand.of(abs2 ** 3),
+        y2_grad2=Integrand.of(abs2 * grad_abs2),
+        y4=Integrand.of(abs2 ** 2),
+        dnu2=Integrand.of(np.abs(normal_derivative(Y, grid)) ** 2)
         if square else None,
-        trace_error=nonzero_trace(Y, grid) if square else None,
+        trace_error=trace_error,
     )
 
 
@@ -209,100 +216,109 @@ def _flush_exp(arg: np.ndarray) -> np.ndarray:
 
 
 class _CellQuadrature:
-    """Weighted integrals for one (lambda, mu) cell with a shared log offset."""
+    """Weighted integrals for one (lambda, mu) cell with a shared log offset.
+
+    2 ell = r sigma(t) with r = 2 lam (e^{mu psi} - K) and sigma > 0, and
+    phi = e^{mu psi} sigma(t): rounding is monotone, so the per-slice
+    extremes of 2 ell and log phi are those of the full tables, bit for bit.
+    """
 
     def __init__(self, tables: WeightTables, grid: SpaceTimeGrid):
         self.grid = grid
         self.tables = tables
-        two_ell = tables.log_theta2()
-        lam = tables.params.lam
+        # 2 ell and phi are formed as WeightTables forms them, so the bits agree
+        self.exp_mu_psi = tables.exp_mu_psi.ravel()
+        self.r = 2.0 * tables.params.lam * (self.exp_mu_psi - tables.K)
+        two_ell_max = self.r.max() * tables.sigma
         # the square's boundary samples are grid nodes, and only j1 runs on
         # the disk, where psi1 = 0 on the circle: the nodes hold the maximum
-        self.log_scale = float(two_ell.max())
-        self.logw = two_ell - self.log_scale
+        self.log_scale = float(two_ell_max.max())
+        self.logw_max = two_ell_max - self.log_scale
         with np.errstate(divide="ignore"):
-            self.logphi = np.log(tables.phi())
-        self.log_lam = np.log(lam)
-        # per-slice extremes, for the bound in live_slices
-        self.logw_max = self.logw.max(axis=(1, 2))
-        self.logphi_max = self.logphi.max(axis=(1, 2))
-        self.logphi_min = self.logphi.min(axis=(1, 2))
-        self.wsp = grid.space_weights(exclude_corners=True)
+            self.logphi_max = np.log(self.exp_mu_psi.max() * tables.sigma)
+            self.logphi_min = np.log(self.exp_mu_psi.min() * tables.sigma)
+        self.wsp = grid.space_weights(exclude_corners=True).ravel()
         _, wt_full = grid.time_weights("Q")
         self.wt = wt_full[1:-1]          # endpoint integrands vanish (theta -> 0)
 
-    def live_slices(self, logg: LogIntegrand, phi_power: float = 0.0,
-                    inv_lam_phi: bool = False) -> tuple:
-        """[lo, hi): the interior time slices that may hold a nonzero integrand.
+    def live(self, term: Term, g: Integrand) -> np.ndarray:
+        """The interior time slices that `term` integrates.
 
-        A slice's bound is the argument of `vol` taken in its own order on
-        per-slice maxima (minima where subtracted); rounding is monotone, so
-        the slices outside hold only arguments <= FLUSH_LOG: exact zeros.
+        A slice's bound on the weight's argument 2 ell - log_scale + p log phi
+        is taken in the argument's own order on per-slice maxima (minima where
+        p < 0).  A slice is dropped where the bound is <= FLUSH_LOG (its
+        weights are exact zeros) or where the bound plus log max g is (its
+        products lie below the window).
         """
-        bound = self.logw_max + logg.slice_max
-        if phi_power:
-            bound += phi_power * (self.logphi_max if phi_power > 0
-                                  else self.logphi_min)
-        if inv_lam_phi:
-            bound -= self.log_lam
-            bound -= self.logphi_min
-        live = np.flatnonzero(~(bound <= FLUSH_LOG))
-        if not live.size:
-            return 0, 0
-        lo, hi = int(live[0]), int(live[-1]) + 1
-        # einsum may sum a lone slice in another order than a stack of them
-        # (seen on 129^2 slices), so the range keeps at least two
-        if hi - lo < 2:
-            lo = max(min(lo, bound.size - 2), 0)
-            hi = min(lo + 2, bound.size)
-        return lo, hi
+        p = term.phi_power
+        bound = self.logw_max
+        if p:
+            bound = bound + p * (self.logphi_max if p > 0 else self.logphi_min)
+        return ~(bound <= FLUSH_LOG) & ~(bound + g.log_slice_max <= FLUSH_LOG)
 
-    def vol(self, logg: LogIntegrand, phi_power: float = 0.0,
-            inv_lam_phi: bool = False, mask=None) -> float:
-        """Integral over Q of theta^2 phi^power g (optionally 1/(lam phi))."""
-        lo, hi = self.live_slices(logg, phi_power, inv_lam_phi)
-        if lo == hi:
+    def integrals(self, data: TrajectoryData, rows: list) -> list:
+        """The integral of each row of `TERMS` over its region, without its
+        lam and mu powers: one flushed weight per phi power, shared by the
+        rows of that power, and one dot product per row and time slice."""
+        gs = [getattr(data, t.integrand) for t in rows]
+        lives = [self.live(t, g) for t, g in zip(rows, gs)]
+        out = [0.0] * len(rows)
+        kept = np.flatnonzero(np.logical_or.reduce(lives))
+        if not kept.size:
+            return out
+        # 2 ell - log_scale and log phi on the slices some row integrates
+        lo, hi = int(kept[0]), int(kept[-1]) + 1
+        sigma = self.tables.sigma[lo:hi, None]
+        logw = self.r[None] * sigma
+        logw -= self.log_scale
+        logphi = self.exp_mu_psi[None] * sigma
+        with np.errstate(divide="ignore"):
+            np.log(logphi, out=logphi)
+        for p in dict.fromkeys(t.phi_power for t in rows):
+            group = [i for i, t in enumerate(rows) if t.phi_power == p]
+            kept = np.flatnonzero(np.logical_or.reduce([lives[i] for i in group]))
+            if not kept.size:
+                continue
+            a, b = int(kept[0]), int(kept[-1]) + 1
+            if p:
+                w = p * logphi[a - lo:b - lo]
+                w += logw[a - lo:b - lo]
+            else:
+                w = logw[a - lo:b - lo].copy()
+            bw = None
+            if any(rows[i].region == "Sigma_0" for i in group):
+                nodes = np.ravel_multi_index((self.grid._b_iy, self.grid._b_ix),
+                                             self.grid.X1.shape)
+                bw = _flush_exp(np.take(w, nodes, axis=1))
+            _flush_exp(w)
+            w *= self.wsp
+            for i in group:
+                out[i] = self._row(rows[i], gs[i], lives[i],
+                                   bw if rows[i].region == "Sigma_0" else w, a)
+            del w, bw             # one weight table alive at a time
+        return out
+
+    def _row(self, term: Term, g: Integrand, live: np.ndarray, w: np.ndarray,
+             a: int) -> float:
+        """One row: per-slice dot products of its flushed weight w, whose
+        first slice is `a`, with g on the row's live slices, then the time
+        sum."""
+        idx = np.flatnonzero(live)
+        if not idx.size:
             return 0.0
-        live = slice(lo, hi)
-        arg = self.logw[live] + logg.values[live]
-        if phi_power:
-            arg += phi_power * self.logphi[live]
-        if inv_lam_phi:
-            arg -= self.log_lam
-            arg -= self.logphi[live]
-        vals = _flush_exp(arg)
-        wsp = self.wsp if mask is None else self.wsp * mask
-        slice_sums = np.einsum("tij,ij->t", vals, wsp)
-        return float(math.fsum((slice_sums * self.wt[live]).tolist()))
-
-    def boundary(self, logg: LogIntegrand) -> float:
-        """Integral over Sigma_0 of theta^2 phi (d psi/d nu) g; the sign of
-        d psi/d nu, which may make the integrand negative, follows the flush."""
-        nodes = np.ravel_multi_index((self.grid._b_iy, self.grid._b_ix),
-                                     self.logw.shape[1:])
-
-        def at_nodes(a):
-            # a C-contiguous gather: the product with the boundary weights
-            # below rounds as it does on any (nt-1, nb) table
-            return np.take(a.reshape(a.shape[0], -1), nodes, axis=1)
-
-        vals = _flush_exp(at_nodes(self.logw) + logg.values
-                          + at_nodes(self.logphi))
-        vals *= self.tables.b_dpsi_dnu[None, :]
-        per_t = vals @ self.grid.boundary_weights
-        return float(math.fsum((per_t * self.wt).tolist()))
-
-    def term(self, data: TrajectoryData, term: Term) -> float:
-        """The value of one row of `TERMS` for one trajectory."""
-        logg = getattr(data, term.integrand)
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        w, gv = w[lo - a:hi - a], g.values[lo:hi].reshape(hi - lo, -1)
         if term.region == "Sigma_0":
-            value = self.boundary(logg)
+            vals = w * gv
+            vals *= self.tables.b_dpsi_dnu
+            sums = np.vecdot(vals, self.grid.boundary_weights)
         else:
-            mask = self.grid.omega_mask if term.region == "Q_omega" else None
-            value = self.vol(logg, phi_power=term.phi_power,
-                             inv_lam_phi=term.inv_lam_phi, mask=mask)
-        params = self.tables.params
-        return params.lam ** term.lam_power * params.mu ** term.mu_power * value
+            if term.region == "Q_omega":
+                # C-contiguous gathers: a strided dot rounds differently
+                omega = np.flatnonzero(self.grid.omega_mask)
+                w, gv = np.take(w, omega, axis=1), np.take(gv, omega, axis=1)
+            sums = np.vecdot(w, gv)
+        return float(math.fsum((sums * self.wt[lo:hi])[live[lo:hi]].tolist()))
 
 
 def evaluate_cell(data: TrajectoryData, tables: WeightTables,
@@ -328,9 +344,10 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                 f"(max |y| on Gamma = {data.trace_error:.3e})")
 
     variants = [v for v, fam in VARIANT_FAMILY.items() if fam == params.family]
+    rows = [t for t in TERMS if not t.variants.isdisjoint(variants)]
     cell = _CellQuadrature(tables, grid)
-    values = [(t, cell.term(data, t)) for t in TERMS
-              if not t.variants.isdisjoint(variants)]
+    values = [(t, params.lam ** t.lam_power * params.mu ** t.mu_power * value)
+              for t, value in zip(rows, cell.integrals(data, rows))]
     reports = {}
     for variant in variants:
         held = [(t, value) for t, value in values if variant in t.variants]

@@ -20,8 +20,8 @@ with all derivatives needed by the pointwise identity evaluated in closed
 form.  theta spans hundreds of orders of magnitude, so only log(theta) = ell
 is ever stored: :func:`weight_tables` tabulates exp(mu psi), K and sigma over
 the grid, and the cell quadrature in :mod:`glcarleman.functionals` assembles
-weighted products from them in log space, flushing to exact zero once the
-log-argument drops below FLUSH_LOG = -700.
+the weights theta^2 phi^p from them in log space, flushing each to exact zero
+once its log-argument drops below FLUSH_LOG = -700.
 """
 
 from __future__ import annotations

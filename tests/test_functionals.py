@@ -1,13 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from glcarleman import functionals
 from glcarleman.fields import random_initial_field
 from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
-                                    FunctionalError, LogIntegrand, _CellQuadrature,
-                                    evaluate_cell, lambda_scan, prepare_trajectory,
-                                    suite_worst_constant)
+                                    FunctionalError, Integrand, Term, _CellQuadrature,
+                                    _flush_exp, evaluate_cell, lambda_scan,
+                                    prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import build_grid, normal_derivative
 from glcarleman.solver import SolveConfig, solve
@@ -20,6 +22,12 @@ LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4
 def report(Y, params, grid, variant="interior"):
     return evaluate_cell(prepare_trajectory(Y, grid, COEFFS),
                          weight_tables(params, grid), grid)[variant]
+
+
+def integral(cell, g, phi_power=0, region="Q"):
+    """int theta^2 phi^phi_power g over one region, g an Integrand."""
+    term = Term("g", "lhs", frozenset(), "g", 0, 0, phi_power, region)
+    return cell.integrals(SimpleNamespace(g=g), [term])[0]
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +96,7 @@ class TestBasics:
             params = CarlemanParams(lam=4, mu=2, T=1.0)
             tables = weight_tables(params, g)
             data = prepare_trajectory(Y, g, COEFFS)
-            cell = _CellQuadrature(tables, g)
-            vals.append(cell.vol(data.log_G2))
+            vals.append(integral(_CellQuadrature(tables, g), data.G2))
         assert vals[1] <= vals[0] / 2 ** 1.8
 
 
@@ -113,9 +120,9 @@ class TestTermsTable:
 
     def test_table_matches_trajectory_data(self, grid32, dirichlet_traj):
         data = vars(prepare_trajectory(dirichlet_traj, grid32, COEFFS))
-        logs = {k for k, v in data.items() if isinstance(v, LogIntegrand)}
+        integrands = {k for k, v in data.items() if isinstance(v, Integrand)}
         # every row reads a prepared integrand, and every one is read
-        assert {t.integrand for t in TERMS} == logs
+        assert {t.integrand for t in TERMS} == integrands
         # the benchmark sums nbytes over the attributes that hold arrays
         assert all(isinstance(v, float) or hasattr(v, "nbytes")
                    for v in data.values())
@@ -123,13 +130,38 @@ class TestTermsTable:
             assert t.side in ("lhs", "rhs") and t.variants <= set(VARIANTS)
             assert t.region in ("Q", "Q_omega", "Sigma_0")
             if t.region == "Sigma_0":    # the boundary quadrature's one form
-                assert (t.phi_power, t.inv_lam_phi) == (1.0, False)
+                assert t.phi_power == 1
+
+
+def full_tables(cell):
+    """2 ell - log_scale and log phi on every interior time slice, from the
+    full weight tables, as (nt-1, nodes) arrays."""
+    n = cell.tables.sigma.size
+    logw = (cell.tables.log_theta2() - cell.log_scale).reshape(n, -1)
+    return logw, np.log(cell.tables.phi()).reshape(n, -1)
+
+
+def flushed(arg):
+    return np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
+
+
+def row_live(cell, phi_power, g):
+    """The slices a row keeps, from full-table extremes: those whose bound
+    on the weight's argument, and that bound plus log max g, exceed the
+    window."""
+    logw, logphi = full_tables(cell)
+    ext = logphi.max(axis=1) if phi_power > 0 else logphi.min(axis=1)
+    bound = logw.max(axis=1) + phi_power * ext
+    with np.errstate(divide="ignore"):
+        log_gmax = np.log(g.reshape(g.shape[0], -1).max(axis=1))
+    return (bound > FLUSH_LOG) & (bound + log_gmax > FLUSH_LOG)
 
 
 def boundary_reference(cell, dnu_abs2):
-    """The boundary observation on linear values: log |g|, flush, sign of g
-    and then the signed factor d psi/d nu, with psi taken at the boundary
-    points themselves."""
+    """The boundary observation from linear values: the weight theta^2 phi,
+    with psi taken at the boundary points themselves, flushed, times g and
+    then the signed factor d psi/d nu, summed over the slices its bound
+    keeps."""
     g = dnu_abs2[1:-1]
     params, grid = cell.tables.params, cell.grid
     b_exp_mu_psi = np.exp(params.mu * eval_psi(grid.spec, params.which_psi,
@@ -138,14 +170,9 @@ def boundary_reference(cell, dnu_abs2):
     two_ell = (2.0 * params.lam * (b_exp_mu_psi - cell.tables.K))[None, :] * sig \
         - cell.log_scale
     bphi = b_exp_mu_psi[None, :] * sig
-    mag = np.abs(g)
-    logmag = np.where(mag > 0, np.log(np.where(mag > 0, mag, 1.0)), -np.inf)
-    arg = two_ell + logmag + 1.0 * np.log(bphi)
-    vals = np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
-    vals *= np.sign(g)
-    vals = vals * cell.tables.b_dpsi_dnu[None, :]
-    per_t = vals @ cell.grid.boundary_weights
-    return float(math.fsum((per_t * cell.wt).tolist()))
+    vals = flushed(two_ell + 1 * np.log(bphi)) * g * cell.tables.b_dpsi_dnu
+    per_t = np.vecdot(vals, cell.grid.boundary_weights)
+    return float(math.fsum((per_t * cell.wt)[row_live(cell, 1, g)].tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +190,7 @@ def edge_field(grid32):
 @pytest.mark.parametrize("field", ["dirichlet_traj", "edge_field"])
 @pytest.mark.parametrize("lam, mu", [(2.0, 1.5), (64.0, 3.0)])
 def test_boundary_observation_exact(request, grid32, field, lam, mu):
-    # the log-integrand path gives the linear-value path's bits
+    # the node gather of the weight table gives the boundary points' bits
     Y = request.getfixturevalue(field)
     tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0,
                                           family="j2_boundary"), grid32)
@@ -301,37 +328,98 @@ class TestCellQuadrature:
             == tables.log_theta2().max()
 
     def test_flush_to_zero(self, grid32):
-        # log-arguments in (-745, -700] would be subnormal: they flush to 0
+        # weight arguments in (-745, -700] would be subnormal: they flush to
+        # 0, and so does nan
+        assert np.exp(-720.0) > 0
+        arg = np.array([-720.0, FLUSH_LOG, -699.5, np.nan, 0.0])
+        assert _flush_exp(arg).tolist() == [0.0, 0.0, np.exp(-699.5), 0.0, 1.0]
+        # a row whose bound puts every product below the window adds nothing
         cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
                                              grid32), grid32)
-        g = np.full((33, 33, 33), np.exp(-720.0))
-        assert np.exp(-720.0) > 0
-        assert cell.vol(LogIntegrand.of(g)) == 0.0
-        assert cell.vol(LogIntegrand.of(np.full((33, 33, 33), np.exp(-690.0)))) > 0
+        assert integral(cell, Integrand.of(np.full((31, 33, 33), np.exp(-720.0)))) \
+            == 0.0
+        assert integral(cell, Integrand.of(np.full((31, 33, 33), np.exp(-690.0)))) > 0
+
+    def test_zero_slice_adds_nothing(self, grid32, rng):
+        # an all-zero slice of g has log max -inf: no row keeps it
+        cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
+                                             grid32), grid32)
+        g = rng.random((31, 33, 33)) + 0.1
+        g[15] = 0.0
+        integrand = Integrand.of(g)
+        assert integrand.log_slice_max[15] == -np.inf
+        assert np.isfinite(integrand.log_slice_max).sum() == 30
+        for p in (-1, 0, 3):
+            live = cell.live(Term("g", "lhs", frozenset(), "g", 0, 0, p, "Q"),
+                             integrand)
+            assert not live[15] and live.sum() == 30
+            whole = integral(cell, integrand, p)
+            g[15] = 1.0
+            assert whole < integral(cell, Integrand.of(g), p)
+            g[15] = 0.0
 
     def test_matches_direct_product(self, grid32, rng):
         params = CarlemanParams(lam=2, mu=1.5, T=1.0)
         tables = weight_tables(params, grid32)
         cell = _CellQuadrature(tables, grid32)
-        g = rng.random((33, 33, 33)) + 0.1
+        g = rng.random((31, 33, 33)) + 0.1
         theta2 = np.exp(tables.log_theta2() - cell.log_scale)
-        for p in (0.0, 2.0):
-            direct = theta2 * tables.phi() ** p * g[1:-1]
+        for p in (-1, 0, 2):
+            direct = theta2 * tables.phi() ** p * g
             expect = np.sum(direct * grid32.space_weights(exclude_corners=True),
                             axis=(1, 2)) @ cell.wt
-            assert cell.vol(LogIntegrand.of(g), phi_power=p) \
+            assert integral(cell, Integrand.of(g), p) \
                 == pytest.approx(expect, rel=1e-13)
 
 
-def flushed_slices(cell, logg, phi_power=0.0, inv_lam_phi=False, mask=None):
-    """Weighted sums of every interior time slice, each integrand flushed to
-    zero below the window, with no slice skipped."""
-    arg = cell.logw + logg.values + phi_power * cell.logphi
-    if inv_lam_phi:
-        arg = arg - np.log(cell.tables.params.lam) - cell.logphi
-    vals = np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
-    wsp = cell.wsp if mask is None else cell.wsp * mask
-    return np.einsum("tij,ij->t", vals, wsp)
+@pytest.fixture(scope="module")
+def disk32(disk_spec):
+    return build_grid(disk_spec, 32, 32, 32, 1.0)
+
+
+@pytest.mark.parametrize("lam, mu", [(2.0, 1.5), (64.0, 3.0)])
+@pytest.mark.parametrize("grid, family", [("grid32", "j1_interior"),
+                                          ("grid32", "j2_boundary"),
+                                          ("disk32", "j1_interior")])
+def test_slice_extremes_exact(request, grid, family, lam, mu):
+    # the closed-form per-slice extremes are the full tables' bit for bit
+    grid = request.getfixturevalue(grid)
+    tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0, family=family),
+                           grid)
+    cell = _CellQuadrature(tables, grid)
+    two_ell = tables.log_theta2()
+    assert cell.log_scale == two_ell.max()
+    assert np.array_equal(cell.logw_max, (two_ell - cell.log_scale).max(axis=(1, 2)))
+    logphi = np.log(tables.phi())
+    assert np.array_equal(cell.logphi_max, logphi.max(axis=(1, 2)))
+    assert np.array_equal(cell.logphi_min, logphi.min(axis=(1, 2)))
+
+
+def flushed_slices(cell, term, g):
+    """Per-slice sums of one row on every interior time slice, none skipped:
+    the weight theta^2 phi^p from the full tables, flushed below the window,
+    times g."""
+    logw, logphi = full_tables(cell)
+    arg = term.phi_power * logphi + logw
+    gv = g.reshape(arg.shape[0], -1)
+    if term.region == "Sigma_0":
+        nodes = np.ravel_multi_index((cell.grid._b_iy, cell.grid._b_ix),
+                                     cell.grid.X1.shape)
+        vals = flushed(np.take(arg, nodes, axis=1)) * gv * cell.tables.b_dpsi_dnu
+        return np.vecdot(vals, cell.grid.boundary_weights)
+    w = flushed(arg) * cell.wsp
+    if term.region == "Q_omega":
+        omega = np.flatnonzero(cell.grid.omega_mask)
+        w, gv = np.take(w, omega, axis=1), np.take(gv, omega, axis=1)
+    return np.vecdot(w, gv)
+
+
+def region_weight(cell, term):
+    """Sum of the moduli of a row's quadrature weights over one slice."""
+    if term.region == "Sigma_0":
+        return float(np.abs(cell.grid.boundary_weights).sum())
+    return float(cell.wsp[cell.grid.omega_mask.ravel()].sum()
+                 if term.region == "Q_omega" else cell.wsp.sum())
 
 
 SKIP_CELLS = {"j1-64-3": ("j1_interior", 64.0, 3.0),
@@ -340,70 +428,177 @@ SKIP_CELLS = {"j1-64-3": ("j1_interior", 64.0, 3.0),
 
 
 @pytest.fixture(scope="module")
-def vol_calls(grid32, dirichlet_traj):
-    """{cell: [(quadrature, logg, kwargs, value, (lo, hi))]}: every `vol`
-    call of one evaluate_cell per cell, with the slices it integrated."""
+def cell_calls(grid32, dirichlet_traj):
+    """{cell: (quadrature, rows, raw integrals, data, flushed)}: the one
+    `integrals` call of one evaluate_cell per cell, with the number of time
+    slices of each `_flush_exp` call."""
     data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        vol, live_slices = _CellQuadrature.vol, _CellQuadrature.live_slices
-        ranges, calls = [], []
+        integrals, flush = _CellQuadrature.integrals, functionals._flush_exp
+        calls, flushes = [], []
 
-        def counted_live(self, *args, **kwargs):
-            ranges.append(live_slices(self, *args, **kwargs))
-            return ranges[-1]
-
-        def counted_vol(self, logg, **kwargs):
-            calls.append((self, logg, kwargs, vol(self, logg, **kwargs)))
+        def counted_integrals(self, data, rows):
+            calls.append((self, rows, integrals(self, data, rows)))
             return calls[-1][-1]
 
-        mp.setattr(_CellQuadrature, "live_slices", counted_live)
-        mp.setattr(_CellQuadrature, "vol", counted_vol)
+        def counted_flush(arg):
+            flushes.append(arg.shape[0])
+            return flush(arg)
+
+        mp.setattr(_CellQuadrature, "integrals", counted_integrals)
+        mp.setattr(functionals, "_flush_exp", counted_flush)
         for name, (family, lam, mu) in SKIP_CELLS.items():
-            ranges.clear()
             calls.clear()
+            flushes.clear()
             params = CarlemanParams(lam=lam, mu=mu, T=1.0, family=family)
             evaluate_cell(data, weight_tables(params, grid32), grid32)
-            out[name] = [c + (r,) for c, r in zip(calls, ranges, strict=True)]
+            (call,) = calls
+            out[name] = call + (data, list(flushes))
     return out
 
 
 @pytest.mark.parametrize("name", SKIP_CELLS)
 class TestSliceSkip:
-    def test_every_term_called(self, vol_calls, name):
-        # 7 left-side terms, the two sources and the Q_omega observations
-        assert len(vol_calls[name]) == (11 if name.startswith("j1") else 9)
+    def test_every_term_called(self, cell_calls, name):
+        # 7 left-side terms, the two sources and the observations
+        cell, rows, values, *_ = cell_calls[name]
+        assert len(rows) == len(values) == (11 if name.startswith("j1") else 10)
 
-    def test_equals_sum_over_all_slices(self, vol_calls, name):
-        for cell, logg, kwargs, value, _ in vol_calls[name]:
-            sums = flushed_slices(cell, logg, **kwargs)
-            assert value == math.fsum((sums * cell.wt).tolist()), kwargs
+    def test_equals_sum_over_all_slices(self, cell_calls, name):
+        # every slice evaluated, then the row's rule: the slices its bound
+        # drops add nothing
+        cell, rows, values, data, _ = cell_calls[name]
+        for term, value in zip(rows, values):
+            g = getattr(data, term.integrand).values
+            sums = flushed_slices(cell, term, g)
+            live = row_live(cell, term.phi_power, g)
+            assert value == math.fsum((sums * cell.wt)[live].tolist()), term.name
 
-    def test_skipped_slices_hold_exact_zeros(self, vol_calls, name):
-        for cell, logg, kwargs, _, (lo, hi) in vol_calls[name]:
-            sums = flushed_slices(cell, logg, **kwargs)
-            assert not sums[:lo].any() and not sums[hi:].any(), kwargs
+    def test_skipped_slices_hold_exact_zeros(self, cell_calls, name):
+        # a dropped slice holds exact zeros where the weight's bound is below
+        # the window, and products below the window elsewhere
+        cell, rows, _, data, _ = cell_calls[name]
+        logw, logphi = full_tables(cell)
+        for term in rows:
+            g = getattr(data, term.integrand).values
+            sums = flushed_slices(cell, term, g)
+            p = term.phi_power
+            bound = logw.max(axis=1) + p * (logphi.max(axis=1) if p > 0
+                                            else logphi.min(axis=1))
+            dropped = ~row_live(cell, p, g)
+            assert not sums[dropped & (bound <= FLUSH_LOG)].any(), term.name
+            assert np.all(np.abs(sums[dropped]) <= np.exp(FLUSH_LOG) * (1 + 1e-12)
+                          * region_weight(cell, term)), term.name
 
-    def test_slices_evaluated(self, vol_calls, name):
-        counts = [hi - lo for *_, (lo, hi) in vol_calls[name]]
+    def test_one_exp_per_phi_power(self, cell_calls, name):
+        # phi^-1 .. phi^3, plus the Sigma_0 weight for j2
+        assert len(cell_calls[name][-1]) <= (5 if name.startswith("j1") else 6)
+
+    def test_slices_evaluated(self, cell_calls, name):
+        counts = cell_calls[name][-1]
         assert max(counts) < 31          # every cell skips a slice
         if name == "j2-64-3":
             assert max(counts) <= 2
 
     def test_window_edge_kept(self, grid32, name):
-        # log g puts 2 ell + log g 1 below the window at each slice's peak:
-        # only the phi power lifts those nodes above it, and the bound must
-        # keep their slices
+        # g puts 2 ell + log g 1 below the window at each slice's peak: only
+        # the phi power lifts the bound above it, and it must keep every slice
+        # whose weight is not all zero
         family, lam, mu = SKIP_CELLS[name]
         cell = _CellQuadrature(weight_tables(CarlemanParams(
             lam=lam, mu=mu, T=1.0, family=family), grid32), grid32)
-        values = np.broadcast_to((FLUSH_LOG - 1.0 - cell.logw_max)[:, None, None],
-                                 (31, 33, 33))
-        logg = LogIntegrand(values, values.max(axis=(1, 2)))
-        for p in (1.0, 2.0, 3.0):
-            sums = flushed_slices(cell, logg, phi_power=p)
-            assert sums.all()
-            assert cell.vol(logg, phi_power=p) == math.fsum((sums * cell.wt).tolist())
+        # (0 on the slices whose g would overflow: their weights are all 0)
+        log_g = FLUSH_LOG - 1.0 - cell.logw_max
+        g = np.broadcast_to(np.where(log_g < 700.0, np.exp(np.minimum(log_g, 700.0)),
+                                     0.0)[:, None, None], (31, 33, 33))
+        for p in (1, 2, 3):
+            sums = flushed_slices(cell, TERMS[0]._replace(phi_power=p), g)
+            assert sums.any()
+            assert integral(cell, Integrand.of(g), p) \
+                == math.fsum((sums * cell.wt).tolist())
+
+
+@pytest.mark.parametrize("family", ["j1_interior", "j2_boundary"])
+def test_one_exp_per_phi_power_every_group_live(grid32, dirichlet_traj, family):
+    # at (2, 1.5) every group has live slices: 11 and 10 rows, 5 and 6 exps
+    data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
+    calls = []
+    flush = functionals._flush_exp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "_flush_exp",
+                   lambda arg: calls.append(arg.shape) or flush(arg))
+        evaluate_cell(data, weight_tables(CarlemanParams(
+            lam=2.0, mu=1.5, T=1.0, family=family), grid32), grid32)
+    assert len(calls) == (5 if family == "j1_interior" else 6)
+
+
+def log_form_row(cell, term, g):
+    """One row as the log-form path took it: exp(2 ell - log_scale + log g
+    + p log phi) flushed below the window as a product, the energy rows'
+    1/(lam phi) inside the exponent, times the row's lam and mu powers."""
+    logw, logphi = full_tables(cell)
+    gv = g.reshape(logw.shape[0], -1)
+    with np.errstate(divide="ignore"):
+        logg = np.where(gv > 0, np.log(np.where(gv > 0, gv, 1.0)), -np.inf)
+    params = cell.tables.params
+    lam_power = term.lam_power
+    if term.region == "Sigma_0":
+        nodes = np.ravel_multi_index((cell.grid._b_iy, cell.grid._b_ix),
+                                     cell.grid.X1.shape)
+        vals = flushed(logw[:, nodes] + logg + logphi[:, nodes])
+        per_t = (vals * cell.tables.b_dpsi_dnu) @ cell.grid.boundary_weights
+    else:
+        arg = logw + logg
+        if term.phi_power > 0:
+            arg += term.phi_power * logphi
+        elif term.phi_power < 0:            # the 1/(lam phi) flag
+            arg -= np.log(params.lam)
+            arg -= logphi
+            lam_power = 0
+        wsp = cell.wsp * (cell.grid.omega_mask.ravel()
+                          if term.region == "Q_omega" else 1.0)
+        per_t = flushed(arg) @ wsp
+    value = math.fsum((per_t * cell.wt).tolist())
+    return params.lam ** lam_power * params.mu ** term.mu_power * value
+
+
+@pytest.fixture(scope="module")
+def disk16_traj(disk_spec):
+    g = build_grid(disk_spec, 16, 16, 16, 1.0)
+    cfg = SolveConfig(b=COEFFS.b, c=COEFFS.c, bc="dirichlet0", scheme="imex_cn")
+    y0 = random_initial_field(g, seed=3, amplitude=1.0, bc="dirichlet0")
+    return g, solve(y0, cfg, g).Y
+
+
+LOG_FORM_CELLS = [("grid32", family, lam, mu)
+                  for family, lam, mu in SKIP_CELLS.values()] \
+    + [("disk16", "j1_interior", lam, mu)
+       for lam, mu in [(2.0, 1.5), (8.0, 2.0), (64.0, 3.0)]]
+
+
+@pytest.mark.parametrize("where, family, lam, mu", LOG_FORM_CELLS)
+def test_matches_log_form_reference(request, grid32, dirichlet_traj, where,
+                                    family, lam, mu):
+    # flushing the weight instead of the product theta^2 phi^p g moves each
+    # row by at most 1e-12 relative, and no row gains or loses a zero
+    grid, Y = ((grid32, dirichlet_traj) if where == "grid32"
+               else request.getfixturevalue("disk16_traj"))
+    data = prepare_trajectory(Y, grid, COEFFS)
+    tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0, family=family),
+                           grid)
+    reports = evaluate_cell(data, tables, grid)
+    cell = _CellQuadrature(tables, grid)
+    for variant, rep in reports.items():
+        for term in TERMS:
+            if variant not in term.variants:
+                continue
+            side = rep.lhs_breakdown if term.side == "lhs" else rep.rhs_breakdown
+            value = side[term.name]
+            expect = log_form_row(cell, term, getattr(data, term.integrand).values)
+            assert (value == 0.0) == (expect == 0.0), (variant, term.name)
+            assert value == pytest.approx(expect, rel=1e-12, abs=0.0), \
+                (variant, term.name)
 
 
 class TestConcentrationProbe:

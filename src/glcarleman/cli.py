@@ -23,13 +23,14 @@ from .config import ConfigError, build_domain, build_run_grid, config_hash, load
 from .functionals import VARIANT_FAMILY, lambda_scan, suite_worst_constant
 from .gloperator import check_condition1, derive_coeffs
 from .grid import DomainSpec, GridError, build_grid
-from .identity import T_coefficient_positivity, identity_residuals, overflowing_pairs
+from .identity import (T_coefficient_positivity, default_samples, identity_residuals,
+                       overflowing_pairs)
 from .solver import SolveConfig, energy_balance, save_trajectory, solve
 from .stability import perturbation_suite
 from .weights import (CRITICAL_POINT, CarlemanParams, check_time_monotonicity,
                       critical_point_in_omega, derivative_consistency,
-                      export_envelope_csv, verify_psi_admissibility,
-                      weight_tables)
+                      export_envelope_csv, horizon_representable,
+                      verify_psi_admissibility, weight_tables)
 
 
 def _float_list(text):
@@ -78,9 +79,16 @@ def _check_capabilities(cfg, command, manufactured):
         errs.append(f"domain.omega_center: omega misses psi1's critical point "
                     f"{CRITICAL_POINT[(spec.shape, 'psi1')]}, which the interior "
                     "variants need inside it")
+    # the interior grid times, and the identity suite's sample times
+    T, nt = cfg["grid"]["T"], cfg["grid"]["nt"]
+    horizon_ok = horizon_representable(T, np.concatenate([
+        np.linspace(0.0, T, nt + 1)[1:-1], default_samples(spec, T)[0]]))
+    if not horizon_ok:
+        errs.append(f"grid.T: {T:g} leaves the weights' time factor "
+                    "1/(t (T - t)) no finite positive value at some time")
     ident = cfg["identity"]
-    if command == "verify-identity" and (bad := overflowing_pairs(
-            spec, cfg["grid"]["T"], ident["lambdas"], ident["mus"])):
+    if command == "verify-identity" and horizon_ok and (bad := overflowing_pairs(
+            spec, T, ident["lambdas"], ident["mus"])):
         errs.append("identity.lambdas: with identity.mus, theta^{-4} overflows on the "
                     f"{spec.shape} sample set (-4 ell > 700) at (lambda, mu) = "
                     + ", ".join(f"({lam:g}, {mu:g})" for lam, mu in bad))
@@ -130,7 +138,8 @@ def cmd_verify_identity(args) -> int:
                 res = identity_residuals(field, params, coeffs, grid,
                                          corrupt=args.corrupt_term)
                 nl, lin = res["cubic"], res["linear"]
-                worst = max(worst, nl.max_rel, lin.max_rel)
+                # np.max keeps a nan residual, which then fails the threshold
+                worst = float(np.max([worst, nl.max_rel, lin.max_rel]))
                 results.append({
                     "field": fid, "b": b, "c": c, "lambda": lam, "mu": mu,
                     "nonlinear_max_rel": nl.max_rel,
@@ -227,15 +236,13 @@ def cmd_carleman_scan(args) -> int:
     sc_cfg = cfg["scan"]
     coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     cond = check_condition1(coeffs, cfg["coeffs"]["r0"], cfg["coeffs"]["delta0"])
-    scans = {v: [] for v in sc_cfg["variants"]}
-    rows_of = {v: [] for v in sc_cfg["variants"]}
-    n_cells = 0
+    suite = []                   # (k, bc, Y, variants)
     for k in range(sc_cfg["n_trajectories"]):
         # seeded suite alternating Dirichlet / Neumann (Dirichlet only on the disk)
         bc = "dirichlet0" if k % 2 == 0 or grid.spec.shape == "unit_disk" \
             else "neumann0"
         # the boundary family needs a Dirichlet trace
-        variants = [v for v in scans
+        variants = [v for v in sc_cfg["variants"]
                     if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"]
         if not variants:
             continue             # solved only if a requested variant uses it
@@ -243,12 +250,16 @@ def cmd_carleman_scan(args) -> int:
         y0 = flds.random_initial_field(grid, seed=cfg["seed"] + k,
                                        amplitude=cfg["solver"]["amplitude"],
                                        bc=bc, n_modes=cfg["solver"]["n_modes"])
-        # one trajectory at a time: it is dropped before the next one is solved
-        scan_of = lambda_scan(solve(y0, sc, grid).Y, grid, sc_cfg["lambdas"],
-                              sc_cfg["mus"], variants, coeffs)
-        n_cells += len({VARIANT_FAMILY[v] for v in variants}) \
-            * len(sc_cfg["mus"]) * len(sc_cfg["lambdas"])
-        for v, scan in scan_of.items():
+        suite.append((k, bc, solve(y0, sc, grid).Y, variants))
+    # the whole suite is scanned at once: each cell's weights serve every member
+    scan_of = lambda_scan([(Y, variants) for _, _, Y, variants in suite], grid,
+                          sc_cfg["lambdas"], sc_cfg["mus"], coeffs)
+    n_cells = sum(len({VARIANT_FAMILY[v] for v in variants})
+                  for *_, variants in suite) * len(sc_cfg["mus"]) * len(sc_cfg["lambdas"])
+    scans = {v: [] for v in sc_cfg["variants"]}
+    rows_of = {v: [] for v in sc_cfg["variants"]}
+    for (k, bc, *_), member in zip(suite, scan_of):
+        for v, scan in member.items():
             scans[v].append(scan)
             rows_of[v] += [{**rep.as_row(), "trajectory": k, "bc": bc}
                            for rep in scan.reports]

@@ -17,9 +17,9 @@ normal derivative on Sigma_0):
 
 Linear variants drop every cubic term and use |y_t - (1+ib) Lap y|^2 as the
 source.  The table `TERMS` holds every term once, with its side, variants,
-integrand, powers of lambda, mu and phi, and region; one cell, (trajectory,
-weight family, lambda, mu), loops over it, yields the cubic and the linear
-variant of its family and takes each shared integral once.
+integrand, powers of lambda, mu and phi, and region; one cell, (weight
+family, lambda, mu), loops over it, yields the cubic and the linear variant
+of its family for each trajectory and takes each shared integral once.
 
 The inequality constants are existential, so every report carries the raw
 bracket values of both sides and the ratio rhs/lhs; scans flag the smallest
@@ -30,13 +30,17 @@ underflows doubles for every lambda > 1), so each (lambda, mu) cell is
 evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
-`prepare_trajectory` keeps every integrand g once per trajectory on the
+`prepare_trajectory` computes every integrand g of a trajectory on a run of
 interior times, the boundary one |dy/dnu|^2 too (square only), with the log
-of its maximum over each time slice.  A cell groups the rows of `TERMS` by
-their power p of phi and exponentiates one weight per group,
-W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
-argument is <= -700 and multiplied by the space quadrature weights; each
-row is then one dot product of W_p with g per time slice.  On Sigma_0 the
+of its maximum over each time slice.  The weights do not depend on the
+trajectory: `lambda_scan` streams the interior times of a whole suite in
+windows of WINDOW slices, prepares each trajectory once per window, and
+stacks the windows, so that no integrand is held on all times at once.  A
+cell groups the rows of `TERMS` by their power p of phi and exponentiates
+one weight per group and window, W_p = exp(2 ell - log_scale + p log phi),
+flushed to exact zero wherever the argument is <= -700 and multiplied by the
+space quadrature weights; each row is then one dot product of W_p with g per
+time slice and trajectory.  On Sigma_0 the
 weight is flushed at the boundary nodes and multiplied by g and then by the
 signed d psi/d nu.  Per time slice, the extremes of 2 ell and log phi follow
 from the spatial extremes of e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma
@@ -44,8 +48,9 @@ with sigma > 0, and rounding is monotone, so they are exact) and bound the
 weight's argument from above, summed in its own order: a slice whose bound is
 <= -700 holds only zero weights and is not tabulated, and a row drops the
 slices where the bound plus log max g is <= -700, whose products lie below
-the window.  Time sums are compensated.  Square corner nodes are excluded
-from all weighted integrals.
+the window.  Time sums are compensated, over the kept per-slice sums of
+every window at once, so the window length does not move a bit.  Square
+corner nodes are excluded from all weighted integrals.
 """
 
 from __future__ import annotations
@@ -61,12 +66,15 @@ from .grid import SpaceTimeGrid, grad, laplacian, nonzero_trace, normal_derivati
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
+WINDOW = 4                # interior time slices per window of a streamed scan
 STABILIZATION_TOL = 0.10
 
 # variant -> weight family; each family's cubic variant comes before its linear one
 VARIANT_FAMILY = {"interior": "j1_interior", "boundary": "j2_boundary",
                   "linear_interior": "j1_interior", "linear_boundary": "j2_boundary"}
 VARIANTS = tuple(VARIANT_FAMILY)
+_FAMILY_VARIANTS = {fam: [v for v, f in VARIANT_FAMILY.items() if f == fam]
+                    for fam in dict.fromkeys(VARIANT_FAMILY.values())}
 
 
 class Term(NamedTuple):
@@ -102,6 +110,7 @@ TERMS = (
     Term("obs_boundary", "rhs", _J2, "dnu2", 1, 1, 1, "Sigma_0"),
     Term("obs_l4", "rhs", _J1 & _CUBIC, "y4", 2, 2, 2, "Q_omega"),
 )
+_INTEGRANDS = tuple(dict.fromkeys(t.integrand for t in TERMS))
 
 
 class FunctionalError(ValueError):
@@ -137,8 +146,9 @@ class CarlemanReport:
 
 @dataclass
 class Integrand:
-    """One integrand g >= 0 on the interior times, with the log of its
-    maximum over each time slice (-inf on a slice where g is 0)."""
+    """One integrand g >= 0 on a run of interior times, with the log of its
+    maximum over each time slice (-inf on a slice where g is 0); stacked
+    windows put a trajectory axis in front of both."""
 
     values: np.ndarray
     log_slice_max: np.ndarray
@@ -155,7 +165,7 @@ class Integrand:
 
 @dataclass
 class TrajectoryData:
-    """Stencil quantities of one trajectory, precomputed once per scan: every
+    """Stencil quantities of one trajectory on a run of interior times: every
     integrand of `TERMS`."""
 
     yt2: Integrand            # |y_t|^2
@@ -174,10 +184,13 @@ class TrajectoryData:
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
                        coeffs: GLCoeffs) -> TrajectoryData:
+    """The integrands of a trajectory given on consecutive time nodes: the
+    whole horizon, or a window with one halo node on each side.  They are
+    kept on the nodes inside the halo; the trace error is that of Y."""
     Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
     square = grid.spec.shape == "unit_square"
     trace_error = nonzero_trace(Y, grid) if square else None
-    # theta vanishes at t = 0 and T: the integrands are kept on interior times
+    # theta vanishes at t = 0 and T, and y_t is centred inside the halo
     yt = time_derivative(Y, grid.dt)[1:-1]
     Y = Y[1:-1]
     lap = laplacian(Y, grid, "ghost_from_field")
@@ -237,12 +250,20 @@ class _CellQuadrature:
         with np.errstate(divide="ignore"):
             self.logphi_max = np.log(self.exp_mu_psi.max() * tables.sigma)
             self.logphi_min = np.log(self.exp_mu_psi.min() * tables.sigma)
+        # per phi power, the bound on the weight's argument of each slice
+        self.bound = {p: self.logw_max + p * (self.logphi_max if p > 0
+                                              else self.logphi_min) if p
+                      else self.logw_max
+                      for p in {t.phi_power for t in TERMS}}
         self.wsp = grid.space_weights(exclude_corners=True).ravel()
         _, wt_full = grid.time_weights("Q")
         self.wt = wt_full[1:-1]          # endpoint integrands vanish (theta -> 0)
+        self.omega = np.flatnonzero(grid.omega_mask)
 
-    def live(self, term: Term, g: Integrand) -> np.ndarray:
-        """The interior time slices that `term` integrates.
+    def live(self, data, rows: list, start: int) -> np.ndarray:
+        """(trajectories, rows, slices): the slices of each trajectory's
+        window, whose first is interior slice `start`, that each row
+        integrates.
 
         A slice's bound on the weight's argument 2 ell - log_scale + p log phi
         is taken in the argument's own order on per-slice maxima (minima where
@@ -250,33 +271,41 @@ class _CellQuadrature:
         weights are exact zeros) or where the bound plus log max g is (its
         products lie below the window).
         """
-        p = term.phi_power
-        bound = self.logw_max
-        if p:
-            bound = bound + p * (self.logphi_max if p > 0 else self.logphi_min)
-        return ~(bound <= FLUSH_LOG) & ~(bound + g.log_slice_max <= FLUSH_LOG)
+        log_gmax = np.stack([getattr(data, t.integrand).log_slice_max for t in rows],
+                            axis=-2)
+        m = log_gmax.shape[-1]
+        bound = np.stack([self.bound[t.phi_power][start:start + m] for t in rows])
+        return ~(bound <= FLUSH_LOG) & ~(bound + log_gmax <= FLUSH_LOG)
 
-    def integrals(self, data: TrajectoryData, rows: list) -> list:
-        """The integral of each row of `TERMS` over its region, without its
-        lam and mu powers: one flushed weight per phi power, shared by the
-        rows of that power, and one dot product per row and time slice."""
-        gs = [getattr(data, t.integrand) for t in rows]
-        lives = [self.live(t, g) for t, g in zip(rows, gs)]
-        out = [0.0] * len(rows)
-        kept = np.flatnonzero(np.logical_or.reduce(lives))
+    def integrals(self, data, rows: list, start: int) -> tuple:
+        """Per-slice sums of each row of `TERMS` over its region, without its
+        lam and mu powers, for the stacked windows `data` of several
+        trajectories, which begin at interior slice `start`: (sums, live),
+        both (trajectories, rows, slices), where sums holds the time-weighted
+        dot products on the slices that `live` marks.
+
+        One flushed weight per phi power, on the slices of the window where
+        it is not all zero, is shared by the rows of that power and by every
+        trajectory.
+        """
+        live = self.live(data, rows, start)
+        m = live.shape[-1]
+        sums = np.zeros(live.shape)
+        weighted = {p: np.flatnonzero(~(self.bound[p][start:start + m] <= FLUSH_LOG))
+                    for p in dict.fromkeys(t.phi_power for t in rows)}
+        kept = np.concatenate(list(weighted.values()))
         if not kept.size:
-            return out
-        # 2 ell - log_scale and log phi on the slices some row integrates
-        lo, hi = int(kept[0]), int(kept[-1]) + 1
-        sigma = self.tables.sigma[lo:hi, None]
+            return sums, live
+        # 2 ell - log_scale and log phi on the slices some weight covers
+        lo, hi = int(kept.min()), int(kept.max()) + 1
+        sigma = self.tables.sigma[start + lo:start + hi, None]
         logw = self.r[None] * sigma
         logw -= self.log_scale
         logphi = self.exp_mu_psi[None] * sigma
         with np.errstate(divide="ignore"):
             np.log(logphi, out=logphi)
-        for p in dict.fromkeys(t.phi_power for t in rows):
-            group = [i for i, t in enumerate(rows) if t.phi_power == p]
-            kept = np.flatnonzero(np.logical_or.reduce([lives[i] for i in group]))
+        wt = self.wt[start:start + m]
+        for p, kept in weighted.items():
             if not kept.size:
                 continue
             a, b = int(kept[0]), int(kept[-1]) + 1
@@ -285,71 +314,101 @@ class _CellQuadrature:
                 w += logw[a - lo:b - lo]
             else:
                 w = logw[a - lo:b - lo].copy()
-            bw = None
-            if any(rows[i].region == "Sigma_0" for i in group):
+            group = [i for i, t in enumerate(rows) if t.phi_power == p]
+            regions = {rows[i].region for i in group}
+            weights = {}
+            if "Sigma_0" in regions:
                 nodes = np.ravel_multi_index((self.grid._b_iy, self.grid._b_ix),
                                              self.grid.X1.shape)
-                bw = _flush_exp(np.take(w, nodes, axis=1))
+                weights["Sigma_0"] = _flush_exp(np.take(w, nodes, axis=1))
             _flush_exp(w)
             w *= self.wsp
+            weights["Q"] = w
+            if "Q_omega" in regions:
+                # C-contiguous gathers: a strided dot rounds differently
+                weights["Q_omega"] = np.take(w, self.omega, axis=1)
             for i in group:
-                out[i] = self._row(rows[i], gs[i], lives[i],
-                                   bw if rows[i].region == "Sigma_0" else w, a)
-            del w, bw             # one weight table alive at a time
-        return out
+                idx = np.flatnonzero(live[:, i].any(axis=0))
+                if not idx.size:
+                    continue
+                r0, r1 = int(idx[0]), int(idx[-1]) + 1
+                term = rows[i]
+                sums[:, i, r0:r1] = self._row(
+                    term, getattr(data, term.integrand).values[:, r0:r1],
+                    weights[term.region][r0 - a:r1 - a]) * wt[r0:r1]
+            del w, weights        # one weight table alive at a time
+        return sums, live
 
-    def _row(self, term: Term, g: Integrand, live: np.ndarray, w: np.ndarray,
-             a: int) -> float:
-        """One row: per-slice dot products of its flushed weight w, whose
-        first slice is `a`, with g on the row's live slices, then the time
-        sum."""
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            return 0.0
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        w, gv = w[lo - a:hi - a], g.values[lo:hi].reshape(hi - lo, -1)
+    def _row(self, term: Term, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(trajectories, slices): the dot products of one row's flushed
+        weight w with each trajectory's integrand g on the same slices."""
+        gv = g.reshape(g.shape[0], g.shape[1], -1)
         if term.region == "Sigma_0":
             vals = w * gv
             vals *= self.tables.b_dpsi_dnu
-            sums = np.vecdot(vals, self.grid.boundary_weights)
-        else:
-            if term.region == "Q_omega":
-                # C-contiguous gathers: a strided dot rounds differently
-                omega = np.flatnonzero(self.grid.omega_mask)
-                w, gv = np.take(w, omega, axis=1), np.take(gv, omega, axis=1)
-            sums = np.vecdot(w, gv)
-        return float(math.fsum((sums * self.wt[lo:hi])[live[lo:hi]].tolist()))
+            return np.vecdot(vals, self.grid.boundary_weights)
+        if term.region == "Q_omega":
+            gv = np.take(gv, self.omega, axis=-1)
+        return np.vecdot(w, gv)
 
 
-def evaluate_cell(data: TrajectoryData, tables: WeightTables,
-                  grid: SpaceTimeGrid) -> dict:
-    """Both sides of the two inequalities of one weight family, for one
-    trajectory and one (lambda, mu): {variant: CarlemanReport}, cubic first.
+def _stack(datas, n: int) -> TrajectoryData:
+    """The integrands of n trajectories' windows, taken one at a time from
+    the iterable `datas`, with a leading trajectory axis."""
+    out = {}
+    for j, data in enumerate(datas):
+        for name in _INTEGRANDS:
+            g = getattr(data, name)
+            if g is None:                # dnu2 on the disk
+                out[name] = None
+                continue
+            if j == 0:
+                out[name] = Integrand(np.empty((n,) + g.values.shape),
+                                      np.empty((n,) + g.log_slice_max.shape))
+            out[name].values[j] = g.values
+            out[name].log_slice_max[j] = g.log_slice_max
+    return TrajectoryData(**out, trace_error=None)
 
-    The single entry point for every variant; the scans call it per cell.
-    Each row of `TERMS` that a variant of the family holds is integrated
-    once and shared by both variants.
-    """
-    params = tables.params
+
+def _take(data: TrajectoryData, run: slice) -> TrajectoryData:
+    """The trajectories `run` of stacked windows, as views."""
+    views = {}
+    for name in _INTEGRANDS:
+        g = getattr(data, name)
+        views[name] = None if g is None else Integrand(g.values[run],
+                                                       g.log_slice_max[run])
+    return TrajectoryData(**views, trace_error=None)
+
+
+def _cell_rows(params: CarlemanParams, grid: SpaceTimeGrid) -> list:
+    """The rows of `TERMS` that the variants of the family of `params` hold,
+    once the cell is checked against the grid."""
     if abs(params.T - grid.T) > 1e-12 * grid.T:
         raise FunctionalError(
             f"weight horizon T={params.T} disagrees with grid T={grid.T}")
-    if params.family == "j2_boundary":
-        if grid.spec.shape != "unit_square":
-            raise FunctionalError("boundary family j2 is unsupported on unit_disk "
-                                  "(no normal derivative on the circle)")
-        if data.trace_error:
-            raise FunctionalError(
-                f"trajectory violates the homogeneous Dirichlet trace "
-                f"(max |y| on Gamma = {data.trace_error:.3e})")
+    if params.family == "j2_boundary" and grid.spec.shape != "unit_square":
+        raise FunctionalError("boundary family j2 is unsupported on unit_disk "
+                              "(no normal derivative on the circle)")
+    return [t for t in TERMS
+            if not t.variants.isdisjoint(_FAMILY_VARIANTS[params.family])]
 
-    variants = [v for v, fam in VARIANT_FAMILY.items() if fam == params.family]
-    rows = [t for t in TERMS if not t.variants.isdisjoint(variants)]
-    cell = _CellQuadrature(tables, grid)
+
+def _check_trace(trace_error: float) -> None:
+    """The boundary family needs a homogeneous Dirichlet trace."""
+    if trace_error:
+        raise FunctionalError(
+            f"trajectory violates the homogeneous Dirichlet trace "
+            f"(max |y| on Gamma = {trace_error:.3e})")
+
+
+def _cell_reports(params: CarlemanParams, rows: list, integrals: list,
+                  log_scale: float) -> dict:
+    """{variant: CarlemanReport} of one cell, cubic first, from the integral
+    of each row."""
     values = [(t, params.lam ** t.lam_power * params.mu ** t.mu_power * value)
-              for t, value in zip(rows, cell.integrals(data, rows))]
+              for t, value in zip(rows, integrals)]
     reports = {}
-    for variant in variants:
+    for variant in _FAMILY_VARIANTS[params.family]:
         held = [(t, value) for t, value in values if variant in t.variants]
         v_lhs = {t.name: value for t, value in held if t.side == "lhs"}
         v_rhs = {t.name: value for t, value in held if t.side == "rhs"}
@@ -359,10 +418,36 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
             variant=variant, lam=params.lam, mu=params.mu, lhs_total=lhs_total,
             rhs_total=rhs_total, lhs_breakdown=v_lhs, rhs_breakdown=v_rhs,
             ratio=rhs_total / lhs_total if lhs_total > 0 else float("nan"),
-            log_scale=cell.log_scale,
+            log_scale=log_scale,
             degenerate=lhs_total == 0.0 and rhs_total == 0.0,
             obs_negative=v_rhs.get("obs_boundary", 0.0) < 0)
     return reports
+
+
+def _time_sums(sums: np.ndarray, live: np.ndarray) -> list:
+    """The compensated time sum of each row's live slices."""
+    return [math.fsum(s[l].tolist()) for s, l in zip(sums, live)]
+
+
+def evaluate_cell(data: TrajectoryData, tables: WeightTables,
+                  grid: SpaceTimeGrid) -> dict:
+    """Both sides of the two inequalities of one weight family, for one
+    trajectory and one (lambda, mu): {variant: CarlemanReport}, cubic first.
+
+    `data` holds the whole trajectory: this is the scan's quadrature with one
+    trajectory and one window.  Each row of `TERMS` that a variant of the
+    family holds is integrated once and shared by both variants.
+    """
+    if data.yt2.log_slice_max.size != grid.nt - 1:
+        raise FunctionalError("evaluate_cell needs the integrands on every "
+                              "interior time")
+    rows = _cell_rows(tables.params, grid)
+    if tables.params.family == "j2_boundary":
+        _check_trace(data.trace_error)
+    cell = _CellQuadrature(tables, grid)
+    sums, live = cell.integrals(_stack([data], 1), rows, 0)
+    return _cell_reports(tables.params, rows, _time_sums(sums[0], live[0]),
+                         cell.log_scale)
 
 
 # -- scans -------------------------------------------------------------------
@@ -389,32 +474,76 @@ def _stabilization(lams, ratios) -> float | None:
     return float(lams[hits[0]]) if hits.size else None
 
 
-def lambda_scan(Y, grid: SpaceTimeGrid, lambdas, mus, variants,
-                coeffs: GLCoeffs) -> dict:
-    """{variant: ScanResult} for one trajectory: a CarlemanReport per
+def lambda_scan(suite, grid: SpaceTimeGrid, lambdas, mus, coeffs: GLCoeffs) -> list:
+    """[{variant: ScanResult}] for a suite [(Y, variants)] of trajectories,
+    each with the variants requested of it: a CarlemanReport per
     (lambda, mu), plus stabilization.
 
-    The trajectory is prepared once, and each (family, mu, lambda) cell is
-    evaluated once for every requested variant of its family.
+    The weights depend on the cell (family, mu, lambda) only, so each cell
+    tabulates them once for the whole suite.  The interior times are streamed
+    in windows of WINDOW slices: per window every trajectory is prepared
+    once, and each cell forms each flushed weight once and dots it with the
+    integrands of every trajectory that requests a variant of its family.
+    The per-slice sums of each (trajectory, cell, row) are kept, and each time
+    sum is taken over all of them at the end, so that every report is
+    evaluate_cell's for that trajectory and cell, bit for bit.
     """
-    if not set(variants) <= VARIANT_FAMILY.keys():
-        raise FunctionalError(f"variants must be among {VARIANTS}, got {variants}")
-    data = prepare_trajectory(Y, grid, coeffs)
-    reports = {v: [] for v in variants}
-    for family in dict.fromkeys(VARIANT_FAMILY[v] for v in variants):
+    families = []
+    for _, variants in suite:
+        if not set(variants) <= VARIANT_FAMILY.keys():
+            raise FunctionalError(f"variants must be among {VARIANTS}, got {variants}")
+        families.append({VARIANT_FAMILY[v] for v in variants})
+    # the trajectories that request j1 only, both families, then j2 only, so
+    # that each family's are one run of the stacked windows
+    order = sorted((k for k, fams in enumerate(families) if fams),
+                   key=lambda k: ("j2_boundary" in families[k])
+                   - ("j1_interior" in families[k]))
+    if not order:
+        return [{} for _ in suite]
+    runs = {}
+    for family in dict.fromkeys(VARIANT_FAMILY[v] for _, vs in suite for v in vs):
+        users = [j for j, k in enumerate(order) if family in families[k]]
+        runs[family] = slice(users[0], users[-1] + 1)
+    n = grid.nt - 1
+    cells = []                   # (params, rows, quadrature, sums, live)
+    for family, run in runs.items():
         for mu in mus:
             for lam in lambdas:
                 params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
                                         family=family)
-                cell = evaluate_cell(data, weight_tables(params, grid), grid)
-                for v in reports.keys() & cell.keys():
-                    reports[v].append(cell[v])
+                rows = _cell_rows(params, grid)
+                shape = (run.stop - run.start, len(rows), n)
+                cells.append((params, rows,
+                              _CellQuadrature(weight_tables(params, grid), grid),
+                              np.zeros(shape), np.zeros(shape, dtype=bool)))
+    for k in order:
+        if "j2_boundary" in families[k]:
+            _check_trace(nonzero_trace(suite[k][0], grid))
+    for start in range(0, n, WINDOW):
+        stop = min(start + WINDOW, n)
+        # interior slices start..stop-1 are nodes start+1..stop: one halo each side
+        data = _stack((prepare_trajectory(suite[k][0][start:stop + 2], grid, coeffs)
+                       for k in order), len(order))
+        users = {family: _take(data, run) for family, run in runs.items()}
+        for params, rows, quad, sums, live in cells:
+            sums[..., start:stop], live[..., start:stop] = \
+                quad.integrals(users[params.family], rows, start)
+        del data, users          # before the next window's are stacked
+    reports = [{v: [] for v in variants} for _, variants in suite]
+    for params, rows, quad, sums, live in cells:
+        for i, k in enumerate(order[runs[params.family]]):
+            cell = _cell_reports(params, rows, _time_sums(sums[i], live[i]),
+                                 quad.log_scale)
+            for v in reports[k].keys() & cell.keys():
+                reports[k][v].append(cell[v])
     lams = list(map(float, lambdas))
-    out = {}
-    for v, reps in reports.items():
-        ratios = np.reshape([r.ratio for r in reps], (len(mus), len(lams)))
-        stab = {float(mu): _stabilization(lams, row) for mu, row in zip(mus, ratios)}
-        out[v] = ScanResult(reports=reps, stabilization_lambda=stab)
+    out = []
+    for member in reports:
+        out.append({})
+        for v, reps in member.items():
+            ratios = np.reshape([r.ratio for r in reps], (len(mus), len(lams)))
+            stab = {float(mu): _stabilization(lams, row) for mu, row in zip(mus, ratios)}
+            out[-1][v] = ScanResult(reports=reps, stabilization_lambda=stab)
     return out
 
 

@@ -99,6 +99,20 @@ class WeightSample:
     rho_t: np.ndarray
 
 
+def time_factor(t, T: float):
+    """sigma(t) = 1 / (t (T - t)), the time factor of phi and rho."""
+    return 1.0 / (t * (T - t))
+
+
+def horizon_representable(T: float, times) -> bool:
+    """Whether sigma is a finite positive double at each of `times`: a
+    horizon so large or so small that it overflows or vanishes leaves no
+    weight to check."""
+    with np.errstate(over="ignore", divide="ignore"):
+        sig = time_factor(np.asarray(times, dtype=float), T)
+    return bool(np.all(np.isfinite(sig) & (sig > 0)))
+
+
 def critical_point_in_omega(spec: DomainSpec) -> bool:
     """Whether psi1's critical point lies inside omega, as admissibility asks."""
     cx, cy = CRITICAL_POINT[(spec.shape, "psi1")]
@@ -156,7 +170,7 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
     if np.any(t <= 0) or np.any(t >= T):
         raise WeightError("eval_weight requires t strictly inside (0, T)")
 
-    sig = 1.0 / (t * (T - t))
+    sig = time_factor(t, T)
     sig_p = (2 * t - T) * sig ** 2
     sig_pp = 2 * sig ** 2 + 2 * (2 * t - T) ** 2 * sig ** 3
 
@@ -220,7 +234,7 @@ def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
         params=params,
         exp_mu_psi=np.exp(params.mu * psi.psi),
         K=float(np.exp(2 * params.mu * psi.sup)),
-        sigma=1.0 / (t_int * (grid.T - t_int)),
+        sigma=time_factor(t_int, grid.T),
         b_dpsi_dnu=dnu,
     )
 

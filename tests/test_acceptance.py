@@ -235,12 +235,12 @@ def test_a6_empirical_carleman(trajectory_suite, grid_acc):
     mus = [1.5, 2.0, 3.0]
     variants = ("interior", "boundary", "linear_interior", "linear_boundary")
     suite_scans = {v: [] for v in variants}
-    for bc, Y in suite:
-        # the boundary family needs a Dirichlet trace
-        wanted = [v for v in variants
-                  if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"]
-        for v, scan in lambda_scan(Y, grid_acc, lambdas, mus, wanted,
-                                   coeffs).items():
+    # the boundary family needs a Dirichlet trace
+    members = [(Y, [v for v in variants
+                    if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"])
+               for bc, Y in suite]
+    for member in lambda_scan(members, grid_acc, lambdas, mus, coeffs):
+        for v, scan in member.items():
             suite_scans[v].append(scan)
     lines = []
     for variant in variants:

@@ -103,6 +103,14 @@ class TestConfig:
         # the boundary observation is on the whole of Gamma: no option for it
         pytest.param({"domain": {"gamma0": "none"}}, ["carleman-scan"],
                      "domain.gamma0", id="gamma0-unknown-field"),
+        # a horizon that overflows the weights' time factor 1/(t (T - t)) to
+        # 0, or makes it inf, leaves no weight to check
+        pytest.param({"grid": {"T": 1e300}}, ["verify-identity"], "grid.T",
+                     id="huge-T-identity"),
+        pytest.param({"grid": {"T": 1e160}}, ["check-weights"], "grid.T",
+                     id="large-T-check-weights"),
+        pytest.param({"grid": {"T": 1e-300}}, ["carleman-scan"], "grid.T",
+                     id="tiny-T-scan"),
         # grids that build_grid would refuse, after the run directory was made
         pytest.param({"grid": {"nx": 16, "ny": 32, "nt": 16}}, ["solve"],
                      "grid.ny", id="unequal-nx-ny"),
@@ -232,6 +240,18 @@ class TestCommands:
         assert run_in(tmp_path, BASE + ["verify-identity",
                                         "--corrupt-term", "B"]) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_identity_nan_residual_fails(self, tmp_path):
+        # at T = 1e6 the test fields' e^{a t} overflow at the sample times:
+        # their nan residuals are no pass
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"T": 1e6}}))
+        assert run_in(tmp_path, ["--config", str(path), "--grid", "16",
+                                 "verify-identity"]) == 1
+        (run,) = (tmp_path / "runs").iterdir()
+        rep = json.loads((run / "identity_report.json").read_text())
+        assert not rep["passed"]
+
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"grid": {"nx": 4}}')
@@ -311,19 +331,29 @@ def count_calls(mp, module, name):
 
 @pytest.fixture(scope="module")
 def counted_scan16(tmp_path_factory):
-    """A 16^3 seed-7 carleman-scan: (prepare_trajectory calls, CSV rows)."""
+    """A 16^3 seed-7 carleman-scan: (prepare_trajectory calls' arguments,
+    CSV rows)."""
     tmp = tmp_path_factory.mktemp("scan16")
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, functionals, "prepare_trajectory")
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "carleman-scan"]) == 0
     (run,) = (tmp / "runs").iterdir()
     with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
-        return len(calls), list(csv.DictReader(fh))
+        return calls, list(csv.DictReader(fh))
 
 
 class TestScanPass:
     def test_prepares_each_trajectory_once(self, counted_scan16):
-        assert counted_scan16[0] == DEFAULTS["scan"]["n_trajectories"]
+        # window by window: each window of a member is a view of its
+        # trajectory with one halo node on each side, and together they hold
+        # every interior time of it once
+        windows = {}
+        for Y, *_ in counted_scan16[0]:
+            windows.setdefault(id(Y.base), []).append(Y.shape[0] - 2)
+        per_member = [min(functionals.WINDOW, 15 - i)
+                      for i in range(0, 15, functionals.WINDOW)]
+        assert list(windows.values()) \
+            == [per_member] * DEFAULTS["scan"]["n_trajectories"]
 
     def test_row_order(self, counted_scan16):
         # variant, then trajectory (boundary variants on Dirichlet ones, the
@@ -361,10 +391,11 @@ class TestScanPass:
 
 
 def test_scan_peak_memory(tmp_path):
-    # The suite is solved one trajectory at a time and each is dropped once
-    # scanned: the peak is about 12.4 complex space-time trajectories, while
-    # one is prepared.  Solving the five before scanning raises it to about
-    # 16.4.
+    # The five trajectories are solved first and kept; the scan then streams
+    # their interior times in windows of functionals.WINDOW = 4 slices.  The
+    # peak is about 12.8 complex space-time trajectories: the five, each
+    # cell's weight factors and one stacked window of integrands.  Windows
+    # of 8 slices raise it to about 17.0; whole trajectories to about 41.
     tracemalloc.start()
     try:
         assert run_in(tmp_path, ["--grid", "32", "--seed", "7",

@@ -1,10 +1,12 @@
+import json
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from glcarleman import functionals
+from glcarleman import cli, functionals
+from glcarleman.config import DEFAULTS
 from glcarleman.fields import random_initial_field
 from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
                                     FunctionalError, Integrand, Term, _CellQuadrature,
@@ -24,10 +26,16 @@ def report(Y, params, grid, variant="interior"):
                          weight_tables(params, grid), grid)[variant]
 
 
+def one_window(g):
+    """g, an Integrand of one trajectory, as the window of a suite of one."""
+    return SimpleNamespace(g=Integrand(g.values[None], g.log_slice_max[None]))
+
+
 def integral(cell, g, phi_power=0, region="Q"):
     """int theta^2 phi^phi_power g over one region, g an Integrand."""
     term = Term("g", "lhs", frozenset(), "g", 0, 0, phi_power, region)
-    return cell.integrals(SimpleNamespace(g=g), [term])[0]
+    sums, live = cell.integrals(one_window(g), [term], 0)
+    return math.fsum(sums[0, 0][live[0, 0]].tolist())
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +271,8 @@ class TestLinearVariants:
 
     def test_unknown_variant_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
-            lambda_scan(dirichlet_traj, grid32, [2, 4], [2.0],
-                        ["interior", "bogus"], COEFFS)
+            lambda_scan([(dirichlet_traj, ["interior", "bogus"])], grid32, [2, 4],
+                        [2.0], COEFFS)
 
     def test_horizon_mismatch_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
@@ -279,23 +287,30 @@ class TestLinearVariants:
 
 class TestScan:
     def test_ratios_positive_and_stabilization(self, grid32, dirichlet_traj):
-        scan = lambda_scan(dirichlet_traj, grid32, [2, 4, 8, 16], [2.0],
-                           ["interior"], COEFFS)["interior"]
+        (scan,) = lambda_scan([(dirichlet_traj, ["interior"])], grid32,
+                              [2, 4, 8, 16], [2.0], COEFFS)
+        scan = scan["interior"]
         for rep in scan.reports:
             assert rep.ratio > 0
         assert scan.stabilization_lambda[2.0] is not None
 
+    def test_members_without_variants(self, grid32, dirichlet_traj):
+        # nothing to scan: no trajectory is prepared
+        assert lambda_scan([], grid32, [2, 4], [2.0], COEFFS) == []
+        assert lambda_scan([(dirichlet_traj, [])], grid32, [2, 4], [2.0],
+                           COEFFS) == [{}]
+
     def test_zero_trajectory_degenerate_cells(self, grid32):
         Y = np.zeros((33, 33, 33), dtype=complex)
-        scan = lambda_scan(Y, grid32, [2, 4], [2.0], ["interior"],
-                           COEFFS)["interior"]
+        (scan,) = lambda_scan([(Y, ["interior"])], grid32, [2, 4], [2.0], COEFFS)
+        scan = scan["interior"]
         assert all(r.degenerate for r in scan.reports)
         assert scan.stabilization_lambda[2.0] is None
 
     def test_suite_worst_constant(self, grid32, dirichlet_traj, neumann_traj):
-        scans = [lambda_scan(Y, grid32, [8, 16], [2.0], ["interior"],
-                             COEFFS)["interior"]
-                 for Y in (dirichlet_traj, neumann_traj)]
+        scans = [m["interior"] for m in lambda_scan(
+            [(Y, ["interior"]) for Y in (dirichlet_traj, neumann_traj)], grid32,
+            [8, 16], [2.0], COEFFS)]
         c16 = suite_worst_constant(scans, 16.0, 2.0)
         assert np.isfinite(c16) and c16 > 0
         per_traj = [s.reports[-1].lhs_total / s.reports[-1].rhs_total
@@ -305,9 +320,9 @@ class TestScan:
     def test_empirical_carleman_single_constant(self, grid32, dirichlet_traj,
                                                 neumann_traj):
         # one C_emp covers the whole (small) suite past stabilization
-        scans = [lambda_scan(Y, grid32, [8, 16, 32], [2.0], ["interior"],
-                             COEFFS)["interior"]
-                 for Y in (dirichlet_traj, neumann_traj)]
+        scans = [m["interior"] for m in lambda_scan(
+            [(Y, ["interior"]) for Y in (dirichlet_traj, neumann_traj)], grid32,
+            [8, 16, 32], [2.0], COEFFS)]
         c_emp = max(suite_worst_constant(scans, lam, 2.0)
                     for lam in (8.0, 16.0, 32.0))
         assert np.isfinite(c_emp)
@@ -350,8 +365,8 @@ class TestCellQuadrature:
         assert integrand.log_slice_max[15] == -np.inf
         assert np.isfinite(integrand.log_slice_max).sum() == 30
         for p in (-1, 0, 3):
-            live = cell.live(Term("g", "lhs", frozenset(), "g", 0, 0, p, "Q"),
-                             integrand)
+            live = cell.live(one_window(integrand),
+                             [Term("g", "lhs", frozenset(), "g", 0, 0, p, "Q")], 0)[0, 0]
             assert not live[15] and live.sum() == 30
             whole = integral(cell, integrand, p)
             g[15] = 1.0
@@ -438,9 +453,11 @@ def cell_calls(grid32, dirichlet_traj):
         integrals, flush = _CellQuadrature.integrals, functionals._flush_exp
         calls, flushes = [], []
 
-        def counted_integrals(self, data, rows):
-            calls.append((self, rows, integrals(self, data, rows)))
-            return calls[-1][-1]
+        def counted_integrals(self, data, rows, start):
+            sums, live = integrals(self, data, rows, start)
+            calls.append((self, rows, [math.fsum(s[l].tolist())
+                                       for s, l in zip(sums[0], live[0])]))
+            return sums, live
 
         def counted_flush(arg):
             flushes.append(arg.shape[0])
@@ -634,3 +651,95 @@ class TestWeightDomination:
                                          - tables.exp_mu_psi[iy_b, ix_b])
         assert diff == pytest.approx(expect, rel=1e-12)
         assert diff > 0
+
+
+# -- the streamed suite scan ----------------------------------------------------
+
+SCAN_LAMBDAS = DEFAULTS["scan"]["lambdas"]
+SCAN_MUS = DEFAULTS["scan"]["mus"]
+J1_VARIANTS = [v for v in VARIANTS if VARIANT_FAMILY[v] == "j1_interior"]
+
+
+def solved(grid, bc, seed):
+    cfg = SolveConfig(b=COEFFS.b, c=COEFFS.c, bc=bc, scheme="imex_cn")
+    y0 = random_initial_field(grid, seed=seed, amplitude=1.0, bc=bc)
+    return solve(y0, cfg, grid).Y
+
+
+@pytest.fixture(scope="module")
+def suites16(square_spec, disk_spec):
+    """{domain: (grid, [(Y, variants)])} on 16^3.  On the square: a Dirichlet,
+    a Neumann and a Dirichlet trajectory that is zero until T/2, whose rows
+    are dead on slices where the others' are live; on the disk: two
+    Dirichlet ones with the interior variants."""
+    square = build_grid(square_spec, 16, 16, 16, 1.0)
+    y = solved(square, "dirichlet0", 1)
+    late = y * (square.t_nodes > 0.5)[:, None, None]
+    disk = build_grid(disk_spec, 16, 16, 16, 1.0)
+    return {"square": (square, [(y, list(VARIANTS)),
+                                (solved(square, "neumann0", 2), J1_VARIANTS),
+                                (late, list(VARIANTS))]),
+            "disk": (disk, [(solved(disk, "dirichlet0", 3), J1_VARIANTS),
+                            (solved(disk, "dirichlet0", 4), J1_VARIANTS)])}
+
+
+@pytest.mark.parametrize("window", [1, 3, 15, 64])
+@pytest.mark.parametrize("domain", ["square", "disk"])
+def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, window,
+                                                      monkeypatch):
+    # every window length, down to one slice, gives each trajectory the
+    # reports of one evaluate_cell per cell on its whole time range, bit for bit
+    grid, suite = suites16[domain]
+    monkeypatch.setattr(functionals, "WINDOW", window)
+    scans = lambda_scan(suite, grid, SCAN_LAMBDAS, SCAN_MUS, COEFFS)
+    assert len(scans) == len(suite)
+    for (Y, variants), member in zip(suite, scans):
+        assert list(member) == variants
+        data = prepare_trajectory(Y, grid, COEFFS)
+        expect = {v: [] for v in variants}
+        for family in dict.fromkeys(VARIANT_FAMILY[v] for v in variants):
+            for mu in SCAN_MUS:
+                for lam in SCAN_LAMBDAS:
+                    cell = evaluate_cell(data, weight_tables(CarlemanParams(
+                        lam=lam, mu=mu, T=grid.T, family=family), grid), grid)
+                    for v in expect.keys() & cell.keys():
+                        expect[v].append(json.dumps(cell[v].as_row()))
+        for v, scan in member.items():
+            assert [json.dumps(r.as_row()) for r in scan.reports] == expect[v], v
+
+
+def test_evaluate_cell_needs_every_interior_time(suites16):
+    # a window's integrands would be integrated as the first slices of Q
+    grid, ((Y, _), *_) = suites16["square"]
+    window = prepare_trajectory(Y[:6], grid, COEFFS)
+    with pytest.raises(FunctionalError, match="every interior time"):
+        evaluate_cell(window, weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
+                                            grid), grid)
+
+
+def scan16_calls(tmp_path, n_trajectories):
+    """(weight_tables calls, _flush_exp calls) of a 16^3 seed-7
+    carleman-scan of n_trajectories."""
+    cfg = tmp_path / f"n{n_trajectories}.json"
+    cfg.write_text(json.dumps({"scan": {"n_trajectories": n_trajectories}}))
+    tables, flushes = [], []
+    weight, flush = functionals.weight_tables, functionals._flush_exp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functionals, "weight_tables",
+                   lambda *a: tables.append(a) or weight(*a))
+        mp.setattr(functionals, "_flush_exp",
+                   lambda arg: flushes.append(arg.shape) or flush(arg))
+        rc = cli.main(["--config", str(cfg), "--grid", "16", "--seed", "7",
+                       "--output-dir", str(tmp_path / f"out{n_trajectories}"),
+                       "carleman-scan"])
+    assert rc in (0, 1)
+    return len(tables), len(flushes)
+
+
+def test_scan_weights_once_per_cell_for_the_suite(tmp_path):
+    # 2 families x 3 mu x 6 lambda: 36 weight tables for the five
+    # trajectories, not one per trajectory and cell (144), and each cell
+    # flushes its weights once per window however many trajectories use them
+    one, five = scan16_calls(tmp_path, 1), scan16_calls(tmp_path, 5)
+    assert five[0] == one[0] == 2 * len(SCAN_MUS) * len(SCAN_LAMBDAS) == 36
+    assert five[1] == one[1] > 0

@@ -41,6 +41,11 @@ DEFAULTS = {
 }
 
 
+# the largest grid accepted: one complex trajectory, 16 (nx+1)(ny+1)(nt+1)
+# bytes, may take at most 1 GiB (256^3 takes 272 MB)
+MAX_TRAJECTORY_BYTES = 2 ** 30
+
+
 class ConfigError(ValueError):
     def __init__(self, errors):
         self.errors = list(errors)
@@ -151,9 +156,16 @@ def validate_config(cfg: dict) -> None:
                 errs.append(f"{path}[{i}]: {msg}")
             elif v in vals[:i]:
                 errs.append(f"{path}[{i}]: repeats an earlier entry")
-    nx, ny = cfg["grid"]["nx"], cfg["grid"]["ny"]
-    if _int(nx) and _int(ny) and nx != ny:
+    dims = {k: cfg["grid"][k] for k in ("nx", "ny", "nt")}
+    if _int(dims["nx"]) and _int(dims["ny"]) and dims["nx"] != dims["ny"]:
         errs.append("grid.ny: must equal grid.nx (the grid spacing is uniform)")
+    if all(map(_int, dims.values())):
+        size = 16 * math.prod(n + 1 for n in dims.values())
+        if size > MAX_TRAJECTORY_BYTES:
+            largest = max(dims, key=dims.get)
+            errs.append(f"grid.{largest}: one complex trajectory would take "
+                        f"16 (nx+1)(ny+1)(nt+1) = {size} bytes, over the "
+                        f"limit of {MAX_TRAJECTORY_BYTES}")
     if errs:
         raise ConfigError(errs)
 

@@ -62,11 +62,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
-from .grid import SpaceTimeGrid, grad, laplacian, nonzero_trace, normal_derivative
+from .grid import (WINDOW, SpaceTimeGrid, grad, laplacian, nonzero_trace,
+                   normal_derivative)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
-WINDOW = 4                # interior time slices per window of a streamed scan
 STABILIZATION_TOL = 0.10
 
 # variant -> weight family; each family's cubic variant comes before its linear one

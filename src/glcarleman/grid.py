@@ -19,9 +19,10 @@ its geometry (masks, node weights, boundary samples, cut nodes);
 both and is the one place a SpaceTimeGrid is constructed.
 
 Quadrature reductions use a fixed summation order: each time slice is
-reduced against the weights by one np.einsum (volume) or matrix-vector
-product (boundary), and the per-slice sums are combined with math.fsum, so
-repeated runs give bit-identical results.
+reduced against the weights by one np.einsum (volume; alike in any stack of
+slices, see ``space_sums``) or matrix-vector product (boundary), and the
+per-slice sums are combined with math.fsum, so repeated runs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 VALID_SHAPES = ("unit_square", "unit_disk")
 VALID_BC = ("dirichlet0", "neumann0", "ghost_from_field")
+WINDOW = 4                # time slices per window of a streamed reduction
 
 
 class GridError(ValueError):
@@ -86,6 +88,9 @@ class SpaceTimeGrid:
     _b_ix: np.ndarray | None = None
     _cut_x: list = field(default_factory=list)
     _cut_y: list = field(default_factory=list)
+    # disk only: the cut nodes of each axis by one-sided gradient rule
+    _grad_x: dict = field(default_factory=dict)
+    _grad_y: dict = field(default_factory=dict)
     # solver linear operators per boundary condition, built on first use
     _linear_ops: dict = field(default_factory=dict)
 
@@ -178,6 +183,35 @@ def _cut_nodes(active, has_m, has_p):
             for iy, ix in zip(*np.nonzero(active & ~(has_m & has_p)))]
 
 
+def _grad_cases(active, cut_list, axis):
+    """The cut nodes of one axis by the one-sided gradient rule they take.
+
+    d = +1 if the node has its + neighbour, else -1.  "two" holds (d, node,
+    first, second neighbour along d) where both neighbours are active, "one"
+    (d, node, first neighbour) where only the first is, and "zero" the
+    remaining nodes; the nodes are (iy, ix) index arrays.
+    """
+    n = active.shape[axis] - 1
+
+    def ok(i, j):
+        return 0 <= (j if axis == -1 else i) <= n and active[i, j]
+
+    rows = {"two": [], "one": [], "zero": []}
+    for iy, ix, _, has_p in cut_list:
+        d = 1 if has_p else -1
+        dy, dx = (0, d) if axis == -1 else (d, 0)
+        case = "zero" if not ok(iy + dy, ix + dx) else \
+            "two" if ok(iy + 2 * dy, ix + 2 * dx) else "one"
+        rows[case].append((iy, ix, dy, dx))
+
+    def arrays(case):
+        iy, ix, dy, dx = np.array(rows[case], dtype=int).reshape(-1, 4).T
+        return ((dy + dx).astype(float),
+                *((iy + s * dy, ix + s * dx) for s in range(3)))
+
+    return {"two": arrays("two"), "one": arrays("one")[:3], "zero": arrays("zero")[1]}
+
+
 def _disk_geometry(n, h, X1, X2):
     """Masks, cut-cell weights, circle samples and cut-node lists of the unit
     disk embedded in the n x n grid of [-1,1]^2."""
@@ -198,13 +232,16 @@ def _disk_geometry(n, h, X1, X2):
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     # neighbour presence along each axis, off-grid neighbours absent
     pad = np.pad(active, 1)
+    cut_x = _cut_nodes(active, pad[1:-1, :-2], pad[1:-1, 2:])
+    cut_y = _cut_nodes(active, pad[:-2, 1:-1], pad[2:, 1:-1])
     return dict(active_mask=active,
                 # the curved boundary holds no nodes
                 boundary_mask=np.zeros_like(active), corner_mask=np.zeros_like(active),
                 quad_weights_space=wsp, boundary_points=pts,
                 boundary_normals=pts.copy(), boundary_weights=np.full(nb, 2 * np.pi / nb),
-                _cut_x=_cut_nodes(active, pad[1:-1, :-2], pad[1:-1, 2:]),
-                _cut_y=_cut_nodes(active, pad[:-2, 1:-1], pad[2:, 1:-1]))
+                _cut_x=cut_x, _cut_y=cut_y,
+                _grad_x=_grad_cases(active, cut_x, -1),
+                _grad_y=_grad_cases(active, cut_y, -2))
 
 
 def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTimeGrid:
@@ -285,33 +322,22 @@ def grad(f: np.ndarray, grid: SpaceTimeGrid):
     g1 = _d1(f, grid.h, axis=-1)
     g2 = _d1(f, grid.h, axis=-2)
     if grid.spec.shape == "unit_disk":
-        _fix_disk_grad(f, grid, g1, grid._cut_x, axis=-1)
-        _fix_disk_grad(f, grid, g2, grid._cut_y, axis=-2)
+        _fix_disk_grad(f, grid.h, g1, grid._grad_x)
+        _fix_disk_grad(f, grid.h, g2, grid._grad_y)
         inactive = ~grid.active_mask
         g1[..., inactive] = 0.0
         g2[..., inactive] = 0.0
     return g1, g2
 
 
-def _fix_disk_grad(f, grid, g, cut_list, axis):
-    h = grid.h
-    for iy, ix, has_m, has_p in cut_list:
-        d = 1 if has_p else -1
-        i0 = ix if axis == -1 else iy
-        n = grid.nx if axis == -1 else grid.ny
-
-        def val(i):
-            return f[..., iy, i] if axis == -1 else f[..., i, ix]
-
-        def ok(i):
-            return 0 <= i <= n and grid.active_mask[(iy, i) if axis == -1 else (i, ix)]
-
-        if ok(i0 + d) and ok(i0 + 2 * d):
-            g[..., iy, ix] = d * (-3 * val(i0) + 4 * val(i0 + d) - val(i0 + 2 * d)) / (2 * h)
-        elif ok(i0 + d):
-            g[..., iy, ix] = d * (val(i0 + d) - val(i0)) / h
-        else:
-            g[..., iy, ix] = 0.0
+def _fix_disk_grad(f, h, g, cases):
+    """One-sided second-order differences at the cut nodes of one axis,
+    first order where only one neighbour is active, zero where none is."""
+    d, p0, p1, p2 = cases["two"]
+    g[(..., *p0)] = d * (-3 * f[(..., *p0)] + 4 * f[(..., *p1)] - f[(..., *p2)]) / (2 * h)
+    d, p0, p1 = cases["one"]
+    g[(..., *p0)] = d * (f[(..., *p1)] - f[(..., *p0)]) / h
+    g[(..., *cases["zero"])] = 0.0
 
 
 def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
@@ -399,7 +425,16 @@ def normal_derivative(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _space_sum(g, wsp):
+def space_sums(g: np.ndarray, wsp: np.ndarray) -> np.ndarray:
+    """int g dx with weights wsp for each slice of g (..., ny+1, nx+1).
+
+    np.einsum reduces each slice of a stack of two or more in one pass, but
+    a lone slice in buffered chunks, so a lone slice is reduced beside a
+    copy of itself: every slice is summed alike, however it is stacked.
+    """
+    if g[..., 0, 0].size == 1:
+        pair = np.broadcast_to(g.reshape(g.shape[-2:]), (2,) + g.shape[-2:])
+        return np.einsum("...ij,ij->...", pair, wsp)[:1].reshape(g.shape[:-2])
     return np.einsum("...ij,ij->...", g, wsp)
 
 
@@ -418,9 +453,16 @@ def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
     wsp = grid.quad_weights_space
     if region == "Q_omega":
         wsp = wsp * grid.omega_mask
+    return integrate_slices(space_sums(g, wsp), grid, region, eps)
+
+
+def integrate_slices(slice_sums: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
+                     eps: float | None = None) -> float:
+    """Time integral over Q, Q_omega or Q_eps from the space integrals of
+    the nt+1 time slices (on omega for Q_omega): trapezoid in time over the
+    region's window, summed by math.fsum."""
     idx, wt = grid.time_weights(region, eps)
-    slice_sums = _space_sum(g[idx], wsp)
-    return float(math.fsum((slice_sums * wt).tolist()))
+    return float(math.fsum((np.asarray(slice_sums)[idx] * wt).tolist()))
 
 
 def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
@@ -444,5 +486,10 @@ def boundary_values(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 def nonzero_trace(f: np.ndarray, grid: SpaceTimeGrid) -> float:
     """max |f| on Gamma if f breaks the homogeneous Dirichlet trace,
     max |f| on Gamma <= 1e-10 (1 + max |f|), else 0.0."""
-    trace = float(np.abs(boundary_values(f, grid)).max())
-    return trace if trace > 1e-10 * (1.0 + float(np.abs(f).max())) else 0.0
+    return trace_breach(float(np.abs(boundary_values(f, grid)).max()),
+                        float(np.abs(f).max()))
+
+
+def trace_breach(trace_max: float, field_max: float) -> float:
+    """nonzero_trace from the maxima of |f| on Gamma and of |f|."""
+    return trace_max if trace_max > 1e-10 * (1.0 + field_max) else 0.0

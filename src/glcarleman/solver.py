@@ -15,6 +15,10 @@ every step, and the cubic term handled explicitly:
 A stiffness cap dt_sub * max|y|^2 <= 1/2 is enforced adaptively by halving
 the internal substep (macro slices stay on the uniform time grid).
 
+``march`` is the one time loop: it steps a stack of members in lockstep and
+yields their slices time by time, so that a caller may reduce them as they
+come; ``solve`` marches one member and keeps its trajectory.
+
 The LU orders by minimum degree on the structure of A + A^T and does not
 pivot: for Re kappa > 0, I - kappa L is strictly diagonally dominant by rows
 on both domains, so the diagonal pivots are safe (see ``_factorized``).
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
@@ -176,53 +181,97 @@ class SolveResult:
     substeps: np.ndarray          # (nt,)
 
 
-def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
-    """March nt macro steps, recording slices and per-step diagnostics.
+class MarchStep(NamedTuple):
+    Y: np.ndarray                 # (m, ny+1, nx+1): every member at t_k
+    substeps: np.ndarray          # (m,): substeps taken to reach t_k (0 at k = 0)
 
-    The state is stepped on the unknown nodes only; every other node of Y
-    holds zero.  Each macro step takes the fewest power-of-two substeps that
-    meet the stiffness cap; NaN/Inf after any substep aborts.
+
+def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
+    """Step a stack of m initial data (m, ny+1, nx+1) in lockstep, yielding
+    a MarchStep for each of t_0, ..., t_nt.
+
+    The state is stepped on the unknown nodes only, one column per member;
+    every other node of a yielded slice holds zero.  At each macro step the
+    members are grouped by the fewest power-of-two substeps that meet the
+    stiffness cap, and each group shares one stencil product, one cubic flow
+    and one multi-column LU solve per substep.  Those act column by column,
+    so each member gets exactly the values, substep schedule and source
+    samples it would get marched alone.  NaN/Inf after any substep aborts.
     """
-    y0 = np.asarray(y0, dtype=complex)
-    grid.check_field(y0, "initial data")
+    Y0 = grid.check_field(np.asarray(Y0, dtype=complex), "initial data")
+    if Y0.ndim != 3:
+        raise GridError("march takes a stack of initial data (m, ny+1, nx+1)")
     ops = build_linear_ops(grid, cfg.bc)
-    mask = ops.unknown_mask
+    # flat indices of the unknowns: scattering by them is 3x faster than by
+    # the boolean mask
+    unknown = np.flatnonzero(ops.unknown_mask)
+    m = len(Y0)
     kb = 1.0 + 1j * cfg.b
 
     def src(t):
         return 0.0 if cfg.source is None \
-            else np.asarray(cfg.source(t), dtype=complex)[mask]
+            else np.asarray(cfg.source(t), dtype=complex).ravel()[unknown][:, None]
 
-    Y = np.zeros((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
-    u = y0[mask]
-    Y[0, mask] = u
+    def slices(u, subs):
+        Y = np.zeros((m, Y0[0].size), dtype=complex)
+        Y[:, unknown] = u.T
+        return MarchStep(Y.reshape(Y0.shape), subs)
+
+    u = Y0.reshape(m, -1)[:, unknown].T      # (unknowns, m)
+    yield slices(u, np.zeros(m, dtype=int))
     # the source at the end of each substep is carried to the next one, so
-    # every time is sampled once
-    f_end = src(grid.t_nodes[0])
-    subs = []
+    # every time is sampled once; a member carries its own, as its last
+    # substep may end at a time that differs from another's in the last bit
+    f_end = [src(grid.t_nodes[0])] * m
     for k in range(grid.nt):
-        n_sub = required_substeps(u, grid.dt)
-        dt_sub = grid.dt / n_sub
-        for j in range(n_sub):
-            tj = grid.t_nodes[k] + j * dt_sub
-            f_start, f_end = f_end, src(tj + dt_sub)
-            if cfg.scheme == "imex_cn":
-                kappa = 0.5 * dt_sub * kb
-                u = _cubic_flow(u, 0.5 * dt_sub, cfg.c)
-                rhs = u + kappa * (ops.L @ u) + 0.5 * dt_sub * (f_start + f_end)
-                u = _cubic_flow(_factorized(ops, kappa)(rhs), 0.5 * dt_sub, cfg.c)
+        subs = [required_substeps(u[:, i], grid.dt) for i in range(m)]
+        for n_sub in sorted(set(subs)):
+            idx = [i for i in range(m) if subs[i] == n_sub]
+            v = u if len(idx) == m else u[:, idx]
+            f = f_end[idx[0]]
+            if cfg.source is not None and any(f_end[i] is not f for i in idx):
+                f = np.concatenate([f_end[i] for i in idx], axis=1)
+            dt_sub = grid.dt / n_sub
+            for j in range(n_sub):
+                tj = grid.t_nodes[k] + j * dt_sub
+                f_start, f = f, src(tj + dt_sub)
+                if cfg.scheme == "imex_cn":
+                    kappa = 0.5 * dt_sub * kb
+                    v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
+                    # named, as numpy multiplies a temporary of 256 KiB or more
+                    # in place with the factors swapped, which moves the last
+                    # bit of a complex product: a stack would round otherwise
+                    # than each of its members marched alone
+                    Lv = ops.L @ v
+                    rhs = v + kappa * Lv + 0.5 * dt_sub * (f_start + f)
+                    v = _cubic_flow(_factorized(ops, kappa)(rhs), 0.5 * dt_sub, cfg.c)
+                else:
+                    cubic = -(1 + 1j * cfg.c) * np.abs(v) ** 2 * v
+                    rhs = v + dt_sub * cubic + dt_sub * f
+                    v = _factorized(ops, dt_sub * kb)(rhs)
+                if not np.all(np.isfinite(v)):
+                    raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
+            if len(idx) == m:
+                u = v
             else:
-                cubic = -(1 + 1j * cfg.c) * np.abs(u) ** 2 * u
-                rhs = u + dt_sub * cubic + dt_sub * f_end
-                u = _factorized(ops, dt_sub * kb)(rhs)
-            if not np.all(np.isfinite(u)):
-                raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
-        Y[k + 1, mask] = u
-        subs.append(n_sub)
+                u[:, idx] = v
+            for i in idx:
+                f_end[i] = f
+        yield slices(u, np.array(subs))
+
+
+def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
+    """March one member nt macro steps, recording slices and per-step
+    diagnostics."""
+    Y = np.empty((grid.nt + 1, grid.ny + 1, grid.nx + 1), dtype=complex)
+    subs = []
+    for k, step in enumerate(march(np.asarray(y0)[None], cfg, grid)):
+        Y[k] = step.Y[0]
+        subs.append(step.substeps[0])
     # after the march, slice by slice: reductions inside it cost about 1.5%
     # of a 128^3 disk solve, and whole-Y temporaries would be 17 MB each
     sq_norms = [_space(grid, np.abs(y) ** 2) for y in Y]
-    return SolveResult(Y=Y, l2_norms=np.sqrt(sq_norms), substeps=np.array(subs))
+    return SolveResult(Y=Y, l2_norms=np.sqrt(sq_norms), substeps=np.array(subs[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,17 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
     rhs_obs  = int_{Sigma_0} |d z / d nu|^2,     c_emp = lhs / rhs_obs.
 
 The difference z is always computed from the two solves; no difference
-equation is ever formed.  Each difference is prepared once
-(`prepare_difference`: one gradient, the observations) and every eps
-report reads from it; the L^inf L^6 constant of u2 is taken once per suite.
+equation is ever formed.  `perturbation_suite` marches u2 and every u1 in
+lockstep (`solver.march`) and holds WINDOW time slices of them at a time.
+Each window is reduced, then dropped: to the space integrals of |u|^6 of
+every member and of |z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of every
+difference, with one gradient per window; to the running maxima of the
+Dirichlet-trace check; and to the boundary samples |dz/dnu|^2, which are
+kept, since one slice of them is a boundary's worth of nodes.  A
+`PreparedDifference` holds the nt+1 per-slice integrals and the
+observations, and every eps report takes its Q_eps integral from them.
+The per-slice integrals and time sums are those of the whole-trajectory
+reductions, bit for bit, whatever the window length.
 """
 
 from __future__ import annotations
@@ -25,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (SpaceTimeGrid, grad, integrate_q, integrate_sigma, nonzero_trace,
-                   normal_derivative)
-from .solver import SolveConfig, solve
+from .grid import (WINDOW, SpaceTimeGrid, boundary_values, grad, integrate_sigma,
+                   integrate_slices, normal_derivative, space_sums, trace_breach)
+from .solver import SolveConfig, march
 
 
 class StabilityError(ValueError):
@@ -55,12 +63,19 @@ class StabilityReport:
                 "degenerate": int(self.degenerate)}
 
 
+def l6_slice_sums(U: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """int |u|^6 dx of each slice of U (..., ny+1, nx+1)."""
+    return space_sums(np.abs(U) ** 6, grid.quad_weights_space)
+
+
+def _linf_l6(slice_sums) -> float:
+    return float(np.max(slice_sums) ** (1.0 / 6.0))
+
+
 def linf_l6_norm(U: np.ndarray, grid: SpaceTimeGrid) -> float:
     """max over time slices of (int |u|^6 dx)^(1/6) via spatial quadrature."""
     U = grid.check_field(np.asarray(U, dtype=complex), "field")
-    wsp = grid.quad_weights_space
-    vals = np.einsum("tij,ij->t", np.abs(U) ** 6, wsp)
-    return float(np.max(vals) ** (1.0 / 6.0))
+    return _linf_l6(l6_slice_sums(U, grid))
 
 
 def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
@@ -72,44 +87,80 @@ def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 class PreparedDifference:
     """The eps-independent parts of every report on one difference z."""
 
-    energy: np.ndarray   # |z|^2 + |grad z|^2, integrated over Q_eps per report
+    energy: np.ndarray   # (nt+1,): int (|z|^2 + |grad z|^2) dx per time slice
     obs: dict            # variant -> observation integral
     c_u2: float          # ||u2||_{L^inf L^6}^8 (nan without u2)
     c_u1: float          # ||u1||_{L^inf L^6}^8 (nan without u1)
 
 
+def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
+    """The reductions of a window Z (w, m, ny+1, nx+1) of m differences:
+    (w, m) space integrals, (m,) maxima and (w, m, nb) boundary samples."""
+    wsp = grid.quad_weights_space
+    az2 = np.abs(Z) ** 2
+    out = {"energy": space_sums(az2 + _grad_sq(Z, grid), wsp)}
+    if "interior" in variants:
+        out["interior"] = space_sums(az2 + az2 ** 2, wsp * grid.omega_mask)
+    if "boundary" in variants:
+        out["trace"] = np.abs(boundary_values(Z, grid)).max(axis=(0, 2))
+        out["peak"] = np.abs(Z).max(axis=(0, 2, 3))
+        out["boundary"] = np.abs(normal_derivative(Z, grid)) ** 2
+    return out
+
+
+def _prepare(windows: list, grid: SpaceTimeGrid, c_u2: float, c_u1s,
+             variants) -> list:
+    """A PreparedDifference for each difference, from the reductions of the
+    windows that tile its time slices in order.
+
+    For "boundary", each difference must carry a zero Dirichlet trace.
+    """
+    cat = {key: np.concatenate([w[key] for w in windows])
+           for key in ("energy", *variants)}
+    if "boundary" in variants:
+        traces = np.max([w["trace"] for w in windows], axis=0)
+        peaks = np.max([w["peak"] for w in windows], axis=0)
+        for trace, peak in zip(traces, peaks):
+            if breach := trace_breach(float(trace), float(peak)):
+                raise StabilityError(
+                    f"difference trace on Gamma is {breach:.3e}; the pair was not "
+                    "solved with identical Dirichlet data")
+    out = []
+    for i, c_u1 in enumerate(c_u1s):
+        obs = {}
+        if "interior" in variants:
+            obs["interior"] = integrate_slices(cat["interior"][:, i], grid, "Q_omega")
+        if "boundary" in variants:
+            # laid out as normal_derivative lays out a whole trajectory's
+            # samples, time fastest: BLAS sums each time's row in the order
+            # that the layout gives
+            obs["boundary"] = integrate_sigma(
+                np.asfortranarray(cat["boundary"][:, i]), grid)
+        out.append(PreparedDifference(energy=cat["energy"][:, i], obs=obs,
+                                      c_u2=c_u2, c_u1=c_u1))
+    return out
+
+
 def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
                        c_u2: float = float("nan"), c_u1: float = float("nan"),
                        variants=("interior", "boundary")) -> PreparedDifference:
-    """One gradient and the observations of ``variants``, with the
-    conditional constants c_u = ||u||_{L^inf L^6}^8 passed in (nan when the
-    solution is not at hand): u2 is shared by a whole suite, so its
-    constant is computed once there.
+    """One gradient and the observations of ``variants`` of a whole
+    difference z, with the conditional constants c_u = ||u||_{L^inf L^6}^8
+    passed in (nan when the solution is not at hand).
 
     For "boundary", z must carry a zero Dirichlet trace.
     """
     z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    az2 = np.abs(z) ** 2
-    energy = az2 + _grad_sq(z, grid)
-    obs = {}
-    if "interior" in variants:
-        obs["interior"] = integrate_q(az2 + az2 ** 2, grid, "Q_omega")
-    if "boundary" in variants:
-        trace = nonzero_trace(z, grid)
-        if trace:
-            raise StabilityError(
-                f"difference trace on Gamma is {trace:.3e}; the pair was not "
-                "solved with identical Dirichlet data")
-        dnu = normal_derivative(z, grid)
-        obs["boundary"] = integrate_sigma(np.abs(dnu) ** 2, grid)
-    return PreparedDifference(energy=energy, obs=obs, c_u2=c_u2, c_u1=c_u1)
+    (d,) = _prepare([_window_sums(z[:, None], grid, variants)], grid, c_u2,
+                    [c_u1], variants)
+    return d
 
 
 def _lhs(d: PreparedDifference, grid: SpaceTimeGrid, eps: float) -> float:
     """int_{Q_eps} (|z|^2 + |grad z|^2)."""
     if not 0 < eps < grid.T / 2:
         raise StabilityError("eps must lie in (0, T/2)")
-    return integrate_q(d.energy, grid, "Q_eps", eps=eps)
+    return integrate_slices(d.energy, grid, "Q_eps", eps=eps)
 
 
 def stability_interior(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
@@ -142,20 +193,26 @@ def stability_boundary(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
 def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
                        cfg: SolveConfig, grid: SpaceTimeGrid,
                        variants=("interior", "boundary")) -> list:
-    """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps."""
+    """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps.
+
+    u2 and every u1 are marched together; each WINDOW time slices of them
+    are reduced and dropped, so that no trajectory is held.
+    """
+    Y0 = np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas])
+    sixth, windows, held = [], [], []
+    for k, step in enumerate(march(Y0, cfg, grid)):
+        held.append(step.Y)
+        if len(held) == WINDOW or k == grid.nt:
+            U = np.stack(held)           # (slices, u2 and each u1, ny+1, nx+1)
+            held = []
+            sixth.append(l6_slice_sums(U, grid))
+            windows.append(_window_sums(U[:, 1:] - U[:, :1], grid, variants))
+    c_u = [_linf_l6(member) ** 8 for member in np.concatenate(sixth).T]
     reports = []
-    u2 = solve(y0, cfg, grid).Y
-    c_u2 = linf_l6_norm(u2, grid) ** 8
-    for delta in deltas:
-        u1 = solve(y0 + delta * np.asarray(w), cfg, grid).Y
-        d = prepare_difference(u1 - u2, grid, c_u2=c_u2,
-                               c_u1=linf_l6_norm(u1, grid) ** 8,
-                               variants=variants)
+    for delta, d in zip(deltas, _prepare(windows, grid, c_u[0], c_u[1:], variants)):
         for eps in eps_list:
             if "interior" in variants:
                 reports.append(stability_interior(d, grid, eps, delta=delta))
             if "boundary" in variants:
                 reports.append(stability_boundary(d, grid, eps, delta=delta))
-        # the next delta is solved without this difference and its u1 held
-        del u1, d
     return reports

@@ -51,6 +51,23 @@ class TestConfig:
         assert "grid.nx" in msgs
         assert "coeffs.delta0" in msgs
 
+    def test_grid_over_trajectory_limit_allocates_nothing(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"nt": 10 ** 13}}))
+        tracemalloc.start()
+        try:
+            assert run_in(tmp_path, ["--config", str(path), "solve"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "grid.nt:" in capsys.readouterr().err
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_large_grids_accepted(self, n):
+        cfg = load_config(None, {"grid": {"nx": n, "ny": n, "nt": n}})
+        assert cfg["grid"]["nt"] == n
+
     def test_hash_stable(self):
         cfg = load_config()
         assert config_hash(cfg) == config_hash(json.loads(json.dumps(cfg)))
@@ -116,6 +133,12 @@ class TestConfig:
                      "grid.ny", id="unequal-nx-ny"),
         pytest.param({"domain": {"omega_center": [0.1, 0.1]}}, ["stability"],
                      "domain.omega_center", id="omega-not-interior"),
+        # grids whose one complex trajectory would pass
+        # config.MAX_TRAJECTORY_BYTES name their largest field
+        pytest.param({"grid": {"nt": 10 ** 13}}, ["solve"], "grid.nt",
+                     id="huge-nt"),
+        pytest.param({"grid": {"nx": 4096, "ny": 4096}}, ["stability"], "grid.nx",
+                     id="huge-nx-ny"),
         # the interior variants need psi1's critical point inside omega
         pytest.param(MISPLACED_OMEGA, ["carleman-scan"], "domain.omega_center",
                      id="square-omega-misses-critical-point"),
@@ -409,24 +432,35 @@ def test_scan_peak_memory(tmp_path):
 
 @pytest.fixture(scope="module")
 def counted_stability16(tmp_path_factory):
-    """A 16^3 seed-7 stability run: (grad calls, L^inf L^6 calls, CSV rows)."""
+    """A 16^3 seed-7 stability run: (the (slices, fields) of each gradient
+    call, the same of each L^6 slice-sum call, CSV rows)."""
     tmp = tmp_path_factory.mktemp("stability16")
     with pytest.MonkeyPatch.context() as mp:
         grads = count_calls(mp, stability, "grad")
-        norms = count_calls(mp, stability, "linf_l6_norm")
+        norms = count_calls(mp, stability, "l6_slice_sums")
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "stability"]) == 0
     (run,) = (tmp / "runs").iterdir()
     with open(run / "stability.csv", newline="", encoding="utf-8") as fh:
-        return len(grads), len(norms), list(csv.DictReader(fh))
+        return ([args[0].shape[:2] for args in grads],
+                [args[0].shape[:2] for args in norms], list(csv.DictReader(fh)))
+
+
+# the window lengths that tile the 17 time slices of a 16^3 run, in order
+WINDOWS16 = [min(stability.WINDOW, 17 - i) for i in range(0, 17, stability.WINDOW)]
 
 
 class TestStabilityPass:
     def test_one_gradient_per_difference(self, counted_stability16):
-        assert counted_stability16[0] == len(DEFAULTS["stability"]["deltas"])
+        # one call per window, on that window of every difference: each
+        # difference's gradient is taken once on each time slice
+        n_deltas = len(DEFAULTS["stability"]["deltas"])
+        assert counted_stability16[0] == [(w, n_deltas) for w in WINDOWS16]
 
     def test_norms_once_per_difference(self, counted_stability16):
-        # u2 once for the suite, u1 once for each delta
-        assert counted_stability16[1] == 1 + len(DEFAULTS["stability"]["deltas"])
+        # one call per window, on that window of u2 and every u1: each
+        # member's L^inf L^6 is taken once on each time slice
+        n_members = 1 + len(DEFAULTS["stability"]["deltas"])
+        assert counted_stability16[1] == [(w, n_members) for w in WINDOWS16]
 
     def test_row_order(self, counted_stability16):
         # delta, then eps, then interior before boundary

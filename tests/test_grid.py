@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from glcarleman.grid import (DomainSpec, GridError, boundary_values, build_grid,
-                             grad, integrate_q, integrate_sigma, laplacian,
+from glcarleman.grid import (DomainSpec, GridError, _cut_nodes, _fix_disk_grad,
+                             _grad_cases, boundary_values, build_grid, grad,
+                             integrate_q, integrate_sigma, laplacian,
                              normal_derivative)
 
 
@@ -94,6 +95,57 @@ class TestGrad:
             errs.append(np.abs(g1 - exact).max())
         for p in observed_order(errs):
             assert 1.8 <= p <= 2.2
+
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_cut_node_rules_match_the_loop(self, disk_grid, axis):
+        # rows 3 and 1 (columns, for axis -2) hold a run of three active
+        # nodes, a pair at the edge and a lone node, which take the
+        # two-point, the one-point and the zero rule; then the disk
+        active = np.zeros((7, 7), dtype=bool)
+        active[3, 1:4] = active[3, 5:7] = active[1, 3] = True
+        if axis == -2:
+            active = active.T.copy()
+        pad = np.pad(active, 1)
+        cut = _cut_nodes(active, *((pad[1:-1, :-2], pad[1:-1, 2:]) if axis == -1
+                                   else (pad[:-2, 1:-1], pad[2:, 1:-1])))
+        cases = _grad_cases(active, cut, axis)
+        assert [len(cases["two"][0]), len(cases["one"][0]), len(cases["zero"][0])] \
+            == [2, 2, 1]
+        disk_cut = disk_grid._cut_x if axis == -1 else disk_grid._cut_y
+        disk_cases = disk_grid._grad_x if axis == -1 else disk_grid._grad_y
+        rng = np.random.default_rng(3)
+        for mask, h, cut_list, by_case in ((active, 0.5, cut, cases),
+                                           (disk_grid.active_mask, disk_grid.h,
+                                            disk_cut, disk_cases)):
+            f = rng.standard_normal((2,) + mask.shape) \
+                + 1j * rng.standard_normal((2,) + mask.shape)
+            got, want = np.zeros_like(f), np.zeros_like(f)
+            _fix_disk_grad(f, h, got, by_case)
+            fix_disk_grad_loop(f, mask, h, want, cut_list, axis)
+            assert np.array_equal(got, want)
+
+
+def fix_disk_grad_loop(f, active, h, g, cut_list, axis):
+    """The cut-node rules node by node, as grid.grad once applied them: the
+    reference for the index-array form."""
+    n = active.shape[axis] - 1
+    for iy, ix, _, has_p in cut_list:
+        d = 1 if has_p else -1
+        i0 = ix if axis == -1 else iy
+
+        def val(i):
+            return f[..., iy, i] if axis == -1 else f[..., i, ix]
+
+        def ok(i):
+            return 0 <= i <= n and active[(iy, i) if axis == -1 else (i, ix)]
+
+        if ok(i0 + d) and ok(i0 + 2 * d):
+            g[..., iy, ix] = d * (-3 * val(i0) + 4 * val(i0 + d) - val(i0 + 2 * d)) / (2 * h)
+        elif ok(i0 + d):
+            g[..., iy, ix] = d * (val(i0 + d) - val(i0)) / h
+        else:
+            g[..., iy, ix] = 0.0
 
 
 class TestLaplacian:

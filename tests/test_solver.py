@@ -10,7 +10,7 @@ from glcarleman.grid import GridError, build_grid, integrate_q, laplacian
 from glcarleman.gloperator import apply_F, derive_coeffs
 from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized,
                                build_linear_ops, energy_balance, grid_source,
-                               load_trajectory, save_trajectory, solve)
+                               load_trajectory, march, save_trajectory, solve)
 
 
 def cubic_ode_exact(a, c, t):
@@ -292,6 +292,43 @@ class TestAdaptivity:
         a = solve(np.conj(y0), SolveConfig(b=0.3, c=0.4, bc="dirichlet0"), g).Y
         b = np.conj(solve(y0, SolveConfig(b=-0.3, c=-0.4, bc="dirichlet0"), g).Y)
         assert np.abs(a - b).max() < 1e-12
+
+
+def assert_march_is_solo(Y0, cfg, grid):
+    """A stack marched in lockstep gives each member its solo solve, bit for
+    bit, on a stack whose members split over substep counts."""
+    steps = list(march(Y0, cfg, grid))
+    subs = np.array([step.substeps for step in steps[1:]])
+    assert any(len(set(row)) > 1 for row in subs)
+    for i, y0 in enumerate(Y0):
+        res = solve(y0, cfg, grid)
+        assert np.array_equal(np.stack([step.Y[i] for step in steps]), res.Y)
+        assert np.array_equal(subs[:, i], res.substeps)
+
+
+class TestMarch:
+    @pytest.mark.parametrize("scheme", ["imex_cn", "imex_be"])
+    @pytest.mark.parametrize("spec_name", ["square_spec", "disk_spec"])
+    def test_stack_is_solo_solves(self, request, spec_name, scheme):
+        # the amplitude-8 member needs halved substeps where the others do
+        # not; the others' columns take over 256 KiB, where numpy starts to
+        # reuse temporaries in place
+        g = fresh_grid(request, spec_name, n=64, nt=16)
+        cfg = SolveConfig(b=0.3, c=0.4, scheme=scheme)
+        Y0 = np.stack([random_initial_field(g, seed=s, amplitude=a, bc="dirichlet0")
+                       for s, a in enumerate((8.0, 1.0, 0.5, 2.0, 1.0, 0.25, 0.5, 1.5))])
+        assert_march_is_solo(Y0, cfg, g)
+
+    def test_stack_with_source_is_solo_solves(self, square_spec):
+        # members on different substep counts carry their own source samples
+        # into the step where they join one group again
+        g = build_grid(square_spec, 32, 32, 16, 0.5)
+        coeffs = derive_coeffs(0.3, 0.4)
+        ref = manufactured_reference()
+        cfg = SolveConfig(b=coeffs.b, c=coeffs.c, source=grid_source(ref, g, coeffs))
+        y0 = ref.sample(g, times=np.array([0.0]))[0]
+        w = random_initial_field(g, seed=5, amplitude=8.0, bc="dirichlet0")
+        assert_march_is_solo(np.stack([y0, y0 + w, y0 + 0.5 * w]), cfg, g)
 
 
 def sample_source(field, grid, coeffs):

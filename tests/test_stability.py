@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glcarleman import stability
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import build_grid, integrate_q
+from glcarleman.grid import (build_grid, grad, integrate_q, integrate_sigma,
+                             normal_derivative)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, linf_l6_norm,
                                   perturbation_suite, prepare_difference,
@@ -24,6 +26,37 @@ def pair32(grid32):
     u1 = solve(y0 + 1e-2 * w, cfg, grid32).Y
     u2 = solve(y0, cfg, grid32).Y
     return u1, u2, u1 - u2
+
+
+def nan_as_str(row):
+    """``row`` with each nan written "nan", which compares equal to itself."""
+    return tuple("nan" if isinstance(x, float) and np.isnan(x) else x for x in row)
+
+
+def reference_suite(y0, w, deltas, eps_list, cfg, grid, variants):
+    """The suite's reports, as (variant, delta, eps, lhs, rhs_obs, c_u2,
+    c_u1), from whole stored trajectories and whole-trajectory quadrature."""
+    nan = float("nan")
+    u2 = solve(y0, cfg, grid).Y
+    c_u2 = linf_l6_norm(u2, grid) ** 8
+    rows = []
+    for delta in deltas:
+        u1 = solve(y0 + delta * w, cfg, grid).Y
+        c_u1 = linf_l6_norm(u1, grid) ** 8
+        z = u1 - u2
+        az2 = np.abs(z) ** 2
+        g1, g2 = grad(z, grid)
+        energy = az2 + (np.abs(g1) ** 2 + np.abs(g2) ** 2)
+        obs = {"interior": integrate_q(az2 + az2 ** 2, grid, "Q_omega")}
+        if "boundary" in variants:
+            obs["boundary"] = integrate_sigma(np.abs(normal_derivative(z, grid)) ** 2,
+                                              grid)
+        for eps in eps_list:
+            lhs = integrate_q(energy, grid, "Q_eps", eps=eps)
+            rows += [(v, delta, eps, lhs, obs[v]) + ((c_u2, c_u1) if v == "interior"
+                                                     else (nan, nan))
+                     for v in variants]
+    return rows
 
 
 class TestL6Norm:
@@ -128,6 +161,18 @@ class TestBoundaryReport:
         with pytest.raises(StabilityError):
             stability_boundary(prepare_difference(z, grid32), grid32, eps=0.1)
 
+    def test_suite_rejects_nonzero_trace_before_reports(self, grid32, monkeypatch):
+        # neumann0 solves leave the boundary nodes free, so z has a trace
+        reports = []
+        monkeypatch.setattr(stability, "stability_interior",
+                            lambda *a, **k: reports.append(a))
+        cfg = SolveConfig(b=0.3, c=0.4, bc="neumann0")
+        y0 = random_initial_field(grid32, seed=1, amplitude=1.0, bc="neumann0")
+        w = random_initial_field(grid32, seed=2, amplitude=1.0, bc="neumann0")
+        with pytest.raises(StabilityError, match="difference trace on Gamma is"):
+            perturbation_suite(y0, w, [1e-2], [0.1], cfg, grid32)
+        assert reports == []
+
 
 class TestSuite:
     def test_spread_and_interleaving(self, grid32):
@@ -140,14 +185,58 @@ class TestSuite:
         assert all(np.isfinite(c) for c in cs)
         assert max(cs) / min(cs) <= 10.0
 
+    @pytest.mark.parametrize("window", [1, 3, 100])
+    @pytest.mark.parametrize("spec,n,deltas,variants", [
+        ("square_spec", 32, [1e-3, 1e-1], ("interior", "boundary")),
+        ("disk_spec", 32, [1e-3, 1e-2, 1e-1], ("interior",)),
+        # 97^2 nodes: np.einsum sums a lone slice of them otherwise than a
+        # stack, and one delta makes lone slices of the last window
+        ("square_spec", 96, [1e-2], ("interior",)),
+    ], ids=["square-both", "disk-interior", "square96-one-delta"])
+    def test_streamed_suite_matches_stored_trajectories(
+            self, request, monkeypatch, window, spec, n, deltas, variants):
+        # windows of 1 and 3 slices, and one window holding every slice
+        monkeypatch.setattr(stability, "WINDOW", window)
+        grid = build_grid(request.getfixturevalue(spec), n, n, 16, 1.0)
+        cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
+        y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
+        w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
+        eps_list = [0.05, 0.1, 0.2]
+        got = [(r.variant, r.perturbation_scale, r.epsilon, r.lhs, r.rhs_obs,
+                r.c_u2, r.c_u1)
+               for r in perturbation_suite(y0, w, deltas, eps_list, cfg, grid,
+                                           variants=variants)]
+        want = reference_suite(y0, w, deltas, eps_list, cfg, grid, variants)
+        assert list(map(nan_as_str, got)) == list(map(nan_as_str, want))
+
+    def test_peak_memory_does_not_grow_with_nt(self, square_spec):
+        # windows of slices are reduced and dropped; what grows with nt is
+        # the per-slice sums and the boundary samples
+        peaks = []
+        for nt in (16, 64):
+            grid = build_grid(square_spec, 32, 32, nt, 1.0)
+            cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
+            y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
+            w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
+            tracemalloc.start()
+            try:
+                perturbation_suite(y0, w, [1e-3, 1e-2, 1e-1], [0.05, 0.1, 0.2],
+                                   cfg, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 17 * 33 * 33 * 16
+
     @pytest.mark.parametrize("spec,variants", [
         ("disk_spec", ("interior",)),
         ("square_spec", ("interior", "boundary")),
     ], ids=["disk-interior", "square-both"])
     def test_peak_memory(self, request, spec, variants):
-        # The peak is about 7.05 complex space-time trajectories; holding the
-        # previous delta's prepared difference and u1 while the next delta
-        # is solved raises it to about 7.55.  A fresh grid, so that building
+        # The peak is about 3.2 (disk) and 3.4 (square) complex space-time
+        # trajectories: u2 and every u1 are marched together and reduced
+        # window by window, so the solver's operators and the temporaries of
+        # one window make it up.  Holding whole trajectories, as the suite
+        # once did, peaked at about 7.05.  A fresh grid, so that building
         # the solver's operators counts as in a CLI run.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
         cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")

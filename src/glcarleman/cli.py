@@ -1,9 +1,13 @@
-"""Batch front-end: verify-identity | solve | carleman-scan | stability | check-weights.
+"""Batch front-end: verify-identity | solve | carleman-scan | stability.
 
 Every command loads a JSON configuration (defaults + file + flag overrides),
 validates it against all module preconditions, and writes its reports under
 a run directory named by the configuration hash.  Outputs are byte-stable:
-rerunning an identical configuration reproduces identical files.
+rerunning an identical configuration reproduces identical files.  Among the
+preconditions, carleman-scan checks on the run grid that each auxiliary
+function psi its variants weigh with is admissible, before any work starts.
+--lambda and --mu set the lists of the one command that reads them
+(identity.* for verify-identity, scan.* for carleman-scan).
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error.
 """
@@ -27,10 +31,10 @@ from .identity import (T_coefficient_positivity, default_samples, identity_resid
                        overflowing_pairs)
 from .solver import SolveConfig, energy_balance, save_trajectory, solve
 from .stability import perturbation_suite
-from .weights import (CRITICAL_POINT, CarlemanParams, check_time_monotonicity,
-                      critical_point_in_omega, derivative_consistency,
-                      export_envelope_csv, horizon_representable,
-                      verify_psi_admissibility, weight_tables)
+from .weights import CarlemanParams, horizon_representable, verify_psi_admissibility
+
+# the section whose lambda and mu lists each command reads
+LIST_SECTION = {"verify-identity": "identity", "carleman-scan": "scan"}
 
 
 def _float_list(text):
@@ -72,13 +76,7 @@ def _check_capabilities(cfg, command, manufactured):
     if boundary and disk:
         errs.append(f"{section}.variants: {', '.join(boundary)} unsupported on "
                     "unit_disk (no normal derivative on the circle)")
-    # the interior weight psi1 is admissible only if omega holds its critical point
     spec = build_domain(cfg)
-    if command == "carleman-scan" and not critical_point_in_omega(spec) and any(
-            VARIANT_FAMILY[v] == "j1_interior" for v in cfg["scan"]["variants"]):
-        errs.append(f"domain.omega_center: omega misses psi1's critical point "
-                    f"{CRITICAL_POINT[(spec.shape, 'psi1')]}, which the interior "
-                    "variants need inside it")
     # the interior grid times, and the identity suite's sample times
     T, nt = cfg["grid"]["T"], cfg["grid"]["nt"]
     horizon_ok = horizon_representable(T, np.concatenate([
@@ -96,18 +94,33 @@ def _check_capabilities(cfg, command, manufactured):
         raise ConfigError(errs)
 
 
+def _check_admissibility(cfg, grid):
+    """The Carleman estimates hold for an admissible psi only: psi1 weighs
+    the interior variants and psi2 the boundary ones."""
+    families = {VARIANT_FAMILY[v] for v in cfg["scan"]["variants"]}
+    failed = []
+    for which, family in (("psi1", "j1_interior"), ("psi2", "j2_boundary")):
+        if family in families:
+            rep = verify_psi_admissibility(which, grid)
+            failed += [f"{which}.{c}" for c, ok in rep.clauses.items() if not ok]
+    if failed:
+        raise ConfigError([f"domain.omega_center: psi is not admissible on this "
+                           f"grid and omega, failing {', '.join(failed)}"])
+
+
 def _prepare(args, command):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.grid is not None:
         overrides["grid"] = {"nx": args.grid, "ny": args.grid, "nt": args.grid}
-    if getattr(args, "lam", None):
-        overrides.setdefault("scan", {})["lambdas"] = args.lam
-        overrides.setdefault("identity", {})["lambdas"] = args.lam
-    if getattr(args, "mu", None):
-        overrides.setdefault("scan", {})["mus"] = args.mu
-        overrides.setdefault("identity", {})["mus"] = args.mu
+    for flag, key, values in (("--lambda", "lambdas", args.lam),
+                              ("--mu", "mus", args.mu)):
+        if values is None:
+            continue
+        if command not in LIST_SECTION:
+            raise ConfigError([f"{flag}: {command} reads no {flag[2:]} list"])
+        overrides.setdefault(LIST_SECTION[command], {})[key] = values
     cfg = load_config(args.config, overrides)
     _check_capabilities(cfg, command, getattr(args, "manufactured", False))
     try:
@@ -115,6 +128,8 @@ def _prepare(args, command):
     except GridError as exc:
         # every field is valid on its own, so omega does not fit the grid
         raise ConfigError([f"domain.omega_center: {exc}"]) from None
+    if command == "carleman-scan":
+        _check_admissibility(cfg, grid)
     out_dir = args.output_dir or cfg["output_dir"] or os.path.join(
         "runs", config_hash(cfg))
     os.makedirs(out_dir, exist_ok=True)
@@ -335,57 +350,6 @@ def cmd_stability(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_check_weights(args) -> int:
-    cfg, grid, out_dir = _prepare(args, "check-weights")
-    g = cfg["grid"]
-
-    payload = {"config": cfg, "admissibility": {}, "derivatives": {},
-               "monotonicity": {}}
-    ok = True
-
-    sq_spec = DomainSpec(shape="unit_square", omega_center=(0.5, 0.5),
-                         omega_radius=0.25)
-    disk_spec = DomainSpec(shape="unit_disk", omega_center=(0.0, 0.0),
-                           omega_radius=0.35)
-    sq_grid = grid if grid.spec.shape == "unit_square" \
-        else build_grid(sq_spec, g["nx"], g["ny"], g["nt"], g["T"])
-    disk_grid = grid if grid.spec.shape == "unit_disk" \
-        else build_grid(disk_spec, g["nx"], g["ny"], g["nt"], g["T"])
-
-    cases = [("square_psi1", "psi1", sq_grid),
-             ("disk_psi1", "psi1", disk_grid),
-             ("square_psi2", "psi2", sq_grid)]
-    lam0 = float(cfg["scan"]["lambdas"][0])
-    mu0 = float(cfg["scan"]["mus"][0])
-    times = np.array([0.3, 0.5, 0.6]) * g["T"]
-    for name, which, gg in cases:
-        rep = verify_psi_admissibility(which, gg)
-        payload["admissibility"][name] = {
-            "clauses": rep.clauses, "passed": rep.passed,
-            "min_grad_outside_omega": rep.min_grad_outside_omega,
-        }
-        family = "j1_interior" if which == "psi1" else "j2_boundary"
-        params = CarlemanParams(lam=lam0, mu=mu0, T=g["T"], family=family)
-        if gg.spec.shape == "unit_square":
-            pts = np.array([[0.3, 0.4], [0.5, 0.7], [0.8, 0.2]])
-        else:
-            pts = np.array([[0.2, 0.1], [-0.3, 0.4], [0.1, -0.5]])
-        cons = derivative_consistency(params, gg.spec, which, pts, times)
-        payload["derivatives"][name] = cons
-        tables = weight_tables(params, gg)
-        mono = check_time_monotonicity(tables, gg)
-        payload["monotonicity"][name] = mono
-        ok = ok and rep.passed and max(cons.values()) <= 1e-6 \
-            and mono["monotone_first_half"] and mono["symmetric"]
-        if args.export_envelope and name == "square_psi1":
-            export_envelope_csv(tables, gg, os.path.join(out_dir, "envelope.csv"))
-
-    payload["passed"] = bool(ok)
-    write_json(os.path.join(out_dir, "weights_report.json"), payload)
-    print(f"check-weights -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="glcarleman",
@@ -396,9 +360,11 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=None,
                         help="set nx = ny = nt")
     parser.add_argument("--lambda", dest="lam", type=_float_list, default=None,
-                        help="override lambda list (comma separated)")
+                        help="override the lambda list of verify-identity or "
+                             "carleman-scan (comma separated)")
     parser.add_argument("--mu", dest="mu", type=_float_list, default=None,
-                        help="override mu list (comma separated)")
+                        help="override the mu list of verify-identity or "
+                             "carleman-scan (comma separated)")
     parser.add_argument("--output-dir", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -418,10 +384,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("stability", help="state observation perturbation suite")
     p.set_defaults(fn=cmd_stability)
-
-    p = sub.add_parser("check-weights", help="psi admissibility and weight checks")
-    p.add_argument("--export-envelope", action="store_true")
-    p.set_defaults(fn=cmd_check_weights)
 
     args = parser.parse_args(argv)
     try:

@@ -54,23 +54,6 @@ class ExpAtom(Atom):
         return f, self.rate * f, self.rate ** 2 * f
 
 
-@dataclass(frozen=True)
-class PolyAtom(Atom):
-    """Polynomial sum_k coeffs[k] * s**k."""
-
-    coeffs: tuple
-
-    def ev(self, s):
-        s = np.asarray(s, dtype=float)
-        c = self.coeffs
-        n = len(c)
-        f = sum(c[k] * s ** k for k in range(n))
-        d1 = sum(k * c[k] * s ** (k - 1) for k in range(1, n))
-        d2 = sum(k * (k - 1) * c[k] * s ** (k - 2) for k in range(2, n))
-        zero = np.zeros_like(s)
-        return f + zero, d1 + zero, d2 + zero
-
-
 @dataclass
 class FieldJet:
     """A field and its derivatives up to second order at a batch of points."""

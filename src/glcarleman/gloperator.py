@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, _d1, laplacian
+from .grid import _d1
 
 
 class CoeffError(ValueError):
@@ -102,11 +102,3 @@ def apply_G(Y: np.ndarray, yt: np.ndarray, lap: np.ndarray,
     out -= coeffs.gamma2 * np.abs(Y) ** 2 * Y
     return out
 
-
-def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
-            bc: str = "ghost_from_field") -> np.ndarray:
-    """F y = y_t - (1+ib) Lap y + (1+ic) |y|^2 y."""
-    Y = grid.check_field(np.asarray(Y, dtype=np.complex128), "trajectory")
-    out = linear_source(time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
-    out += (1 + 1j * coeffs.c) * np.abs(Y) ** 2 * Y
-    return out

@@ -22,9 +22,9 @@ from glcarleman.identity import T_coefficient_positivity, identity_residuals
 from glcarleman.solver import SolveConfig, energy_balance, grid_source, solve
 from glcarleman.stability import (linf_l6_norm, perturbation_suite,
                                   prepare_difference, stability_interior)
-from glcarleman.weights import (CarlemanParams, check_time_monotonicity,
-                                derivative_consistency,
-                                verify_psi_admissibility, weight_tables)
+from glcarleman.weights import (CarlemanParams, verify_psi_admissibility,
+                                weight_tables)
+from support import check_time_monotonicity, derivative_consistency
 from test_operator import coefficient_relations
 
 SQUARE = DomainSpec(shape="unit_square", omega_center=(0.5, 0.5),

@@ -75,6 +75,16 @@ class TestConfig:
     @pytest.mark.parametrize("config, argv, field", [
         pytest.param(None, ["--lambda", "4", "carleman-scan"], "scan.lambdas",
                      id="one-lambda-flag"),
+        # an empty flag is an empty list, not an absent flag
+        pytest.param(None, ["--lambda", "", "carleman-scan"], "scan.lambdas",
+                     id="empty-lambda-flag"),
+        pytest.param(None, ["--mu", "", "verify-identity"], "identity.mus",
+                     id="empty-mu-flag"),
+        # the flags set the lists of the command that reads them, and no other
+        pytest.param(None, ["--lambda", "2,4", "solve"], "--lambda",
+                     id="lambda-flag-solve"),
+        pytest.param(None, ["--mu", "2", "stability"], "--mu",
+                     id="mu-flag-stability"),
         pytest.param({"scan": {"lambdas": []}}, ["carleman-scan"], "scan.lambdas",
                      id="empty-lambdas"),
         # an empty list would pass having checked nothing, and a repeated
@@ -124,8 +134,8 @@ class TestConfig:
         # 0, or makes it inf, leaves no weight to check
         pytest.param({"grid": {"T": 1e300}}, ["verify-identity"], "grid.T",
                      id="huge-T-identity"),
-        pytest.param({"grid": {"T": 1e160}}, ["check-weights"], "grid.T",
-                     id="large-T-check-weights"),
+        pytest.param({"grid": {"T": 1e160}}, ["stability"], "grid.T",
+                     id="large-T-stability"),
         pytest.param({"grid": {"T": 1e-300}}, ["carleman-scan"], "grid.T",
                      id="tiny-T-scan"),
         # grids that build_grid would refuse, after the run directory was made
@@ -224,8 +234,7 @@ def cli_section(name, defaults):
 CLI_CONFIG = st.fixed_dictionaries(
     {"grid": cli_section("grid", DEFAULTS["grid"])},
     optional={k: cli_section(k, v) for k, v in DEFAULTS.items() if k != "grid"})
-COMMANDS = ["verify-identity", "solve", "carleman-scan", "stability",
-            "check-weights"]
+COMMANDS = ["verify-identity", "solve", "carleman-scan", "stability"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,25 +327,42 @@ class TestCommands:
         summary = json.loads((runs[0] / "stability_summary.json").read_text())
         assert summary["passed"]
 
-    def test_check_weights(self, tmp_path):
-        assert run_in(tmp_path, BASE + ["check-weights"]) == 0
-        runs = list((tmp_path / "runs").iterdir())
-        rep = json.loads((runs[0] / "weights_report.json").read_text())
-        assert rep["passed"]
-        assert set(rep["admissibility"]) == {"square_psi1", "disk_psi1",
-                                             "square_psi2"}
+    def test_lambda_flag_sets_the_identity_lists_only(self, tmp_path):
+        # verify-identity reads no scan section, so one lambda is enough
+        assert run_in(tmp_path, ["--grid", "16", "--lambda", "2", "--mu", "1.5",
+                                 "verify-identity"]) == 0
+        (run,) = (tmp_path / "runs").iterdir()
+        cfg = json.loads((run / "identity_report.json").read_text())["config"]
+        assert (cfg["identity"]["lambdas"], cfg["identity"]["mus"]) == ([2.0], [1.5])
+        assert cfg["scan"] == DEFAULTS["scan"]
 
-    def test_check_weights_judges_configured_omega(self, tmp_path):
-        # omega = B((0.3, 0.3), 0.1) misses psi1's critical point (0.5, 0.5)
-        p = tmp_path / "c.json"
-        p.write_text(json.dumps(MISPLACED_OMEGA))
-        assert run_in(tmp_path, ["--config", str(p)] + BASE + ["check-weights"]) == 1
-        runs = list((tmp_path / "runs").iterdir())
-        rep = json.loads((runs[0] / "weights_report.json").read_text())
-        square = rep["admissibility"]["square_psi1"]["clauses"]
-        assert not square["critical_point_in_omega"]
-        assert not square["grad_nonvanishing_outside_omega"]
-        assert rep["admissibility"]["disk_psi1"]["passed"]
+    def test_scan_preflight_judges_configured_omega(self, tmp_path, capsys):
+        # omega = B((0.3, 0.3), 0.1) misses psi1's critical point (0.5, 0.5),
+        # and B((0.5, 0), 0.2) misses the disk's, the origin
+        disk = {"domain": {**DISK["domain"], "omega_center": [0.5, 0.0],
+                           "omega_radius": 0.2},
+                "scan": {"variants": ["interior"]}}
+        for config in (MISPLACED_OMEGA, disk):
+            p = tmp_path / "c.json"
+            p.write_text(json.dumps(config))
+            assert run_in(tmp_path, ["--config", str(p)] + BASE
+                          + ["carleman-scan"]) == 2
+            err = capsys.readouterr().err
+            assert "domain.omega_center:" in err
+            assert "psi1.critical_point_in_omega" in err
+            assert "psi1.grad_nonvanishing_outside_omega" in err
+            assert not (tmp_path / "runs").exists()
+        # psi2 does not depend on omega: a boundary scan goes ahead
+        p.write_text(json.dumps({**MISPLACED_OMEGA,
+                                 "scan": {"variants": ["boundary"]}}))
+        assert run_in(tmp_path, ["--config", str(p), "--grid", "16",
+                                 "carleman-scan"]) in (0, 1)
+        assert (tmp_path / "runs").exists()
+
+    def test_check_weights_is_no_command(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_in(tmp_path, BASE + ["check-weights"])
+        assert exc.value.code == 2
 
 
 def count_calls(mp, module, name):

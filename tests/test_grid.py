@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from glcarleman.functionals import prepare_trajectory
+from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import (DomainSpec, GridError, _cut_nodes, _fix_disk_grad,
                              _grad_cases, boundary_values, build_grid, grad,
                              integrate_q, integrate_sigma, laplacian,
                              normal_derivative)
+from glcarleman.solver import SolveConfig, energy_balance, march
+from glcarleman.stability import linf_l6_norm, prepare_difference
 
 
 def integrate_space(g: np.ndarray, grid) -> float:
@@ -265,3 +269,26 @@ class TestGreenIdentity:
             srf = float(np.sum((nd * np.conj(wb)).real * g.boundary_weights))
             defects.append(abs(vol - srf))
         assert defects[1] <= max(defects[0] / 2 ** 0.8, 1e-12)
+
+
+# The stencils trust their input: each entry point checks its field once.
+ENTRY_POINTS = {
+    "prepare_trajectory": lambda Y, g: prepare_trajectory(Y, g, derive_coeffs(0.3, 0.4)),
+    "march": lambda Y, g: next(march(Y[:1], SolveConfig(bc="dirichlet0"), g)),
+    "energy_balance": lambda Y, g: energy_balance(Y, g, SolveConfig(bc="dirichlet0")),
+    "prepare_difference": prepare_difference,
+    "linf_l6_norm": linf_l6_norm,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("defect, message", [("nan", "non-finite"),
+                                             ("shape", "spatial shape")])
+def test_entry_point_rejects_bad_field(grid32, entry, defect, message):
+    Y = np.zeros((grid32.nt + 1,) + grid32.X1.shape, dtype=complex)
+    if defect == "nan":
+        Y[:, 16, 16] = np.nan            # an active node at every time
+    else:
+        Y = Y[..., :-1]
+    with pytest.raises(GridError, match=message):
+        ENTRY_POINTS[entry](Y, grid32)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glcarleman.fields import (AnalyticField, ExpAtom, Mode, PolyAtom, SinAtom,
+from glcarleman.fields import (AnalyticField, ExpAtom, Mode, SinAtom,
                                random_trig_field)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.identity import (IdentityError, PhiPsiSample,
@@ -11,6 +11,7 @@ from glcarleman.identity import (IdentityError, PhiPsiSample,
                                  default_samples, eval_terms,
                                  identity_residuals, step_one_choice)
 from glcarleman.weights import CarlemanParams, eval_psi, eval_weight
+from support import PolyAtom
 
 
 def bubble_sine_field(T: float) -> AnalyticField:

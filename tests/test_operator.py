@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from glcarleman.gloperator import (CoeffError, GLCoeffs, apply_F, apply_G,
+from glcarleman.gloperator import (CoeffError, GLCoeffs, apply_G,
                                    check_condition1, derive_coeffs,
                                    time_derivative)
 from glcarleman.grid import laplacian
+from support import apply_F
 
 
 def least_delta0(coeffs: GLCoeffs) -> float | None:

@@ -7,10 +7,11 @@ import scipy.sparse.linalg as spla
 
 from glcarleman.fields import manufactured_reference, random_initial_field
 from glcarleman.grid import GridError, build_grid, integrate_q, laplacian
-from glcarleman.gloperator import apply_F, derive_coeffs
+from glcarleman.gloperator import derive_coeffs
 from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized,
                                build_linear_ops, energy_balance, grid_source,
                                load_trajectory, march, save_trajectory, solve)
+from support import PolyAtom, apply_F
 
 
 def cubic_ode_exact(a, c, t):
@@ -340,7 +341,7 @@ def sample_source(field, grid, coeffs):
 class TestManufacturedSource:
     def test_time_independent_sine(self, grid32):
         # y* = sin(pi x1) sin(pi x2), b = c = 0: f = 2 pi^2 y* + |y*|^2 y*
-        from glcarleman.fields import AnalyticField, Mode, PolyAtom, SinAtom
+        from glcarleman.fields import AnalyticField, Mode, SinAtom
 
         ystar = AnalyticField([Mode(1.0, PolyAtom((1.0,)), SinAtom(np.pi),
                                     SinAtom(np.pi))])
@@ -352,7 +353,7 @@ class TestManufacturedSource:
 
     def test_rotating_constant(self, grid32):
         # y* = a e^{it} (constant in space): f = (ia + (1+ic)|a|^2 a) e^{it}
-        from glcarleman.fields import AnalyticField, ExpAtom, Mode, PolyAtom
+        from glcarleman.fields import AnalyticField, ExpAtom, Mode
 
         a = 0.8 - 0.3j
         c = 0.4

@@ -3,10 +3,9 @@ import pytest
 
 from glcarleman.grid import DomainSpec, build_grid
 from glcarleman.weights import (CarlemanParams, WeightError,
-                                check_time_monotonicity, critical_point_in_omega,
-                                derivative_consistency, eval_psi, eval_weight,
-                                export_envelope_csv,
+                                critical_point_in_omega, eval_psi, eval_weight,
                                 verify_psi_admissibility, weight_tables)
+from support import check_time_monotonicity, derivative_consistency
 
 
 class TestEvalPsi:
@@ -179,11 +178,3 @@ class TestEnvelope:
         phis = [eval_weight(CarlemanParams(lam=2, mu=mu, T=1.0), s, 0.5).phi
                 for mu in (1.5, 2.0, 3.0)]
         assert phis[0] < phis[1] < phis[2]
-
-    def test_csv_export(self, square_spec, tmp_path):
-        g = build_grid(square_spec, 16, 16, 16, 1.0)
-        tables = weight_tables(CarlemanParams(lam=2, mu=2, T=1.0), g)
-        path = tmp_path / "env.csv"
-        export_envelope_csv(tables, g, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,x1,x2,log_theta,phi"

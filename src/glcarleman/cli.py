@@ -5,7 +5,9 @@ validates it against all module preconditions, and writes its reports under
 a run directory named by the configuration hash.  Outputs are byte-stable:
 rerunning an identical configuration reproduces identical files.  Among the
 preconditions, carleman-scan checks on the run grid that each auxiliary
-function psi its variants weigh with is admissible, before any work starts.
+function psi its variants weigh with is admissible, before any work starts,
+and marches its suite in lockstep, one stack per boundary condition, scanning
+each window of times as soon as it is solved.
 --lambda and --mu set the lists of the one command that reads them
 (identity.* for verify-identity, scan.* for carleman-scan).
 
@@ -29,7 +31,7 @@ from .gloperator import check_condition1, derive_coeffs
 from .grid import DomainSpec, GridError, build_grid
 from .identity import (T_coefficient_positivity, default_samples, identity_residuals,
                        overflowing_pairs)
-from .solver import SolveConfig, energy_balance, save_trajectory, solve
+from .solver import SolveConfig, energy_balance, march, save_trajectory, solve
 from .stability import perturbation_suite
 from .weights import CarlemanParams, horizon_representable, verify_psi_admissibility
 
@@ -251,7 +253,7 @@ def cmd_carleman_scan(args) -> int:
     sc_cfg = cfg["scan"]
     coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     cond = check_condition1(coeffs, cfg["coeffs"]["r0"], cfg["coeffs"]["delta0"])
-    suite = []                   # (k, bc, Y, variants)
+    members = []                 # (k, bc, variants)
     for k in range(sc_cfg["n_trajectories"]):
         # seeded suite alternating Dirichlet / Neumann (Dirichlet only on the disk)
         bc = "dirichlet0" if k % 2 == 0 or grid.spec.shape == "unit_disk" \
@@ -259,21 +261,32 @@ def cmd_carleman_scan(args) -> int:
         # the boundary family needs a Dirichlet trace
         variants = [v for v in sc_cfg["variants"]
                     if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"]
-        if not variants:
-            continue             # solved only if a requested variant uses it
-        sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc, scheme=cfg["solver"]["scheme"])
-        y0 = flds.random_initial_field(grid, seed=cfg["seed"] + k,
-                                       amplitude=cfg["solver"]["amplitude"],
-                                       bc=bc, n_modes=cfg["solver"]["n_modes"])
-        suite.append((k, bc, solve(y0, sc, grid).Y, variants))
-    # the whole suite is scanned at once: each cell's weights serve every member
-    scan_of = lambda_scan([(Y, variants) for _, _, Y, variants in suite], grid,
+        if variants:             # marched only if a requested variant uses it
+            members.append((k, bc, variants))
+    # one march per boundary condition, in lockstep; the Neumann members
+    # weigh with the interior family only, so they come first, as the scan
+    # orders its members by family
+    members.sort(key=lambda member: member[1] == "dirichlet0")
+    marches = []
+    for bc in ("neumann0", "dirichlet0"):
+        Y0 = [flds.random_initial_field(grid, seed=cfg["seed"] + k,
+                                        amplitude=cfg["solver"]["amplitude"],
+                                        bc=bc, n_modes=cfg["solver"]["n_modes"])
+              for k, b, _ in members if b == bc]
+        if Y0:
+            sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc,
+                             scheme=cfg["solver"]["scheme"])
+            marches.append(march(np.stack(Y0), sc, grid))
+    # each window is scanned as soon as it is marched, and each cell's
+    # weights serve every member
+    slices = (np.concatenate([step.Y for step in steps]) for steps in zip(*marches))
+    scan_of = lambda_scan(slices, [variants for *_, variants in members], grid,
                           sc_cfg["lambdas"], sc_cfg["mus"], coeffs)
     n_cells = sum(len({VARIANT_FAMILY[v] for v in variants})
-                  for *_, variants in suite) * len(sc_cfg["mus"]) * len(sc_cfg["lambdas"])
+                  for *_, variants in members) * len(sc_cfg["mus"]) * len(sc_cfg["lambdas"])
     scans = {v: [] for v in sc_cfg["variants"]}
     rows_of = {v: [] for v in sc_cfg["variants"]}
-    for (k, bc, *_), member in zip(suite, scan_of):
+    for (k, bc, _), member in sorted(zip(members, scan_of), key=lambda p: p[0][0]):
         for v, scan in member.items():
             scans[v].append(scan)
             rows_of[v] += [{**rep.as_row(), "trajectory": k, "bc": bc}

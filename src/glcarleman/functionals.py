@@ -33,9 +33,10 @@ exact; reported totals are the raw bracket times exp(-log_scale).
 `prepare_trajectory` computes every integrand g of a trajectory on a run of
 interior times, the boundary one |dy/dnu|^2 too (square only), with the log
 of its maximum over each time slice.  The weights do not depend on the
-trajectory: `lambda_scan` streams the interior times of a whole suite in
-windows of WINDOW slices, prepares each trajectory once per window, and
-stacks the windows, so that no integrand is held on all times at once.  A
+trajectory: `lambda_scan` takes a suite slice by slice as it is solved,
+holds WINDOW + 2 time slices of it, prepares each trajectory once per window
+of WINDOW interior times into stacked buffers made once per scan, and drops
+the window, so that no trajectory is held and no integrand on all times.  A
 cell groups the rows of `TERMS` by their power p of phi and exponentiates
 one weight per group and window, W_p = exp(2 ell - log_scale + p log phi),
 flushed to exact zero wherever the argument is <= -700 and multiplied by the
@@ -62,8 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
-from .grid import (WINDOW, SpaceTimeGrid, grad, laplacian, nonzero_trace,
-                   normal_derivative)
+from .grid import (WINDOW, SpaceTimeGrid, boundary_values, grad, laplacian,
+                   nonzero_trace, normal_derivative, trace_breach)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -352,31 +353,36 @@ class _CellQuadrature:
         return np.vecdot(w, gv)
 
 
-def _stack(datas, n: int) -> TrajectoryData:
-    """The integrands of n trajectories' windows, taken one at a time from
-    the iterable `datas`, with a leading trajectory axis."""
+def _stacked(data: TrajectoryData, n: int) -> TrajectoryData:
+    """Empty stacked windows of n trajectories, each shaped as `data`'s."""
     out = {}
-    for j, data in enumerate(datas):
-        for name in _INTEGRANDS:
-            g = getattr(data, name)
-            if g is None:                # dnu2 on the disk
-                out[name] = None
-                continue
-            if j == 0:
-                out[name] = Integrand(np.empty((n,) + g.values.shape),
-                                      np.empty((n,) + g.log_slice_max.shape))
-            out[name].values[j] = g.values
-            out[name].log_slice_max[j] = g.log_slice_max
+    for name in _INTEGRANDS:
+        g = getattr(data, name)
+        out[name] = None if g is None else Integrand(      # dnu2 on the disk
+            np.empty((n,) + g.values.shape), np.empty((n,) + g.log_slice_max.shape))
     return TrajectoryData(**out, trace_error=None)
 
 
-def _take(data: TrajectoryData, run: slice) -> TrajectoryData:
-    """The trajectories `run` of stacked windows, as views."""
+def _fill(out: TrajectoryData, j: int, data: TrajectoryData) -> None:
+    """Copy one trajectory's window into slot j of the stacked windows `out`,
+    on its first slices."""
+    for name in _INTEGRANDS:
+        g = getattr(data, name)
+        if g is not None:
+            m = g.log_slice_max.shape[0]
+            getattr(out, name).values[j, :m] = g.values
+            getattr(out, name).log_slice_max[j, :m] = g.log_slice_max
+
+
+def _take(data: TrajectoryData, *index) -> TrajectoryData:
+    """The stacked windows indexed by `index` (basic indices only), as views;
+    `_take(data, None)` puts one trajectory's integrands in front of a
+    trajectory axis."""
     views = {}
     for name in _INTEGRANDS:
         g = getattr(data, name)
-        views[name] = None if g is None else Integrand(g.values[run],
-                                                       g.log_slice_max[run])
+        views[name] = None if g is None else Integrand(g.values[index],
+                                                       g.log_slice_max[index])
     return TrajectoryData(**views, trace_error=None)
 
 
@@ -445,7 +451,7 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     if tables.params.family == "j2_boundary":
         _check_trace(data.trace_error)
     cell = _CellQuadrature(tables, grid)
-    sums, live = cell.integrals(_stack([data], 1), rows, 0)
+    sums, live = cell.integrals(_take(data, None), rows, 0)
     return _cell_reports(tables.params, rows, _time_sums(sums[0], live[0]),
                          cell.log_scale)
 
@@ -474,34 +480,41 @@ def _stabilization(lams, ratios) -> float | None:
     return float(lams[hits[0]]) if hits.size else None
 
 
-def lambda_scan(suite, grid: SpaceTimeGrid, lambdas, mus, coeffs: GLCoeffs) -> list:
-    """[{variant: ScanResult}] for a suite [(Y, variants)] of trajectories,
-    each with the variants requested of it: a CarlemanReport per
+def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
+                coeffs: GLCoeffs) -> list:
+    """[{variant: ScanResult}] for a suite of m trajectories, given as an
+    iterable of its time slices (m, ny+1, nx+1) on t_0, ..., t_nt, and
+    `variants`, the variants requested of each member: a CarlemanReport per
     (lambda, mu), plus stabilization.
 
     The weights depend on the cell (family, mu, lambda) only, so each cell
-    tabulates them once for the whole suite.  The interior times are streamed
-    in windows of WINDOW slices: per window every trajectory is prepared
-    once, and each cell forms each flushed weight once and dots it with the
-    integrands of every trajectory that requests a variant of its family.
-    The per-slice sums of each (trajectory, cell, row) are kept, and each time
-    sum is taken over all of them at the end, so that every report is
-    evaluate_cell's for that trajectory and cell, bit for bit.
+    tabulates them once for the whole suite.  The slices are held WINDOW + 2
+    at a time, one halo slice on each side for y_t: as soon as the last
+    slice of a window of interior times arrives, every member that requests
+    a variant is prepared on it once, each cell forms each flushed weight
+    once and dots it with the integrands of every member that requests a
+    variant of its family, and the window is dropped.  The per-slice sums of
+    each (member, cell, row) are kept, and each time sum is taken over all
+    of them at the end, so that every report is evaluate_cell's for that
+    trajectory and cell, bit for bit.  A member of the boundary family is
+    checked for a zero Dirichlet trace from running maxima of |y| on Gamma
+    and of |y| over every slice, before any report is built.  With no
+    variant requested, no slice is read.
     """
     families = []
-    for _, variants in suite:
-        if not set(variants) <= VARIANT_FAMILY.keys():
-            raise FunctionalError(f"variants must be among {VARIANTS}, got {variants}")
-        families.append({VARIANT_FAMILY[v] for v in variants})
-    # the trajectories that request j1 only, both families, then j2 only, so
+    for vs in variants:
+        if not set(vs) <= VARIANT_FAMILY.keys():
+            raise FunctionalError(f"variants must be among {VARIANTS}, got {vs}")
+        families.append({VARIANT_FAMILY[v] for v in vs})
+    # the members that request j1 only, both families, then j2 only, so
     # that each family's are one run of the stacked windows
     order = sorted((k for k, fams in enumerate(families) if fams),
                    key=lambda k: ("j2_boundary" in families[k])
                    - ("j1_interior" in families[k]))
     if not order:
-        return [{} for _ in suite]
+        return [{} for _ in variants]
     runs = {}
-    for family in dict.fromkeys(VARIANT_FAMILY[v] for _, vs in suite for v in vs):
+    for family in dict.fromkeys(VARIANT_FAMILY[v] for vs in variants for v in vs):
         users = [j for j, k in enumerate(order) if family in families[k]]
         runs[family] = slice(users[0], users[-1] + 1)
     n = grid.nt - 1
@@ -516,20 +529,48 @@ def lambda_scan(suite, grid: SpaceTimeGrid, lambdas, mus, coeffs: GLCoeffs) -> l
                 cells.append((params, rows,
                               _CellQuadrature(weight_tables(params, grid), grid),
                               np.zeros(shape), np.zeros(shape, dtype=bool)))
-    for k in order:
-        if "j2_boundary" in families[k]:
-            _check_trace(nonzero_trace(suite[k][0], grid))
-    for start in range(0, n, WINDOW):
-        stop = min(start + WINDOW, n)
+    width = min(WINDOW, n)
+    shape = (len(variants), grid.ny + 1, grid.nx + 1)
+    want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
+    # the slices of the window being filled, in the order of the members
+    ring = np.empty((len(order), width + 2) + shape[1:], dtype=complex)
+    stacked = None               # its integrands, shaped at the first window
+    j2 = runs.get("j2_boundary")
+    if j2 is not None:
+        trace, peak = np.zeros((2, j2.stop - j2.start))
+    start = held = 0             # the window's first interior slice; slices held
+    for t, S in enumerate(slices):
+        if t > grid.nt or S.shape != shape:
+            raise FunctionalError(want)
+        for j, k in enumerate(order):
+            ring[j, held] = S[k]
+        if j2 is not None:
+            Z = ring[j2, held]
+            np.maximum(trace, np.abs(boundary_values(Z, grid)).max(axis=-1), out=trace)
+            np.maximum(peak, np.abs(Z).max(axis=(-2, -1)), out=peak)
+        held += 1
         # interior slices start..stop-1 are nodes start+1..stop: one halo each side
-        data = _stack((prepare_trajectory(suite[k][0][start:stop + 2], grid, coeffs)
-                       for k in order), len(order))
-        users = {family: _take(data, run) for family, run in runs.items()}
+        stop = min(start + WINDOW, n)
+        if held < stop - start + 2:
+            continue
+        for j in range(len(order)):
+            data = prepare_trajectory(ring[j, :held], grid, coeffs)
+            if stacked is None:
+                stacked = _stacked(data, len(order))
+            _fill(stacked, j, data)
+        del data                 # before the cells form their weights
         for params, rows, quad, sums, live in cells:
-            sums[..., start:stop], live[..., start:stop] = \
-                quad.integrals(users[params.family], rows, start)
-        del data, users          # before the next window's are stacked
-    reports = [{v: [] for v in variants} for _, variants in suite]
+            sums[..., start:stop], live[..., start:stop] = quad.integrals(
+                _take(stacked, runs[params.family], slice(stop - start)), rows, start)
+        # the next window's first halo slices are this one's last
+        ring[:, :2] = ring[:, held - 2:held]
+        start, held = stop, 2
+    if start < n:
+        raise FunctionalError(want)
+    if j2 is not None:
+        for trace_max, field_max in zip(trace, peak):
+            _check_trace(trace_breach(float(trace_max), float(field_max)))
+    reports = [{v: [] for v in vs} for vs in variants]
     for params, rows, quad, sums, live in cells:
         for i, k in enumerate(order[runs[params.family]]):
             cell = _cell_reports(params, rows, _time_sums(sums[i], live[i]),

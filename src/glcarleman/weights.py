@@ -209,14 +209,6 @@ class WeightTables:
     sigma: np.ndarray            # interior time nodes (1..nt-1)
     b_dpsi_dnu: np.ndarray       # d psi / d nu at boundary samples
 
-    def log_theta2(self):
-        """2 ell on interior times, shape (nt-1, ny+1, nx+1)."""
-        return 2.0 * self.params.lam * (self.exp_mu_psi - self.K)[None] \
-            * self.sigma[:, None, None]
-
-    def phi(self):
-        return self.exp_mu_psi[None] * self.sigma[:, None, None]
-
 
 def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
     """Tabulate exp(mu psi), K and sigma on the grid, and d psi/d nu at its

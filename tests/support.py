@@ -2,7 +2,9 @@
 
 Each one checks or builds something in closed form beside the package:
 the finite-difference and time-monotonicity checks of the weight family,
-the operator F y from a whole trajectory, and polynomial field factors.
+its whole tables of 2 ell and phi, the operator F y from a whole
+trajectory, the scan of whole stored trajectories, and polynomial field
+factors.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from glcarleman.fields import Atom
+from glcarleman.functionals import lambda_scan
 from glcarleman.gloperator import GLCoeffs, linear_source, time_derivative
 from glcarleman.grid import DomainSpec, SpaceTimeGrid, laplacian
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
@@ -32,6 +35,28 @@ class PolyAtom(Atom):
         d2 = sum(k * (k - 1) * c[k] * s ** (k - 2) for k in range(2, n))
         zero = np.zeros_like(s)
         return f + zero, d1 + zero, d2 + zero
+
+
+def log_theta2(tables: WeightTables) -> np.ndarray:
+    """2 ell on interior times, shape (nt-1, ny+1, nx+1), formed as the
+    quadrature forms it."""
+    return 2.0 * tables.params.lam * (tables.exp_mu_psi - tables.K)[None] \
+        * tables.sigma[:, None, None]
+
+
+def phi(tables: WeightTables) -> np.ndarray:
+    """phi on interior times, shape (nt-1, ny+1, nx+1)."""
+    return tables.exp_mu_psi[None] * tables.sigma[:, None, None]
+
+
+def scan_trajectories(suite, grid: SpaceTimeGrid, lambdas, mus,
+                      coeffs: GLCoeffs) -> list:
+    """lambda_scan of a suite [(Y, variants)] of whole stored trajectories,
+    fed to it slice by slice."""
+    Ys = [Y for Y, _ in suite]
+    slices = iter(np.stack(Ys, axis=1)) if Ys else iter(())
+    return lambda_scan(slices, [variants for _, variants in suite], grid,
+                       lambdas, mus, coeffs)
 
 
 def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
@@ -110,7 +135,7 @@ def check_time_monotonicity(tables: WeightTables, grid: SpaceTimeGrid) -> dict:
     Checked as: log_theta nondecreasing up to the middle time node and
     symmetric about T/2, at every active node.
     """
-    lt = 0.5 * tables.log_theta2()[:, grid.active_mask]  # interior times only
+    lt = 0.5 * log_theta2(tables)[:, grid.active_mask]  # interior times only
     mid = (lt.shape[0] - 1) // 2
     inc = np.diff(lt[:mid + 1], axis=0)
     sym = lt - lt[::-1]

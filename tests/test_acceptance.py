@@ -14,8 +14,7 @@ import pytest
 from glcarleman.cli import main as cli_main
 from glcarleman.fields import manufactured_reference, random_initial_field, \
     random_trig_field
-from glcarleman.functionals import (VARIANT_FAMILY, lambda_scan,
-                                    suite_worst_constant)
+from glcarleman.functionals import VARIANT_FAMILY, suite_worst_constant
 from glcarleman.gloperator import CoeffError, check_condition1, derive_coeffs
 from glcarleman.grid import DomainSpec, build_grid, integrate_q
 from glcarleman.identity import T_coefficient_positivity, identity_residuals
@@ -24,7 +23,7 @@ from glcarleman.stability import (linf_l6_norm, perturbation_suite,
                                   prepare_difference, stability_interior)
 from glcarleman.weights import (CarlemanParams, verify_psi_admissibility,
                                 weight_tables)
-from support import check_time_monotonicity, derivative_consistency
+from support import check_time_monotonicity, derivative_consistency, scan_trajectories
 from test_operator import coefficient_relations
 
 SQUARE = DomainSpec(shape="unit_square", omega_center=(0.5, 0.5),
@@ -239,7 +238,7 @@ def test_a6_empirical_carleman(trajectory_suite, grid_acc):
     members = [(Y, [v for v in variants
                     if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"])
                for bc, Y in suite]
-    for member in lambda_scan(members, grid_acc, lambdas, mus, coeffs):
+    for member in scan_trajectories(members, grid_acc, lambdas, mus, coeffs):
         for v, scan in member.items():
             suite_scans[v].append(scan)
     lines = []

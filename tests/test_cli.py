@@ -393,12 +393,13 @@ def counted_scan16(tmp_path_factory):
 
 class TestScanPass:
     def test_prepares_each_trajectory_once(self, counted_scan16):
-        # window by window: each window of a member is a view of its
-        # trajectory with one halo node on each side, and together they hold
-        # every interior time of it once
+        # window by window: each member's window sits at the start of its own
+        # row of the scan's slice buffer, with one halo node on each side,
+        # and its windows together hold every interior time of it once
         windows = {}
         for Y, *_ in counted_scan16[0]:
-            windows.setdefault(id(Y.base), []).append(Y.shape[0] - 2)
+            windows.setdefault(Y.__array_interface__["data"][0], []).append(
+                Y.shape[0] - 2)
         per_member = [min(functionals.WINDOW, 15 - i)
                       for i in range(0, 15, functionals.WINDOW)]
         assert list(windows.values()) \
@@ -420,14 +421,15 @@ class TestScanPass:
     def test_boundary_only_scan_solves_dirichlet_members(self, tmp_path,
                                                           counted_scan16):
         # the boundary family needs a Dirichlet trace, so the Neumann members
-        # (odd k) are not solved; seeds and trajectory indices are unchanged
+        # (odd k) are not marched: one Dirichlet stack of three; seeds and
+        # trajectory indices are unchanged
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"scan": {"variants": ["boundary"]}}))
         with pytest.MonkeyPatch.context() as mp:
-            solves = count_calls(mp, cli, "solve")
+            marches = count_calls(mp, cli, "march")
             assert run_in(tmp_path, ["--config", str(cfg), "--grid", "16",
                                      "--seed", "7", "carleman-scan"]) == 0
-        assert len(solves) == 3
+        assert [(len(Y0), sc.bc) for Y0, sc, _ in marches] == [(3, "dirichlet0")]
         (run,) = (tmp_path / "runs").iterdir()
         with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -440,11 +442,14 @@ class TestScanPass:
 
 
 def test_scan_peak_memory(tmp_path):
-    # The five trajectories are solved first and kept; the scan then streams
-    # their interior times in windows of functionals.WINDOW = 4 slices.  The
-    # peak is about 12.8 complex space-time trajectories: the five, each
-    # cell's weight factors and one stacked window of integrands.  Windows
-    # of 8 slices raise it to about 17.0; whole trajectories to about 41.
+    # The suite is marched in lockstep and each window of
+    # functionals.WINDOW = 4 interior slices is scanned as soon as its last
+    # halo slice is solved, so no trajectory is held.  The peak is about
+    # 9.8 complex space-time trajectories: the stacked integrands of one
+    # window (2.8), each cell's weight tables (1.7), the slice buffer (0.9),
+    # each cell's per-slice sums (0.75), the temporaries of preparing one
+    # member's window, and the solver's operators.  Solving the suite first
+    # and keeping it, as the scan once did, peaked at about 12.8.
     tracemalloc.start()
     try:
         assert run_in(tmp_path, ["--grid", "32", "--seed", "7",
@@ -454,6 +459,36 @@ def test_scan_peak_memory(tmp_path):
         tracemalloc.stop()
     trajectory = 33 ** 3 * 16
     assert peak <= 14.5 * trajectory
+
+
+def test_scan_peak_memory_does_not_grow_with_nt(tmp_path):
+    # windows of slices are scanned and dropped; what grows with nt is each
+    # cell's per-slice sums and live marks, 9 bytes per (member, row,
+    # slice), and each cell's per-slice weight bounds and time weights
+    # (138 KB from nt = 16 to 64, measured), inside a margin of three
+    # quarters of one 32^2 x 16 trajectory; holding the suite, as the scan
+    # once did, grew by 4.98 MB
+    peaks = []
+    for nt in (16, 64):
+        cfg = tmp_path / f"nt{nt}.json"
+        cfg.write_text(json.dumps({"grid": {"nx": 32, "ny": 32, "nt": nt}}))
+        tracemalloc.start()
+        try:
+            assert run_in(tmp_path, ["--config", str(cfg), "--seed", "7",
+                                     "carleman-scan"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    sc = DEFAULTS["scan"]
+    # every member weighs with j1, the Dirichlet ones (even k) with j2 too
+    members = {"j1_interior": sc["n_trajectories"],
+               "j2_boundary": (sc["n_trajectories"] + 1) // 2}
+    rows = {family: sum(any(functionals.VARIANT_FAMILY[v] == family
+                            for v in t.variants) for t in functionals.TERMS)
+            for family in members}
+    sums = 9 * (64 - 16) * len(sc["mus"]) * len(sc["lambdas"]) \
+        * sum(members[f] * rows[f] for f in members)
+    assert peaks[1] - peaks[0] < sums + 0.75 * 33 * 33 * 17 * 16
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,9 +14,11 @@ from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
                                     _flush_exp, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import build_grid, normal_derivative
+from glcarleman.grid import build_grid, nonzero_trace, normal_derivative
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
+
+from support import log_theta2, phi, scan_trajectories
 
 COEFFS = derive_coeffs(0.3, 0.4)
 LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4"}
@@ -145,8 +148,8 @@ def full_tables(cell):
     """2 ell - log_scale and log phi on every interior time slice, from the
     full weight tables, as (nt-1, nodes) arrays."""
     n = cell.tables.sigma.size
-    logw = (cell.tables.log_theta2() - cell.log_scale).reshape(n, -1)
-    return logw, np.log(cell.tables.phi()).reshape(n, -1)
+    logw = (log_theta2(cell.tables) - cell.log_scale).reshape(n, -1)
+    return logw, np.log(phi(cell.tables)).reshape(n, -1)
 
 
 def flushed(arg):
@@ -271,8 +274,8 @@ class TestLinearVariants:
 
     def test_unknown_variant_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
-            lambda_scan([(dirichlet_traj, ["interior", "bogus"])], grid32, [2, 4],
-                        [2.0], COEFFS)
+            scan_trajectories([(dirichlet_traj, ["interior", "bogus"])], grid32,
+                              [2, 4], [2.0], COEFFS)
 
     def test_horizon_mismatch_rejected(self, grid32, dirichlet_traj):
         with pytest.raises(FunctionalError):
@@ -287,8 +290,8 @@ class TestLinearVariants:
 
 class TestScan:
     def test_ratios_positive_and_stabilization(self, grid32, dirichlet_traj):
-        (scan,) = lambda_scan([(dirichlet_traj, ["interior"])], grid32,
-                              [2, 4, 8, 16], [2.0], COEFFS)
+        (scan,) = scan_trajectories([(dirichlet_traj, ["interior"])], grid32,
+                                    [2, 4, 8, 16], [2.0], COEFFS)
         scan = scan["interior"]
         for rep in scan.reports:
             assert rep.ratio > 0
@@ -296,19 +299,56 @@ class TestScan:
 
     def test_members_without_variants(self, grid32, dirichlet_traj):
         # nothing to scan: no trajectory is prepared
-        assert lambda_scan([], grid32, [2, 4], [2.0], COEFFS) == []
-        assert lambda_scan([(dirichlet_traj, [])], grid32, [2, 4], [2.0],
-                           COEFFS) == [{}]
+        assert scan_trajectories([], grid32, [2, 4], [2.0], COEFFS) == []
+        assert scan_trajectories([(dirichlet_traj, [])], grid32, [2, 4], [2.0],
+                                 COEFFS) == [{}]
+
+    def test_rejects_nonzero_dirichlet_trace(self, grid32, dirichlet_traj,
+                                             neumann_traj, monkeypatch):
+        # a Neumann trajectory's trace is not zero: as a member of the
+        # boundary family it is rejected, before any report is built, with
+        # the number nonzero_trace reads off the whole trajectory, though
+        # the scan sees its slices a window at a time; as an interior-only
+        # member it passes
+        monkeypatch.setattr(functionals, "WINDOW", 3)
+        checked, built = [], []
+        check, cell_reports = functionals._check_trace, functionals._cell_reports
+        monkeypatch.setattr(functionals, "_check_trace",
+                            lambda err: checked.append(err) or check(err))
+        monkeypatch.setattr(functionals, "_cell_reports",
+                            lambda *a: built.append(a) or cell_reports(*a))
+        breach = nonzero_trace(neumann_traj, grid32)
+        assert breach > 0
+        with pytest.raises(FunctionalError, match=re.escape(f"Gamma = {breach:.3e})")):
+            scan_trajectories([(dirichlet_traj, ["interior", "boundary"]),
+                               (neumann_traj, ["boundary"])],
+                              grid32, [2, 4], [2.0], COEFFS)
+        assert checked == [0.0, breach]
+        assert built == []
+        scans = scan_trajectories([(dirichlet_traj, ["interior", "boundary"]),
+                                   (neumann_traj, ["interior"])],
+                                  grid32, [2, 4], [2.0], COEFFS)
+        assert [list(member) for member in scans] \
+            == [["interior", "boundary"], ["interior"]]
+
+    @pytest.mark.parametrize("slices", [
+        lambda Y: iter(Y[:-1, None]), lambda Y: iter(np.concatenate([Y, Y])[:, None]),
+        lambda Y: iter(Y[:, None, 1:])], ids=["too-few", "too-many", "wrong-shape"])
+    def test_slices_must_cover_the_grid(self, grid32, dirichlet_traj, slices):
+        with pytest.raises(FunctionalError, match="nt\\+1 = 33 arrays"):
+            lambda_scan(slices(dirichlet_traj), [["interior"]], grid32, [2, 4], [2.0],
+                        COEFFS)
 
     def test_zero_trajectory_degenerate_cells(self, grid32):
         Y = np.zeros((33, 33, 33), dtype=complex)
-        (scan,) = lambda_scan([(Y, ["interior"])], grid32, [2, 4], [2.0], COEFFS)
+        (scan,) = scan_trajectories([(Y, ["interior"])], grid32, [2, 4], [2.0],
+                                    COEFFS)
         scan = scan["interior"]
         assert all(r.degenerate for r in scan.reports)
         assert scan.stabilization_lambda[2.0] is None
 
     def test_suite_worst_constant(self, grid32, dirichlet_traj, neumann_traj):
-        scans = [m["interior"] for m in lambda_scan(
+        scans = [m["interior"] for m in scan_trajectories(
             [(Y, ["interior"]) for Y in (dirichlet_traj, neumann_traj)], grid32,
             [8, 16], [2.0], COEFFS)]
         c16 = suite_worst_constant(scans, 16.0, 2.0)
@@ -320,7 +360,7 @@ class TestScan:
     def test_empirical_carleman_single_constant(self, grid32, dirichlet_traj,
                                                 neumann_traj):
         # one C_emp covers the whole (small) suite past stabilization
-        scans = [m["interior"] for m in lambda_scan(
+        scans = [m["interior"] for m in scan_trajectories(
             [(Y, ["interior"]) for Y in (dirichlet_traj, neumann_traj)], grid32,
             [8, 16, 32], [2.0], COEFFS)]
         c_emp = max(suite_worst_constant(scans, lam, 2.0)
@@ -340,7 +380,7 @@ class TestCellQuadrature:
         tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0,
                                               family=family), grid32)
         assert _CellQuadrature(tables, grid32).log_scale \
-            == tables.log_theta2().max()
+            == log_theta2(tables).max()
 
     def test_flush_to_zero(self, grid32):
         # weight arguments in (-745, -700] would be subnormal: they flush to
@@ -378,9 +418,9 @@ class TestCellQuadrature:
         tables = weight_tables(params, grid32)
         cell = _CellQuadrature(tables, grid32)
         g = rng.random((31, 33, 33)) + 0.1
-        theta2 = np.exp(tables.log_theta2() - cell.log_scale)
+        theta2 = np.exp(log_theta2(tables) - cell.log_scale)
         for p in (-1, 0, 2):
-            direct = theta2 * tables.phi() ** p * g
+            direct = theta2 * phi(tables) ** p * g
             expect = np.sum(direct * grid32.space_weights(exclude_corners=True),
                             axis=(1, 2)) @ cell.wt
             assert integral(cell, Integrand.of(g), p) \
@@ -402,10 +442,10 @@ def test_slice_extremes_exact(request, grid, family, lam, mu):
     tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0, family=family),
                            grid)
     cell = _CellQuadrature(tables, grid)
-    two_ell = tables.log_theta2()
+    two_ell = log_theta2(tables)
     assert cell.log_scale == two_ell.max()
     assert np.array_equal(cell.logw_max, (two_ell - cell.log_scale).max(axis=(1, 2)))
-    logphi = np.log(tables.phi())
+    logphi = np.log(phi(tables))
     assert np.array_equal(cell.logphi_max, logphi.max(axis=(1, 2)))
     assert np.array_equal(cell.logphi_min, logphi.min(axis=(1, 2)))
 
@@ -641,7 +681,7 @@ class TestWeightDomination:
         # psi_a > psi_b
         params = CarlemanParams(lam=8, mu=2, T=1.0)
         tables = weight_tables(params, grid32)
-        two_ell = tables.log_theta2()
+        two_ell = log_theta2(tables)
         k_mid = two_ell.shape[0] // 2
         iy_a, ix_a = 16, 16   # center, psi max
         iy_b, ix_b = 2, 2     # near-corner margin
@@ -691,7 +731,7 @@ def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, window,
     # reports of one evaluate_cell per cell on its whole time range, bit for bit
     grid, suite = suites16[domain]
     monkeypatch.setattr(functionals, "WINDOW", window)
-    scans = lambda_scan(suite, grid, SCAN_LAMBDAS, SCAN_MUS, COEFFS)
+    scans = scan_trajectories(suite, grid, SCAN_LAMBDAS, SCAN_MUS, COEFFS)
     assert len(scans) == len(suite)
     for (Y, variants), member in zip(suite, scans):
         assert list(member) == variants

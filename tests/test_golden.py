@@ -3,9 +3,10 @@
 The square values were produced by ``--grid 16 --seed 7 carleman-scan``,
 ``--grid 16 --seed 7 stability`` and ``--grid 16 --seed 7 verify-identity``
 with the default configuration otherwise.
-The disk values come from ``--grid 32 --seed 7 stability`` and
-``--grid 32 --seed 7 solve`` on the unit disk with omega = B((0, 0), 0.35),
-the stability run on the interior variant only.  The square solve values
+The disk values come from ``--grid 32 --seed 7 carleman-scan``,
+``--grid 32 --seed 7 stability`` and ``--grid 32 --seed 7 solve`` on the
+unit disk with omega = B((0, 0), 0.35), the scan on the interior and
+linear_interior variants and the stability run on the interior one only.  The square solve values
 come from ``--grid 32 --seed 7 solve`` with ``solver.bc`` set to each
 homogeneous boundary condition under both ``solver.scheme`` values, and
 the manufactured errors from ``solve --manufactured``.
@@ -107,6 +108,19 @@ DISK = {"domain": {"shape": "unit_disk", "omega_center": [0.0, 0.0],
                    "omega_radius": 0.35}}
 DISK_ARGS = ["--grid", "32", "--seed", "7"]
 
+# variant -> mu -> (c_emp_last, c_emp_drift); the run exits 1, as its
+# drifts at mu = 1.5 and 2 fail the 10% gate
+DISK_SCAN = {
+    "interior": {
+        "1.5": (55.63190111999631, 42.42843366617538),
+        "2.0": (89496066.58012956, 542402.7411079719),
+        "3.0": (1.0000008709973598, 0.00013001349654247305)},
+    "linear_interior": {
+        "1.5": (55.63186098904063, 42.43087376132019),
+        "2.0": (89496018.30307668, 542402.6721132118),
+        "3.0": (1.0000008584669902, 0.00013002188744554158)},
+}
+
 DISK_SPREADS = {
     "interior_eps_0.05": 1.0090947580223963,
     "interior_eps_0.1": 1.0100672248236735,
@@ -138,28 +152,40 @@ MANUFACTURED = {32: 0.00021522734392578907, 64: 5.3750461490026205e-05,
                 128: 1.3434081553929905e-05}
 
 
-def run(tmp_path, command, summary, args=ARGS, config=None):
+def run(tmp_path, command, summary, args=ARGS, config=None, code=0):
     out = tmp_path / command
     pre = []
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         pre = ["--config", str(path)]
-    assert main(pre + args + ["--output-dir", str(out), command]) == 0
+    assert main(pre + args + ["--output-dir", str(out), command]) == code
     with open(os.path.join(out, summary), encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def test_carleman_scan_golden(tmp_path):
-    got = run(tmp_path, "carleman-scan", "carleman_summary.json")["variants"]
-    assert set(got) == set(SCAN)
-    for variant, per_mu in SCAN.items():
+def check_scan(got, recorded):
+    assert set(got) == set(recorded)
+    for variant, per_mu in recorded.items():
         assert set(got[variant]) == set(per_mu)
         for mu, (c_last, drift) in per_mu.items():
             cell = got[variant][mu]
             assert cell["c_emp_last"] == pytest.approx(c_last, rel=1e-12)
             assert cell["c_emp_drift"] == pytest.approx(drift, rel=1e-12,
                                                         abs=1e-12)
+
+
+def test_carleman_scan_golden(tmp_path):
+    check_scan(run(tmp_path, "carleman-scan", "carleman_summary.json")["variants"],
+               SCAN)
+
+
+def test_disk_carleman_scan_golden(tmp_path):
+    # the only run that takes the disk's ghost_from_field Laplacian
+    config = {**DISK, "scan": {"variants": ["interior", "linear_interior"]}}
+    got = run(tmp_path, "carleman-scan", "carleman_summary.json", DISK_ARGS,
+              config, code=1)["variants"]
+    check_scan(got, DISK_SCAN)
 
 
 def test_stability_golden(tmp_path):

@@ -14,7 +14,7 @@ import json
 import math
 
 from .functionals import VARIANTS
-from .grid import DomainSpec, build_grid
+from .grid import WINDOW, DomainSpec, build_grid
 from .solver import VALID_SOLVER_BC
 
 DEFAULTS = {
@@ -42,7 +42,8 @@ DEFAULTS = {
 
 
 # the largest grid accepted: one complex trajectory, 16 (nx+1)(ny+1)(nt+1)
-# bytes, may take at most 1 GiB (256^3 takes 272 MB)
+# bytes, may take at most 1 GiB (256^3 takes 272 MB); so may the WINDOW + 2
+# slices that a lockstep suite holds of all its members
 MAX_TRAJECTORY_BYTES = 2 ** 30
 
 
@@ -142,15 +143,38 @@ def _lookup(cfg: dict, path: str):
     return cfg
 
 
+def _oversized_suites(cfg: dict) -> dict:
+    """{field: error} for each lockstep suite whose members' held slices,
+    16 (nx+1)(ny+1)(WINDOW+2) bytes each, would pass MAX_TRAJECTORY_BYTES:
+    the scan's scan.n_trajectories members and stability's u2 with one u1
+    per entry of stability.deltas."""
+    nx, ny, deltas = cfg["grid"]["nx"], cfg["grid"]["ny"], cfg["stability"]["deltas"]
+    if not (_int(nx) and _int(ny)):
+        return {}
+    each = 16 * (nx + 1) * (ny + 1) * (WINDOW + 2)
+    members = {"scan.n_trajectories": cfg["scan"]["n_trajectories"],
+               "stability.deltas": len(deltas) + 1
+               if isinstance(deltas, (list, tuple)) else None}
+    return {path: f"{path}: a suite of {m} members would hold "
+                  f"16 (nx+1)(ny+1)(WINDOW+2) = {each} bytes of each, "
+                  f"{m * each} in all, over the limit of {MAX_TRAJECTORY_BYTES}"
+            for path, m in members.items()
+            if _int(m) and m * each > MAX_TRAJECTORY_BYTES}
+
+
 def validate_config(cfg: dict) -> None:
     errs = [f"{path}: {msg}" for path, (ok, msg) in _SCALAR_RULES.items()
             if not ok(_lookup(cfg, path))]
+    oversized = _oversized_suites(cfg)
+    errs += oversized.values()
     for path, (least, ok, msg) in _LIST_RULES.items():
         vals = _lookup(cfg, path)
         if not isinstance(vals, (list, tuple)) or len(vals) < least:
             errs.append(f"{path}: must be a list of at least {least} "
                         + ("entry" if least == 1 else "entries"))
             continue
+        if path in oversized:
+            continue         # the repeat check is quadratic in the length
         for i, v in enumerate(vals):
             if not ok(v):
                 errs.append(f"{path}[{i}]: {msg}")

@@ -64,7 +64,7 @@ import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
 from .grid import (WINDOW, SpaceTimeGrid, boundary_values, grad, laplacian,
-                   nonzero_trace, normal_derivative, trace_breach)
+                   normal_derivative, trace_breach)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -178,19 +178,16 @@ class TrajectoryData:
     y6: Integrand             # |y|^6
     y2_grad2: Integrand       # |y|^2 |grad y|^2
     y4: Integrand             # |y|^4
-    # the square only (None on the disk, where j2 is rejected):
-    dnu2: Integrand | None         # |dy/dnu|^2 at boundary samples
-    trace_error: float | None      # max |y| on Gamma if the trace is not zero, else 0
+    dnu2: Integrand | None    # |dy/dnu|^2 at boundary samples (None on the disk)
 
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
                        coeffs: GLCoeffs) -> TrajectoryData:
     """The integrands of a trajectory given on consecutive time nodes: the
     whole horizon, or a window with one halo node on each side.  They are
-    kept on the nodes inside the halo; the trace error is that of Y."""
+    kept on the nodes inside the halo."""
     Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
     square = grid.spec.shape == "unit_square"
-    trace_error = nonzero_trace(Y, grid) if square else None
     # theta vanishes at t = 0 and T, and y_t is centred inside the halo
     yt = time_derivative(Y, grid.dt)[1:-1]
     Y = Y[1:-1]
@@ -211,7 +208,6 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
         y4=Integrand.of(abs2 ** 2),
         dnu2=Integrand.of(np.abs(normal_derivative(Y, grid)) ** 2)
         if square else None,
-        trace_error=trace_error,
     )
 
 
@@ -360,7 +356,7 @@ def _stacked(data: TrajectoryData, n: int) -> TrajectoryData:
         g = getattr(data, name)
         out[name] = None if g is None else Integrand(      # dnu2 on the disk
             np.empty((n,) + g.values.shape), np.empty((n,) + g.log_slice_max.shape))
-    return TrajectoryData(**out, trace_error=None)
+    return TrajectoryData(**out)
 
 
 def _fill(out: TrajectoryData, j: int, data: TrajectoryData) -> None:
@@ -383,7 +379,7 @@ def _take(data: TrajectoryData, *index) -> TrajectoryData:
         g = getattr(data, name)
         views[name] = None if g is None else Integrand(g.values[index],
                                                        g.log_slice_max[index])
-    return TrajectoryData(**views, trace_error=None)
+    return TrajectoryData(**views)
 
 
 def _cell_rows(params: CarlemanParams, grid: SpaceTimeGrid) -> list:
@@ -442,14 +438,14 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
 
     `data` holds the whole trajectory: this is the scan's quadrature with one
     trajectory and one window.  Each row of `TERMS` that a variant of the
-    family holds is integrated once and shared by both variants.
+    family holds is integrated once and shared by both variants.  The zero
+    Dirichlet trace the boundary family needs is not checked here;
+    `lambda_scan` checks it.
     """
     if data.yt2.log_slice_max.size != grid.nt - 1:
         raise FunctionalError("evaluate_cell needs the integrands on every "
                               "interior time")
     rows = _cell_rows(tables.params, grid)
-    if tables.params.family == "j2_boundary":
-        _check_trace(data.trace_error)
     cell = _CellQuadrature(tables, grid)
     sums, live = cell.integrals(_take(data, None), rows, 0)
     return _cell_reports(tables.params, rows, _time_sums(sums[0], live[0]),

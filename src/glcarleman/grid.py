@@ -11,12 +11,21 @@ Conventions used throughout the package:
 
 Two domains are supported: the unit square (0,1)^2 on its natural node
 grid, and the unit disk embedded in the Cartesian box [-1,1]^2 with
-cut-cell quadrature weights and one-sided / Shortley-Weller stencils at
-the curved boundary.  Nodes outside the disk are inactive and carry zero
-weight; fields are expected to be zero there.  Each domain supplies only
-its geometry (masks, node weights, boundary samples, cut nodes);
+cut-cell quadrature weights.  Nodes outside the disk are inactive and carry
+zero weight; fields are expected to be zero there.  Each domain supplies
+only its geometry (masks, node weights, boundary samples, cut nodes);
 ``build_grid`` lays out the nodes, the time grid and the omega mask for
 both and is the one place a SpaceTimeGrid is constructed.
+
+The disk's cut nodes, the active nodes that miss a neighbour along an
+axis, are one table per axis (`CutNodes`): the direction d of the active
+neighbours, the node with its next three along d, and the Shortley-Weller
+distance to the circle along -d.  Each disk stencil applies one rule from
+it: `grad` the two-point one-sided difference, `laplacian` the two-term
+Shortley-Weller row (dirichlet0) or the four-point one-sided row
+(ghost_from_field).  The table's builder raises GridError where a cut node
+lacks three active neighbours inward, which no disk grid of n = 16...1985
+(all that the config accepts) does.
 
 Quadrature reductions use a fixed summation order: each time slice is
 reduced against the weights by one np.einsum (volume; alike in any stack of
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +49,15 @@ WINDOW = 4                # time slices per window of a streamed reduction
 
 class GridError(ValueError):
     """Invalid domain specification or grid construction request."""
+
+
+class CutNodes(NamedTuple):
+    """The cut nodes of one axis, each with three active neighbours inward."""
+
+    d: np.ndarray         # +1. or -1.: the direction of the active neighbours
+    iy: np.ndarray        # (4, k) node indices: each cut node, then its next
+    ix: np.ndarray        # three along d
+    a: np.ndarray         # distance to the circle along -d, in units of h
 
 
 @dataclass(frozen=True)
@@ -86,11 +105,8 @@ class SpaceTimeGrid:
     # duplicated)
     _b_iy: np.ndarray | None = None
     _b_ix: np.ndarray | None = None
-    _cut_x: list = field(default_factory=list)
-    _cut_y: list = field(default_factory=list)
-    # disk only: the cut nodes of each axis by one-sided gradient rule
-    _grad_x: dict = field(default_factory=dict)
-    _grad_y: dict = field(default_factory=dict)
+    # disk only: the cut-node tables of the x1 and the x2 axis
+    _cut: tuple = ()
     # solver linear operators per boundary condition, built on first use
     _linear_ops: dict = field(default_factory=dict)
 
@@ -178,45 +194,30 @@ def _square_geometry(n, h, x):
                 _b_iy=b_iy, _b_ix=b_ix)
 
 
-def _cut_nodes(active, has_m, has_p):
-    """Active nodes missing a stencil neighbour along one axis, in row-major
-    order, with which neighbours (-, +) they have."""
-    return [(iy, ix, bool(has_m[iy, ix]), bool(has_p[iy, ix]))
-            for iy, ix in zip(*np.nonzero(active & ~(has_m & has_p)))]
+def _cut_table(active, x, h, axis):
+    """The cut-node table of one axis (-1: x1, -2: x2) of the disk's active
+    mask on the nodes x; GridError where a cut node lacks three active
+    neighbours inward."""
+    act = active if axis == -1 else active.T
+    # neighbour presence along the axis, off-grid neighbours absent
+    pad = np.pad(act, ((0, 0), (3, 3)))
+    has_p = pad[:, 4:-2]
+    row, col = np.nonzero(act & ~(pad[:, 2:-4] & has_p))
+    d = np.where(has_p[row, col], 1, -1)
+    along = col + d * np.arange(4)[:, None]
+    if not pad[row, along + 3].all():
+        raise GridError("a disk cut node lacks three active neighbours inward")
+    # the circle along -d: the Shortley-Weller distance, clipped to [1e-3, 1]
+    root = np.sqrt(np.maximum(1.0 - x[row] * x[row], 0.0))
+    a = np.clip((root + d * x[col]) / h, 1e-3, 1.0)
+    across = np.broadcast_to(row, along.shape)
+    iy, ix = (across, along) if axis == -1 else (along, across)
+    return CutNodes(d.astype(float), iy, ix, a)
 
 
-def _grad_cases(active, cut_list, axis):
-    """The cut nodes of one axis by the one-sided gradient rule they take.
-
-    d = +1 if the node has its + neighbour, else -1.  "two" holds (d, node,
-    first, second neighbour along d) where both neighbours are active, "one"
-    (d, node, first neighbour) where only the first is, and "zero" the
-    remaining nodes; the nodes are (iy, ix) index arrays.
-    """
-    n = active.shape[axis] - 1
-
-    def ok(i, j):
-        return 0 <= (j if axis == -1 else i) <= n and active[i, j]
-
-    rows = {"two": [], "one": [], "zero": []}
-    for iy, ix, _, has_p in cut_list:
-        d = 1 if has_p else -1
-        dy, dx = (0, d) if axis == -1 else (d, 0)
-        case = "zero" if not ok(iy + dy, ix + dx) else \
-            "two" if ok(iy + 2 * dy, ix + 2 * dx) else "one"
-        rows[case].append((iy, ix, dy, dx))
-
-    def arrays(case):
-        iy, ix, dy, dx = np.array(rows[case], dtype=int).reshape(-1, 4).T
-        return ((dy + dx).astype(float),
-                *((iy + s * dy, ix + s * dx) for s in range(3)))
-
-    return {"two": arrays("two"), "one": arrays("one")[:3], "zero": arrays("zero")[1]}
-
-
-def _disk_geometry(n, h, X1, X2):
-    """Masks, cut-cell weights, circle samples and cut-node lists of the unit
-    disk embedded in the n x n grid of [-1,1]^2."""
+def _disk_geometry(n, h, x, X1, X2):
+    """Masks, cut-cell weights, circle samples and cut-node tables of the
+    unit disk embedded in the n x n grid of [-1,1]^2."""
     active = np.hypot(X1, X2) < 1.0 - 1e-12
     areas = _disk_cell_areas(X1, X2, h)
     wsp = np.zeros_like(areas)
@@ -232,18 +233,12 @@ def _disk_geometry(n, h, X1, X2):
     nb = max(4 * n, 64)
     theta = (np.arange(nb) + 0.5) * (2 * np.pi / nb)
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # neighbour presence along each axis, off-grid neighbours absent
-    pad = np.pad(active, 1)
-    cut_x = _cut_nodes(active, pad[1:-1, :-2], pad[1:-1, 2:])
-    cut_y = _cut_nodes(active, pad[:-2, 1:-1], pad[2:, 1:-1])
     return dict(active_mask=active,
                 # the curved boundary holds no nodes
                 boundary_mask=np.zeros_like(active), corner_mask=np.zeros_like(active),
                 quad_weights_space=wsp, boundary_points=pts,
                 boundary_normals=pts.copy(), boundary_weights=np.full(nb, 2 * np.pi / nb),
-                _cut_x=cut_x, _cut_y=cut_y,
-                _grad_x=_grad_cases(active, cut_x, -1),
-                _grad_y=_grad_cases(active, cut_y, -2))
+                _cut=(_cut_table(active, x, h, -1), _cut_table(active, x, h, -2)))
 
 
 def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTimeGrid:
@@ -272,7 +267,7 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
 
     x = np.linspace(lo, 1.0, nx + 1)
     X1, X2 = np.meshgrid(x, x)
-    geo = _square_geometry(nx, h, x) if square else _disk_geometry(nx, h, X1, X2)
+    geo = _square_geometry(nx, h, x) if square else _disk_geometry(nx, h, x, X1, X2)
     interior = geo["active_mask"] & ~geo["boundary_mask"]
     omega = ((X1 - cx) ** 2 + (X2 - cy) ** 2 < rad * rad) & interior
     if not omega.any():
@@ -323,22 +318,15 @@ def grad(f: np.ndarray, grid: SpaceTimeGrid):
     g1 = _d1(f, grid.h, axis=-1)
     g2 = _d1(f, grid.h, axis=-2)
     if grid.spec.shape == "unit_disk":
-        _fix_disk_grad(f, grid.h, g1, grid._grad_x)
-        _fix_disk_grad(f, grid.h, g2, grid._grad_y)
+        # one-sided second order at the cut nodes
+        for g, cut in zip((g1, g2), grid._cut):
+            v = f[..., cut.iy, cut.ix]
+            g[..., cut.iy[0], cut.ix[0]] = cut.d * (
+                -3 * v[..., 0, :] + 4 * v[..., 1, :] - v[..., 2, :]) / (2 * grid.h)
         inactive = ~grid.active_mask
         g1[..., inactive] = 0.0
         g2[..., inactive] = 0.0
     return g1, g2
-
-
-def _fix_disk_grad(f, h, g, cases):
-    """One-sided second-order differences at the cut nodes of one axis,
-    first order where only one neighbour is active, zero where none is."""
-    d, p0, p1, p2 = cases["two"]
-    g[(..., *p0)] = d * (-3 * f[(..., *p0)] + 4 * f[(..., *p1)] - f[(..., *p2)]) / (2 * h)
-    d, p0, p1 = cases["one"]
-    g[(..., *p0)] = d * (f[(..., *p1)] - f[(..., *p0)]) / h
-    g[(..., *cases["zero"])] = 0.0
 
 
 def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
@@ -350,55 +338,24 @@ def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
     if bc == "neumann0":
         raise GridError("unit_disk has no neumann0 rule")
     # per-axis cut rules, then one sum: the solver reads its matrix off this
-    out = _disk_d2(f, grid, grid._cut_x, -1, bc) + _disk_d2(f, grid, grid._cut_y, -2, bc)
+    cut_x, cut_y = grid._cut
+    out = _disk_d2(f, grid.h, cut_x, -1, bc) + _disk_d2(f, grid.h, cut_y, -2, bc)
     out[..., ~grid.active_mask] = 0.0
     return out
 
 
-def _sw_second(val, i0, d, a, h, ok):
-    """One-sided second derivative at a disk cut node.
-
-    Shortley-Weller toward the circle (boundary value 0 at distance a*h) when
-    a is given; otherwise one-sided differences into the domain.
-    """
-    if a is not None:
-        inner = val(i0 - d) if ok(i0 - d) else None
-        if inner is not None:
-            return 2.0 / (h * h) * (inner / (1 + a) - val(i0) / a)
-        return -2.0 * val(i0) / (a * h * h)
-    if ok(i0 + d) and ok(i0 + 2 * d) and ok(i0 + 3 * d):
-        return (2 * val(i0) - 5 * val(i0 + d) + 4 * val(i0 + 2 * d) - val(i0 + 3 * d)) / (h * h)
-    if ok(i0 + d) and ok(i0 + 2 * d):
-        return (val(i0) - 2 * val(i0 + d) + val(i0 + 2 * d)) / (h * h)
-    return np.zeros_like(val(i0))
-
-
-def _disk_d2(f, grid, cut_list, axis, bc):
-    """Second derivative along one axis: centered, cut-node rule at cut nodes."""
-    h = grid.h
+def _disk_d2(f, h, cut, axis, bc):
+    """Second derivative along one axis: centered, and at the cut nodes
+    Shortley-Weller toward the circle (its value 0 at distance a h) for
+    dirichlet0, one-sided into the domain for ghost_from_field."""
     out = _d2(f, h, axis, "ghost_from_field")
-    for iy, ix, has_m, has_p in cut_list:
-        i0 = ix if axis == -1 else iy
-        n = grid.nx if axis == -1 else grid.ny
-        coord = (grid.x1_nodes[ix], grid.x2_nodes[iy])
-
-        def val(i):
-            return f[..., iy, i] if axis == -1 else f[..., i, ix]
-
-        def ok(i):
-            return 0 <= i <= n and grid.active_mask[(iy, i) if axis == -1 else (i, ix)]
-
-        # direction toward the missing neighbor
-        d_out = 1 if not has_p else -1
-        if bc == "dirichlet0":
-            c_par = coord[0] if axis == -1 else coord[1]
-            c_perp = coord[1] if axis == -1 else coord[0]
-            root = math.sqrt(max(1.0 - c_perp * c_perp, 0.0))
-            a = (root - d_out * c_par) / h
-            a = min(max(a, 1e-3), 1.0)
-            out[..., iy, ix] = _sw_second(val, i0, d_out, a, h, ok)
-        else:
-            out[..., iy, ix] = _sw_second(val, i0, -d_out, None, h, ok)
+    v = f[..., cut.iy, cut.ix]
+    if bc == "dirichlet0":
+        row = 2.0 / (h * h) * (v[..., 1, :] / (1 + cut.a) - v[..., 0, :] / cut.a)
+    else:
+        row = (2 * v[..., 0, :] - 5 * v[..., 1, :] + 4 * v[..., 2, :]
+               - v[..., 3, :]) / (h * h)
+    out[..., cut.iy[0], cut.ix[0]] = row
     return out
 
 
@@ -482,13 +439,8 @@ def boundary_values(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return np.asarray(f)[..., grid._b_iy, grid._b_ix]
 
 
-def nonzero_trace(f: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """max |f| on Gamma if f breaks the homogeneous Dirichlet trace,
-    max |f| on Gamma <= 1e-10 (1 + max |f|), else 0.0."""
-    return trace_breach(float(np.abs(boundary_values(f, grid)).max()),
-                        float(np.abs(f).max()))
-
-
 def trace_breach(trace_max: float, field_max: float) -> float:
-    """nonzero_trace from the maxima of |f| on Gamma and of |f|."""
+    """The homogeneous Dirichlet trace rule, from the maxima of |f| on Gamma
+    and of |f|: max |f| on Gamma if it is above 1e-10 (1 + max |f|), else
+    0.0 (the trace is zero)."""
     return trace_max if trace_max > 1e-10 * (1.0 + field_max) else 0.0

@@ -3,8 +3,8 @@
 Each one checks or builds something in closed form beside the package:
 the finite-difference and time-monotonicity checks of the weight family,
 its whole tables of 2 ell and phi, the operator F y from a whole
-trajectory, the scan of whole stored trajectories, and polynomial field
-factors.
+trajectory, the scan of whole stored trajectories, the Dirichlet-trace
+rule on a whole trajectory, and polynomial field factors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 from glcarleman.fields import Atom
 from glcarleman.functionals import lambda_scan
 from glcarleman.gloperator import GLCoeffs, linear_source, time_derivative
-from glcarleman.grid import DomainSpec, SpaceTimeGrid, laplacian
+from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, laplacian,
+                             trace_breach)
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
 
 
@@ -57,6 +58,13 @@ def scan_trajectories(suite, grid: SpaceTimeGrid, lambdas, mus,
     slices = iter(np.stack(Ys, axis=1)) if Ys else iter(())
     return lambda_scan(slices, [variants for _, variants in suite], grid,
                        lambdas, mus, coeffs)
+
+
+def nonzero_trace(f: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """max |f| on Gamma if the whole trajectory f breaks the homogeneous
+    Dirichlet trace, else 0.0: the reference for the scan's running maxima."""
+    return trace_breach(float(np.abs(boundary_values(f, grid)).max()),
+                        float(np.abs(f).max()))
 
 
 def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,

@@ -63,6 +63,14 @@ class TestConfig:
         assert "grid.nt:" in capsys.readouterr().err
         assert peak < 1e6
 
+    def test_oversized_suite_skips_the_entry_checks(self):
+        # 20,000 deltas at 64^2: the size bound rejects them before the
+        # per-entry checks, whose repeat check is quadratic in the length
+        with pytest.raises(ConfigError) as exc:
+            load_config(None, {"stability": {"deltas": [1e-3] * 20000}})
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith("stability.deltas: a suite of 20001")
+
     @pytest.mark.parametrize("n", [128, 256])
     def test_large_grids_accepted(self, n):
         cfg = load_config(None, {"grid": {"nx": n, "ny": n, "nt": n}})
@@ -149,6 +157,11 @@ class TestConfig:
                      id="huge-nt"),
         pytest.param({"grid": {"nx": 4096, "ny": 4096}}, ["stability"], "grid.nx",
                      id="huge-nx-ny"),
+        # lockstep suites whose members' held slices would pass it
+        pytest.param({"scan": {"n_trajectories": 10 ** 9}}, ["carleman-scan"],
+                     "scan.n_trajectories", id="huge-scan-suite"),
+        pytest.param({"stability": {"deltas": [1 + k for k in range(3000)]}},
+                     ["stability"], "stability.deltas", id="huge-stability-suite"),
         # the interior variants need psi1's critical point inside omega
         pytest.param(MISPLACED_OMEGA, ["carleman-scan"], "domain.omega_center",
                      id="square-omega-misses-critical-point"),

@@ -14,11 +14,11 @@ from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
                                     _flush_exp, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import build_grid, nonzero_trace, normal_derivative
+from glcarleman.grid import build_grid, normal_derivative
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
 
-from support import log_theta2, phi, scan_trajectories
+from support import log_theta2, nonzero_trace, phi, scan_trajectories
 
 COEFFS = derive_coeffs(0.3, 0.4)
 LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4"}
@@ -219,11 +219,6 @@ class TestBoundaryVariant:
         assert rep.lhs_total > 0
         assert rep.rhs_total > 0
         assert np.isfinite(rep.ratio)
-
-    def test_neumann_trajectory_rejected(self, grid32, neumann_traj):
-        with pytest.raises(FunctionalError):
-            report(neumann_traj, CarlemanParams(
-                lam=2, mu=1.5, T=1.0, family="j2_boundary"), grid32, "boundary")
 
     def test_dpsi_dnu_sign_pattern(self, grid32):
         # psi2 = 2 + x1: d psi2/d nu = +1 on x1=1, -1 on x1=0, 0 elsewhere

@@ -5,10 +5,9 @@ import pytest
 
 from glcarleman.functionals import prepare_trajectory
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import (DomainSpec, GridError, _cut_nodes, _fix_disk_grad,
-                             _grad_cases, boundary_values, build_grid, grad,
-                             integrate_q, integrate_sigma, laplacian,
-                             normal_derivative)
+from glcarleman.grid import (DomainSpec, GridError, _cut_table, _d1, _d2,
+                             boundary_values, build_grid, grad, integrate_q,
+                             integrate_sigma, laplacian, normal_derivative)
 from glcarleman.solver import SolveConfig, energy_balance, march
 from glcarleman.stability import linf_l6_norm, prepare_difference
 
@@ -101,38 +100,27 @@ class TestGrad:
             assert 1.8 <= p <= 2.2
 
 
-    @pytest.mark.parametrize("axis", [-1, -2])
-    def test_cut_node_rules_match_the_loop(self, disk_grid, axis):
-        # rows 3 and 1 (columns, for axis -2) hold a run of three active
-        # nodes, a pair at the edge and a lone node, which take the
-        # two-point, the one-point and the zero rule; then the disk
-        active = np.zeros((7, 7), dtype=bool)
-        active[3, 1:4] = active[3, 5:7] = active[1, 3] = True
-        if axis == -2:
-            active = active.T.copy()
-        pad = np.pad(active, 1)
-        cut = _cut_nodes(active, *((pad[1:-1, :-2], pad[1:-1, 2:]) if axis == -1
-                                   else (pad[:-2, 1:-1], pad[2:, 1:-1])))
-        cases = _grad_cases(active, cut, axis)
-        assert [len(cases["two"][0]), len(cases["one"][0]), len(cases["zero"][0])] \
-            == [2, 2, 1]
-        disk_cut = disk_grid._cut_x if axis == -1 else disk_grid._cut_y
-        disk_cases = disk_grid._grad_x if axis == -1 else disk_grid._grad_y
-        rng = np.random.default_rng(3)
-        for mask, h, cut_list, by_case in ((active, 0.5, cut, cases),
-                                           (disk_grid.active_mask, disk_grid.h,
-                                            disk_cut, disk_cases)):
-            f = rng.standard_normal((2,) + mask.shape) \
-                + 1j * rng.standard_normal((2,) + mask.shape)
-            got, want = np.zeros_like(f), np.zeros_like(f)
-            _fix_disk_grad(f, h, got, by_case)
-            fix_disk_grad_loop(f, mask, h, want, cut_list, axis)
-            assert np.array_equal(got, want)
+def disk_mask(n):
+    """The nodes and the active mask of the unit disk on the n x n grid of
+    [-1, 1]^2, made as build_grid makes them."""
+    x = np.linspace(-1.0, 1.0, n + 1)
+    X1, X2 = np.meshgrid(x, x)
+    return x, np.hypot(X1, X2) < 1.0 - 1e-12
+
+
+def cut_list(active, axis):
+    """Active nodes missing a stencil neighbour along one axis, in row-major
+    order, with which neighbours (-, +) they have: the loops' cut nodes."""
+    pad = np.pad(active, 1)
+    has_m, has_p = ((pad[1:-1, :-2], pad[1:-1, 2:]) if axis == -1
+                    else (pad[:-2, 1:-1], pad[2:, 1:-1]))
+    return [(iy, ix, bool(has_m[iy, ix]), bool(has_p[iy, ix]))
+            for iy, ix in zip(*np.nonzero(active & ~(has_m & has_p)))]
 
 
 def fix_disk_grad_loop(f, active, h, g, cut_list, axis):
     """The cut-node rules node by node, as grid.grad once applied them: the
-    reference for the index-array form."""
+    reference for the cut-node table."""
     n = active.shape[axis] - 1
     for iy, ix, _, has_p in cut_list:
         d = 1 if has_p else -1
@@ -150,6 +138,118 @@ def fix_disk_grad_loop(f, active, h, g, cut_list, axis):
             g[..., iy, ix] = d * (val(i0 + d) - val(i0)) / h
         else:
             g[..., iy, ix] = 0.0
+
+
+def sw_second(val, i0, d, a, h, ok):
+    """One-sided second derivative at a disk cut node, as grid.laplacian
+    once took it.
+
+    Shortley-Weller toward the circle (boundary value 0 at distance a*h) when
+    a is given; otherwise one-sided differences into the domain.
+    """
+    if a is not None:
+        inner = val(i0 - d) if ok(i0 - d) else None
+        if inner is not None:
+            return 2.0 / (h * h) * (inner / (1 + a) - val(i0) / a)
+        return -2.0 * val(i0) / (a * h * h)
+    if ok(i0 + d) and ok(i0 + 2 * d) and ok(i0 + 3 * d):
+        return (2 * val(i0) - 5 * val(i0 + d) + 4 * val(i0 + 2 * d) - val(i0 + 3 * d)) / (h * h)
+    if ok(i0 + d) and ok(i0 + 2 * d):
+        return (val(i0) - 2 * val(i0 + d) + val(i0 + 2 * d)) / (h * h)
+    return np.zeros_like(val(i0))
+
+
+def disk_d2_loop(f, grid, cut_list, axis, bc):
+    """Second derivative along one axis, centered, with the cut-node rules
+    node by node, as grid.laplacian once applied them: the reference for
+    the cut-node table."""
+    h = grid.h
+    out = _d2(f, h, axis, "ghost_from_field")
+    for iy, ix, has_m, has_p in cut_list:
+        i0 = ix if axis == -1 else iy
+        n = grid.nx if axis == -1 else grid.ny
+        coord = (grid.x1_nodes[ix], grid.x2_nodes[iy])
+
+        def val(i):
+            return f[..., iy, i] if axis == -1 else f[..., i, ix]
+
+        def ok(i):
+            return 0 <= i <= n and grid.active_mask[(iy, i) if axis == -1 else (i, ix)]
+
+        # direction toward the missing neighbor
+        d_out = 1 if not has_p else -1
+        if bc == "dirichlet0":
+            c_par = coord[0] if axis == -1 else coord[1]
+            c_perp = coord[1] if axis == -1 else coord[0]
+            root = math.sqrt(max(1.0 - c_perp * c_perp, 0.0))
+            a = (root - d_out * c_par) / h
+            a = min(max(a, 1e-3), 1.0)
+            out[..., iy, ix] = sw_second(val, i0, d_out, a, h, ok)
+        else:
+            out[..., iy, ix] = sw_second(val, i0, -d_out, None, h, ok)
+    return out
+
+
+class TestDiskCutNodes:
+    @pytest.fixture(scope="class", params=[16, 32, 128])
+    def disk(self, request, disk_spec):
+        n = request.param
+        return build_grid(disk_spec, n, n, 16, 1.0)
+
+    @pytest.fixture(params=["slice", "stack"])
+    def field(self, request, disk):
+        lead = () if request.param == "slice" else (3, 4)
+        rng = np.random.default_rng(5)
+        return rng.standard_normal(lead + disk.X1.shape), \
+            rng.standard_normal(lead + disk.X1.shape)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_grad_matches_the_loop(self, disk, field, dtype):
+        f = field[0] if dtype is float else field[0] + 1j * field[1]
+        active = disk.active_mask
+        want = []
+        for axis in (-1, -2):
+            g = _d1(f, disk.h, axis)
+            fix_disk_grad_loop(f, active, disk.h, g, cut_list(active, axis), axis)
+            g[..., ~active] = 0.0
+            want.append(g)
+        for got, ref in zip(grad(f, disk), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("bc", ["dirichlet0", "ghost_from_field"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_laplacian_matches_the_loop(self, disk, field, dtype, bc):
+        f = field[0] if dtype is float else field[0] + 1j * field[1]
+        active = disk.active_mask
+        want = disk_d2_loop(f, disk, cut_list(active, -1), -1, bc) \
+            + disk_d2_loop(f, disk, cut_list(active, -2), -2, bc)
+        want[..., ~active] = 0.0
+        got = laplacian(f, disk, bc)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_guard_rejects_a_short_run(self, axis):
+        # a run of three active nodes, a pair at the edge and a lone node in
+        # row 3 (column 3, for axis -2): the cut nodes that took the removed
+        # rules lack three active neighbours inward
+        for run in (slice(1, 4), slice(5, 7), slice(3, 4)):
+            active = np.zeros((7, 7), dtype=bool)
+            active[3, run] = True
+            if axis == -2:
+                active = active.T.copy()
+            with pytest.raises(GridError, match="three active neighbours"):
+                _cut_table(active, np.linspace(-1.0, 1.0, 7), 1 / 3, axis)
+
+    def test_mask_is_the_grids(self, disk_grid):
+        assert np.array_equal(disk_mask(disk_grid.nx)[1], disk_grid.active_mask)
+
+    def test_no_disk_grid_trips_the_guard(self):
+        # every n from 16 to 256, and up to 1985, the largest the config accepts
+        for n in [*range(16, 257), 512, 1024, 1985]:
+            x, active = disk_mask(n)
+            for axis in (-1, -2):
+                cut = _cut_table(active, x, 2.0 / n, axis)
+                assert cut.d.size == len(cut_list(active, axis))
 
 
 class TestLaplacian:

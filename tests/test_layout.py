@@ -1,8 +1,9 @@
 """src/ holds only what the commands run.
 
-Every public top-level function or class of the package is read somewhere
-in src/ outside its own definition, or is kept below for a stated reason.
-Code that only the tests read belongs under tests/.
+Every top-level function or class of the package, private functions
+included, and every public method of its classes is read somewhere in src/
+outside its own definition, or is kept below for a stated reason.  Code
+that only the tests read belongs under tests/.
 """
 
 import ast
@@ -13,7 +14,7 @@ import glcarleman
 
 SRC = Path(glcarleman.__file__).parent
 
-# public names that nothing else in src/ reads, each with why it stays there
+# names that nothing else in src/ reads, each with why it stays there
 KEPT = {
     "evaluate_cell": "the benchmark tracer binds it by name, and it is the "
                      "bit-for-bit reference for lambda_scan",
@@ -23,6 +24,7 @@ KEPT = {
                           "stability suite",
     "linf_l6_norm": "the whole-trajectory reference for the streamed "
                     "stability suite",
+    "nbytes": "the benchmark's prepare layer (on_prepare) reads Integrand.nbytes",
 }
 
 
@@ -32,22 +34,40 @@ def _references(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def _reads_outside_definition() -> dict:
-    """Each public top-level def or class -> its reads elsewhere in src/."""
+def _definitions(tree):
+    """(definition, is it a public top-level name) for each top-level
+    function or class of a module and each public method of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, not node.name.startswith("_")
+        if isinstance(node, ast.ClassDef):
+            yield from ((m, False) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+
+
+def _reads_outside_definition(public: bool) -> dict:
+    """Each public top-level name (public=True), or each private top-level
+    function or class and public method (public=False) -> its reads
+    elsewhere in src/."""
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
     total = sum((_references(t) for t in trees), Counter())
     return {node.name: total[node.name] - _references(node)[node.name]
-            for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            for tree in trees for node, top_public in _definitions(tree)
+            if top_public == public}
 
 
 def test_every_public_name_is_read_in_src():
-    reads = _reads_outside_definition()
+    reads = _reads_outside_definition(public=True)
+    assert sorted(n for n, k in reads.items() if k == 0 and n not in KEPT) == []
+
+
+def test_every_private_function_and_public_method_is_read_in_src():
+    reads = _reads_outside_definition(public=False)
     assert sorted(n for n, k in reads.items() if k == 0 and n not in KEPT) == []
 
 
 def test_every_kept_name_is_defined_and_unread():
     # an entry whose name came into use, or left src/, leaves KEPT
-    reads = _reads_outside_definition()
+    reads = {**_reads_outside_definition(public=True),
+             **_reads_outside_definition(public=False)}
     assert {n: reads.get(n) for n in KEPT} == {n: 0 for n in KEPT}

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 
-from .functionals import VARIANTS
+from .functionals import TERMS, VARIANT_FAMILY, VARIANTS
 from .grid import WINDOW, DomainSpec, build_grid
 from .solver import VALID_SOLVER_BC
 
@@ -42,8 +42,8 @@ DEFAULTS = {
 
 
 # the largest grid accepted: one complex trajectory, 16 (nx+1)(ny+1)(nt+1)
-# bytes, may take at most 1 GiB (256^3 takes 272 MB); so may the WINDOW + 2
-# slices that a lockstep suite holds of all its members
+# bytes, may take at most 1 GiB (256^3 takes 272 MB); so may the arrays that
+# a lockstep suite holds for all its members
 MAX_TRAJECTORY_BYTES = 2 ** 30
 
 
@@ -144,21 +144,34 @@ def _lookup(cfg: dict, path: str):
 
 
 def _oversized_suites(cfg: dict) -> dict:
-    """{field: error} for each lockstep suite whose members' held slices,
-    16 (nx+1)(ny+1)(WINDOW+2) bytes each, would pass MAX_TRAJECTORY_BYTES:
-    the scan's scan.n_trajectories members and stability's u2 with one u1
-    per entry of stability.deltas."""
-    nx, ny, deltas = cfg["grid"]["nx"], cfg["grid"]["ny"], cfg["stability"]["deltas"]
-    if not (_int(nx) and _int(ny)):
+    """{field: error} for each lockstep suite whose arrays for its members
+    would pass MAX_TRAJECTORY_BYTES: stability's u2 with one u1 per entry of
+    stability.deltas, each holding 16 (nx+1)(ny+1)(WINDOW+2) bytes of slices,
+    and the scan's scan.n_trajectories members, each holding as much and
+    also its stacked integrands, WINDOW slices of each, 8 (nx+1)(ny+1) bytes
+    a slice, and each cell's per-slice sums and live flags, 9 (nt-1) bytes
+    per row, over len(mus) x len(lambdas) cells per family of scan.variants
+    (bounded by taking each integrand at the volume's size and every row of
+    TERMS)."""
+    grid, scan, deltas = cfg["grid"], cfg["scan"], cfg["stability"]["deltas"]
+    nx, ny, nt = grid["nx"], grid["ny"], grid["nt"]
+    if not (_int(nx) and _int(ny) and _int(nt)):
         return {}
-    each = 16 * (nx + 1) * (ny + 1) * (WINDOW + 2)
-    members = {"scan.n_trajectories": cfg["scan"]["n_trajectories"],
-               "stability.deltas": len(deltas) + 1
-               if isinstance(deltas, (list, tuple)) else None}
-    return {path: f"{path}: a suite of {m} members would hold "
-                  f"16 (nx+1)(ny+1)(WINDOW+2) = {each} bytes of each, "
-                  f"{m * each} in all, over the limit of {MAX_TRAJECTORY_BYTES}"
-            for path, m in members.items()
+    def entries(vals):
+        return vals if isinstance(vals, (list, tuple)) else []
+
+    nodes = (nx + 1) * (ny + 1)
+    held = 16 * nodes * (WINDOW + 2)
+    families = {VARIANT_FAMILY[v] for v in entries(scan["variants"]) if v in VARIANTS}
+    cells = len(families) * len(entries(scan["mus"])) * len(entries(scan["lambdas"]))
+    scan_each = held + 8 * WINDOW * nodes * len({t.integrand for t in TERMS}) \
+        + 9 * (nt - 1) * len(TERMS) * cells
+    members = {"scan.n_trajectories": (scan["n_trajectories"], scan_each),
+               "stability.deltas": (len(entries(deltas)) + 1, held)}
+    return {path: f"{path}: a suite of {m} members would take {each} bytes "
+                  f"for each, {m * each} in all, over the limit of "
+                  f"{MAX_TRAJECTORY_BYTES}"
+            for path, (m, each) in members.items()
             if _int(m) and m * each > MAX_TRAJECTORY_BYTES}
 
 
@@ -174,12 +187,15 @@ def validate_config(cfg: dict) -> None:
                         + ("entry" if least == 1 else "entries"))
             continue
         if path in oversized:
-            continue         # the repeat check is quadratic in the length
+            continue         # one error for the list, not one per entry
+        seen = set()         # entries that pass are numbers or strings
         for i, v in enumerate(vals):
             if not ok(v):
                 errs.append(f"{path}[{i}]: {msg}")
-            elif v in vals[:i]:
+            elif v in seen:
                 errs.append(f"{path}[{i}]: repeats an earlier entry")
+            else:
+                seen.add(v)
     dims = {k: cfg["grid"][k] for k in ("nx", "ny", "nt")}
     if _int(dims["nx"]) and _int(dims["ny"]) and dims["nx"] != dims["ny"]:
         errs.append("grid.ny: must equal grid.nx (the grid spacing is uniform)")

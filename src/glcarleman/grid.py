@@ -218,6 +218,10 @@ def _cut_table(active, x, h, axis):
 def _disk_geometry(n, h, x, X1, X2):
     """Masks, cut-cell weights, circle samples and cut-node tables of the
     unit disk embedded in the n x n grid of [-1,1]^2."""
+    # the disk's solver takes a sparse LU: load SciPy for it here, so that a
+    # disk run pays the import in set-up and a square run never does
+    import scipy.sparse.linalg  # noqa: F401
+
     active = np.hypot(X1, X2) < 1.0 - 1e-12
     areas = _disk_cell_areas(X1, X2, h)
     wsp = np.zeros_like(areas)

@@ -1,8 +1,8 @@
 """Semi-implicit time stepping for the Ginzburg-Landau equation.
 
 The equation y_t = (1+ib) Lap y - (1+ic)|y|^2 y + f is advanced with the
-stiff dispersion treated implicitly through a sparse LU of I - kappa L, reused
-every step, and the cubic term handled explicitly:
+stiff dispersion treated implicitly, by exact solves with I - kappa L, and
+the cubic term handled explicitly:
 
 * ``imex_be``: backward Euler on the linear part, cubic frozen at the old
   state (first order);
@@ -19,9 +19,14 @@ the internal substep (macro slices stay on the uniform time grid).
 yields their slices time by time, so that a caller may reduce them as they
 come; ``solve`` marches one member and keeps its trajectory.
 
-The LU orders by minimum degree on the structure of A + A^T and does not
-pivot: for Re kappa > 0, I - kappa L is strictly diagonally dominant by rows
-on both domains, so the diagonal pivots are safe (see ``_factorized``).
+On the square, L is diagonal in a sine basis (``dirichlet0``) or a cosine
+basis (``neumann0``), so each solve is a fast transform on ``numpy.fft``
+(the fast Poisson solver of Buzbee, Golub and Nielson, 1970), and a square
+run never imports SciPy.  On the disk, I - kappa L takes a sparse LU per
+kappa, reused every step; it orders by minimum degree on the structure of
+A + A^T and does not pivot: for Re kappa > 0, I - kappa L is strictly
+diagonally dominant by rows, so the diagonal pivots are safe (see
+``_factorized``).
 
 Boundary data are homogeneous, as for the difference of two solutions with
 the same boundary data: ``dirichlet0`` (square or disk) holds zero at every
@@ -41,13 +46,12 @@ no symmetry.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .gloperator import linear_source
 from .grid import GridError, SpaceTimeGrid, laplacian
@@ -77,23 +81,109 @@ class SolveConfig:
 
 
 # ---------------------------------------------------------------------------
-# linear system assembly
+# the implicit substep
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _LinearOps:
-    """Stencil matrix of the solver's Laplacian on the unknown nodes.
+    """The solver's Laplacian L on the unknown nodes; every other node holds
+    zero, so L (unknowns x unknowns) is the whole operator.
 
-    Every other node holds zero, so L (unknowns x unknowns) is the whole
-    operator.
+    On the square L is diagonal in the sine basis of the interior nodes
+    (``dirichlet0``) or the cosine basis of all nodes (mirrored-ghost
+    ``neumann0``), and ``lam`` holds its eigenvalues.  On the disk ``L`` is
+    its stencil matrix, whose LU is cached per kappa.
     """
 
     unknown_mask: np.ndarray        # bool over grid nodes
-    L: sps.csr_matrix               # unknowns x unknowns
+    lam: np.ndarray | None = None   # square: (k, k) eigenvalues, lam_i + lam_j
+    n: int = 0                      # square: cells per side
+    sine: bool = False              # square: the sine (else cosine) basis
+    L: object = None                # disk: scipy.sparse csr, unknowns x unknowns
     _factor_cache: dict = field(default_factory=dict)
 
+    def substep(self, kappa: complex, cfg: SolveConfig):
+        """The implicit part of a substep, on stacks of columns (unknowns, m):
+        (v, s) -> (I - kappa L)^{-1} ((I + kappa L) v + s) under ``imex_cn``,
+        rhs -> (I - kappa L)^{-1} rhs under ``imex_be``.
 
-def _stencil_matrix(grid: SpaceTimeGrid, bc: str) -> sps.csr_matrix:
+        On the square it is the symbol of that map in L's eigenbasis: the
+        Cayley factor (1 + kappa lam) / (1 - kappa lam) without a source, and
+        1 / (1 - kappa lam) applied to any other right-hand side.
+        """
+        if self.L is not None:
+            lu = _factorized(self, kappa)
+            if cfg.scheme == "imex_be":
+                return lu
+
+            def crank_nicolson(v, s):
+                # named, as numpy multiplies a temporary of 256 KiB or more in
+                # place with the factors swapped, which moves the last bit of
+                # a complex product: a stack would round otherwise than each
+                # of its members marched alone
+                Lv = self.L @ v
+                return lu(v + kappa * Lv + s)
+            return crank_nicolson
+        # the transform applied twice is 4 n^2 times the identity
+        res = 1.0 / (4 * self.n ** 2 * (1.0 - kappa * self.lam))
+        if cfg.scheme == "imex_be":
+            return lambda rhs: _spectral(self, (rhs, res))
+        cayley = (1.0 + kappa * self.lam) * res
+        if cfg.source is None:
+            return lambda v, s: _spectral(self, (v, cayley))
+        return lambda v, s: _spectral(self, (v, cayley), (s, res))
+
+
+def _transform(x: np.ndarray, sine: bool, work: np.ndarray) -> np.ndarray:
+    """The DST-I (sine) or DCT-I of a stack (m, k, k) along its last axis,
+    then along its other: each the length-2n FFT of the odd or the even
+    extension of every line, which is transformed alone, so that a member of
+    a stack gets its solo values.  The passes fill work[0] and work[1], each
+    (m, k, 2n), and the result is a view of work[1].
+
+    The result is transposed, [kx, ky] for [iy, ix].  Unnormalised, each
+    transform is its own inverse up to a factor per axis (n/2 and -2i twice
+    over, or 2n), so this applied twice gives 4 n^2 x.
+    """
+    n = work.shape[-1] // 2
+    for axis, e in enumerate(work):
+        if axis:
+            x = x.swapaxes(-1, -2)
+        # x is read once (strided, as a transpose in the second pass), and
+        # its reversal copied from that
+        if sine:
+            # [0, x, 0, -x reversed]: its FFT is -2i times the DST
+            e[..., 0] = e[..., n] = 0.0
+            e[..., 1:n] = x
+            np.negative(e[..., n - 1:0:-1], out=e[..., n + 1:])
+        else:
+            # [x, x reversed without its ends]: its FFT is the DCT
+            e[..., :n + 1] = x
+            e[..., n + 1:] = e[..., n - 1:0:-1]
+        np.fft.fft(e, out=e)
+        x = e[..., 1:n] if sine else e[..., :n + 1]
+    return x
+
+
+def _spectral(ops: _LinearOps, *terms) -> np.ndarray:
+    """The sum of sym(L) x over the (x, sym) terms, each x a stack of columns
+    (unknowns, m) and sym a symbol over ``ops.lam`` that absorbs the 4 n^2 of
+    the transform pair."""
+    k = len(ops.lam)
+
+    def forward(x, sym):
+        # the first term's two buffers serve the inverse transform too
+        work = np.empty((2, x.shape[1], k, 2 * ops.n), dtype=complex)
+        xh = _transform(x.T.reshape(x.shape[1], k, k), ops.sine, work)
+        return np.multiply(xh, sym, out=xh), work
+
+    xh, work = forward(*terms[0])
+    for term in terms[1:]:
+        np.add(xh, forward(*term)[0], out=xh)
+    return _transform(xh, ops.sine, work).reshape(len(xh), -1).T
+
+
+def _stencil_matrix(grid: SpaceTimeGrid, bc: str):
     """Sparse matrix of ``laplacian(., grid, bc)`` over all grid nodes.
 
     Valid only for rules whose stencil at every node lies in its 5-point plus.
@@ -101,6 +191,8 @@ def _stencil_matrix(grid: SpaceTimeGrid, bc: str) -> sps.csr_matrix:
     response to the indicator of one colour holds one entry per row, and the
     gap (colour - row colour) mod 5 names its column offset.
     """
+    import scipy.sparse as sps
+
     ny1, nx1 = grid.ny + 1, grid.nx + 1
     iy, ix = np.indices((ny1, nx1))
     colour = (ix + 2 * iy) % 5
@@ -118,26 +210,35 @@ def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
     cache = grid._linear_ops
     if bc not in cache:
         unknown = grid.interior_mask if bc == "dirichlet0" else grid.active_mask
-        idx = np.flatnonzero(unknown)
-        cache[bc] = _LinearOps(unknown_mask=unknown,
-                               L=_stencil_matrix(grid, bc)[idx][:, idx])
+        if grid.spec.shape == "unit_square":
+            sine = bc == "dirichlet0"
+            j = np.arange(1, grid.nx) if sine else np.arange(grid.nx + 1)
+            lam = -4.0 / grid.h ** 2 * np.sin(np.pi * j / (2 * grid.nx)) ** 2
+            cache[bc] = _LinearOps(unknown, lam=lam[:, None] + lam, n=grid.nx,
+                                   sine=sine)
+        else:
+            idx = np.flatnonzero(unknown)
+            cache[bc] = _LinearOps(unknown, L=_stencil_matrix(grid, bc)[idx][:, idx])
     return cache[bc]
 
 
 def _factorized(ops: _LinearOps, kappa: complex):
-    """LU of (I - kappa L), cached per kappa.
+    """The disk's LU of (I - kappa L), cached per kappa.
 
     The columns are ordered by minimum degree on the structure of A + A^T,
     and the rows take the same order with no pivoting: on the 5-point plus
     this keeps about half the fill of scipy's default COLAMD ordering with
     partial pivoting.  Pivoting is not needed, since for Re kappa > 0 the
-    matrix is strictly diagonally dominant by rows: every row of L (the
-    square's ``dirichlet0`` and mirrored-ghost ``neumann0`` rules, the disk's
-    Shortley-Weller rule) has a negative diagonal d and off-diagonal entries
-    with sum |off| <= |d|, so |1 + kappa |d|| > |kappa| |d| >= |kappa| sum |off|.
+    matrix is strictly diagonally dominant by rows: every row of the disk's
+    Shortley-Weller L has a negative diagonal d and off-diagonal entries with
+    sum |off| <= |d|, so |1 + kappa |d|| > |kappa| |d| >= |kappa| sum |off|.
     Elimination keeps that dominance, so every pivot is nonzero; a failing
-    factorization raises RuntimeError.
+    factorization raises RuntimeError.  SciPy is imported here and in the
+    disk's grid build only: a square run never loads it.
     """
+    import scipy.sparse as sps
+    import scipy.sparse.linalg as spla
+
     if kappa not in ops._factor_cache:
         n = ops.L.shape[0]
         A = (sps.identity(n, dtype=complex, format="csr") - kappa * ops.L).tocsc()
@@ -193,10 +294,11 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     The state is stepped on the unknown nodes only, one column per member;
     every other node of a yielded slice holds zero.  At each macro step the
     members are grouped by the fewest power-of-two substeps that meet the
-    stiffness cap, and each group shares one stencil product, one cubic flow
-    and one multi-column LU solve per substep.  Those act column by column,
-    so each member gets exactly the values, substep schedule and source
-    samples it would get marched alone.  NaN/Inf after any substep aborts.
+    stiffness cap, and each group shares one cubic flow and one implicit
+    solve per substep: batched transforms on the square, a stencil product
+    and a multi-column LU solve on the disk.  Those act column by column, so
+    each member gets exactly the values, substep schedule and source samples
+    it would get marched alone.  NaN/Inf after any substep aborts.
     """
     Y0 = grid.check_field(np.asarray(Y0, dtype=complex), "initial data")
     if Y0.ndim != 3:
@@ -207,6 +309,9 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     unknown = np.flatnonzero(ops.unknown_mask)
     m = len(Y0)
     kb = 1.0 + 1j * cfg.b
+    # each kappa's symbols are formed once per march (the disk's LU once per
+    # grid)
+    implicit = functools.cache(lambda kappa: ops.substep(kappa, cfg))
 
     def src(t):
         return 0.0 if cfg.source is None \
@@ -236,19 +341,13 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
                 tj = grid.t_nodes[k] + j * dt_sub
                 f_start, f = f, src(tj + dt_sub)
                 if cfg.scheme == "imex_cn":
-                    kappa = 0.5 * dt_sub * kb
                     v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
-                    # named, as numpy multiplies a temporary of 256 KiB or more
-                    # in place with the factors swapped, which moves the last
-                    # bit of a complex product: a stack would round otherwise
-                    # than each of its members marched alone
-                    Lv = ops.L @ v
-                    rhs = v + kappa * Lv + 0.5 * dt_sub * (f_start + f)
-                    v = _cubic_flow(_factorized(ops, kappa)(rhs), 0.5 * dt_sub, cfg.c)
+                    v = implicit(0.5 * dt_sub * kb)(v, 0.5 * dt_sub * (f_start + f))
+                    v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
                 else:
                     cubic = -(1 + 1j * cfg.c) * np.abs(v) ** 2 * v
                     rhs = v + dt_sub * cubic + dt_sub * f
-                    v = _factorized(ops, dt_sub * kb)(rhs)
+                    v = implicit(dt_sub * kb)(rhs)
                 if not np.all(np.isfinite(v)):
                     raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
             if len(idx) == m:

@@ -4,6 +4,9 @@ import filecmp
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -70,6 +73,35 @@ class TestConfig:
             load_config(None, {"stability": {"deltas": [1e-3] * 20000}})
         assert len(exc.value.errors) == 1
         assert exc.value.errors[0].startswith("stability.deltas: a suite of 20001")
+
+    def test_scan_suite_bound_counts_integrands_and_cell_sums(self):
+        # 6,500 members at 16^3 take 0.18e9 bytes of held slices, 0.60e9 of
+        # stacked integrands and 0.38e9 of per-cell sums: any two of the
+        # three are under the limit of 1.07e9, all three are over it, and
+        # validation alone rejects them, allocating nothing
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError) as exc:
+                load_config(None, {"grid": {"nx": 16, "ny": 16, "nt": 16},
+                                   "scan": {"n_trajectories": 6500}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.split(":")[0] for e in exc.value.errors] == ["scan.n_trajectories"]
+        assert peak < 1e6
+
+    def test_repeat_check_is_linear(self):
+        # 20,000 distinct deltas at 16^3 are under the suite bound, so every
+        # entry is checked; one set of the entries seen keeps that linear
+        deltas = [1e-3 * (k + 1) for k in range(20000)]
+        t = time.perf_counter()
+        cfg = load_config(None, {"grid": {"nx": 16, "ny": 16, "nt": 16},
+                                 "stability": {"deltas": deltas}})
+        assert time.perf_counter() - t < 1.0
+        assert cfg["stability"]["deltas"] == deltas
+        # an entry equal to an earlier one of another type still repeats it
+        with pytest.raises(ConfigError, match=r"stability.deltas\[1\]: repeats"):
+            load_config(None, {"stability": {"deltas": [1, 1.0]}})
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_large_grids_accepted(self, n):
@@ -571,3 +603,43 @@ class TestDeterminism:
         assert ra == rb
         for rel in ra:
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
+
+
+def fresh_interpreter(tmp_path, script):
+    """Run `script` in a new Python process that imports glcarleman from
+    this checkout, in tmp_path; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestSciPyImport:
+    def test_square_run_never_loads_scipy(self, tmp_path):
+        # the square's implicit solves are spectral, on numpy.fft
+        out = fresh_interpreter(tmp_path, """if True:
+            import sys
+            from glcarleman.cli import main
+            for command in ("solve", "carleman-scan", "stability"):
+                assert main(["--grid", "16", "--output-dir", "out", command]) == 0
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            """)
+        assert out.splitlines()[-1] == "[]"
+
+    def test_disk_grid_build_loads_scipy(self, tmp_path):
+        # the disk's sparse LU needs SciPy: its import is paid in set-up,
+        # by the grid build, not in the run
+        config = {**DISK, "grid": {"nx": 16, "ny": 16, "nt": 16},
+                  "stability": {"variants": ["interior"]}}
+        out = fresh_interpreter(tmp_path, f"""if True:
+            import sys
+            from glcarleman.cli import build_run_grid
+            from glcarleman.config import load_config
+            cfg = load_config(None, {config!r})
+            print("scipy.sparse.linalg" in sys.modules)
+            build_run_grid(cfg)
+            print("scipy.sparse.linalg" in sys.modules)
+            """)
+        assert out.split() == ["False", "True"]

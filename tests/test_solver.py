@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ import scipy.sparse.linalg as spla
 from glcarleman.fields import manufactured_reference, random_initial_field
 from glcarleman.grid import GridError, build_grid, integrate_q, laplacian
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized,
-                               build_linear_ops, energy_balance, grid_source,
-                               load_trajectory, march, save_trajectory, solve)
+from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized, _LinearOps,
+                               _stencil_matrix, build_linear_ops, energy_balance,
+                               grid_source, load_trajectory, march, save_trajectory,
+                               solve)
 from support import PolyAtom, apply_F
 
 
@@ -20,34 +22,78 @@ def cubic_ode_exact(a, c, t):
     return a * m ** (-0.5) * np.exp(-0.5j * c * np.log(m))
 
 
+def unknown_field(g, ops, x):
+    """The grid fields (m, ny+1, nx+1) of a stack of columns (unknowns, m)."""
+    y = np.zeros((x.shape[1],) + g.X1.shape, dtype=complex)
+    y[:, ops.unknown_mask] = x.T
+    return y
+
+
 class TestLinearOps:
     @pytest.mark.parametrize("grid_name, bc", [("grid32", "dirichlet0"),
                                                ("grid32", "neumann0"),
                                                ("disk_grid", "dirichlet0")])
     def test_matrix_matches_stencil(self, request, grid_name, bc):
-        # the implicit operator is the stencil Laplacian the energy balance
-        # and the functionals use, on fields that vanish off the unknowns
+        # the implicit substep inverts I - kappa L for the stencil Laplacian
+        # the energy balance and the functionals use, on fields that vanish
+        # off the unknowns: spectrally on the square, by its LU on the disk
         g = request.getfixturevalue(grid_name)
-        rng = np.random.default_rng(5)
         ops = build_linear_ops(g, bc)
-        y = (rng.standard_normal(g.X1.shape)
-             + 1j * rng.standard_normal(g.X1.shape)) * ops.unknown_mask
-        got = ops.L @ y[ops.unknown_mask]
-        want = laplacian(y, g, bc)[ops.unknown_mask]
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        rng = np.random.default_rng(5)
+        k = np.count_nonzero(ops.unknown_mask)
+
+        def stack():
+            return rng.standard_normal((k, 3)) + 1j * rng.standard_normal((k, 3))
+
+        def apply(kappa, sign, x):      # (I + sign kappa laplacian) x
+            y = unknown_field(g, ops, x)
+            return (y + sign * kappa * laplacian(y, g, bc))[:, ops.unknown_mask].T
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        kb = 1.0 + 0.4j
+        # imex_cn, imex_be and an imex_cn substep after one halving
+        for kappa in (0.5 * g.dt * kb, g.dt * kb, 0.25 * g.dt * kb):
+            b = stack()
+            x = ops.substep(kappa, SolveConfig(bc=bc, scheme="imex_be"))(b)
+            assert close(apply(kappa, -1, x), b)
+            v, s = stack(), stack()
+            for source, shift in ((None, 0.0), (lambda t: 0.0, s)):
+                cfg = SolveConfig(bc=bc, source=source)
+                x = ops.substep(kappa, cfg)(v, shift)
+                assert close(apply(kappa, -1, x), apply(kappa, 1, v) + shift)
 
 
 def fresh_grid(request, spec_name, n=32, nt=32):
-    # the factor cache lives on the grid, so each solve path needs its own
+    # the disk's factor cache lives on the grid, so each solve path needs its own
     return build_grid(request.getfixturevalue(spec_name), n, n, nt, 1.0)
 
 
-DOMAIN_BCS = [("square_spec", "dirichlet0"), ("square_spec", "neumann0"),
-              ("disk_spec", "dirichlet0")]
+def pivoting_lu_grid(request, monkeypatch, spec_name, bc, nt):
+    """A fresh grid whose solver takes scipy's default LU (COLAMD, partial
+    pivoting) of the stencil matrix, probed off ``laplacian``, on either
+    domain; returns it with the list of the factorised shapes."""
+    g = fresh_grid(request, spec_name, nt=nt)
+    mask = g.interior_mask if bc == "dirichlet0" else g.active_mask
+    idx = np.flatnonzero(mask)
+    g._linear_ops[bc] = _LinearOps(mask, L=_stencil_matrix(g, bc)[idx][:, idx])
+    default_splu, calls = spla.splu, []
+
+    def pivoting_splu(A, **_):
+        calls.append(A.shape)
+        return default_splu(A)
+
+    monkeypatch.setattr(spla, "splu", pivoting_splu)
+    return g, calls
+
+
+DISK_BC = [("disk_spec", "dirichlet0")]
+DOMAIN_BCS = [("square_spec", "dirichlet0"), ("square_spec", "neumann0")] + DISK_BC
 
 
 class TestFactorization:
-    @pytest.mark.parametrize("spec_name, bc", DOMAIN_BCS)
+    @pytest.mark.parametrize("spec_name, bc", DISK_BC)
     def test_lu_solves_without_row_swaps(self, request, spec_name, bc):
         g = fresh_grid(request, spec_name)
         ops = build_linear_ops(g, bc)
@@ -67,7 +113,7 @@ class TestFactorization:
             lu = _factorized(ops, kappa).__self__
             assert np.array_equal(lu.perm_r, lu.perm_c)
 
-    @pytest.mark.parametrize("spec_name, bc", DOMAIN_BCS)
+    @pytest.mark.parametrize("spec_name, bc", DISK_BC)
     def test_lu_fill_below_default_ordering(self, request, spec_name, bc):
         # minimum degree on A + A^T against COLAMD with partial pivoting; the
         # gap grows with the grid (0.63-0.71 of the default fill at 32^2,
@@ -86,23 +132,40 @@ class TestFactorization:
         ("square_spec", "dirichlet0", "imex_cn", 8.0)])
     def test_trajectories_match_pivoting_lu(self, request, monkeypatch,
                                             spec_name, bc, scheme, amplitude):
+        # the square's spectral solve and the disk's minimum-degree LU
+        # against a pivoting LU of the same stencil matrix
         cfg = SolveConfig(b=0.4, c=-1.3, bc=bc, scheme=scheme)
         g = fresh_grid(request, spec_name, nt=16)
         y0 = random_initial_field(g, seed=4, amplitude=amplitude, bc=bc)
         res = solve(y0, cfg, g)
         assert (res.substeps.max() > 1) == (amplitude > 1)
-
-        default_splu, calls = spla.splu, []
-
-        def pivoting_splu(A, **_):
-            calls.append(A.shape)
-            return default_splu(A)
-
-        monkeypatch.setattr(spla, "splu", pivoting_splu)
-        ref = solve(y0, cfg, fresh_grid(request, spec_name, nt=16))
+        ref_grid, calls = pivoting_lu_grid(request, monkeypatch, spec_name, bc, 16)
+        ref = solve(y0, cfg, ref_grid)
         assert len(calls) == len(set(res.substeps))
         assert np.array_equal(ref.substeps, res.substeps)
         assert np.abs(res.Y - ref.Y).max() <= 1e-12 * np.abs(ref.Y).max()
+
+    @pytest.mark.parametrize("scheme", ["imex_cn", "imex_be"])
+    def test_sourced_trajectory_matches_pivoting_lu(self, request, monkeypatch,
+                                                    scheme):
+        # the manufactured source takes the square's resolvent on its own
+        # under imex_cn, beside the Cayley factor of the state
+        coeffs = derive_coeffs(0.3, 0.4)
+        field = manufactured_reference()
+        g = fresh_grid(request, "square_spec", nt=16)
+        y0 = field.sample(g, times=np.array([0.0]))[0]
+
+        def run(grid):
+            cfg = SolveConfig(b=coeffs.b, c=coeffs.c, scheme=scheme,
+                              source=grid_source(field, grid, coeffs))
+            return solve(y0, cfg, grid).Y
+
+        Y = run(g)
+        ref_grid, calls = pivoting_lu_grid(request, monkeypatch, "square_spec",
+                                           "dirichlet0", 16)
+        ref = run(ref_grid)
+        assert calls
+        assert np.abs(Y - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestCubicFlow:
@@ -398,7 +461,7 @@ class TestZeroAndDisk:
             with pytest.raises(GridError, match="neumann0"):
                 call()
 
-    def test_failed_factorization_raises(self, square_spec, monkeypatch,
+    def test_failed_factorization_raises(self, disk_spec, monkeypatch,
                                          tmp_path, capsys):
         # I - kappa L is nonsingular on every admitted grid: a failing LU is
         # an error, not a switch to another solver
@@ -408,12 +471,16 @@ class TestZeroAndDisk:
             raise RuntimeError("factorization disabled")
 
         monkeypatch.setattr(spla, "splu", broken_splu)
-        g = build_grid(square_spec, 16, 16, 16, 0.5)
+        g = build_grid(disk_spec, 16, 16, 16, 0.5)
         y0 = random_initial_field(g, seed=3, amplitude=0.5, bc="dirichlet0")
         with pytest.raises(RuntimeError, match="factorization disabled"):
             solve(y0, SolveConfig(b=0.1, c=0.2, bc="dirichlet0"), g)
+        path = tmp_path / "disk.json"
+        path.write_text(json.dumps({"domain": {
+            "shape": "unit_disk", "omega_center": [0.0, 0.0], "omega_radius": 0.35}}))
         out = tmp_path / "out"
-        assert main(["--grid", "16", "--output-dir", str(out), "solve"]) == 1
+        assert main(["--config", str(path), "--grid", "16", "--output-dir", str(out),
+                     "solve"]) == 1
         err = capsys.readouterr().err
         assert "error: factorization disabled" in err
         assert "Traceback" not in err

@@ -149,8 +149,8 @@ def _oversized_suites(cfg: dict) -> dict:
     stability.deltas, each holding 16 (nx+1)(ny+1)(WINDOW+2) bytes of slices,
     and the scan's scan.n_trajectories members, each holding as much and
     also its stacked integrands, WINDOW slices of each, 8 (nx+1)(ny+1) bytes
-    a slice, and each cell's per-slice sums and live flags, 9 (nt-1) bytes
-    per row, over len(mus) x len(lambdas) cells per family of scan.variants
+    a slice, and each cell's per-slice sums, 8 (nt+1) bytes per row, over
+    len(mus) x len(lambdas) cells per family of scan.variants
     (bounded by taking each integrand at the volume's size and every row of
     TERMS)."""
     grid, scan, deltas = cfg["grid"], cfg["scan"], cfg["stability"]["deltas"]
@@ -165,7 +165,7 @@ def _oversized_suites(cfg: dict) -> dict:
     families = {VARIANT_FAMILY[v] for v in entries(scan["variants"]) if v in VARIANTS}
     cells = len(families) * len(entries(scan["mus"])) * len(entries(scan["lambdas"]))
     scan_each = held + 8 * WINDOW * nodes * len({t.integrand for t in TERMS}) \
-        + 9 * (nt - 1) * len(TERMS) * cells
+        + 8 * (nt + 1) * len(TERMS) * cells
     members = {"scan.n_trajectories": (scan["n_trajectories"], scan_each),
                "stability.deltas": (len(entries(deltas)) + 1, held)}
     return {path: f"{path}: a suite of {m} members would take {each} bytes "

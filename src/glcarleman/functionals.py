@@ -34,37 +34,37 @@ exact; reported totals are the raw bracket times exp(-log_scale).
 interior times, the boundary one |dy/dnu|^2 too (square only), with the log
 of its maximum over each time slice.  The weights do not depend on the
 trajectory: `lambda_scan` takes a suite slice by slice as it is solved,
-holds WINDOW + 2 time slices of it, prepares each trajectory once per window
-of WINDOW interior times into stacked buffers made once per scan, and drops
-the window, so that no trajectory is held and no integrand on all times.  A
-cell groups the rows of `TERMS` by their power p of phi and exponentiates
-one weight per group and window, W_p = exp(2 ell - log_scale + p log phi),
-flushed to exact zero wherever the argument is <= -700 and multiplied by the
-space quadrature weights; each row is then one dot product of W_p with g per
-time slice and trajectory.  On Sigma_0 the
-weight is flushed at the boundary nodes and multiplied by g and then by the
-signed d psi/d nu.  Per time slice, the extremes of 2 ell and log phi follow
+tiled by `grid.windows` with one halo slice on each side, prepares each
+trajectory once per window into stacked buffers made once per scan, and
+drops the window, so that no trajectory is held and no integrand on all
+times.  A cell groups the rows of `TERMS` by their power p of phi and
+exponentiates one weight per group and window,
+W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
+argument is <= -700 and multiplied by the space quadrature weights; each row
+is then one dot product of W_p with g per time slice and trajectory.  On
+Sigma_0 the weight is flushed at the boundary nodes and multiplied by g and
+then by the signed d psi/d nu.  Per time slice, the extremes of 2 ell and log phi follow
 from the spatial extremes of e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma
 with sigma > 0, and rounding is monotone, so they are exact) and bound the
 weight's argument from above, summed in its own order: a slice whose bound is
 <= -700 holds only zero weights and is not tabulated, and a row drops the
 slices where the bound plus log max g is <= -700, whose products lie below
-the window.  Time sums are compensated, over the kept per-slice sums of
-every window at once, so the window length does not move a bit.  Square
-corner nodes are excluded from all weighted integrals.
+the window: its sum is zero there.  Each row keeps its per-slice sums on all
+nt+1 nodes, zero at t = 0 and T, and its time integral is
+`grid.integrate_slices` of them, so the window length does not move a bit.
+Square corner nodes are excluded from all weighted integrals.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
-from .grid import (WINDOW, SpaceTimeGrid, boundary_values, grad, laplacian,
-                   normal_derivative, trace_breach)
+from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_slices,
+                   laplacian, normal_derivative, trace_breach, windows)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -253,8 +253,6 @@ class _CellQuadrature:
                       else self.logw_max
                       for p in {t.phi_power for t in TERMS}}
         self.wsp = grid.space_weights(exclude_corners=True).ravel()
-        _, wt_full = grid.time_weights("Q")
-        self.wt = wt_full[1:-1]          # endpoint integrands vanish (theta -> 0)
         self.omega = np.flatnonzero(grid.omega_mask)
 
     def live(self, data, rows: list, start: int) -> np.ndarray:
@@ -274,12 +272,12 @@ class _CellQuadrature:
         bound = np.stack([self.bound[t.phi_power][start:start + m] for t in rows])
         return ~(bound <= FLUSH_LOG) & ~(bound + log_gmax <= FLUSH_LOG)
 
-    def integrals(self, data, rows: list, start: int) -> tuple:
+    def integrals(self, data, rows: list, start: int) -> np.ndarray:
         """Per-slice sums of each row of `TERMS` over its region, without its
         lam and mu powers, for the stacked windows `data` of several
-        trajectories, which begin at interior slice `start`: (sums, live),
-        both (trajectories, rows, slices), where sums holds the time-weighted
-        dot products on the slices that `live` marks.
+        trajectories, which begin at interior slice `start`: (trajectories,
+        rows, slices), the dot products on the slices that `live` marks and
+        zero on the others.
 
         One flushed weight per phi power, on the slices of the window where
         it is not all zero, is shared by the rows of that power and by every
@@ -292,7 +290,7 @@ class _CellQuadrature:
                     for p in dict.fromkeys(t.phi_power for t in rows)}
         kept = np.concatenate(list(weighted.values()))
         if not kept.size:
-            return sums, live
+            return sums
         # 2 ell - log_scale and log phi on the slices some weight covers
         lo, hi = int(kept.min()), int(kept.max()) + 1
         sigma = self.tables.sigma[start + lo:start + hi, None]
@@ -301,7 +299,6 @@ class _CellQuadrature:
         logphi = self.exp_mu_psi[None] * sigma
         with np.errstate(divide="ignore"):
             np.log(logphi, out=logphi)
-        wt = self.wt[start:start + m]
         for p, kept in weighted.items():
             if not kept.size:
                 continue
@@ -330,11 +327,12 @@ class _CellQuadrature:
                     continue
                 r0, r1 = int(idx[0]), int(idx[-1]) + 1
                 term = rows[i]
-                sums[:, i, r0:r1] = self._row(
+                # a select, not a multiply: 0 x inf would be nan
+                sums[:, i, r0:r1] = np.where(live[:, i, r0:r1], self._row(
                     term, getattr(data, term.integrand).values[:, r0:r1],
-                    weights[term.region][r0 - a:r1 - a]) * wt[r0:r1]
+                    weights[term.region][r0 - a:r1 - a]), 0.0)
             del w, weights        # one weight table alive at a time
-        return sums, live
+        return sums
 
     def _row(self, term: Term, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(trajectories, slices): the dot products of one row's flushed
@@ -426,11 +424,6 @@ def _cell_reports(params: CarlemanParams, rows: list, integrals: list,
     return reports
 
 
-def _time_sums(sums: np.ndarray, live: np.ndarray) -> list:
-    """The compensated time sum of each row's live slices."""
-    return [math.fsum(s[l].tolist()) for s, l in zip(sums, live)]
-
-
 def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                   grid: SpaceTimeGrid) -> dict:
     """Both sides of the two inequalities of one weight family, for one
@@ -447,9 +440,10 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
                               "interior time")
     rows = _cell_rows(tables.params, grid)
     cell = _CellQuadrature(tables, grid)
-    sums, live = cell.integrals(_take(data, None), rows, 0)
-    return _cell_reports(tables.params, rows, _time_sums(sums[0], live[0]),
-                         cell.log_scale)
+    sums = np.zeros((len(rows), grid.nt + 1))       # zero at t = 0 and T
+    sums[:, 1:-1] = cell.integrals(_take(data, None), rows, 0)[0]
+    return _cell_reports(tables.params, rows,
+                         [integrate_slices(s, grid) for s in sums], cell.log_scale)
 
 
 # -- scans -------------------------------------------------------------------
@@ -484,18 +478,18 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     (lambda, mu), plus stabilization.
 
     The weights depend on the cell (family, mu, lambda) only, so each cell
-    tabulates them once for the whole suite.  The slices are held WINDOW + 2
-    at a time, one halo slice on each side for y_t: as soon as the last
-    slice of a window of interior times arrives, every member that requests
-    a variant is prepared on it once, each cell forms each flushed weight
-    once and dots it with the integrands of every member that requests a
-    variant of its family, and the window is dropped.  The per-slice sums of
-    each (member, cell, row) are kept, and each time sum is taken over all
-    of them at the end, so that every report is evaluate_cell's for that
-    trajectory and cell, bit for bit.  A member of the boundary family is
-    checked for a zero Dirichlet trace from running maxima of |y| on Gamma
-    and of |y| over every slice, before any report is built.  With no
-    variant requested, no slice is read.
+    tabulates them once for the whole suite.  `grid.windows` tiles the
+    interior times, with one halo slice on each side for y_t: as each window
+    arrives, every member that requests a variant is prepared on it once,
+    each cell forms each flushed weight once and dots it with the
+    integrands of every member that requests a variant of its family, and
+    the window is dropped.  The per-slice sums of each (member, cell, row)
+    are kept on all nt+1 nodes, and each time integral is taken over them
+    at the end, so that every report is evaluate_cell's for that trajectory
+    and cell, bit for bit.  A member of the boundary family is checked for
+    a zero Dirichlet trace from running maxima of |y| on Gamma and of |y|
+    over every slice, before any report is built.  With no variant
+    requested, no slice is read.
     """
     families = []
     for vs in variants:
@@ -513,63 +507,44 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     for family in dict.fromkeys(VARIANT_FAMILY[v] for vs in variants for v in vs):
         users = [j for j, k in enumerate(order) if family in families[k]]
         runs[family] = slice(users[0], users[-1] + 1)
-    n = grid.nt - 1
-    cells = []                   # (params, rows, quadrature, sums, live)
+    cells = []                   # (params, rows, quadrature, per-slice sums)
     for family, run in runs.items():
         for mu in mus:
             for lam in lambdas:
                 params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
                                         family=family)
                 rows = _cell_rows(params, grid)
-                shape = (run.stop - run.start, len(rows), n)
                 cells.append((params, rows,
                               _CellQuadrature(weight_tables(params, grid), grid),
-                              np.zeros(shape), np.zeros(shape, dtype=bool)))
-    width = min(WINDOW, n)
-    shape = (len(variants), grid.ny + 1, grid.nx + 1)
-    want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
-    # the slices of the window being filled, in the order of the members
-    ring = np.empty((len(order), width + 2) + shape[1:], dtype=complex)
-    stacked = None               # its integrands, shaped at the first window
+                              np.zeros((run.stop - run.start, len(rows), grid.nt + 1))))
+    stacked = None               # the window's integrands, shaped at the first
     j2 = runs.get("j2_boundary")
-    if j2 is not None:
-        trace, peak = np.zeros((2, j2.stop - j2.start))
-    start = held = 0             # the window's first interior slice; slices held
-    for t, S in enumerate(slices):
-        if t > grid.nt or S.shape != shape:
-            raise FunctionalError(want)
+    # the running maxima of |y| on Gamma and of |y| of each j2 member
+    maxima = dict.fromkeys(order[j2] if j2 is not None else [], (0.0, 0.0))
+    shape = (len(variants), grid.ny + 1, grid.nx + 1)
+    for first, block in windows(slices, grid, shape, halo=1):
         for j, k in enumerate(order):
-            ring[j, held] = S[k]
-        if j2 is not None:
-            Z = ring[j2, held]
-            np.maximum(trace, np.abs(boundary_values(Z, grid)).max(axis=-1), out=trace)
-            np.maximum(peak, np.abs(Z).max(axis=(-2, -1)), out=peak)
-        held += 1
-        # interior slices start..stop-1 are nodes start+1..stop: one halo each side
-        stop = min(start + WINDOW, n)
-        if held < stop - start + 2:
-            continue
-        for j in range(len(order)):
-            data = prepare_trajectory(ring[j, :held], grid, coeffs)
+            Y = block[k]
+            if k in maxima:
+                maxima[k] = (max(maxima[k][0], np.abs(boundary_values(Y, grid)).max()),
+                             max(maxima[k][1], np.abs(Y).max()))
+            data = prepare_trajectory(Y, grid, coeffs)
             if stacked is None:
                 stacked = _stacked(data, len(order))
             _fill(stacked, j, data)
         del data                 # before the cells form their weights
-        for params, rows, quad, sums, live in cells:
-            sums[..., start:stop], live[..., start:stop] = quad.integrals(
-                _take(stacked, runs[params.family], slice(stop - start)), rows, start)
-        # the next window's first halo slices are this one's last
-        ring[:, :2] = ring[:, held - 2:held]
-        start, held = stop, 2
-    if start < n:
-        raise FunctionalError(want)
-    if j2 is not None:
-        for trace_max, field_max in zip(trace, peak):
-            _check_trace(trace_breach(float(trace_max), float(field_max)))
+        # interior slice first - 1 is node first
+        w = block.shape[1] - 2
+        for params, rows, quad, sums in cells:
+            sums[..., first:first + w] = quad.integrals(
+                _take(stacked, runs[params.family], slice(w)), rows, first - 1)
+    for trace_max, field_max in maxima.values():
+        _check_trace(trace_breach(float(trace_max), float(field_max)))
     reports = [{v: [] for v in vs} for vs in variants]
-    for params, rows, quad, sums, live in cells:
+    for params, rows, quad, sums in cells:
         for i, k in enumerate(order[runs[params.family]]):
-            cell = _cell_reports(params, rows, _time_sums(sums[i], live[i]),
+            cell = _cell_reports(params, rows,
+                                 [integrate_slices(s, grid) for s in sums[i]],
                                  quad.log_scale)
             for v in reports[k].keys() & cell.keys():
                 reports[k][v].append(cell[v])

@@ -29,9 +29,10 @@ lacks three active neighbours inward, which no disk grid of n = 16...1985
 
 Quadrature reductions use a fixed summation order: each time slice is
 reduced against the weights by one np.einsum (volume; alike in any stack of
-slices, see ``space_sums``) or matrix-vector product (boundary), and the
-per-slice sums are combined with math.fsum, so repeated runs give
-bit-identical results.
+slices, see ``space_sums``) or matrix-vector product (boundary), and every
+time integral is ``integrate_slices``, one math.fsum of per-slice sums, so
+repeated runs give bit-identical results.  ``windows`` tiles the time
+slices of each streamed suite, so that neither suite holds a trajectory.
 """
 
 from __future__ import annotations
@@ -432,9 +433,34 @@ def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
     nb = grid.boundary_weights.size
     if g.shape != (grid.nt + 1, nb):
         raise GridError(f"expected boundary samples of shape (nt+1, {nb}), got {g.shape}")
-    _, wt = grid.time_weights("Q")
-    per_t = g @ grid.boundary_weights
-    return float(math.fsum((per_t * wt).tolist()))
+    return integrate_slices(g @ grid.boundary_weights, grid)
+
+
+def windows(slices, grid: SpaceTimeGrid, shape: tuple, halo: int):
+    """(first, block) for each run of at most WINDOW nodes, in order, that
+    tiles the nodes halo ... nt - halo of a suite given as its nt+1 time
+    slices of `shape` (members, ny+1, nx+1): block, yielded as the run's
+    last slice arrives, is a view (members, slices, ny+1, nx+1) of the run
+    and `halo` neighbours on each side, into one buffer that the next run
+    overwrites.  GridError unless exactly nt+1 slices of `shape` arrive."""
+    end = grid.nt + 1 - halo               # one past the last node tiled
+    want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
+    buf = np.empty((shape[0], min(WINDOW, end - halo) + 2 * halo) + shape[1:],
+                   dtype=complex)
+    first, held = halo, 0
+    for t, S in enumerate(slices):
+        if t > grid.nt or S.shape != shape:
+            raise GridError(want)
+        buf[:, held] = S
+        held += 1
+        stop = min(first + WINDOW, end)
+        if held == stop - first + 2 * halo:
+            yield first, buf[:, :held]
+            # the next run's first halo slices are this one's last
+            buf[:, :2 * halo] = buf[:, held - 2 * halo:held]
+            first, held = stop, 2 * halo
+    if first < end:
+        raise GridError(want)
 
 
 def boundary_values(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:

@@ -297,12 +297,15 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     stiffness cap, and each group shares one cubic flow and one implicit
     solve per substep: batched transforms on the square, a stencil product
     and a multi-column LU solve on the disk.  Those act column by column, so
-    each member gets exactly the values, substep schedule and source samples
-    it would get marched alone.  NaN/Inf after any substep aborts.
+    each member gets exactly the values and substep schedule it would get
+    marched alone.  A source is taken for a stack of one member only (the
+    manufactured study's).  NaN/Inf after any substep aborts.
     """
     Y0 = grid.check_field(np.asarray(Y0, dtype=complex), "initial data")
     if Y0.ndim != 3:
         raise GridError("march takes a stack of initial data (m, ny+1, nx+1)")
+    if cfg.source is not None and len(Y0) > 1:
+        raise GridError("march takes a source for a stack of one member only")
     ops = build_linear_ops(grid, cfg.bc)
     # flat indices of the unknowns: scattering by them is 3x faster than by
     # the boolean mask
@@ -325,17 +328,13 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     u = Y0.reshape(m, -1)[:, unknown].T      # (unknowns, m)
     yield slices(u, np.zeros(m, dtype=int))
     # the source at the end of each substep is carried to the next one, so
-    # every time is sampled once; a member carries its own, as its last
-    # substep may end at a time that differs from another's in the last bit
-    f_end = [src(grid.t_nodes[0])] * m
+    # every time is sampled once
+    f = src(grid.t_nodes[0])
     for k in range(grid.nt):
         subs = [required_substeps(u[:, i], grid.dt) for i in range(m)]
         for n_sub in sorted(set(subs)):
             idx = [i for i in range(m) if subs[i] == n_sub]
             v = u if len(idx) == m else u[:, idx]
-            f = f_end[idx[0]]
-            if cfg.source is not None and any(f_end[i] is not f for i in idx):
-                f = np.concatenate([f_end[i] for i in idx], axis=1)
             dt_sub = grid.dt / n_sub
             for j in range(n_sub):
                 tj = grid.t_nodes[k] + j * dt_sub
@@ -354,8 +353,6 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
                 u = v
             else:
                 u[:, idx] = v
-            for i in idx:
-                f_end[i] = f
         yield slices(u, np.array(subs))
 
 

@@ -15,16 +15,17 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
 
 The difference z is always computed from the two solves; no difference
 equation is ever formed.  `perturbation_suite` marches u2 and every u1 in
-lockstep (`solver.march`) and holds WINDOW time slices of them at a time.
+lockstep (`solver.march`), and `grid.windows` tiles their time slices.
 Each window is reduced, then dropped: to the space integrals of |u|^6 of
 every member and of |z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of every
 difference, with one gradient per window; to the running maxima of the
 Dirichlet-trace check; and to the boundary samples |dz/dnu|^2, which are
 kept, since one slice of them is a boundary's worth of nodes.  A
 `PreparedDifference` holds the nt+1 per-slice integrals and the
-observations, and every eps report takes its Q_eps integral from them.
-The per-slice integrals and time sums are those of the whole-trajectory
-reductions, bit for bit, whatever the window length.
+observations, and every eps report takes its Q_eps integral from them by
+`grid.integrate_slices`.  The per-slice integrals and time integrals are
+those of the whole-trajectory reductions, bit for bit, whatever the window
+length.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (WINDOW, SpaceTimeGrid, boundary_values, grad, integrate_sigma,
-                   integrate_slices, normal_derivative, space_sums, trace_breach)
+from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_sigma,
+                   integrate_slices, normal_derivative, space_sums, trace_breach,
+                   windows)
 from .solver import SolveConfig, march
 
 
@@ -94,32 +96,32 @@ class PreparedDifference:
 
 
 def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
-    """The reductions of a window Z (w, m, ny+1, nx+1) of m differences:
-    (w, m) space integrals, (m,) maxima and (w, m, nb) boundary samples."""
+    """The reductions of a window Z (m, w, ny+1, nx+1) of m differences:
+    (m, w) space integrals, (m,) maxima and (m, w, nb) boundary samples."""
     wsp = grid.quad_weights_space
     az2 = np.abs(Z) ** 2
     out = {"energy": space_sums(az2 + _grad_sq(Z, grid), wsp)}
     if "interior" in variants:
         out["interior"] = space_sums(az2 + az2 ** 2, wsp * grid.omega_mask)
     if "boundary" in variants:
-        out["trace"] = np.abs(boundary_values(Z, grid)).max(axis=(0, 2))
-        out["peak"] = np.abs(Z).max(axis=(0, 2, 3))
+        out["trace"] = np.abs(boundary_values(Z, grid)).max(axis=(1, 2))
+        out["peak"] = np.abs(Z).max(axis=(1, 2, 3))
         out["boundary"] = np.abs(normal_derivative(Z, grid)) ** 2
     return out
 
 
-def _prepare(windows: list, grid: SpaceTimeGrid, c_u2: float, c_u1s,
+def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1s,
              variants) -> list:
     """A PreparedDifference for each difference, from the reductions of the
     windows that tile its time slices in order.
 
     For "boundary", each difference must carry a zero Dirichlet trace.
     """
-    cat = {key: np.concatenate([w[key] for w in windows])
+    cat = {key: np.concatenate([w[key] for w in reductions], axis=1)
            for key in ("energy", *variants)}
     if "boundary" in variants:
-        traces = np.max([w["trace"] for w in windows], axis=0)
-        peaks = np.max([w["peak"] for w in windows], axis=0)
+        traces = np.max([w["trace"] for w in reductions], axis=0)
+        peaks = np.max([w["peak"] for w in reductions], axis=0)
         for trace, peak in zip(traces, peaks):
             if breach := trace_breach(float(trace), float(peak)):
                 raise StabilityError(
@@ -129,14 +131,14 @@ def _prepare(windows: list, grid: SpaceTimeGrid, c_u2: float, c_u1s,
     for i, c_u1 in enumerate(c_u1s):
         obs = {}
         if "interior" in variants:
-            obs["interior"] = integrate_slices(cat["interior"][:, i], grid, "Q_omega")
+            obs["interior"] = integrate_slices(cat["interior"][i], grid, "Q_omega")
         if "boundary" in variants:
             # laid out as normal_derivative lays out a whole trajectory's
             # samples, time fastest: BLAS sums each time's row in the order
             # that the layout gives
             obs["boundary"] = integrate_sigma(
-                np.asfortranarray(cat["boundary"][:, i]), grid)
-        out.append(PreparedDifference(energy=cat["energy"][:, i], obs=obs,
+                np.asfortranarray(cat["boundary"][i]), grid)
+        out.append(PreparedDifference(energy=cat["energy"][i], obs=obs,
                                       c_u2=c_u2, c_u1=c_u1))
     return out
 
@@ -151,7 +153,7 @@ def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
     For "boundary", z must carry a zero Dirichlet trace.
     """
     z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    (d,) = _prepare([_window_sums(z[:, None], grid, variants)], grid, c_u2,
+    (d,) = _prepare([_window_sums(z[None], grid, variants)], grid, c_u2,
                     [c_u1], variants)
     return d
 
@@ -195,21 +197,19 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
                        variants=("interior", "boundary")) -> list:
     """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps.
 
-    u2 and every u1 are marched together; each WINDOW time slices of them
-    are reduced and dropped, so that no trajectory is held.
+    u2 and every u1 are marched together; each window of their time slices
+    is reduced and dropped, so that no trajectory is held.
     """
     Y0 = np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas])
-    sixth, windows, held = [], [], []
-    for k, step in enumerate(march(Y0, cfg, grid)):
-        held.append(step.Y)
-        if len(held) == WINDOW or k == grid.nt:
-            U = np.stack(held)           # (slices, u2 and each u1, ny+1, nx+1)
-            held = []
-            sixth.append(l6_slice_sums(U, grid))
-            windows.append(_window_sums(U[:, 1:] - U[:, :1], grid, variants))
-    c_u = [_linf_l6(member) ** 8 for member in np.concatenate(sixth).T]
+    sixth, sums = [], []
+    for _, U in windows((step.Y for step in march(Y0, cfg, grid)), grid,
+                        Y0.shape, halo=0):
+        # U: (u2 and each u1, slices, ny+1, nx+1)
+        sixth.append(l6_slice_sums(U, grid))
+        sums.append(_window_sums(U[1:] - U[:1], grid, variants))
+    c_u = [_linf_l6(member) ** 8 for member in np.concatenate(sixth, axis=1)]
     reports = []
-    for delta, d in zip(deltas, _prepare(windows, grid, c_u[0], c_u[1:], variants)):
+    for delta, d in zip(deltas, _prepare(sums, grid, c_u[0], c_u[1:], variants)):
         for eps in eps_list:
             if "interior" in variants:
                 reports.append(stability_interior(d, grid, eps, delta=delta))

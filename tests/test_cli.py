@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from glcarleman import cli, functionals, identity, stability
 from glcarleman.cli import main
 from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
+from glcarleman.grid import WINDOW
 from glcarleman.solver import load_trajectory
 
 
@@ -438,15 +439,15 @@ def counted_scan16(tmp_path_factory):
 
 class TestScanPass:
     def test_prepares_each_trajectory_once(self, counted_scan16):
-        # window by window: each member's window sits at the start of its own
-        # row of the scan's slice buffer, with one halo node on each side,
-        # and its windows together hold every interior time of it once
+        # window by window: the slice buffer of grid.windows is member-major,
+        # so each member's window sits at the start of its own row of it,
+        # with one halo node on each side, and its windows together hold
+        # every interior time of it once
         windows = {}
         for Y, *_ in counted_scan16[0]:
             windows.setdefault(Y.__array_interface__["data"][0], []).append(
                 Y.shape[0] - 2)
-        per_member = [min(functionals.WINDOW, 15 - i)
-                      for i in range(0, 15, functionals.WINDOW)]
+        per_member = [min(WINDOW, 15 - i) for i in range(0, 15, WINDOW)]
         assert list(windows.values()) \
             == [per_member] * DEFAULTS["scan"]["n_trajectories"]
 
@@ -488,7 +489,7 @@ class TestScanPass:
 
 def test_scan_peak_memory(tmp_path):
     # The suite is marched in lockstep and each window of
-    # functionals.WINDOW = 4 interior slices is scanned as soon as its last
+    # grid.WINDOW = 4 interior slices is scanned as soon as its last
     # halo slice is solved, so no trajectory is held.  The peak is about
     # 9.8 complex space-time trajectories: the stacked integrands of one
     # window (2.8), each cell's weight tables (1.7), the slice buffer (0.9),
@@ -508,11 +509,10 @@ def test_scan_peak_memory(tmp_path):
 
 def test_scan_peak_memory_does_not_grow_with_nt(tmp_path):
     # windows of slices are scanned and dropped; what grows with nt is each
-    # cell's per-slice sums and live marks, 9 bytes per (member, row,
-    # slice), and each cell's per-slice weight bounds and time weights
-    # (138 KB from nt = 16 to 64, measured), inside a margin of three
-    # quarters of one 32^2 x 16 trajectory; holding the suite, as the scan
-    # once did, grew by 4.98 MB
+    # cell's per-slice sums, 8 bytes per (member, row, time node), and each
+    # cell's per-slice weight bounds, inside a margin of three quarters of
+    # one 32^2 x 16 trajectory; holding the suite, as the scan once did,
+    # grew by 4.98 MB
     peaks = []
     for nt in (16, 64):
         cfg = tmp_path / f"nt{nt}.json"
@@ -531,14 +531,14 @@ def test_scan_peak_memory_does_not_grow_with_nt(tmp_path):
     rows = {family: sum(any(functionals.VARIANT_FAMILY[v] == family
                             for v in t.variants) for t in functionals.TERMS)
             for family in members}
-    sums = 9 * (64 - 16) * len(sc["mus"]) * len(sc["lambdas"]) \
+    sums = 8 * (64 - 16) * len(sc["mus"]) * len(sc["lambdas"]) \
         * sum(members[f] * rows[f] for f in members)
     assert peaks[1] - peaks[0] < sums + 0.75 * 33 * 33 * 17 * 16
 
 
 @pytest.fixture(scope="module")
 def counted_stability16(tmp_path_factory):
-    """A 16^3 seed-7 stability run: (the (slices, fields) of each gradient
+    """A 16^3 seed-7 stability run: (the (fields, slices) of each gradient
     call, the same of each L^6 slice-sum call, CSV rows)."""
     tmp = tmp_path_factory.mktemp("stability16")
     with pytest.MonkeyPatch.context() as mp:
@@ -552,21 +552,21 @@ def counted_stability16(tmp_path_factory):
 
 
 # the window lengths that tile the 17 time slices of a 16^3 run, in order
-WINDOWS16 = [min(stability.WINDOW, 17 - i) for i in range(0, 17, stability.WINDOW)]
+WINDOWS16 = [min(WINDOW, 17 - i) for i in range(0, 17, WINDOW)]
 
 
 class TestStabilityPass:
     def test_one_gradient_per_difference(self, counted_stability16):
-        # one call per window, on that window of every difference: each
-        # difference's gradient is taken once on each time slice
+        # one call per window, on that window of every difference, member
+        # first: each difference's gradient is taken once on each time slice
         n_deltas = len(DEFAULTS["stability"]["deltas"])
-        assert counted_stability16[0] == [(w, n_deltas) for w in WINDOWS16]
+        assert counted_stability16[0] == [(n_deltas, w) for w in WINDOWS16]
 
     def test_norms_once_per_difference(self, counted_stability16):
-        # one call per window, on that window of u2 and every u1: each
-        # member's L^inf L^6 is taken once on each time slice
+        # one call per window, on that window of u2 and every u1, member
+        # first: each member's L^inf L^6 is taken once on each time slice
         n_members = 1 + len(DEFAULTS["stability"]["deltas"])
-        assert counted_stability16[1] == [(w, n_members) for w in WINDOWS16]
+        assert counted_stability16[1] == [(n_members, w) for w in WINDOWS16]
 
     def test_row_order(self, counted_stability16):
         # delta, then eps, then interior before boundary

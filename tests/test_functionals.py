@@ -1,5 +1,4 @@
 import json
-import math
 import re
 from types import SimpleNamespace
 
@@ -14,7 +13,7 @@ from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
                                     _flush_exp, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import build_grid, normal_derivative
+from glcarleman.grid import GridError, build_grid, integrate_slices, normal_derivative
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
 
@@ -34,11 +33,18 @@ def one_window(g):
     return SimpleNamespace(g=Integrand(g.values[None], g.log_slice_max[None]))
 
 
+def time_integral(per_slice, grid, keep=None):
+    """integrate_slices of per-slice sums on the interior times, taken as
+    zero at t = 0 and T and on the slices that `keep` drops."""
+    sums = np.zeros(grid.nt + 1)
+    sums[1:-1] = per_slice if keep is None else np.where(keep, per_slice, 0.0)
+    return integrate_slices(sums, grid)
+
+
 def integral(cell, g, phi_power=0, region="Q"):
     """int theta^2 phi^phi_power g over one region, g an Integrand."""
     term = Term("g", "lhs", frozenset(), "g", 0, 0, phi_power, region)
-    sums, live = cell.integrals(one_window(g), [term], 0)
-    return math.fsum(sums[0, 0][live[0, 0]].tolist())
+    return time_integral(cell.integrals(one_window(g), [term], 0)[0, 0], cell.grid)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +189,7 @@ def boundary_reference(cell, dnu_abs2):
     bphi = b_exp_mu_psi[None, :] * sig
     vals = flushed(two_ell + 1 * np.log(bphi)) * g * cell.tables.b_dpsi_dnu
     per_t = np.vecdot(vals, cell.grid.boundary_weights)
-    return float(math.fsum((per_t * cell.wt)[row_live(cell, 1, g)].tolist()))
+    return time_integral(per_t, cell.grid, row_live(cell, 1, g))
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +311,7 @@ class TestScan:
         # the number nonzero_trace reads off the whole trajectory, though
         # the scan sees its slices a window at a time; as an interior-only
         # member it passes
-        monkeypatch.setattr(functionals, "WINDOW", 3)
+        monkeypatch.setattr("glcarleman.grid.WINDOW", 3)
         checked, built = [], []
         check, cell_reports = functionals._check_trace, functionals._cell_reports
         monkeypatch.setattr(functionals, "_check_trace",
@@ -330,7 +336,7 @@ class TestScan:
         lambda Y: iter(Y[:-1, None]), lambda Y: iter(np.concatenate([Y, Y])[:, None]),
         lambda Y: iter(Y[:, None, 1:])], ids=["too-few", "too-many", "wrong-shape"])
     def test_slices_must_cover_the_grid(self, grid32, dirichlet_traj, slices):
-        with pytest.raises(FunctionalError, match="nt\\+1 = 33 arrays"):
+        with pytest.raises(GridError, match="nt\\+1 = 33 arrays"):
             lambda_scan(slices(dirichlet_traj), [["interior"]], grid32, [2, 4], [2.0],
                         COEFFS)
 
@@ -416,8 +422,9 @@ class TestCellQuadrature:
         theta2 = np.exp(log_theta2(tables) - cell.log_scale)
         for p in (-1, 0, 2):
             direct = theta2 * phi(tables) ** p * g
-            expect = np.sum(direct * grid32.space_weights(exclude_corners=True),
-                            axis=(1, 2)) @ cell.wt
+            expect = time_integral(np.sum(
+                direct * grid32.space_weights(exclude_corners=True), axis=(1, 2)),
+                grid32)
             assert integral(cell, Integrand.of(g), p) \
                 == pytest.approx(expect, rel=1e-13)
 
@@ -489,10 +496,9 @@ def cell_calls(grid32, dirichlet_traj):
         calls, flushes = [], []
 
         def counted_integrals(self, data, rows, start):
-            sums, live = integrals(self, data, rows, start)
-            calls.append((self, rows, [math.fsum(s[l].tolist())
-                                       for s, l in zip(sums[0], live[0])]))
-            return sums, live
+            sums = integrals(self, data, rows, start)
+            calls.append((self, rows, [time_integral(s, self.grid) for s in sums[0]]))
+            return sums
 
         def counted_flush(arg):
             flushes.append(arg.shape[0])
@@ -525,7 +531,7 @@ class TestSliceSkip:
             g = getattr(data, term.integrand).values
             sums = flushed_slices(cell, term, g)
             live = row_live(cell, term.phi_power, g)
-            assert value == math.fsum((sums * cell.wt)[live].tolist()), term.name
+            assert value == time_integral(sums, cell.grid, live), term.name
 
     def test_skipped_slices_hold_exact_zeros(self, cell_calls, name):
         # a dropped slice holds exact zeros where the weight's bound is below
@@ -568,7 +574,7 @@ class TestSliceSkip:
             sums = flushed_slices(cell, TERMS[0]._replace(phi_power=p), g)
             assert sums.any()
             assert integral(cell, Integrand.of(g), p) \
-                == math.fsum((sums * cell.wt).tolist())
+                == time_integral(sums, cell.grid)
 
 
 @pytest.mark.parametrize("family", ["j1_interior", "j2_boundary"])
@@ -611,7 +617,7 @@ def log_form_row(cell, term, g):
         wsp = cell.wsp * (cell.grid.omega_mask.ravel()
                           if term.region == "Q_omega" else 1.0)
         per_t = flushed(arg) @ wsp
-    value = math.fsum((per_t * cell.wt).tolist())
+    value = time_integral(per_t, cell.grid)
     return params.lam ** lam_power * params.mu ** term.mu_power * value
 
 
@@ -725,7 +731,7 @@ def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, window,
     # every window length, down to one slice, gives each trajectory the
     # reports of one evaluate_cell per cell on its whole time range, bit for bit
     grid, suite = suites16[domain]
-    monkeypatch.setattr(functionals, "WINDOW", window)
+    monkeypatch.setattr("glcarleman.grid.WINDOW", window)
     scans = scan_trajectories(suite, grid, SCAN_LAMBDAS, SCAN_MUS, COEFFS)
     assert len(scans) == len(suite)
     for (Y, variants), member in zip(suite, scans):

@@ -1,9 +1,10 @@
-"""src/ holds only what the commands run.
+"""src/ holds only what the commands run, and each rule in one place.
 
 Every top-level function or class of the package, private functions
 included, and every public method of its classes is read somewhere in src/
 outside its own definition, or is kept below for a stated reason.  Code
-that only the tests read belongs under tests/.
+that only the tests read belongs under tests/.  Every time integral is
+grid.integrate_slices, and grid.windows tiles every streamed pass.
 """
 
 import ast
@@ -45,11 +46,17 @@ def _definitions(tree):
                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
 
 
+def _modules() -> dict:
+    """{module name: syntax tree} of src/."""
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py"))}
+
+
 def _reads_outside_definition(public: bool) -> dict:
     """Each public top-level name (public=True), or each private top-level
     function or class and public method (public=False) -> its reads
     elsewhere in src/."""
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    trees = _modules().values()
     total = sum((_references(t) for t in trees), Counter())
     return {node.name: total[node.name] - _references(node)[node.name]
             for tree in trees for node, top_public in _definitions(tree)
@@ -71,3 +78,20 @@ def test_every_kept_name_is_defined_and_unread():
     reads = {**_reads_outside_definition(public=True),
              **_reads_outside_definition(public=False)}
     assert {n: reads.get(n) for n in KEPT} == {n: 0 for n in KEPT}
+
+
+def test_one_time_rule():
+    # math.fsum is read once, in grid.integrate_slices: a change to the time
+    # quadrature is a change to that function alone
+    modules = _modules()
+    reads = {mod: _references(tree)["fsum"] for mod, tree in modules.items()}
+    (rule,) = [node for node in modules["grid"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "integrate_slices"]
+    assert {mod: k for mod, k in reads.items() if k} == {"grid": 1}
+    assert _references(rule)["fsum"] == 1
+
+
+def test_window_read_in_grid_and_config_only():
+    # grid.windows owns the window length; config bounds what it holds
+    assert {mod for mod, tree in _modules().items()
+            if _references(tree)["WINDOW"]} == {"grid", "config"}

@@ -383,16 +383,16 @@ class TestMarch:
                        for s, a in enumerate((8.0, 1.0, 0.5, 2.0, 1.0, 0.25, 0.5, 1.5))])
         assert_march_is_solo(Y0, cfg, g)
 
-    def test_stack_with_source_is_solo_solves(self, square_spec):
-        # members on different substep counts carry their own source samples
-        # into the step where they join one group again
+    def test_stack_with_source_rejected(self, square_spec):
+        # only the manufactured study takes a source, and it marches one
+        # member: a sourced stack of more than one is refused before a step
         g = build_grid(square_spec, 32, 32, 16, 0.5)
         coeffs = derive_coeffs(0.3, 0.4)
         ref = manufactured_reference()
         cfg = SolveConfig(b=coeffs.b, c=coeffs.c, source=grid_source(ref, g, coeffs))
         y0 = ref.sample(g, times=np.array([0.0]))[0]
-        w = random_initial_field(g, seed=5, amplitude=8.0, bc="dirichlet0")
-        assert_march_is_solo(np.stack([y0, y0 + w, y0 + 0.5 * w]), cfg, g)
+        with pytest.raises(GridError, match="one member only"):
+            next(march(np.stack([y0, y0]), cfg, g))
 
 
 def sample_source(field, grid, coeffs):

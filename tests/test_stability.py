@@ -196,7 +196,7 @@ class TestSuite:
     def test_streamed_suite_matches_stored_trajectories(
             self, request, monkeypatch, window, spec, n, deltas, variants):
         # windows of 1 and 3 slices, and one window holding every slice
-        monkeypatch.setattr(stability, "WINDOW", window)
+        monkeypatch.setattr("glcarleman.grid.WINDOW", window)
         grid = build_grid(request.getfixturevalue(spec), n, n, 16, 1.0)
         cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
         y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")

@@ -291,7 +291,8 @@ def _d1(f, h, axis):
     """First derivative: centered interior, one-sided second order at ends."""
     f = np.moveaxis(f, axis, -1)
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * h)
+    inner = np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    inner /= 2 * h
     out[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * h)
     out[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * h)
     return np.moveaxis(out, -1, axis)

@@ -122,7 +122,10 @@ class _LinearOps:
                 # a complex product: a stack would round otherwise than each
                 # of its members marched alone
                 Lv = self.L @ v
-                return lu(v + kappa * Lv + s)
+                rhs = v + kappa * Lv
+                if cfg.source is not None:
+                    rhs += s
+                return lu(rhs)
             return crank_nicolson
         # the transform applied twice is 4 n^2 times the identity
         res = 1.0 / (4 * self.n ** 2 * (1.0 - kappa * self.lam))
@@ -253,15 +256,25 @@ def _factorized(ops: _LinearOps, kappa: complex):
 # ---------------------------------------------------------------------------
 
 def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
-    """Exact flow of y' = -(1+ic)|y|^2 y over time tau >= 0."""
-    m = 1.0 + 2.0 * tau * np.abs(y) ** 2
+    """Exact flow of y' = -(1+ic)|y|^2 y over time tau >= 0:
+    y (1 + 2 tau |y|^2)^(-1/2) (cos theta + i sin theta), theta =
+    -c/2 log(1 + 2 tau |y|^2), each temporary written in place."""
+    m = np.abs(y)
+    np.square(m, out=m)
+    m *= 2.0 * tau
+    m += 1.0
     # the unit phase exp(-ic/2 log m) from real cos and sin, which numpy
-    # vectorises and its complex exp does not
-    theta = (-0.5 * c) * np.log(m)
+    # vectorises and its complex exp does not; rot is C-ordered and each
+    # part filled from a contiguous array, as cos and sin slow down on a
+    # strided output
+    theta = np.log(m)
+    theta *= -0.5 * c
     rot = np.empty(theta.shape, dtype=complex)
     rot.real = np.cos(theta)
-    rot.imag = np.sin(theta)
-    return y * m ** (-0.5) * rot
+    rot.imag = np.sin(theta, out=theta)
+    out = y * np.power(m, -0.5, out=m)
+    out *= rot
+    return out
 
 
 def required_substeps(state: np.ndarray, dt: float) -> int:
@@ -300,6 +313,11 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     each member gets exactly the values and substep schedule it would get
     marched alone.  A source is taken for a stack of one member only (the
     manufactured study's).  NaN/Inf after any substep aborts.
+
+    The first step's implicit operators are formed before t_0 is yielded,
+    so the disk's LU factorisation, the march's largest transient, comes
+    before the caller has allocated anything for the slices.  The stack Y0
+    is not held once its unknowns are copied out.
     """
     Y0 = grid.check_field(np.asarray(Y0, dtype=complex), "initial data")
     if Y0.ndim != 3:
@@ -311,27 +329,39 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     # the boolean mask
     unknown = np.flatnonzero(ops.unknown_mask)
     m = len(Y0)
-    kb = 1.0 + 1j * cfg.b
-    # each kappa's symbols are formed once per march (the disk's LU once per
-    # grid)
-    implicit = functools.cache(lambda kappa: ops.substep(kappa, cfg))
+    # kappa = dt_sub (1 + ib), halved under Crank-Nicolson
+    kb = (0.5 if cfg.scheme == "imex_cn" else 1.0) * (1.0 + 1j * cfg.b)
+    # each substep count's symbols are formed once per march (the disk's LU
+    # once per grid)
+    implicit = functools.cache(
+        lambda n_sub: ops.substep(grid.dt / n_sub * kb, cfg))
 
     def src(t):
         return 0.0 if cfg.source is None \
             else np.asarray(cfg.source(t), dtype=complex).ravel()[unknown][:, None]
 
+    shape = Y0.shape
+
     def slices(u, subs):
-        Y = np.zeros((m, Y0[0].size), dtype=complex)
-        Y[:, unknown] = u.T
-        return MarchStep(Y.reshape(Y0.shape), subs)
+        Y = np.zeros(shape, dtype=complex)
+        Y.reshape(m, -1)[:, unknown] = u.T
+        return MarchStep(Y, subs)
+
+    def schedule(u):
+        return [required_substeps(u[:, i], grid.dt) for i in range(m)]
 
     u = Y0.reshape(m, -1)[:, unknown].T      # (unknowns, m)
+    del Y0
+    subs = schedule(u)
+    for n_sub in set(subs):
+        implicit(n_sub)
     yield slices(u, np.zeros(m, dtype=int))
     # the source at the end of each substep is carried to the next one, so
     # every time is sampled once
     f = src(grid.t_nodes[0])
     for k in range(grid.nt):
-        subs = [required_substeps(u[:, i], grid.dt) for i in range(m)]
+        if k:
+            subs = schedule(u)
         for n_sub in sorted(set(subs)):
             idx = [i for i in range(m) if subs[i] == n_sub]
             v = u if len(idx) == m else u[:, idx]
@@ -341,12 +371,12 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
                 f_start, f = f, src(tj + dt_sub)
                 if cfg.scheme == "imex_cn":
                     v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
-                    v = implicit(0.5 * dt_sub * kb)(v, 0.5 * dt_sub * (f_start + f))
+                    v = implicit(n_sub)(v, 0.5 * dt_sub * (f_start + f))
                     v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
                 else:
                     cubic = -(1 + 1j * cfg.c) * np.abs(v) ** 2 * v
                     rhs = v + dt_sub * cubic + dt_sub * f
-                    v = implicit(dt_sub * kb)(rhs)
+                    v = implicit(n_sub)(rhs)
                 if not np.all(np.isfinite(v)):
                     raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
             if len(idx) == m:

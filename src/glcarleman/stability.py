@@ -16,11 +16,13 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
 The difference z is always computed from the two solves; no difference
 equation is ever formed.  `perturbation_suite` marches u2 and every u1 in
 lockstep (`solver.march`), and `grid.windows` tiles their time slices.
-Each window is reduced, then dropped: to the space integrals of |u|^6 of
-every member and of |z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of every
-difference, with one gradient per window; to the running maxima of the
-Dirichlet-trace check; and to the boundary samples |dz/dnu|^2, which are
-kept, since one slice of them is a boundary's worth of nodes.  A
+Each window is reduced one member and one difference at a time, then
+dropped: to the space integrals of |u|^6 of each member and of
+|z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of each difference, whose
+window takes one gradient; to the running maxima of the Dirichlet-trace
+check; and to the boundary samples |dz/dnu|^2, which are kept, since one
+slice of them is a boundary's worth of nodes.  So the temporaries beside
+the window are one difference's, not the whole stack's.  A
 `PreparedDifference` holds the nt+1 per-slice integrals and the
 observations, and every eps report takes its Q_eps integral from them by
 `grid.integrate_slices`.  The per-slice integrals and time integrals are
@@ -81,8 +83,13 @@ def linf_l6_norm(U: np.ndarray, grid: SpaceTimeGrid) -> float:
 
 
 def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """|grad Z|^2, each temporary written in place."""
     g1, g2 = grad(Z, grid)
-    return np.abs(g1) ** 2 + np.abs(g2) ** 2
+    out = np.abs(g1)
+    np.square(out, out=out)
+    sq = np.abs(g2)
+    np.square(sq, out=sq)
+    return np.add(out, sq, out=out)
 
 
 @dataclass
@@ -96,51 +103,49 @@ class PreparedDifference:
 
 
 def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
-    """The reductions of a window Z (m, w, ny+1, nx+1) of m differences:
-    (m, w) space integrals, (m,) maxima and (m, w, nb) boundary samples."""
+    """The reductions of a window Z (w, ny+1, nx+1) of one difference: (w,)
+    space integrals, maxima and (w, nb) boundary samples.  One real buffer
+    takes each integrand in turn."""
     wsp = grid.quad_weights_space
-    az2 = np.abs(Z) ** 2
-    out = {"energy": space_sums(az2 + _grad_sq(Z, grid), wsp)}
+    az2 = np.abs(Z)
+    np.square(az2, out=az2)
+    buf = _grad_sq(Z, grid)
+    out = {"energy": space_sums(np.add(az2, buf, out=buf), wsp)}
     if "interior" in variants:
-        out["interior"] = space_sums(az2 + az2 ** 2, wsp * grid.omega_mask)
+        np.square(az2, out=buf)
+        out["interior"] = space_sums(np.add(az2, buf, out=buf),
+                                     wsp * grid.omega_mask)
     if "boundary" in variants:
-        out["trace"] = np.abs(boundary_values(Z, grid)).max(axis=(1, 2))
-        out["peak"] = np.abs(Z).max(axis=(1, 2, 3))
+        out["trace"] = np.abs(boundary_values(Z, grid)).max()
+        out["peak"] = np.abs(Z, out=buf).max()
         out["boundary"] = np.abs(normal_derivative(Z, grid)) ** 2
     return out
 
 
-def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1s,
-             variants) -> list:
-    """A PreparedDifference for each difference, from the reductions of the
-    windows that tile its time slices in order.
+def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
+             variants) -> PreparedDifference:
+    """A PreparedDifference from the reductions of the windows that tile a
+    difference's time slices in order.
 
-    For "boundary", each difference must carry a zero Dirichlet trace.
+    For "boundary", the difference must carry a zero Dirichlet trace.
     """
-    cat = {key: np.concatenate([w[key] for w in reductions], axis=1)
+    cat = {key: np.concatenate([w[key] for w in reductions])
            for key in ("energy", *variants)}
+    obs = {}
+    if "interior" in variants:
+        obs["interior"] = integrate_slices(cat["interior"], grid, "Q_omega")
     if "boundary" in variants:
-        traces = np.max([w["trace"] for w in reductions], axis=0)
-        peaks = np.max([w["peak"] for w in reductions], axis=0)
-        for trace, peak in zip(traces, peaks):
-            if breach := trace_breach(float(trace), float(peak)):
-                raise StabilityError(
-                    f"difference trace on Gamma is {breach:.3e}; the pair was not "
-                    "solved with identical Dirichlet data")
-    out = []
-    for i, c_u1 in enumerate(c_u1s):
-        obs = {}
-        if "interior" in variants:
-            obs["interior"] = integrate_slices(cat["interior"][i], grid, "Q_omega")
-        if "boundary" in variants:
-            # laid out as normal_derivative lays out a whole trajectory's
-            # samples, time fastest: BLAS sums each time's row in the order
-            # that the layout gives
-            obs["boundary"] = integrate_sigma(
-                np.asfortranarray(cat["boundary"][i]), grid)
-        out.append(PreparedDifference(energy=cat["energy"][i], obs=obs,
-                                      c_u2=c_u2, c_u1=c_u1))
-    return out
+        trace = np.max([w["trace"] for w in reductions])
+        peak = np.max([w["peak"] for w in reductions])
+        if breach := trace_breach(float(trace), float(peak)):
+            raise StabilityError(
+                f"difference trace on Gamma is {breach:.3e}; the pair was not "
+                "solved with identical Dirichlet data")
+        # laid out as normal_derivative lays out a whole trajectory's
+        # samples, time fastest: BLAS sums each time's row in the order
+        # that the layout gives
+        obs["boundary"] = integrate_sigma(np.asfortranarray(cat["boundary"]), grid)
+    return PreparedDifference(energy=cat["energy"], obs=obs, c_u2=c_u2, c_u1=c_u1)
 
 
 def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
@@ -153,9 +158,7 @@ def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
     For "boundary", z must carry a zero Dirichlet trace.
     """
     z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    (d,) = _prepare([_window_sums(z[None], grid, variants)], grid, c_u2,
-                    [c_u1], variants)
-    return d
+    return _prepare([_window_sums(z, grid, variants)], grid, c_u2, c_u1, variants)
 
 
 def _lhs(d: PreparedDifference, grid: SpaceTimeGrid, eps: float) -> float:
@@ -198,18 +201,27 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
     """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps.
 
     u2 and every u1 are marched together; each window of their time slices
-    is reduced and dropped, so that no trajectory is held.
+    is reduced one member and one difference at a time, then dropped, so
+    that no trajectory is held.  ``grid.space_sums`` sums each slice alike
+    however it is stacked, so the reports are those of reducing the whole
+    stack at once, bit for bit.
     """
-    Y0 = np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas])
-    sixth, sums = [], []
-    for _, U in windows((step.Y for step in march(Y0, cfg, grid)), grid,
-                        Y0.shape, halo=0):
-        # U: (u2 and each u1, slices, ny+1, nx+1)
-        sixth.append(l6_slice_sums(U, grid))
-        sums.append(_window_sums(U[1:] - U[:1], grid, variants))
-    c_u = [_linf_l6(member) ** 8 for member in np.concatenate(sixth, axis=1)]
+    # the stack of initial data is handed over, not held
+    steps = march(np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas]),
+                  cfg, grid)
+    shape = (1 + len(deltas),) + np.shape(y0)
+    sixth, sums = [], [[] for _ in deltas]
+    for _, U in windows((step.Y for step in steps), grid, shape, halo=0):
+        # U: (u2 and each u1, slices, ny+1, nx+1), reduced one member and
+        # one difference at a time
+        sixth.append([l6_slice_sums(u, grid) for u in U])
+        for diff_sums, u1 in zip(sums, U[1:]):
+            diff_sums.append(_window_sums(u1 - U[0], grid, variants))
+    c_u = [_linf_l6(np.concatenate(member)) ** 8 for member in zip(*sixth)]
+    prepared = [_prepare(diff_sums, grid, c_u[0], c_u1, variants)
+                for diff_sums, c_u1 in zip(sums, c_u[1:])]
     reports = []
-    for delta, d in zip(deltas, _prepare(sums, grid, c_u[0], c_u[1:], variants)):
+    for delta, d in zip(deltas, prepared):
         for eps in eps_list:
             if "interior" in variants:
                 reports.append(stability_interior(d, grid, eps, delta=delta))

@@ -4,7 +4,8 @@ Each one checks or builds something in closed form beside the package:
 the finite-difference and time-monotonicity checks of the weight family,
 its whole tables of 2 ell and phi, the operator F y from a whole
 trajectory, the scan of whole stored trajectories, the Dirichlet-trace
-rule on a whole trajectory, and polynomial field factors.
+rule on a whole trajectory, the cubic subflow as its formula reads, and
+polynomial field factors.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
     out = linear_source(time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
     out += (1 + 1j * coeffs.c) * np.abs(Y) ** 2 * Y
     return out
+
+
+def cubic_flow_formula(y: np.ndarray, tau: float, c: float) -> np.ndarray:
+    """The exact cubic subflow as its formula reads,
+    y (1 + 2 tau |y|^2)^(-1/2) (cos theta + i sin theta) with
+    theta = -c/2 log(1 + 2 tau |y|^2), each operation on a new array."""
+    m = 1.0 + 2.0 * tau * np.abs(y) ** 2
+    theta = (-0.5 * c) * np.log(m)
+    return y * m ** (-0.5) * (np.cos(theta) + 1j * np.sin(theta))
 
 
 def derivative_consistency(params: CarlemanParams, spec: DomainSpec,

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -536,19 +537,50 @@ def test_scan_peak_memory_does_not_grow_with_nt(tmp_path):
     assert peaks[1] - peaks[0] < sums + 0.75 * 33 * 33 * 17 * 16
 
 
+def copied_fields(mp, module, name):
+    """Wrap ``module.name`` so that each call appends a copy of its first
+    argument to the returned list: a window's buffer is overwritten by the
+    next window."""
+    fields = []
+    fn = getattr(module, name)
+
+    def copied(*args, **kwargs):
+        fields.append(args[0].copy())
+        return fn(*args, **kwargs)
+
+    mp.setattr(module, name, copied)
+    return fields
+
+
+def recorded_march(mp, module):
+    """Wrap ``module.march`` so that each slice stack it yields is copied
+    to the returned list."""
+    stacks = []
+    march = module.march
+
+    def recorded(*args, **kwargs):
+        for step in march(*args, **kwargs):
+            stacks.append(step.Y.copy())
+            yield step
+
+    mp.setattr(module, "march", recorded)
+    return stacks
+
+
 @pytest.fixture(scope="module")
 def counted_stability16(tmp_path_factory):
-    """A 16^3 seed-7 stability run: (the (fields, slices) of each gradient
-    call, the same of each L^6 slice-sum call, CSV rows)."""
+    """A 16^3 seed-7 stability run: (the field of each gradient call, the
+    field of each L^6 slice-sum call, CSV rows, the marched members as
+    (17, u2 and each u1, 17, 17))."""
     tmp = tmp_path_factory.mktemp("stability16")
     with pytest.MonkeyPatch.context() as mp:
-        grads = count_calls(mp, stability, "grad")
-        norms = count_calls(mp, stability, "l6_slice_sums")
+        grads = copied_fields(mp, stability, "grad")
+        norms = copied_fields(mp, stability, "l6_slice_sums")
+        stacks = recorded_march(mp, stability)
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "stability"]) == 0
     (run,) = (tmp / "runs").iterdir()
     with open(run / "stability.csv", newline="", encoding="utf-8") as fh:
-        return ([args[0].shape[:2] for args in grads],
-                [args[0].shape[:2] for args in norms], list(csv.DictReader(fh)))
+        return grads, norms, list(csv.DictReader(fh)), np.stack(stacks)
 
 
 # the window lengths that tile the 17 time slices of a 16^3 run, in order
@@ -557,16 +589,27 @@ WINDOWS16 = [min(WINDOW, 17 - i) for i in range(0, 17, WINDOW)]
 
 class TestStabilityPass:
     def test_one_gradient_per_difference(self, counted_stability16):
-        # one call per window, on that window of every difference, member
-        # first: each difference's gradient is taken once on each time slice
+        # one call per window and difference, window by window, each on
+        # that window of one difference: a difference's calls, in order,
+        # are its slices, each taken once
+        grads, _, _, members = counted_stability16
         n_deltas = len(DEFAULTS["stability"]["deltas"])
-        assert counted_stability16[0] == [(n_deltas, w) for w in WINDOWS16]
+        assert [z.shape[0] for z in grads] == [w for w in WINDOWS16
+                                               for _ in range(n_deltas)]
+        for i in range(n_deltas):
+            assert np.array_equal(np.concatenate(grads[i::n_deltas]),
+                                  members[:, 1 + i] - members[:, 0])
 
     def test_norms_once_per_difference(self, counted_stability16):
-        # one call per window, on that window of u2 and every u1, member
-        # first: each member's L^inf L^6 is taken once on each time slice
+        # one call per window and member, window by window, u2 first: a
+        # member's calls, in order, are its slices, each taken once
+        _, norms, _, members = counted_stability16
         n_members = 1 + len(DEFAULTS["stability"]["deltas"])
-        assert counted_stability16[1] == [(n_members, w) for w in WINDOWS16]
+        assert [u.shape[0] for u in norms] == [w for w in WINDOWS16
+                                               for _ in range(n_members)]
+        for i in range(n_members):
+            assert np.array_equal(np.concatenate(norms[i::n_members]),
+                                  members[:, i])
 
     def test_row_order(self, counted_stability16):
         # delta, then eps, then interior before boundary

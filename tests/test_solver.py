@@ -13,7 +13,7 @@ from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized, _LinearOps
                                _stencil_matrix, build_linear_ops, energy_balance,
                                grid_source, load_trajectory, march, save_trajectory,
                                solve)
-from support import PolyAtom, apply_F
+from support import PolyAtom, apply_F, cubic_flow_formula
 
 
 def cubic_ode_exact(a, c, t):
@@ -181,6 +181,20 @@ class TestCubicFlow:
             got = _cubic_flow(y, tau, c)
             assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
             assert np.all(np.abs(got) <= np.abs(y))
+
+    @pytest.mark.parametrize("c", [0.0, 0.4, -1.3])
+    @pytest.mark.parametrize("unknowns", [300, 20000])
+    def test_is_the_formula_bit_for_bit(self, rng, c, unknowns):
+        # the flow writes its temporaries in place, in the formula's order
+        # of operations; 20000 x 4 columns make temporaries of over 256 KiB,
+        # which numpy reuses in place when it evaluates the formula
+        stack = rng.standard_normal((unknowns, 4)) + 1j * rng.standard_normal((unknowns, 4))
+        stack[0] = 0.0
+        stack[1] *= 1e3
+        for y in (stack, np.asfortranarray(stack), stack[:, 2]):
+            for tau in (1e-3, 0.05, 0.5):
+                assert np.array_equal(_cubic_flow(y, tau, c),
+                                      cubic_flow_formula(y, tau, c))
 
 
 class TestStepBasics:

@@ -5,8 +5,8 @@ import pytest
 
 from glcarleman import stability
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import (build_grid, grad, integrate_q, integrate_sigma,
-                             normal_derivative)
+from glcarleman.grid import (WINDOW, build_grid, grad, integrate_q,
+                             integrate_sigma, normal_derivative)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, linf_l6_norm,
                                   perturbation_suite, prepare_difference,
@@ -57,6 +57,25 @@ def reference_suite(y0, w, deltas, eps_list, cfg, grid, variants):
                                                      else (nan, nan))
                      for v in variants]
     return rows
+
+
+PEAK_CASES = [("disk_spec", ("interior",)), ("square_spec", ("interior", "boundary"))]
+PEAK_IDS = ["disk-interior", "square-both"]
+PEAK_DELTAS = [1e-3, 1e-2, 1e-1]
+
+
+def suite_peak(grid, variants) -> int:
+    """The traced peak, in bytes, of a suite of three deltas and three eps."""
+    cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
+    y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
+    w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
+    tracemalloc.start()
+    try:
+        perturbation_suite(y0, w, PEAK_DELTAS, [0.05, 0.1, 0.2], cfg, grid,
+                           variants=variants)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestL6Norm:
@@ -227,27 +246,27 @@ class TestSuite:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 17 * 33 * 33 * 16
 
-    @pytest.mark.parametrize("spec,variants", [
-        ("disk_spec", ("interior",)),
-        ("square_spec", ("interior", "boundary")),
-    ], ids=["disk-interior", "square-both"])
+    @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
     def test_peak_memory(self, request, spec, variants):
-        # The peak is about 3.2 (disk) and 3.4 (square) complex space-time
+        # The peak is about 1.7 (disk) and 1.9 (square) complex space-time
         # trajectories: u2 and every u1 are marched together and reduced
         # window by window, so the solver's operators and the temporaries of
         # one window make it up.  Holding whole trajectories, as the suite
         # once did, peaked at about 7.05.  A fresh grid, so that building
         # the solver's operators counts as in a CLI run.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
-        cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
-        y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
-        w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
-        tracemalloc.start()
-        try:
-            perturbation_suite(y0, w, [1e-3, 1e-2, 1e-1], [0.05, 0.1, 0.2],
-                               cfg, grid, variants=variants)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = suite_peak(grid, variants)
         trajectory = (grid.nt + 1) * (grid.ny + 1) * (grid.nx + 1) * 16
         assert peak <= 7.25 * trajectory
+
+    @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
+    def test_peak_memory_in_window_buffers(self, request, spec, variants):
+        # A window buffer holds WINDOW slices of every member, 16 B per node.
+        # Each window is reduced one member and one difference at a time,
+        # so the temporaries beside it are one difference's: the peak is
+        # about 3.5 (disk) and 3.9 (square) window buffers.  Reducing the
+        # whole stack of differences at once peaked at about 6.3 and 6.5.
+        grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
+        peak = suite_peak(grid, variants)
+        window = (1 + len(PEAK_DELTAS)) * WINDOW * (grid.ny + 1) * (grid.nx + 1) * 16
+        assert peak <= 5.0 * window

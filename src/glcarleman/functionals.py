@@ -41,11 +41,13 @@ times.  A cell groups the rows of `TERMS` by their power p of phi and
 exponentiates one weight per group and window,
 W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
 argument is <= -700 and multiplied by the space quadrature weights; each row
-is then one dot product of W_p with g per time slice and trajectory.  On
-Sigma_0 the weight is flushed at the boundary nodes and multiplied by g and
-then by the signed d psi/d nu.  Per time slice, the extremes of 2 ell and log phi follow
-from the spatial extremes of e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma
-with sigma > 0, and rounding is monotone, so they are exact) and bound the
+is then one dot product (np.vecdot) of W_p with g per time slice and
+trajectory.  On Sigma_0 the weight is flushed at the boundary nodes and
+multiplied by g and then by the signed d psi/d nu, and each slice is summed
+against the boundary weights by `grid.space_sums`.  Per time slice, the
+extremes of 2 ell and log phi follow from the spatial extremes of
+e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma with sigma > 0, and
+rounding is monotone, so they are exact) and bound the
 weight's argument from above, summed in its own order: a slice whose bound is
 <= -700 holds only zero weights and is not tabulated, and a row drops the
 slices where the bound plus log max g is <= -700, whose products lie below
@@ -64,7 +66,7 @@ import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
 from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_slices,
-                   laplacian, normal_derivative, trace_breach, windows)
+                   laplacian, normal_derivative, space_sums, trace_breach, windows)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -341,7 +343,7 @@ class _CellQuadrature:
         if term.region == "Sigma_0":
             vals = w * gv
             vals *= self.tables.b_dpsi_dnu
-            return np.vecdot(vals, self.grid.boundary_weights)
+            return space_sums(vals, self.grid.boundary_weights)
         if term.region == "Q_omega":
             gv = np.take(gv, self.omega, axis=-1)
         return np.vecdot(w, gv)

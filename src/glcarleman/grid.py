@@ -27,12 +27,13 @@ Shortley-Weller row (dirichlet0) or the four-point one-sided row
 lacks three active neighbours inward, which no disk grid of n = 16...1985
 (all that the config accepts) does.
 
-Quadrature reductions use a fixed summation order: each time slice is
-reduced against the weights by one np.einsum (volume; alike in any stack of
-slices, see ``space_sums``) or matrix-vector product (boundary), and every
-time integral is ``integrate_slices``, one math.fsum of per-slice sums, so
-repeated runs give bit-identical results.  ``windows`` tiles the time
-slices of each streamed suite, so that neither suite holds a trajectory.
+Quadrature reductions use a fixed summation order: every space integral,
+over Omega, omega or Gamma, is ``space_sums`` of a slice against one of the
+grid's weight tables (one np.einsum, alike in any stack or layout of
+slices), and every time integral is ``integrate_slices``, one math.fsum of
+per-slice sums, so repeated runs give bit-identical results.  ``windows``
+tiles the time slices of each streamed suite, so that neither suite holds a
+trajectory.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ class SpaceTimeGrid:
     corner_mask: np.ndarray
     omega_mask: np.ndarray
     quad_weights_space: np.ndarray
+    omega_weights: np.ndarray         # quad_weights_space on omega, 0 elsewhere
     boundary_points: np.ndarray
     boundary_normals: np.ndarray
     boundary_weights: np.ndarray
@@ -280,7 +282,8 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
     return SpaceTimeGrid(
         spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
         x1_nodes=x, x2_nodes=x, t_nodes=np.linspace(0.0, T, nt + 1),
-        X1=X1, X2=X2, interior_mask=interior, omega_mask=omega, **geo)
+        X1=X1, X2=X2, interior_mask=interior, omega_mask=omega,
+        omega_weights=geo["quad_weights_space"] * omega, **geo)
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +390,20 @@ def normal_derivative(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def space_sums(g: np.ndarray, wsp: np.ndarray) -> np.ndarray:
-    """int g dx with weights wsp for each slice of g (..., ny+1, nx+1).
+def space_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """int g against the weight table w (the grid's volume, omega or Sigma_0
+    table) for each slice of g, its trailing w.ndim axes.
 
-    np.einsum reduces each slice of a stack of two or more in one pass, but
-    a lone slice in buffered chunks, so a lone slice is reduced beside a
-    copy of itself: every slice is summed alike, however it is stacked.
+    np.einsum sums the C-contiguous rows of a stack of two or more slices
+    each in one pass, but a lone row in buffered chunks and other layouts in
+    their memory order, so every slice is summed from C-contiguous rows, a
+    lone slice beside a copy of itself: a slice's sum does not depend on how
+    it is stacked or laid out.
     """
-    if g[..., 0, 0].size == 1:
-        pair = np.broadcast_to(g.reshape(g.shape[-2:]), (2,) + g.shape[-2:])
-        return np.einsum("...ij,ij->...", pair, wsp)[:1].reshape(g.shape[:-2])
-    return np.einsum("...ij,ij->...", g, wsp)
+    rows = np.ascontiguousarray(g).reshape(-1, w.size)
+    pair = np.broadcast_to(rows, (2, w.size)) if len(rows) == 1 else rows
+    sums = np.einsum("ij,j->i", pair, w.ravel())[:len(rows)]
+    return sums.reshape(g.shape[:g.ndim - w.ndim])
 
 
 def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
@@ -412,29 +418,18 @@ def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
         raise GridError(f"expected samples of shape (nt+1, ny+1, nx+1), got {g.shape}")
     if not np.all(np.isfinite(g[:, grid.active_mask])):
         raise GridError("integrand contains non-finite entries")
-    wsp = grid.quad_weights_space
-    if region == "Q_omega":
-        wsp = wsp * grid.omega_mask
-    return integrate_slices(space_sums(g, wsp), grid, region, eps)
+    w = grid.omega_weights if region == "Q_omega" else grid.quad_weights_space
+    return integrate_slices(space_sums(g, w), grid, region, eps)
 
 
 def integrate_slices(slice_sums: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
                      eps: float | None = None) -> float:
-    """Time integral over Q, Q_omega or Q_eps from the space integrals of
-    the nt+1 time slices (on omega for Q_omega): trapezoid in time over the
-    region's window, summed by math.fsum."""
+    """Time integral over Q, Q_omega, Sigma_0 (region "Q") or Q_eps from the
+    space integrals of the nt+1 time slices (on omega for Q_omega, on Gamma
+    for Sigma_0): trapezoid in time over the region's window, summed by
+    math.fsum."""
     idx, wt = grid.time_weights(region, eps)
     return float(math.fsum((np.asarray(slice_sums)[idx] * wt).tolist()))
-
-
-def integrate_sigma(g: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """Integral over Sigma_0 = (0,T) x Gamma of boundary samples g of shape
-    (nt+1, nb), one row per time node."""
-    g = np.asarray(g, dtype=float)
-    nb = grid.boundary_weights.size
-    if g.shape != (grid.nt + 1, nb):
-        raise GridError(f"expected boundary samples of shape (nt+1, {nb}), got {g.shape}")
-    return integrate_slices(g @ grid.boundary_weights, grid)
 
 
 def windows(slices, grid: SpaceTimeGrid, shape: tuple, halo: int):

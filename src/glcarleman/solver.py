@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gloperator import linear_source
-from .grid import GridError, SpaceTimeGrid, laplacian
+from .grid import GridError, SpaceTimeGrid, laplacian, space_sums
 
 VALID_SOLVER_BC = ("dirichlet0", "neumann0")
 STIFFNESS_CAP = 0.5
@@ -396,19 +396,13 @@ def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
         subs.append(step.substeps[0])
     # after the march, slice by slice: reductions inside it cost about 1.5%
     # of a 128^3 disk solve, and whole-Y temporaries would be 17 MB each
-    sq_norms = [_space(grid, np.abs(y) ** 2) for y in Y]
+    sq_norms = [space_sums(np.abs(y) ** 2, grid.quad_weights_space) for y in Y]
     return SolveResult(Y=Y, l2_norms=np.sqrt(sq_norms), substeps=np.array(subs[1:]))
 
 
 # ---------------------------------------------------------------------------
 # diagnostics and manufactured source
 # ---------------------------------------------------------------------------
-
-def _space(grid: SpaceTimeGrid, g: np.ndarray):
-    """The space quadrature of each slice of g: one pairwise sum per slice,
-    as a slice-by-slice np.sum takes it."""
-    return np.sum(grid.quad_weights_space * g, axis=(-2, -1))
-
 
 def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid, sc: SolveConfig) -> np.ndarray:
     """Normalized residuals of the scheme's discrete energy law per step.
@@ -424,7 +418,8 @@ def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid, sc: SolveConfig) -> np.nd
     symmetry of Lap_h, so the residual measures time error on the disk too.
     """
     Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
-    ddt = np.diff(_space(grid, np.abs(Y) ** 2)) / (2 * grid.dt)
+    wsp = grid.quad_weights_space
+    ddt = np.diff(space_sums(np.abs(Y) ** 2, wsp)) / (2 * grid.dt)
     out = np.empty_like(ddt)
     # one step at a time, so the pairing's temporaries are slice-sized
     for k in range(ddt.size):
@@ -432,10 +427,10 @@ def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid, sc: SolveConfig) -> np.nd
             p, dtime = 0.5 * (Y[k] + Y[k + 1]), ddt[k]
         else:
             p = Y[k + 1]
-            dtime = ddt[k] + _space(grid, np.abs(p - Y[k]) ** 2) / (2 * grid.dt)
-        pair = _space(grid, laplacian(p, grid, sc.bc) * np.conj(p))
+            dtime = ddt[k] + space_sums(np.abs(p - Y[k]) ** 2, wsp) / (2 * grid.dt)
+        pair = space_sums(laplacian(p, grid, sc.bc) * np.conj(p), wsp)
         gsq = -((1 + 1j * sc.b) * pair).real
-        l4 = _space(grid, np.abs(p) ** 4)
+        l4 = space_sums(np.abs(p) ** 4, wsp)
         out[k] = abs(dtime + gsq + l4) / max(abs(dtime), abs(gsq), l4, 1e-300)
     return out
 

@@ -20,12 +20,12 @@ Each window is reduced one member and one difference at a time, then
 dropped: to the space integrals of |u|^6 of each member and of
 |z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of each difference, whose
 window takes one gradient; to the running maxima of the Dirichlet-trace
-check; and to the boundary samples |dz/dnu|^2, which are kept, since one
-slice of them is a boundary's worth of nodes.  So the temporaries beside
+check; and to the Gamma integrals of |dz/dnu|^2.  So the temporaries beside
 the window are one difference's, not the whole stack's.  A
 `PreparedDifference` holds the nt+1 per-slice integrals and the
-observations, and every eps report takes its Q_eps integral from them by
-`grid.integrate_slices`.  The per-slice integrals and time integrals are
+observations, every observation's time integral is `grid.integrate_slices`
+of its per-slice integrals, and every eps report takes its Q_eps integral
+from them the same way.  The per-slice integrals and time integrals are
 those of the whole-trajectory reductions, bit for bit, whatever the window
 length.
 """
@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_sigma,
-                   integrate_slices, normal_derivative, space_sums, trace_breach,
-                   windows)
+from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_slices,
+                   normal_derivative, space_sums, trace_breach, windows)
 from .solver import SolveConfig, march
 
 
@@ -104,21 +103,20 @@ class PreparedDifference:
 
 def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
     """The reductions of a window Z (w, ny+1, nx+1) of one difference: (w,)
-    space integrals, maxima and (w, nb) boundary samples.  One real buffer
+    space integrals (on Gamma for "boundary") and maxima.  One real buffer
     takes each integrand in turn."""
-    wsp = grid.quad_weights_space
     az2 = np.abs(Z)
     np.square(az2, out=az2)
     buf = _grad_sq(Z, grid)
-    out = {"energy": space_sums(np.add(az2, buf, out=buf), wsp)}
+    out = {"energy": space_sums(np.add(az2, buf, out=buf), grid.quad_weights_space)}
     if "interior" in variants:
         np.square(az2, out=buf)
-        out["interior"] = space_sums(np.add(az2, buf, out=buf),
-                                     wsp * grid.omega_mask)
+        out["interior"] = space_sums(np.add(az2, buf, out=buf), grid.omega_weights)
     if "boundary" in variants:
         out["trace"] = np.abs(boundary_values(Z, grid)).max()
         out["peak"] = np.abs(Z, out=buf).max()
-        out["boundary"] = np.abs(normal_derivative(Z, grid)) ** 2
+        out["boundary"] = space_sums(np.abs(normal_derivative(Z, grid)) ** 2,
+                                     grid.boundary_weights)
     return out
 
 
@@ -131,9 +129,8 @@ def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
     """
     cat = {key: np.concatenate([w[key] for w in reductions])
            for key in ("energy", *variants)}
-    obs = {}
-    if "interior" in variants:
-        obs["interior"] = integrate_slices(cat["interior"], grid, "Q_omega")
+    obs = {v: integrate_slices(cat[v], grid, "Q_omega" if v == "interior" else "Q")
+           for v in variants}
     if "boundary" in variants:
         trace = np.max([w["trace"] for w in reductions])
         peak = np.max([w["peak"] for w in reductions])
@@ -141,10 +138,6 @@ def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
             raise StabilityError(
                 f"difference trace on Gamma is {breach:.3e}; the pair was not "
                 "solved with identical Dirichlet data")
-        # laid out as normal_derivative lays out a whole trajectory's
-        # samples, time fastest: BLAS sums each time's row in the order
-        # that the layout gives
-        obs["boundary"] = integrate_sigma(np.asfortranarray(cat["boundary"]), grid)
     return PreparedDifference(energy=cat["energy"], obs=obs, c_u2=c_u2, c_u1=c_u1)
 
 

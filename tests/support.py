@@ -3,9 +3,9 @@
 Each one checks or builds something in closed form beside the package:
 the finite-difference and time-monotonicity checks of the weight family,
 its whole tables of 2 ell and phi, the operator F y from a whole
-trajectory, the scan of whole stored trajectories, the Dirichlet-trace
-rule on a whole trajectory, the cubic subflow as its formula reads, and
-polynomial field factors.
+trajectory, the volume sums as one np.einsum takes them, the scan of whole
+stored trajectories, the Dirichlet-trace rule on a whole trajectory, the
+cubic subflow as its formula reads, and polynomial field factors.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def log_theta2(tables: WeightTables) -> np.ndarray:
 def phi(tables: WeightTables) -> np.ndarray:
     """phi on interior times, shape (nt-1, ny+1, nx+1)."""
     return tables.exp_mu_psi[None] * tables.sigma[:, None, None]
+
+
+def einsum_space_sums(g: np.ndarray, wsp: np.ndarray) -> np.ndarray:
+    """The volume sums of a C-contiguous stack of two or more slices as one
+    np.einsum takes them: the reference for grid.space_sums."""
+    return np.einsum("...ij,ij->...", g, wsp)
 
 
 def scan_trajectories(suite, grid: SpaceTimeGrid, lambdas, mus,

@@ -492,7 +492,7 @@ def test_scan_peak_memory(tmp_path):
     # The suite is marched in lockstep and each window of
     # grid.WINDOW = 4 interior slices is scanned as soon as its last
     # halo slice is solved, so no trajectory is held.  The peak is about
-    # 9.8 complex space-time trajectories: the stacked integrands of one
+    # 10.8 complex space-time trajectories: the stacked integrands of one
     # window (2.8), each cell's weight tables (1.7), the slice buffer (0.9),
     # each cell's per-slice sums (0.75), the temporaries of preparing one
     # member's window, and the solver's operators.  Solving the suite first
@@ -647,12 +647,36 @@ class TestDeterminism:
         for rel in ra:
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
 
+    def test_stability_and_solve_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # every space integral of stability and solve is grid.space_sums, an
+        # np.einsum, which no BLAS call threads: 101^2 nodes are more than
+        # the 10,000 elements above which OpenBLAS splits a dot product
+        # across threads
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"grid": {"nx": 100, "ny": 100, "nt": 16}}))
+        runs = []
+        for threads in ("1", "2"):
+            run = tmp_path / threads
+            run.mkdir()
+            fresh_interpreter(run, f"""if True:
+                from glcarleman.cli import main
+                for command in ("solve", "stability"):
+                    assert main(["--config", {str(config)!r}, command]) == 0
+                """, OPENBLAS_NUM_THREADS=threads)
+            runs.append(run / "runs")
+        files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file())
+                 for r in runs]
+        assert files[0] == files[1] and len(files[0]) == 5
+        for rel in files[0]:
+            assert filecmp.cmp(runs[0] / rel, runs[1] / rel, shallow=False), rel
 
-def fresh_interpreter(tmp_path, script):
+
+def fresh_interpreter(tmp_path, script, **env):
     """Run `script` in a new Python process that imports glcarleman from
-    this checkout, in tmp_path; returns its stdout."""
+    this checkout, in tmp_path, with `env` added to the environment; returns
+    its stdout."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **env, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -13,7 +13,8 @@ from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
                                     _flush_exp, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import GridError, build_grid, integrate_slices, normal_derivative
+from glcarleman.grid import (GridError, build_grid, integrate_slices, normal_derivative,
+                             space_sums)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
 
@@ -188,7 +189,7 @@ def boundary_reference(cell, dnu_abs2):
         - cell.log_scale
     bphi = b_exp_mu_psi[None, :] * sig
     vals = flushed(two_ell + 1 * np.log(bphi)) * g * cell.tables.b_dpsi_dnu
-    per_t = np.vecdot(vals, cell.grid.boundary_weights)
+    per_t = space_sums(vals, cell.grid.boundary_weights)
     return time_integral(per_t, cell.grid, row_live(cell, 1, g))
 
 
@@ -463,7 +464,7 @@ def flushed_slices(cell, term, g):
         nodes = np.ravel_multi_index((cell.grid._b_iy, cell.grid._b_ix),
                                      cell.grid.X1.shape)
         vals = flushed(np.take(arg, nodes, axis=1)) * gv * cell.tables.b_dpsi_dnu
-        return np.vecdot(vals, cell.grid.boundary_weights)
+        return space_sums(vals, cell.grid.boundary_weights)
     w = flushed(arg) * cell.wsp
     if term.region == "Q_omega":
         omega = np.flatnonzero(cell.grid.omega_mask)

@@ -7,9 +7,11 @@ from glcarleman.functionals import prepare_trajectory
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import (DomainSpec, GridError, _cut_table, _d1, _d2,
                              boundary_values, build_grid, grad, integrate_q,
-                             integrate_sigma, laplacian, normal_derivative, windows)
+                             integrate_slices, laplacian, normal_derivative,
+                             space_sums, windows)
 from glcarleman.solver import SolveConfig, energy_balance, march
 from glcarleman.stability import linf_l6_norm, prepare_difference
+from support import einsum_space_sums
 
 
 def integrate_space(g: np.ndarray, grid) -> float:
@@ -308,29 +310,84 @@ class TestIntegrateQ:
             integrate_q(np.ones((33, 33, 33)), grid32, "Q_eps", eps=0.6)
 
 
+def sigma_integral(g: np.ndarray, grid) -> float:
+    """Integral over Sigma_0 = (0,T) x Gamma of boundary samples (nt+1, nb):
+    each slice against the boundary weights, then the time rule."""
+    return integrate_slices(space_sums(g, grid.boundary_weights), grid)
+
+
 class TestIntegrateSigma:
     # every grid here has T = 1, so the integrals over Sigma equal those over Gamma
     def test_square_perimeter(self, grid32):
         g = np.ones((grid32.nt + 1, grid32.boundary_weights.size))
-        assert integrate_sigma(g, grid32) == pytest.approx(4.0 * grid32.T, abs=1e-13)
+        assert sigma_integral(g, grid32) == pytest.approx(4.0 * grid32.T, abs=1e-13)
 
     def test_disk_perimeter(self, disk_grid):
         g = np.ones((disk_grid.nt + 1, disk_grid.boundary_weights.size))
-        val = integrate_sigma(g, disk_grid)
+        val = sigma_integral(g, disk_grid)
         assert abs(val - 2 * np.pi * disk_grid.T) <= 0.02 * 2 * np.pi * disk_grid.T
 
     def test_x1_moment_on_square(self, grid32):
         g = np.tile(grid32.boundary_points[:, 0], (grid32.nt + 1, 1))
-        assert integrate_sigma(g, grid32) == pytest.approx(2.0 * grid32.T, abs=1e-12)
-
-    def test_time_independent_samples_rejected(self, grid32):
-        with pytest.raises(GridError, match="nt\\+1"):
-            integrate_sigma(np.ones(grid32.boundary_weights.size), grid32)
+        assert sigma_integral(g, grid32) == pytest.approx(2.0 * grid32.T, abs=1e-12)
 
     def test_spacetime_boundary_integral(self, grid32):
         nb = grid32.boundary_weights.size
         g = np.ones((33, nb))
-        assert integrate_sigma(g, grid32) == pytest.approx(4.0, abs=1e-12)
+        assert sigma_integral(g, grid32) == pytest.approx(4.0, abs=1e-12)
+
+
+def weight_table(grid, table):
+    return {"volume": grid.quad_weights_space, "omega": grid.omega_weights,
+            "sigma": grid.boundary_weights}[table]
+
+
+class TestSpaceSums:
+    # 129^2 and 257^2 nodes are above np.einsum's 8,192-element buffer, so
+    # that a lone slice of them is summed in chunks unless it is paired
+    @pytest.mark.parametrize("n", [16, 128, 256])
+    @pytest.mark.parametrize("table", ["volume", "sigma"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_slice_sum_independent_of_stacking(self, square_spec, n, table, order):
+        grid = build_grid(square_spec, n, n, 16, 1.0)
+        w = weight_table(grid, table)
+        rng = np.random.default_rng(n)
+        stack = np.asarray(rng.standard_normal((3, 5) + w.shape), order=order)
+        whole = space_sums(stack, w)
+        assert whole.shape == (3, 5)
+        for m, member in enumerate(stack):
+            windowed = space_sums(np.asarray(member, order=order), w)
+            assert np.array_equal(windowed, whole[m])
+            for k, piece in enumerate(member):
+                lone = space_sums(np.asarray(piece, order=order), w)
+                assert lone.shape == ()
+                assert lone == whole[m, k]
+
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    @pytest.mark.parametrize("table", ["volume", "omega"])
+    def test_volume_sums_are_the_einsum_of_each_slice(self, square_spec, n, table):
+        grid = build_grid(square_spec, n, n, 16, 1.0)
+        w = weight_table(grid, table)
+        stack = np.random.default_rng(n).standard_normal((4,) + w.shape)
+        assert np.array_equal(space_sums(stack, w), einsum_space_sums(stack, w))
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
+    def test_windowed_sigma_sums_are_the_whole_trajectory_sums(self, square_spec, n):
+        # normal_derivative lays out a whole trajectory's samples time
+        # fastest; a window's are laid out otherwise
+        grid = build_grid(square_spec, n, n, 16, 1.0)
+        rng = np.random.default_rng(7)
+        Y = rng.standard_normal((17, n + 1, n + 1)) \
+            + 1j * rng.standard_normal((17, n + 1, n + 1))
+
+        def sigma_sums(f):
+            return space_sums(np.abs(normal_derivative(f, grid)) ** 2,
+                              grid.boundary_weights)
+
+        whole = sigma_sums(Y)
+        for window in range(1, 8):
+            parts = [sigma_sums(Y[a:a + window]) for a in range(0, 17, window)]
+            assert np.array_equal(np.concatenate(parts), whole), window
 
 
 class TestWindows:

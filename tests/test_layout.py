@@ -3,8 +3,9 @@
 Every top-level function or class of the package, private functions
 included, and every public method of its classes is read somewhere in src/
 outside its own definition, or is kept below for a stated reason.  Code
-that only the tests read belongs under tests/.  Every time integral is
-grid.integrate_slices, and grid.windows tiles every streamed pass.
+that only the tests read belongs under tests/.  Every space integral is
+grid.space_sums, every time integral is grid.integrate_slices, and
+grid.windows tiles every streamed pass.
 """
 
 import ast
@@ -95,3 +96,40 @@ def test_window_read_in_grid_and_config_only():
     # grid.windows owns the window length; config bounds what it holds
     assert {mod for mod, tree in _modules().items()
             if _references(tree)["WINDOW"]} == {"grid", "config"}
+
+
+# the calls that reduce an array, and the grid's space weight tables
+REDUCTIONS = {"sum", "fsum", "dot", "vdot", "vecdot", "inner", "matmul",
+              "tensordot", "einsum"}
+WEIGHT_TABLES = {"quad_weights_space", "omega_weights", "boundary_weights"}
+
+
+def _function_nodes(node, name=None):
+    """(name of the innermost enclosing function, node) for each node below."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, ast.FunctionDef) else name
+        yield inner, child
+        yield from _function_nodes(child, inner)
+
+
+def _reduces(node) -> bool:
+    """A matrix product, or a call of a reduction."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Call) and bool(_references(node.func).keys() & REDUCTIONS)
+
+
+def test_one_space_rule():
+    # grid.space_sums is every volume, omega and Sigma_0 integral: no other
+    # reduction in src/ reads a weight table of the grid.  The scan's
+    # weighted volume rows are the one np.vecdot: their weight changes slice
+    # by slice, and it is formed from grid.space_weights beforehand.
+    readers, vecdots = [], []
+    for mod, tree in _modules().items():
+        for func, node in _function_nodes(tree):
+            if _reduces(node) and _references(node).keys() & WEIGHT_TABLES:
+                readers.append((mod, func))
+            if isinstance(node, ast.Call) and _references(node.func)["vecdot"]:
+                vecdots.append((mod, func))
+    assert readers == []
+    assert vecdots == [("functionals", "_row")]

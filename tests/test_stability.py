@@ -6,7 +6,7 @@ import pytest
 from glcarleman import stability
 from glcarleman.fields import random_initial_field
 from glcarleman.grid import (WINDOW, build_grid, grad, integrate_q,
-                             integrate_sigma, normal_derivative)
+                             integrate_slices, normal_derivative, space_sums)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, linf_l6_norm,
                                   perturbation_suite, prepare_difference,
@@ -49,8 +49,8 @@ def reference_suite(y0, w, deltas, eps_list, cfg, grid, variants):
         energy = az2 + (np.abs(g1) ** 2 + np.abs(g2) ** 2)
         obs = {"interior": integrate_q(az2 + az2 ** 2, grid, "Q_omega")}
         if "boundary" in variants:
-            obs["boundary"] = integrate_sigma(np.abs(normal_derivative(z, grid)) ** 2,
-                                              grid)
+            obs["boundary"] = integrate_slices(space_sums(
+                np.abs(normal_derivative(z, grid)) ** 2, grid.boundary_weights), grid)
         for eps in eps_list:
             lhs = integrate_q(energy, grid, "Q_eps", eps=eps)
             rows += [(v, delta, eps, lhs, obs[v]) + ((c_u2, c_u1) if v == "interior"
@@ -230,7 +230,7 @@ class TestSuite:
 
     def test_peak_memory_does_not_grow_with_nt(self, square_spec):
         # windows of slices are reduced and dropped; what grows with nt is
-        # the per-slice sums and the boundary samples
+        # the per-slice sums
         peaks = []
         for nt in (16, 64):
             grid = build_grid(square_spec, 32, 32, nt, 1.0)

@@ -31,13 +31,12 @@ evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
 `prepare_trajectory` computes every integrand g of a trajectory on a run of
-interior times, the boundary one |dy/dnu|^2 too (square only), with the log
-of its maximum over each time slice.  The weights do not depend on the
-trajectory: `lambda_scan` takes a suite slice by slice as it is solved,
-tiled by `grid.windows` with one halo slice on each side, prepares each
-trajectory once per window into stacked buffers made once per scan, and
-drops the window, so that no trajectory is held and no integrand on all
-times.  A cell groups the rows of `TERMS` by their power p of phi and
+interior times, the boundary one |dy/dnu|^2 too (square only).  The weights
+do not depend on the trajectory: `lambda_scan` takes a suite slice by slice
+as it is solved, tiled by `grid.windows` with one halo slice on each side,
+prepares each trajectory once per window into stacked buffers made once per
+scan, and drops the window, so that no trajectory is held and no integrand
+on all times.  A cell groups the rows of `TERMS` by their power p of phi and
 exponentiates one weight per group and window,
 W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
 argument is <= -700 and multiplied by the space quadrature weights; each row
@@ -47,13 +46,12 @@ multiplied by g and then by the signed d psi/d nu, and each slice is summed
 against the boundary weights by `grid.space_sums`.  Per time slice, the
 extremes of 2 ell and log phi follow from the spatial extremes of
 e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma with sigma > 0, and
-rounding is monotone, so they are exact) and bound the
-weight's argument from above, summed in its own order: a slice whose bound is
-<= -700 holds only zero weights and is not tabulated, and a row drops the
-slices where the bound plus log max g is <= -700, whose products lie below
-the window: its sum is zero there.  Each row keeps its per-slice sums on all
-nt+1 nodes, zero at t = 0 and T, and its time integral is
-`grid.integrate_slices` of them, so the window length does not move a bit.
+rounding is monotone, so they are exact) and bound the weight's argument
+from above, summed in its own order: a slice whose bound is <= -700 holds
+only zero weights, is not tabulated, and its sum is zero.  Each row keeps
+its per-slice sums on all nt+1 nodes, zero at t = 0 and T, and its time
+integral is `grid.integrate_slices` of them, so the window length does not
+move a bit.
 Square corner nodes are excluded from all weighted integrals.
 """
 
@@ -87,7 +85,7 @@ class Term(NamedTuple):
     name: str             # breakdown key
     side: str             # "lhs" or "rhs"
     variants: frozenset   # the variants whose inequality holds the term
-    integrand: str        # the Integrand attribute of TrajectoryData
+    integrand: str        # the attribute of TrajectoryData
     lam_power: int
     mu_power: int
     phi_power: int        # Sigma_0 quadrature takes phi^1 only
@@ -113,7 +111,6 @@ TERMS = (
     Term("obs_boundary", "rhs", _J2, "dnu2", 1, 1, 1, "Sigma_0"),
     Term("obs_l4", "rhs", _J1 & _CUBIC, "y4", 2, 2, 2, "Q_omega"),
 )
-_INTEGRANDS = tuple(dict.fromkeys(t.integrand for t in TERMS))
 
 
 class FunctionalError(ValueError):
@@ -148,39 +145,20 @@ class CarlemanReport:
 
 
 @dataclass
-class Integrand:
-    """One integrand g >= 0 on a run of interior times, with the log of its
-    maximum over each time slice (-inf on a slice where g is 0); stacked
-    windows put a trajectory axis in front of both."""
-
-    values: np.ndarray
-    log_slice_max: np.ndarray
-
-    @classmethod
-    def of(cls, g: np.ndarray) -> Integrand:
-        with np.errstate(divide="ignore"):
-            return cls(g, np.log(g.max(axis=tuple(range(1, g.ndim)))))
-
-    @property
-    def nbytes(self) -> int:
-        return self.values.nbytes + self.log_slice_max.nbytes
-
-
-@dataclass
 class TrajectoryData:
     """Stencil quantities of one trajectory on a run of interior times: every
     integrand of `TERMS`."""
 
-    yt2: Integrand            # |y_t|^2
-    lap2: Integrand           # |Lap y|^2
-    y2: Integrand             # |y|^2
-    grad2: Integrand          # |grad y|^2
-    G2: Integrand             # |G y|^2
-    lin_src2: Integrand       # |y_t - (1+ib) Lap y|^2
-    y6: Integrand             # |y|^6
-    y2_grad2: Integrand       # |y|^2 |grad y|^2
-    y4: Integrand             # |y|^4
-    dnu2: Integrand | None    # |dy/dnu|^2 at boundary samples (None on the disk)
+    yt2: np.ndarray           # |y_t|^2
+    lap2: np.ndarray          # |Lap y|^2
+    y2: np.ndarray            # |y|^2
+    grad2: np.ndarray         # |grad y|^2
+    G2: np.ndarray            # |G y|^2
+    lin_src2: np.ndarray      # |y_t - (1+ib) Lap y|^2
+    y6: np.ndarray            # |y|^6
+    y2_grad2: np.ndarray      # |y|^2 |grad y|^2
+    y4: np.ndarray            # |y|^4
+    dnu2: np.ndarray | None   # |dy/dnu|^2 at boundary samples (None on the disk)
 
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
@@ -199,17 +177,16 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     del g1, g2
     abs2 = np.abs(Y) ** 2
     return TrajectoryData(
-        yt2=Integrand.of(np.abs(yt) ** 2),
-        lap2=Integrand.of(np.abs(lap) ** 2),
-        y2=Integrand.of(abs2),
-        grad2=Integrand.of(grad_abs2),
-        G2=Integrand.of(np.abs(apply_G(Y, yt, lap, coeffs)) ** 2),
-        lin_src2=Integrand.of(np.abs(linear_source(yt, lap, coeffs)) ** 2),
-        y6=Integrand.of(abs2 ** 3),
-        y2_grad2=Integrand.of(abs2 * grad_abs2),
-        y4=Integrand.of(abs2 ** 2),
-        dnu2=Integrand.of(np.abs(normal_derivative(Y, grid)) ** 2)
-        if square else None,
+        yt2=np.abs(yt) ** 2,
+        lap2=np.abs(lap) ** 2,
+        y2=abs2,
+        grad2=grad_abs2,
+        G2=np.abs(apply_G(Y, yt, lap, coeffs)) ** 2,
+        lin_src2=np.abs(linear_source(yt, lap, coeffs)) ** 2,
+        y6=abs2 ** 3,
+        y2_grad2=abs2 * grad_abs2,
+        y4=abs2 ** 2,
+        dnu2=np.abs(normal_derivative(Y, grid)) ** 2 if square else None,
     )
 
 
@@ -254,40 +231,23 @@ class _CellQuadrature:
                                               else self.logphi_min) if p
                       else self.logw_max
                       for p in {t.phi_power for t in TERMS}}
-        self.wsp = grid.space_weights(exclude_corners=True).ravel()
+        self.wsp = grid.space_weights().ravel()
         self.omega = np.flatnonzero(grid.omega_mask)
-
-    def live(self, data, rows: list, start: int) -> np.ndarray:
-        """(trajectories, rows, slices): the slices of each trajectory's
-        window, whose first is interior slice `start`, that each row
-        integrates.
-
-        A slice's bound on the weight's argument 2 ell - log_scale + p log phi
-        is taken in the argument's own order on per-slice maxima (minima where
-        p < 0).  A slice is dropped where the bound is <= FLUSH_LOG (its
-        weights are exact zeros) or where the bound plus log max g is (its
-        products lie below the window).
-        """
-        log_gmax = np.stack([getattr(data, t.integrand).log_slice_max for t in rows],
-                            axis=-2)
-        m = log_gmax.shape[-1]
-        bound = np.stack([self.bound[t.phi_power][start:start + m] for t in rows])
-        return ~(bound <= FLUSH_LOG) & ~(bound + log_gmax <= FLUSH_LOG)
 
     def integrals(self, data, rows: list, start: int) -> np.ndarray:
         """Per-slice sums of each row of `TERMS` over its region, without its
         lam and mu powers, for the stacked windows `data` of several
         trajectories, which begin at interior slice `start`: (trajectories,
-        rows, slices), the dot products on the slices that `live` marks and
-        zero on the others.
+        rows, slices), zero on the slices where the row's weight is all zero.
 
-        One flushed weight per phi power, on the slices of the window where
-        it is not all zero, is shared by the rows of that power and by every
-        trajectory.
+        A slice's bound on the weight's argument 2 ell - log_scale + p log phi
+        is taken in the argument's own order on per-slice maxima (minima where
+        p < 0).  One flushed weight per phi power, on the slices of the window
+        whose bound exceeds FLUSH_LOG, is shared by the rows of that power and
+        by every trajectory.
         """
-        live = self.live(data, rows, start)
-        m = live.shape[-1]
-        sums = np.zeros(live.shape)
+        n, m = getattr(data, rows[0].integrand).shape[:2]
+        sums = np.zeros((n, len(rows), m))
         weighted = {p: np.flatnonzero(~(self.bound[p][start:start + m] <= FLUSH_LOG))
                     for p in dict.fromkeys(t.phi_power for t in rows)}
         kept = np.concatenate(list(weighted.values()))
@@ -324,15 +284,9 @@ class _CellQuadrature:
                 # C-contiguous gathers: a strided dot rounds differently
                 weights["Q_omega"] = np.take(w, self.omega, axis=1)
             for i in group:
-                idx = np.flatnonzero(live[:, i].any(axis=0))
-                if not idx.size:
-                    continue
-                r0, r1 = int(idx[0]), int(idx[-1]) + 1
                 term = rows[i]
-                # a select, not a multiply: 0 x inf would be nan
-                sums[:, i, r0:r1] = np.where(live[:, i, r0:r1], self._row(
-                    term, getattr(data, term.integrand).values[:, r0:r1],
-                    weights[term.region][r0 - a:r1 - a]), 0.0)
+                sums[:, i, a:b] = self._row(term, getattr(data, term.integrand)[:, a:b],
+                                            weights[term.region])
             del w, weights        # one weight table alive at a time
         return sums
 
@@ -351,35 +305,25 @@ class _CellQuadrature:
 
 def _stacked(data: TrajectoryData, n: int) -> TrajectoryData:
     """Empty stacked windows of n trajectories, each shaped as `data`'s."""
-    out = {}
-    for name in _INTEGRANDS:
-        g = getattr(data, name)
-        out[name] = None if g is None else Integrand(      # dnu2 on the disk
-            np.empty((n,) + g.values.shape), np.empty((n,) + g.log_slice_max.shape))
-    return TrajectoryData(**out)
+    return TrajectoryData(**{name: None if g is None       # dnu2 on the disk
+                             else np.empty((n,) + g.shape)
+                             for name, g in vars(data).items()})
 
 
 def _fill(out: TrajectoryData, j: int, data: TrajectoryData) -> None:
     """Copy one trajectory's window into slot j of the stacked windows `out`,
     on its first slices."""
-    for name in _INTEGRANDS:
-        g = getattr(data, name)
+    for name, g in vars(data).items():
         if g is not None:
-            m = g.log_slice_max.shape[0]
-            getattr(out, name).values[j, :m] = g.values
-            getattr(out, name).log_slice_max[j, :m] = g.log_slice_max
+            getattr(out, name)[j, :len(g)] = g
 
 
 def _take(data: TrajectoryData, *index) -> TrajectoryData:
     """The stacked windows indexed by `index` (basic indices only), as views;
     `_take(data, None)` puts one trajectory's integrands in front of a
     trajectory axis."""
-    views = {}
-    for name in _INTEGRANDS:
-        g = getattr(data, name)
-        views[name] = None if g is None else Integrand(g.values[index],
-                                                       g.log_slice_max[index])
-    return TrajectoryData(**views)
+    return TrajectoryData(**{name: None if g is None else g[index]
+                             for name, g in vars(data).items()})
 
 
 def _cell_rows(params: CarlemanParams, grid: SpaceTimeGrid) -> list:
@@ -437,7 +381,7 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     Dirichlet trace the boundary family needs is not checked here;
     `lambda_scan` checks it.
     """
-    if data.yt2.log_slice_max.size != grid.nt - 1:
+    if len(data.yt2) != grid.nt - 1:
         raise FunctionalError("evaluate_cell needs the integrands on every "
                               "interior time")
     rows = _cell_rows(tables.params, grid)

@@ -113,12 +113,9 @@ class SpaceTimeGrid:
     # solver linear operators per boundary condition, built on first use
     _linear_ops: dict = field(default_factory=dict)
 
-    def space_weights(self, exclude_corners: bool = False) -> np.ndarray:
-        w = self.quad_weights_space
-        if exclude_corners and self.corner_mask.any():
-            w = w.copy()
-            w[self.corner_mask] = 0.0
-        return w
+    def space_weights(self) -> np.ndarray:
+        """quad_weights_space with the square's corner nodes at zero."""
+        return np.where(self.corner_mask, 0.0, self.quad_weights_space)
 
     def time_weights(self, region: str = "Q", eps: float | None = None):
         """Trapezoid weights in time, restricted to [eps, T-eps] for Q_eps."""

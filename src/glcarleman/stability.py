@@ -75,12 +75,6 @@ def _linf_l6(slice_sums) -> float:
     return float(np.max(slice_sums) ** (1.0 / 6.0))
 
 
-def linf_l6_norm(U: np.ndarray, grid: SpaceTimeGrid) -> float:
-    """max over time slices of (int |u|^6 dx)^(1/6) via spatial quadrature."""
-    U = grid.check_field(np.asarray(U, dtype=complex), "field")
-    return _linf_l6(l6_slice_sums(U, grid))
-
-
 def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """|grad Z|^2, each temporary written in place."""
     g1, g2 = grad(Z, grid)
@@ -139,19 +133,6 @@ def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
                 f"difference trace on Gamma is {breach:.3e}; the pair was not "
                 "solved with identical Dirichlet data")
     return PreparedDifference(energy=cat["energy"], obs=obs, c_u2=c_u2, c_u1=c_u1)
-
-
-def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
-                       c_u2: float = float("nan"), c_u1: float = float("nan"),
-                       variants=("interior", "boundary")) -> PreparedDifference:
-    """One gradient and the observations of ``variants`` of a whole
-    difference z, with the conditional constants c_u = ||u||_{L^inf L^6}^8
-    passed in (nan when the solution is not at hand).
-
-    For "boundary", z must carry a zero Dirichlet trace.
-    """
-    z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    return _prepare([_window_sums(z, grid, variants)], grid, c_u2, c_u1, variants)
 
 
 def _lhs(d: PreparedDifference, grid: SpaceTimeGrid, eps: float) -> float:

@@ -5,7 +5,8 @@ the finite-difference and time-monotonicity checks of the weight family,
 its whole tables of 2 ell and phi, the operator F y from a whole
 trajectory, the volume sums as one np.einsum takes them, the scan of whole
 stored trajectories, the Dirichlet-trace rule on a whole trajectory, the
-cubic subflow as its formula reads, and polynomial field factors.
+stability suite's reductions of a whole stored difference and its L^inf L^6
+norm, the cubic subflow as its formula reads, and polynomial field factors.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from glcarleman.functionals import lambda_scan
 from glcarleman.gloperator import GLCoeffs, linear_source, time_derivative
 from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, laplacian,
                              trace_breach)
+from glcarleman.stability import (PreparedDifference, _linf_l6, _prepare,
+                                  _window_sums, l6_slice_sums)
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
 
 
@@ -72,6 +75,27 @@ def nonzero_trace(f: np.ndarray, grid: SpaceTimeGrid) -> float:
     Dirichlet trace, else 0.0: the reference for the scan's running maxima."""
     return trace_breach(float(np.abs(boundary_values(f, grid)).max()),
                         float(np.abs(f).max()))
+
+
+def linf_l6_norm(U: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """max over time slices of (int |u|^6 dx)^(1/6) of a whole trajectory U:
+    the reference for the stability suite's conditional constants."""
+    U = grid.check_field(np.asarray(U, dtype=complex), "field")
+    return _linf_l6(l6_slice_sums(U, grid))
+
+
+def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
+                       c_u2: float = float("nan"), c_u1: float = float("nan"),
+                       variants=("interior", "boundary")) -> PreparedDifference:
+    """One gradient and the observations of ``variants`` of a whole
+    difference z, with the conditional constants c_u = ||u||_{L^inf L^6}^8
+    passed in (nan when the solution is not at hand): the reference for the
+    stability suite's window-by-window reductions.
+
+    For "boundary", z must carry a zero Dirichlet trace.
+    """
+    z = grid.check_field(np.asarray(z, dtype=complex), "difference")
+    return _prepare([_window_sums(z, grid, variants)], grid, c_u2, c_u1, variants)
 
 
 def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,

@@ -19,11 +19,11 @@ from glcarleman.gloperator import CoeffError, check_condition1, derive_coeffs
 from glcarleman.grid import DomainSpec, build_grid, integrate_q
 from glcarleman.identity import T_coefficient_positivity, identity_residuals
 from glcarleman.solver import SolveConfig, energy_balance, grid_source, solve
-from glcarleman.stability import (linf_l6_norm, perturbation_suite,
-                                  prepare_difference, stability_interior)
+from glcarleman.stability import perturbation_suite, stability_interior
 from glcarleman.weights import (CarlemanParams, verify_psi_admissibility,
                                 weight_tables)
-from support import check_time_monotonicity, derivative_consistency, scan_trajectories
+from support import (check_time_monotonicity, derivative_consistency, linf_l6_norm,
+                     prepare_difference, scan_trajectories)
 from test_operator import coefficient_relations
 
 SQUARE = DomainSpec(shape="unit_square", omega_center=(0.5, 0.5),

@@ -491,10 +491,10 @@ class TestScanPass:
 def test_scan_peak_memory(tmp_path):
     # The suite is marched in lockstep and each window of
     # grid.WINDOW = 4 interior slices is scanned as soon as its last
-    # halo slice is solved, so no trajectory is held.  The peak is about
-    # 10.8 complex space-time trajectories: the stacked integrands of one
-    # window (2.8), each cell's weight tables (1.7), the slice buffer (0.9),
-    # each cell's per-slice sums (0.75), the temporaries of preparing one
+    # halo slice is solved, so no trajectory is held.  The peak reads 10.77
+    # complex space-time trajectories: the stacked integrands of one window
+    # (2.8), each cell's weight tables (1.7), the slice buffer (0.9), each
+    # cell's per-slice sums (0.75), the temporaries of preparing one
     # member's window, and the solver's operators.  Solving the suite first
     # and keeping it, as the scan once did, peaked at about 12.8.
     tracemalloc.start()

@@ -9,7 +9,7 @@ from glcarleman import cli, functionals
 from glcarleman.config import DEFAULTS
 from glcarleman.fields import random_initial_field
 from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
-                                    FunctionalError, Integrand, Term, _CellQuadrature,
+                                    FunctionalError, Term, _CellQuadrature,
                                     _flush_exp, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
@@ -30,8 +30,8 @@ def report(Y, params, grid, variant="interior"):
 
 
 def one_window(g):
-    """g, an Integrand of one trajectory, as the window of a suite of one."""
-    return SimpleNamespace(g=Integrand(g.values[None], g.log_slice_max[None]))
+    """g, an integrand of one trajectory, as the window of a suite of one."""
+    return SimpleNamespace(g=g[None])
 
 
 def time_integral(per_slice, grid, keep=None):
@@ -43,7 +43,8 @@ def time_integral(per_slice, grid, keep=None):
 
 
 def integral(cell, g, phi_power=0, region="Q"):
-    """int theta^2 phi^phi_power g over one region, g an Integrand."""
+    """int theta^2 phi^phi_power g over one region, g on every interior
+    time."""
     term = Term("g", "lhs", frozenset(), "g", 0, 0, phi_power, region)
     return time_integral(cell.integrals(one_window(g), [term], 0)[0, 0], cell.grid)
 
@@ -138,12 +139,10 @@ class TestTermsTable:
 
     def test_table_matches_trajectory_data(self, grid32, dirichlet_traj):
         data = vars(prepare_trajectory(dirichlet_traj, grid32, COEFFS))
-        integrands = {k for k, v in data.items() if isinstance(v, Integrand)}
-        # every row reads a prepared integrand, and every one is read
-        assert {t.integrand for t in TERMS} == integrands
-        # the benchmark sums nbytes over the attributes that hold arrays
-        assert all(isinstance(v, float) or hasattr(v, "nbytes")
-                   for v in data.values())
+        integrands = {k for k, v in data.items() if isinstance(v, np.ndarray)}
+        # every row reads a prepared integrand, and every one is read; the
+        # benchmark sums nbytes over the attributes, all of them arrays
+        assert {t.integrand for t in TERMS} == integrands == set(data)
         for t in TERMS:
             assert t.side in ("lhs", "rhs") and t.variants <= set(VARIANTS)
             assert t.region in ("Q", "Q_omega", "Sigma_0")
@@ -163,16 +162,12 @@ def flushed(arg):
     return np.where(arg > FLUSH_LOG, np.exp(np.maximum(arg, FLUSH_LOG)), 0.0)
 
 
-def row_live(cell, phi_power, g):
+def row_live(cell, phi_power):
     """The slices a row keeps, from full-table extremes: those whose bound
-    on the weight's argument, and that bound plus log max g, exceed the
-    window."""
+    on the weight's argument exceeds the window."""
     logw, logphi = full_tables(cell)
     ext = logphi.max(axis=1) if phi_power > 0 else logphi.min(axis=1)
-    bound = logw.max(axis=1) + phi_power * ext
-    with np.errstate(divide="ignore"):
-        log_gmax = np.log(g.reshape(g.shape[0], -1).max(axis=1))
-    return (bound > FLUSH_LOG) & (bound + log_gmax > FLUSH_LOG)
+    return logw.max(axis=1) + phi_power * ext > FLUSH_LOG
 
 
 def boundary_reference(cell, dnu_abs2):
@@ -190,7 +185,7 @@ def boundary_reference(cell, dnu_abs2):
     bphi = b_exp_mu_psi[None, :] * sig
     vals = flushed(two_ell + 1 * np.log(bphi)) * g * cell.tables.b_dpsi_dnu
     per_t = space_sums(vals, cell.grid.boundary_weights)
-    return time_integral(per_t, cell.grid, row_live(cell, 1, g))
+    return time_integral(per_t, cell.grid, row_live(cell, 1))
 
 
 @pytest.fixture(scope="module")
@@ -384,35 +379,27 @@ class TestCellQuadrature:
         assert _CellQuadrature(tables, grid32).log_scale \
             == log_theta2(tables).max()
 
-    def test_flush_to_zero(self, grid32):
+    def test_flush_to_zero(self):
         # weight arguments in (-745, -700] would be subnormal: they flush to
         # 0, and so does nan
         assert np.exp(-720.0) > 0
         arg = np.array([-720.0, FLUSH_LOG, -699.5, np.nan, 0.0])
         assert _flush_exp(arg).tolist() == [0.0, 0.0, np.exp(-699.5), 0.0, 1.0]
-        # a row whose bound puts every product below the window adds nothing
-        cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
-                                             grid32), grid32)
-        assert integral(cell, Integrand.of(np.full((31, 33, 33), np.exp(-720.0)))) \
-            == 0.0
-        assert integral(cell, Integrand.of(np.full((31, 33, 33), np.exp(-690.0)))) > 0
 
     def test_zero_slice_adds_nothing(self, grid32, rng):
-        # an all-zero slice of g has log max -inf: no row keeps it
+        # an all-zero slice of g, where the weight is not, sums to exactly 0.0
         cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
                                              grid32), grid32)
         g = rng.random((31, 33, 33)) + 0.1
         g[15] = 0.0
-        integrand = Integrand.of(g)
-        assert integrand.log_slice_max[15] == -np.inf
-        assert np.isfinite(integrand.log_slice_max).sum() == 30
         for p in (-1, 0, 3):
-            live = cell.live(one_window(integrand),
-                             [Term("g", "lhs", frozenset(), "g", 0, 0, p, "Q")], 0)[0, 0]
-            assert not live[15] and live.sum() == 30
-            whole = integral(cell, integrand, p)
+            term = Term("g", "lhs", frozenset(), "g", 0, 0, p, "Q")
+            sums = cell.integrals(one_window(g), [term], 0)[0, 0]
+            assert row_live(cell, p)[15]
+            assert sums[15] == 0.0 and np.all(np.delete(sums, 15) > 0)
+            whole = integral(cell, g, p)
             g[15] = 1.0
-            assert whole < integral(cell, Integrand.of(g), p)
+            assert whole < integral(cell, g, p)
             g[15] = 0.0
 
     def test_matches_direct_product(self, grid32, rng):
@@ -424,9 +411,8 @@ class TestCellQuadrature:
         for p in (-1, 0, 2):
             direct = theta2 * phi(tables) ** p * g
             expect = time_integral(np.sum(
-                direct * grid32.space_weights(exclude_corners=True), axis=(1, 2)),
-                grid32)
-            assert integral(cell, Integrand.of(g), p) \
+                direct * grid32.space_weights(), axis=(1, 2)), grid32)
+            assert integral(cell, g, p) \
                 == pytest.approx(expect, rel=1e-13)
 
 
@@ -525,30 +511,35 @@ class TestSliceSkip:
         assert len(rows) == len(values) == (11 if name.startswith("j1") else 10)
 
     def test_equals_sum_over_all_slices(self, cell_calls, name):
-        # every slice evaluated, then the row's rule: the slices its bound
-        # drops add nothing
+        # every slice evaluated, then the row's rule: the slices its weight's
+        # bound drops add nothing
         cell, rows, values, data, _ = cell_calls[name]
         for term, value in zip(rows, values):
-            g = getattr(data, term.integrand).values
-            sums = flushed_slices(cell, term, g)
-            live = row_live(cell, term.phi_power, g)
+            sums = flushed_slices(cell, term, getattr(data, term.integrand))
+            live = row_live(cell, term.phi_power)
             assert value == time_integral(sums, cell.grid, live), term.name
 
     def test_skipped_slices_hold_exact_zeros(self, cell_calls, name):
-        # a dropped slice holds exact zeros where the weight's bound is below
-        # the window, and products below the window elsewhere
+        # a slice whose weight's bound is below the window holds exact zeros
         cell, rows, _, data, _ = cell_calls[name]
-        logw, logphi = full_tables(cell)
         for term in rows:
-            g = getattr(data, term.integrand).values
-            sums = flushed_slices(cell, term, g)
-            p = term.phi_power
-            bound = logw.max(axis=1) + p * (logphi.max(axis=1) if p > 0
-                                            else logphi.min(axis=1))
-            dropped = ~row_live(cell, p, g)
-            assert not sums[dropped & (bound <= FLUSH_LOG)].any(), term.name
-            assert np.all(np.abs(sums[dropped]) <= np.exp(FLUSH_LOG) * (1 + 1e-12)
-                          * region_weight(cell, term)), term.name
+            sums = flushed_slices(cell, term, getattr(data, term.integrand))
+            assert not sums[~row_live(cell, term.phi_power)].any(), term.name
+
+    def test_products_below_the_window_are_summed(self, grid32, name):
+        # g = e^-720 on the slice where theta^2 peaks: each product lies below
+        # e^-700, but the slice's weight is not all zero, so it is summed
+        family, lam, mu = SKIP_CELLS[name]
+        cell = _CellQuadrature(weight_tables(CarlemanParams(
+            lam=lam, mu=mu, T=1.0, family=family), grid32), grid32)
+        k = int(np.argmax(cell.logw_max))
+        g = np.zeros((31, 33, 33))
+        g[k] = np.exp(-720.0)
+        term = Term("g", "lhs", frozenset(), "g", 0, 0, 0, "Q")
+        sums = cell.integrals(one_window(g), [term], 0)[0, 0]
+        assert np.array_equal(sums, flushed_slices(cell, term, g))
+        assert 0 < sums[k] <= np.exp(FLUSH_LOG) * region_weight(cell, term)
+        assert not np.delete(sums, k).any()
 
     def test_one_exp_per_phi_power(self, cell_calls, name):
         # phi^-1 .. phi^3, plus the Sigma_0 weight for j2
@@ -574,8 +565,7 @@ class TestSliceSkip:
         for p in (1, 2, 3):
             sums = flushed_slices(cell, TERMS[0]._replace(phi_power=p), g)
             assert sums.any()
-            assert integral(cell, Integrand.of(g), p) \
-                == time_integral(sums, cell.grid)
+            assert integral(cell, g, p) == time_integral(sums, cell.grid)
 
 
 @pytest.mark.parametrize("family", ["j1_interior", "j2_boundary"])
@@ -654,7 +644,7 @@ def test_matches_log_form_reference(request, grid32, dirichlet_traj, where,
                 continue
             side = rep.lhs_breakdown if term.side == "lhs" else rep.rhs_breakdown
             value = side[term.name]
-            expect = log_form_row(cell, term, getattr(data, term.integrand).values)
+            expect = log_form_row(cell, term, getattr(data, term.integrand))
             assert (value == 0.0) == (expect == 0.0), (variant, term.name)
             assert value == pytest.approx(expect, rel=1e-12, abs=0.0), \
                 (variant, term.name)

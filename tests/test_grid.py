@@ -10,8 +10,7 @@ from glcarleman.grid import (DomainSpec, GridError, _cut_table, _d1, _d2,
                              integrate_slices, laplacian, normal_derivative,
                              space_sums, windows)
 from glcarleman.solver import SolveConfig, energy_balance, march
-from glcarleman.stability import linf_l6_norm, prepare_difference
-from support import einsum_space_sums
+from support import einsum_space_sums, linf_l6_norm, prepare_difference
 
 
 def integrate_space(g: np.ndarray, grid) -> float:
@@ -469,7 +468,8 @@ class TestGreenIdentity:
         assert defects[1] <= max(defects[0] / 2 ** 0.8, 1e-12)
 
 
-# The stencils trust their input: each entry point checks its field once.
+# The stencils trust their input: each entry point checks its field once,
+# and so does each whole-trajectory reference of the stability suite.
 ENTRY_POINTS = {
     "prepare_trajectory": lambda Y, g: prepare_trajectory(Y, g, derive_coeffs(0.3, 0.4)),
     "march": lambda Y, g: next(march(Y[:1], SolveConfig(bc="dirichlet0"), g)),

@@ -22,11 +22,6 @@ KEPT = {
                      "bit-for-bit reference for lambda_scan",
     "load_trajectory": "reads trajectory.bin beside its writer, so that one "
                        "module owns the format",
-    "prepare_difference": "the whole-trajectory reference for the streamed "
-                          "stability suite",
-    "linf_l6_norm": "the whole-trajectory reference for the streamed "
-                    "stability suite",
-    "nbytes": "the benchmark's prepare layer (on_prepare) reads Integrand.nbytes",
 }
 
 

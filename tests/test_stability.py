@@ -8,9 +8,10 @@ from glcarleman.fields import random_initial_field
 from glcarleman.grid import (WINDOW, build_grid, grad, integrate_q,
                              integrate_slices, normal_derivative, space_sums)
 from glcarleman.solver import SolveConfig, solve
-from glcarleman.stability import (StabilityError, linf_l6_norm,
-                                  perturbation_suite, prepare_difference,
+from glcarleman.stability import (StabilityError, perturbation_suite,
                                   stability_boundary, stability_interior)
+
+from support import linf_l6_norm, prepare_difference
 
 
 def c8(u, grid):

@@ -82,5 +82,5 @@ def test_traced_scan_streams_the_suite():
     assert metrics["solver.solve_calls"] == 0
     assert metrics["functionals.scan_s"] > 0
     slices, nodes, samples = 15, 17 * 17, 4 * 17
-    member = 8 * slices * (9 * nodes + samples) + 8 * 10 * slices
+    member = 8 * slices * (9 * nodes + samples)
     assert metrics["functionals.prepare_mb"] == 5 * member / 1e6

@@ -3,13 +3,11 @@
 Every command loads a JSON configuration (defaults + file + flag overrides),
 validates it against all module preconditions, and writes its reports under
 a run directory named by the configuration hash.  Outputs are byte-stable:
-identical configurations produce byte-identical files (carleman-scan at a
-fixed BLAS thread count, since its weighted volume rows are BLAS dot
-products, which OpenBLAS splits across threads for long rows).  Among the
-preconditions, carleman-scan checks on the run grid that each auxiliary
-function psi its variants weigh with is admissible, before any work starts,
-and marches its suite in lockstep, one stack per boundary condition, scanning
-each window of times as soon as it is solved.
+identical configurations produce byte-identical files, under any BLAS
+thread count.  Among the preconditions, carleman-scan checks on the run grid
+that each auxiliary function psi its variants weigh with is admissible,
+before any work starts, and marches its suite in lockstep, one stack per
+boundary condition, scanning each window of times as soon as it is solved.
 --lambda and --mu set the lists of the one command that reads them
 (identity.* for verify-identity, scan.* for carleman-scan).
 

@@ -41,9 +41,15 @@ exponentiates one weight per group and window,
 W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
 argument is <= -700 and multiplied by the space quadrature weights; each row
 is then one dot product (np.vecdot) of W_p with g per time slice and
-trajectory.  On Sigma_0 the weight is flushed at the boundary nodes and
-multiplied by g and then by the signed d psi/d nu, and each slice is summed
-against the boundary weights by `grid.space_sums`.  Per time slice, the
+trajectory, the in-order sum of dots over runs of DOT_CHUNK nodes, so that
+no BLAS call splits it across threads.  A cell holds only its log offset,
+its (nt-1)-long per-slice bounds and its rows' per-slice sums: e^{mu psi},
+sigma and d psi/d nu are tabulated once per (family, mu) and shared by every
+lambda, r = 2 lam (e^{mu psi} - K) is formed in each window that uses it,
+and the volume weights and omega nodes are the grid's.  On Sigma_0 the
+weight is flushed at the boundary nodes and multiplied by g and then by the
+signed d psi/d nu, and each slice is summed against the boundary weights by
+`grid.space_sums`.  Per time slice, the
 extremes of 2 ell and log phi follow from the spatial extremes of
 e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma with sigma > 0, and
 rounding is monotone, so they are exact) and bound the weight's argument
@@ -57,7 +63,7 @@ Square corner nodes are excluded from all weighted integrals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,6 +74,10 @@ from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_slices,
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
+# nodes per dot product of a weighted volume row: OpenBLAS splits a dot
+# product of more than 10,000 elements across threads, which rounds it
+# differently, so a row is the in-order sum of dots of at most this many
+DOT_CHUNK = 8192
 STABILIZATION_TOL = 0.10
 
 # variant -> weight family; each family's cubic variant comes before its linear one
@@ -207,32 +217,37 @@ def _flush_exp(arg: np.ndarray) -> np.ndarray:
 class _CellQuadrature:
     """Weighted integrals for one (lambda, mu) cell with a shared log offset.
 
-    2 ell = r sigma(t) with r = 2 lam (e^{mu psi} - K) and sigma > 0, and
-    phi = e^{mu psi} sigma(t): rounding is monotone, so the per-slice
-    extremes of 2 ell and log phi are those of the full tables, bit for bit.
+    A cell holds its log offset and the per-slice bounds of its weights'
+    arguments; e^{mu psi}, K, sigma and d psi/d nu are the tables of its
+    (family, mu), shared by every lambda, and the volume weights and omega
+    nodes are the grid's.  2 ell = r sigma(t) with r = 2 lam (e^{mu psi} - K)
+    and sigma > 0, and phi = e^{mu psi} sigma(t): rounding is monotone, so
+    the per-slice extremes of 2 ell and log phi are those of the full
+    tables, bit for bit.
     """
 
     def __init__(self, tables: WeightTables, grid: SpaceTimeGrid):
         self.grid = grid
         self.tables = tables
-        # 2 ell and phi are formed as WeightTables forms them, so the bits agree
-        self.exp_mu_psi = tables.exp_mu_psi.ravel()
-        self.r = 2.0 * tables.params.lam * (self.exp_mu_psi - tables.K)
-        two_ell_max = self.r.max() * tables.sigma
+        two_ell_max = self._r().max() * tables.sigma
         # the square's boundary samples are grid nodes, and only j1 runs on
         # the disk, where psi1 = 0 on the circle: the nodes hold the maximum
         self.log_scale = float(two_ell_max.max())
         self.logw_max = two_ell_max - self.log_scale
         with np.errstate(divide="ignore"):
-            self.logphi_max = np.log(self.exp_mu_psi.max() * tables.sigma)
-            self.logphi_min = np.log(self.exp_mu_psi.min() * tables.sigma)
+            self.logphi_max = np.log(tables.exp_mu_psi.max() * tables.sigma)
+            self.logphi_min = np.log(tables.exp_mu_psi.min() * tables.sigma)
         # per phi power, the bound on the weight's argument of each slice
         self.bound = {p: self.logw_max + p * (self.logphi_max if p > 0
                                               else self.logphi_min) if p
                       else self.logw_max
                       for p in {t.phi_power for t in TERMS}}
-        self.wsp = grid.space_weights().ravel()
-        self.omega = np.flatnonzero(grid.omega_mask)
+
+    def _r(self) -> np.ndarray:
+        """r = 2 lam (e^{mu psi} - K) on the flattened nodes, formed as
+        WeightTables forms 2 ell, so the bits agree."""
+        t = self.tables
+        return 2.0 * t.params.lam * (t.exp_mu_psi.ravel() - t.K)
 
     def integrals(self, data, rows: list, start: int) -> np.ndarray:
         """Per-slice sums of each row of `TERMS` over its region, without its
@@ -256,11 +271,12 @@ class _CellQuadrature:
         # 2 ell - log_scale and log phi on the slices some weight covers
         lo, hi = int(kept.min()), int(kept.max()) + 1
         sigma = self.tables.sigma[start + lo:start + hi, None]
-        logw = self.r[None] * sigma
+        logw = self._r()[None] * sigma
         logw -= self.log_scale
-        logphi = self.exp_mu_psi[None] * sigma
+        logphi = self.tables.exp_mu_psi.ravel()[None] * sigma
         with np.errstate(divide="ignore"):
             np.log(logphi, out=logphi)
+        grid = self.grid
         for p, kept in weighted.items():
             if not kept.size:
                 continue
@@ -274,15 +290,14 @@ class _CellQuadrature:
             regions = {rows[i].region for i in group}
             weights = {}
             if "Sigma_0" in regions:
-                nodes = np.ravel_multi_index((self.grid._b_iy, self.grid._b_ix),
-                                             self.grid.X1.shape)
+                nodes = np.ravel_multi_index((grid._b_iy, grid._b_ix), grid.X1.shape)
                 weights["Sigma_0"] = _flush_exp(np.take(w, nodes, axis=1))
             _flush_exp(w)
-            w *= self.wsp
+            w *= grid.space_weights.ravel()
             weights["Q"] = w
             if "Q_omega" in regions:
                 # C-contiguous gathers: a strided dot rounds differently
-                weights["Q_omega"] = np.take(w, self.omega, axis=1)
+                weights["Q_omega"] = np.take(w, grid.omega_nodes, axis=1)
             for i in group:
                 term = rows[i]
                 sums[:, i, a:b] = self._row(term, getattr(data, term.integrand)[:, a:b],
@@ -292,15 +307,18 @@ class _CellQuadrature:
 
     def _row(self, term: Term, g: np.ndarray, w: np.ndarray) -> np.ndarray:
         """(trajectories, slices): the dot products of one row's flushed
-        weight w with each trajectory's integrand g on the same slices."""
+        weight w with each trajectory's integrand g on the same slices, the
+        volume ones summed over runs of DOT_CHUNK nodes in order."""
         gv = g.reshape(g.shape[0], g.shape[1], -1)
         if term.region == "Sigma_0":
             vals = w * gv
             vals *= self.tables.b_dpsi_dnu
             return space_sums(vals, self.grid.boundary_weights)
         if term.region == "Q_omega":
-            gv = np.take(gv, self.omega, axis=-1)
-        return np.vecdot(w, gv)
+            gv = np.take(gv, self.grid.omega_nodes, axis=-1)
+        dots = [np.vecdot(w[:, a:a + DOT_CHUNK], gv[..., a:a + DOT_CHUNK])
+                for a in range(0, w.shape[-1], DOT_CHUNK)]
+        return sum(dots[1:], dots[0])
 
 
 def _stacked(data: TrajectoryData, n: int) -> TrajectoryData:
@@ -423,13 +441,13 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     `variants`, the variants requested of each member: a CarlemanReport per
     (lambda, mu), plus stabilization.
 
-    The weights depend on the cell (family, mu, lambda) only, so each cell
-    tabulates them once for the whole suite.  `grid.windows` tiles the
-    interior times, with one halo slice on each side for y_t: as each window
-    arrives, every member that requests a variant is prepared on it once,
-    each cell forms each flushed weight once and dots it with the
-    integrands of every member that requests a variant of its family, and
-    the window is dropped.  The per-slice sums of each (member, cell, row)
+    The weight tables depend on (family, mu) only, so each pair is
+    tabulated once for the whole suite and shared by its lambda cells.
+    `grid.windows` tiles the interior times, with one halo slice on each
+    side for y_t: as each window arrives, every member that requests a
+    variant is prepared on it once, each cell forms each flushed weight once
+    and dots it with the integrands of every member that requests a variant
+    of its family, and the window is dropped.  The per-slice sums of each (member, cell, row)
     are kept on all nt+1 nodes, and each time integral is taken over them
     at the end, so that every report is evaluate_cell's for that trajectory
     and cell, bit for bit.  A member of the boundary family is checked for
@@ -456,12 +474,14 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     cells = []                   # (params, rows, quadrature, per-slice sums)
     for family, run in runs.items():
         for mu in mus:
+            tables = None        # one tabulation per (family, mu)
             for lam in lambdas:
                 params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
                                         family=family)
                 rows = _cell_rows(params, grid)
-                cells.append((params, rows,
-                              _CellQuadrature(weight_tables(params, grid), grid),
+                tables = (replace(tables, params=params) if tables
+                          else weight_tables(params, grid))
+                cells.append((params, rows, _CellQuadrature(tables, grid),
                               np.zeros((run.stop - run.start, len(rows), grid.nt + 1))))
     stacked = None               # the window's integrands, shaped at the first
     j2 = runs.get("j2_boundary")

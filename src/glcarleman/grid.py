@@ -31,9 +31,12 @@ Quadrature reductions use a fixed summation order: every space integral,
 over Omega, omega or Gamma, is ``space_sums`` of a slice against one of the
 grid's weight tables (one np.einsum, alike in any stack or layout of
 slices), and every time integral is ``integrate_slices``, one math.fsum of
-per-slice sums, so repeated runs give bit-identical results.  ``windows``
-tiles the time slices of each streamed suite, so that neither suite holds a
-trajectory.
+per-slice sums, so repeated runs give bit-identical results.  ``build_grid``
+forms every weight table once per grid: the volume weights, the omega
+weights beside them, the volume weights with the square's corners at zero
+(``space_weights``, which the Carleman cells weigh with) and the flat index
+of the omega nodes (``omega_nodes``).  ``windows`` tiles the time slices
+of each streamed suite, so that neither suite holds a trajectory.
 """
 
 from __future__ import annotations
@@ -101,6 +104,8 @@ class SpaceTimeGrid:
     omega_mask: np.ndarray
     quad_weights_space: np.ndarray
     omega_weights: np.ndarray         # quad_weights_space on omega, 0 elsewhere
+    space_weights: np.ndarray         # quad_weights_space, square corners at 0
+    omega_nodes: np.ndarray           # flat indices of the omega nodes
     boundary_points: np.ndarray
     boundary_normals: np.ndarray
     boundary_weights: np.ndarray
@@ -112,10 +117,6 @@ class SpaceTimeGrid:
     _cut: tuple = ()
     # solver linear operators per boundary condition, built on first use
     _linear_ops: dict = field(default_factory=dict)
-
-    def space_weights(self) -> np.ndarray:
-        """quad_weights_space with the square's corner nodes at zero."""
-        return np.where(self.corner_mask, 0.0, self.quad_weights_space)
 
     def time_weights(self, region: str = "Q", eps: float | None = None):
         """Trapezoid weights in time, restricted to [eps, T-eps] for Q_eps."""
@@ -280,7 +281,9 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
         spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
         x1_nodes=x, x2_nodes=x, t_nodes=np.linspace(0.0, T, nt + 1),
         X1=X1, X2=X2, interior_mask=interior, omega_mask=omega,
-        omega_weights=geo["quad_weights_space"] * omega, **geo)
+        omega_weights=geo["quad_weights_space"] * omega,
+        space_weights=np.where(geo["corner_mask"], 0.0, geo["quad_weights_space"]),
+        omega_nodes=np.flatnonzero(omega), **geo)
 
 
 # ---------------------------------------------------------------------------

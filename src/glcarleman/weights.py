@@ -19,9 +19,10 @@ From psi the weight family is
 with all derivatives needed by the pointwise identity evaluated in closed
 form.  theta spans hundreds of orders of magnitude, so only log(theta) = ell
 is ever stored: :func:`weight_tables` tabulates exp(mu psi), K and sigma over
-the grid, and the cell quadrature in :mod:`glcarleman.functionals` assembles
-the weights theta^2 phi^p from them in log space, flushing each to exact zero
-once its log-argument drops below FLUSH_LOG = -700.
+the grid, once per (family, mu), and the cell quadrature in
+:mod:`glcarleman.functionals` assembles the weights theta^2 phi^p of each
+lambda from them in log space, flushing each to exact zero once its
+log-argument drops below FLUSH_LOG = -700.
 """
 
 from __future__ import annotations
@@ -201,7 +202,11 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
 
 @dataclass
 class WeightTables:
-    """Per-(family, mu): spatial and temporal factors of the weight family."""
+    """Per-(family, mu): spatial and temporal factors of the weight family.
+
+    None of the arrays depends on lambda, so a scan tabulates them once per
+    (family, mu) and each lambda cell shares them; params carries the
+    cell's lambda (`dataclasses.replace(tables, params=...)`)."""
 
     params: CarlemanParams
     exp_mu_psi: np.ndarray       # grid nodes
@@ -212,7 +217,7 @@ class WeightTables:
 
 def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
     """Tabulate exp(mu psi), K and sigma on the grid, and d psi/d nu at its
-    boundary samples.
+    boundary samples: one tabulation per (family, mu), whatever params.lam.
 
     sigma uses the grid horizon grid.T; callers that integrate against the
     tables check that params.T agrees with it.

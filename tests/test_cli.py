@@ -491,12 +491,12 @@ class TestScanPass:
 def test_scan_peak_memory(tmp_path):
     # The suite is marched in lockstep and each window of
     # grid.WINDOW = 4 interior slices is scanned as soon as its last
-    # halo slice is solved, so no trajectory is held.  The peak reads 10.77
+    # halo slice is solved, so no trajectory is held.  The peak reads 9.02
     # complex space-time trajectories: the stacked integrands of one window
-    # (2.8), each cell's weight tables (1.7), the slice buffer (0.9), each
-    # cell's per-slice sums (0.75), the temporaries of preparing one
-    # member's window, and the solver's operators.  Solving the suite first
-    # and keeping it, as the scan once did, peaked at about 12.8.
+    # (2.8), the slice buffer (0.9), each cell's per-slice sums (0.75), the
+    # temporaries of preparing one member's window, and the solver's
+    # operators.  Solving the suite first and keeping it, as the scan once
+    # did, peaked at about 12.8.
     tracemalloc.start()
     try:
         assert run_in(tmp_path, ["--grid", "32", "--seed", "7",
@@ -535,6 +535,35 @@ def test_scan_peak_memory_does_not_grow_with_nt(tmp_path):
     sums = 8 * (64 - 16) * len(sc["mus"]) * len(sc["lambdas"]) \
         * sum(members[f] * rows[f] for f in members)
     assert peaks[1] - peaks[0] < sums + 0.75 * 33 * 33 * 17 * 16
+
+
+def test_scan_peak_memory_does_not_grow_with_cells(tmp_path):
+    # the weight tables are one per (family, mu), shared by every lambda
+    # cell, and the volume weights and omega nodes are the grid's, so an
+    # added (family, lambda) cell holds no table of (nx+1)(ny+1) nodes:
+    # only its per-slice bounds and sums and its reports, about 4.4 KB at
+    # 32^2, where one such table of its own per cell grew the peak by
+    # 34.3 KB a cell.  Each peak is taken in a fresh interpreter: the first
+    # run in a process carries one-time allocations.
+    peaks = []
+    for n_lambdas in (2, 24):
+        cfg = tmp_path / f"l{n_lambdas}.json"
+        cfg.write_text(json.dumps({
+            "grid": {"nx": 32, "ny": 32, "nt": 16},
+            "scan": {"n_trajectories": 1, "mus": [2],
+                     "lambdas": list(range(2, 2 + n_lambdas))}}))
+        out = fresh_interpreter(tmp_path, f"""if True:
+            import tracemalloc
+            from glcarleman.cli import main
+            tracemalloc.start()
+            assert main(["--config", {str(cfg)!r}, "--seed", "7",
+                         "carleman-scan"]) in (0, 1)
+            print(tracemalloc.get_traced_memory()[1])
+            """)
+        peaks.append(int(out.splitlines()[-1]))
+    # the one member is a Dirichlet one, weighed with both families
+    added_cells = 2 * (24 - 2)
+    assert (peaks[1] - peaks[0]) / added_cells < 8 * 33 * 33
 
 
 def copied_fields(mp, module, name):
@@ -647,26 +676,29 @@ class TestDeterminism:
         for rel in ra:
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
 
-    def test_stability_and_solve_files_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_files_do_not_depend_on_blas_threads(self, tmp_path):
         # every space integral of stability and solve is grid.space_sums, an
-        # np.einsum, which no BLAS call threads: 101^2 nodes are more than
-        # the 10,000 elements above which OpenBLAS splits a dot product
-        # across threads
+        # np.einsum, which no BLAS call threads, and each weighted volume row
+        # of the scan sums BLAS dots over runs of functionals.DOT_CHUNK
+        # nodes: 101^2 nodes are more than the 10,000 elements above which
+        # OpenBLAS splits a dot product across threads
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"grid": {"nx": 100, "ny": 100, "nt": 16}}))
+        config.write_text(json.dumps({
+            "grid": {"nx": 100, "ny": 100, "nt": 16},
+            "scan": {"n_trajectories": 1, "lambdas": [2, 4], "mus": [2]}}))
         runs = []
         for threads in ("1", "2"):
             run = tmp_path / threads
             run.mkdir()
             fresh_interpreter(run, f"""if True:
                 from glcarleman.cli import main
-                for command in ("solve", "stability"):
+                for command in ("solve", "stability", "carleman-scan"):
                     assert main(["--config", {str(config)!r}, command]) == 0
                 """, OPENBLAS_NUM_THREADS=threads)
             runs.append(run / "runs")
         files = [sorted(p.relative_to(r) for p in r.rglob("*") if p.is_file())
                  for r in runs]
-        assert files[0] == files[1] and len(files[0]) == 5
+        assert files[0] == files[1] and len(files[0]) == 7
         for rel in files[0]:
             assert filecmp.cmp(runs[0] / rel, runs[1] / rel, shallow=False), rel
 

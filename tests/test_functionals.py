@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from types import SimpleNamespace
 
@@ -8,8 +9,8 @@ import pytest
 from glcarleman import cli, functionals
 from glcarleman.config import DEFAULTS
 from glcarleman.fields import random_initial_field
-from glcarleman.functionals import (FLUSH_LOG, TERMS, VARIANT_FAMILY, VARIANTS,
-                                    FunctionalError, Term, _CellQuadrature,
+from glcarleman.functionals import (DOT_CHUNK, FLUSH_LOG, TERMS, VARIANT_FAMILY,
+                                    VARIANTS, FunctionalError, Term, _CellQuadrature,
                                     _flush_exp, evaluate_cell, lambda_scan,
                                     prepare_trajectory, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
@@ -411,9 +412,25 @@ class TestCellQuadrature:
         for p in (-1, 0, 2):
             direct = theta2 * phi(tables) ** p * g
             expect = time_integral(np.sum(
-                direct * grid32.space_weights(), axis=(1, 2)), grid32)
+                direct * grid32.space_weights, axis=(1, 2)), grid32)
             assert integral(cell, g, p) \
                 == pytest.approx(expect, rel=1e-13)
+
+    def test_volume_rows_sum_chunked_dots(self, grid32, rng):
+        # a row of at most DOT_CHUNK nodes is one np.vecdot, bit for bit; a
+        # longer one sums its chunks in order, within the worst-case bound
+        # n eps of a dot of positive terms
+        cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
+                                             grid32), grid32)
+        term = Term("g", "lhs", frozenset(), "g", 0, 0, 0, "Q")
+        for n in (DOT_CHUNK, 2 * DOT_CHUNK + 5):
+            w, g = rng.random((3, n)), rng.random((2, 3, n))
+            got = cell._row(term, g, w)
+            if n <= DOT_CHUNK:
+                assert np.array_equal(got, np.vecdot(w, g))
+            exact = [[math.fsum((w[t] * g[k, t]).tolist()) for t in range(3)]
+                     for k in range(2)]
+            np.testing.assert_allclose(got, exact, rtol=n * np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -451,7 +468,7 @@ def flushed_slices(cell, term, g):
                                      cell.grid.X1.shape)
         vals = flushed(np.take(arg, nodes, axis=1)) * gv * cell.tables.b_dpsi_dnu
         return space_sums(vals, cell.grid.boundary_weights)
-    w = flushed(arg) * cell.wsp
+    w = flushed(arg) * cell.grid.space_weights.ravel()
     if term.region == "Q_omega":
         omega = np.flatnonzero(cell.grid.omega_mask)
         w, gv = np.take(w, omega, axis=1), np.take(gv, omega, axis=1)
@@ -462,8 +479,9 @@ def region_weight(cell, term):
     """Sum of the moduli of a row's quadrature weights over one slice."""
     if term.region == "Sigma_0":
         return float(np.abs(cell.grid.boundary_weights).sum())
-    return float(cell.wsp[cell.grid.omega_mask.ravel()].sum()
-                 if term.region == "Q_omega" else cell.wsp.sum())
+    wsp = cell.grid.space_weights.ravel()
+    return float(wsp[cell.grid.omega_mask.ravel()].sum()
+                 if term.region == "Q_omega" else wsp.sum())
 
 
 SKIP_CELLS = {"j1-64-3": ("j1_interior", 64.0, 3.0),
@@ -605,8 +623,8 @@ def log_form_row(cell, term, g):
             arg -= np.log(params.lam)
             arg -= logphi
             lam_power = 0
-        wsp = cell.wsp * (cell.grid.omega_mask.ravel()
-                          if term.region == "Q_omega" else 1.0)
+        wsp = cell.grid.space_weights.ravel() * (
+            cell.grid.omega_mask.ravel() if term.region == "Q_omega" else 1.0)
         per_t = flushed(arg) @ wsp
     value = time_integral(per_t, cell.grid)
     return params.lam ** lam_power * params.mu ** term.mu_power * value
@@ -768,10 +786,11 @@ def scan16_calls(tmp_path, n_trajectories):
     return len(tables), len(flushes)
 
 
-def test_scan_weights_once_per_cell_for_the_suite(tmp_path):
-    # 2 families x 3 mu x 6 lambda: 36 weight tables for the five
-    # trajectories, not one per trajectory and cell (144), and each cell
-    # flushes its weights once per window however many trajectories use them
+def test_scan_weights_once_per_family_and_mu_for_the_suite(tmp_path):
+    # 2 families x 3 mu: 6 weight tables for the five trajectories and the
+    # 6 lambda, not one per cell (36) nor per trajectory and cell (144), and
+    # each cell flushes its weights once per window however many
+    # trajectories use them
     one, five = scan16_calls(tmp_path, 1), scan16_calls(tmp_path, 5)
-    assert five[0] == one[0] == 2 * len(SCAN_MUS) * len(SCAN_LAMBDAS) == 36
+    assert five[0] == one[0] == 2 * len(SCAN_MUS) == 6
     assert five[1] == one[1] > 0

@@ -96,7 +96,8 @@ def test_window_read_in_grid_and_config_only():
 # the calls that reduce an array, and the grid's space weight tables
 REDUCTIONS = {"sum", "fsum", "dot", "vdot", "vecdot", "inner", "matmul",
               "tensordot", "einsum"}
-WEIGHT_TABLES = {"quad_weights_space", "omega_weights", "boundary_weights"}
+WEIGHT_TABLES = {"quad_weights_space", "omega_weights", "space_weights",
+                 "boundary_weights"}
 
 
 def _function_nodes(node, name=None):
@@ -117,8 +118,9 @@ def _reduces(node) -> bool:
 def test_one_space_rule():
     # grid.space_sums is every volume, omega and Sigma_0 integral: no other
     # reduction in src/ reads a weight table of the grid.  The scan's
-    # weighted volume rows are the one np.vecdot: their weight changes slice
-    # by slice, and it is formed from grid.space_weights beforehand.
+    # weighted volume rows are the one np.vecdot, over runs of
+    # functionals.DOT_CHUNK nodes: their weight changes slice by slice, and
+    # it is formed from grid.space_weights beforehand.
     readers, vecdots = [], []
     for mod, tree in _modules().items():
         for func, node in _function_nodes(tree):

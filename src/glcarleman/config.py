@@ -15,7 +15,7 @@ import math
 
 from .functionals import TERMS, VARIANT_FAMILY, VARIANTS
 from .grid import WINDOW, DomainSpec, build_grid
-from .solver import VALID_SOLVER_BC
+from .solver import SCHEMES, VALID_SOLVER_BC
 
 DEFAULTS = {
     "seed": 7,
@@ -110,8 +110,7 @@ _SCALAR_RULES = {
     "coeffs.r0": (lambda v: _real(v) and 0 < v < 1, "must be a number in (0, 1)"),
     "coeffs.delta0": (lambda v: _real(v) and 0 < v < 0.125,
                       "must be a number in (0, 1/8)"),
-    "solver.scheme": (lambda v: v in ("imex_be", "imex_cn"),
-                      "must be imex_be or imex_cn"),
+    "solver.scheme": (lambda v: v in SCHEMES, f"must be {' or '.join(SCHEMES)}"),
     "solver.bc": (lambda v: v in VALID_SOLVER_BC,
                   f"must be one of {', '.join(VALID_SOLVER_BC)}"),
     "solver.amplitude": (lambda v: _real(v) and v > 0, "must be a positive number"),

@@ -68,9 +68,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gloperator import GLCoeffs, apply_G, linear_source, time_derivative
-from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_slices,
-                   laplacian, normal_derivative, space_sums, trace_breach, windows)
+from .gloperator import GLCoeffs, apply_G, linear_source
+from .grid import (SpaceTimeGrid, boundary_values, grad_sq, integrate_slices,
+                   laplacian, normal_derivative, space_sums, time_derivative,
+                   trace_breach, windows)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -182,9 +183,7 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     yt = time_derivative(Y, grid.dt)[1:-1]
     Y = Y[1:-1]
     lap = laplacian(Y, grid, "ghost_from_field")
-    g1, g2 = grad(Y, grid)
-    grad_abs2 = np.abs(g1) ** 2 + np.abs(g2) ** 2
-    del g1, g2
+    grad_abs2 = grad_sq(Y, grid)
     abs2 = np.abs(Y) ** 2
     return TrajectoryData(
         yt2=np.abs(yt) ** 2,
@@ -290,8 +289,7 @@ class _CellQuadrature:
             regions = {rows[i].region for i in group}
             weights = {}
             if "Sigma_0" in regions:
-                nodes = np.ravel_multi_index((grid._b_iy, grid._b_ix), grid.X1.shape)
-                weights["Sigma_0"] = _flush_exp(np.take(w, nodes, axis=1))
+                weights["Sigma_0"] = _flush_exp(np.take(w, grid.boundary_nodes, axis=1))
             _flush_exp(w)
             w *= grid.space_weights.ravel()
             weights["Q"] = w

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _d1
-
 
 class CoeffError(ValueError):
     pass
@@ -79,14 +77,6 @@ def check_condition1(coeffs: GLCoeffs, r0: float, delta0: float) -> Condition1Re
     }
     return Condition1Report(r0=r0, delta0=delta0, clauses=clauses,
                             margins=margins, passed=all(clauses.values()))
-
-
-def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
-    """d/dt along axis 0: centered second order, one-sided at the endpoints."""
-    Y = np.asarray(Y)
-    if Y.shape[0] < 3:
-        raise CoeffError("time derivative needs at least 3 slices")
-    return _d1(Y, dt, axis=0)
 
 
 def linear_source(yt: np.ndarray, lap: np.ndarray, coeffs: GLCoeffs) -> np.ndarray:

@@ -30,19 +30,24 @@ lacks three active neighbours inward, which no disk grid of n = 16...1985
 Quadrature reductions use a fixed summation order: every space integral,
 over Omega, omega or Gamma, is ``space_sums`` of a slice against one of the
 grid's weight tables (one np.einsum, alike in any stack or layout of
-slices), and every time integral is ``integrate_slices``, one math.fsum of
-per-slice sums, so repeated runs give bit-identical results.  ``build_grid``
-forms every weight table once per grid: the volume weights, the omega
-weights beside them, the volume weights with the square's corners at zero
-(``space_weights``, which the Carleman cells weigh with) and the flat index
-of the omega nodes (``omega_nodes``).  ``windows`` tiles the time slices
-of each streamed suite, so that neither suite holds a trajectory.
+slices), and every time integral is ``integrate_slices``, the trapezoid
+rule on [0, T] or on the nodes of [eps, T-eps], one math.fsum of per-slice
+sums, so repeated runs give bit-identical results.  ``build_grid`` forms
+every weight table once per grid: the volume weights, the omega weights
+beside them, the volume weights with the square's corners at zero
+(``space_weights``, which the Carleman cells weigh with) and the flat
+indices of the omega nodes (``omega_nodes``) and of the square's boundary
+samples (``boundary_nodes``).  ``windows`` tiles the time slices of each
+streamed suite, so that neither suite holds a trajectory.
+
+A SpaceTimeGrid is plain geometry: it holds no solver state, and its
+private fields and the private stencils are read in this module only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +111,8 @@ class SpaceTimeGrid:
     omega_weights: np.ndarray         # quad_weights_space on omega, 0 elsewhere
     space_weights: np.ndarray         # quad_weights_space, square corners at 0
     omega_nodes: np.ndarray           # flat indices of the omega nodes
+    boundary_nodes: np.ndarray        # square: flat indices of the boundary
+                                      # samples (empty on the disk)
     boundary_points: np.ndarray
     boundary_normals: np.ndarray
     boundary_weights: np.ndarray
@@ -115,27 +122,6 @@ class SpaceTimeGrid:
     _b_ix: np.ndarray | None = None
     # disk only: the cut-node tables of the x1 and the x2 axis
     _cut: tuple = ()
-    # solver linear operators per boundary condition, built on first use
-    _linear_ops: dict = field(default_factory=dict)
-
-    def time_weights(self, region: str = "Q", eps: float | None = None):
-        """Trapezoid weights in time, restricted to [eps, T-eps] for Q_eps."""
-        if region in ("Q", "Q_omega"):
-            idx = np.arange(self.nt + 1)
-        elif region == "Q_eps":
-            if eps is None or not (0.0 < eps < self.T / 2):
-                raise GridError("Q_eps requires eps in (0, T/2)")
-            tol = 1e-12 * self.T
-            idx = np.nonzero((self.t_nodes >= eps - tol)
-                             & (self.t_nodes <= self.T - eps + tol))[0]
-            if idx.size < 2:
-                raise GridError("Q_eps window contains fewer than two time nodes")
-        else:
-            raise GridError(f"unknown region {region!r}")
-        w = np.full(idx.size, self.dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return idx, w
 
     def check_field(self, f: np.ndarray, name: str = "field") -> np.ndarray:
         """Reject a wrong spatial shape or a non-finite active node.  The
@@ -283,7 +269,9 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
         X1=X1, X2=X2, interior_mask=interior, omega_mask=omega,
         omega_weights=geo["quad_weights_space"] * omega,
         space_weights=np.where(geo["corner_mask"], 0.0, geo["quad_weights_space"]),
-        omega_nodes=np.flatnonzero(omega), **geo)
+        omega_nodes=np.flatnonzero(omega),
+        boundary_nodes=(np.ravel_multi_index((geo["_b_iy"], geo["_b_ix"]), X1.shape)
+                        if square else np.zeros(0, dtype=int)), **geo)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +324,24 @@ def grad(f: np.ndarray, grid: SpaceTimeGrid):
         g1[..., inactive] = 0.0
         g2[..., inactive] = 0.0
     return g1, g2
+
+
+def grad_sq(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
+    """|grad f|^2, each temporary written in place."""
+    g1, g2 = grad(f, grid)
+    out = np.abs(g1)
+    np.square(out, out=out)
+    sq = np.abs(g2)
+    np.square(sq, out=sq)
+    return np.add(out, sq, out=out)
+
+
+def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
+    """d/dt along axis 0: centered second order, one-sided at the endpoints."""
+    Y = np.asarray(Y)
+    if Y.shape[0] < 3:
+        raise GridError("time derivative needs at least 3 slices")
+    return _d1(Y, dt, axis=0)
 
 
 def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
@@ -406,30 +412,37 @@ def space_sums(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return sums.reshape(g.shape[:g.ndim - w.ndim])
 
 
-def integrate_q(g: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
-                eps: float | None = None) -> float:
-    """Space-time integral of real samples g over Q, Q_omega, or Q_eps.
-
-    Tensor-product quadrature: trapezoid in time times the spatial weights,
-    restricted to the region mask / time window.
-    """
+def integrate_q(g: np.ndarray, grid: SpaceTimeGrid) -> float:
+    """Space-time integral of real samples g over Q: the trapezoid in time
+    of the volume integral of each slice."""
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.nt + 1, grid.ny + 1, grid.nx + 1):
         raise GridError(f"expected samples of shape (nt+1, ny+1, nx+1), got {g.shape}")
     if not np.all(np.isfinite(g[:, grid.active_mask])):
         raise GridError("integrand contains non-finite entries")
-    w = grid.omega_weights if region == "Q_omega" else grid.quad_weights_space
-    return integrate_slices(space_sums(g, w), grid, region, eps)
+    return integrate_slices(space_sums(g, grid.quad_weights_space), grid)
 
 
-def integrate_slices(slice_sums: np.ndarray, grid: SpaceTimeGrid, region: str = "Q",
+def integrate_slices(slice_sums: np.ndarray, grid: SpaceTimeGrid,
                      eps: float | None = None) -> float:
-    """Time integral over Q, Q_omega, Sigma_0 (region "Q") or Q_eps from the
-    space integrals of the nt+1 time slices (on omega for Q_omega, on Gamma
-    for Sigma_0): trapezoid in time over the region's window, summed by
-    math.fsum."""
-    idx, wt = grid.time_weights(region, eps)
-    return float(math.fsum((np.asarray(slice_sums)[idx] * wt).tolist()))
+    """Time integral from the space integrals of the nt+1 time slices (over
+    Omega, omega or Gamma): the trapezoid rule on [0, T], or on the nodes
+    of [eps, T-eps] (Q_eps) if eps is given, summed by math.fsum."""
+    sums = np.asarray(slice_sums)
+    if sums.shape != (grid.nt + 1,):
+        raise GridError(f"expected nt+1 = {grid.nt + 1} slice sums, "
+                        f"got shape {sums.shape}")
+    if eps is not None:
+        if not 0.0 < eps < grid.T / 2:
+            raise GridError("Q_eps requires eps in (0, T/2)")
+        tol = 1e-12 * grid.T
+        sums = sums[(grid.t_nodes >= eps - tol) & (grid.t_nodes <= grid.T - eps + tol)]
+        if sums.size < 2:
+            raise GridError("Q_eps window contains fewer than two time nodes")
+    wt = np.full(sums.size, grid.dt)
+    wt[0] *= 0.5
+    wt[-1] *= 0.5
+    return float(math.fsum((sums * wt).tolist()))
 
 
 def windows(slices, grid: SpaceTimeGrid, shape: tuple, halo: int):

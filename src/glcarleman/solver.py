@@ -22,11 +22,12 @@ come; ``solve`` marches one member and keeps its trajectory.
 On the square, L is diagonal in a sine basis (``dirichlet0``) or a cosine
 basis (``neumann0``), so each solve is a fast transform on ``numpy.fft``
 (the fast Poisson solver of Buzbee, Golub and Nielson, 1970), and a square
-run never imports SciPy.  On the disk, I - kappa L takes a sparse LU per
-kappa, reused every step; it orders by minimum degree on the structure of
-A + A^T and does not pivot: for Re kappa > 0, I - kappa L is strictly
-diagonally dominant by rows, so the diagonal pivots are safe (see
-``_factorized``).
+run never imports SciPy.  On the disk, I - kappa L takes a sparse LU once
+per kappa and march, reused every step; it orders by minimum degree on the
+structure of A + A^T and does not pivot: for Re kappa > 0, I - kappa L is
+strictly diagonally dominant by rows, so the diagonal pivots are safe (see
+``_factorized``).  The solver keeps no state on the grid: each march builds
+its operators once, and forms each substep count's implicit map once.
 
 Boundary data are homogeneous, as for the difference of two solutions with
 the same boundary data: ``dirichlet0`` (square or disk) holds zero at every
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,7 @@ from .gloperator import linear_source
 from .grid import GridError, SpaceTimeGrid, laplacian, space_sums
 
 VALID_SOLVER_BC = ("dirichlet0", "neumann0")
+SCHEMES = ("imex_be", "imex_cn")
 STIFFNESS_CAP = 0.5
 MAX_HALVINGS = 10
 
@@ -76,8 +78,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.bc not in VALID_SOLVER_BC:
             raise GridError(f"bc must be one of {VALID_SOLVER_BC}")
-        if self.scheme not in ("imex_be", "imex_cn"):
-            raise GridError("scheme must be 'imex_be' or 'imex_cn'")
+        if self.scheme not in SCHEMES:
+            raise GridError(f"scheme must be {' or '.join(map(repr, SCHEMES))}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ class _LinearOps:
     On the square L is diagonal in the sine basis of the interior nodes
     (``dirichlet0``) or the cosine basis of all nodes (mirrored-ghost
     ``neumann0``), and ``lam`` holds its eigenvalues.  On the disk ``L`` is
-    its stencil matrix, whose LU is cached per kappa.
+    its stencil matrix, factorised per kappa by ``_factorized``.
     """
 
     unknown_mask: np.ndarray        # bool over grid nodes
@@ -100,7 +102,6 @@ class _LinearOps:
     n: int = 0                      # square: cells per side
     sine: bool = False              # square: the sine (else cosine) basis
     L: object = None                # disk: scipy.sparse csr, unknowns x unknowns
-    _factor_cache: dict = field(default_factory=dict)
 
     def substep(self, kappa: complex, cfg: SolveConfig):
         """The implicit part of a substep, on stacks of columns (unknowns, m):
@@ -210,23 +211,19 @@ def _stencil_matrix(grid: SpaceTimeGrid, bc: str):
 
 
 def build_linear_ops(grid: SpaceTimeGrid, bc: str) -> _LinearOps:
-    cache = grid._linear_ops
-    if bc not in cache:
-        unknown = grid.interior_mask if bc == "dirichlet0" else grid.active_mask
-        if grid.spec.shape == "unit_square":
-            sine = bc == "dirichlet0"
-            j = np.arange(1, grid.nx) if sine else np.arange(grid.nx + 1)
-            lam = -4.0 / grid.h ** 2 * np.sin(np.pi * j / (2 * grid.nx)) ** 2
-            cache[bc] = _LinearOps(unknown, lam=lam[:, None] + lam, n=grid.nx,
-                                   sine=sine)
-        else:
-            idx = np.flatnonzero(unknown)
-            cache[bc] = _LinearOps(unknown, L=_stencil_matrix(grid, bc)[idx][:, idx])
-    return cache[bc]
+    """The solver's Laplacian for the boundary condition bc on the grid."""
+    unknown = grid.interior_mask if bc == "dirichlet0" else grid.active_mask
+    if grid.spec.shape == "unit_square":
+        sine = bc == "dirichlet0"
+        j = np.arange(1, grid.nx) if sine else np.arange(grid.nx + 1)
+        lam = -4.0 / grid.h ** 2 * np.sin(np.pi * j / (2 * grid.nx)) ** 2
+        return _LinearOps(unknown, lam=lam[:, None] + lam, n=grid.nx, sine=sine)
+    idx = np.flatnonzero(unknown)
+    return _LinearOps(unknown, L=_stencil_matrix(grid, bc)[idx][:, idx])
 
 
 def _factorized(ops: _LinearOps, kappa: complex):
-    """The disk's LU of (I - kappa L), cached per kappa.
+    """The disk's LU solve with (I - kappa L).
 
     The columns are ordered by minimum degree on the structure of A + A^T,
     and the rows take the same order with no pivoting: on the 5-point plus
@@ -242,13 +239,10 @@ def _factorized(ops: _LinearOps, kappa: complex):
     import scipy.sparse as sps
     import scipy.sparse.linalg as spla
 
-    if kappa not in ops._factor_cache:
-        n = ops.L.shape[0]
-        A = (sps.identity(n, dtype=complex, format="csr") - kappa * ops.L).tocsc()
-        ops._factor_cache[kappa] = spla.splu(
-            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True}).solve
-    return ops._factor_cache[kappa]
+    n = ops.L.shape[0]
+    A = (sps.identity(n, dtype=complex, format="csr") - kappa * ops.L).tocsc()
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True}).solve
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +325,7 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     m = len(Y0)
     # kappa = dt_sub (1 + ib), halved under Crank-Nicolson
     kb = (0.5 if cfg.scheme == "imex_cn" else 1.0) * (1.0 + 1j * cfg.b)
-    # each substep count's symbols are formed once per march (the disk's LU
-    # once per grid)
+    # each substep count's symbols (the disk's LU) are formed once per march
     implicit = functools.cache(
         lambda n_sub: ops.substep(grid.dt / n_sub * kb, cfg))
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (SpaceTimeGrid, boundary_values, grad, integrate_slices,
+from .grid import (SpaceTimeGrid, boundary_values, grad_sq, integrate_slices,
                    normal_derivative, space_sums, trace_breach, windows)
 from .solver import SolveConfig, march
 
@@ -75,16 +75,6 @@ def _linf_l6(slice_sums) -> float:
     return float(np.max(slice_sums) ** (1.0 / 6.0))
 
 
-def _grad_sq(Z: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """|grad Z|^2, each temporary written in place."""
-    g1, g2 = grad(Z, grid)
-    out = np.abs(g1)
-    np.square(out, out=out)
-    sq = np.abs(g2)
-    np.square(sq, out=sq)
-    return np.add(out, sq, out=out)
-
-
 @dataclass
 class PreparedDifference:
     """The eps-independent parts of every report on one difference z."""
@@ -101,7 +91,7 @@ def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
     takes each integrand in turn."""
     az2 = np.abs(Z)
     np.square(az2, out=az2)
-    buf = _grad_sq(Z, grid)
+    buf = grad_sq(Z, grid)
     out = {"energy": space_sums(np.add(az2, buf, out=buf), grid.quad_weights_space)}
     if "interior" in variants:
         np.square(az2, out=buf)
@@ -123,8 +113,7 @@ def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
     """
     cat = {key: np.concatenate([w[key] for w in reductions])
            for key in ("energy", *variants)}
-    obs = {v: integrate_slices(cat[v], grid, "Q_omega" if v == "interior" else "Q")
-           for v in variants}
+    obs = {v: integrate_slices(cat[v], grid) for v in variants}
     if "boundary" in variants:
         trace = np.max([w["trace"] for w in reductions])
         peak = np.max([w["peak"] for w in reductions])
@@ -139,7 +128,7 @@ def _lhs(d: PreparedDifference, grid: SpaceTimeGrid, eps: float) -> float:
     """int_{Q_eps} (|z|^2 + |grad z|^2)."""
     if not 0 < eps < grid.T / 2:
         raise StabilityError("eps must lie in (0, T/2)")
-    return integrate_slices(d.energy, grid, "Q_eps", eps=eps)
+    return integrate_slices(d.energy, grid, eps)
 
 
 def stability_interior(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,

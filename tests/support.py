@@ -17,9 +17,9 @@ import numpy as np
 
 from glcarleman.fields import Atom
 from glcarleman.functionals import lambda_scan
-from glcarleman.gloperator import GLCoeffs, linear_source, time_derivative
+from glcarleman.gloperator import GLCoeffs, linear_source
 from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, laplacian,
-                             trace_breach)
+                             time_derivative, trace_breach)
 from glcarleman.stability import (PreparedDifference, _linf_l6, _prepare,
                                   _window_sums, l6_slice_sums)
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight

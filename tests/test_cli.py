@@ -603,7 +603,7 @@ def counted_stability16(tmp_path_factory):
     (17, u2 and each u1, 17, 17))."""
     tmp = tmp_path_factory.mktemp("stability16")
     with pytest.MonkeyPatch.context() as mp:
-        grads = copied_fields(mp, stability, "grad")
+        grads = copied_fields(mp, stability, "grad_sq")
         norms = copied_fields(mp, stability, "l6_slice_sums")
         stacks = recorded_march(mp, stability)
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "stability"]) == 0

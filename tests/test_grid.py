@@ -70,6 +70,13 @@ class TestBuild:
         assert np.array_equal(np.sort(np.ravel_multi_index(nodes, g.X1.shape)),
                               np.flatnonzero(g.boundary_mask))
 
+    def test_boundary_nodes(self, grid32, disk_grid):
+        # the flat index of the square's boundary samples; the circle holds
+        # no nodes
+        pts = np.stack([grid32.X1.ravel(), grid32.X2.ravel()], axis=-1)
+        assert np.array_equal(pts[grid32.boundary_nodes], grid32.boundary_points)
+        assert disk_grid.boundary_nodes.size == 0
+
     def test_mask_partition(self, grid32, disk_grid):
         for g in (grid32, disk_grid):
             assert not np.any(g.interior_mask & g.boundary_mask)
@@ -290,7 +297,7 @@ class TestIntegrateQ:
 
     def test_eps_window(self, grid32):
         g = np.ones((33, 33, 33))
-        val = integrate_q(g, grid32, "Q_eps", eps=0.25)
+        val = integrate_slices(space_sums(g, grid32.quad_weights_space), grid32, 0.25)
         assert abs(val - 0.5) <= grid32.dt + 1e-12
 
     def test_linear_in_time_and_space_exact(self, grid32):
@@ -300,13 +307,19 @@ class TestIntegrateQ:
 
     def test_omega_region_subset(self, grid32):
         g = np.ones((33, 33, 33))
-        om = integrate_q(g, grid32, "Q_omega")
+        om = integrate_slices(space_sums(g, grid32.omega_weights), grid32)
         # omega is an open ball of radius 0.25: area strictly below pi r^2
         assert 0 < om < np.pi * 0.25 ** 2 * 1.05
 
+    def test_slice_count_checked(self, grid32):
+        # one sum per time node: a row of another length is not integrated
+        for n in (32, 34):
+            with pytest.raises(GridError, match="nt\\+1"):
+                integrate_slices(np.ones(n), grid32)
+
     def test_eps_out_of_range(self, grid32):
         with pytest.raises(GridError):
-            integrate_q(np.ones((33, 33, 33)), grid32, "Q_eps", eps=0.6)
+            integrate_slices(np.ones(33), grid32, 0.6)
 
 
 def sigma_integral(g: np.ndarray, grid) -> float:

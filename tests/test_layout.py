@@ -5,14 +5,18 @@ included, and every public method of its classes is read somewhere in src/
 outside its own definition, or is kept below for a stated reason.  Code
 that only the tests read belongs under tests/.  Every space integral is
 grid.space_sums, every time integral is grid.integrate_slices, and
-grid.windows tiles every streamed pass.
+grid.windows tiles every streamed pass.  grid.py owns the grid: a
+SpaceTimeGrid is plain geometry, and no other module reads a private name
+of grid.py.
 """
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import glcarleman
+from glcarleman.grid import SpaceTimeGrid
 
 SRC = Path(glcarleman.__file__).parent
 
@@ -130,3 +134,43 @@ def test_one_space_rule():
                 vecdots.append((mod, func))
     assert readers == []
     assert vecdots == [("functionals", "_row")]
+
+
+def _private_names(tree) -> set:
+    """The _-prefixed names a module defines, dunders aside: its functions,
+    classes and methods, and its module-level and class-level assignments
+    (the fields of its dataclasses among them)."""
+    body = list(tree.body)
+    body += [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_grid_privates_read_in_grid_only():
+    # no other module imports a private name of grid.py or reads one as an
+    # attribute: the stencils, the boundary sample indices and the cut-node
+    # tables are grid.py's own
+    modules = _modules()
+    private = _private_names(modules.pop("grid"))
+    reads = []
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("grid",
+                                                                    "glcarleman.grid"):
+                reads += [(mod, a.name) for a in node.names if a.name in private]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append((mod, node.attr))
+    assert private and reads == []
+
+
+def test_space_time_grid_holds_no_state():
+    # a grid is built once by build_grid and never filled in later: none of
+    # its fields is a container made per instance
+    assert [f.name for f in dataclasses.fields(SpaceTimeGrid)
+            if f.default_factory is not dataclasses.MISSING] == []

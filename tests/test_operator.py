@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from glcarleman.gloperator import (CoeffError, GLCoeffs, apply_G,
-                                   check_condition1, derive_coeffs,
-                                   time_derivative)
-from glcarleman.grid import laplacian
+                                   check_condition1, derive_coeffs)
+from glcarleman.grid import GridError, laplacian, time_derivative
 from support import apply_F
 
 
@@ -113,7 +112,7 @@ class TestTimeDerivative:
         assert np.abs(out - 2.0).max() < 1e-12
 
     def test_needs_three_slices(self):
-        with pytest.raises(CoeffError):
+        with pytest.raises(GridError):
             time_derivative(np.zeros((2, 3, 3)), 0.1)
 
 

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from glcarleman import solver
 from glcarleman.fields import manufactured_reference, random_initial_field
 from glcarleman.grid import GridError, build_grid, integrate_q, laplacian
 from glcarleman.gloperator import derive_coeffs
@@ -66,7 +67,6 @@ class TestLinearOps:
 
 
 def fresh_grid(request, spec_name, n=32, nt=32):
-    # the disk's factor cache lives on the grid, so each solve path needs its own
     return build_grid(request.getfixturevalue(spec_name), n, n, nt, 1.0)
 
 
@@ -77,7 +77,13 @@ def pivoting_lu_grid(request, monkeypatch, spec_name, bc, nt):
     g = fresh_grid(request, spec_name, nt=nt)
     mask = g.interior_mask if bc == "dirichlet0" else g.active_mask
     idx = np.flatnonzero(mask)
-    g._linear_ops[bc] = _LinearOps(mask, L=_stencil_matrix(g, bc)[idx][:, idx])
+    ops = _LinearOps(mask, L=_stencil_matrix(g, bc)[idx][:, idx])
+    default_ops = solver.build_linear_ops
+
+    def pivoting_ops(grid, grid_bc):
+        return ops if grid is g and grid_bc == bc else default_ops(grid, grid_bc)
+
+    monkeypatch.setattr(solver, "build_linear_ops", pivoting_ops)
     default_splu, calls = spla.splu, []
 
     def pivoting_splu(A, **_):

@@ -5,8 +5,8 @@ import pytest
 
 from glcarleman import stability
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import (WINDOW, build_grid, grad, integrate_q,
-                             integrate_slices, normal_derivative, space_sums)
+from glcarleman.grid import (WINDOW, build_grid, grad, integrate_slices,
+                             normal_derivative, space_sums)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, perturbation_suite,
                                   stability_boundary, stability_interior)
@@ -48,12 +48,14 @@ def reference_suite(y0, w, deltas, eps_list, cfg, grid, variants):
         az2 = np.abs(z) ** 2
         g1, g2 = grad(z, grid)
         energy = az2 + (np.abs(g1) ** 2 + np.abs(g2) ** 2)
-        obs = {"interior": integrate_q(az2 + az2 ** 2, grid, "Q_omega")}
+        obs = {"interior": integrate_slices(space_sums(az2 + az2 ** 2,
+                                                        grid.omega_weights), grid)}
         if "boundary" in variants:
             obs["boundary"] = integrate_slices(space_sums(
                 np.abs(normal_derivative(z, grid)) ** 2, grid.boundary_weights), grid)
         for eps in eps_list:
-            lhs = integrate_q(energy, grid, "Q_eps", eps=eps)
+            lhs = integrate_slices(space_sums(energy, grid.quad_weights_space), grid,
+                                   eps)
             rows += [(v, delta, eps, lhs, obs[v]) + ((c_u2, c_u1) if v == "interior"
                                                      else (nan, nan))
                      for v in variants]
@@ -147,8 +149,8 @@ class TestInteriorReport:
                                 grid32, 0.1)
         assert r2.lhs == pytest.approx(s ** 2 * r1.lhs, rel=1e-12)
         az2 = np.abs(z) ** 2
-        obs2 = integrate_q(az2, grid32, "Q_omega")
-        obs4 = integrate_q(az2 ** 2, grid32, "Q_omega")
+        obs2 = integrate_slices(space_sums(az2, grid32.omega_weights), grid32)
+        obs4 = integrate_slices(space_sums(az2 ** 2, grid32.omega_weights), grid32)
         assert r1.rhs_obs == pytest.approx(obs2 + obs4, rel=1e-12)
         assert r2.rhs_obs == pytest.approx(s ** 2 * obs2 + s ** 4 * obs4,
                                            rel=1e-12)

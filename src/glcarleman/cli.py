@@ -21,12 +21,14 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import fields as flds
 from .config import ConfigError, build_domain, build_run_grid, config_hash, load_config
-from .functionals import VARIANT_FAMILY, lambda_scan, suite_worst_constant
+from .functionals import (VARIANT_FAMILY, lambda_scan, overflowing_cells,
+                          suite_worst_constant)
 from .gloperator import check_condition1, derive_coeffs
 from .grid import DomainSpec, GridError, build_grid
 from .identity import (T_coefficient_positivity, default_samples, identity_residuals,
@@ -98,16 +100,27 @@ def _check_capabilities(cfg, command, manufactured):
 
 def _check_admissibility(cfg, grid):
     """The Carleman estimates hold for an admissible psi only: psi1 weighs
-    the interior variants and psi2 the boundary ones."""
-    families = {VARIANT_FAMILY[v] for v in cfg["scan"]["variants"]}
-    failed = []
+    the interior variants and psi2 the boundary ones.  Each cell's log
+    offset and powers of lambda and mu must be finite doubles."""
+    scan = cfg["scan"]
+    families = {VARIANT_FAMILY[v] for v in scan["variants"]}
+    failed, errs = [], []
     for which, family in (("psi1", "j1_interior"), ("psi2", "j2_boundary")):
         if family in families:
-            rep = verify_psi_admissibility(which, grid)
-            failed += [f"{which}.{c}" for c, ok in rep.clauses.items() if not ok]
+            clauses = verify_psi_admissibility(which, grid)
+            failed += [f"{which}.{c}" for c, ok in clauses.items() if not ok]
     if failed:
-        raise ConfigError([f"domain.omega_center: psi is not admissible on this "
-                           f"grid and omega, failing {', '.join(failed)}"])
+        errs.append(f"domain.omega_center: psi is not admissible on this "
+                    f"grid and omega, failing {', '.join(failed)}")
+    if bad := overflowing_cells(grid, scan["variants"], scan["lambdas"], scan["mus"]):
+        # a mu at which every lambda overflows is at fault whatever the lambdas
+        per_mu = Counter((family, mu) for family, _, mu in bad)
+        field = "scan.mus" if len(scan["lambdas"]) in per_mu.values() else "scan.lambdas"
+        errs.append(f"{field}: the log offset max 2 ell or a power lambda^p mu^q "
+                    "of the Carleman cells overflows at (family, lambda, mu) = "
+                    + ", ".join(f"({f}, {lam:g}, {mu:g})" for f, lam, mu in bad))
+    if errs:
+        raise ConfigError(errs)
 
 
 def _prepare(args, command):

@@ -105,7 +105,9 @@ _SCALAR_RULES = {
     "grid.ny": (lambda v: _int(v) and v >= 16, "must be an int >= 16"),
     "grid.nt": (lambda v: _int(v) and v >= 16, "must be an int >= 16"),
     "grid.T": (lambda v: _real(v) and v > 0, "must be a positive number"),
-    "coeffs.b": (_real, "must be a number"),
+    # the coefficients divide by 1 + b^2
+    "coeffs.b": (lambda v: _real(v) and math.isfinite(1.0 + v * v),
+                 "must be a number with 1 + b^2 finite"),
     "coeffs.c": (_real, "must be a number"),
     "coeffs.r0": (lambda v: _real(v) and 0 < v < 1, "must be a number in (0, 1)"),
     "coeffs.delta0": (lambda v: _real(v) and 0 < v < 0.125,

@@ -363,12 +363,17 @@ def _check_trace(trace_error: float) -> None:
             f"(max |y| on Gamma = {trace_error:.3e})")
 
 
+def _powers(params: CarlemanParams, rows: list) -> list:
+    """lam^lam_power mu^mu_power of each row (OverflowError if one overflows)."""
+    return [params.lam ** t.lam_power * params.mu ** t.mu_power for t in rows]
+
+
 def _cell_reports(params: CarlemanParams, rows: list, integrals: list,
                   log_scale: float) -> dict:
     """{variant: CarlemanReport} of one cell, cubic first, from the integral
     of each row."""
-    values = [(t, params.lam ** t.lam_power * params.mu ** t.mu_power * value)
-              for t, value in zip(rows, integrals)]
+    values = [(t, power * value)
+              for t, power, value in zip(rows, _powers(params, rows), integrals)]
     reports = {}
     for variant in _FAMILY_VARIANTS[params.family]:
         held = [(t, value) for t, value in values if variant in t.variants]
@@ -406,6 +411,39 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     sums[:, 1:-1] = cell.integrals(_take(data, None), rows, 0)[0]
     return _cell_reports(tables.params, rows,
                          [integrate_slices(s, grid) for s in sums], cell.log_scale)
+
+
+def _cells(families, lambdas, mus, grid: SpaceTimeGrid):
+    """(params, tables) of each cell, by family, then mu, then lambda: one
+    tabulation per (family, mu), which its lambda cells share."""
+    for family in families:
+        for mu in mus:
+            tables = None
+            for lam in lambdas:
+                params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
+                                        family=family)
+                tables = (replace(tables, params=params) if tables
+                          else weight_tables(params, grid))
+                yield params, tables
+
+
+def overflowing_cells(grid: SpaceTimeGrid, variants, lambdas, mus) -> list:
+    """The (family, lambda, mu) cells of a scan of `variants` on `grid` whose
+    log offset max 2 ell is not a finite double, or one of whose rows'
+    powers lam^lam_power mu^mu_power (at most lam^3 mu^4) is not:
+    `lambda_scan` would report nan or inf for them, or raise."""
+    bad = []
+    families = dict.fromkeys(VARIANT_FAMILY[v] for v in variants)
+    with np.errstate(all="ignore"):
+        for params, tables in _cells(families, lambdas, mus, grid):
+            try:
+                powers = _powers(params, _cell_rows(params, grid))
+            except OverflowError:
+                powers = [float("inf")]
+            if not np.all(np.isfinite([_CellQuadrature(tables, grid).log_scale,
+                                       *powers])):
+                bad.append((params.family, params.lam, params.mu))
+    return bad
 
 
 # -- scans -------------------------------------------------------------------
@@ -470,17 +508,10 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
         users = [j for j, k in enumerate(order) if family in families[k]]
         runs[family] = slice(users[0], users[-1] + 1)
     cells = []                   # (params, rows, quadrature, per-slice sums)
-    for family, run in runs.items():
-        for mu in mus:
-            tables = None        # one tabulation per (family, mu)
-            for lam in lambdas:
-                params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
-                                        family=family)
-                rows = _cell_rows(params, grid)
-                tables = (replace(tables, params=params) if tables
-                          else weight_tables(params, grid))
-                cells.append((params, rows, _CellQuadrature(tables, grid),
-                              np.zeros((run.stop - run.start, len(rows), grid.nt + 1))))
+    for params, tables in _cells(runs, lambdas, mus, grid):
+        run, rows = runs[params.family], _cell_rows(params, grid)
+        cells.append((params, rows, _CellQuadrature(tables, grid),
+                      np.zeros((run.stop - run.start, len(rows), grid.nt + 1))))
     stacked = None               # the window's integrands, shaped at the first
     j2 = runs.get("j2_boundary")
     # the running maxima of |y| on Gamma and of |y| of each j2 member

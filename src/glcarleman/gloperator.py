@@ -52,9 +52,6 @@ def derive_coeffs(b: float, c: float) -> GLCoeffs:
 
 @dataclass
 class Condition1Report:
-    r0: float
-    delta0: float
-    clauses: dict
     margins: dict
     passed: bool
 
@@ -75,8 +72,7 @@ def check_condition1(coeffs: GLCoeffs, r0: float, delta0: float) -> Condition1Re
         "alpha2_positive": coeffs.alpha2,
         "beta2_bounded": delta0 * coeffs.alpha2 - abs(coeffs.beta2),
     }
-    return Condition1Report(r0=r0, delta0=delta0, clauses=clauses,
-                            margins=margins, passed=all(clauses.values()))
+    return Condition1Report(margins=margins, passed=all(clauses.values()))
 
 
 def linear_source(yt: np.ndarray, lap: np.ndarray, coeffs: GLCoeffs) -> np.ndarray:

@@ -3,7 +3,7 @@
 Conventions used throughout the package:
 
 * A spatial field ("ComplexField") is a complex128 array of shape
-  (ny+1, nx+1), indexed [iy, ix] with x1 = x1_nodes[ix], x2 = x2_nodes[iy].
+  (ny+1, nx+1), indexed [iy, ix] with x1 = X1[iy, ix], x2 = X2[iy, ix].
 * A space-time field ("SpaceTimeField") stacks nt+1 such slices along a
   leading time axis, shape (nt+1, ny+1, nx+1), t_k = k*dt.
 * All stencil operators broadcast over leading axes, so they apply to a
@@ -97,8 +97,6 @@ class SpaceTimeGrid:
     T: float
     h: float
     dt: float
-    x1_nodes: np.ndarray
-    x2_nodes: np.ndarray
     t_nodes: np.ndarray
     X1: np.ndarray
     X2: np.ndarray
@@ -116,10 +114,6 @@ class SpaceTimeGrid:
     boundary_points: np.ndarray
     boundary_normals: np.ndarray
     boundary_weights: np.ndarray
-    # square only: node indices of the boundary samples (per face, corners
-    # duplicated)
-    _b_iy: np.ndarray | None = None
-    _b_ix: np.ndarray | None = None
     # disk only: the cut-node tables of the x1 and the x2 axis
     _cut: tuple = ()
 
@@ -178,7 +172,7 @@ def _square_geometry(n, h, x):
                 quad_weights_space=np.outer(w, w),
                 boundary_points=np.stack([x[b_ix], x[b_iy]], axis=1),
                 boundary_normals=normals, boundary_weights=np.tile(w, 4),
-                _b_iy=b_iy, _b_ix=b_ix)
+                boundary_nodes=b_iy * (n + 1) + b_ix)
 
 
 def _cut_table(active, x, h, axis):
@@ -229,6 +223,7 @@ def _disk_geometry(n, h, x, X1, X2):
                 boundary_mask=np.zeros_like(active), corner_mask=np.zeros_like(active),
                 quad_weights_space=wsp, boundary_points=pts,
                 boundary_normals=pts.copy(), boundary_weights=np.full(nb, 2 * np.pi / nb),
+                boundary_nodes=np.zeros(0, dtype=int),
                 _cut=(_cut_table(active, x, h, -1), _cut_table(active, x, h, -2)))
 
 
@@ -265,13 +260,11 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
         raise GridError("omega mask is empty on this grid")
     return SpaceTimeGrid(
         spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
-        x1_nodes=x, x2_nodes=x, t_nodes=np.linspace(0.0, T, nt + 1),
+        t_nodes=np.linspace(0.0, T, nt + 1),
         X1=X1, X2=X2, interior_mask=interior, omega_mask=omega,
         omega_weights=geo["quad_weights_space"] * omega,
         space_weights=np.where(geo["corner_mask"], 0.0, geo["quad_weights_space"]),
-        omega_nodes=np.flatnonzero(omega),
-        boundary_nodes=(np.ravel_multi_index((geo["_b_iy"], geo["_b_ix"]), X1.shape)
-                        if square else np.zeros(0, dtype=int)), **geo)
+        omega_nodes=np.flatnonzero(omega), **geo)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +377,10 @@ def normal_derivative(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Outward normal derivative at grid.boundary_points (square only):
     one-sided second-order differences along the outward normal."""
     _square_only(grid, "the normal derivative")
-    iy, ix = grid._b_iy, grid._b_ix
-    n1 = grid.boundary_normals[:, 0].astype(int)
-    n2 = grid.boundary_normals[:, 1].astype(int)
-    iy1, ix1 = iy - n2, ix - n1
-    iy2, ix2 = iy - 2 * n2, ix - 2 * n1
-    return (3 * f[..., iy, ix] - 4 * f[..., iy1, ix1] + f[..., iy2, ix2]) / (2 * grid.h)
+    # the inward neighbours of node b are b - s and b - 2 s, s = n1 + (nx+1) n2
+    b, s = grid.boundary_nodes, grid.boundary_normals.astype(int) @ [1, grid.nx + 1]
+    f = f.reshape(f.shape[:-2] + (-1,))
+    return (3 * f[..., b] - 4 * f[..., b - s] + f[..., b - 2 * s]) / (2 * grid.h)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +466,7 @@ def windows(slices, grid: SpaceTimeGrid, shape: tuple, halo: int):
 def boundary_values(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Field values at the boundary sample points (trace; square only)."""
     _square_only(grid, "the boundary trace")
-    return np.asarray(f)[..., grid._b_iy, grid._b_ix]
+    return np.reshape(f, np.shape(f)[:-2] + (-1,))[..., grid.boundary_nodes]
 
 
 def trace_breach(trace_max: float, field_max: float) -> float:

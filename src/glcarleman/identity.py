@@ -100,10 +100,10 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _check_phipsi(pp: PhiPsiSample, w: WeightSample, rtol=1e-10):
+def _check_phipsi(pp: PhiPsiSample, w: WeightSample):
     lhs = pp.Psi + pp.Phi + w.lap_ell
     scale = np.maximum(np.abs(w.lap_ell), 1.0)
-    bad = np.abs(lhs) > rtol * scale
+    bad = np.abs(lhs) > 1e-10 * scale
     if np.any(bad):
         raise IdentityError("Phi/Psi choice violates Psi + Phi = -Lap ell")
 
@@ -277,21 +277,22 @@ class ResidualReport:
     term_magnitudes: dict
 
 
-def default_samples(spec, T: float, n_t: int = 7, n_x: int = 6,
-                    t_window=(0.2, 0.8), margin: float = 0.125):
-    """Deterministic interior sample set away from the boundary and endpoints."""
-    ts = np.linspace(t_window[0] * T, t_window[1] * T, n_t)
+def default_samples(spec, T: float):
+    """Deterministic interior sample set away from the boundary and endpoints:
+    7 times on [0.2 T, 0.8 T], and 6 points per axis (the disk: 4 radii by
+    12 angles) at least 1/8 from the boundary."""
+    ts = np.linspace(0.2 * T, 0.8 * T, 7)
     if spec.shape == "unit_square":
-        s = np.linspace(margin, 1.0 - margin, n_x)
+        s = np.linspace(0.125, 0.875, 6)
         X1, X2 = np.meshgrid(s, s)
         pts = np.column_stack([X1.ravel(), X2.ravel()])
     else:
-        radii = np.linspace(0.15, 1.0 - margin, n_x // 2 + 1)
-        ang = np.linspace(0, 2 * np.pi, 2 * n_x, endpoint=False)
+        radii = np.linspace(0.15, 0.875, 4)
+        ang = np.linspace(0, 2 * np.pi, 12, endpoint=False)
         R, A = np.meshgrid(radii, ang)
         pts = np.column_stack([(R * np.cos(A)).ravel(), (R * np.sin(A)).ravel()])
     tt = np.repeat(ts, pts.shape[0])
-    xx = np.tile(pts, (n_t, 1))
+    xx = np.tile(pts, (len(ts), 1))
     return tt, xx
 
 
@@ -394,7 +395,6 @@ def identity_residuals(field, params: CarlemanParams, coeffs: GLCoeffs, grid,
 class TPositivityReport:
     t_value: float
     lower_bound: float
-    margin: float
     passed: bool
 
 
@@ -408,7 +408,6 @@ def T_coefficient_positivity(coeffs: GLCoeffs) -> TPositivityReport:
     t_val = (5.0 / 16.0 - 0.5 * b1 ** 2 * g1sq) * a2 ** 2 \
         + 0.5 * b1 * a2 * a1 * b2 * g1sq
     bound = (5.0 / 32.0) * a2 ** 2 * (2.0 - g1sq)
-    margin = t_val - bound
     passed = bool(t_val >= bound - 1e-14 and bound > 0)
     return TPositivityReport(t_value=float(t_val), lower_bound=float(bound),
-                             margin=float(margin), passed=passed)
+                             passed=passed)

@@ -274,7 +274,10 @@ def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
 def required_substeps(state: np.ndarray, dt: float) -> int:
     """Smallest power-of-two substep count meeting dt_sub * max|y|^2 <= 1/2."""
     n_sub = 1
-    peak = float(np.abs(state).max()) ** 2
+    try:
+        peak = float(np.abs(state).max()) ** 2
+    except OverflowError:        # a peak of about 1.34e154 or more
+        peak = float("inf")
     for _ in range(MAX_HALVINGS + 1):
         if (dt / n_sub) * peak <= STIFFNESS_CAP:
             return n_sub

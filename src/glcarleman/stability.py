@@ -124,17 +124,10 @@ def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
     return PreparedDifference(energy=cat["energy"], obs=obs, c_u2=c_u2, c_u1=c_u1)
 
 
-def _lhs(d: PreparedDifference, grid: SpaceTimeGrid, eps: float) -> float:
-    """int_{Q_eps} (|z|^2 + |grad z|^2)."""
-    if not 0 < eps < grid.T / 2:
-        raise StabilityError("eps must lie in (0, T/2)")
-    return integrate_slices(d.energy, grid, eps)
-
-
 def stability_interior(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
                        delta: float = float("nan")) -> StabilityReport:
     """Interior-observation report for a prepared difference."""
-    lhs = _lhs(d, grid, eps)
+    lhs = integrate_slices(d.energy, grid, eps)
     rhs = d.obs["interior"]
     c_u2, c_u1 = d.c_u2, d.c_u1
     degenerate = rhs == 0.0
@@ -148,7 +141,7 @@ def stability_interior(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
 def stability_boundary(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
                        delta: float = float("nan")) -> StabilityReport:
     """Boundary-observation report for a prepared difference."""
-    lhs = _lhs(d, grid, eps)
+    lhs = integrate_slices(d.energy, grid, eps)
     rhs = d.obs["boundary"]
     degenerate = rhs == 0.0
     c_emp = lhs / rhs if rhs > 0 else float("nan")

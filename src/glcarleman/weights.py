@@ -88,7 +88,6 @@ class WeightSample:
     """Weight family evaluated at a batch of (t, x) with analytic derivatives."""
 
     phi: np.ndarray
-    rho: np.ndarray
     ell: np.ndarray
     ell_t: np.ndarray
     ell_tt: np.ndarray
@@ -96,8 +95,6 @@ class WeightSample:
     hess_ell: np.ndarray      # (..., 2, 2)
     lap_ell: np.ndarray
     grad_ell_t: np.ndarray    # (..., 2)
-    phi_t: np.ndarray
-    rho_t: np.ndarray
 
 
 def time_factor(t, T: float):
@@ -178,8 +175,7 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
     E = np.exp(mu * psi.psi)
     K = np.exp(2 * mu * psi.sup)
     phi = E * sig
-    rho = (E - K) * sig
-    ell = lam * rho
+    ell = lam * ((E - K) * sig)
 
     gpsi = psi.grad_psi
     gpsi2 = np.einsum("...i,...i->...", gpsi, gpsi)
@@ -190,13 +186,11 @@ def eval_weight(params: CarlemanParams, psi: PsiSample, t) -> WeightSample:
     grad_ell_t = (lam * mu * E * sig_p)[..., None] * gpsi
 
     return WeightSample(
-        phi=phi, rho=rho, ell=ell,
+        phi=phi, ell=ell,
         ell_t=lam * (E - K) * sig_p,
         ell_tt=lam * (E - K) * sig_pp,
         grad_ell=grad_ell, hess_ell=hess_ell, lap_ell=lap_ell,
         grad_ell_t=grad_ell_t,
-        phi_t=E * sig_p,
-        rho_t=(E - K) * sig_p,
     )
 
 
@@ -236,17 +230,9 @@ def weight_tables(params: CarlemanParams, grid: SpaceTimeGrid) -> WeightTables:
     )
 
 
-@dataclass
-class AdmissibilityReport:
-    which: str
-    clauses: dict
-    min_grad_outside_omega: float
-    passed: bool
-
-
-def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> AdmissibilityReport:
+def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> dict:
     """Scan all grid nodes against the admissibility clauses for psi, with
-    the domain and omega of ``grid.spec``.
+    the domain and omega of ``grid.spec``: {clause: whether it holds}.
 
     Failures are reported, never raised.  Square corner nodes are excluded
     from the gradient scan (the corner points are excluded from all weighted
@@ -271,8 +257,4 @@ def verify_psi_admissibility(which: str, grid: SpaceTimeGrid) -> AdmissibilityRe
         clauses["grad_nonvanishing_in_interior"] = min_grad > 0
         # Gamma_0 = Gamma: Gamma \ Gamma_0 is empty, its clauses hold vacuously
         clauses["boundary_clauses_vacuous"] = True
-
-    return AdmissibilityReport(
-        which=which, clauses=clauses, min_grad_outside_omega=min_grad,
-        passed=all(clauses.values()),
-    )
+    return clauses

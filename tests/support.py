@@ -157,7 +157,6 @@ def derivative_consistency(params: CarlemanParams, spec: DomainSpec,
     wm = ell_at(ts - dt, pts)
     out["ell_t"] = rel((wp.ell - wm.ell) / (2 * dt) - w.ell_t, w.ell_t)
     out["ell_tt"] = rel((wp.ell - 2 * w.ell + wm.ell) / dt ** 2 - w.ell_tt, w.ell_tt)
-    out["phi_t"] = rel((wp.phi - wm.phi) / (2 * dt) - w.phi_t, w.phi_t)
 
     f0 = ell_spatial(ts, pts)
     lap_fd = np.zeros_like(f0)

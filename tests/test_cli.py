@@ -180,6 +180,15 @@ class TestConfig:
                      id="large-T-stability"),
         pytest.param({"grid": {"T": 1e-300}}, ["carleman-scan"], "grid.T",
                      id="tiny-T-scan"),
+        # a scan cell whose power lambda^3 overflows, or whose log offset
+        # max 2 ell is -inf at every lambda, and coefficients that divide by
+        # an infinite 1 + b^2
+        pytest.param({"scan": {"lambdas": [2, 1e103]}}, ["carleman-scan"],
+                     "scan.lambdas", id="scan-lambda-power-overflows"),
+        pytest.param({"scan": {"mus": [118], "variants": ["boundary"]}},
+                     ["carleman-scan"], "scan.mus", id="scan-log-offset-overflows"),
+        pytest.param({"coeffs": {"b": 1e300}}, ["solve"], "coeffs.b",
+                     id="coeffs-b-square-overflows"),
         # grids that build_grid would refuse, after the run directory was made
         pytest.param({"grid": {"nx": 16, "ny": 32, "nt": 16}}, ["solve"],
                      "grid.ny", id="unequal-nx-ny"),

@@ -464,9 +464,7 @@ def flushed_slices(cell, term, g):
     arg = term.phi_power * logphi + logw
     gv = g.reshape(arg.shape[0], -1)
     if term.region == "Sigma_0":
-        nodes = np.ravel_multi_index((cell.grid._b_iy, cell.grid._b_ix),
-                                     cell.grid.X1.shape)
-        vals = flushed(np.take(arg, nodes, axis=1)) * gv * cell.tables.b_dpsi_dnu
+        vals = flushed(np.take(arg, cell.grid.boundary_nodes, axis=1)) * gv * cell.tables.b_dpsi_dnu
         return space_sums(vals, cell.grid.boundary_weights)
     w = flushed(arg) * cell.grid.space_weights.ravel()
     if term.region == "Q_omega":
@@ -611,8 +609,7 @@ def log_form_row(cell, term, g):
     params = cell.tables.params
     lam_power = term.lam_power
     if term.region == "Sigma_0":
-        nodes = np.ravel_multi_index((cell.grid._b_iy, cell.grid._b_ix),
-                                     cell.grid.X1.shape)
+        nodes = cell.grid.boundary_nodes
         vals = flushed(logw[:, nodes] + logg + logphi[:, nodes])
         per_t = (vals * cell.tables.b_dpsi_dnu) @ cell.grid.boundary_weights
     else:
@@ -790,7 +787,8 @@ def test_scan_weights_once_per_family_and_mu_for_the_suite(tmp_path):
     # 2 families x 3 mu: 6 weight tables for the five trajectories and the
     # 6 lambda, not one per cell (36) nor per trajectory and cell (144), and
     # each cell flushes its weights once per window however many
-    # trajectories use them
+    # trajectories use them; the preflight (overflowing_cells) tabulates
+    # as many again
     one, five = scan16_calls(tmp_path, 1), scan16_calls(tmp_path, 5)
-    assert five[0] == one[0] == 2 * len(SCAN_MUS) == 6
+    assert five[0] == one[0] == 2 * (2 * len(SCAN_MUS)) == 12
     assert five[1] == one[1] > 0

@@ -51,7 +51,8 @@ class TestBuild:
 
     def test_square_boundary_sample_layout(self, grid32):
         g, n = grid32, grid32.nx
-        pts = np.stack([g.X1, g.X2], axis=-1)[g._b_iy, g._b_ix]
+        b_iy, b_ix = np.unravel_index(g.boundary_nodes, g.X1.shape)
+        pts = np.stack([g.X1, g.X2], axis=-1)[b_iy, b_ix]
         assert np.array_equal(g.boundary_points, pts)
         # faces x1 = 0, x1 = 1, x2 = 0, x2 = 1, in that order
         faces = [(0, 0.0, (-1, 0)), (0, 1.0, (1, 0)), (1, 0.0, (0, -1)), (1, 1.0, (0, 1))]
@@ -63,7 +64,7 @@ class TestBuild:
         trapezoid[[0, -1]] = g.h / 2
         assert np.array_equal(g.boundary_weights, np.tile(trapezoid, 4))
         # each corner twice, every other boundary node once
-        nodes, count = np.unique(np.stack([g._b_iy, g._b_ix]), axis=1,
+        nodes, count = np.unique(np.stack([b_iy, b_ix]), axis=1,
                                  return_counts=True)
         assert np.array_equal(g.corner_mask[tuple(nodes)], count == 2)
         assert np.all(count <= 2) and g.corner_mask.sum() == 4
@@ -176,7 +177,7 @@ def disk_d2_loop(f, grid, cut_list, axis, bc):
     for iy, ix, has_m, has_p in cut_list:
         i0 = ix if axis == -1 else iy
         n = grid.nx if axis == -1 else grid.ny
-        coord = (grid.x1_nodes[ix], grid.x2_nodes[iy])
+        coord = (grid.X1[iy, ix], grid.X2[iy, ix])
 
         def val(i):
             return f[..., iy, i] if axis == -1 else f[..., i, ix]
@@ -475,7 +476,7 @@ class TestGreenIdentity:
             vol = integrate_space((lap * np.conj(w)).real, g) \
                 + integrate_space((g1f * np.conj(g1w) + g2f * np.conj(g2w)).real, g)
             nd = normal_derivative(f, g)
-            wb = w[g._b_iy, g._b_ix]
+            wb = w[np.unravel_index(g.boundary_nodes, g.X1.shape)]
             srf = float(np.sum((nd * np.conj(wb)).real * g.boundary_weights))
             defects.append(abs(vol - srf))
         assert defects[1] <= max(defects[0] / 2 ** 0.8, 1e-12)

@@ -7,7 +7,8 @@ that only the tests read belongs under tests/.  Every space integral is
 grid.space_sums, every time integral is grid.integrate_slices, and
 grid.windows tiles every streamed pass.  grid.py owns the grid: a
 SpaceTimeGrid is plain geometry, and no other module reads a private name
-of grid.py.
+of grid.py.  Every field of a record (a dataclass or NamedTuple) is read in
+src/.
 """
 
 import ast
@@ -174,3 +175,32 @@ def test_space_time_grid_holds_no_state():
     # its fields is a container made per instance
     assert [f.name for f in dataclasses.fields(SpaceTimeGrid)
             if f.default_factory is not dataclasses.MISSING] == []
+
+
+def _record_fields(tree):
+    """(class, field) for each field of each dataclass or NamedTuple."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = {n.id for d in node.decorator_list + node.bases
+                 for n in ast.walk(d) if isinstance(n, ast.Name)}
+        if marks & {"dataclass", "NamedTuple"}:
+            yield from ((node.name, f.target.id) for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
+
+
+def test_every_record_field_is_read_in_src():
+    # a field is read where src/ names it as an attribute, or as a string:
+    # the cells fetch TERMS' integrands with getattr, and each domain's
+    # geometry is a dict
+    trees = _modules().values()
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    fields = [f for tree in trees for f in _record_fields(tree)]
+    assert fields
+    assert sorted(f for f in fields if f[1] not in read) == []

@@ -353,6 +353,15 @@ class TestAdaptivity:
         assert res.substeps.max() > 1
         assert np.all(np.isfinite(res.Y))
 
+    @pytest.mark.parametrize("amplitude", [200.0, 1e200])
+    def test_unreachable_stiffness_cap_raises(self, square_spec, amplitude):
+        # a peak whose square overflows a double is as out of reach as one
+        # whose square is merely large
+        g = build_grid(square_spec, 16, 16, 16, 1.0)
+        y0 = random_initial_field(g, seed=8, amplitude=amplitude, bc="dirichlet0")
+        with pytest.raises(solver.SolverError, match="stiffness cap not reachable"):
+            solve(y0, SolveConfig(b=0.2, c=0.1), g)
+
     def test_source_sampled_once_per_time(self, square_spec):
         # Crank-Nicolson carries each substep's end value to the next substep
         g = build_grid(square_spec, 32, 32, 16, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 from glcarleman import stability
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import (WINDOW, build_grid, grad, integrate_slices,
+from glcarleman.grid import (WINDOW, GridError, build_grid, grad, integrate_slices,
                              normal_derivative, space_sums)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, perturbation_suite,
@@ -166,7 +166,7 @@ class TestInteriorReport:
 
     def test_eps_validation(self, grid32, pair32):
         u1, u2, z = pair32
-        with pytest.raises(StabilityError):
+        with pytest.raises(GridError, match="Q_eps requires eps"):
             stability_interior(prepare_difference(z, grid32, c_u2=c8(u2, grid32)),
                                grid32, eps=0.6)
 

@@ -41,26 +41,26 @@ class TestEvalPsi:
 
 class TestAdmissibility:
     def test_square_psi1_passes(self, grid32):
-        rep = verify_psi_admissibility("psi1", grid32)
-        assert rep.passed
-        assert rep.min_grad_outside_omega > 0
+        clauses = verify_psi_admissibility("psi1", grid32)
+        assert all(clauses.values())
+        assert clauses["grad_nonvanishing_outside_omega"]
 
     def test_disk_psi1_passes(self, disk_grid):
-        rep = verify_psi_admissibility("psi1", disk_grid)
-        assert rep.passed
+        assert all(verify_psi_admissibility("psi1", disk_grid).values())
 
     def test_psi2_passes_with_vacuous_boundary(self, grid32):
-        rep = verify_psi_admissibility("psi2", grid32)
-        assert rep.passed
-        assert rep.clauses["boundary_clauses_vacuous"]
+        clauses = verify_psi_admissibility("psi2", grid32)
+        assert all(clauses.values())
+        assert clauses["boundary_clauses_vacuous"]
 
     def test_misplaced_omega_fails_not_raises(self):
         spec = DomainSpec(omega_center=(0.2, 0.2), omega_radius=0.05)
         g = build_grid(spec, 32, 32, 32, 1.0)
-        rep = verify_psi_admissibility("psi1", g)
-        assert not rep.passed
-        assert not rep.clauses["critical_point_in_omega"]
-        assert rep.min_grad_outside_omega == pytest.approx(0.0, abs=1e-14)
+        clauses = verify_psi_admissibility("psi1", g)
+        assert not all(clauses.values())
+        assert not clauses["critical_point_in_omega"]
+        # the critical point, where grad psi1 = 0, is a node outside omega
+        assert not clauses["grad_nonvanishing_outside_omega"]
 
     def test_critical_point_outside_omega_detected(self, square_spec, disk_spec):
         assert critical_point_in_omega(square_spec)
@@ -82,7 +82,8 @@ class TestEvalWeight:
         s = eval_psi(disk_spec, "psi1", np.array([0.0, 0.0]))
         w = eval_weight(CarlemanParams(lam=2, mu=2, T=1.0), s, 0.5)
         assert w.phi == pytest.approx(4 * np.e ** 2)
-        assert w.rho == pytest.approx(4 * (np.e ** 2 - np.e ** 4))
+        # ell = lam rho, rho = (e^{mu psi} - e^{2 mu |psi|_sup}) / (t (T - t))
+        assert w.ell == pytest.approx(2 * 4 * (np.e ** 2 - np.e ** 4))
 
     def test_t_outside_open_interval(self, square_spec):
         s = eval_psi(square_spec, "psi1", np.array([0.5, 0.5]))
@@ -102,7 +103,7 @@ class TestEvalWeight:
         s = eval_psi(square_spec, "psi1", x)
         t = rng.uniform(0.01, 0.99, size=50)
         w = eval_weight(CarlemanParams(lam=4, mu=3, T=1.0), s, t)
-        assert np.all(w.rho < 0)
+        assert np.all(w.ell < 0)      # ell = lam rho, lam > 0
         assert np.all(w.phi > 0)
 
     def test_grad_ell_formula(self, square_spec, rng):
@@ -121,15 +122,16 @@ class TestEvalWeight:
         assert np.abs(w.lap_ell - lap_rhs).max() < 1e-12 * np.abs(lap_rhs).max()
 
     def test_rho_t_pointwise_bound(self, square_spec, rng):
-        # |rho_t| <= T exp(2 mu |psi|_sup) phi^2
+        # |rho_t| <= T exp(2 mu |psi|_sup) phi^2, so with ell_t = lam rho_t
+        # and lam = 2, |ell_t| <= 2 T exp(2 mu |psi|_sup) phi^2
         T = 1.3
         x = rng.uniform(0.0, 1.0, size=(60, 2))
         s = eval_psi(square_spec, "psi1", x)
         t = rng.uniform(0.02, T - 0.02, size=60)
         for mu in (1.5, 3.0):
             w = eval_weight(CarlemanParams(lam=2, mu=mu, T=T), s, t)
-            bound = T * np.exp(2 * mu * s.sup) * w.phi ** 2
-            assert np.all(np.abs(w.rho_t) <= bound * (1 + 1e-12))
+            bound = 2 * T * np.exp(2 * mu * s.sup) * w.phi ** 2
+            assert np.all(np.abs(w.ell_t) <= bound * (1 + 1e-12))
 
     def test_ell_tt_envelope_bound(self, square_spec, rng):
         # |ell_tt| <= C lam phi^3 exp(3 mu |psi|_sup) with a moderate C

@@ -14,6 +14,7 @@ import json
 import math
 
 from .functionals import TERMS, VARIANT_FAMILY, VARIANTS
+from .gloperator import derive_coeffs
 from .grid import WINDOW, DomainSpec, build_grid
 from .solver import SCHEMES, VALID_SOLVER_BC
 
@@ -92,6 +93,14 @@ def _int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _finite(value) -> bool:
+    """value() is a finite float; an int too large for a float is not."""
+    try:
+        return math.isfinite(value())
+    except OverflowError:
+        return False
+
+
 # dotted path -> (check, message)
 _SCALAR_RULES = {
     "seed": (lambda v: _int(v) and v >= 0, "must be an int >= 0"),
@@ -106,7 +115,7 @@ _SCALAR_RULES = {
     "grid.nt": (lambda v: _int(v) and v >= 16, "must be an int >= 16"),
     "grid.T": (lambda v: _real(v) and v > 0, "must be a positive number"),
     # the coefficients divide by 1 + b^2
-    "coeffs.b": (lambda v: _real(v) and math.isfinite(1.0 + v * v),
+    "coeffs.b": (lambda v: _real(v) and _finite(lambda: 1.0 + v * v),
                  "must be a number with 1 + b^2 finite"),
     "coeffs.c": (_real, "must be a number"),
     "coeffs.r0": (lambda v: _real(v) and 0 < v < 1, "must be a number in (0, 1)"),
@@ -147,10 +156,11 @@ def _lookup(cfg: dict, path: str):
 def _oversized_suites(cfg: dict) -> dict:
     """{field: error} for each lockstep suite whose arrays for its members
     would pass MAX_TRAJECTORY_BYTES: stability's u2 with one u1 per entry of
-    stability.deltas, each holding 16 (nx+1)(ny+1)(WINDOW+2) bytes of slices,
-    and the scan's scan.n_trajectories members, each holding as much and
-    also its stacked integrands, WINDOW slices of each, 8 (nx+1)(ny+1) bytes
-    a slice, and each cell's per-slice sums, 8 (nt+1) bytes per row, over
+    stability.deltas, each counted at 16 (nx+1)(ny+1)(WINDOW+2) bytes of
+    slices (it holds one slice, so the count is conservative), and the
+    scan's scan.n_trajectories members, each holding as much and also its
+    stacked integrands, WINDOW slices of each, 8 (nx+1)(ny+1) bytes a
+    slice, and each cell's per-slice sums, 8 (nt+1) bytes per row, over
     len(mus) x len(lambdas) cells per family of scan.variants
     (bounded by taking each integrand at the volume's size and every row of
     TERMS)."""
@@ -179,6 +189,12 @@ def _oversized_suites(cfg: dict) -> dict:
 def validate_config(cfg: dict) -> None:
     errs = [f"{path}: {msg}" for path, (ok, msg) in _SCALAR_RULES.items()
             if not ok(_lookup(cfg, path))]
+    b, c = cfg["coeffs"]["b"], cfg["coeffs"]["c"]
+    if _SCALAR_RULES["coeffs.b"][0](b) and _real(c) and not (
+            _finite(lambda: derive_coeffs(b, c).alpha2)
+            and _finite(lambda: derive_coeffs(b, c).beta2)):
+        errs.append("coeffs.c: must be a number with alpha2 = (1 + bc)/(1 + b^2) "
+                    "and beta2 = (c - b)/(1 + b^2) finite")
     oversized = _oversized_suites(cfg)
     errs += oversized.values()
     for path, (least, ok, msg) in _LIST_RULES.items():

@@ -258,12 +258,13 @@ def _cubic_flow(y: np.ndarray, tau: float, c: float) -> np.ndarray:
     m *= 2.0 * tau
     m += 1.0
     # the unit phase exp(-ic/2 log m) from real cos and sin, which numpy
-    # vectorises and its complex exp does not; rot is C-ordered and each
-    # part filled from a contiguous array, as cos and sin slow down on a
-    # strided output
+    # vectorises and its complex exp does not; rot is laid out as y (an
+    # F-ordered (unknowns, m) stack from march), so that no product mixes
+    # layouts, and each part is filled from a contiguous array, as cos and
+    # sin slow down on a strided output
     theta = np.log(m)
     theta *= -0.5 * c
-    rot = np.empty(theta.shape, dtype=complex)
+    rot = np.empty_like(theta, dtype=complex)
     rot.real = np.cos(theta)
     rot.imag = np.sin(theta, out=theta)
     out = y * np.power(m, -0.5, out=m)

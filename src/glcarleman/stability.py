@@ -15,19 +15,19 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
 
 The difference z is always computed from the two solves; no difference
 equation is ever formed.  `perturbation_suite` marches u2 and every u1 in
-lockstep (`solver.march`), and `grid.windows` tiles their time slices.
-Each window is reduced one member and one difference at a time, then
-dropped: to the space integrals of |u|^6 of each member and of
+lockstep (`solver.march`) and reduces each march step as it is yielded,
+one member and one difference at a time, then drops it before the next
+step is asked for: to the space integrals of |u|^6 of each member and of
 |z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of each difference, whose
-window takes one gradient; to the running maxima of the Dirichlet-trace
-check; and to the Gamma integrals of |dz/dnu|^2.  So the temporaries beside
-the window are one difference's, not the whole stack's.  A
-`PreparedDifference` holds the nt+1 per-slice integrals and the
-observations, every observation's time integral is `grid.integrate_slices`
-of its per-slice integrals, and every eps report takes its Q_eps integral
-from them the same way.  The per-slice integrals and time integrals are
-those of the whole-trajectory reductions, bit for bit, whatever the window
-length.
+slice takes one gradient; to the running maxima of the Dirichlet-trace
+check; and to the Gamma integrals of |dz/dnu|^2.  So the suite holds one
+time slice of its members, and the temporaries beside it are one
+difference's.  A `PreparedDifference` holds the nt+1 per-slice integrals
+and the observations, every observation's time integral is
+`grid.integrate_slices` of its per-slice integrals, and every eps report
+takes its Q_eps integral from them the same way.  The per-slice integrals
+and time integrals are those of the whole-trajectory reductions, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (SpaceTimeGrid, boundary_values, grad_sq, integrate_slices,
-                   normal_derivative, space_sums, trace_breach, windows)
+                   normal_derivative, space_sums, trace_breach)
 from .solver import SolveConfig, march
 
 
@@ -85,10 +85,10 @@ class PreparedDifference:
     c_u1: float          # ||u1||_{L^inf L^6}^8 (nan without u1)
 
 
-def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
-    """The reductions of a window Z (w, ny+1, nx+1) of one difference: (w,)
-    space integrals (on Gamma for "boundary") and maxima.  One real buffer
-    takes each integrand in turn."""
+def _difference_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
+    """The reductions of time slices Z (k, ny+1, nx+1) of one difference:
+    (k,) space integrals (on Gamma for "boundary") and maxima.  One real
+    buffer takes each integrand in turn."""
     az2 = np.abs(Z)
     np.square(az2, out=az2)
     buf = grad_sq(Z, grid)
@@ -106,8 +106,8 @@ def _window_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
 
 def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
              variants) -> PreparedDifference:
-    """A PreparedDifference from the reductions of the windows that tile a
-    difference's time slices in order.
+    """A PreparedDifference from the reductions of a difference's time
+    slices, in order.
 
     For "boundary", the difference must carry a zero Dirichlet trace.
     """
@@ -156,23 +156,24 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
                        variants=("interior", "boundary")) -> list:
     """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps.
 
-    u2 and every u1 are marched together; each window of their time slices
-    is reduced one member and one difference at a time, then dropped, so
-    that no trajectory is held.  ``grid.space_sums`` sums each slice alike
+    u2 and every u1 are marched together; each march step is reduced one
+    member and one difference at a time, each as a one-slice stack, and
+    dropped before the next step is asked for, so that no trajectory, and
+    no second step, is held.  ``grid.space_sums`` sums each slice alike
     however it is stacked, so the reports are those of reducing the whole
     stack at once, bit for bit.
     """
     # the stack of initial data is handed over, not held
     steps = march(np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas]),
                   cfg, grid)
-    shape = (1 + len(deltas),) + np.shape(y0)
     sixth, sums = [], [[] for _ in deltas]
-    for _, U in windows((step.Y for step in steps), grid, shape, halo=0):
-        # U: (u2 and each u1, slices, ny+1, nx+1), reduced one member and
-        # one difference at a time
-        sixth.append([l6_slice_sums(u, grid) for u in U])
-        for diff_sums, u1 in zip(sums, U[1:]):
-            diff_sums.append(_window_sums(u1 - U[0], grid, variants))
+    for step in steps:
+        U = step.Y           # u2 and each u1 at one time node
+        sixth.append([l6_slice_sums(u[None], grid) for u in U])
+        for i, diff_sums in enumerate(sums, 1):
+            diff_sums.append(_difference_sums((U[i] - U[0])[None], grid, variants))
+        # so that this step is not alive while march forms the next one
+        del step, U
     c_u = [_linf_l6(np.concatenate(member)) ** 8 for member in zip(*sixth)]
     prepared = [_prepare(diff_sums, grid, c_u[0], c_u1, variants)
                 for diff_sums, c_u1 in zip(sums, c_u[1:])]

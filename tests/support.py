@@ -21,7 +21,7 @@ from glcarleman.gloperator import GLCoeffs, linear_source
 from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, laplacian,
                              time_derivative, trace_breach)
 from glcarleman.stability import (PreparedDifference, _linf_l6, _prepare,
-                                  _window_sums, l6_slice_sums)
+                                  _difference_sums, l6_slice_sums)
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
 
 
@@ -90,12 +90,12 @@ def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
     """One gradient and the observations of ``variants`` of a whole
     difference z, with the conditional constants c_u = ||u||_{L^inf L^6}^8
     passed in (nan when the solution is not at hand): the reference for the
-    stability suite's window-by-window reductions.
+    stability suite's step-by-step reductions.
 
     For "boundary", z must carry a zero Dirichlet trace.
     """
     z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    return _prepare([_window_sums(z, grid, variants)], grid, c_u2, c_u1, variants)
+    return _prepare([_difference_sums(z, grid, variants)], grid, c_u2, c_u1, variants)
 
 
 def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,

@@ -189,6 +189,13 @@ class TestConfig:
                      ["carleman-scan"], "scan.mus", id="scan-log-offset-overflows"),
         pytest.param({"coeffs": {"b": 1e300}}, ["solve"], "coeffs.b",
                      id="coeffs-b-square-overflows"),
+        # and coefficients alpha2 = (1 + bc)/(1 + b^2) or beta2 that overflow
+        pytest.param({"coeffs": {"b": 10, "c": 1e308}}, ["stability"], "coeffs.c",
+                     id="coeffs-alpha2-overflows"),
+        pytest.param({"coeffs": {"b": 10, "c": 10 ** 400}}, ["solve"], "coeffs.c",
+                     id="coeffs-c-int-overflows-a-float"),
+        pytest.param({"coeffs": {"b": 10 ** 200}}, ["solve"], "coeffs.b",
+                     id="coeffs-b-int-overflows-a-float"),
         # grids that build_grid would refuse, after the run directory was made
         pytest.param({"grid": {"nx": 16, "ny": 32, "nt": 16}}, ["solve"],
                      "grid.ny", id="unequal-nx-ny"),
@@ -577,8 +584,7 @@ def test_scan_peak_memory_does_not_grow_with_cells(tmp_path):
 
 def copied_fields(mp, module, name):
     """Wrap ``module.name`` so that each call appends a copy of its first
-    argument to the returned list: a window's buffer is overwritten by the
-    next window."""
+    argument to the returned list."""
     fields = []
     fn = getattr(module, name)
 
@@ -621,30 +627,24 @@ def counted_stability16(tmp_path_factory):
         return grads, norms, list(csv.DictReader(fh)), np.stack(stacks)
 
 
-# the window lengths that tile the 17 time slices of a 16^3 run, in order
-WINDOWS16 = [min(WINDOW, 17 - i) for i in range(0, 17, WINDOW)]
-
-
 class TestStabilityPass:
     def test_one_gradient_per_difference(self, counted_stability16):
-        # one call per window and difference, window by window, each on
-        # that window of one difference: a difference's calls, in order,
-        # are its slices, each taken once
+        # one call per march step and difference, step by step, each on that
+        # step's slice of one difference: a difference's calls, in order,
+        # are its 17 slices, each taken once
         grads, _, _, members = counted_stability16
         n_deltas = len(DEFAULTS["stability"]["deltas"])
-        assert [z.shape[0] for z in grads] == [w for w in WINDOWS16
-                                               for _ in range(n_deltas)]
+        assert [z.shape[0] for z in grads] == [1] * 17 * n_deltas
         for i in range(n_deltas):
             assert np.array_equal(np.concatenate(grads[i::n_deltas]),
                                   members[:, 1 + i] - members[:, 0])
 
     def test_norms_once_per_difference(self, counted_stability16):
-        # one call per window and member, window by window, u2 first: a
-        # member's calls, in order, are its slices, each taken once
+        # one call per march step and member, step by step, u2 first: a
+        # member's calls, in order, are its 17 slices, each taken once
         _, norms, _, members = counted_stability16
         n_members = 1 + len(DEFAULTS["stability"]["deltas"])
-        assert [u.shape[0] for u in norms] == [w for w in WINDOWS16
-                                               for _ in range(n_members)]
+        assert [u.shape[0] for u in norms] == [1] * 17 * n_members
         for i in range(n_members):
             assert np.array_equal(np.concatenate(norms[i::n_members]),
                                   members[:, i])

@@ -202,6 +202,15 @@ class TestCubicFlow:
                 assert np.array_equal(_cubic_flow(y, tau, c),
                                       cubic_flow_formula(y, tau, c))
 
+    def test_f_ordered_stack_equals_its_c_ordered_copy(self, rng):
+        # march hands the flow F-ordered (unknowns, m) stacks; the flow's
+        # temporaries take y's layout, and the values do not depend on it
+        stack = np.asfortranarray(rng.standard_normal((12849, 4))
+                                  + 1j * rng.standard_normal((12849, 4)))
+        for tau in (1e-3, 0.5):
+            assert np.array_equal(_cubic_flow(stack, tau, 0.4),
+                                  _cubic_flow(np.ascontiguousarray(stack), tau, 0.4))
+
 
 class TestStepBasics:
     def test_zero_stays_zero(self, grid32):

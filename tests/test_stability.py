@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -212,12 +213,13 @@ class TestSuite:
         ("square_spec", 32, [1e-3, 1e-1], ("interior", "boundary")),
         ("disk_spec", 32, [1e-3, 1e-2, 1e-1], ("interior",)),
         # 97^2 nodes: np.einsum sums a lone slice of them otherwise than a
-        # stack, and one delta makes lone slices of the last window
+        # stack, and the suite sums every slice as a lone one
         ("square_spec", 96, [1e-2], ("interior",)),
     ], ids=["square-both", "disk-interior", "square96-one-delta"])
     def test_streamed_suite_matches_stored_trajectories(
             self, request, monkeypatch, window, spec, n, deltas, variants):
-        # windows of 1 and 3 slices, and one window holding every slice
+        # the suite streams no window: with windows of 1 and 3 slices, and
+        # one window holding every slice, it gives the same reports
         monkeypatch.setattr("glcarleman.grid.WINDOW", window)
         grid = build_grid(request.getfixturevalue(spec), n, n, 16, 1.0)
         cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
@@ -232,8 +234,8 @@ class TestSuite:
         assert list(map(nan_as_str, got)) == list(map(nan_as_str, want))
 
     def test_peak_memory_does_not_grow_with_nt(self, square_spec):
-        # windows of slices are reduced and dropped; what grows with nt is
-        # the per-slice sums
+        # each march step is reduced and dropped; what grows with nt is the
+        # per-slice sums
         peaks = []
         for nt in (16, 64):
             grid = build_grid(square_spec, 32, 32, nt, 1.0)
@@ -251,10 +253,10 @@ class TestSuite:
 
     @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
     def test_peak_memory(self, request, spec, variants):
-        # The peak is about 1.7 (disk) and 1.9 (square) complex space-time
+        # The peak is about 0.9 (disk) and 1.3 (square) complex space-time
         # trajectories: u2 and every u1 are marched together and reduced
-        # window by window, so the solver's operators and the temporaries of
-        # one window make it up.  Holding whole trajectories, as the suite
+        # step by step, so the solver's operators and the temporaries of
+        # one step make it up.  Holding whole trajectories, as the suite
         # once did, peaked at about 7.05.  A fresh grid, so that building
         # the solver's operators counts as in a CLI run.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
@@ -265,11 +267,45 @@ class TestSuite:
     @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
     def test_peak_memory_in_window_buffers(self, request, spec, variants):
         # A window buffer holds WINDOW slices of every member, 16 B per node.
-        # Each window is reduced one member and one difference at a time,
-        # so the temporaries beside it are one difference's: the peak is
-        # about 3.5 (disk) and 3.9 (square) window buffers.  Reducing the
-        # whole stack of differences at once peaked at about 6.3 and 6.5.
+        # The suite holds no window: it reduces each march step one member
+        # and one difference at a time, and the peak is about 1.9 (disk) and
+        # 2.7 (square) window buffers.  Streaming through such a buffer
+        # peaked at about 3.5, and reducing the whole stack of differences
+        # at once at about 6.3 and 6.5.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
         peak = suite_peak(grid, variants)
         window = (1 + len(PEAK_DELTAS)) * WINDOW * (grid.ny + 1) * (grid.nx + 1) * 16
         assert peak <= 5.0 * window
+
+    @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
+    def test_peak_memory_in_member_slices(self, request, spec, variants):
+        # A member slice is one time slice of every member, 16 B per node.
+        # Each march step is reduced as it is yielded and dropped before the
+        # next one is formed, so the march's state and operators and one
+        # step's temporaries make up the peak: about 7.6 (disk) and 10.8
+        # (square) member slices.  Streaming through a buffer of WINDOW
+        # slices peaked at about 13.9 and 14.2.
+        grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
+        peak = suite_peak(grid, variants)
+        member_slice = (1 + len(PEAK_DELTAS)) * (grid.ny + 1) * (grid.nx + 1) * 16
+        assert peak <= 12 * member_slice
+
+    def test_suite_releases_each_step(self, monkeypatch, square_spec):
+        # once the suite asks march for the next step, it holds nothing of
+        # the last one, so no two steps are alive while march forms one
+        grid = build_grid(square_spec, 16, 16, 16, 1.0)
+        march, alive = stability.march, []
+
+        def watched(*args, **kwargs):
+            for step in march(*args, **kwargs):
+                last = weakref.ref(step.Y)
+                yield step
+                del step
+                alive.append(last() is not None)
+
+        monkeypatch.setattr(stability, "march", watched)
+        cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
+        y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
+        w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
+        perturbation_suite(y0, w, PEAK_DELTAS, [0.1], cfg, grid)
+        assert alive == [False] * (grid.nt + 1)

@@ -84,7 +84,7 @@ def _check_capabilities(cfg, command, manufactured):
     # the interior grid times, and the identity suite's sample times
     T, nt = cfg["grid"]["T"], cfg["grid"]["nt"]
     horizon_ok = horizon_representable(T, np.concatenate([
-        np.linspace(0.0, T, nt + 1)[1:-1], default_samples(spec, T)[0]]))
+        np.linspace(0.0, float(T), nt + 1)[1:-1], default_samples(spec, T)[0]]))
     if not horizon_ok:
         errs.append(f"grid.T: {T:g} leaves the weights' time factor "
                     "1/(t (T - t)) no finite positive value at some time")

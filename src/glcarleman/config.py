@@ -84,9 +84,11 @@ def load_config(path=None, overrides=None) -> dict:
 
 
 def _real(x) -> bool:
-    """A finite JSON number; bools are not numbers here."""
+    """A finite JSON number; bools are not numbers here, nor is an int too
+    large for a float."""
     return not isinstance(x, bool) and (
-        isinstance(x, int) or isinstance(x, float) and math.isfinite(x))
+        isinstance(x, int) and _finite(lambda: float(x))
+        or isinstance(x, float) and math.isfinite(x))
 
 
 def _int(x) -> bool:

@@ -260,7 +260,7 @@ def build_grid(spec: DomainSpec, nx: int, ny: int, nt: int, T: float) -> SpaceTi
         raise GridError("omega mask is empty on this grid")
     return SpaceTimeGrid(
         spec=spec, nx=nx, ny=ny, nt=nt, T=T, h=h, dt=T / nt,
-        t_nodes=np.linspace(0.0, T, nt + 1),
+        t_nodes=np.linspace(0.0, float(T), nt + 1),
         X1=X1, X2=X2, interior_mask=interior, omega_mask=omega,
         omega_weights=geo["quad_weights_space"] * omega,
         space_weights=np.where(geo["corner_mask"], 0.0, geo["quad_weights_space"]),

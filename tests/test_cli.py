@@ -196,6 +196,8 @@ class TestConfig:
                      id="coeffs-c-int-overflows-a-float"),
         pytest.param({"coeffs": {"b": 10 ** 200}}, ["solve"], "coeffs.b",
                      id="coeffs-b-int-overflows-a-float"),
+        pytest.param({"grid": {"T": 10 ** 400}}, ["solve"], "grid.T",
+                     id="grid-T-int-overflows-a-float"),
         # grids that build_grid would refuse, after the run directory was made
         pytest.param({"grid": {"nx": 16, "ny": 32, "nt": 16}}, ["solve"],
                      "grid.ny", id="unequal-nx-ny"),
@@ -346,6 +348,16 @@ class TestCommands:
         (run,) = (tmp_path / "runs").iterdir()
         rep = json.loads((run / "identity_report.json").read_text())
         assert not rep["passed"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_verify_identity_int_horizon_past_int64(self, tmp_path, capsys):
+        # an int T that numpy cannot hold as an int64 is still a number: the
+        # run fails on its overflowing test fields, with no traceback
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"T": 2 ** 64}}))
+        assert run_in(tmp_path, ["--config", str(path), "--grid", "16",
+                                 "verify-identity"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -30,7 +30,7 @@ from .config import ConfigError, build_domain, build_run_grid, config_hash, load
 from .functionals import (VARIANT_FAMILY, lambda_scan, overflowing_cells,
                           suite_worst_constant)
 from .gloperator import check_condition1, derive_coeffs
-from .grid import DomainSpec, GridError, build_grid
+from .grid import DomainSpec, GridError, build_grid, eps_window
 from .identity import (T_coefficient_positivity, default_samples, identity_residuals,
                        overflowing_pairs)
 from .solver import SolveConfig, energy_balance, march, save_trajectory, solve
@@ -83,11 +83,18 @@ def _check_capabilities(cfg, command, manufactured):
     spec = build_domain(cfg)
     # the interior grid times, and the identity suite's sample times
     T, nt = cfg["grid"]["T"], cfg["grid"]["nt"]
+    t_nodes = np.linspace(0.0, float(T), nt + 1)
     horizon_ok = horizon_representable(T, np.concatenate([
-        np.linspace(0.0, float(T), nt + 1)[1:-1], default_samples(spec, T)[0]]))
+        t_nodes[1:-1], default_samples(spec, T)[0]]))
     if not horizon_ok:
         errs.append(f"grid.T: {T:g} leaves the weights' time factor "
                     "1/(t (T - t)) no finite positive value at some time")
+    if command == "stability":
+        for i, fr in enumerate(cfg["stability"]["eps_fractions"]):
+            try:
+                eps_window(t_nodes, T, fr * T)
+            except GridError as exc:
+                errs.append(f"stability.eps_fractions[{i}]: {exc} (eps = {fr:g} T)")
     ident = cfg["identity"]
     if command == "verify-identity" and horizon_ok and (bad := overflowing_pairs(
             spec, T, ident["lambdas"], ident["mus"])):

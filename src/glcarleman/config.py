@@ -46,6 +46,9 @@ DEFAULTS = {
 # bytes, may take at most 1 GiB (256^3 takes 272 MB); so may the arrays that
 # a lockstep suite holds for all its members
 MAX_TRAJECTORY_BYTES = 2 ** 30
+# complex slices that march holds for each member of a stack: its state and
+# its step's temporaries (5.6 to 7.5 traced at 32^2 and 64^2, both schemes)
+MARCH_SLICES = 8
 
 
 class ConfigError(ValueError):
@@ -157,16 +160,14 @@ def _lookup(cfg: dict, path: str):
 
 def _oversized_suites(cfg: dict) -> dict:
     """{field: error} for each lockstep suite whose arrays for its members
-    would pass MAX_TRAJECTORY_BYTES: stability's u2 with one u1 per entry of
-    stability.deltas, each counted at 16 (nx+1)(ny+1)(WINDOW+2) bytes of
-    slices (it holds one slice, so the count is conservative), and the
-    scan's scan.n_trajectories members, each holding as much and also its
-    stacked integrands, WINDOW slices of each, 8 (nx+1)(ny+1) bytes a
-    slice, and each cell's per-slice sums, 8 (nt+1) bytes per row, over
-    len(mus) x len(lambdas) cells per family of scan.variants
-    (bounded by taking each integrand at the volume's size and every row of
-    TERMS)."""
-    grid, scan, deltas = cfg["grid"], cfg["scan"], cfg["stability"]["deltas"]
+    would pass MAX_TRAJECTORY_BYTES, at 8 (nt+1) bytes per row: stability's
+    u2 and one u1 per entry of stability.deltas, each at MARCH_SLICES
+    complex slices and, as if each were a difference, its |u|^6, energy
+    and per-variant rows; the scan's scan.n_trajectories members, each at
+    WINDOW + 2 complex slices, its stacked integrands (WINDOW real slices
+    of each, taken at the volume's size) and each cell's rows, every row of
+    TERMS over len(mus) x len(lambdas) cells per family of scan.variants."""
+    grid, scan, st = cfg["grid"], cfg["scan"], cfg["stability"]
     nx, ny, nt = grid["nx"], grid["ny"], grid["nt"]
     if not (_int(nx) and _int(ny) and _int(nt)):
         return {}
@@ -174,13 +175,15 @@ def _oversized_suites(cfg: dict) -> dict:
         return vals if isinstance(vals, (list, tuple)) else []
 
     nodes = (nx + 1) * (ny + 1)
-    held = 16 * nodes * (WINDOW + 2)
     families = {VARIANT_FAMILY[v] for v in entries(scan["variants"]) if v in VARIANTS}
     cells = len(families) * len(entries(scan["mus"])) * len(entries(scan["lambdas"]))
-    scan_each = held + 8 * WINDOW * nodes * len({t.integrand for t in TERMS}) \
+    scan_each = 16 * nodes * (WINDOW + 2) \
+        + 8 * WINDOW * nodes * len({t.integrand for t in TERMS}) \
         + 8 * (nt + 1) * len(TERMS) * cells
+    stability_each = 16 * nodes * MARCH_SLICES \
+        + 8 * (nt + 1) * (2 + len(entries(st["variants"])))
     members = {"scan.n_trajectories": (scan["n_trajectories"], scan_each),
-               "stability.deltas": (len(entries(deltas)) + 1, held)}
+               "stability.deltas": (len(entries(st["deltas"])) + 1, stability_each)}
     return {path: f"{path}: a suite of {m} members would take {each} bytes "
                   f"for each, {m * each} in all, over the limit of "
                   f"{MAX_TRAJECTORY_BYTES}"

@@ -517,7 +517,7 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     # the running maxima of |y| on Gamma and of |y| of each j2 member
     maxima = dict.fromkeys(order[j2] if j2 is not None else [], (0.0, 0.0))
     shape = (len(variants), grid.ny + 1, grid.nx + 1)
-    for first, block in windows(slices, grid, shape, halo=1):
+    for first, block in windows(slices, grid, shape):
         for j, k in enumerate(order):
             Y = block[k]
             if k in maxima:

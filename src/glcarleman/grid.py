@@ -37,8 +37,8 @@ every weight table once per grid: the volume weights, the omega weights
 beside them, the volume weights with the square's corners at zero
 (``space_weights``, which the Carleman cells weigh with) and the flat
 indices of the omega nodes (``omega_nodes``) and of the square's boundary
-samples (``boundary_nodes``).  ``windows`` tiles the time slices of each
-streamed suite, so that neither suite holds a trajectory.
+samples (``boundary_nodes``).  ``windows`` tiles the time slices of the
+scan's streamed suite, so that it holds no trajectory.
 
 A SpaceTimeGrid is plain geometry: it holds no solver state, and its
 private fields and the private stencils are read in this module only.
@@ -424,42 +424,49 @@ def integrate_slices(slice_sums: np.ndarray, grid: SpaceTimeGrid,
         raise GridError(f"expected nt+1 = {grid.nt + 1} slice sums, "
                         f"got shape {sums.shape}")
     if eps is not None:
-        if not 0.0 < eps < grid.T / 2:
-            raise GridError("Q_eps requires eps in (0, T/2)")
-        tol = 1e-12 * grid.T
-        sums = sums[(grid.t_nodes >= eps - tol) & (grid.t_nodes <= grid.T - eps + tol)]
-        if sums.size < 2:
-            raise GridError("Q_eps window contains fewer than two time nodes")
+        sums = sums[eps_window(grid.t_nodes, grid.T, eps)]
     wt = np.full(sums.size, grid.dt)
     wt[0] *= 0.5
     wt[-1] *= 0.5
     return float(math.fsum((sums * wt).tolist()))
 
 
-def windows(slices, grid: SpaceTimeGrid, shape: tuple, halo: int):
+def eps_window(t_nodes: np.ndarray, T: float, eps: float) -> np.ndarray:
+    """The mask of the time nodes t_nodes of [0, T] that lie in [eps, T-eps]
+    (Q_eps), to 1e-12 T; GridError unless eps is in (0, T/2) and the
+    window holds two nodes or more."""
+    if not 0.0 < eps < T / 2:
+        raise GridError("Q_eps requires eps in (0, T/2)")
+    tol = 1e-12 * T
+    mask = (t_nodes >= eps - tol) & (t_nodes <= T - eps + tol)
+    if np.count_nonzero(mask) < 2:
+        raise GridError("Q_eps window contains fewer than two time nodes")
+    return mask
+
+
+def windows(slices, grid: SpaceTimeGrid, shape: tuple):
     """(first, block) for each run of at most WINDOW nodes, in order, that
-    tiles the nodes halo ... nt - halo of a suite given as its nt+1 time
-    slices of `shape` (members, ny+1, nx+1): block, yielded as the run's
-    last slice arrives, is a view (members, slices, ny+1, nx+1) of the run
-    and `halo` neighbours on each side, into one buffer that the next run
-    overwrites.  GridError unless exactly nt+1 slices of `shape` arrive."""
-    end = grid.nt + 1 - halo               # one past the last node tiled
+    tiles the nodes 1 ... nt - 1 of a suite given as its nt+1 time slices of
+    `shape` (members, ny+1, nx+1): block, yielded as the run's last halo
+    slice arrives, is a view (members, slices, ny+1, nx+1) of the run and
+    one neighbour on each side (the halo that y_t takes), into one buffer
+    that the next run overwrites.  GridError unless exactly nt+1 slices of
+    `shape` arrive."""
     want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
-    buf = np.empty((shape[0], min(WINDOW, end - halo) + 2 * halo) + shape[1:],
-                   dtype=complex)
-    first, held = halo, 0
+    buf = np.empty((shape[0], min(WINDOW, grid.nt - 1) + 2) + shape[1:], dtype=complex)
+    first, held = 1, 0
     for t, S in enumerate(slices):
         if t > grid.nt or S.shape != shape:
             raise GridError(want)
         buf[:, held] = S
         held += 1
-        stop = min(first + WINDOW, end)
-        if held == stop - first + 2 * halo:
+        stop = min(first + WINDOW, grid.nt)
+        if held == stop - first + 2:
             yield first, buf[:, :held]
             # the next run's first halo slices are this one's last
-            buf[:, :2 * halo] = buf[:, held - 2 * halo:held]
-            first, held = stop, 2 * halo
-    if first < end:
+            buf[:, :2] = buf[:, held - 2:held]
+            first, held = stop, 2
+    if first < grid.nt:
         raise GridError(want)
 
 

@@ -414,9 +414,12 @@ def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid, sc: SolveConfig) -> np.nd
     modulus among the time, dissipation and L4 terms.  The pairing needs no
     symmetry of Lap_h, so the residual measures time error on the disk too.
     """
-    Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
+    Y = np.asarray(Y, dtype=complex)
     wsp = grid.quad_weights_space
-    ddt = np.diff(space_sums(np.abs(Y) ** 2, wsp)) / (2 * grid.dt)
+    # slice by slice, so that no temporary is trajectory-sized; a slice's
+    # sum is that of the whole stack's
+    ddt = np.diff([space_sums(np.abs(grid.check_field(y, "trajectory")) ** 2, wsp)
+                   for y in Y]) / (2 * grid.dt)
     out = np.empty_like(ddt)
     # one step at a time, so the pairing's temporaries are slice-sized
     for k in range(ddt.size):
@@ -461,7 +464,7 @@ def save_trajectory(path, Y: np.ndarray, grid: SpaceTimeGrid) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIId", shape_code, grid.nx, grid.ny, grid.nt, grid.T))
-        fh.write(Y.tobytes())
+        fh.write(memoryview(Y))
 
 
 def load_trajectory(path):

@@ -16,18 +16,16 @@ u1-normalized twin).  The boundary variant observes the normal derivative:
 The difference z is always computed from the two solves; no difference
 equation is ever formed.  `perturbation_suite` marches u2 and every u1 in
 lockstep (`solver.march`) and reduces each march step as it is yielded,
-one member and one difference at a time, then drops it before the next
-step is asked for: to the space integrals of |u|^6 of each member and of
-|z|^2 + |grad z|^2 and |z|^2 + |z|^4 on omega of each difference, whose
-slice takes one gradient; to the running maxima of the Dirichlet-trace
-check; and to the Gamma integrals of |dz/dnu|^2.  So the suite holds one
-time slice of its members, and the temporaries beside it are one
-difference's.  A `PreparedDifference` holds the nt+1 per-slice integrals
-and the observations, every observation's time integral is
-`grid.integrate_slices` of its per-slice integrals, and every eps report
-takes its Q_eps integral from them the same way.  The per-slice integrals
-and time integrals are those of the whole-trajectory reductions, bit for
-bit.
+one member and one difference at a time, into column k of (nt+1,) rows:
+int |u|^6 of each member, and int |z|^2 + |grad z|^2 (one gradient) and
+each observed variant's integral of each difference, with running maxima
+for the Dirichlet-trace check.  So it holds one time slice of its members
+and one difference's temporaries, plus the rows, 8 bytes per time node
+each.  A `PreparedDifference` holds a difference's energy row and the
+time integrals of its observation rows, and every eps report takes its
+Q_eps integral from that row (`grid.integrate_slices`, as the observations
+do).  Rows and integrals are those of the whole-trajectory reductions, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -71,10 +69,6 @@ def l6_slice_sums(U: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return space_sums(np.abs(U) ** 6, grid.quad_weights_space)
 
 
-def _linf_l6(slice_sums) -> float:
-    return float(np.max(slice_sums) ** (1.0 / 6.0))
-
-
 @dataclass
 class PreparedDifference:
     """The eps-independent parts of every report on one difference z."""
@@ -85,43 +79,24 @@ class PreparedDifference:
     c_u1: float          # ||u1||_{L^inf L^6}^8 (nan without u1)
 
 
-def _difference_sums(Z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
-    """The reductions of time slices Z (k, ny+1, nx+1) of one difference:
-    (k,) space integrals (on Gamma for "boundary") and maxima.  One real
-    buffer takes each integrand in turn."""
-    az2 = np.abs(Z)
+def _difference_sums(z: np.ndarray, grid: SpaceTimeGrid, variants) -> dict:
+    """The reductions of one time slice z (ny+1, nx+1) of a difference: its
+    space integrals, "energy" and one per variant (on Gamma for
+    "boundary"), and for "boundary" the maxima "trace" of |z| on Gamma and
+    "peak" of |z|.  One real buffer takes each integrand in turn."""
+    az2 = np.abs(z)
     np.square(az2, out=az2)
-    buf = grad_sq(Z, grid)
+    buf = grad_sq(z, grid)
     out = {"energy": space_sums(np.add(az2, buf, out=buf), grid.quad_weights_space)}
     if "interior" in variants:
         np.square(az2, out=buf)
         out["interior"] = space_sums(np.add(az2, buf, out=buf), grid.omega_weights)
     if "boundary" in variants:
-        out["trace"] = np.abs(boundary_values(Z, grid)).max()
-        out["peak"] = np.abs(Z, out=buf).max()
-        out["boundary"] = space_sums(np.abs(normal_derivative(Z, grid)) ** 2,
+        out["trace"] = np.abs(boundary_values(z, grid)).max()
+        out["peak"] = np.abs(z, out=buf).max()
+        out["boundary"] = space_sums(np.abs(normal_derivative(z, grid)) ** 2,
                                      grid.boundary_weights)
     return out
-
-
-def _prepare(reductions: list, grid: SpaceTimeGrid, c_u2: float, c_u1: float,
-             variants) -> PreparedDifference:
-    """A PreparedDifference from the reductions of a difference's time
-    slices, in order.
-
-    For "boundary", the difference must carry a zero Dirichlet trace.
-    """
-    cat = {key: np.concatenate([w[key] for w in reductions])
-           for key in ("energy", *variants)}
-    obs = {v: integrate_slices(cat[v], grid) for v in variants}
-    if "boundary" in variants:
-        trace = np.max([w["trace"] for w in reductions])
-        peak = np.max([w["peak"] for w in reductions])
-        if breach := trace_breach(float(trace), float(peak)):
-            raise StabilityError(
-                f"difference trace on Gamma is {breach:.3e}; the pair was not "
-                "solved with identical Dirichlet data")
-    return PreparedDifference(energy=cat["energy"], obs=obs, c_u2=c_u2, c_u1=c_u1)
 
 
 def stability_interior(d: PreparedDifference, grid: SpaceTimeGrid, eps: float,
@@ -157,28 +132,43 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
     """Reports for u2 from y0 and u1 from y0 + delta w, over deltas x eps.
 
     u2 and every u1 are marched together; each march step is reduced one
-    member and one difference at a time, each as a one-slice stack, and
-    dropped before the next step is asked for, so that no trajectory, and
-    no second step, is held.  ``grid.space_sums`` sums each slice alike
-    however it is stacked, so the reports are those of reducing the whole
-    stack at once, bit for bit.
+    member and one difference at a time into column k of the rows, keyed
+    by variant, and dropped before the next step is asked for, so that no
+    trajectory, and no second step, is held.  ``grid.space_sums`` sums a
+    slice alike however it is stacked, so the reports are those of whole
+    trajectories, bit for bit.  Every trace is checked before any report.
     """
     # the stack of initial data is handed over, not held
     steps = march(np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas]),
                   cfg, grid)
-    sixth, sums = [], [[] for _ in deltas]
+    sixth = np.empty((len(deltas) + 1, grid.nt + 1))
+    rows = {key: np.empty((len(deltas), grid.nt + 1)) for key in ("energy", *variants)}
+    maxima = np.zeros((len(deltas), 2))      # max |z| on Gamma, max |z|
+    k = 0      # not enumerate, whose last result would hold the last step
     for step in steps:
-        U = step.Y           # u2 and each u1 at one time node
-        sixth.append([l6_slice_sums(u[None], grid) for u in U])
-        for i, diff_sums in enumerate(sums, 1):
-            diff_sums.append(_difference_sums((U[i] - U[0])[None], grid, variants))
+        U = step.Y           # u2 and each u1 at time node k
+        sixth[:, k] = [l6_slice_sums(u, grid) for u in U]
+        for i in range(len(deltas)):
+            sums = _difference_sums(U[i + 1] - U[0], grid, variants)
+            for key, row in rows.items():
+                row[i, k] = sums[key]
+            if "boundary" in variants:
+                np.maximum(maxima[i], (sums["trace"], sums["peak"]), out=maxima[i])
+        k += 1
         # so that this step is not alive while march forms the next one
         del step, U
-    c_u = [_linf_l6(np.concatenate(member)) ** 8 for member in zip(*sixth)]
-    prepared = [_prepare(diff_sums, grid, c_u[0], c_u1, variants)
-                for diff_sums, c_u1 in zip(sums, c_u[1:])]
+    if "boundary" in variants:
+        for trace, peak in maxima:
+            if breach := trace_breach(float(trace), float(peak)):
+                raise StabilityError(
+                    f"difference trace on Gamma is {breach:.3e}; the pair was not "
+                    "solved with identical Dirichlet data")
+    c_u = [float(row.max() ** (1.0 / 6.0)) ** 8 for row in sixth]
     reports = []
-    for delta, d in zip(deltas, prepared):
+    for i, delta in enumerate(deltas):
+        d = PreparedDifference(
+            energy=rows["energy"][i], c_u2=c_u[0], c_u1=c_u[i + 1],
+            obs={v: integrate_slices(rows[v][i], grid) for v in variants})
         for eps in eps_list:
             if "interior" in variants:
                 reports.append(stability_interior(d, grid, eps, delta=delta))

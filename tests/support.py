@@ -18,10 +18,10 @@ import numpy as np
 from glcarleman.fields import Atom
 from glcarleman.functionals import lambda_scan
 from glcarleman.gloperator import GLCoeffs, linear_source
-from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, laplacian,
-                             time_derivative, trace_breach)
-from glcarleman.stability import (PreparedDifference, _linf_l6, _prepare,
-                                  _difference_sums, l6_slice_sums)
+from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, grad,
+                             integrate_slices, laplacian, normal_derivative,
+                             space_sums, time_derivative, trace_breach)
+from glcarleman.stability import PreparedDifference, StabilityError
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
 
 
@@ -81,21 +81,34 @@ def linf_l6_norm(U: np.ndarray, grid: SpaceTimeGrid) -> float:
     """max over time slices of (int |u|^6 dx)^(1/6) of a whole trajectory U:
     the reference for the stability suite's conditional constants."""
     U = grid.check_field(np.asarray(U, dtype=complex), "field")
-    return _linf_l6(l6_slice_sums(U, grid))
+    return float(space_sums(np.abs(U) ** 6, grid.quad_weights_space).max() ** (1 / 6))
 
 
 def prepare_difference(z: np.ndarray, grid: SpaceTimeGrid,
                        c_u2: float = float("nan"), c_u1: float = float("nan"),
                        variants=("interior", "boundary")) -> PreparedDifference:
-    """One gradient and the observations of ``variants`` of a whole
-    difference z, with the conditional constants c_u = ||u||_{L^inf L^6}^8
-    passed in (nan when the solution is not at hand): the reference for the
-    stability suite's step-by-step reductions.
+    """The energy per time slice and the observations of ``variants`` of a
+    whole difference z, with the conditional constants
+    c_u = ||u||_{L^inf L^6}^8 passed in (nan when the solution is not at
+    hand): the reference for the stability suite's step-by-step rows.
 
     For "boundary", z must carry a zero Dirichlet trace.
     """
     z = grid.check_field(np.asarray(z, dtype=complex), "difference")
-    return _prepare([_difference_sums(z, grid, variants)], grid, c_u2, c_u1, variants)
+    az2 = np.abs(z) ** 2
+    g1, g2 = grad(z, grid)
+    energy = space_sums(az2 + (np.abs(g1) ** 2 + np.abs(g2) ** 2),
+                        grid.quad_weights_space)
+    obs = {}
+    if "interior" in variants:
+        obs["interior"] = integrate_slices(space_sums(az2 + az2 ** 2,
+                                                      grid.omega_weights), grid)
+    if "boundary" in variants:
+        if breach := nonzero_trace(z, grid):
+            raise StabilityError(f"difference trace on Gamma is {breach:.3e}")
+        obs["boundary"] = integrate_slices(space_sums(
+            np.abs(normal_derivative(z, grid)) ** 2, grid.boundary_weights), grid)
+    return PreparedDifference(energy=energy, obs=obs, c_u2=c_u2, c_u1=c_u1)
 
 
 def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,

@@ -5,7 +5,7 @@ included, and every public method of its classes is read somewhere in src/
 outside its own definition, or is kept below for a stated reason.  Code
 that only the tests read belongs under tests/.  Every space integral is
 grid.space_sums, every time integral is grid.integrate_slices, and
-grid.windows tiles every streamed pass with a halo.  grid.py owns the grid: a
+grid.windows tiles the scan's streamed pass.  grid.py owns the grid: a
 SpaceTimeGrid is plain geometry, and no other module reads a private name
 of grid.py.  Every field of a record (a dataclass or NamedTuple) is read in
 src/.

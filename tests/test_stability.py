@@ -6,8 +6,7 @@ import pytest
 
 from glcarleman import stability
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import (WINDOW, GridError, build_grid, grad, integrate_slices,
-                             normal_derivative, space_sums)
+from glcarleman.grid import WINDOW, GridError, build_grid, integrate_slices, space_sums
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, perturbation_suite,
                                   stability_boundary, stability_interior)
@@ -37,29 +36,20 @@ def nan_as_str(row):
 
 def reference_suite(y0, w, deltas, eps_list, cfg, grid, variants):
     """The suite's reports, as (variant, delta, eps, lhs, rhs_obs, c_u2,
-    c_u1), from whole stored trajectories and whole-trajectory quadrature."""
+    c_u1), from whole stored trajectories and whole-trajectory quadrature:
+    interior before boundary, whatever the order of ``variants``."""
     nan = float("nan")
     u2 = solve(y0, cfg, grid).Y
-    c_u2 = linf_l6_norm(u2, grid) ** 8
+    c_u2 = c8(u2, grid)
     rows = []
     for delta in deltas:
         u1 = solve(y0 + delta * w, cfg, grid).Y
-        c_u1 = linf_l6_norm(u1, grid) ** 8
-        z = u1 - u2
-        az2 = np.abs(z) ** 2
-        g1, g2 = grad(z, grid)
-        energy = az2 + (np.abs(g1) ** 2 + np.abs(g2) ** 2)
-        obs = {"interior": integrate_slices(space_sums(az2 + az2 ** 2,
-                                                        grid.omega_weights), grid)}
-        if "boundary" in variants:
-            obs["boundary"] = integrate_slices(space_sums(
-                np.abs(normal_derivative(z, grid)) ** 2, grid.boundary_weights), grid)
+        d = prepare_difference(u1 - u2, grid, c_u2, c8(u1, grid), variants)
         for eps in eps_list:
-            lhs = integrate_slices(space_sums(energy, grid.quad_weights_space), grid,
-                                   eps)
-            rows += [(v, delta, eps, lhs, obs[v]) + ((c_u2, c_u1) if v == "interior"
-                                                     else (nan, nan))
-                     for v in variants]
+            lhs = integrate_slices(d.energy, grid, eps)
+            rows += [(v, delta, eps, lhs, d.obs[v]) + ((d.c_u2, d.c_u1) if v == "interior"
+                                                       else (nan, nan))
+                     for v in ("interior", "boundary") if v in variants]
     return rows
 
 
@@ -208,19 +198,19 @@ class TestSuite:
         assert all(np.isfinite(c) for c in cs)
         assert max(cs) / min(cs) <= 10.0
 
-    @pytest.mark.parametrize("window", [1, 3, 100])
     @pytest.mark.parametrize("spec,n,deltas,variants", [
         ("square_spec", 32, [1e-3, 1e-1], ("interior", "boundary")),
+        # the rows are keyed by variant: listed boundary first, the reports
+        # are the same, interior first
+        ("square_spec", 32, [1e-3, 1e-1], ("boundary", "interior")),
         ("disk_spec", 32, [1e-3, 1e-2, 1e-1], ("interior",)),
         # 97^2 nodes: np.einsum sums a lone slice of them otherwise than a
         # stack, and the suite sums every slice as a lone one
         ("square_spec", 96, [1e-2], ("interior",)),
-    ], ids=["square-both", "disk-interior", "square96-one-delta"])
-    def test_streamed_suite_matches_stored_trajectories(
-            self, request, monkeypatch, window, spec, n, deltas, variants):
-        # the suite streams no window: with windows of 1 and 3 slices, and
-        # one window holding every slice, it gives the same reports
-        monkeypatch.setattr("glcarleman.grid.WINDOW", window)
+    ], ids=["square-both", "square-boundary-first", "disk-interior",
+            "square96-one-delta"])
+    def test_streamed_suite_matches_stored_trajectories(self, request, spec, n,
+                                                        deltas, variants):
         grid = build_grid(request.getfixturevalue(spec), n, n, 16, 1.0)
         cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
         y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
@@ -235,7 +225,7 @@ class TestSuite:
 
     def test_peak_memory_does_not_grow_with_nt(self, square_spec):
         # each march step is reduced and dropped; what grows with nt is the
-        # per-slice sums
+        # (nt+1)-long rows
         peaks = []
         for nt in (16, 64):
             grid = build_grid(square_spec, 32, 32, nt, 1.0)
@@ -253,7 +243,7 @@ class TestSuite:
 
     @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
     def test_peak_memory(self, request, spec, variants):
-        # The peak is about 0.9 (disk) and 1.3 (square) complex space-time
+        # The peak is about 0.8 (disk) and 1.1 (square) complex space-time
         # trajectories: u2 and every u1 are marched together and reduced
         # step by step, so the solver's operators and the temporaries of
         # one step make it up.  Holding whole trajectories, as the suite
@@ -268,8 +258,8 @@ class TestSuite:
     def test_peak_memory_in_window_buffers(self, request, spec, variants):
         # A window buffer holds WINDOW slices of every member, 16 B per node.
         # The suite holds no window: it reduces each march step one member
-        # and one difference at a time, and the peak is about 1.9 (disk) and
-        # 2.7 (square) window buffers.  Streaming through such a buffer
+        # and one difference at a time, and the peak is about 1.6 (disk) and
+        # 2.3 (square) window buffers.  Streaming through such a buffer
         # peaked at about 3.5, and reducing the whole stack of differences
         # at once at about 6.3 and 6.5.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
@@ -282,13 +272,31 @@ class TestSuite:
         # A member slice is one time slice of every member, 16 B per node.
         # Each march step is reduced as it is yielded and dropped before the
         # next one is formed, so the march's state and operators and one
-        # step's temporaries make up the peak: about 7.6 (disk) and 10.8
+        # step's temporaries make up the peak: about 6.3 (disk) and 9.2
         # (square) member slices.  Streaming through a buffer of WINDOW
         # slices peaked at about 13.9 and 14.2.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
         peak = suite_peak(grid, variants)
         member_slice = (1 + len(PEAK_DELTAS)) * (grid.ny + 1) * (grid.nx + 1) * 16
         assert peak <= 12 * member_slice
+
+    def test_peak_memory_of_a_long_suite(self, square_spec):
+        # 20 deltas at 16^2 and nt = 256: each step's reductions go into
+        # (nt+1)-long rows, 0.17 MB in all, and the peak reads about 1.1 MB.
+        # Keeping them as per-step lists of dicts, joined after the march,
+        # peaked at about 7 MB.
+        grid = build_grid(square_spec, 16, 16, 256, 1.0)
+        cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
+        y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
+        w = random_initial_field(grid, seed=84, amplitude=1.0, bc="dirichlet0")
+        deltas = [1e-3 * (k + 1) for k in range(20)]
+        tracemalloc.start()
+        try:
+            perturbation_suite(y0, w, deltas, [0.1], cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_suite_releases_each_step(self, monkeypatch, square_spec):
         # once the suite asks march for the next step, it holds nothing of

@@ -198,6 +198,7 @@ class TestSuite:
         assert all(np.isfinite(c) for c in cs)
         assert max(cs) / min(cs) <= 10.0
 
+    @pytest.mark.parametrize("window", [1, 3, 100])
     @pytest.mark.parametrize("spec,n,deltas,variants", [
         ("square_spec", 32, [1e-3, 1e-1], ("interior", "boundary")),
         # the rows are keyed by variant: listed boundary first, the reports
@@ -209,8 +210,11 @@ class TestSuite:
         ("square_spec", 96, [1e-2], ("interior",)),
     ], ids=["square-both", "square-boundary-first", "disk-interior",
             "square96-one-delta"])
-    def test_streamed_suite_matches_stored_trajectories(self, request, spec, n,
-                                                        deltas, variants):
+    def test_streamed_suite_matches_stored_trajectories(
+            self, request, monkeypatch, window, spec, n, deltas, variants):
+        # the suite streams no window: with windows of 1 and 3 slices, and
+        # one window holding every slice, it gives the same reports
+        monkeypatch.setattr("glcarleman.grid.WINDOW", window)
         grid = build_grid(request.getfixturevalue(spec), n, n, 16, 1.0)
         cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
         y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")

@@ -1,15 +1,15 @@
 """Batch front-end: verify-identity | solve | carleman-scan | stability.
 
 Every command loads a JSON configuration (defaults + file + flag overrides),
-validates it against all module preconditions, and writes its reports under
-a run directory named by the configuration hash.  Outputs are byte-stable:
-identical configurations produce byte-identical files, under any BLAS
-thread count.  Among the preconditions, carleman-scan checks on the run grid
-that each auxiliary function psi its variants weigh with is admissible,
-before any work starts, and marches its suite in lockstep, one stack per
-boundary condition, scanning each window of times as soon as it is solved.
---lambda and --mu set the lists of the one command that reads them
-(identity.* for verify-identity, scan.* for carleman-scan).
+validates it against all module preconditions, a bound on the arrays it holds
+among them, and writes its reports under a run directory named by the
+configuration hash.  Outputs are byte-stable: identical configurations give
+byte-identical files, under any BLAS thread count.  Among the preconditions,
+carleman-scan checks on the run grid that each auxiliary function psi its
+variants weigh with is admissible, before any work starts, and marches its
+suite in lockstep, one stack per boundary condition, scanning each window of
+times as soon as it is solved.  --lambda and --mu set the lists of the one
+command reading them (identity.* for verify-identity, scan.* for carleman-scan).
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error.
 """
@@ -143,7 +143,7 @@ def _prepare(args, command):
         if command not in LIST_SECTION:
             raise ConfigError([f"{flag}: {command} reads no {flag[2:]} list"])
         overrides.setdefault(LIST_SECTION[command], {})[key] = values
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, overrides, command)   # bounded by what it holds
     _check_capabilities(cfg, command, getattr(args, "manufactured", False))
     try:
         grid = build_run_grid(cfg)

@@ -42,9 +42,7 @@ DEFAULTS = {
 }
 
 
-# the largest grid accepted: one complex trajectory, 16 (nx+1)(ny+1)(nt+1)
-# bytes, may take at most 1 GiB (256^3 takes 272 MB); so may the arrays that
-# a lockstep suite holds for all its members
+# the most bytes that the arrays of one run may take (a 256^3 trajectory: 272 MB)
 MAX_TRAJECTORY_BYTES = 2 ** 30
 # complex slices that march holds for each member of a stack: its state and
 # its step's temporaries (5.6 to 7.5 traced at 32^2 and 64^2, both schemes)
@@ -71,7 +69,8 @@ def _merge(base, override, path=""):
     return out
 
 
-def load_config(path=None, overrides=None) -> dict:
+def load_config(path=None, overrides=None, command=None) -> dict:
+    """Defaults, file, then overrides, validated for command (every one if None)."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -82,7 +81,7 @@ def load_config(path=None, overrides=None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
-    validate_config(cfg)
+    validate_config(cfg, command)
     return cfg
 
 
@@ -158,40 +157,48 @@ def _lookup(cfg: dict, path: str):
     return cfg
 
 
-def _oversized_suites(cfg: dict) -> dict:
-    """{field: error} for each lockstep suite whose arrays for its members
-    would pass MAX_TRAJECTORY_BYTES, at 8 (nt+1) bytes per row: stability's
-    u2 and one u1 per entry of stability.deltas, each at MARCH_SLICES
-    complex slices and, as if each were a difference, its |u|^6, energy
-    and per-variant rows; the scan's scan.n_trajectories members, each at
-    WINDOW + 2 complex slices, its stacked integrands (WINDOW real slices
-    of each, taken at the volume's size) and each cell's rows, every row of
-    TERMS over len(mus) x len(lambdas) cells per family of scan.variants."""
+def _oversized(cfg: dict, command=None) -> dict:
+    """{field: error} for the arrays over the limit that command (any if None) holds."""
     grid, scan, st = cfg["grid"], cfg["scan"], cfg["stability"]
-    nx, ny, nt = grid["nx"], grid["ny"], grid["nt"]
-    if not (_int(nx) and _int(ny) and _int(nt)):
+    dims = {k: grid[k] for k in ("nx", "ny", "nt")}
+    if not all(map(_int, dims.values())):
         return {}
     def entries(vals):
         return vals if isinstance(vals, (list, tuple)) else []
 
-    nodes = (nx + 1) * (ny + 1)
+    nodes, nt = (dims["nx"] + 1) * (dims["ny"] + 1), dims["nt"]
     families = {VARIANT_FAMILY[v] for v in entries(scan["variants"]) if v in VARIANTS}
     cells = len(families) * len(entries(scan["mus"])) * len(entries(scan["lambdas"]))
-    scan_each = 16 * nodes * (WINDOW + 2) \
-        + 8 * WINDOW * nodes * len({t.integrand for t in TERMS}) \
-        + 8 * (nt + 1) * len(TERMS) * cells
-    stability_each = 16 * nodes * MARCH_SLICES \
-        + 8 * (nt + 1) * (2 + len(entries(st["variants"])))
-    members = {"scan.n_trajectories": (scan["n_trajectories"], scan_each),
-               "stability.deltas": (len(entries(st["deltas"])) + 1, stability_each)}
-    return {path: f"{path}: a suite of {m} members would take {each} bytes "
-                  f"for each, {m * each} in all, over the limit of "
-                  f"{MAX_TRAJECTORY_BYTES}"
-            for path, (m, each) in members.items()
-            if _int(m) and m * each > MAX_TRAJECTORY_BYTES}
+    # command -> (list field, members, fewest members, and each member's real
+    # slices of 8 (nx+1)(ny+1) bytes and rows of 8 (nt+1) bytes): the scan's
+    # march, window and stacked integrands, and a row per term and cell;
+    # stability's march and, as if each were a difference, |u|^6, energy and
+    # variant rows; solve's one trajectory, verify-identity's grid cap
+    trajectory = (None, 1, 1, 2 * (nt + 1), 0)
+    holds = {"carleman-scan": ("scan.n_trajectories", scan["n_trajectories"], 1,
+                               2 * (WINDOW + 2 + MARCH_SLICES)
+                               + WINDOW * len({t.integrand for t in TERMS}),
+                               len(TERMS) * cells),
+             "stability": ("stability.deltas", len(entries(st["deltas"])) + 1, 2,
+                           2 * MARCH_SLICES, 2 + len(entries(st["variants"]))),
+             "solve": trajectory, "verify-identity": trajectory}
+    errs = {}
+    for name, (field, m, fewest, slices, rows) in holds.items():
+        each = 8 * (slices * nodes + rows * (nt + 1))
+        if command not in (None, name) or not _int(m) or m * each <= MAX_TRAJECTORY_BYTES:
+            continue
+        msg = f"a suite of {m} members would take {each} bytes for each, {m * each} in all"
+        if field is None:
+            field = f"grid.{max(dims, key=dims.get)}"
+            msg = f"one complex trajectory would take 16 (nx+1)(ny+1)(nt+1) = {each} bytes"
+        elif fewest * each > MAX_TRAJECTORY_BYTES:   # no list length fits
+            field = "grid.nt" if rows * (nt + 1) > slices * nodes else "grid.nx"
+            msg += f", and {fewest * each} at its fewest members"
+        errs.setdefault(field, f"{field}: {msg}, over the limit of {MAX_TRAJECTORY_BYTES}")
+    return errs
 
 
-def validate_config(cfg: dict) -> None:
+def validate_config(cfg: dict, command=None) -> None:
     errs = [f"{path}: {msg}" for path, (ok, msg) in _SCALAR_RULES.items()
             if not ok(_lookup(cfg, path))]
     b, c = cfg["coeffs"]["b"], cfg["coeffs"]["c"]
@@ -200,8 +207,7 @@ def validate_config(cfg: dict) -> None:
             and _finite(lambda: derive_coeffs(b, c).beta2)):
         errs.append("coeffs.c: must be a number with alpha2 = (1 + bc)/(1 + b^2) "
                     "and beta2 = (c - b)/(1 + b^2) finite")
-    oversized = _oversized_suites(cfg)
-    errs += oversized.values()
+    oversized = _oversized(cfg, command)
     for path, (least, ok, msg) in _LIST_RULES.items():
         vals = _lookup(cfg, path)
         if not isinstance(vals, (list, tuple)) or len(vals) < least:
@@ -218,16 +224,10 @@ def validate_config(cfg: dict) -> None:
                 errs.append(f"{path}[{i}]: repeats an earlier entry")
             else:
                 seen.add(v)
-    dims = {k: cfg["grid"][k] for k in ("nx", "ny", "nt")}
-    if _int(dims["nx"]) and _int(dims["ny"]) and dims["nx"] != dims["ny"]:
+    nx, ny = cfg["grid"]["nx"], cfg["grid"]["ny"]
+    if _int(nx) and _int(ny) and nx != ny:
         errs.append("grid.ny: must equal grid.nx (the grid spacing is uniform)")
-    if all(map(_int, dims.values())):
-        size = 16 * math.prod(n + 1 for n in dims.values())
-        if size > MAX_TRAJECTORY_BYTES:
-            largest = max(dims, key=dims.get)
-            errs.append(f"grid.{largest}: one complex trajectory would take "
-                        f"16 (nx+1)(ny+1)(nt+1) = {size} bytes, over the "
-                        f"limit of {MAX_TRAJECTORY_BYTES}")
+    errs += oversized.values()
     if errs:
         raise ConfigError(errs)
 

@@ -34,6 +34,9 @@ BASE = ["--grid", "32", "--seed", "3"]
 DISK = {"domain": {"shape": "unit_disk", "omega_center": [0.0, 0.0],
                    "omega_radius": 0.35}}
 MISPLACED_OMEGA = {"domain": {"omega_center": [0.3, 0.3], "omega_radius": 0.1}}
+# configs that one command's memory bound refuses and another's accepts
+DELTAS_3000 = {"stability": {"deltas": [1 + k for k in range(3000)]}}
+GRID_256_NT_1024 = {"grid": {"nx": 256, "ny": 256, "nt": 1024}}
 
 
 class TestConfig:
@@ -77,10 +80,11 @@ class TestConfig:
         assert exc.value.errors[0].startswith("stability.deltas: a suite of 20001")
 
     def test_scan_suite_bound_counts_integrands_and_cell_sums(self):
-        # 6,500 members at 16^3 take 0.18e9 bytes of held slices, 0.60e9 of
-        # stacked integrands and 0.38e9 of per-cell sums: any two of the
-        # three are under the limit of 1.07e9, all three are over it, and
-        # validation alone rejects them, allocating nothing
+        # 6,500 members at 16^3 take 0.42e9 bytes of held slices (WINDOW + 2
+        # and the march's 8 each), 0.60e9 of stacked integrands and 0.38e9
+        # of per-cell sums: any two of the three are under the limit of
+        # 1.07e9, all three are over it, and validation alone rejects them,
+        # allocating nothing
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError) as exc:
@@ -90,6 +94,62 @@ class TestConfig:
         finally:
             tracemalloc.stop()
         assert [e.split(":")[0] for e in exc.value.errors] == ["scan.n_trajectories"]
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("overrides, command, field", [
+        # each command is bounded by the arrays it holds: a suite too large
+        # for its own command does not stop another, and a grid too large
+        # for solve's one trajectory does not stop a suite
+        ({"scan": {"n_trajectories": 10 ** 9}}, "solve", None),
+        ({"scan": {"n_trajectories": 10 ** 9}}, "stability", None),
+        (DELTAS_3000, "solve", None),
+        (DELTAS_3000, "carleman-scan", None),
+        (GRID_256_NT_1024, "stability", None),
+        (GRID_256_NT_1024, "carleman-scan", None),
+        # a suite over the limit at its fewest members names the grid field
+        # that dominates its bytes
+        ({"grid": {"nx": 16, "ny": 16, "nt": 2 * 10 ** 7}}, "stability", "grid.nt"),
+        ({"grid": {"nx": 4096, "ny": 4096}}, "carleman-scan", "grid.nx"),
+        # without a command every bound applies, as perfbench loads configs
+        ({"scan": {"n_trajectories": 10 ** 9}}, None, "scan.n_trajectories"),
+        (DELTAS_3000, None, "stability.deltas"),
+        (GRID_256_NT_1024, None, "grid.nt"),
+        ({"grid": {"nx": 16, "ny": 16, "nt": 16}, "scan": {"n_trajectories": 5500}},
+         None, "scan.n_trajectories"),
+    ])
+    def test_each_command_is_bounded_by_what_it_holds(self, overrides, command,
+                                                       field):
+        tracemalloc.start()
+        try:
+            try:
+                load_config(None, overrides, command)
+                errors = []
+            except ConfigError as exc:
+                errors = exc.errors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [e.split(":")[0] for e in errors] == ([field] if field else [])
+        assert peak < 1e6
+
+    @pytest.mark.parametrize("config, argv, field", [
+        # 4,971 members fit at 16^3, with the march's 8 slices each
+        ({"scan": {"n_trajectories": 5500}}, ["--grid", "16", "carleman-scan"],
+         "scan.n_trajectories"),
+        (GRID_256_NT_1024, ["solve"], "grid.nt"),
+    ])
+    def test_run_over_its_command_bound_allocates_nothing(self, tmp_path, capsys,
+                                                          config, argv, field):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        tracemalloc.start()
+        try:
+            assert run_in(tmp_path, ["--config", str(path)] + argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"{field}:" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
         assert peak < 1e6
 
     def test_repeat_check_is_linear(self):

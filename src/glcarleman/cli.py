@@ -7,8 +7,8 @@ configuration hash.  Outputs are byte-stable: identical configurations give
 byte-identical files, under any BLAS thread count.  Among the preconditions,
 carleman-scan checks on the run grid that each auxiliary function psi its
 variants weigh with is admissible, before any work starts, and marches its
-suite in lockstep, one stack per boundary condition, scanning each window of
-times as soon as it is solved.  --lambda and --mu set the lists of the one
+suite in lockstep, one stack per boundary condition, scanning each time
+step as soon as it is solved.  --lambda and --mu set the lists of the one
 command reading them (identity.* for verify-identity, scan.* for carleman-scan).
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error.
@@ -297,7 +297,7 @@ def cmd_carleman_scan(args) -> int:
             sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc,
                              scheme=cfg["solver"]["scheme"])
             marches.append(march(np.stack(Y0), sc, grid))
-    # each window is scanned as soon as it is marched, and each cell's
+    # each step is scanned as soon as it is marched, and each cell's
     # weights serve every member
     slices = (np.concatenate([step.Y for step in steps]) for steps in zip(*marches))
     scan_of = lambda_scan(slices, [variants for *_, variants in members], grid,

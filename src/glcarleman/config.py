@@ -15,7 +15,7 @@ import math
 
 from .functionals import TERMS, VARIANT_FAMILY, VARIANTS
 from .gloperator import derive_coeffs
-from .grid import WINDOW, DomainSpec, build_grid
+from .grid import DomainSpec, build_grid
 from .solver import SCHEMES, VALID_SOLVER_BC
 
 DEFAULTS = {
@@ -171,13 +171,14 @@ def _oversized(cfg: dict, command=None) -> dict:
     cells = len(families) * len(entries(scan["mus"])) * len(entries(scan["lambdas"]))
     # command -> (list field, members, fewest members, and each member's real
     # slices of 8 (nx+1)(ny+1) bytes and rows of 8 (nt+1) bytes): the scan's
-    # march, window and stacked integrands, and a row per term and cell;
+    # march, its ring of three slices, the stacked step and the incoming
+    # slice, one slice of each integrand, and a row per term and cell;
     # stability's march and, as if each were a difference, |u|^6, energy and
     # variant rows; solve's one trajectory, verify-identity's grid cap
     trajectory = (None, 1, 1, 2 * (nt + 1), 0)
     holds = {"carleman-scan": ("scan.n_trajectories", scan["n_trajectories"], 1,
-                               2 * (WINDOW + 2 + MARCH_SLICES)
-                               + WINDOW * len({t.integrand for t in TERMS}),
+                               2 * (3 + 1 + 1 + MARCH_SLICES)
+                               + len({t.integrand for t in TERMS}),
                                len(TERMS) * cells),
              "stability": ("stability.deltas", len(entries(st["deltas"])) + 1, 2,
                            2 * MARCH_SLICES, 2 + len(entries(st["variants"]))),

@@ -18,8 +18,8 @@ normal derivative on Sigma_0):
 Linear variants drop every cubic term and use |y_t - (1+ib) Lap y|^2 as the
 source.  The table `TERMS` holds every term once, with its side, variants,
 integrand, powers of lambda, mu and phi, and region; one cell, (weight
-family, lambda, mu), loops over it, yields the cubic and the linear variant
-of its family for each trajectory and takes each shared integral once.
+family, lambda, mu), yields the cubic and the linear variant of its family
+for each trajectory from it and takes each shared integral once.
 
 The inequality constants are existential, so every report carries the raw
 bracket values of both sides and the ratio rhs/lhs; scans flag the smallest
@@ -30,34 +30,34 @@ underflows doubles for every lambda > 1), so each (lambda, mu) cell is
 evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
-`prepare_trajectory` computes every integrand g of a trajectory on a run of
-interior times, the boundary one |dy/dnu|^2 too (square only).  The weights
-do not depend on the trajectory: `lambda_scan` takes a suite slice by slice
-as it is solved, tiled by `grid.windows` with one halo slice on each side,
-prepares each trajectory once per window into stacked buffers made once per
-scan, and drops the window, so that no trajectory is held and no integrand
-on all times.  A cell groups the rows of `TERMS` by their power p of phi and
-exponentiates one weight per group and window,
-W_p = exp(2 ell - log_scale + p log phi), flushed to exact zero wherever the
-argument is <= -700 and multiplied by the space quadrature weights; each row
-is then one dot product (np.vecdot) of W_p with g per time slice and
-trajectory, the in-order sum of dots over runs of DOT_CHUNK nodes, so that
-no BLAS call splits it across threads.  A cell holds only its log offset,
-its (nt-1)-long per-slice bounds and its rows' per-slice sums: e^{mu psi},
-sigma and d psi/d nu are tabulated once per (family, mu) and shared by every
-lambda, r = 2 lam (e^{mu psi} - K) is formed in each window that uses it,
-and the volume weights and omega nodes are the grid's.  On Sigma_0 the
-weight is flushed at the boundary nodes and multiplied by g and then by the
-signed d psi/d nu, and each slice is summed against the boundary weights by
-`grid.space_sums`.  Per time slice, the
-extremes of 2 ell and log phi follow from the spatial extremes of
-e^{mu psi} (2 ell = (2 lam (e^{mu psi} - K)) sigma with sigma > 0, and
-rounding is monotone, so they are exact) and bound the weight's argument
-from above, summed in its own order: a slice whose bound is <= -700 holds
-only zero weights, is not tabulated, and its sum is zero.  Each row keeps
-its per-slice sums on all nt+1 nodes, zero at t = 0 and T, and its time
-integral is `grid.integrate_slices` of them, so the window length does not
-move a bit.
+`prepare_trajectory` computes every integrand g of a trajectory, or of a
+stack of them, on its interior times, the boundary one |dy/dnu|^2 too
+(square only).  The weights do not depend on the trajectory:
+`lambda_scan` takes a suite slice by slice as it is solved, holds a ring
+of the last three, prepares the middle node for every member in one call
+and weighs it, so that no trajectory is held and no integrand on more than
+one time.  One slice is weighed by `_slice_sums` for all the lambda cells
+of a (family, mu) and every member of the family at once: e^{mu psi},
+sigma and d psi/d nu are tabulated once per (family, mu), log phi is formed
+once per slice, and a cell holds only its log offset and its (nt-1)-long
+per-slice bounds.  The rows of `TERMS` are grouped by their power p of
+phi; in each pass of at most CELL_PASS cells, one weight per group and
+cell, W_p = exp(2 ell - log_scale + p log phi) with 2 ell = r sigma and
+r = 2 lam (e^{mu psi} - K), is flushed to exact zero wherever the argument
+is <= -700 and multiplied by the space quadrature weights; each row is
+then one dot product (np.vecdot) of W_p with g per member and cell, the
+in-order sum of dots over runs of DOT_CHUNK nodes, so that no BLAS call
+splits it across threads.  On Sigma_0 the weight is flushed at the
+boundary nodes and multiplied by g and then by the signed d psi/d nu, and
+each sum is taken against the boundary weights by `grid.space_sums`.  Per
+time slice, the extremes of 2 ell and log phi follow from the spatial
+extremes of e^{mu psi} (sigma > 0, and rounding is monotone, so they are
+exact) and bound the weight's argument from above, summed in its own
+order: a cell whose bound on a slice is <= -700 has only zero weights
+there, is not weighed, and its sum is zero.  Each row keeps its per-slice
+sums on all nt+1 nodes, zero at t = 0 and T, and its time integral is
+`grid.integrate_slices` of them, so how cells and members are batched
+does not move a bit.
 Square corner nodes are excluded from all weighted integrals.
 """
 
@@ -69,9 +69,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source
-from .grid import (SpaceTimeGrid, boundary_values, grad_sq, integrate_slices,
+from .grid import (GridError, SpaceTimeGrid, boundary_values, grad_sq, integrate_slices,
                    laplacian, normal_derivative, space_sums, time_derivative,
-                   trace_breach, windows)
+                   trace_breach)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -79,6 +79,9 @@ FLUSH_LOG = -700.0
 # product of more than 10,000 elements across threads, which rounds it
 # differently, so a row is the in-order sum of dots of at most this many
 DOT_CHUNK = 8192
+# lambda cells weighed together on a slice: each adds a weight of the
+# slice's nodes to a pass, so the pass is capped, not the number of cells
+CELL_PASS = 8
 STABILIZATION_TOL = 0.10
 
 # variant -> weight family; each family's cubic variant comes before its linear one
@@ -157,8 +160,8 @@ class CarlemanReport:
 
 @dataclass
 class TrajectoryData:
-    """Stencil quantities of one trajectory on a run of interior times: every
-    integrand of `TERMS`."""
+    """Stencil quantities of a trajectory, or of a stack of them, on a run of
+    interior times: every integrand of `TERMS`."""
 
     yt2: np.ndarray           # |y_t|^2
     lap2: np.ndarray          # |Lap y|^2
@@ -174,14 +177,15 @@ class TrajectoryData:
 
 def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
                        coeffs: GLCoeffs) -> TrajectoryData:
-    """The integrands of a trajectory given on consecutive time nodes: the
-    whole horizon, or a window with one halo node on each side.  They are
-    kept on the nodes inside the halo."""
+    """The integrands of a trajectory given on consecutive time nodes, or of
+    a stack of them (members, times, ny+1, nx+1): the whole horizon, or the
+    scan's three nodes around one step.  They are kept on the nodes inside
+    the first and last."""
     Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
     square = grid.spec.shape == "unit_square"
-    # theta vanishes at t = 0 and T, and y_t is centred inside the halo
-    yt = time_derivative(Y, grid.dt)[1:-1]
-    Y = Y[1:-1]
+    # theta vanishes at t = 0 and T, and y_t is centred inside the ends
+    yt = time_derivative(Y, grid.dt)[..., 1:-1, :, :]
+    Y = Y[..., 1:-1, :, :]
     lap = laplacian(Y, grid, "ghost_from_field")
     grad_abs2 = grad_sq(Y, grid)
     abs2 = np.abs(Y) ** 2
@@ -214,15 +218,14 @@ def _flush_exp(arg: np.ndarray) -> np.ndarray:
 
 
 class _CellQuadrature:
-    """Weighted integrals for one (lambda, mu) cell with a shared log offset.
+    """The log offset and the per-slice bounds of one (lambda, mu) cell.
 
-    A cell holds its log offset and the per-slice bounds of its weights'
-    arguments; e^{mu psi}, K, sigma and d psi/d nu are the tables of its
-    (family, mu), shared by every lambda, and the volume weights and omega
-    nodes are the grid's.  2 ell = r sigma(t) with r = 2 lam (e^{mu psi} - K)
-    and sigma > 0, and phi = e^{mu psi} sigma(t): rounding is monotone, so
-    the per-slice extremes of 2 ell and log phi are those of the full
-    tables, bit for bit.
+    e^{mu psi}, K, sigma and d psi/d nu are the tables of its (family, mu),
+    shared by every lambda, and the volume weights and omega nodes are the
+    grid's.  2 ell = r sigma(t) with r = 2 lam (e^{mu psi} - K) and
+    sigma > 0, and phi = e^{mu psi} sigma(t): rounding is monotone, so the
+    per-slice extremes of 2 ell and log phi are those of the full tables,
+    bit for bit.
     """
 
     def __init__(self, tables: WeightTables, grid: SpaceTimeGrid):
@@ -248,43 +251,48 @@ class _CellQuadrature:
         t = self.tables
         return 2.0 * t.params.lam * (t.exp_mu_psi.ravel() - t.K)
 
-    def integrals(self, data, rows: list, start: int) -> np.ndarray:
-        """Per-slice sums of each row of `TERMS` over its region, without its
-        lam and mu powers, for the stacked windows `data` of several
-        trajectories, which begin at interior slice `start`: (trajectories,
-        rows, slices), zero on the slices where the row's weight is all zero.
 
-        A slice's bound on the weight's argument 2 ell - log_scale + p log phi
-        is taken in the argument's own order on per-slice maxima (minima where
-        p < 0).  One flushed weight per phi power, on the slices of the window
-        whose bound exceeds FLUSH_LOG, is shared by the rows of that power and
-        by every trajectory.
-        """
-        n, m = getattr(data, rows[0].integrand).shape[:2]
-        sums = np.zeros((n, len(rows), m))
-        weighted = {p: np.flatnonzero(~(self.bound[p][start:start + m] <= FLUSH_LOG))
-                    for p in dict.fromkeys(t.phi_power for t in rows)}
-        kept = np.concatenate(list(weighted.values()))
-        if not kept.size:
-            return sums
-        # 2 ell - log_scale and log phi on the slices some weight covers
-        lo, hi = int(kept.min()), int(kept.max()) + 1
-        sigma = self.tables.sigma[start + lo:start + hi, None]
-        logw = self._r()[None] * sigma
-        logw -= self.log_scale
-        logphi = self.tables.exp_mu_psi.ravel()[None] * sigma
-        with np.errstate(divide="ignore"):
-            np.log(logphi, out=logphi)
-        grid = self.grid
-        for p, kept in weighted.items():
-            if not kept.size:
+def _slice_sums(quads: list, rows: list, data: dict, s: int) -> np.ndarray:
+    """(members, cells, rows): the sums over its region of each row of
+    `TERMS`, without its lam and mu powers, on interior slice s, for the
+    lambda cells `quads` of one (family, mu) and the integrands `data` of
+    several members on that slice, each (members, ...); zero where the
+    row's weight is all zero.
+
+    A cell's bound on the weight's argument 2 ell - log_scale + p log phi
+    is taken in the argument's own order on the slice's maxima (minima
+    where p < 0).  log phi is formed once.  In each pass of at most
+    CELL_PASS cells, one flushed weight per phi power and live cell is
+    stacked and shared by the rows of that power and by every member.
+    """
+    tables, grid = quads[0].tables, quads[0].grid
+    n = len(data[rows[0].integrand])
+    sums = np.zeros((n, len(quads), len(rows)))
+    # the cells whose weight of each phi power is not all zero on the slice
+    live = {p: [c for c, q in enumerate(quads) if not q.bound[p][s] <= FLUSH_LOG]
+            for p in dict.fromkeys(t.phi_power for t in rows)}
+    if not any(live.values()):
+        return sums
+    sigma = tables.sigma[s]
+    with np.errstate(divide="ignore"):
+        logphi = np.log(tables.exp_mu_psi.ravel() * sigma)
+    for a in range(0, len(quads), CELL_PASS):
+        passed = {p: [c for c in cells if a <= c < a + CELL_PASS]
+                  for p, cells in live.items()}
+        kept = sorted(set().union(*passed.values()))
+        if not kept:
+            continue
+        # 2 ell - log_scale of each cell that some weight of the pass covers
+        logw = np.empty((len(kept), logphi.size))
+        for j, c in enumerate(kept):
+            np.multiply(quads[c]._r(), sigma, out=logw[j])
+            logw[j] -= quads[c].log_scale
+        for p, cells in passed.items():
+            if not cells:
                 continue
-            a, b = int(kept[0]), int(kept[-1]) + 1
+            w = logw[[kept.index(c) for c in cells]]
             if p:
-                w = p * logphi[a - lo:b - lo]
-                w += logw[a - lo:b - lo]
-            else:
-                w = logw[a - lo:b - lo].copy()
+                w += p * logphi
             group = [i for i, t in enumerate(rows) if t.phi_power == p]
             regions = {rows[i].region for i in group}
             weights = {}
@@ -298,48 +306,20 @@ class _CellQuadrature:
                 weights["Q_omega"] = np.take(w, grid.omega_nodes, axis=1)
             for i in group:
                 term = rows[i]
-                sums[:, i, a:b] = self._row(term, getattr(data, term.integrand)[:, a:b],
-                                            weights[term.region])
-            del w, weights        # one weight table alive at a time
-        return sums
-
-    def _row(self, term: Term, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(trajectories, slices): the dot products of one row's flushed
-        weight w with each trajectory's integrand g on the same slices, the
-        volume ones summed over runs of DOT_CHUNK nodes in order."""
-        gv = g.reshape(g.shape[0], g.shape[1], -1)
-        if term.region == "Sigma_0":
-            vals = w * gv
-            vals *= self.tables.b_dpsi_dnu
-            return space_sums(vals, self.grid.boundary_weights)
-        if term.region == "Q_omega":
-            gv = np.take(gv, self.grid.omega_nodes, axis=-1)
-        dots = [np.vecdot(w[:, a:a + DOT_CHUNK], gv[..., a:a + DOT_CHUNK])
-                for a in range(0, w.shape[-1], DOT_CHUNK)]
-        return sum(dots[1:], dots[0])
-
-
-def _stacked(data: TrajectoryData, n: int) -> TrajectoryData:
-    """Empty stacked windows of n trajectories, each shaped as `data`'s."""
-    return TrajectoryData(**{name: None if g is None       # dnu2 on the disk
-                             else np.empty((n,) + g.shape)
-                             for name, g in vars(data).items()})
-
-
-def _fill(out: TrajectoryData, j: int, data: TrajectoryData) -> None:
-    """Copy one trajectory's window into slot j of the stacked windows `out`,
-    on its first slices."""
-    for name, g in vars(data).items():
-        if g is not None:
-            getattr(out, name)[j, :len(g)] = g
-
-
-def _take(data: TrajectoryData, *index) -> TrajectoryData:
-    """The stacked windows indexed by `index` (basic indices only), as views;
-    `_take(data, None)` puts one trajectory's integrands in front of a
-    trajectory axis."""
-    return TrajectoryData(**{name: None if g is None else g[index]
-                             for name, g in vars(data).items()})
+                g, wr = data[term.integrand].reshape(n, 1, -1), weights[term.region]
+                if term.region == "Sigma_0":
+                    vals = wr * g
+                    vals *= tables.b_dpsi_dnu
+                    sums[:, cells, i] = space_sums(vals, grid.boundary_weights)
+                    continue
+                if term.region == "Q_omega":
+                    g = np.take(g, grid.omega_nodes, axis=-1)
+                # the in-order sum of dots over runs of DOT_CHUNK nodes
+                dots = [np.vecdot(wr[:, b:b + DOT_CHUNK], g[..., b:b + DOT_CHUNK])
+                        for b in range(0, wr.shape[-1], DOT_CHUNK)]
+                sums[:, cells, i] = sum(dots[1:], dots[0])
+            del w, weights        # one weight stack alive at a time
+    return sums
 
 
 def _cell_rows(params: CarlemanParams, grid: SpaceTimeGrid) -> list:
@@ -396,11 +376,13 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     """Both sides of the two inequalities of one weight family, for one
     trajectory and one (lambda, mu): {variant: CarlemanReport}, cubic first.
 
-    `data` holds the whole trajectory: this is the scan's quadrature with one
-    trajectory and one window.  Each row of `TERMS` that a variant of the
-    family holds is integrated once and shared by both variants.  The zero
-    Dirichlet trace the boundary family needs is not checked here;
-    `lambda_scan` checks it.
+    `data` holds the whole trajectory, and each interior slice of it is
+    weighed as the scan weighs a step, by `_slice_sums` with this one cell
+    and this one member: this is the whole-trajectory reference of
+    `lambda_scan`.  Each row of `TERMS` that a variant of the family holds
+    is integrated once and shared by both variants.  The zero Dirichlet
+    trace the boundary family needs is not checked here; `lambda_scan`
+    checks it.
     """
     if len(data.yt2) != grid.nt - 1:
         raise FunctionalError("evaluate_cell needs the integrands on every "
@@ -408,23 +390,27 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     rows = _cell_rows(tables.params, grid)
     cell = _CellQuadrature(tables, grid)
     sums = np.zeros((len(rows), grid.nt + 1))       # zero at t = 0 and T
-    sums[:, 1:-1] = cell.integrals(_take(data, None), rows, 0)[0]
+    for s in range(grid.nt - 1):
+        at = {name: g[s:s + 1] for name, g in vars(data).items() if g is not None}
+        sums[:, s + 1] = _slice_sums([cell], rows, at, s)[0, 0]
     return _cell_reports(tables.params, rows,
-                         [integrate_slices(s, grid) for s in sums], cell.log_scale)
+                         [integrate_slices(row, grid) for row in sums], cell.log_scale)
 
 
 def _cells(families, lambdas, mus, grid: SpaceTimeGrid):
-    """(params, tables) of each cell, by family, then mu, then lambda: one
-    tabulation per (family, mu), which its lambda cells share."""
+    """[(params, tables) of each lambda cell] of each (family, mu), by
+    family, then mu: one tabulation per (family, mu), which its lambda
+    cells share."""
     for family in families:
         for mu in mus:
-            tables = None
+            cells, tables = [], None
             for lam in lambdas:
                 params = CarlemanParams(lam=float(lam), mu=float(mu), T=grid.T,
                                         family=family)
                 tables = (replace(tables, params=params) if tables
                           else weight_tables(params, grid))
-                yield params, tables
+                cells.append((params, tables))
+            yield cells
 
 
 def overflowing_cells(grid: SpaceTimeGrid, variants, lambdas, mus) -> list:
@@ -435,14 +421,15 @@ def overflowing_cells(grid: SpaceTimeGrid, variants, lambdas, mus) -> list:
     bad = []
     families = dict.fromkeys(VARIANT_FAMILY[v] for v in variants)
     with np.errstate(all="ignore"):
-        for params, tables in _cells(families, lambdas, mus, grid):
-            try:
-                powers = _powers(params, _cell_rows(params, grid))
-            except OverflowError:
-                powers = [float("inf")]
-            if not np.all(np.isfinite([_CellQuadrature(tables, grid).log_scale,
-                                       *powers])):
-                bad.append((params.family, params.lam, params.mu))
+        for cells in _cells(families, lambdas, mus, grid):
+            for params, tables in cells:
+                try:
+                    powers = _powers(params, _cell_rows(params, grid))
+                except OverflowError:
+                    powers = [float("inf")]
+                if not np.all(np.isfinite([_CellQuadrature(tables, grid).log_scale,
+                                           *powers])):
+                    bad.append((params.family, params.lam, params.mu))
     return bad
 
 
@@ -479,17 +466,18 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
 
     The weight tables depend on (family, mu) only, so each pair is
     tabulated once for the whole suite and shared by its lambda cells.
-    `grid.windows` tiles the interior times, with one halo slice on each
-    side for y_t: as each window arrives, every member that requests a
-    variant is prepared on it once, each cell forms each flushed weight once
-    and dots it with the integrands of every member that requests a variant
-    of its family, and the window is dropped.  The per-slice sums of each (member, cell, row)
-    are kept on all nt+1 nodes, and each time integral is taken over them
-    at the end, so that every report is evaluate_cell's for that trajectory
-    and cell, bit for bit.  A member of the boundary family is checked for
-    a zero Dirichlet trace from running maxima of |y| on Gamma and of |y|
-    over every slice, before any report is built.  With no variant
-    requested, no slice is read.
+    The scan holds a ring of the last three slices of every member that
+    requests a variant: as each slice arrives, the node before it, the
+    middle of the ring, is prepared once for all of them (y_t is centred),
+    each (family, mu) weighs it for all its lambda cells and every member
+    of the family at once (`_slice_sums`), and the step is dropped.  The
+    per-slice sums of each (member, cell, row) are kept on all nt+1 nodes,
+    and each time integral is taken over them at the end, so that every
+    report is evaluate_cell's for that trajectory and cell, bit for bit.
+    A member of the boundary family is checked for a zero Dirichlet trace
+    from running maxima of |y| on Gamma and of |y| over every slice, before
+    any report is built.  With no variant requested, no slice is read;
+    GridError unless exactly nt+1 slices of shape (m, ny+1, nx+1) arrive.
     """
     families = []
     for vs in variants:
@@ -497,7 +485,7 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
             raise FunctionalError(f"variants must be among {VARIANTS}, got {vs}")
         families.append({VARIANT_FAMILY[v] for v in vs})
     # the members that request j1 only, both families, then j2 only, so
-    # that each family's are one run of the stacked windows
+    # that each family's are one run of the ring
     order = sorted((k for k, fams in enumerate(families) if fams),
                    key=lambda k: ("j2_boundary" in families[k])
                    - ("j1_interior" in families[k]))
@@ -507,42 +495,51 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     for family in dict.fromkeys(VARIANT_FAMILY[v] for vs in variants for v in vs):
         users = [j for j, k in enumerate(order) if family in families[k]]
         runs[family] = slice(users[0], users[-1] + 1)
-    cells = []                   # (params, rows, quadrature, per-slice sums)
-    for params, tables in _cells(runs, lambdas, mus, grid):
-        run, rows = runs[params.family], _cell_rows(params, grid)
-        cells.append((params, rows, _CellQuadrature(tables, grid),
-                      np.zeros((run.stop - run.start, len(rows), grid.nt + 1))))
-    stacked = None               # the window's integrands, shaped at the first
-    j2 = runs.get("j2_boundary")
-    # the running maxima of |y| on Gamma and of |y| of each j2 member
-    maxima = dict.fromkeys(order[j2] if j2 is not None else [], (0.0, 0.0))
+    groups = []      # (run, rows, quadratures, per-slice sums) of each (family, mu)
+    for cells in _cells(runs, lambdas, mus, grid):
+        if cells:
+            run, rows = runs[cells[0][0].family], _cell_rows(cells[0][0], grid)
+            groups.append((run, rows, [_CellQuadrature(t, grid) for _, t in cells],
+                           np.zeros((run.stop - run.start, len(cells), len(rows),
+                                     grid.nt + 1))))
     shape = (len(variants), grid.ny + 1, grid.nx + 1)
-    for first, block in windows(slices, grid, shape):
-        for j, k in enumerate(order):
-            Y = block[k]
-            if k in maxima:
-                maxima[k] = (max(maxima[k][0], np.abs(boundary_values(Y, grid)).max()),
-                             max(maxima[k][1], np.abs(Y).max()))
-            data = prepare_trajectory(Y, grid, coeffs)
-            if stacked is None:
-                stacked = _stacked(data, len(order))
-            _fill(stacked, j, data)
-        del data                 # before the cells form their weights
-        # interior slice first - 1 is node first
-        w = block.shape[1] - 2
-        for params, rows, quad, sums in cells:
-            sums[..., first:first + w] = quad.integrals(
-                _take(stacked, runs[params.family], slice(w)), rows, first - 1)
-    for trace_max, field_max in maxima.values():
+    want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
+    ring = np.empty((len(order), 3) + shape[1:], dtype=complex)
+    j2 = runs.get("j2_boundary", slice(0))
+    maxima = np.zeros((len(order[j2]), 2))      # max |y| on Gamma, max |y|
+    t = 0
+    for S in slices:
+        if t > grid.nt or S.shape != shape:
+            raise GridError(want)
+        ring[:, :2] = ring[:, 1:]
+        ring[:, 2] = S[order]
+        if len(maxima):
+            Y = ring[j2, 2]
+            np.maximum(maxima, np.stack([np.abs(boundary_values(Y, grid)).max(axis=-1),
+                                         np.abs(Y).max(axis=(-2, -1))], axis=-1),
+                       out=maxima)
+        if t >= 2:
+            # interior slice t - 2 is node t - 1, the middle of the ring
+            data = vars(prepare_trajectory(ring, grid, coeffs))
+            for run, rows, quads, sums in groups:
+                sums[..., t - 1] = _slice_sums(
+                    quads, rows, {name: g[run] for name, g in data.items()
+                                  if g is not None}, t - 2)
+            del data
+        t += 1
+    if t != grid.nt + 1:
+        raise GridError(want)
+    for trace_max, field_max in maxima:
         _check_trace(trace_breach(float(trace_max), float(field_max)))
     reports = [{v: [] for v in vs} for vs in variants]
-    for params, rows, quad, sums in cells:
-        for i, k in enumerate(order[runs[params.family]]):
-            cell = _cell_reports(params, rows,
-                                 [integrate_slices(s, grid) for s in sums[i]],
-                                 quad.log_scale)
-            for v in reports[k].keys() & cell.keys():
-                reports[k][v].append(cell[v])
+    for run, rows, quads, sums in groups:
+        for c, quad in enumerate(quads):
+            for i, k in enumerate(order[run]):
+                reps = _cell_reports(quad.tables.params, rows,
+                                     [integrate_slices(row, grid) for row in sums[i, c]],
+                                     quad.log_scale)
+                for v in reports[k].keys() & reps.keys():
+                    reports[k][v].append(reps[v])
     lams = list(map(float, lambdas))
     out = []
     for member in reports:

@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * A space-time field ("SpaceTimeField") stacks nt+1 such slices along a
   leading time axis, shape (nt+1, ny+1, nx+1), t_k = k*dt.
 * All stencil operators broadcast over leading axes, so they apply to a
-  single slice or a whole trajectory alike.
+  single slice, a whole trajectory or a stack of members alike; the time
+  derivative takes axis -3, the time axis of a space-time field.
 
 Two domains are supported: the unit square (0,1)^2 on its natural node
 grid, and the unit disk embedded in the Cartesian box [-1,1]^2 with
@@ -37,8 +38,7 @@ every weight table once per grid: the volume weights, the omega weights
 beside them, the volume weights with the square's corners at zero
 (``space_weights``, which the Carleman cells weigh with) and the flat
 indices of the omega nodes (``omega_nodes``) and of the square's boundary
-samples (``boundary_nodes``).  ``windows`` tiles the time slices of the
-scan's streamed suite, so that it holds no trajectory.
+samples (``boundary_nodes``).
 
 A SpaceTimeGrid is plain geometry: it holds no solver state, and its
 private fields and the private stencils are read in this module only.
@@ -54,7 +54,6 @@ import numpy as np
 
 VALID_SHAPES = ("unit_square", "unit_disk")
 VALID_BC = ("dirichlet0", "neumann0", "ghost_from_field")
-WINDOW = 4                # time slices per window of a streamed reduction
 
 
 class GridError(ValueError):
@@ -330,11 +329,12 @@ def grad_sq(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
 
 
 def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
-    """d/dt along axis 0: centered second order, one-sided at the endpoints."""
+    """d/dt along axis -3, the time axis of a space-time field or of a stack
+    of them: centered second order, one-sided at the endpoints."""
     Y = np.asarray(Y)
-    if Y.shape[0] < 3:
+    if Y.ndim < 3 or Y.shape[-3] < 3:
         raise GridError("time derivative needs at least 3 slices")
-    return _d1(Y, dt, axis=0)
+    return _d1(Y, dt, axis=-3)
 
 
 def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
@@ -442,32 +442,6 @@ def eps_window(t_nodes: np.ndarray, T: float, eps: float) -> np.ndarray:
     if np.count_nonzero(mask) < 2:
         raise GridError("Q_eps window contains fewer than two time nodes")
     return mask
-
-
-def windows(slices, grid: SpaceTimeGrid, shape: tuple):
-    """(first, block) for each run of at most WINDOW nodes, in order, that
-    tiles the nodes 1 ... nt - 1 of a suite given as its nt+1 time slices of
-    `shape` (members, ny+1, nx+1): block, yielded as the run's last halo
-    slice arrives, is a view (members, slices, ny+1, nx+1) of the run and
-    one neighbour on each side (the halo that y_t takes), into one buffer
-    that the next run overwrites.  GridError unless exactly nt+1 slices of
-    `shape` arrive."""
-    want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
-    buf = np.empty((shape[0], min(WINDOW, grid.nt - 1) + 2) + shape[1:], dtype=complex)
-    first, held = 1, 0
-    for t, S in enumerate(slices):
-        if t > grid.nt or S.shape != shape:
-            raise GridError(want)
-        buf[:, held] = S
-        held += 1
-        stop = min(first + WINDOW, grid.nt)
-        if held == stop - first + 2:
-            yield first, buf[:, :held]
-            # the next run's first halo slices are this one's last
-            buf[:, :2] = buf[:, held - 2:held]
-            first, held = stop, 2
-    if first < grid.nt:
-        raise GridError(want)
 
 
 def boundary_values(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:

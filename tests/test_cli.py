@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from glcarleman import cli, functionals, identity, stability
 from glcarleman.cli import main
 from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
-from glcarleman.grid import WINDOW
 from glcarleman.solver import load_trajectory
 
 
@@ -80,16 +79,17 @@ class TestConfig:
         assert exc.value.errors[0].startswith("stability.deltas: a suite of 20001")
 
     def test_scan_suite_bound_counts_integrands_and_cell_sums(self):
-        # 6,500 members at 16^3 take 0.42e9 bytes of held slices (WINDOW + 2
-        # and the march's 8 each), 0.60e9 of stacked integrands and 0.38e9
-        # of per-cell sums: any two of the three are under the limit of
-        # 1.07e9, all three are over it, and validation alone rejects them,
-        # allocating nothing
+        # 8,000 members at 16^3 take 0.48e9 bytes of held slices (the ring
+        # of three, the stacked step, the incoming slice and the march's 8
+        # each), 0.18e9 of one step's integrands and 0.47e9 of per-cell
+        # sums: any two of the three are under the limit of 1.07e9, all
+        # three are over it, and validation alone rejects them, allocating
+        # nothing
         tracemalloc.start()
         try:
             with pytest.raises(ConfigError) as exc:
                 load_config(None, {"grid": {"nx": 16, "ny": 16, "nt": 16},
-                                   "scan": {"n_trajectories": 6500}})
+                                   "scan": {"n_trajectories": 8000}})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -114,7 +114,7 @@ class TestConfig:
         ({"scan": {"n_trajectories": 10 ** 9}}, None, "scan.n_trajectories"),
         (DELTAS_3000, None, "stability.deltas"),
         (GRID_256_NT_1024, None, "grid.nt"),
-        ({"grid": {"nx": 16, "ny": 16, "nt": 16}, "scan": {"n_trajectories": 5500}},
+        ({"grid": {"nx": 16, "ny": 16, "nt": 16}, "scan": {"n_trajectories": 8000}},
          None, "scan.n_trajectories"),
     ])
     def test_each_command_is_bounded_by_what_it_holds(self, overrides, command,
@@ -133,8 +133,8 @@ class TestConfig:
         assert peak < 1e6
 
     @pytest.mark.parametrize("config, argv, field", [
-        # 4,971 members fit at 16^3, with the march's 8 slices each
-        ({"scan": {"n_trajectories": 5500}}, ["--grid", "16", "carleman-scan"],
+        # 7,562 members fit at 16^3, with the march's 8 slices each
+        ({"scan": {"n_trajectories": 8000}}, ["--grid", "16", "carleman-scan"],
          "scan.n_trajectories"),
         (GRID_256_NT_1024, ["solve"], "grid.nt"),
     ])
@@ -525,11 +525,11 @@ def count_calls(mp, module, name):
 
 @pytest.fixture(scope="module")
 def counted_scan16(tmp_path_factory):
-    """A 16^3 seed-7 carleman-scan: (prepare_trajectory calls' arguments,
-    CSV rows)."""
+    """A 16^3 seed-7 carleman-scan: (a copy of the field of each
+    prepare_trajectory call, CSV rows)."""
     tmp = tmp_path_factory.mktemp("scan16")
     with pytest.MonkeyPatch.context() as mp:
-        calls = count_calls(mp, functionals, "prepare_trajectory")
+        calls = copied_fields(mp, functionals, "prepare_trajectory")
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "carleman-scan"]) == 0
     (run,) = (tmp / "runs").iterdir()
     with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
@@ -538,17 +538,15 @@ def counted_scan16(tmp_path_factory):
 
 class TestScanPass:
     def test_prepares_each_trajectory_once(self, counted_scan16):
-        # window by window: the slice buffer of grid.windows is member-major,
-        # so each member's window sits at the start of its own row of it,
-        # with one halo node on each side, and its windows together hold
-        # every interior time of it once
-        windows = {}
-        for Y, *_ in counted_scan16[0]:
-            windows.setdefault(Y.__array_interface__["data"][0], []).append(
-                Y.shape[0] - 2)
-        per_member = [min(WINDOW, 15 - i) for i in range(0, 15, WINDOW)]
-        assert list(windows.values()) \
-            == [per_member] * DEFAULTS["scan"]["n_trajectories"]
+        # step by step: one call per interior node, with every member's
+        # three slices around it, the ring moving on by one slice a call,
+        # so that the calls prepare every interior time of each member once
+        rings = counted_scan16[0]
+        n = DEFAULTS["scan"]["n_trajectories"]
+        assert [Y.shape for Y in rings] == [(n, 3, 17, 17)] * 15
+        for a, b in zip(rings, rings[1:]):
+            assert np.array_equal(a[:, 1:], b[:, :2])
+        assert all(len({Y[k, 1].tobytes() for k in range(n)}) == n for Y in rings)
 
     def test_row_order(self, counted_scan16):
         # variant, then trajectory (boundary variants on Dirichlet ones, the
@@ -601,28 +599,41 @@ def test_solve_peak_memory(tmp_path):
     assert peak <= 1.6 * 65 ** 3 * 16
 
 
-def test_scan_peak_memory(tmp_path):
-    # The suite is marched in lockstep and each window of
-    # grid.WINDOW = 4 interior slices is scanned as soon as its last
-    # halo slice is solved, so no trajectory is held.  The peak reads 9.02
-    # complex space-time trajectories: the stacked integrands of one window
-    # (2.8), the slice buffer (0.9), each cell's per-slice sums (0.75), the
-    # temporaries of preparing one member's window, and the solver's
-    # operators.  Solving the suite first and keeping it, as the scan once
-    # did, peaked at about 12.8.
+@pytest.fixture(scope="module")
+def scan32_peak(tmp_path_factory):
+    """The traced peak of a default 32^3 seed-7 carleman-scan, in complex
+    space-time trajectories."""
+    tmp = tmp_path_factory.mktemp("scan32")
     tracemalloc.start()
     try:
-        assert run_in(tmp_path, ["--grid", "32", "--seed", "7",
-                                 "carleman-scan"]) == 0
+        assert run_in(tmp, ["--grid", "32", "--seed", "7", "carleman-scan"]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    trajectory = 33 ** 3 * 16
-    assert peak <= 14.5 * trajectory
+    return peak / (33 ** 3 * 16)
+
+
+def test_scan_peak_memory(scan32_peak):
+    # The suite is marched in lockstep and each step is scanned as soon as
+    # it is solved, so no trajectory is held.  Solving the suite first and
+    # keeping it, as the scan once did, peaked at about 12.8 complex
+    # space-time trajectories.
+    assert scan32_peak <= 14.5
+
+
+def test_scan_peak_memory_holds_no_window(scan32_peak):
+    # Each step is prepared for every member at once from a ring of three
+    # slices and weighed, and then dropped.  The peak reads 5.75
+    # trajectories: each cell's per-slice sums (0.75), the ring and the
+    # stacked step (0.6), one step's integrands (0.8), the temporaries of
+    # preparing and weighing it, and the solver's operators.  Scanning
+    # windows of 4 slices, through a halo buffer and stacked integrands of
+    # the window, peaked at 9.02.
+    assert scan32_peak <= 7.0
 
 
 def test_scan_peak_memory_does_not_grow_with_nt(tmp_path):
-    # windows of slices are scanned and dropped; what grows with nt is each
+    # each step is scanned and dropped; what grows with nt is each
     # cell's per-slice sums, 8 bytes per (member, row, time node), and each
     # cell's per-slice weight bounds, inside a margin of three quarters of
     # one 32^2 x 16 trajectory; holding the suite, as the scan once did,

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +10,9 @@ from glcarleman.config import DEFAULTS
 from glcarleman.fields import random_initial_field
 from glcarleman.functionals import (DOT_CHUNK, FLUSH_LOG, TERMS, VARIANT_FAMILY,
                                     VARIANTS, FunctionalError, Term, _CellQuadrature,
-                                    _flush_exp, evaluate_cell, lambda_scan,
-                                    prepare_trajectory, suite_worst_constant)
+                                    _flush_exp, _slice_sums, evaluate_cell,
+                                    lambda_scan, prepare_trajectory,
+                                    suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import (GridError, build_grid, integrate_slices, normal_derivative,
                              space_sums)
@@ -30,9 +30,11 @@ def report(Y, params, grid, variant="interior"):
                          weight_tables(params, grid), grid)[variant]
 
 
-def one_window(g):
-    """g, an integrand of one trajectory, as the window of a suite of one."""
-    return SimpleNamespace(g=g[None])
+def per_slice(cell, term, g):
+    """The sums of one row over its region on each interior slice, from
+    `_slice_sums` with one cell and one member; g on every interior time."""
+    return np.array([_slice_sums([cell], [term], {term.integrand: g[s:s + 1]}, s)[0, 0, 0]
+                     for s in range(len(g))])
 
 
 def time_integral(per_slice, grid, keep=None):
@@ -47,7 +49,7 @@ def integral(cell, g, phi_power=0, region="Q"):
     """int theta^2 phi^phi_power g over one region, g on every interior
     time."""
     term = Term("g", "lhs", frozenset(), "g", 0, 0, phi_power, region)
-    return time_integral(cell.integrals(one_window(g), [term], 0)[0, 0], cell.grid)
+    return time_integral(per_slice(cell, term, g), cell.grid)
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +308,8 @@ class TestScan:
         # a Neumann trajectory's trace is not zero: as a member of the
         # boundary family it is rejected, before any report is built, with
         # the number nonzero_trace reads off the whole trajectory, though
-        # the scan sees its slices a window at a time; as an interior-only
+        # the scan sees its slices one at a time; as an interior-only
         # member it passes
-        monkeypatch.setattr("glcarleman.grid.WINDOW", 3)
         checked, built = [], []
         check, cell_reports = functionals._check_trace, functionals._cell_reports
         monkeypatch.setattr(functionals, "_check_trace",
@@ -395,7 +396,7 @@ class TestCellQuadrature:
         g[15] = 0.0
         for p in (-1, 0, 3):
             term = Term("g", "lhs", frozenset(), "g", 0, 0, p, "Q")
-            sums = cell.integrals(one_window(g), [term], 0)[0, 0]
+            sums = per_slice(cell, term, g)
             assert row_live(cell, p)[15]
             assert sums[15] == 0.0 and np.all(np.delete(sums, 15) > 0)
             whole = integral(cell, g, p)
@@ -416,21 +417,28 @@ class TestCellQuadrature:
             assert integral(cell, g, p) \
                 == pytest.approx(expect, rel=1e-13)
 
-    def test_volume_rows_sum_chunked_dots(self, grid32, rng):
-        # a row of at most DOT_CHUNK nodes is one np.vecdot, bit for bit; a
-        # longer one sums its chunks in order, within the worst-case bound
-        # n eps of a dot of positive terms
-        cell = _CellQuadrature(weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
-                                             grid32), grid32)
+    def test_volume_rows_sum_chunked_dots(self, grid32, rng, monkeypatch):
+        # a row of at most DOT_CHUNK nodes (33^2 here) is one np.vecdot of
+        # the flushed weight with g, bit for bit; a longer one (runs of 100
+        # nodes here) sums its chunks in order, within the worst-case bound
+        # n eps of a dot of positive terms, for every member and cell of a
+        # pass
+        quads = [_CellQuadrature(weight_tables(CarlemanParams(lam=lam, mu=2, T=1.0),
+                                               grid32), grid32) for lam in (2, 4)]
         term = Term("g", "lhs", frozenset(), "g", 0, 0, 0, "Q")
-        for n in (DOT_CHUNK, 2 * DOT_CHUNK + 5):
-            w, g = rng.random((3, n)), rng.random((2, 3, n))
-            got = cell._row(term, g, w)
-            if n <= DOT_CHUNK:
-                assert np.array_equal(got, np.vecdot(w, g))
-            exact = [[math.fsum((w[t] * g[k, t]).tolist()) for t in range(3)]
-                     for k in range(2)]
-            np.testing.assert_allclose(got, exact, rtol=n * np.finfo(float).eps)
+        g = rng.random((2, 33, 33))
+        for chunk in (DOT_CHUNK, 100):
+            monkeypatch.setattr(functionals, "DOT_CHUNK", chunk)
+            got = _slice_sums(quads, [term], {"g": g}, 15)[..., 0]
+            for c, cell in enumerate(quads):
+                w = flushed(full_tables(cell)[0][15]) * grid32.space_weights.ravel()
+                for k in range(2):
+                    gv = g[k].ravel()
+                    dots = [np.vecdot(w[a:a + chunk], gv[a:a + chunk])
+                            for a in range(0, w.size, chunk)]
+                    assert got[k, c] == sum(dots[1:], dots[0])
+                    assert got[k, c] == pytest.approx(
+                        math.fsum((w * gv).tolist()), rel=w.size * np.finfo(float).eps)
 
 
 @pytest.fixture(scope="module")
@@ -489,58 +497,63 @@ SKIP_CELLS = {"j1-64-3": ("j1_interior", 64.0, 3.0),
 
 @pytest.fixture(scope="module")
 def cell_calls(grid32, dirichlet_traj):
-    """{cell: (quadrature, rows, raw integrals, data, flushed)}: the one
-    `integrals` call of one evaluate_cell per cell, with the number of time
-    slices of each `_flush_exp` call."""
+    """{cell: (quadrature, rows, raw integrals, data, per-slice sums,
+    flushes)}: the `_slice_sums` calls of one evaluate_cell per cell, one
+    per interior slice, with their (rows, slices) sums and the number of
+    `_flush_exp` calls of each."""
     data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        integrals, flush = _CellQuadrature.integrals, functionals._flush_exp
+        slice_sums, flush = functionals._slice_sums, functionals._flush_exp
         calls, flushes = [], []
 
-        def counted_integrals(self, data, rows, start):
-            sums = integrals(self, data, rows, start)
-            calls.append((self, rows, [time_integral(s, self.grid) for s in sums[0]]))
+        def counted_slice_sums(quads, rows, at, s):
+            before = len(flushes)
+            sums = slice_sums(quads, rows, at, s)
+            calls.append((quads, rows, sums[0, 0], len(flushes) - before))
             return sums
 
-        def counted_flush(arg):
-            flushes.append(arg.shape[0])
-            return flush(arg)
-
-        mp.setattr(_CellQuadrature, "integrals", counted_integrals)
-        mp.setattr(functionals, "_flush_exp", counted_flush)
+        mp.setattr(functionals, "_slice_sums", counted_slice_sums)
+        mp.setattr(functionals, "_flush_exp",
+                   lambda arg: flushes.append(arg.shape) or flush(arg))
         for name, (family, lam, mu) in SKIP_CELLS.items():
             calls.clear()
-            flushes.clear()
             params = CarlemanParams(lam=lam, mu=mu, T=1.0, family=family)
             evaluate_cell(data, weight_tables(params, grid32), grid32)
-            (call,) = calls
-            out[name] = call + (data, list(flushes))
+            ((cell,), rows), = {(tuple(q), tuple(r)) for q, r, *_ in calls}
+            sums = np.stack([call[2] for call in calls], axis=1)
+            out[name] = (cell, list(rows), [time_integral(r, grid32) for r in sums],
+                         data, sums, [call[3] for call in calls])
     return out
 
 
 @pytest.mark.parametrize("name", SKIP_CELLS)
 class TestSliceSkip:
     def test_every_term_called(self, cell_calls, name):
-        # 7 left-side terms, the two sources and the observations
-        cell, rows, values, *_ = cell_calls[name]
+        # 7 left-side terms, the two sources and the observations, on each
+        # interior slice
+        cell, rows, values, _, sums, _ = cell_calls[name]
         assert len(rows) == len(values) == (11 if name.startswith("j1") else 10)
+        assert sums.shape == (len(rows), 31)
 
     def test_equals_sum_over_all_slices(self, cell_calls, name):
         # every slice evaluated, then the row's rule: the slices its weight's
         # bound drops add nothing
-        cell, rows, values, data, _ = cell_calls[name]
+        cell, rows, values, data, *_ = cell_calls[name]
         for term, value in zip(rows, values):
             sums = flushed_slices(cell, term, getattr(data, term.integrand))
             live = row_live(cell, term.phi_power)
             assert value == time_integral(sums, cell.grid, live), term.name
 
     def test_skipped_slices_hold_exact_zeros(self, cell_calls, name):
-        # a slice whose weight's bound is below the window holds exact zeros
-        cell, rows, _, data, _ = cell_calls[name]
-        for term in rows:
+        # a slice whose weight's bound is below the window holds exact
+        # zeros, in the quadrature's sums and in every product of its weight
+        cell, rows, _, data, got, _ = cell_calls[name]
+        for term, row in zip(rows, got):
+            dead = ~row_live(cell, term.phi_power)
+            assert dead.any() and not row[dead].any(), term.name
             sums = flushed_slices(cell, term, getattr(data, term.integrand))
-            assert not sums[~row_live(cell, term.phi_power)].any(), term.name
+            assert not sums[dead].any(), term.name
 
     def test_products_below_the_window_are_summed(self, grid32, name):
         # g = e^-720 on the slice where theta^2 peaks: each product lies below
@@ -552,20 +565,20 @@ class TestSliceSkip:
         g = np.zeros((31, 33, 33))
         g[k] = np.exp(-720.0)
         term = Term("g", "lhs", frozenset(), "g", 0, 0, 0, "Q")
-        sums = cell.integrals(one_window(g), [term], 0)[0, 0]
+        sums = per_slice(cell, term, g)
         assert np.array_equal(sums, flushed_slices(cell, term, g))
         assert 0 < sums[k] <= np.exp(FLUSH_LOG) * region_weight(cell, term)
         assert not np.delete(sums, k).any()
 
     def test_one_exp_per_phi_power(self, cell_calls, name):
-        # phi^-1 .. phi^3, plus the Sigma_0 weight for j2
-        assert len(cell_calls[name][-1]) <= (5 if name.startswith("j1") else 6)
+        # phi^-1 .. phi^3, plus the Sigma_0 weight for j2, on each slice
+        assert max(cell_calls[name][-1]) <= (5 if name.startswith("j1") else 6)
 
     def test_slices_evaluated(self, cell_calls, name):
-        counts = cell_calls[name][-1]
-        assert max(counts) < 31          # every cell skips a slice
+        weighed = np.count_nonzero(cell_calls[name][-1])
+        assert weighed < 31          # every cell skips a slice
         if name == "j2-64-3":
-            assert max(counts) <= 2
+            assert weighed <= 2
 
     def test_window_edge_kept(self, grid32, name):
         # g puts 2 ell + log g 1 below the window at each slice's peak: only
@@ -585,17 +598,31 @@ class TestSliceSkip:
 
 
 @pytest.mark.parametrize("family", ["j1_interior", "j2_boundary"])
-def test_one_exp_per_phi_power_every_group_live(grid32, dirichlet_traj, family):
-    # at (2, 1.5) every group has live slices: 11 and 10 rows, 5 and 6 exps
+def test_one_exp_per_phi_power_every_group_live(grid32, dirichlet_traj, family,
+                                                 monkeypatch):
+    # on the middle slice at mu = 1.5 every group of lambda = 2, 4 and 8 is
+    # live: 11 and 10 rows, 5 and 6 exps for each pass, whether the three
+    # cells are weighed in one pass or one by one
     data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
+    at = {name: g[15:16] for name, g in vars(data).items()}
+    quads = [_CellQuadrature(weight_tables(CarlemanParams(
+        lam=lam, mu=1.5, T=1.0, family=family), grid32), grid32) for lam in (2, 4, 8)]
+    rows = functionals._cell_rows(quads[0].tables.params, grid32)
     calls = []
     flush = functionals._flush_exp
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(functionals, "_flush_exp",
-                   lambda arg: calls.append(arg.shape) or flush(arg))
-        evaluate_cell(data, weight_tables(CarlemanParams(
-            lam=2.0, mu=1.5, T=1.0, family=family), grid32), grid32)
-    assert len(calls) == (5 if family == "j1_interior" else 6)
+    monkeypatch.setattr(functionals, "_flush_exp",
+                        lambda arg: calls.append(arg.shape) or flush(arg))
+    exps = 5 if family == "j1_interior" else 6
+    sums = {}
+    for cell_pass in (8, 1):
+        calls.clear()
+        monkeypatch.setattr(functionals, "CELL_PASS", cell_pass)
+        sums[cell_pass] = _slice_sums(quads, rows, at, 15)
+        # one exp per phi power of each pass, over the pass's cells
+        passes = 1 if cell_pass == 8 else 3
+        assert len(calls) == exps * passes
+        assert {shape[0] for shape in calls} == {3 // passes}
+    assert sums[8].all() and np.array_equal(sums[8], sums[1])
 
 
 def log_form_row(cell, term, g):
@@ -730,14 +757,16 @@ def suites16(square_spec, disk_spec):
                             (solved(disk, "dirichlet0", 4), J1_VARIANTS)])}
 
 
-@pytest.mark.parametrize("window", [1, 3, 15, 64])
+@pytest.mark.parametrize("cell_pass", [1, 3, 8])
 @pytest.mark.parametrize("domain", ["square", "disk"])
-def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, window,
+def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, cell_pass,
                                                       monkeypatch):
-    # every window length, down to one slice, gives each trajectory the
-    # reports of one evaluate_cell per cell on its whole time range, bit for bit
+    # the scan, step by step, gives each trajectory the reports of one
+    # evaluate_cell per cell on its whole time range, bit for bit, whether
+    # the six lambda cells of a (family, mu) are weighed one by one, in
+    # passes of three or in one pass
     grid, suite = suites16[domain]
-    monkeypatch.setattr("glcarleman.grid.WINDOW", window)
+    monkeypatch.setattr(functionals, "CELL_PASS", cell_pass)
     scans = scan_trajectories(suite, grid, SCAN_LAMBDAS, SCAN_MUS, COEFFS)
     assert len(scans) == len(suite)
     for (Y, variants), member in zip(suite, scans):
@@ -755,12 +784,85 @@ def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, window,
             assert [json.dumps(r.as_row()) for r in scan.reports] == expect[v], v
 
 
+@pytest.fixture(scope="module")
+def batch_grids(square_spec, disk_spec):
+    """Grids of 16 steps: 17^2 and 97^2 nodes on the square (97^2 is more
+    than DOT_CHUNK nodes, so its volume rows sum two runs of dots), 33^2 on
+    the disk."""
+    return {"square16": build_grid(square_spec, 16, 16, 16, 1.0),
+            "square96": build_grid(square_spec, 96, 96, 16, 1.0),
+            "disk32": build_grid(disk_spec, 32, 32, 16, 1.0)}
+
+
+@pytest.mark.parametrize("cell_pass", [1, 3, 8])
+@pytest.mark.parametrize("where, family", [("square16", "j1_interior"),
+                                           ("square16", "j2_boundary"),
+                                           ("square96", "j1_interior"),
+                                           ("square96", "j2_boundary"),
+                                           ("disk32", "j1_interior")])
+def test_slice_sums_of_a_batch_are_each_cells_and_members(batch_grids, rng, monkeypatch,
+                                                          where, family, cell_pass):
+    # on every interior slice, the sums of three members and the six lambda
+    # cells of a (family, mu) weighed together, in passes of cell_pass
+    # cells, are those of each member and cell weighed alone, bit for bit,
+    # dead slices and cells included.  For j1 the second lambda puts a
+    # slice between its flush edges for phi^3 and phi^-1, so that the cells
+    # live for phi^-1 there are not the first ones the pass weighs for
+    # phi^3 (j2's weight is dead off the middle slice for every lambda > 1)
+    grid = batch_grids[where]
+    monkeypatch.setattr(functionals, "CELL_PASS", cell_pass)
+
+    def quad(lam):
+        return _CellQuadrature(weight_tables(CarlemanParams(
+            lam=lam, mu=2.0, T=1.0, family=family), grid), grid)
+
+    # 2 ell - log_scale is lam times a table of the slices
+    two, edge = quad(2.0), 8.0
+    if family == "j1_interior":
+        edge, k = max((2.0 * (FLUSH_LOG + 5.0 - (two.bound[3][k] - two.logw_max[k]))
+                       / two.logw_max[k], k) for k in range(grid.nt - 1) if two.logw_max[k])
+    quads = [quad(lam) for lam in (64.0, edge, 2.0, 32.0, 4.0, 16.0)]
+    if family == "j1_interior":
+        assert quads[1].bound[3][k] > FLUSH_LOG >= quads[1].bound[-1][k]
+    rows = functionals._cell_rows(quads[0].tables.params, grid)
+    nodes = (3, 1, grid.ny + 1, grid.nx + 1)
+    data = {t.integrand: rng.random((3, 1, len(grid.boundary_nodes))
+                                    if t.region == "Sigma_0" else nodes)
+            for t in rows}
+    for s in range(grid.nt - 1):
+        got = _slice_sums(quads, rows, data, s)
+        assert got.shape == (3, len(quads), len(rows))
+        for k in range(3):
+            one = {name: g[k:k + 1] for name, g in data.items()}
+            for c, quad in enumerate(quads):
+                assert np.array_equal(got[k, c], _slice_sums([quad], rows, one, s)[0, 0])
+
+
+@pytest.mark.parametrize("nt", [16, 17])
+def test_scan_prepares_each_interior_node_once(square_spec, monkeypatch, nt):
+    # slice t of member k holds t + 100 k: the ring hands prepare_trajectory
+    # nodes t - 1, t, t + 1 of every member for t = 1 ... nt - 1, in order
+    grid = build_grid(square_spec, 16, 16, nt, 1.0)
+    member = 100.0 * np.arange(2)[:, None, None]
+    slices = (t + member + np.zeros((2, 17, 17), dtype=complex) for t in range(nt + 1))
+    rings = []
+    prepare = functionals.prepare_trajectory
+    monkeypatch.setattr(functionals, "prepare_trajectory",
+                        lambda Y, *a: rings.append(Y.copy()) or prepare(Y, *a))
+    lambda_scan(slices, [["interior"], ["interior"]], grid, [2, 4], [2.0], COEFFS)
+    expect = [np.arange(t - 1, t + 2)[None, :, None, None] + member[:, None]
+              + np.zeros((2, 3, 17, 17)) for t in range(1, nt)]
+    assert len(rings) == nt - 1
+    assert all(np.array_equal(ring, want) for ring, want in zip(rings, expect))
+
+
 def test_evaluate_cell_needs_every_interior_time(suites16):
-    # a window's integrands would be integrated as the first slices of Q
+    # the integrands of a run of times would be integrated as the first
+    # slices of Q
     grid, ((Y, _), *_) = suites16["square"]
-    window = prepare_trajectory(Y[:6], grid, COEFFS)
+    run = prepare_trajectory(Y[:6], grid, COEFFS)
     with pytest.raises(FunctionalError, match="every interior time"):
-        evaluate_cell(window, weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
+        evaluate_cell(run, weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
                                             grid), grid)
 
 
@@ -786,9 +888,9 @@ def scan16_calls(tmp_path, n_trajectories):
 def test_scan_weights_once_per_family_and_mu_for_the_suite(tmp_path):
     # 2 families x 3 mu: 6 weight tables for the five trajectories and the
     # 6 lambda, not one per cell (36) nor per trajectory and cell (144), and
-    # each cell flushes its weights once per window however many
-    # trajectories use them; the preflight (overflowing_cells) tabulates
-    # as many again
+    # each (family, mu) flushes its weights once per step and pass however
+    # many trajectories use them; the preflight (overflowing_cells)
+    # tabulates as many again
     one, five = scan16_calls(tmp_path, 1), scan16_calls(tmp_path, 5)
     assert five[0] == one[0] == 2 * (2 * len(SCAN_MUS)) == 12
     assert five[1] == one[1] > 0

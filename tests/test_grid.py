@@ -8,7 +8,7 @@ from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import (DomainSpec, GridError, _cut_table, _d1, _d2,
                              boundary_values, build_grid, grad, integrate_q,
                              integrate_slices, laplacian, normal_derivative,
-                             space_sums, windows)
+                             space_sums)
 from glcarleman.solver import SolveConfig, energy_balance, march
 from support import einsum_space_sums, linf_l6_norm, prepare_difference
 
@@ -401,44 +401,6 @@ class TestSpaceSums:
         for window in range(1, 8):
             parts = [sigma_sums(Y[a:a + window]) for a in range(0, 17, window)]
             assert np.array_equal(np.concatenate(parts), whole), window
-
-
-class TestWindows:
-    @pytest.mark.parametrize("window", [1, 3, 4, 64])
-    @pytest.mark.parametrize("nt", [16, 17])
-    def test_runs_tile_the_nodes_with_their_halos(self, square_spec, monkeypatch,
-                                                  nt, window):
-        # slice t of member k holds t + 100 k: each block is read while it is
-        # yielded, since the next run overwrites its buffer
-        monkeypatch.setattr("glcarleman.grid.WINDOW", window)
-        g = build_grid(square_spec, 16, 16, nt, 1.0)
-        member = 100.0 * np.arange(2)[:, None, None]
-        slices = (t + member + np.zeros((2, 17, 17), dtype=complex)
-                  for t in range(nt + 1))
-        runs, buffers = [], set()
-        for first, block in windows(slices, g, (2, 17, 17)):
-            w = block.shape[1] - 2
-            nodes = np.arange(first - 1, first + w + 1)
-            assert np.array_equal(block, nodes[None, :, None, None] + member[:, None]
-                                  + np.zeros((2, 1, 17, 17)))
-            runs.append((first, w))
-            buffers.add(block.__array_interface__["data"][0])
-        # runs of WINDOW nodes, the last one shorter, cover 1 ... nt - 1 in
-        # order, in one buffer
-        assert [w for _, w in runs] \
-            == [min(window, nt - 1 - i) for i in range(0, nt - 1, window)]
-        assert [n for first, w in runs for n in range(first, first + w)] \
-            == list(range(1, nt))
-        assert len(buffers) == 1
-
-    @pytest.mark.parametrize("slices", [
-        lambda S: S[:-1], lambda S: np.concatenate([S, S[:1]]),
-        lambda S: S[:, :, 1:]], ids=["too-few", "too-many", "wrong-shape"])
-    def test_rejects_a_suite_off_the_grid(self, grid32, slices):
-        S = np.zeros((33, 2, 33, 33), dtype=complex)
-        with pytest.raises(GridError, match="nt\\+1 = 33 arrays"):
-            for _ in windows(iter(slices(S)), grid32, (2, 33, 33)):
-                pass
 
 
 class TestNormalDerivative:

@@ -4,11 +4,10 @@ Every top-level function or class of the package, private functions
 included, and every public method of its classes is read somewhere in src/
 outside its own definition, or is kept below for a stated reason.  Code
 that only the tests read belongs under tests/.  Every space integral is
-grid.space_sums, every time integral is grid.integrate_slices, and
-grid.windows tiles the scan's streamed pass.  grid.py owns the grid: a
-SpaceTimeGrid is plain geometry, and no other module reads a private name
-of grid.py.  Every field of a record (a dataclass or NamedTuple) is read in
-src/.
+grid.space_sums and every time integral is grid.integrate_slices.
+grid.py owns the grid: a SpaceTimeGrid is plain geometry, and no other
+module reads a private name of grid.py.  Every field of a record (a
+dataclass or NamedTuple) is read in src/.
 """
 
 import ast
@@ -92,12 +91,6 @@ def test_one_time_rule():
     assert _references(rule)["fsum"] == 1
 
 
-def test_window_read_in_grid_and_config_only():
-    # grid.windows owns the window length; config bounds what it holds
-    assert {mod for mod, tree in _modules().items()
-            if _references(tree)["WINDOW"]} == {"grid", "config"}
-
-
 # the calls that reduce an array, and the grid's space weight tables
 REDUCTIONS = {"sum", "fsum", "dot", "vdot", "vecdot", "inner", "matmul",
               "tensordot", "einsum"}
@@ -134,7 +127,7 @@ def test_one_space_rule():
             if isinstance(node, ast.Call) and _references(node.func)["vecdot"]:
                 vecdots.append((mod, func))
     assert readers == []
-    assert vecdots == [("functionals", "_row")]
+    assert vecdots == [("functionals", "_slice_sums")]
 
 
 def _private_names(tree) -> set:

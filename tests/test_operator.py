@@ -114,6 +114,16 @@ class TestTimeDerivative:
     def test_needs_three_slices(self):
         with pytest.raises(GridError):
             time_derivative(np.zeros((2, 3, 3)), 0.1)
+        with pytest.raises(GridError):
+            time_derivative(np.zeros((4, 2, 3, 3)), 0.1)
+
+    def test_broadcasts_over_members(self, rng):
+        # the time axis is -3: a stack of members gives each member's
+        # derivative bit for bit
+        Y = rng.random((3, 7, 5, 5)) + 1j * rng.random((3, 7, 5, 5))
+        out = time_derivative(Y, 0.1)
+        for k in range(3):
+            assert np.array_equal(out[k], time_derivative(Y[k], 0.1))
 
 
 class TestOperators:

@@ -6,7 +6,7 @@ import pytest
 
 from glcarleman import stability
 from glcarleman.fields import random_initial_field
-from glcarleman.grid import WINDOW, GridError, build_grid, integrate_slices, space_sums
+from glcarleman.grid import GridError, build_grid, integrate_slices, space_sums
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.stability import (StabilityError, perturbation_suite,
                                   stability_boundary, stability_interior)
@@ -198,7 +198,6 @@ class TestSuite:
         assert all(np.isfinite(c) for c in cs)
         assert max(cs) / min(cs) <= 10.0
 
-    @pytest.mark.parametrize("window", [1, 3, 100])
     @pytest.mark.parametrize("spec,n,deltas,variants", [
         ("square_spec", 32, [1e-3, 1e-1], ("interior", "boundary")),
         # the rows are keyed by variant: listed boundary first, the reports
@@ -211,10 +210,9 @@ class TestSuite:
     ], ids=["square-both", "square-boundary-first", "disk-interior",
             "square96-one-delta"])
     def test_streamed_suite_matches_stored_trajectories(
-            self, request, monkeypatch, window, spec, n, deltas, variants):
-        # the suite streams no window: with windows of 1 and 3 slices, and
-        # one window holding every slice, it gives the same reports
-        monkeypatch.setattr("glcarleman.grid.WINDOW", window)
+            self, request, spec, n, deltas, variants):
+        # the suite, reduced step by step as it is marched, gives the
+        # reports of its whole stored trajectories
         grid = build_grid(request.getfixturevalue(spec), n, n, 16, 1.0)
         cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0", scheme="imex_cn")
         y0 = random_initial_field(grid, seed=7, amplitude=1.0, bc="dirichlet0")
@@ -260,7 +258,7 @@ class TestSuite:
 
     @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
     def test_peak_memory_in_window_buffers(self, request, spec, variants):
-        # A window buffer holds WINDOW slices of every member, 16 B per node.
+        # A window buffer holds 4 slices of every member, 16 B per node.
         # The suite holds no window: it reduces each march step one member
         # and one difference at a time, and the peak is about 1.6 (disk) and
         # 2.3 (square) window buffers.  Streaming through such a buffer
@@ -268,7 +266,7 @@ class TestSuite:
         # at once at about 6.3 and 6.5.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
         peak = suite_peak(grid, variants)
-        window = (1 + len(PEAK_DELTAS)) * WINDOW * (grid.ny + 1) * (grid.nx + 1) * 16
+        window = (1 + len(PEAK_DELTAS)) * 4 * (grid.ny + 1) * (grid.nx + 1) * 16
         assert peak <= 5.0 * window
 
     @pytest.mark.parametrize("spec,variants", PEAK_CASES, ids=PEAK_IDS)
@@ -277,8 +275,8 @@ class TestSuite:
         # Each march step is reduced as it is yielded and dropped before the
         # next one is formed, so the march's state and operators and one
         # step's temporaries make up the peak: about 6.3 (disk) and 9.2
-        # (square) member slices.  Streaming through a buffer of WINDOW
-        # slices peaked at about 13.9 and 14.2.
+        # (square) member slices.  Streaming through a buffer of 4 slices
+        # peaked at about 13.9 and 14.2.
         grid = build_grid(request.getfixturevalue(spec), 32, 32, 32, 1.0)
         peak = suite_peak(grid, variants)
         member_slice = (1 + len(PEAK_DELTAS)) * (grid.ny + 1) * (grid.nx + 1) * 16

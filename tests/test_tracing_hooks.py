@@ -75,8 +75,8 @@ def test_traced_stability_counts_solver_work():
 
 def test_traced_scan_streams_the_suite():
     # the five members are marched by solver.march, which the hooks do not
-    # wrap, and scanned window by window in one call; the windows prepared
-    # add up to the ten integrands of each on every interior time
+    # wrap, and scanned step by step in one call; the steps prepared, one
+    # per interior time, add up to the ten integrands of each on every one
     metrics = traced_run("carleman-scan")
     assert metrics["rc"] == 0
     assert metrics["solver.solve_calls"] == 0

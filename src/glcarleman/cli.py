@@ -39,6 +39,8 @@ from .weights import CarlemanParams, horizon_representable, verify_psi_admissibi
 
 # the section whose lambda and mu lists each command reads
 LIST_SECTION = {"verify-identity": "identity", "carleman-scan": "scan"}
+# the stability summary's key of a variant's spread at one epsilon
+SPREAD_KEY = "{}_eps_{:.6g}"
 
 
 def _float_list(text):
@@ -90,11 +92,17 @@ def _check_capabilities(cfg, command, manufactured):
         errs.append(f"grid.T: {T:g} leaves the weights' time factor "
                     "1/(t (T - t)) no finite positive value at some time")
     if command == "stability":
-        for i, fr in enumerate(cfg["stability"]["eps_fractions"]):
+        st, keys = cfg["stability"], {}
+        for i, fr in enumerate(st["eps_fractions"]):
             try:
                 eps_window(t_nodes, T, fr * T)
             except GridError as exc:
                 errs.append(f"stability.eps_fractions[{i}]: {exc} (eps = {fr:g} T)")
+            # every variant's keys share their eps part
+            key = SPREAD_KEY.format(st["variants"][0], fr * T)
+            if (j := keys.setdefault(key, i)) != i:
+                errs.append(f"stability.eps_fractions[{i}]: eps = {fr:.10g} T shares "
+                            f"the summary key {key} with entry [{j}]")
     ident = cfg["identity"]
     if command == "verify-identity" and horizon_ok and (bad := overflowing_pairs(
             spec, T, ident["lambdas"], ident["mus"])):
@@ -371,7 +379,7 @@ def cmd_stability(args) -> int:
                 ok = False
                 continue
             spread = max(cs) / min(cs)
-            spreads[f"{variant}_eps_{eps:.6g}"] = spread
+            spreads[SPREAD_KEY.format(variant, eps)] = spread
             ok = ok and spread <= 10.0
     write_csv(os.path.join(out_dir, "stability.csv"), rows,
               ["variant", "delta", "epsilon", "lhs", "rhs_obs", "c_u2", "c_u1",

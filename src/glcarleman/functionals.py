@@ -180,8 +180,7 @@ def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
     """The integrands of a trajectory given on consecutive time nodes, or of
     a stack of them (members, times, ny+1, nx+1): the whole horizon, or the
     scan's three nodes around one step.  They are kept on the nodes inside
-    the first and last."""
-    Y = grid.check_field(np.asarray(Y, dtype=complex), "trajectory")
+    the first and last; Y is trusted, as the scan checks each slice."""
     square = grid.spec.shape == "unit_square"
     # theta vanishes at t = 0 and T, and y_t is centred inside the ends
     yt = time_derivative(Y, grid.dt)[..., 1:-1, :, :]
@@ -477,7 +476,8 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
     A member of the boundary family is checked for a zero Dirichlet trace
     from running maxima of |y| on Gamma and of |y| over every slice, before
     any report is built.  With no variant requested, no slice is read;
-    GridError unless exactly nt+1 slices of shape (m, ny+1, nx+1) arrive.
+    GridError unless exactly nt+1 slices of shape (m, ny+1, nx+1) arrive,
+    each checked once as it arrives, by grid.check_field on the members read.
     """
     families = []
     for vs in variants:
@@ -512,7 +512,7 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
         if t > grid.nt or S.shape != shape:
             raise GridError(want)
         ring[:, :2] = ring[:, 1:]
-        ring[:, 2] = S[order]
+        ring[:, 2] = grid.check_field(S[order], "trajectory")
         if len(maxima):
             Y = ring[j2, 2]
             np.maximum(maxima, np.stack([np.abs(boundary_values(Y, grid)).max(axis=-1),

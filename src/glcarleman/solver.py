@@ -108,6 +108,8 @@ class _LinearOps:
         (v, s) -> (I - kappa L)^{-1} ((I + kappa L) v + s) under ``imex_cn``,
         rhs -> (I - kappa L)^{-1} rhs under ``imex_be``.
 
+        On the disk both are one multi-column LU solve, with no stencil
+        product: the Crank-Nicolson map is (I - kappa L)^{-1} (2 v + s) - v.
         On the square it is the symbol of that map in L's eigenbasis: the
         Cayley factor (1 + kappa lam) / (1 - kappa lam) without a source, and
         1 / (1 - kappa lam) applied to any other right-hand side.
@@ -116,18 +118,7 @@ class _LinearOps:
             lu = _factorized(self, kappa)
             if cfg.scheme == "imex_be":
                 return lu
-
-            def crank_nicolson(v, s):
-                # named, as numpy multiplies a temporary of 256 KiB or more in
-                # place with the factors swapped, which moves the last bit of
-                # a complex product: a stack would round otherwise than each
-                # of its members marched alone
-                Lv = self.L @ v
-                rhs = v + kappa * Lv
-                if cfg.source is not None:
-                    rhs += s
-                return lu(rhs)
-            return crank_nicolson
+            return lambda v, s: lu(2.0 * v + s) - v
         # the transform applied twice is 4 n^2 times the identity
         res = 1.0 / (4 * self.n ** 2 * (1.0 - kappa * self.lam))
         if cfg.scheme == "imex_be":
@@ -306,11 +297,11 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     every other node of a yielded slice holds zero.  At each macro step the
     members are grouped by the fewest power-of-two substeps that meet the
     stiffness cap, and each group shares one cubic flow and one implicit
-    solve per substep: batched transforms on the square, a stencil product
-    and a multi-column LU solve on the disk.  Those act column by column, so
-    each member gets exactly the values and substep schedule it would get
-    marched alone.  A source is taken for a stack of one member only (the
-    manufactured study's).  NaN/Inf after any substep aborts.
+    solve per substep: batched transforms on the square, one multi-column
+    LU solve on the disk.  Those act column by column, so each member gets
+    exactly the values and substep schedule it would get marched alone.  A
+    source is taken for a stack of one member only (the manufactured
+    study's).  NaN/Inf after any substep aborts.
 
     The first step's implicit operators are formed before t_0 is yielded,
     so the disk's LU factorisation, the march's largest transient, comes

@@ -6,7 +6,8 @@ its whole tables of 2 ell and phi, the operator F y from a whole
 trajectory, the volume sums as one np.einsum takes them, the scan of whole
 stored trajectories, the Dirichlet-trace rule on a whole trajectory, the
 stability suite's reductions of a whole stored difference and its L^inf L^6
-norm, the cubic subflow as its formula reads, and polynomial field factors.
+norm, the cubic subflow as its formula reads, the disk's Crank-Nicolson
+substep with its stencil product, and polynomial field factors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from glcarleman.gloperator import GLCoeffs, linear_source
 from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, grad,
                              integrate_slices, laplacian, normal_derivative,
                              space_sums, time_derivative, trace_breach)
+from glcarleman.solver import _factorized
 from glcarleman.stability import PreparedDifference, StabilityError
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
 
@@ -127,6 +129,14 @@ def cubic_flow_formula(y: np.ndarray, tau: float, c: float) -> np.ndarray:
     m = 1.0 + 2.0 * tau * np.abs(y) ** 2
     theta = (-0.5 * c) * np.log(m)
     return y * m ** (-0.5) * (np.cos(theta) + 1j * np.sin(theta))
+
+
+def stencil_product_substep(ops, kappa: complex):
+    """The disk's Crank-Nicolson substep as its map reads,
+    (v, s) -> (I - kappa L)^{-1} ((I + kappa L) v + s), with the stencil
+    product L v of the operators ``ops``."""
+    lu = _factorized(ops, kappa)
+    return lambda v, s: lu(v + kappa * (ops.L @ v) + s)
 
 
 def derivative_consistency(params: CarlemanParams, spec: DomainSpec,

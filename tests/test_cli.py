@@ -265,6 +265,11 @@ class TestConfig:
         pytest.param({"grid": {"nx": 16, "ny": 16, "nt": 16},
                       "stability": {"eps_fractions": [0.1, 0.49]}}, ["stability"],
                      "stability.eps_fractions[1]", id="eps-window-without-two-nodes"),
+        # two eps that print alike at 6 digits would share one spread's key
+        pytest.param({"grid": {"nx": 16, "ny": 16, "nt": 16},
+                      "stability": {"eps_fractions": [0.1, 0.2, 0.1000001]}},
+                     ["stability"], "stability.eps_fractions[2]",
+                     id="eps-fractions-sharing-a-summary-key"),
         pytest.param({"domain": {"omega_center": [0.1, 0.1]}}, ["stability"],
                      "domain.omega_center", id="omega-not-interior"),
         # grids whose one complex trajectory would pass

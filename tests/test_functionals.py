@@ -14,8 +14,8 @@ from glcarleman.functionals import (DOT_CHUNK, FLUSH_LOG, TERMS, VARIANT_FAMILY,
                                     lambda_scan, prepare_trajectory,
                                     suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
-from glcarleman.grid import (GridError, build_grid, integrate_slices, normal_derivative,
-                             space_sums)
+from glcarleman.grid import (GridError, SpaceTimeGrid, build_grid, integrate_slices,
+                             normal_derivative, space_sums)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
 
@@ -854,6 +854,21 @@ def test_scan_prepares_each_interior_node_once(square_spec, monkeypatch, nt):
               + np.zeros((2, 3, 17, 17)) for t in range(1, nt)]
     assert len(rings) == nt - 1
     assert all(np.array_equal(ring, want) for ring, want in zip(rings, expect))
+
+
+def test_scan_checks_each_slice_once(square_spec, monkeypatch):
+    # one check per slice as it arrives, nt + 1 in all; prepare_trajectory
+    # trusts the ring built from them
+    grid = build_grid(square_spec, 16, 16, 16, 1.0)
+    slices = [t + np.zeros((2, 17, 17), dtype=complex) for t in range(17)]
+    checked = []
+    check = SpaceTimeGrid.check_field
+    monkeypatch.setattr(SpaceTimeGrid, "check_field",
+                        lambda g, f, *a: checked.append(f.copy()) or check(g, f, *a))
+    lambda_scan(iter(slices), [["interior"], ["interior"]], grid, [2, 4], [2.0],
+                COEFFS)
+    assert len(checked) == grid.nt + 1
+    assert all(np.array_equal(f, S) for f, S in zip(checked, slices))
 
 
 def test_evaluate_cell_needs_every_interior_time(suites16):

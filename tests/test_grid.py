@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glcarleman.functionals import prepare_trajectory
+from glcarleman.functionals import lambda_scan
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import (DomainSpec, GridError, _cut_table, _d1, _d2,
                              boundary_values, build_grid, grad, integrate_q,
@@ -441,10 +441,12 @@ class TestGreenIdentity:
         assert defects[1] <= max(defects[0] / 2 ** 0.8, 1e-12)
 
 
-# The stencils trust their input: each entry point checks its field once,
-# and so does each whole-trajectory reference of the stability suite.
+# The stencils trust their input: each entry point checks its field once
+# (the scan each slice as it arrives), and so does each whole-trajectory
+# reference of the stability suite.
 ENTRY_POINTS = {
-    "prepare_trajectory": lambda Y, g: prepare_trajectory(Y, g, derive_coeffs(0.3, 0.4)),
+    "lambda_scan": lambda Y, g: lambda_scan(iter(Y[:, None]), [["interior"]], g, [2],
+                                            [2.0], derive_coeffs(0.3, 0.4)),
     "march": lambda Y, g: next(march(Y[:1], SolveConfig(bc="dirichlet0"), g)),
     "energy_balance": lambda Y, g: energy_balance(Y, g, SolveConfig(bc="dirichlet0")),
     "prepare_difference": prepare_difference,
@@ -461,5 +463,7 @@ def test_entry_point_rejects_bad_field(grid32, entry, defect, message):
         Y[:, 16, 16] = np.nan            # an active node at every time
     else:
         Y = Y[..., :-1]
+    if (entry, defect) == ("lambda_scan", "shape"):
+        message = "arrays of shape"      # the scan's own check comes first
     with pytest.raises(GridError, match=message):
         ENTRY_POINTS[entry](Y, grid32)

@@ -7,7 +7,8 @@ that only the tests read belongs under tests/.  Every space integral is
 grid.space_sums and every time integral is grid.integrate_slices.
 grid.py owns the grid: a SpaceTimeGrid is plain geometry, and no other
 module reads a private name of grid.py.  Every field of a record (a
-dataclass or NamedTuple) is read in src/.
+dataclass or NamedTuple) is read in src/.  The solver forms no matrix
+product.
 """
 
 import ast
@@ -197,3 +198,14 @@ def test_every_record_field_is_read_in_src():
     fields = [f for tree in trees for f in _record_fields(tree)]
     assert fields
     assert sorted(f for f in fields if f[1] not in read) == []
+
+
+def test_solver_forms_no_matrix_product():
+    # the disk's Crank-Nicolson substep is one LU solve, lu(2 v + s) - v: a
+    # stencil product L @ v would be cast to complex on every call, and
+    # numpy's in-place reuse of a large temporary could round a stack
+    # otherwise than its members marched alone
+    tree = _modules()["solver"]
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, (ast.BinOp, ast.AugAssign))
+            and isinstance(n.op, ast.MatMult)] == []

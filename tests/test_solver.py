@@ -14,7 +14,7 @@ from glcarleman.solver import (SolveConfig, _cubic_flow, _factorized, _LinearOps
                                _stencil_matrix, build_linear_ops, energy_balance,
                                grid_source, load_trajectory, march, save_trajectory,
                                solve)
-from support import PolyAtom, apply_F, cubic_flow_formula
+from support import PolyAtom, apply_F, cubic_flow_formula, stencil_product_substep
 
 
 def cubic_ode_exact(a, c, t):
@@ -64,6 +64,28 @@ class TestLinearOps:
                 cfg = SolveConfig(bc=bc, source=source)
                 x = ops.substep(kappa, cfg)(v, shift)
                 assert close(apply(kappa, -1, x), apply(kappa, 1, v) + shift)
+
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("members, sourced", [(1, False), (8, False), (1, True)],
+                             ids=["one", "eight", "one-sourced"])
+    def test_disk_substep_is_the_stencil_product_map(self, disk_spec, n, members,
+                                                     sourced):
+        # (I - kappa L)^{-1} (2 v + s) - v is the Crank-Nicolson map with no
+        # stencil product; 8 members take over 256 KiB on either grid
+        g = build_grid(disk_spec, n, n, 16, 1.0)
+        ops = build_linear_ops(g, "dirichlet0")
+        v = np.stack([random_initial_field(g, seed=s, amplitude=1.0, bc="dirichlet0")
+                      for s in range(members)])[:, ops.unknown_mask].T
+        s = 0.0
+        if sourced:
+            s = g.dt * random_initial_field(g, seed=99, amplitude=1.0,
+                                            bc="dirichlet0")[ops.unknown_mask][:, None]
+        kappa = 0.5 * g.dt * (1.0 + 0.3j)
+        cfg = SolveConfig(b=0.3, source=(lambda t: 0.0) if sourced else None)
+        got = ops.substep(kappa, cfg)(v, s)
+        want = stencil_product_substep(ops, kappa)(v, s)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def fresh_grid(request, spec_name, n=32, nt=32):

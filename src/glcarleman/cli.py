@@ -162,7 +162,11 @@ def _prepare(args, command):
         _check_admissibility(cfg, grid)
     out_dir = args.output_dir or cfg["output_dir"] or os.path.join(
         "runs", config_hash(cfg))
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        field = "--output-dir" if args.output_dir else "output_dir"
+        raise ConfigError([f"{field}: cannot make {out_dir}: {exc.strerror}"]) from None
     return cfg, grid, out_dir
 
 

@@ -171,8 +171,8 @@ def _oversized(cfg: dict, command=None) -> dict:
     cells = len(families) * len(entries(scan["mus"])) * len(entries(scan["lambdas"]))
     # command -> (list field, members, fewest members, and each member's real
     # slices of 8 (nx+1)(ny+1) bytes and rows of 8 (nt+1) bytes): the scan's
-    # march, its ring of three slices, the stacked step and the incoming
-    # slice, one slice of each integrand, and a row per term and cell;
+    # march, its three held slices, the stacked step and the y_t
+    # temporary, one slice of each integrand, and a row per term and cell;
     # stability's march and, as if each were a difference, |u|^6, energy and
     # variant rows; solve's one trajectory, verify-identity's grid cap
     trajectory = (None, 1, 1, 2 * (nt + 1), 0)

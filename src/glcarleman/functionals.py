@@ -31,33 +31,33 @@ evaluated with a common log-offset: weights exp(2 ell - log_scale) with
 log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
 `prepare_trajectory` computes every integrand g of a trajectory, or of a
-stack of them, on its interior times, the boundary one |dy/dnu|^2 too
-(square only).  The weights do not depend on the trajectory:
-`lambda_scan` takes a suite slice by slice as it is solved, holds a ring
-of the last three, prepares the middle node for every member in one call
-and weighs it, so that no trajectory is held and no integrand on more than
-one time.  One slice is weighed by `_slice_sums` for all the lambda cells
-of a (family, mu) and every member of the family at once: e^{mu psi},
-sigma and d psi/d nu are tabulated once per (family, mu), log phi is formed
-once per slice, and a cell holds only its log offset and its (nt-1)-long
-per-slice bounds.  The rows of `TERMS` are grouped by their power p of
-phi; in each pass of at most CELL_PASS cells, one weight per group and
-cell, W_p = exp(2 ell - log_scale + p log phi) with 2 ell = r sigma and
-r = 2 lam (e^{mu psi} - K), is flushed to exact zero wherever the argument
-is <= -700 and multiplied by the space quadrature weights; each row is
-then one dot product (np.vecdot) of W_p with g per member and cell, the
-in-order sum of dots over runs of DOT_CHUNK nodes, so that no BLAS call
-splits it across threads.  On Sigma_0 the weight is flushed at the
-boundary nodes and multiplied by g and then by the signed d psi/d nu, and
-each sum is taken against the boundary weights by `grid.space_sums`.  Per
-time slice, the extremes of 2 ell and log phi follow from the spatial
-extremes of e^{mu psi} (sigma > 0, and rounding is monotone, so they are
-exact) and bound the weight's argument from above, summed in its own
-order: a cell whose bound on a slice is <= -700 has only zero weights
-there, is not weighed, and its sum is zero.  Each row keeps its per-slice
-sums on all nt+1 nodes, zero at t = 0 and T, and its time integral is
-`grid.integrate_slices` of them, so how cells and members are batched
-does not move a bit.
+stack of them, on interior times from y and its centred y_t there, the
+boundary one |dy/dnu|^2 too (square only).  The weights do not depend on
+the trajectory: `lambda_scan` takes a suite slice by slice as it is solved,
+holds the two slices before the incoming one, prepares the node between
+them for every member in one call and weighs it, so that no trajectory is
+held and no integrand on more than one time.  One slice is weighed by
+`_slice_sums` for all the lambda cells of a (family, mu) and every member
+of the family at once: e^{mu psi}, sigma and d psi/d nu are tabulated once
+per (family, mu), log phi is formed once per slice, and a cell holds only
+its log offset and its (nt-1)-long per-slice bounds.  The rows of `TERMS`
+are grouped by their power p of phi; in each pass of at most CELL_PASS
+cells, one weight per group and cell, W_p = exp(2 ell - log_scale + p log
+phi) with 2 ell = r sigma and r = 2 lam (e^{mu psi} - K), is flushed to
+exact zero wherever the argument is <= -700 and multiplied by the space
+quadrature weights; each row is then one dot product (np.vecdot) of W_p
+with g per member and cell, the in-order sum of dots over runs of DOT_CHUNK
+nodes, so that no BLAS call splits it across threads.  On Sigma_0 the
+weight is flushed at the boundary nodes and multiplied by g and then by the
+signed d psi/d nu, and each sum is taken against the boundary weights by
+`grid.space_sums`.  Per time slice, the extremes of 2 ell and log phi
+follow from the spatial extremes of e^{mu psi} (sigma > 0, and rounding is
+monotone, so they are exact) and bound the weight's argument from above,
+summed in its own order: a cell whose bound on a slice is <= -700 has only
+zero weights there, is not weighed, and its sum is zero.  Each row keeps
+its per-slice sums on all nt+1 nodes, zero at t = 0 and T, and its time
+integral is `grid.integrate_slices` of them, so how cells and members are
+batched does not move a bit.
 Square corner nodes are excluded from all weighted integrals.
 """
 
@@ -70,8 +70,7 @@ import numpy as np
 
 from .gloperator import GLCoeffs, apply_G, linear_source
 from .grid import (GridError, SpaceTimeGrid, boundary_values, grad_sq, integrate_slices,
-                   laplacian, normal_derivative, space_sums, time_derivative,
-                   trace_breach)
+                   laplacian, normal_derivative, space_sums, trace_breach)
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
@@ -175,16 +174,13 @@ class TrajectoryData:
     dnu2: np.ndarray | None   # |dy/dnu|^2 at boundary samples (None on the disk)
 
 
-def prepare_trajectory(Y: np.ndarray, grid: SpaceTimeGrid,
+def prepare_trajectory(Y: np.ndarray, yt: np.ndarray, grid: SpaceTimeGrid,
                        coeffs: GLCoeffs) -> TrajectoryData:
-    """The integrands of a trajectory given on consecutive time nodes, or of
-    a stack of them (members, times, ny+1, nx+1): the whole horizon, or the
-    scan's three nodes around one step.  They are kept on the nodes inside
-    the first and last; Y is trusted, as the scan checks each slice."""
+    """The integrands of a trajectory, or of a stack of them, at interior
+    time nodes, from Y there and its centred y_t: a whole trajectory's
+    interior, or the scan's one node of every member.  Y is trusted, as
+    the scan checks each slice."""
     square = grid.spec.shape == "unit_square"
-    # theta vanishes at t = 0 and T, and y_t is centred inside the ends
-    yt = time_derivative(Y, grid.dt)[..., 1:-1, :, :]
-    Y = Y[..., 1:-1, :, :]
     lap = laplacian(Y, grid, "ghost_from_field")
     grad_abs2 = grad_sq(Y, grid)
     abs2 = np.abs(Y) ** 2
@@ -465,10 +461,10 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
 
     The weight tables depend on (family, mu) only, so each pair is
     tabulated once for the whole suite and shared by its lambda cells.
-    The scan holds a ring of the last three slices of every member that
-    requests a variant: as each slice arrives, the node before it, the
-    middle of the ring, is prepared once for all of them (y_t is centred),
-    each (family, mu) weighs it for all its lambda cells and every member
+    The scan holds the two slices before the incoming one of every member
+    that requests a variant: as slice t + 1 arrives, node t is prepared
+    once for all of them, with y_t = (y(t+1) - y(t-1)) / (2 dt), each
+    (family, mu) weighs it for all its lambda cells and every member
     of the family at once (`_slice_sums`), and the step is dropped.  The
     per-slice sums of each (member, cell, row) are kept on all nt+1 nodes,
     and each time integral is taken over them at the end, so that every
@@ -485,7 +481,7 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
             raise FunctionalError(f"variants must be among {VARIANTS}, got {vs}")
         families.append({VARIANT_FAMILY[v] for v in vs})
     # the members that request j1 only, both families, then j2 only, so
-    # that each family's are one run of the ring
+    # that each family's members are one run of each slice
     order = sorted((k for k, fams in enumerate(families) if fams),
                    key=lambda k: ("j2_boundary" in families[k])
                    - ("j1_interior" in families[k]))
@@ -504,28 +500,29 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
                                      grid.nt + 1))))
     shape = (len(variants), grid.ny + 1, grid.nx + 1)
     want = f"the suite's slices must be nt+1 = {grid.nt + 1} arrays of shape {shape}"
-    ring = np.empty((len(order), 3) + shape[1:], dtype=complex)
     j2 = runs.get("j2_boundary", slice(0))
     maxima = np.zeros((len(order[j2]), 2))      # max |y| on Gamma, max |y|
+    prev = node = None
     t = 0
     for S in slices:
         if t > grid.nt or S.shape != shape:
             raise GridError(want)
-        ring[:, :2] = ring[:, 1:]
-        ring[:, 2] = grid.check_field(S[order], "trajectory")
+        Y = grid.check_field(S[order], "trajectory")
         if len(maxima):
-            Y = ring[j2, 2]
-            np.maximum(maxima, np.stack([np.abs(boundary_values(Y, grid)).max(axis=-1),
-                                         np.abs(Y).max(axis=(-2, -1))], axis=-1),
+            y = Y[j2]
+            np.maximum(maxima, np.stack([np.abs(boundary_values(y, grid)).max(axis=-1),
+                                         np.abs(y).max(axis=(-2, -1))], axis=-1),
                        out=maxima)
         if t >= 2:
-            # interior slice t - 2 is node t - 1, the middle of the ring
-            data = vars(prepare_trajectory(ring, grid, coeffs))
+            # node t - 1 (interior slice t - 2), with its centred y_t
+            data = vars(prepare_trajectory(node, (Y - prev) / (2 * grid.dt), grid,
+                                           coeffs))
             for run, rows, quads, sums in groups:
                 sums[..., t - 1] = _slice_sums(
                     quads, rows, {name: g[run] for name, g in data.items()
                                   if g is not None}, t - 2)
             del data
+        prev, node = node, Y
         t += 1
     if t != grid.nt + 1:
         raise GridError(want)

@@ -7,8 +7,7 @@ Conventions used throughout the package:
 * A space-time field ("SpaceTimeField") stacks nt+1 such slices along a
   leading time axis, shape (nt+1, ny+1, nx+1), t_k = k*dt.
 * All stencil operators broadcast over leading axes, so they apply to a
-  single slice, a whole trajectory or a stack of members alike; the time
-  derivative takes axis -3, the time axis of a space-time field.
+  single slice, a whole trajectory or a stack of members alike.
 
 Two domains are supported: the unit square (0,1)^2 on its natural node
 grid, and the unit disk embedded in the Cartesian box [-1,1]^2 with
@@ -326,15 +325,6 @@ def grad_sq(f: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     sq = np.abs(g2)
     np.square(sq, out=sq)
     return np.add(out, sq, out=out)
-
-
-def time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
-    """d/dt along axis -3, the time axis of a space-time field or of a stack
-    of them: centered second order, one-sided at the endpoints."""
-    Y = np.asarray(Y)
-    if Y.ndim < 3 or Y.shape[-3] < 3:
-        raise GridError("time derivative needs at least 3 slices")
-    return _d1(Y, dt, axis=-3)
 
 
 def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):

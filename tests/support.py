@@ -2,12 +2,13 @@
 
 Each one checks or builds something in closed form beside the package:
 the finite-difference and time-monotonicity checks of the weight family,
-its whole tables of 2 ell and phi, the operator F y from a whole
-trajectory, the volume sums as one np.einsum takes them, the scan of whole
-stored trajectories, the Dirichlet-trace rule on a whole trajectory, the
-stability suite's reductions of a whole stored difference and its L^inf L^6
-norm, the cubic subflow as its formula reads, the disk's Crank-Nicolson
-substep with its stencil product, and polynomial field factors.
+its whole tables of 2 ell and phi, the time derivative and the operator
+F y of a whole trajectory, the volume sums as one np.einsum takes them,
+the scan of whole stored trajectories and the integrands of a whole one,
+the Dirichlet-trace rule on a whole trajectory, the stability suite's
+reductions of a whole stored difference and its L^inf L^6 norm, the cubic
+subflow as its formula reads, the disk's Crank-Nicolson substep with its
+stencil product, and polynomial field factors.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from glcarleman.fields import Atom
-from glcarleman.functionals import lambda_scan
+from glcarleman.functionals import TrajectoryData, lambda_scan, prepare_trajectory
 from glcarleman.gloperator import GLCoeffs, linear_source
 from glcarleman.grid import (DomainSpec, SpaceTimeGrid, boundary_values, grad,
                              integrate_slices, laplacian, normal_derivative,
-                             space_sums, time_derivative, trace_breach)
+                             space_sums, trace_breach)
 from glcarleman.solver import _factorized
 from glcarleman.stability import PreparedDifference, StabilityError
 from glcarleman.weights import CarlemanParams, WeightTables, eval_psi, eval_weight
@@ -72,6 +73,22 @@ def scan_trajectories(suite, grid: SpaceTimeGrid, lambdas, mus,
                        lambdas, mus, coeffs)
 
 
+def prepare_whole(Y: np.ndarray, grid: SpaceTimeGrid,
+                  coeffs: GLCoeffs) -> TrajectoryData:
+    """prepare_trajectory of a whole trajectory, or of a stack of them, on
+    its interior times, with y_t = (y(t+1) - y(t-1)) / (2 dt) as the scan
+    forms it."""
+    return prepare_trajectory(Y[..., 1:-1, :, :],
+                              (Y[..., 2:, :, :] - Y[..., :-2, :, :]) / (2 * grid.dt),
+                              grid, coeffs)
+
+
+def whole_time_derivative(Y: np.ndarray, dt: float) -> np.ndarray:
+    """y_t of a whole trajectory, or of a stack of them, along axis -3:
+    centred inside, one-sided second order at t = 0 and T."""
+    return np.gradient(Y, dt, axis=-3, edge_order=2)
+
+
 def nonzero_trace(f: np.ndarray, grid: SpaceTimeGrid) -> float:
     """max |f| on Gamma if the whole trajectory f breaks the homogeneous
     Dirichlet trace, else 0.0: the reference for the scan's running maxima."""
@@ -117,7 +134,8 @@ def apply_F(Y: np.ndarray, grid: SpaceTimeGrid, coeffs: GLCoeffs,
             bc: str = "ghost_from_field") -> np.ndarray:
     """F y = y_t - (1+ib) Lap y + (1+ic) |y|^2 y."""
     Y = grid.check_field(np.asarray(Y, dtype=np.complex128), "trajectory")
-    out = linear_source(time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
+    out = linear_source(whole_time_derivative(Y, grid.dt), laplacian(Y, grid, bc),
+                        coeffs)
     out += (1 + 1j * coeffs.c) * np.abs(Y) ** 2 * Y
     return out
 

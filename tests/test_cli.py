@@ -79,8 +79,8 @@ class TestConfig:
         assert exc.value.errors[0].startswith("stability.deltas: a suite of 20001")
 
     def test_scan_suite_bound_counts_integrands_and_cell_sums(self):
-        # 8,000 members at 16^3 take 0.48e9 bytes of held slices (the ring
-        # of three, the stacked step, the incoming slice and the march's 8
+        # 8,000 members at 16^3 take 0.48e9 bytes of held slices (the three
+        # held slices, the stacked step, the y_t temporary and the march's 8
         # each), 0.18e9 of one step's integrands and 0.47e9 of per-cell
         # sums: any two of the three are under the limit of 1.07e9, all
         # three are over it, and validation alone rejects them, allocating
@@ -297,6 +297,14 @@ class TestConfig:
                       "scan": {"variants": ["interior", "linear_interior"]}},
                      ["carleman-scan"], "domain.omega_center",
                      id="disk-omega-misses-critical-point"),
+        # an output directory that cannot be made: c.json, the configuration
+        # file beside the run, is a file
+        pytest.param({}, ["--grid", "16", "--output-dir", "c.json", "solve"],
+                     "--output-dir", id="output-dir-names-a-file"),
+        pytest.param({}, ["--grid", "16", "--output-dir", "c.json/out", "solve"],
+                     "--output-dir", id="output-dir-under-a-file"),
+        pytest.param({"output_dir": "c.json"}, ["--grid", "16", "solve"],
+                     "output_dir", id="config-output-dir-names-a-file"),
     ])
     def test_malformed_config_fails_closed(self, tmp_path, capsys, config,
                                            argv, field):
@@ -530,28 +538,42 @@ def count_calls(mp, module, name):
 
 @pytest.fixture(scope="module")
 def counted_scan16(tmp_path_factory):
-    """A 16^3 seed-7 carleman-scan: (a copy of the field of each
-    prepare_trajectory call, CSV rows)."""
+    """A 16^3 seed-7 carleman-scan: (a copy of the node and of y_t of each
+    prepare_trajectory call, CSV rows, a copy of each slice the scan takes)."""
     tmp = tmp_path_factory.mktemp("scan16")
+    calls, slices = [], []
+    prepare, scan = functionals.prepare_trajectory, cli.lambda_scan
+
+    def copied(stream):
+        for S in stream:
+            slices.append(S.copy())
+            yield S
+
     with pytest.MonkeyPatch.context() as mp:
-        calls = copied_fields(mp, functionals, "prepare_trajectory")
+        mp.setattr(functionals, "prepare_trajectory", lambda y, yt, *a: calls.append(
+            (y.copy(), yt.copy())) or prepare(y, yt, *a))
+        mp.setattr(cli, "lambda_scan", lambda stream, *a: scan(copied(stream), *a))
         assert run_in(tmp, ["--grid", "16", "--seed", "7", "carleman-scan"]) == 0
     (run,) = (tmp / "runs").iterdir()
     with open(run / "carleman_scan.csv", newline="", encoding="utf-8") as fh:
-        return calls, list(csv.DictReader(fh))
+        return calls, list(csv.DictReader(fh)), slices
 
 
 class TestScanPass:
     def test_prepares_each_trajectory_once(self, counted_scan16):
-        # step by step: one call per interior node, with every member's
-        # three slices around it, the ring moving on by one slice a call,
-        # so that the calls prepare every interior time of each member once
-        rings = counted_scan16[0]
+        # step by step: one call per interior node t, with node t of every
+        # member and its centred y_t = (y(t+1) - y(t-1)) / (2 dt), bit for
+        # bit, so that the calls prepare every interior time of each member
+        # once (the members come in the scan's family order already)
+        calls, _, slices = counted_scan16
         n = DEFAULTS["scan"]["n_trajectories"]
-        assert [Y.shape for Y in rings] == [(n, 3, 17, 17)] * 15
-        for a, b in zip(rings, rings[1:]):
-            assert np.array_equal(a[:, 1:], b[:, :2])
-        assert all(len({Y[k, 1].tobytes() for k in range(n)}) == n for Y in rings)
+        dt = DEFAULTS["grid"]["T"] / 16
+        assert len(slices) == 17
+        assert [(y.shape, yt.shape) for y, yt in calls] == [((n, 17, 17),) * 2] * 15
+        for t, (y, yt) in enumerate(calls, start=1):
+            assert np.array_equal(y, slices[t])
+            assert np.array_equal(yt, (slices[t + 1] - slices[t - 1]) / (2 * dt))
+            assert len({y[k].tobytes() for k in range(n)}) == n
 
     def test_row_order(self, counted_scan16):
         # variant, then trajectory (boundary variants on Dirichlet ones, the
@@ -627,13 +649,14 @@ def test_scan_peak_memory(scan32_peak):
 
 
 def test_scan_peak_memory_holds_no_window(scan32_peak):
-    # Each step is prepared for every member at once from a ring of three
-    # slices and weighed, and then dropped.  The peak reads 5.75
-    # trajectories: each cell's per-slice sums (0.75), the ring and the
-    # stacked step (0.6), one step's integrands (0.8), the temporaries of
-    # preparing and weighing it, and the solver's operators.  Scanning
-    # windows of 4 slices, through a halo buffer and stacked integrands of
-    # the window, peaked at 9.02.
+    # Each step is prepared for every member at once from three held
+    # slices and weighed, and then dropped.  The peak reads 5.35
+    # trajectories (5.75 with a ring buffer and a time derivative that also
+    # formed the one-sided end rows): each cell's per-slice sums (0.75),
+    # the held slices and the stacked step (0.6), one step's integrands
+    # (0.8), the temporaries of preparing and weighing it, and the solver's
+    # operators.  Scanning windows of 4 slices, through a halo buffer and
+    # stacked integrands of the window, peaked at 9.02.
     assert scan32_peak <= 7.0
 
 

@@ -11,22 +11,22 @@ from glcarleman.fields import random_initial_field
 from glcarleman.functionals import (DOT_CHUNK, FLUSH_LOG, TERMS, VARIANT_FAMILY,
                                     VARIANTS, FunctionalError, Term, _CellQuadrature,
                                     _flush_exp, _slice_sums, evaluate_cell,
-                                    lambda_scan, prepare_trajectory,
-                                    suite_worst_constant)
+                                    lambda_scan, suite_worst_constant)
 from glcarleman.gloperator import derive_coeffs
 from glcarleman.grid import (GridError, SpaceTimeGrid, build_grid, integrate_slices,
                              normal_derivative, space_sums)
 from glcarleman.solver import SolveConfig, solve
 from glcarleman.weights import CarlemanParams, eval_psi, weight_tables
 
-from support import log_theta2, nonzero_trace, phi, scan_trajectories
+from support import (log_theta2, nonzero_trace, phi, prepare_whole,
+                     scan_trajectories)
 
 COEFFS = derive_coeffs(0.3, 0.4)
 LHS_KEYS = {"energy_t", "energy_lap", "w_l2", "w_grad", "sextic", "mixed", "w_l4"}
 
 
 def report(Y, params, grid, variant="interior"):
-    return evaluate_cell(prepare_trajectory(Y, grid, COEFFS),
+    return evaluate_cell(prepare_whole(Y, grid, COEFFS),
                          weight_tables(params, grid), grid)[variant]
 
 
@@ -100,11 +100,6 @@ class TestBasics:
         rep = report(dirichlet_traj, CarlemanParams(lam=4, mu=2, T=1.0), grid32)
         assert rep.rhs_breakdown["source"] < rep.rhs_breakdown["obs_l2"]
 
-    def test_prepare_trajectory_shape_check(self, grid32):
-        with pytest.raises(Exception):
-            prepare_trajectory(np.zeros((33, 10, 10), dtype=complex), grid32,
-                               COEFFS)
-
     def test_source_consistency_refinement(self, square_spec):
         # theta^2 |G Y|^2 for an exactly-solved trajectory decreases at
         # order >= 1.8 under joint refinement
@@ -117,7 +112,7 @@ class TestBasics:
             Y = solve(y0, cfg, g).Y
             params = CarlemanParams(lam=4, mu=2, T=1.0)
             tables = weight_tables(params, g)
-            data = prepare_trajectory(Y, g, COEFFS)
+            data = prepare_whole(Y, g, COEFFS)
             vals.append(integral(_CellQuadrature(tables, g), data.G2))
         assert vals[1] <= vals[0] / 2 ** 1.8
 
@@ -141,7 +136,7 @@ class TestTermsTable:
             == BREAKDOWN_ORDER[variant]
 
     def test_table_matches_trajectory_data(self, grid32, dirichlet_traj):
-        data = vars(prepare_trajectory(dirichlet_traj, grid32, COEFFS))
+        data = vars(prepare_whole(dirichlet_traj, grid32, COEFFS))
         integrands = {k for k, v in data.items() if isinstance(v, np.ndarray)}
         # every row reads a prepared integrand, and every one is read; the
         # benchmark sums nbytes over the attributes, all of them arrays
@@ -210,7 +205,7 @@ def test_boundary_observation_exact(request, grid32, field, lam, mu):
     Y = request.getfixturevalue(field)
     tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0,
                                           family="j2_boundary"), grid32)
-    rep = evaluate_cell(prepare_trajectory(Y, grid32, COEFFS), tables,
+    rep = evaluate_cell(prepare_whole(Y, grid32, COEFFS), tables,
                         grid32)["boundary"]
     expect = boundary_reference(_CellQuadrature(tables, grid32),
                                 np.abs(normal_derivative(Y, grid32)) ** 2)
@@ -259,7 +254,7 @@ class TestLinearVariants:
                                               family):
         # one cell yields both variants of its family; the linear left side
         # is the cubic one's first four terms, the observation is shared
-        cell = evaluate_cell(prepare_trajectory(dirichlet_traj, grid32, COEFFS),
+        cell = evaluate_cell(prepare_whole(dirichlet_traj, grid32, COEFFS),
                              weight_tables(CarlemanParams(lam=4, mu=2, T=1.0,
                                                           family=family), grid32),
                              grid32)
@@ -501,7 +496,7 @@ def cell_calls(grid32, dirichlet_traj):
     flushes)}: the `_slice_sums` calls of one evaluate_cell per cell, one
     per interior slice, with their (rows, slices) sums and the number of
     `_flush_exp` calls of each."""
-    data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
+    data = prepare_whole(dirichlet_traj, grid32, COEFFS)
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         slice_sums, flush = functionals._slice_sums, functionals._flush_exp
@@ -603,7 +598,7 @@ def test_one_exp_per_phi_power_every_group_live(grid32, dirichlet_traj, family,
     # on the middle slice at mu = 1.5 every group of lambda = 2, 4 and 8 is
     # live: 11 and 10 rows, 5 and 6 exps for each pass, whether the three
     # cells are weighed in one pass or one by one
-    data = prepare_trajectory(dirichlet_traj, grid32, COEFFS)
+    data = prepare_whole(dirichlet_traj, grid32, COEFFS)
     at = {name: g[15:16] for name, g in vars(data).items()}
     quads = [_CellQuadrature(weight_tables(CarlemanParams(
         lam=lam, mu=1.5, T=1.0, family=family), grid32), grid32) for lam in (2, 4, 8)]
@@ -675,7 +670,7 @@ def test_matches_log_form_reference(request, grid32, dirichlet_traj, where,
     # row by at most 1e-12 relative, and no row gains or loses a zero
     grid, Y = ((grid32, dirichlet_traj) if where == "grid32"
                else request.getfixturevalue("disk16_traj"))
-    data = prepare_trajectory(Y, grid, COEFFS)
+    data = prepare_whole(Y, grid, COEFFS)
     tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0, family=family),
                            grid)
     reports = evaluate_cell(data, tables, grid)
@@ -771,7 +766,7 @@ def test_streamed_scan_equals_one_cell_per_trajectory(suites16, domain, cell_pas
     assert len(scans) == len(suite)
     for (Y, variants), member in zip(suite, scans):
         assert list(member) == variants
-        data = prepare_trajectory(Y, grid, COEFFS)
+        data = prepare_whole(Y, grid, COEFFS)
         expect = {v: [] for v in variants}
         for family in dict.fromkeys(VARIANT_FAMILY[v] for v in variants):
             for mu in SCAN_MUS:
@@ -840,25 +835,28 @@ def test_slice_sums_of_a_batch_are_each_cells_and_members(batch_grids, rng, monk
 
 @pytest.mark.parametrize("nt", [16, 17])
 def test_scan_prepares_each_interior_node_once(square_spec, monkeypatch, nt):
-    # slice t of member k holds t + 100 k: the ring hands prepare_trajectory
-    # nodes t - 1, t, t + 1 of every member for t = 1 ... nt - 1, in order
+    # one call per interior node t = 1 ... nt - 1, in order, with node t of
+    # every member and its centred y_t = (y(t+1) - y(t-1)) / (2 dt), bit for
+    # bit; the boundary member comes after the interior one
     grid = build_grid(square_spec, 16, 16, nt, 1.0)
-    member = 100.0 * np.arange(2)[:, None, None]
-    slices = (t + member + np.zeros((2, 17, 17), dtype=complex) for t in range(nt + 1))
-    rings = []
+    rng = np.random.default_rng(nt)
+    Y = rng.random((nt + 1, 2, 17, 17)) + 1j * rng.random((nt + 1, 2, 17, 17))
+    Y[:, 0, grid.boundary_mask] = 0.0
+    calls = []
     prepare = functionals.prepare_trajectory
-    monkeypatch.setattr(functionals, "prepare_trajectory",
-                        lambda Y, *a: rings.append(Y.copy()) or prepare(Y, *a))
-    lambda_scan(slices, [["interior"], ["interior"]], grid, [2, 4], [2.0], COEFFS)
-    expect = [np.arange(t - 1, t + 2)[None, :, None, None] + member[:, None]
-              + np.zeros((2, 3, 17, 17)) for t in range(1, nt)]
-    assert len(rings) == nt - 1
-    assert all(np.array_equal(ring, want) for ring, want in zip(rings, expect))
+    monkeypatch.setattr(functionals, "prepare_trajectory", lambda y, yt, *a: calls.append(
+        (y.copy(), yt.copy())) or prepare(y, yt, *a))
+    lambda_scan(iter(Y), [["boundary"], ["interior"]], grid, [2, 4], [2.0], COEFFS)
+    Y = Y[:, ::-1]
+    assert len(calls) == nt - 1
+    for t, (y, yt) in enumerate(calls, start=1):
+        assert np.array_equal(y, Y[t])
+        assert np.array_equal(yt, (Y[t + 1] - Y[t - 1]) / (2 * grid.dt))
 
 
 def test_scan_checks_each_slice_once(square_spec, monkeypatch):
     # one check per slice as it arrives, nt + 1 in all; prepare_trajectory
-    # trusts the ring built from them
+    # trusts the nodes taken from them
     grid = build_grid(square_spec, 16, 16, 16, 1.0)
     slices = [t + np.zeros((2, 17, 17), dtype=complex) for t in range(17)]
     checked = []
@@ -875,7 +873,7 @@ def test_evaluate_cell_needs_every_interior_time(suites16):
     # the integrands of a run of times would be integrated as the first
     # slices of Q
     grid, ((Y, _), *_) = suites16["square"]
-    run = prepare_trajectory(Y[:6], grid, COEFFS)
+    run = prepare_whole(Y[:6], grid, COEFFS)
     with pytest.raises(FunctionalError, match="every interior time"):
         evaluate_cell(run, weight_tables(CarlemanParams(lam=2, mu=2, T=1.0),
                                             grid), grid)

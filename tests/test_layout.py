@@ -6,7 +6,8 @@ outside its own definition, or is kept below for a stated reason.  Code
 that only the tests read belongs under tests/.  Every space integral is
 grid.space_sums and every time integral is grid.integrate_slices.
 grid.py owns the grid: a SpaceTimeGrid is plain geometry, and no other
-module reads a private name of grid.py.  Every field of a record (a
+module reads a private name of grid.py.  The first-difference stencil, with
+its one-sided end rows, is taken along the two space axes only.  Every field of a record (a
 dataclass or NamedTuple) is read in src/.  The solver forms no matrix
 product.
 """
@@ -162,6 +163,21 @@ def test_grid_privates_read_in_grid_only():
             elif isinstance(node, ast.Attribute) and node.attr in private:
                 reads.append((mod, node.attr))
     assert private and reads == []
+
+
+def test_first_difference_along_space_axes_only():
+    # grid._d1 is read by grad alone, along x1 and x2: src/ takes no
+    # one-sided time rule, and the scan forms its centred y_t where it is used
+    reads, axes = [], []
+    for mod, tree in _modules().items():
+        for func, node in _function_nodes(tree):
+            if isinstance(node, ast.Name) and node.id == "_d1":
+                reads.append((mod, func))
+            if isinstance(node, ast.Call) and _references(node.func)["_d1"]:
+                axes += [ast.literal_eval(k.value) for k in node.keywords
+                         if k.arg == "axis"]
+    assert reads == [("grid", "grad")] * 2
+    assert sorted(axes) == [-2, -1]
 
 
 def test_space_time_grid_holds_no_state():

@@ -3,8 +3,8 @@ import pytest
 
 from glcarleman.gloperator import (CoeffError, GLCoeffs, apply_G,
                                    check_condition1, derive_coeffs)
-from glcarleman.grid import GridError, laplacian, time_derivative
-from support import apply_F
+from glcarleman.grid import laplacian
+from support import apply_F, whole_time_derivative
 
 
 def least_delta0(coeffs: GLCoeffs) -> float | None:
@@ -41,8 +41,8 @@ def coefficient_relations(coeffs: GLCoeffs) -> dict:
 
 
 def G_of(Y, grid, coeffs, bc="ghost_from_field"):
-    """G y from the stencils y_t and Lap y, as prepare_trajectory builds it."""
-    return apply_G(Y, time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
+    """G y of a whole trajectory from the stencils y_t and Lap y."""
+    return apply_G(Y, whole_time_derivative(Y, grid.dt), laplacian(Y, grid, bc), coeffs)
 
 
 class TestDeriveCoeffs:
@@ -102,28 +102,6 @@ class TestCondition1:
         d = least_delta0(c)
         assert d == pytest.approx(0.08 / 1.04)
         assert check_condition1(c, 0.6, d * 1.01).passed
-
-
-class TestTimeDerivative:
-    def test_linear_exact(self):
-        t = np.linspace(0, 1, 11)
-        Y = (2.0 * t + 1.0)[:, None, None] * np.ones((1, 1))
-        out = time_derivative(Y, 0.1)
-        assert np.abs(out - 2.0).max() < 1e-12
-
-    def test_needs_three_slices(self):
-        with pytest.raises(GridError):
-            time_derivative(np.zeros((2, 3, 3)), 0.1)
-        with pytest.raises(GridError):
-            time_derivative(np.zeros((4, 2, 3, 3)), 0.1)
-
-    def test_broadcasts_over_members(self, rng):
-        # the time axis is -3: a stack of members gives each member's
-        # derivative bit for bit
-        Y = rng.random((3, 7, 5, 5)) + 1j * rng.random((3, 7, 5, 5))
-        out = time_derivative(Y, 0.1)
-        for k in range(3):
-            assert np.array_equal(out[k], time_derivative(Y[k], 0.1))
 
 
 class TestOperators:

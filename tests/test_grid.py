@@ -108,6 +108,27 @@ class TestGrad:
         for p in observed_order(errs):
             assert 1.8 <= p <= 2.2
 
+    @pytest.mark.parametrize("n", [20, 48, 96, 100, 1000])
+    def test_complex_quotient_is_the_product_with_the_reciprocal(self, n):
+        # _d1 and normal_derivative multiply a complex field by 1/(2h) for
+        # the quotient by 2h: numpy divides by (s + 0j) as the product with
+        # 1/s, so the bits agree even where 2h is not a power of two, where
+        # a real quotient and product differ in the last bit.  Contiguous
+        # and strided operands, binary and in place, as _d1 meets them.
+        h = 1.0 / n
+        r = 1 / (2 * h)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+        for view in (lambda a: a, lambda a: a.T, lambda a: a.T[:, 1:-1]):
+            assert (view(z) / (2 * h)).tobytes() == (view(z) * r).tobytes()
+            quotient, product = z.copy(), z.copy()
+            view(quotient)[...] /= 2 * h
+            view(product)[...] *= r
+            assert quotient.tobytes() == product.tobytes()
+        # a zero part may change its sign, which |.| in every caller erases
+        zeros = np.array([complex(a, b) for a in (0.0, -0.0, 1.5) for b in (0.0, -0.0, -2.5)])
+        assert np.abs(zeros / (2 * h)).tobytes() == np.abs(zeros * r).tobytes()
+
 
 def disk_mask(n):
     """The nodes and the active mask of the unit disk on the n x n grid of

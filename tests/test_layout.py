@@ -9,7 +9,7 @@ grid.py owns the grid: a SpaceTimeGrid is plain geometry, and no other
 module reads a private name of grid.py.  The first-difference stencil, with
 its one-sided end rows, is taken along the two space axes only.  Every field of a record (a
 dataclass or NamedTuple) is read in src/.  The solver forms no matrix
-product.
+product.  The scan alone samples the Dirichlet trace.
 """
 
 import ast
@@ -178,6 +178,15 @@ def test_first_difference_along_space_axes_only():
                          if k.arg == "axis"]
     assert reads == [("grid", "grad")] * 2
     assert sorted(axes) == [-2, -1]
+
+
+def test_scan_alone_reads_the_dirichlet_trace_rule():
+    # the stability suite takes its boundary variant's zero trace from
+    # cfg.bc before it marches, and samples no trace: the scan, which takes
+    # slices from any caller, is the one reader of the trace and its rule
+    readers = sorted(mod for mod, tree in _modules().items() if mod != "grid"
+                     and _references(tree).keys() & {"boundary_values", "trace_breach"})
+    assert readers == ["functionals"]
 
 
 def test_space_time_grid_holds_no_state():

@@ -443,6 +443,20 @@ class TestMarch:
                        for s, a in enumerate((8.0, 1.0, 0.5, 2.0, 1.0, 0.25, 0.5, 1.5))])
         assert_march_is_solo(Y0, cfg, g)
 
+    def test_dirichlet_slices_are_zero_on_the_boundary(self, square_spec):
+        # march steps only the interior unknowns under dirichlet0, so every
+        # slice it yields, t_0 included, holds exact zeros on the square's
+        # boundary nodes, on members that take different substep counts;
+        # the stability suite's boundary variant needs no trace check for it
+        g = build_grid(square_spec, 32, 32, 16, 1.0)
+        cfg = SolveConfig(b=0.2, c=0.1, bc="dirichlet0", scheme="imex_cn")
+        Y0 = np.stack([random_initial_field(g, seed=8, amplitude=a, bc="neumann0")
+                       for a in (1.0, 8.0)])
+        assert np.abs(Y0[:, ~g.interior_mask]).min() > 0
+        steps = list(march(Y0, cfg, g))
+        assert any(len(set(step.substeps)) > 1 for step in steps[1:])
+        assert all(np.all(step.Y[:, ~g.interior_mask] == 0.0) for step in steps)
+
     def test_stack_with_source_rejected(self, square_spec):
         # only the manufactured study takes a source, and it marches one
         # member: a sourced stack of more than one is refused before a step

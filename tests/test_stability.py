@@ -175,16 +175,28 @@ class TestBoundaryReport:
             stability_boundary(prepare_difference(z, grid32), grid32, eps=0.1)
 
     def test_suite_rejects_nonzero_trace_before_reports(self, grid32, monkeypatch):
-        # neumann0 solves leave the boundary nodes free, so z has a trace
-        reports = []
+        # neumann0 solves leave the boundary nodes free, so z has a trace:
+        # the boundary variant is refused from cfg.bc, before the march
+        reports, marches = [], []
         monkeypatch.setattr(stability, "stability_interior",
                             lambda *a, **k: reports.append(a))
+        monkeypatch.setattr(stability, "march", lambda *a, **k: marches.append(a))
         cfg = SolveConfig(b=0.3, c=0.4, bc="neumann0")
         y0 = random_initial_field(grid32, seed=1, amplitude=1.0, bc="neumann0")
         w = random_initial_field(grid32, seed=2, amplitude=1.0, bc="neumann0")
-        with pytest.raises(StabilityError, match="difference trace on Gamma is"):
+        with pytest.raises(StabilityError, match="dirichlet0, not neumann0"):
             perturbation_suite(y0, w, [1e-2], [0.1], cfg, grid32)
-        assert reports == []
+        assert reports == [] and marches == []
+
+    def test_suite_observes_the_interior_of_a_neumann_pair(self, grid32):
+        # the interior variant needs no Dirichlet trace
+        cfg = SolveConfig(b=0.3, c=0.4, bc="neumann0")
+        y0 = random_initial_field(grid32, seed=1, amplitude=1.0, bc="neumann0")
+        w = random_initial_field(grid32, seed=2, amplitude=1.0, bc="neumann0")
+        reports = perturbation_suite(y0, w, [1e-2], [0.1], cfg, grid32,
+                                     variants=("interior",))
+        assert [r.variant for r in reports] == ["interior"]
+        assert np.isfinite(reports[0].c_emp) and reports[0].rhs_obs > 0
 
 
 class TestSuite:

@@ -75,6 +75,8 @@ def _check_capabilities(cfg, command, manufactured):
         errs.append("--manufactured: the manufactured study runs on unit_square only")
     elif disk and command == "solve" and cfg["solver"]["bc"] != "dirichlet0":
         errs.append("solver.bc: unit_disk supports dirichlet0 only")
+    if disk and command != "verify-identity" and cfg["solver"]["scheme"] == "exp_strang":
+        errs.append("solver.scheme: exp_strang runs on unit_square only")
     # the variants that observe through Gamma (stability names them alike)
     section = {"carleman-scan": "scan", "stability": "stability"}.get(command)
     boundary = [v for v in cfg[section]["variants"]
@@ -229,7 +231,8 @@ def _manufactured_study(cfg, out_dir) -> int:
         g = build_grid(DomainSpec(), n, n, n, 0.5)
         # the reference vanishes on the boundary of the square
         sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
-                         scheme="imex_cn", source=grid_source(ref, g, coeffs))
+                         scheme=cfg["solver"]["scheme"],
+                         source=grid_source(ref, g, coeffs))
         y0 = ref.sample(g, times=np.array([0.0]))[0]
         Y = solve(y0, sc, g).Y
         err = float(np.sqrt(integrate_q(np.abs(Y - ref.sample(g)) ** 2, g)))

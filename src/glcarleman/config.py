@@ -45,7 +45,7 @@ DEFAULTS = {
 # the most bytes that the arrays of one run may take (a 256^3 trajectory: 272 MB)
 MAX_TRAJECTORY_BYTES = 2 ** 30
 # complex slices that march holds for each member of a stack: its state and
-# its step's temporaries (5.6 to 7.5 traced at 32^2 and 64^2, both schemes)
+# its step's temporaries (5.6 to 7.5 traced at 32^2 and 64^2, either scheme)
 MARCH_SLICES = 8
 
 

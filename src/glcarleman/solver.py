@@ -1,16 +1,12 @@
-"""Semi-implicit time stepping for the Ginzburg-Landau equation.
+"""Strang-split time stepping for the Ginzburg-Landau equation.
 
-The equation y_t = (1+ib) Lap y - (1+ic)|y|^2 y + f is advanced with the
-stiff dispersion treated implicitly, by exact solves with I - kappa L, and
-the cubic term handled explicitly:
-
-* ``imex_be``: backward Euler on the linear part, cubic frozen at the old
-  state (first order);
-* ``imex_cn``: Crank-Nicolson on the linear part with Strang splitting
-  around the cubic flow (second order).  The cubic subflow
-  y' = -(1+ic)|y|^2 y is integrated exactly:
-  y -> y (1 + 2 tau |y|^2)^(-(1+ic)/2),
-  which is an unconditional contraction of |y|.
+The equation y_t = (1+ib) Lap y - (1+ic)|y|^2 y + f is advanced by half a
+substep of the exact cubic flow y -> y (1 + 2 tau |y|^2)^(-(1+ic)/2), an
+unconditional contraction of |y|, a whole linear substep, and half a cubic
+substep.  The schemes differ in the linear substep only: ``imex_cn`` is
+Crank-Nicolson (exact solves with I - kappa L), and ``exp_strang`` the exact
+flow on the square, whose damping of stiff modes Crank-Nicolson's Cayley
+factor, tending to -1, lacks (see ``_LinearOps.substep``).
 
 A stiffness cap dt_sub * max|y|^2 <= 1/2 is enforced adaptively by halving
 the internal substep (macro slices stay on the uniform time grid).
@@ -27,7 +23,7 @@ per kappa and march, reused every step; it orders by minimum degree on the
 structure of A + A^T and does not pivot: for Re kappa > 0, I - kappa L is
 strictly diagonally dominant by rows, so the diagonal pivots are safe (see
 ``_factorized``).  The solver keeps no state on the grid: each march builds
-its operators once, and forms each substep count's implicit map once.
+its operators once, and forms each substep count's linear map once.
 
 Boundary data are homogeneous, as for the difference of two solutions with
 the same boundary data: ``dirichlet0`` (square or disk) holds zero at every
@@ -38,7 +34,7 @@ reference vanishes on the square's boundary.
 On the square the L2 norm over the quadrature weights is non-increasing for
 these boundary conditions and zero source: the (mirrored-ghost) discrete
 Laplacian is self-adjoint and nonpositive in the trapezoid-weighted inner
-product, the Crank-Nicolson amplification of each mode has modulus <= 1, and
+product, each mode's factor has modulus <= 1 under both schemes, and
 the cubic flow shrinks |y| pointwise.  The disk's Shortley-Weller Laplacian
 is not self-adjoint in its cut-cell inner product, so there the argument
 does not apply; ``energy_balance`` pairs with the Laplacian itself and needs
@@ -48,6 +44,7 @@ no symmetry.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,7 +55,7 @@ from .gloperator import linear_source
 from .grid import GridError, SpaceTimeGrid, laplacian, space_sums
 
 VALID_SOLVER_BC = ("dirichlet0", "neumann0")
-SCHEMES = ("imex_be", "imex_cn")
+SCHEMES = ("imex_cn", "exp_strang")
 STIFFNESS_CAP = 0.5
 MAX_HALVINGS = 10
 
@@ -83,7 +80,7 @@ class SolveConfig:
 
 
 # ---------------------------------------------------------------------------
-# the implicit substep
+# the linear substep
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -103,30 +100,48 @@ class _LinearOps:
     sine: bool = False              # square: the sine (else cosine) basis
     L: object = None                # disk: scipy.sparse csr, unknowns x unknowns
 
-    def substep(self, kappa: complex, cfg: SolveConfig):
-        """The implicit part of a substep, on stacks of columns (unknowns, m):
-        (v, s) -> (I - kappa L)^{-1} ((I + kappa L) v + s) under ``imex_cn``,
-        rhs -> (I - kappa L)^{-1} rhs under ``imex_be``.
-
-        On the disk both are one multi-column LU solve, with no stencil
-        product: the Crank-Nicolson map is (I - kappa L)^{-1} (2 v + s) - v.
-        On the square it is the symbol of that map in L's eigenbasis: the
-        Cayley factor (1 + kappa lam) / (1 - kappa lam) without a source, and
-        1 / (1 - kappa lam) applied to any other right-hand side.
-        """
+    def substep(self, tau: float, cfg: SolveConfig):
+        """The linear substep of y' = (1+ib) L y + f over tau on stacks of
+        columns (unknowns, m), (v, f0, f1) -> y(tau), f0 and f1 the source at
+        its ends: each scheme is a symbol in L's eigenbasis, kappa = tau
+        (1+ib)/2.  ``imex_cn``: (I - kappa L)^{-1} ((I + kappa L) v + s), s =
+        tau (f0 + f1)/2, which is (I - kappa L)^{-1} (2 v + s) - v, one LU
+        solve, on the disk.  ``exp_strang`` (square only): the exact flow
+        e^z v, z = 2 kappa lam, plus tau [(phi1 - phi2)(z) f0 + phi2(z) f1]
+        (Hochbruck and Ostermann, Acta Numer. 19, 2010), exact for a source
+        linear in time."""
+        kappa = tau * (0.5 * (1.0 + 1j * cfg.b))
         if self.L is not None:
+            if cfg.scheme == "exp_strang":
+                raise GridError("solver.scheme exp_strang runs on unit_square "
+                                "only: the disk has no transform basis")
             lu = _factorized(self, kappa)
-            if cfg.scheme == "imex_be":
-                return lu
-            return lambda v, s: lu(2.0 * v + s) - v
-        # the transform applied twice is 4 n^2 times the identity
-        res = 1.0 / (4 * self.n ** 2 * (1.0 - kappa * self.lam))
-        if cfg.scheme == "imex_be":
-            return lambda rhs: _spectral(self, (rhs, res))
-        cayley = (1.0 + kappa * self.lam) * res
+            return lambda v, f0, f1: lu(2.0 * v + 0.5 * tau * (f0 + f1)) - v
+        scale = 4 * self.n ** 2     # the transform applied twice, over x
+        if cfg.scheme == "imex_cn":
+            res = 1.0 / (scale * (1.0 - kappa * self.lam))
+            flow = (1.0 + kappa * self.lam) * res
+            forced = lambda f0, f1: [(0.5 * tau * (f0 + f1), res)]  # noqa: E731
+        else:
+            ez, phi1, phi2 = _phi(2.0 * kappa * self.lam)
+            flow, w0, w1 = ez / scale, tau * (phi1 - phi2) / scale, tau * phi2 / scale
+            forced = lambda f0, f1: [(f0, w0), (f1, w1)]  # noqa: E731
         if cfg.source is None:
-            return lambda v, s: _spectral(self, (v, cayley))
-        return lambda v, s: _spectral(self, (v, cayley), (s, res))
+            return lambda v, f0, f1: _spectral(self, (v, flow))
+        return lambda v, f0, f1: _spectral(self, (v, flow), *forced(f0, f1))
+
+
+def _phi(z: np.ndarray):
+    """e^z, phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2; where
+    |z| < 1, whose quotients lose digits (0/0 at the neumann0 lam = 0),
+    phi2 sums 18 terms of z^j/(j + 2)! and phi1 = 1 + z phi2."""
+    ez, small = np.exp(z), np.abs(z) < 1.0
+    w = np.where(small, 1.0, z)
+    phi1, series = (ez - 1.0) / w, np.zeros_like(z)
+    for j in range(19, 1, -1):
+        series = series * z + 1.0 / math.factorial(j)
+    phi2 = np.where(small, series, (phi1 - 1.0) / w)
+    return ez, np.where(small, 1.0 + z * series, phi1), phi2
 
 
 def _transform(x: np.ndarray, sine: bool, work: np.ndarray) -> np.ndarray:
@@ -296,14 +311,14 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     The state is stepped on the unknown nodes only, one column per member;
     every other node of a yielded slice holds zero.  At each macro step the
     members are grouped by the fewest power-of-two substeps that meet the
-    stiffness cap, and each group shares one cubic flow and one implicit
-    solve per substep: batched transforms on the square, one multi-column
+    stiffness cap, and each group shares one cubic flow and one linear
+    substep per substep: batched transforms on the square, one multi-column
     LU solve on the disk.  Those act column by column, so each member gets
     exactly the values and substep schedule it would get marched alone.  A
     source is taken for a stack of one member only (the manufactured
     study's).  NaN/Inf after any substep aborts.
 
-    The first step's implicit operators are formed before t_0 is yielded,
+    The first step's linear operators are formed before t_0 is yielded,
     so the disk's LU factorisation, the march's largest transient, comes
     before the caller has allocated anything for the slices.  The stack Y0
     is not held once its unknowns are copied out.
@@ -318,11 +333,8 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     # the boolean mask
     unknown = np.flatnonzero(ops.unknown_mask)
     m = len(Y0)
-    # kappa = dt_sub (1 + ib), halved under Crank-Nicolson
-    kb = (0.5 if cfg.scheme == "imex_cn" else 1.0) * (1.0 + 1j * cfg.b)
     # each substep count's symbols (the disk's LU) are formed once per march
-    implicit = functools.cache(
-        lambda n_sub: ops.substep(grid.dt / n_sub * kb, cfg))
+    linear = functools.cache(lambda n_sub: ops.substep(grid.dt / n_sub, cfg))
 
     def src(t):
         return 0.0 if cfg.source is None \
@@ -342,7 +354,7 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
     del Y0
     subs = schedule(u)
     for n_sub in set(subs):
-        implicit(n_sub)
+        linear(n_sub)
     yield slices(u, np.zeros(m, dtype=int))
     # the source at the end of each substep is carried to the next one, so
     # every time is sampled once
@@ -357,14 +369,9 @@ def march(Y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid):
             for j in range(n_sub):
                 tj = grid.t_nodes[k] + j * dt_sub
                 f_start, f = f, src(tj + dt_sub)
-                if cfg.scheme == "imex_cn":
-                    v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
-                    v = implicit(n_sub)(v, 0.5 * dt_sub * (f_start + f))
-                    v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
-                else:
-                    cubic = -(1 + 1j * cfg.c) * np.abs(v) ** 2 * v
-                    rhs = v + dt_sub * cubic + dt_sub * f
-                    v = implicit(n_sub)(rhs)
+                v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
+                v = linear(n_sub)(v, f_start, f)
+                v = _cubic_flow(v, 0.5 * dt_sub, cfg.c)
                 if not np.all(np.isfinite(v)):
                     raise SolverError(f"non-finite state at t={tj + dt_sub:.6g}")
             if len(idx) == m:
@@ -393,17 +400,17 @@ def solve(y0: np.ndarray, cfg: SolveConfig, grid: SpaceTimeGrid) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid, sc: SolveConfig) -> np.ndarray:
-    """Normalized residuals of the scheme's discrete energy law per step.
+    """Normalized residuals of the midpoint energy law per step.
 
-    residual_k = | (||y_{k+1}||^2 - ||y_k||^2) / (2 dt) + num_k
+    residual_k = | (||y_{k+1}||^2 - ||y_k||^2) / (2 dt)
                   - Re[(1+ib) <Lap_h p, p>] + ||p||_{L4}^4 | / scale_k
 
-    in the quadrature inner product, with Lap_h the stencil Laplacian the
-    solver factorises.  ``imex_cn`` pairs at the midpoint p = (y_k + y_{k+1})/2
-    with num_k = 0; ``imex_be`` pairs at p = y_{k+1} and adds its numerical
-    dissipation num_k = ||y_{k+1} - y_k||^2 / (2 dt).  scale_k is the largest
+    in the quadrature inner product, at the midpoint p = (y_k + y_{k+1})/2,
+    with Lap_h the solver's stencil Laplacian.  scale_k is the largest
     modulus among the time, dissipation and L4 terms.  The pairing needs no
     symmetry of Lap_h, so the residual measures time error on the disk too.
+    It is ``imex_cn``'s law, not ``exp_strang``'s: under the exact flow it
+    reads 0.115 at 64^3.
     """
     Y = np.asarray(Y, dtype=complex)
     wsp = grid.quad_weights_space
@@ -414,11 +421,7 @@ def energy_balance(Y: np.ndarray, grid: SpaceTimeGrid, sc: SolveConfig) -> np.nd
     out = np.empty_like(ddt)
     # one step at a time, so the pairing's temporaries are slice-sized
     for k in range(ddt.size):
-        if sc.scheme == "imex_cn":
-            p, dtime = 0.5 * (Y[k] + Y[k + 1]), ddt[k]
-        else:
-            p = Y[k + 1]
-            dtime = ddt[k] + space_sums(np.abs(p - Y[k]) ** 2, wsp) / (2 * grid.dt)
+        p, dtime = 0.5 * (Y[k] + Y[k + 1]), ddt[k]
         pair = space_sums(laplacian(p, grid, sc.bc) * np.conj(p), wsp)
         gsq = -((1 + 1j * sc.b) * pair).real
         l4 = space_sums(np.abs(p) ** 4, wsp)

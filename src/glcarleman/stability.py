@@ -26,8 +26,8 @@ report takes its Q_eps integral from that row (`grid.integrate_slices`, as
 the observations do).  Rows and integrals are those of the
 whole-trajectory reductions, bit for bit.  The boundary variant needs z to
 have a zero Dirichlet trace, which a pair solved with ``dirichlet0`` has
-exactly (`march` writes zeros on Gamma), so the suite checks ``cfg.bc``
-once, before it marches, and samples no trace.
+exactly (`march` writes zeros on Gamma), on the square, so the suite checks
+``cfg.bc`` and the grid's shape before it marches, and samples no trace.
 """
 
 from __future__ import annotations
@@ -136,12 +136,16 @@ def perturbation_suite(y0: np.ndarray, w: np.ndarray, deltas, eps_list,
     trajectory, and no second step, is held.  ``grid.space_sums`` sums a
     slice alike however it is stacked, so the reports are those of whole
     trajectories, bit for bit.  The boundary variant observes a difference
-    with zero Dirichlet trace: unless the pair is solved with ``dirichlet0``,
-    it raises StabilityError before anything is marched.
+    with zero Dirichlet trace on the square: unless the pair is solved with
+    ``dirichlet0`` on ``unit_square``, it raises StabilityError before
+    anything is marched.
     """
     if "boundary" in variants and cfg.bc != "dirichlet0":
         raise StabilityError("the boundary variant needs a pair solved with "
                              f"dirichlet0, not {cfg.bc}")
+    if "boundary" in variants and grid.spec.shape != "unit_square":
+        raise StabilityError("the boundary variant observes the normal derivative, "
+                             f"defined on unit_square only, not {grid.spec.shape}")
     # the stack of initial data is handed over, not held
     steps = march(np.stack([y0] + [y0 + delta * np.asarray(w) for delta in deltas]),
                   cfg, grid)

@@ -160,21 +160,18 @@ def test_a4_solver():
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.8 <= p <= 2.2 for p in orders)
 
-    # constant-data ODE at scheme order (CN+Strang is exact here)
+    # constant-data ODE: both schemes' Strang splitting is exact here, since
+    # the linear flow of a constant is the identity (exp_strang takes its
+    # lam = 0 mode from the phi-functions' series)
     a = 1.3
     g = build_grid(SQUARE, 16, 16, 100, 1.0)
-    res = solve(np.full((17, 17), a, dtype=complex),
-                SolveConfig(b=0.7, c=0.0, bc="neumann0", scheme="imex_cn"), g)
-    ode_err = abs(res.Y[-1, 8, 8] - a / np.sqrt(1 + 2 * a * a))
-    assert ode_err < 1e-12
-    be_errs = []
-    for nt in (100, 400):
-        g = build_grid(SQUARE, 16, 16, nt, 1.0)
+    ode_errs = []
+    for scheme in ("imex_cn", "exp_strang"):
         res = solve(np.full((17, 17), a, dtype=complex),
-                    SolveConfig(b=0.7, c=0.0, bc="neumann0", scheme="imex_be"), g)
-        be_errs.append(abs(res.Y[-1, 8, 8] - a / np.sqrt(1 + 2 * a * a)))
-    be_order = math.log2(be_errs[0] / be_errs[1]) / 2
-    assert be_order >= 0.9
+                    SolveConfig(b=0.7, c=0.0, bc="neumann0", scheme=scheme), g)
+        ode_errs.append(abs(res.Y[-1, 8, 8] - a / np.sqrt(1 + 2 * a * a)))
+    ode_err = max(ode_errs)
+    assert ode_err < 1e-12
 
     # L2 dissipation at the default grid
     g = build_grid(SQUARE, 64, 64, 64, 1.0)
@@ -193,8 +190,8 @@ def test_a4_solver():
     bal_order = math.log2(vals[0] / vals[1]) / 2
     assert bal_order >= 1.8
     print(f"\nACCEPTANCE 4 (solver): PASS (manufactured orders "
-          f"{orders[0]:.2f}/{orders[1]:.2f}, ODE error {ode_err:.1e}, "
-          f"BE order {be_order:.2f}, energy order {bal_order:.2f})")
+          f"{orders[0]:.2f}/{orders[1]:.2f}, ODE error {ode_err:.1e} (CN and exact "
+          f"flow), energy order {bal_order:.2f})")
 
 
 def test_a5_weight_machinery():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from glcarleman import cli, functionals, identity, stability
 from glcarleman.cli import main
 from glcarleman.config import DEFAULTS, ConfigError, config_hash, load_config
-from glcarleman.solver import load_trajectory
+from glcarleman.solver import SCHEMES, load_trajectory
 
 
 def run_in(tmp_path, argv):
@@ -224,6 +224,19 @@ class TestConfig:
                      id="disk-manufactured"),
         pytest.param(DISK, ["carleman-scan"], "scan.variants",
                      id="disk-boundary-scan"),
+        # the disk has no transform basis for the exact linear flow; its
+        # suites are asked for interior variants only, which it supports
+        pytest.param({**DISK, "solver": {"scheme": "exp_strang"}}, ["solve"],
+                     "solver.scheme", id="disk-exp_strang-solve"),
+        pytest.param({**DISK, "solver": {"scheme": "exp_strang"},
+                      "stability": {"variants": ["interior"]}}, ["stability"],
+                     "solver.scheme", id="disk-exp_strang-stability"),
+        pytest.param({**DISK, "solver": {"scheme": "exp_strang"},
+                      "scan": {"variants": ["interior", "linear_interior"]}},
+                     ["carleman-scan"], "solver.scheme", id="disk-exp_strang-scan"),
+        # the backward-Euler scheme is gone
+        pytest.param({"solver": {"scheme": "imex_be"}}, ["solve"], "solver.scheme",
+                     id="retired-imex_be"),
         # theta^{-4} of the identity suite overflows on the sample set
         pytest.param(DISK, ["verify-identity"], "identity.lambdas",
                      id="disk-identity-envelope"),
@@ -458,14 +471,24 @@ class TestCommands:
         assert len(energy) == 33
 
     def test_solve_manufactured_mode(self, tmp_path):
-        assert run_in(tmp_path, BASE + ["solve", "--manufactured"]) == 0
-        runs = list((tmp_path / "runs").iterdir())
-        table = (runs[0] / "manufactured.csv").read_text().splitlines()
-        assert table[0] == "n,l2_error,order"
-        assert len(table) == 4
-        summary = json.loads((runs[0] / "solve_summary.json").read_text())
-        assert summary["passed"]
-        assert all(1.8 <= p <= 2.2 for p in summary["orders"])
+        # the study runs the configured scheme (exp_strang reads orders 1.98
+        # and 2.00), so each scheme's table is its own
+        tables = []
+        for scheme in SCHEMES:
+            path = tmp_path / f"{scheme}.json"
+            path.write_text(json.dumps({"solver": {"scheme": scheme}}))
+            out = tmp_path / scheme
+            assert run_in(tmp_path, ["--config", str(path), "--output-dir", str(out)]
+                          + BASE + ["solve", "--manufactured"]) == 0
+            table = (out / "manufactured.csv").read_text().splitlines()
+            assert table[0] == "n,l2_error,order"
+            assert len(table) == 4
+            summary = json.loads((out / "solve_summary.json").read_text())
+            assert summary["passed"]
+            assert summary["config"]["solver"]["scheme"] == scheme
+            assert all(1.8 <= p <= 2.2 for p in summary["orders"])
+            tables.append(table)
+        assert tables[0] != tables[1]
 
     def test_carleman_scan_outputs(self, tmp_path):
         code = run_in(tmp_path, BASE + ["--lambda", "8,16,32", "--mu", "2",

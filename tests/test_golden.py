@@ -8,8 +8,9 @@ The disk values come from ``--grid 32 --seed 7 carleman-scan``,
 unit disk with omega = B((0, 0), 0.35), the scan on the interior and
 linear_interior variants and the stability run on the interior one only.  The square solve values
 come from ``--grid 32 --seed 7 solve`` with ``solver.bc`` set to each
-homogeneous boundary condition under both ``solver.scheme`` values, and
-the manufactured errors from ``solve --manufactured``.
+homogeneous boundary condition under both ``solver.scheme`` values,
+``imex_cn`` and ``exp_strang``, and the manufactured errors from
+``solve --manufactured``.
 """
 
 import csv
@@ -141,12 +142,15 @@ SQUARE_SOLVE = {
     "neumann0": ({"bc": "neumann0"},
                  {"final_l2": 2.6993379446148923e-06,
                   "max_energy_residual": 0.0007790353128254823}),
-    "imex_be-dirichlet0": ({"scheme": "imex_be", "bc": "dirichlet0"},
-                           {"final_l2": 8.120689437281536e-11,
-                            "max_energy_residual": 0.021773688927374503}),
-    "imex_be-neumann0": ({"scheme": "imex_be", "bc": "neumann0"},
-                         {"final_l2": 1.6609685208171353e-07,
-                          "max_energy_residual": 0.011932760064990463}),
+    # the exact linear flow's 32 steps; at nt = 1024 the final L2 norms
+    # are 2.433e-13 and 6.604e-9 (Crank-Nicolson's 32 steps, above, end at
+    # 6.9e-6 and 2.7e-6).  The midpoint energy law is not this scheme's own
+    "exp_strang-dirichlet0": ({"scheme": "exp_strang", "bc": "dirichlet0"},
+                              {"final_l2": 6.104452010041951e-13,
+                               "max_energy_residual": 0.33933594430425673}),
+    "exp_strang-neumann0": ({"scheme": "exp_strang", "bc": "neumann0"},
+                            {"final_l2": 2.4289844251580268e-08,
+                             "max_energy_residual": 0.3389034704070315}),
 }
 
 # n -> l2_error; recorded while the study still imposed the reference's

@@ -9,7 +9,8 @@ grid.py owns the grid: a SpaceTimeGrid is plain geometry, and no other
 module reads a private name of grid.py.  The first-difference stencil, with
 its one-sided end rows, is taken along the two space axes only.  Every field of a record (a
 dataclass or NamedTuple) is read in src/.  The solver forms no matrix
-product.  The scan alone samples the Dirichlet trace.
+product, and its time loop has one body: each scheme is a symbol of the
+linear substep.  The scan alone samples the Dirichlet trace.
 """
 
 import ast
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import glcarleman
 from glcarleman.grid import SpaceTimeGrid
+from glcarleman.solver import SCHEMES
 
 SRC = Path(glcarleman.__file__).parent
 
@@ -234,3 +236,18 @@ def test_solver_forms_no_matrix_product():
     assert [n.lineno for n in ast.walk(tree)
             if isinstance(n, (ast.BinOp, ast.AugAssign))
             and isinstance(n.op, ast.MatMult)] == []
+
+
+def test_march_reads_no_scheme():
+    # march takes every scheme through one loop body (half a cubic flow, the
+    # linear substep, half a cubic flow): the schemes differ only in the
+    # symbols of _LinearOps.substep, which names each of them, and which is
+    # the one reader of cfg.scheme besides SolveConfig's own check
+    tree = _modules()["solver"]
+    readers = {func for func, node in _function_nodes(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "scheme"}
+    assert readers == {"__post_init__", "substep"}
+    (substep,) = [n for n in ast.walk(tree)
+                  if isinstance(n, ast.FunctionDef) and n.name == "substep"]
+    assert set(SCHEMES) <= {n.value for n in ast.walk(substep)
+                            if isinstance(n, ast.Constant)}

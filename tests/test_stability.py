@@ -188,6 +188,21 @@ class TestBoundaryReport:
             perturbation_suite(y0, w, [1e-2], [0.1], cfg, grid32)
         assert reports == [] and marches == []
 
+    def test_suite_rejects_the_disk_boundary_before_marching(self, disk_spec,
+                                                               monkeypatch):
+        # the disk has no normal derivative: the boundary variant is refused
+        # from the grid's shape, before march builds the disk's LU
+        def no_march(*a, **k):
+            raise AssertionError("marched")
+
+        monkeypatch.setattr(stability, "march", no_march)
+        g = build_grid(disk_spec, 32, 32, 16, 1.0)
+        cfg = SolveConfig(b=0.3, c=0.4, bc="dirichlet0")
+        y0 = random_initial_field(g, seed=1, amplitude=1.0, bc="dirichlet0")
+        w = random_initial_field(g, seed=2, amplitude=1.0, bc="dirichlet0")
+        with pytest.raises(StabilityError, match="unit_square only, not unit_disk"):
+            perturbation_suite(y0, w, [1e-2], [0.1], cfg, g)
+
     def test_suite_observes_the_interior_of_a_neumann_pair(self, grid32):
         # the interior variant needs no Dirichlet trace
         cfg = SolveConfig(b=0.3, c=0.4, bc="neumann0")

@@ -10,6 +10,8 @@ variants weigh with is admissible, before any work starts, and marches its
 suite in lockstep, one stack per boundary condition, scanning each time
 step as soon as it is solved.  --lambda and --mu set the lists of the one
 command reading them (identity.* for verify-identity, scan.* for carleman-scan).
+Coefficients, initial fields, solver configurations and verdict summaries
+are each made in one place: _prepare, _member, _solve_config and _finish.
 
 Exit codes: 0 pass, 1 assertion failure, 2 configuration error.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -27,13 +30,14 @@ import numpy as np
 
 from . import fields as flds
 from .config import ConfigError, build_domain, build_run_grid, config_hash, load_config
-from .functionals import (VARIANT_FAMILY, lambda_scan, overflowing_cells,
-                          suite_worst_constant)
+from .functionals import (STABILIZATION_TOL, VARIANT_FAMILY, lambda_scan,
+                          overflowing_cells, suite_worst_constant)
 from .gloperator import check_condition1, derive_coeffs
-from .grid import DomainSpec, GridError, build_grid, eps_window
+from .grid import DomainSpec, GridError, build_grid, eps_window, integrate_q
 from .identity import (T_coefficient_positivity, default_samples, identity_residuals,
                        overflowing_pairs)
-from .solver import SolveConfig, energy_balance, march, save_trajectory, solve
+from .solver import (MAX_HALVINGS, STIFFNESS_CAP, SolveConfig, energy_balance,
+                     grid_source, march, save_trajectory, solve)
 from .stability import perturbation_suite
 from .weights import CarlemanParams, horizon_representable, verify_psi_admissibility
 
@@ -93,6 +97,17 @@ def _check_capabilities(cfg, command, manufactured):
     if not horizon_ok:
         errs.append(f"grid.T: {T:g} leaves the weights' time factor "
                     "1/(t (T - t)) no finite positive value at some time")
+    # march halves a step at most MAX_HALVINGS times to bring dt peak^2 under
+    # STIFFNESS_CAP; a member peaks at A = solver.amplitude (at most A on the
+    # disk), a stability member y0 + delta w at most A + delta
+    amp, cap = cfg["solver"]["amplitude"], STIFFNESS_CAP * 2 ** MAX_HALVINGS
+    peaks = {} if command == "verify-identity" or manufactured else {"solver.amplitude": amp}
+    if command == "stability":
+        peaks.update({f"stability.deltas[{i}]": amp + d
+                      for i, d in enumerate(cfg["stability"]["deltas"])})
+    errs += [f"{path}: a peak of {p:g} gives (T/nt) peak^2 = {T / nt * p * p:.6g} > {cap:g}: "
+             f"the solver cannot reach its stiffness cap within {MAX_HALVINGS} halvings"
+             for path, p in peaks.items() if T / nt * p * p > cap]
     if command == "stability":
         st, keys = cfg["stability"], {}
         for i, fr in enumerate(st["eps_fractions"]):
@@ -118,7 +133,7 @@ def _check_capabilities(cfg, command, manufactured):
 def _check_admissibility(cfg, grid):
     """The Carleman estimates hold for an admissible psi only: psi1 weighs
     the interior variants and psi2 the boundary ones.  Each cell's log
-    offset and powers of lambda and mu must be finite doubles."""
+    offset, powers of lambda and mu and weights must be finite doubles."""
     scan = cfg["scan"]
     families = {VARIANT_FAMILY[v] for v in scan["variants"]}
     failed, errs = [], []
@@ -133,8 +148,9 @@ def _check_admissibility(cfg, grid):
         # a mu at which every lambda overflows is at fault whatever the lambdas
         per_mu = Counter((family, mu) for family, _, mu in bad)
         field = "scan.mus" if len(scan["lambdas"]) in per_mu.values() else "scan.lambdas"
-        errs.append(f"{field}: the log offset max 2 ell or a power lambda^p mu^q "
-                    "of the Carleman cells overflows at (family, lambda, mu) = "
+        errs.append(f"{field}: the log offset max 2 ell, a power lambda^p mu^q or "
+                    "the weight exp(2 ell - log_scale + p log phi) of the Carleman "
+                    "cells overflows at (family, lambda, mu) = "
                     + ", ".join(f"({f}, {lam:g}, {mu:g})" for f, lam, mu in bad))
     if errs:
         raise ConfigError(errs)
@@ -169,15 +185,36 @@ def _prepare(args, command):
     except OSError as exc:
         field = "--output-dir" if args.output_dir else "output_dir"
         raise ConfigError([f"{field}: cannot make {out_dir}: {exc.strerror}"]) from None
-    return cfg, grid, out_dir
+    return cfg, grid, derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"]), out_dir
+
+
+def _member(cfg, grid, seed, bc, amplitude=None):
+    """A seeded initial field of solver.n_modes modes, peaking at
+    solver.amplitude unless `amplitude` is given."""
+    solver = cfg["solver"]
+    return flds.random_initial_field(
+        grid, seed=seed, amplitude=solver["amplitude"] if amplitude is None else amplitude,
+        bc=bc, n_modes=solver["n_modes"])
+
+
+def _solve_config(cfg, coeffs, bc, source=None):
+    return SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc, scheme=cfg["solver"]["scheme"],
+                       source=source)
+
+
+def _finish(out_dir, name, cfg, summary, ok, line) -> int:
+    """Write the summary `name` with its verdict, print `line` with it, and
+    return the exit code."""
+    write_json(os.path.join(out_dir, name), {"config": cfg, **summary, "passed": bool(ok)})
+    print(f"{line} -> {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def cmd_verify_identity(args) -> int:
-    cfg, grid, out_dir = _prepare(args, "verify-identity")
+    cfg, grid, coeffs, out_dir = _prepare(args, "verify-identity")
     ident = cfg["identity"]
     threshold = ident["threshold"]
     b, c = cfg["coeffs"]["b"], cfg["coeffs"]["c"]
-    coeffs = derive_coeffs(b, c)
     results = []
     worst = 0.0
     for fid in range(ident["n_fields"]):
@@ -193,46 +230,29 @@ def cmd_verify_identity(args) -> int:
                 worst = float(np.max([worst, nl.max_rel, lin.max_rel]))
                 results.append({
                     "field": fid, "b": b, "c": c, "lambda": lam, "mu": mu,
-                    "nonlinear_max_rel": nl.max_rel,
-                    "nonlinear_l2_rel": nl.l2_rel,
-                    "linear_max_rel": lin.max_rel,
-                    "linear_l2_rel": lin.l2_rel,
-                    "term_magnitudes": nl.term_magnitudes,
-                })
+                    "nonlinear_max_rel": nl.max_rel, "nonlinear_l2_rel": nl.l2_rel,
+                    "linear_max_rel": lin.max_rel, "linear_l2_rel": lin.l2_rel,
+                    "term_magnitudes": nl.term_magnitudes})
     tpos = T_coefficient_positivity(coeffs)
-    passed = worst <= threshold and tpos.passed
-    write_json(os.path.join(out_dir, "identity_report.json"), {
-        "config": cfg, "results": results, "worst_max_rel": worst,
-        "threshold": threshold,
-        "t_coefficient": {"value": tpos.t_value, "bound": tpos.lower_bound,
-                          "passed": tpos.passed},
-        "passed": passed,
-        "corrupt_term": args.corrupt_term,
-    })
-    print(f"verify-identity: worst max relative residual {worst:.3e} "
-          f"(threshold {threshold:g}) -> {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    summary = {"results": results, "worst_max_rel": worst, "threshold": threshold,
+               "t_coefficient": {"value": tpos.t_value, "bound": tpos.lower_bound,
+                                 "passed": tpos.passed},
+               "corrupt_term": args.corrupt_term}
+    return _finish(out_dir, "identity_report.json", cfg, summary,
+                   worst <= threshold and tpos.passed,
+                   f"verify-identity: worst max relative residual {worst:.3e} "
+                   f"(threshold {threshold:g})")
 
 
-def _manufactured_study(cfg, out_dir) -> int:
+def _manufactured_study(cfg, coeffs, out_dir) -> int:
     """Convergence table of the manufactured-solution run over halved grids."""
-    import math
-
-    from .grid import integrate_q
-    from .solver import grid_source
-
-    coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     ref = flds.manufactured_reference()
-    sizes = [32, 64, 128]
-    rows = []
-    errs = []
-    for n in sizes:
+    rows, errs = [], []
+    for n in (32, 64, 128):
         # omega does not enter the study: the plain unit square
         g = build_grid(DomainSpec(), n, n, n, 0.5)
         # the reference vanishes on the boundary of the square
-        sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
-                         scheme=cfg["solver"]["scheme"],
-                         source=grid_source(ref, g, coeffs))
+        sc = _solve_config(cfg, coeffs, "dirichlet0", source=grid_source(ref, g, coeffs))
         y0 = ref.sample(g, times=np.array([0.0]))[0]
         Y = solve(y0, sc, g).Y
         err = float(np.sqrt(integrate_q(np.abs(Y - ref.sample(g)) ** 2, g)))
@@ -242,28 +262,19 @@ def _manufactured_study(cfg, out_dir) -> int:
     write_csv(os.path.join(out_dir, "manufactured.csv"), rows,
               ["n", "l2_error", "order"])
     orders = [r["order"] for r in rows[1:]]
-    ok = all(1.8 <= p <= 2.2 for p in orders)
-    write_json(os.path.join(out_dir, "solve_summary.json"), {
-        "config": cfg, "mode": "manufactured",
-        "orders": orders, "passed": bool(ok),
-    })
-    print(f"solve --manufactured: orders {', '.join(f'{p:.2f}' for p in orders)}"
-          f" -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _finish(out_dir, "solve_summary.json", cfg,
+                   {"mode": "manufactured", "orders": orders},
+                   all(1.8 <= p <= 2.2 for p in orders),
+                   f"solve --manufactured: orders {', '.join(f'{p:.2f}' for p in orders)}")
 
 
 def cmd_solve(args) -> int:
-    cfg, grid, out_dir = _prepare(args, "solve")
+    cfg, grid, coeffs, out_dir = _prepare(args, "solve")
     if args.manufactured:
-        return _manufactured_study(cfg, out_dir)
-    coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
-    sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=cfg["solver"]["bc"],
-                     scheme=cfg["solver"]["scheme"])
-    y0 = flds.random_initial_field(grid, seed=cfg["seed"],
-                                   amplitude=cfg["solver"]["amplitude"],
-                                   bc=cfg["solver"]["bc"],
-                                   n_modes=cfg["solver"]["n_modes"])
-    res = solve(y0, sc, grid)
+        return _manufactured_study(cfg, coeffs, out_dir)
+    bc = cfg["solver"]["bc"]
+    sc = _solve_config(cfg, coeffs, bc)
+    res = solve(_member(cfg, grid, cfg["seed"], bc), sc, grid)
     save_trajectory(os.path.join(out_dir, "trajectory.bin"), res.Y, grid)
     bal = energy_balance(res.Y, grid, sc)
     rows = [{"step": k, "t": grid.t_nodes[k + 1], "l2_norm": res.l2_norms[k + 1],
@@ -278,40 +289,30 @@ def cmd_solve(args) -> int:
         "l2_dissipative": dissipative,
     })
     print(f"solve: final L2 {res.l2_norms[-1]:.6g}, "
-          f"max energy residual {bal.max():.3e}, "
-          f"dissipative={dissipative}")
+          f"max energy residual {bal.max():.3e}, dissipative={dissipative}")
     return 0 if dissipative else 1
 
 
 def cmd_carleman_scan(args) -> int:
-    cfg, grid, out_dir = _prepare(args, "carleman-scan")
+    cfg, grid, coeffs, out_dir = _prepare(args, "carleman-scan")
     sc_cfg = cfg["scan"]
-    coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
     cond = check_condition1(coeffs, cfg["coeffs"]["r0"], cfg["coeffs"]["delta0"])
-    members = []                 # (k, bc, variants)
-    for k in range(sc_cfg["n_trajectories"]):
-        # seeded suite alternating Dirichlet / Neumann (Dirichlet only on the disk)
-        bc = "dirichlet0" if k % 2 == 0 or grid.spec.shape == "unit_disk" \
-            else "neumann0"
+    # a seeded suite alternating Dirichlet / Neumann (Dirichlet only on the
+    # disk), marched in lockstep, one march per boundary condition; the
+    # Neumann members weigh with the interior family only, so they come
+    # first, as the scan orders its members by family
+    members, marches = [], []    # (k, bc, variants) in march order
+    disk = grid.spec.shape == "unit_disk"
+    for bc in ("neumann0", "dirichlet0"):
+        ks = [k for k in range(sc_cfg["n_trajectories"])
+              if (k % 2 == 0 or disk) == (bc == "dirichlet0")]
         # the boundary family needs a Dirichlet trace
         variants = [v for v in sc_cfg["variants"]
                     if bc == "dirichlet0" or VARIANT_FAMILY[v] != "j2_boundary"]
-        if variants:             # marched only if a requested variant uses it
-            members.append((k, bc, variants))
-    # one march per boundary condition, in lockstep; the Neumann members
-    # weigh with the interior family only, so they come first, as the scan
-    # orders its members by family
-    members.sort(key=lambda member: member[1] == "dirichlet0")
-    marches = []
-    for bc in ("neumann0", "dirichlet0"):
-        Y0 = [flds.random_initial_field(grid, seed=cfg["seed"] + k,
-                                        amplitude=cfg["solver"]["amplitude"],
-                                        bc=bc, n_modes=cfg["solver"]["n_modes"])
-              for k, b, _ in members if b == bc]
-        if Y0:
-            sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc=bc,
-                             scheme=cfg["solver"]["scheme"])
-            marches.append(march(np.stack(Y0), sc, grid))
+        if ks and variants:      # marched only if a requested variant uses it
+            members += [(k, bc, variants) for k in ks]
+            Y0 = np.stack([_member(cfg, grid, cfg["seed"] + k, bc) for k in ks])
+            marches.append(march(Y0, _solve_config(cfg, coeffs, bc), grid))
     # each step is scanned as soon as it is marched, and each cell's
     # weights serve every member
     slices = (np.concatenate([step.Y for step in steps]) for steps in zip(*marches))
@@ -327,56 +328,38 @@ def cmd_carleman_scan(args) -> int:
             rows_of[v] += [{**rep.as_row(), "trajectory": k, "bc": bc}
                            for rep in scan.reports]
     rows = [row for v in sc_cfg["variants"] for row in rows_of[v]]
-    summary = {}
-    ok = cond.passed
+    summary, ok = {}, cond.passed
     lams = sorted(float(l) for l in sc_cfg["lambdas"])
     for variant in sc_cfg["variants"]:
-        per_mu = {}
+        per_mu = summary[variant] = {}
         for mu in sc_cfg["mus"]:
             stabs = [s.stabilization_lambda.get(float(mu)) for s in scans[variant]]
+            stable = None not in stabs
             c_last = suite_worst_constant(scans[variant], lams[-1], float(mu))
             c_prev = suite_worst_constant(scans[variant], lams[-2], float(mu))
             drift = abs(c_last - c_prev) / c_prev if c_prev > 0 else float("inf")
-            per_mu[str(mu)] = {
-                "stabilization_lambda": max(stabs) if all(
-                    s is not None for s in stabs) else None,
-                "c_emp_last": c_last, "c_emp_prev": c_prev,
-                "c_emp_drift": drift,
-            }
-            ok = ok and np.isfinite(c_last) and drift <= 0.10 \
-                and all(s is not None for s in stabs)
-        summary[variant] = per_mu
+            per_mu[str(mu)] = {"stabilization_lambda": max(stabs) if stable else None,
+                               "c_emp_last": c_last, "c_emp_prev": c_prev,
+                               "c_emp_drift": drift}
+            ok = ok and np.isfinite(c_last) and drift <= STABILIZATION_TOL and stable
     columns = sorted({k for row in rows for k in row}, key=str)
     write_csv(os.path.join(out_dir, "carleman_scan.csv"), rows, columns)
-    write_json(os.path.join(out_dir, "carleman_summary.json"), {
-        "config": cfg, "condition1": {"passed": cond.passed,
-                                      "margins": cond.margins},
-        "variants": summary, "passed": bool(ok),
-    })
-    print(f"carleman-scan: {n_cells} cells, {len(rows)} rows -> "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _finish(out_dir, "carleman_summary.json", cfg, {
+        "condition1": {"passed": cond.passed, "margins": cond.margins},
+        "variants": summary}, ok, f"carleman-scan: {n_cells} cells, {len(rows)} rows")
 
 
 def cmd_stability(args) -> int:
-    cfg, grid, out_dir = _prepare(args, "stability")
+    cfg, grid, coeffs, out_dir = _prepare(args, "stability")
     st = cfg["stability"]
-    coeffs = derive_coeffs(cfg["coeffs"]["b"], cfg["coeffs"]["c"])
-    sc = SolveConfig(b=coeffs.b, c=coeffs.c, bc="dirichlet0",
-                     scheme=cfg["solver"]["scheme"])
-    y0 = flds.random_initial_field(grid, seed=cfg["seed"],
-                                   amplitude=cfg["solver"]["amplitude"],
-                                   bc="dirichlet0",
-                                   n_modes=cfg["solver"]["n_modes"])
-    w = flds.random_initial_field(grid, seed=cfg["seed"] + 77, amplitude=1.0,
-                                  bc="dirichlet0",
-                                  n_modes=cfg["solver"]["n_modes"])
+    y0 = _member(cfg, grid, cfg["seed"], "dirichlet0")
+    w = _member(cfg, grid, cfg["seed"] + 77, "dirichlet0", amplitude=1.0)
     eps_list = [fr * grid.T for fr in st["eps_fractions"]]
-    reports = perturbation_suite(y0, w, st["deltas"], eps_list, sc, grid,
+    reports = perturbation_suite(y0, w, st["deltas"], eps_list,
+                                 _solve_config(cfg, coeffs, "dirichlet0"), grid,
                                  variants=tuple(st["variants"]))
     rows = [r.as_row() for r in reports]
-    ok = True
-    spreads = {}
+    ok, spreads = True, {}
     for variant in st["variants"]:
         for eps in eps_list:
             cs = [r.c_emp for r in reports
@@ -391,11 +374,8 @@ def cmd_stability(args) -> int:
     write_csv(os.path.join(out_dir, "stability.csv"), rows,
               ["variant", "delta", "epsilon", "lhs", "rhs_obs", "c_u2", "c_u1",
                "c_emp", "c_emp_u1", "degenerate"])
-    write_json(os.path.join(out_dir, "stability_summary.json"), {
-        "config": cfg, "spreads": spreads, "passed": bool(ok),
-    })
-    print(f"stability: {len(rows)} reports -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return _finish(out_dir, "stability_summary.json", cfg, {"spreads": spreads}, ok,
+                   f"stability: {len(rows)} reports")
 
 
 def main(argv=None) -> int:

@@ -74,6 +74,7 @@ from .grid import (GridError, SpaceTimeGrid, boundary_values, grad_sq, integrate
 from .weights import CarlemanParams, WeightTables, weight_tables
 
 FLUSH_LOG = -700.0
+LOG_DBL_MAX = float(np.log(np.finfo(float).max))
 # nodes per dot product of a weighted volume row: OpenBLAS splits a dot
 # product of more than 10,000 elements across threads, which rounds it
 # differently, so a row is the in-order sum of dots of at most this many
@@ -230,15 +231,19 @@ class _CellQuadrature:
         # the square's boundary samples are grid nodes, and only j1 runs on
         # the disk, where psi1 = 0 on the circle: the nodes hold the maximum
         self.log_scale = float(two_ell_max.max())
-        self.logw_max = two_ell_max - self.log_scale
+        logw_max = two_ell_max - self.log_scale
         with np.errstate(divide="ignore"):
-            self.logphi_max = np.log(tables.exp_mu_psi.max() * tables.sigma)
-            self.logphi_min = np.log(tables.exp_mu_psi.min() * tables.sigma)
+            logphi_max = np.log(tables.exp_mu_psi.max() * tables.sigma)
+            logphi_min = np.log(tables.exp_mu_psi.min() * tables.sigma)
         # per phi power, the bound on the weight's argument of each slice
-        self.bound = {p: self.logw_max + p * (self.logphi_max if p > 0
-                                              else self.logphi_min) if p
-                      else self.logw_max
-                      for p in {t.phi_power for t in TERMS}}
+        self.bound = {p: logw_max + p * (logphi_max if p > 0 else logphi_min)
+                      if p else logw_max for p in {t.phi_power for t in TERMS}}
+
+    def overflows(self) -> bool:
+        """The log offset is not a finite double, or the weight of some phi
+        power overflows on some slice: its bound passes log DBL_MAX."""
+        return not (np.isfinite(self.log_scale)
+                    and all(b.max() <= LOG_DBL_MAX for b in self.bound.values()))
 
     def _r(self) -> np.ndarray:
         """r = 2 lam (e^{mu psi} - K) on the flattened nodes, formed as
@@ -411,7 +416,8 @@ def _cells(families, lambdas, mus, grid: SpaceTimeGrid):
 def overflowing_cells(grid: SpaceTimeGrid, variants, lambdas, mus) -> list:
     """The (family, lambda, mu) cells of a scan of `variants` on `grid` whose
     log offset max 2 ell is not a finite double, or one of whose rows'
-    powers lam^lam_power mu^mu_power (at most lam^3 mu^4) is not:
+    powers lam^lam_power mu^mu_power (at most lam^3 mu^4) is not, or whose
+    weight exp(2 ell - log_scale + p log phi) overflows on some slice:
     `lambda_scan` would report nan or inf for them, or raise."""
     bad = []
     families = dict.fromkeys(VARIANT_FAMILY[v] for v in variants)
@@ -422,8 +428,8 @@ def overflowing_cells(grid: SpaceTimeGrid, variants, lambdas, mus) -> list:
                     powers = _powers(params, _cell_rows(params, grid))
                 except OverflowError:
                     powers = [float("inf")]
-                if not np.all(np.isfinite([_CellQuadrature(tables, grid).log_scale,
-                                           *powers])):
+                if _CellQuadrature(tables, grid).overflows() or not np.all(
+                        np.isfinite(powers)):
                     bad.append((params.family, params.lam, params.mu))
     return bad
 

@@ -260,6 +260,16 @@ class TestConfig:
                      "scan.lambdas", id="scan-lambda-power-overflows"),
         pytest.param({"scan": {"mus": [118], "variants": ["boundary"]}},
                      ["carleman-scan"], "scan.mus", id="scan-log-offset-overflows"),
+        # a scan cell whose weight exp(2 ell - log_scale + 3 log phi)
+        # overflows on a slice: j2 reaches 9 mu + log 4 > log DBL_MAX
+        pytest.param({"scan": {"mus": [79]}}, ["--grid", "16", "carleman-scan"],
+                     "scan.mus", id="scan-weight-overflows"),
+        # a peak the solver's substeps cannot bring under the stiffness cap
+        # within MAX_HALVINGS halvings: (T/nt) peak^2 > 512
+        pytest.param({"solver": {"amplitude": 182}}, ["solve"], "solver.amplitude",
+                     id="amplitude-past-stiffness-cap"),
+        pytest.param({"stability": {"deltas": [0.001, 300]}}, ["stability"],
+                     "stability.deltas[1]", id="delta-past-stiffness-cap"),
         pytest.param({"coeffs": {"b": 1e300}}, ["solve"], "coeffs.b",
                      id="coeffs-b-square-overflows"),
         # and coefficients alpha2 = (1 + bc)/(1 + b^2) or beta2 that overflow

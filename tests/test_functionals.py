@@ -446,17 +446,23 @@ def disk32(disk_spec):
                                           ("grid32", "j2_boundary"),
                                           ("disk32", "j1_interior")])
 def test_slice_extremes_exact(request, grid, family, lam, mu):
-    # the closed-form per-slice extremes are the full tables' bit for bit
+    # the closed-form per-slice extremes are the full tables' bit for bit,
+    # and each phi power's bound is formed from them
     grid = request.getfixturevalue(grid)
     tables = weight_tables(CarlemanParams(lam=lam, mu=mu, T=1.0, family=family),
                            grid)
     cell = _CellQuadrature(tables, grid)
     two_ell = log_theta2(tables)
     assert cell.log_scale == two_ell.max()
-    assert np.array_equal(cell.logw_max, (two_ell - cell.log_scale).max(axis=(1, 2)))
+    assert np.array_equal(cell.bound[0], (two_ell - cell.log_scale).max(axis=(1, 2)))
     logphi = np.log(phi(tables))
-    assert np.array_equal(cell.logphi_max, logphi.max(axis=(1, 2)))
-    assert np.array_equal(cell.logphi_min, logphi.min(axis=(1, 2)))
+    logphi_max = np.log(tables.exp_mu_psi.max() * tables.sigma)
+    logphi_min = np.log(tables.exp_mu_psi.min() * tables.sigma)
+    assert np.array_equal(logphi_max, logphi.max(axis=(1, 2)))
+    assert np.array_equal(logphi_min, logphi.min(axis=(1, 2)))
+    for p, bound in cell.bound.items():
+        extreme = logphi_max if p > 0 else logphi_min
+        assert np.array_equal(bound, cell.bound[0] + p * extreme if p else cell.bound[0])
 
 
 def flushed_slices(cell, term, g):
@@ -556,7 +562,7 @@ class TestSliceSkip:
         family, lam, mu = SKIP_CELLS[name]
         cell = _CellQuadrature(weight_tables(CarlemanParams(
             lam=lam, mu=mu, T=1.0, family=family), grid32), grid32)
-        k = int(np.argmax(cell.logw_max))
+        k = int(np.argmax(cell.bound[0]))
         g = np.zeros((31, 33, 33))
         g[k] = np.exp(-720.0)
         term = Term("g", "lhs", frozenset(), "g", 0, 0, 0, "Q")
@@ -583,7 +589,7 @@ class TestSliceSkip:
         cell = _CellQuadrature(weight_tables(CarlemanParams(
             lam=lam, mu=mu, T=1.0, family=family), grid32), grid32)
         # (0 on the slices whose g would overflow: their weights are all 0)
-        log_g = FLUSH_LOG - 1.0 - cell.logw_max
+        log_g = FLUSH_LOG - 1.0 - cell.bound[0]
         g = np.broadcast_to(np.where(log_g < 700.0, np.exp(np.minimum(log_g, 700.0)),
                                      0.0)[:, None, None], (31, 33, 33))
         for p in (1, 2, 3):
@@ -814,8 +820,9 @@ def test_slice_sums_of_a_batch_are_each_cells_and_members(batch_grids, rng, monk
     # 2 ell - log_scale is lam times a table of the slices
     two, edge = quad(2.0), 8.0
     if family == "j1_interior":
-        edge, k = max((2.0 * (FLUSH_LOG + 5.0 - (two.bound[3][k] - two.logw_max[k]))
-                       / two.logw_max[k], k) for k in range(grid.nt - 1) if two.logw_max[k])
+        logw = two.bound[0]
+        edge, k = max((2.0 * (FLUSH_LOG + 5.0 - (two.bound[3][k] - logw[k])) / logw[k], k)
+                      for k in range(grid.nt - 1) if logw[k])
     quads = [quad(lam) for lam in (64.0, edge, 2.0, 32.0, 4.0, 16.0)]
     if family == "j1_interior":
         assert quads[1].bound[3][k] > FLUSH_LOG >= quads[1].bound[-1][k]

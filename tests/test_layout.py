@@ -10,7 +10,9 @@ module reads a private name of grid.py.  The first-difference stencil, with
 its one-sided end rows, is taken along the two space axes only.  Every field of a record (a
 dataclass or NamedTuple) is read in src/.  The solver forms no matrix
 product, and its time loop has one body: each scheme is a symbol of the
-linear substep.  The scan alone samples the Dirichlet trace.
+linear substep.  The scan alone samples the Dirichlet trace.  The command
+front end derives the coefficients, builds a SolveConfig and draws an
+initial field at one site each, and writes a summary in two places.
 """
 
 import ast
@@ -251,3 +253,21 @@ def test_march_reads_no_scheme():
                   if isinstance(n, ast.FunctionDef) and n.name == "substep"]
     assert set(SCHEMES) <= {n.value for n in ast.walk(substep)
                             if isinstance(n, ast.Constant)}
+
+
+def _call_sites(tree, name) -> list:
+    """The enclosing function of each call of `name` in a module."""
+    return [func for func, node in _function_nodes(tree)
+            if isinstance(node, ast.Call) and _references(node.func)[name]]
+
+
+def test_one_front_end_per_run_input():
+    # each command's coefficients, solver configuration and initial fields
+    # come from one helper of cli.py, and its summary and verdict from
+    # _finish; solve's summary has no verdict and writes its own
+    cli = _modules()["cli"]
+    assert {name: _call_sites(cli, name) for name in
+            ("derive_coeffs", "SolveConfig", "random_initial_field")} == {
+        "derive_coeffs": ["_prepare"], "SolveConfig": ["_solve_config"],
+        "random_initial_field": ["_member"]}
+    assert sorted(_call_sites(cli, "write_json")) == ["_finish", "cmd_solve"]

@@ -32,7 +32,7 @@ log_scale = max_Q 2 ell.  Both sides share the offset, leaving the ratio
 exact; reported totals are the raw bracket times exp(-log_scale).
 `prepare_trajectory` computes every integrand g of a trajectory, or of a
 stack of them, on interior times from y and its centred y_t there, the
-boundary one |dy/dnu|^2 too (square only).  The weights do not depend on
+boundary one |dy/dnu|^2 too.  The weights do not depend on
 the trajectory: `lambda_scan` takes a suite slice by slice as it is solved,
 holds the two slices before the incoming one, prepares the node between
 them for every member in one call and weighs it, so that no trajectory is
@@ -58,7 +58,8 @@ zero weights there, is not weighed, and its sum is zero.  Each row keeps
 its per-slice sums on all nt+1 nodes, zero at t = 0 and T, and its time
 integral is `grid.integrate_slices` of them, so how cells and members are
 batched does not move a bit.
-Square corner nodes are excluded from all weighted integrals.
+Square corner nodes are excluded from all weighted integrals.  The cells
+run on the unit square only.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class TrajectoryData:
     y6: np.ndarray            # |y|^6
     y2_grad2: np.ndarray      # |y|^2 |grad y|^2
     y4: np.ndarray            # |y|^4
-    dnu2: np.ndarray | None   # |dy/dnu|^2 at boundary samples (None on the disk)
+    dnu2: np.ndarray          # |dy/dnu|^2 at boundary samples
 
 
 def prepare_trajectory(Y: np.ndarray, yt: np.ndarray, grid: SpaceTimeGrid,
@@ -181,7 +182,6 @@ def prepare_trajectory(Y: np.ndarray, yt: np.ndarray, grid: SpaceTimeGrid,
     time nodes, from Y there and its centred y_t: a whole trajectory's
     interior, or the scan's one node of every member.  Y is trusted, as
     the scan checks each slice."""
-    square = grid.spec.shape == "unit_square"
     lap = laplacian(Y, grid, "ghost_from_field")
     grad_abs2 = grad_sq(Y, grid)
     abs2 = np.abs(Y) ** 2
@@ -195,7 +195,7 @@ def prepare_trajectory(Y: np.ndarray, yt: np.ndarray, grid: SpaceTimeGrid,
         y6=abs2 ** 3,
         y2_grad2=abs2 * grad_abs2,
         y4=abs2 ** 2,
-        dnu2=np.abs(normal_derivative(Y, grid)) ** 2 if square else None,
+        dnu2=np.abs(normal_derivative(Y, grid)) ** 2,
     )
 
 
@@ -228,8 +228,7 @@ class _CellQuadrature:
         self.grid = grid
         self.tables = tables
         two_ell_max = self._r().max() * tables.sigma
-        # the square's boundary samples are grid nodes, and only j1 runs on
-        # the disk, where psi1 = 0 on the circle: the nodes hold the maximum
+        # the square's boundary samples are grid nodes: they hold the maximum
         self.log_scale = float(two_ell_max.max())
         logw_max = two_ell_max - self.log_scale
         with np.errstate(divide="ignore"):
@@ -328,9 +327,9 @@ def _cell_rows(params: CarlemanParams, grid: SpaceTimeGrid) -> list:
     if abs(params.T - grid.T) > 1e-12 * grid.T:
         raise FunctionalError(
             f"weight horizon T={params.T} disagrees with grid T={grid.T}")
-    if params.family == "j2_boundary" and grid.spec.shape != "unit_square":
-        raise FunctionalError("boundary family j2 is unsupported on unit_disk "
-                              "(no normal derivative on the circle)")
+    if grid.spec.shape != "unit_square":
+        raise FunctionalError("the Carleman cells run on unit_square only, "
+                              f"not on {grid.spec.shape}")
     return [t for t in TERMS
             if not t.variants.isdisjoint(_FAMILY_VARIANTS[params.family])]
 
@@ -391,7 +390,7 @@ def evaluate_cell(data: TrajectoryData, tables: WeightTables,
     cell = _CellQuadrature(tables, grid)
     sums = np.zeros((len(rows), grid.nt + 1))       # zero at t = 0 and T
     for s in range(grid.nt - 1):
-        at = {name: g[s:s + 1] for name, g in vars(data).items() if g is not None}
+        at = {name: g[s:s + 1] for name, g in vars(data).items()}
         sums[:, s + 1] = _slice_sums([cell], rows, at, s)[0, 0]
     return _cell_reports(tables.params, rows,
                          [integrate_slices(row, grid) for row in sums], cell.log_scale)
@@ -525,8 +524,7 @@ def lambda_scan(slices, variants, grid: SpaceTimeGrid, lambdas, mus,
                                            coeffs))
             for run, rows, quads, sums in groups:
                 sums[..., t - 1] = _slice_sums(
-                    quads, rows, {name: g[run] for name, g in data.items()
-                                  if g is not None}, t - 2)
+                    quads, rows, {name: g[run] for name, g in data.items()}, t - 2)
             del data
         prev, node = node, Y
         t += 1

@@ -22,10 +22,10 @@ axis, are one table per axis (`CutNodes`): the direction d of the active
 neighbours, the node with its next three along d, and the Shortley-Weller
 distance to the circle along -d.  Each disk stencil applies one rule from
 it: `grad` the two-point one-sided difference, `laplacian` the two-term
-Shortley-Weller row (dirichlet0) or the four-point one-sided row
-(ghost_from_field).  The table's builder raises GridError where a cut node
-lacks three active neighbours inward, which no disk grid of n = 16...1985
-(all that the config accepts) does.
+Shortley-Weller row (dirichlet0, the disk's only rule).  The table's
+builder raises GridError where a cut node lacks three active neighbours
+inward, which no disk grid of n = 16...1985 (all that the config accepts)
+does.
 
 Quadrature reductions use a fixed summation order: every space integral,
 over Omega, omega or Gamma, is ``space_sums`` of a slice against one of the
@@ -334,26 +334,22 @@ def laplacian(f: np.ndarray, grid: SpaceTimeGrid, bc: str = "ghost_from_field"):
         raise GridError(f"bc must be one of {VALID_BC}")
     if grid.spec.shape == "unit_square":
         return _d2(f, grid.h, -1, bc) + _d2(f, grid.h, -2, bc)
-    if bc == "neumann0":
-        raise GridError("unit_disk has no neumann0 rule")
+    if bc != "dirichlet0":
+        raise GridError(f"unit_disk has no {bc} rule")
     # per-axis cut rules, then one sum: the solver reads its matrix off this
     cut_x, cut_y = grid._cut
-    out = _disk_d2(f, grid.h, cut_x, -1, bc) + _disk_d2(f, grid.h, cut_y, -2, bc)
+    out = _disk_d2(f, grid.h, cut_x, -1) + _disk_d2(f, grid.h, cut_y, -2)
     out[..., ~grid.active_mask] = 0.0
     return out
 
 
-def _disk_d2(f, h, cut, axis, bc):
+def _disk_d2(f, h, cut, axis):
     """Second derivative along one axis: centered, and at the cut nodes
-    Shortley-Weller toward the circle (its value 0 at distance a h) for
-    dirichlet0, one-sided into the domain for ghost_from_field."""
-    out = _d2(f, h, axis, "ghost_from_field")
+    Shortley-Weller toward the circle (its value 0 at distance a h); the
+    box's end nodes lie outside the disk."""
+    out = _d2(f, h, axis, "dirichlet0")
     v = f[..., cut.iy, cut.ix]
-    if bc == "dirichlet0":
-        row = 2.0 / (h * h) * (v[..., 1, :] / (1 + cut.a) - v[..., 0, :] / cut.a)
-    else:
-        row = (2 * v[..., 0, :] - 5 * v[..., 1, :] + 4 * v[..., 2, :]
-               - v[..., 3, :]) / (h * h)
+    row = 2.0 / (h * h) * (v[..., 1, :] / (1 + cut.a) - v[..., 0, :] / cut.a)
     out[..., cut.iy[0], cut.ix[0]] = row
     return out
 

@@ -222,18 +222,22 @@ class TestConfig:
                      id="disk-boundary-stability"),
         pytest.param(DISK, ["solve", "--manufactured"], "--manufactured",
                      id="disk-manufactured"),
-        pytest.param(DISK, ["carleman-scan"], "scan.variants",
+        # the disk's Carleman integrals are not resolved: no disk scan runs
+        pytest.param(DISK, ["carleman-scan"], "domain.shape",
                      id="disk-boundary-scan"),
+        pytest.param({**DISK, "scan": {"variants": ["interior", "linear_interior"]}},
+                     ["carleman-scan"], "domain.shape", id="disk-interior-scan"),
+        pytest.param({**DISK, "solver": {"scheme": "exp_strang"},
+                      "scan": {"variants": ["interior", "linear_interior"]}},
+                     ["carleman-scan"], "domain.shape", id="disk-exp_strang-scan"),
         # the disk has no transform basis for the exact linear flow; its
-        # suites are asked for interior variants only, which it supports
+        # stability suite is asked for the interior variant only, which it
+        # supports
         pytest.param({**DISK, "solver": {"scheme": "exp_strang"}}, ["solve"],
                      "solver.scheme", id="disk-exp_strang-solve"),
         pytest.param({**DISK, "solver": {"scheme": "exp_strang"},
                       "stability": {"variants": ["interior"]}}, ["stability"],
                      "solver.scheme", id="disk-exp_strang-stability"),
-        pytest.param({**DISK, "solver": {"scheme": "exp_strang"},
-                      "scan": {"variants": ["interior", "linear_interior"]}},
-                     ["carleman-scan"], "solver.scheme", id="disk-exp_strang-scan"),
         # the backward-Euler scheme is gone
         pytest.param({"solver": {"scheme": "imex_be"}}, ["solve"], "solver.scheme",
                      id="retired-imex_be"),
@@ -315,10 +319,11 @@ class TestConfig:
         # the interior variants need psi1's critical point inside omega
         pytest.param(MISPLACED_OMEGA, ["carleman-scan"], "domain.omega_center",
                      id="square-omega-misses-critical-point"),
+        # and on the disk, whatever omega, the scan is refused
         pytest.param({"domain": {**DISK["domain"], "omega_center": [0.5, 0.0],
                                  "omega_radius": 0.2},
                       "scan": {"variants": ["interior", "linear_interior"]}},
-                     ["carleman-scan"], "domain.omega_center",
+                     ["carleman-scan"], "domain.shape",
                      id="disk-omega-misses-critical-point"),
         # an output directory that cannot be made: c.json, the configuration
         # file beside the run, is a file
@@ -528,21 +533,15 @@ class TestCommands:
         assert cfg["scan"] == DEFAULTS["scan"]
 
     def test_scan_preflight_judges_configured_omega(self, tmp_path, capsys):
-        # omega = B((0.3, 0.3), 0.1) misses psi1's critical point (0.5, 0.5),
-        # and B((0.5, 0), 0.2) misses the disk's, the origin
-        disk = {"domain": {**DISK["domain"], "omega_center": [0.5, 0.0],
-                           "omega_radius": 0.2},
-                "scan": {"variants": ["interior"]}}
-        for config in (MISPLACED_OMEGA, disk):
-            p = tmp_path / "c.json"
-            p.write_text(json.dumps(config))
-            assert run_in(tmp_path, ["--config", str(p)] + BASE
-                          + ["carleman-scan"]) == 2
-            err = capsys.readouterr().err
-            assert "domain.omega_center:" in err
-            assert "psi1.critical_point_in_omega" in err
-            assert "psi1.grad_nonvanishing_outside_omega" in err
-            assert not (tmp_path / "runs").exists()
+        # omega = B((0.3, 0.3), 0.1) misses psi1's critical point (0.5, 0.5)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(MISPLACED_OMEGA))
+        assert run_in(tmp_path, ["--config", str(p)] + BASE + ["carleman-scan"]) == 2
+        err = capsys.readouterr().err
+        assert "domain.omega_center:" in err
+        assert "psi1.critical_point_in_omega" in err
+        assert "psi1.grad_nonvanishing_outside_omega" in err
+        assert not (tmp_path / "runs").exists()
         # psi2 does not depend on omega: a boundary scan goes ahead
         p.write_text(json.dumps({**MISPLACED_OMEGA,
                                  "scan": {"variants": ["boundary"]}}))

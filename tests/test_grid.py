@@ -171,30 +171,20 @@ def fix_disk_grad_loop(f, active, h, g, cut_list, axis):
 
 
 def sw_second(val, i0, d, a, h, ok):
-    """One-sided second derivative at a disk cut node, as grid.laplacian
-    once took it.
-
-    Shortley-Weller toward the circle (boundary value 0 at distance a*h) when
-    a is given; otherwise one-sided differences into the domain.
-    """
-    if a is not None:
-        inner = val(i0 - d) if ok(i0 - d) else None
-        if inner is not None:
-            return 2.0 / (h * h) * (inner / (1 + a) - val(i0) / a)
-        return -2.0 * val(i0) / (a * h * h)
-    if ok(i0 + d) and ok(i0 + 2 * d) and ok(i0 + 3 * d):
-        return (2 * val(i0) - 5 * val(i0 + d) + 4 * val(i0 + 2 * d) - val(i0 + 3 * d)) / (h * h)
-    if ok(i0 + d) and ok(i0 + 2 * d):
-        return (val(i0) - 2 * val(i0 + d) + val(i0 + 2 * d)) / (h * h)
-    return np.zeros_like(val(i0))
+    """Second derivative at a disk cut node, as grid.laplacian once took it:
+    Shortley-Weller toward the circle (boundary value 0 at distance a*h)."""
+    inner = val(i0 - d) if ok(i0 - d) else None
+    if inner is not None:
+        return 2.0 / (h * h) * (inner / (1 + a) - val(i0) / a)
+    return -2.0 * val(i0) / (a * h * h)
 
 
-def disk_d2_loop(f, grid, cut_list, axis, bc):
-    """Second derivative along one axis, centered, with the cut-node rules
-    node by node, as grid.laplacian once applied them: the reference for
-    the cut-node table."""
+def disk_d2_loop(f, grid, cut_list, axis):
+    """Second derivative along one axis, centered, with the dirichlet0
+    cut-node rule node by node, as grid.laplacian once applied it: the
+    reference for the cut-node table."""
     h = grid.h
-    out = _d2(f, h, axis, "ghost_from_field")
+    out = _d2(f, h, axis, "dirichlet0")
     for iy, ix, has_m, has_p in cut_list:
         i0 = ix if axis == -1 else iy
         n = grid.nx if axis == -1 else grid.ny
@@ -208,15 +198,12 @@ def disk_d2_loop(f, grid, cut_list, axis, bc):
 
         # direction toward the missing neighbor
         d_out = 1 if not has_p else -1
-        if bc == "dirichlet0":
-            c_par = coord[0] if axis == -1 else coord[1]
-            c_perp = coord[1] if axis == -1 else coord[0]
-            root = math.sqrt(max(1.0 - c_perp * c_perp, 0.0))
-            a = (root - d_out * c_par) / h
-            a = min(max(a, 1e-3), 1.0)
-            out[..., iy, ix] = sw_second(val, i0, d_out, a, h, ok)
-        else:
-            out[..., iy, ix] = sw_second(val, i0, -d_out, None, h, ok)
+        c_par = coord[0] if axis == -1 else coord[1]
+        c_perp = coord[1] if axis == -1 else coord[0]
+        root = math.sqrt(max(1.0 - c_perp * c_perp, 0.0))
+        a = (root - d_out * c_par) / h
+        a = min(max(a, 1e-3), 1.0)
+        out[..., iy, ix] = sw_second(val, i0, d_out, a, h, ok)
     return out
 
 
@@ -246,13 +233,14 @@ class TestDiskCutNodes:
         for got, ref in zip(grad(f, disk), want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
-    @pytest.mark.parametrize("bc", ["dirichlet0", "ghost_from_field"])
+    # the disk's one rule
+    @pytest.mark.parametrize("bc", ["dirichlet0"])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_laplacian_matches_the_loop(self, disk, field, dtype, bc):
         f = field[0] if dtype is float else field[0] + 1j * field[1]
         active = disk.active_mask
-        want = disk_d2_loop(f, disk, cut_list(active, -1), -1, bc) \
-            + disk_d2_loop(f, disk, cut_list(active, -2), -2, bc)
+        want = disk_d2_loop(f, disk, cut_list(active, -1), -1) \
+            + disk_d2_loop(f, disk, cut_list(active, -2), -2)
         want[..., ~active] = 0.0
         got = laplacian(f, disk, bc)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -301,11 +289,6 @@ class TestLaplacian:
     def test_constant_neumann_zero(self, grid32):
         f = np.ones((33, 33), dtype=complex)
         assert np.abs(laplacian(f, grid32, "neumann0")).max() < 1e-12
-
-    def test_disk_quadratic(self, disk_grid):
-        f = (disk_grid.X1 ** 2 + disk_grid.X2 ** 2) * disk_grid.active_mask + 0j
-        lap = laplacian(f, disk_grid, "ghost_from_field")
-        assert np.abs(lap[disk_grid.active_mask] - 4).max() < 1e-9
 
     def test_bad_bc_rejected(self, grid32):
         with pytest.raises(GridError):

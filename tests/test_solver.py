@@ -621,6 +621,9 @@ class TestZeroAndDisk:
         for call in calls:
             with pytest.raises(GridError, match="neumann0"):
                 call()
+        # nor the one-sided ghost_from_field rule: dirichlet0 is its only one
+        with pytest.raises(GridError, match="ghost_from_field"):
+            laplacian(Y[0], disk_grid, "ghost_from_field")
 
     def test_failed_factorization_raises(self, disk_spec, monkeypatch,
                                          tmp_path, capsys):
